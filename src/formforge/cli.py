@@ -9,9 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 from . import constructions, jsonio, witness
 from .coeffield import QQ, field_extend
@@ -65,21 +64,6 @@ class _Parser(argparse.ArgumentParser):
     def _fail(self, message):
         print("%s: error: %s" % (self.prog, message), file=sys.stderr)
         return EXIT_ERROR
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    subcommand: str
-    inputs: Tuple[str, ...] = ()
-    output: Optional[str] = None
-    mode: str = "auto"
-    samples: int = 100
-    seed: Optional[int] = None
-    budget: Optional[int] = None
-
-    def __post_init__(self):
-        if self.mode == "random" and self.seed is None:
-            raise UsageError("--seed is required when --mode random")
 
 
 def _build_parser() -> _Parser:
@@ -219,33 +203,37 @@ def _load_json(path: str):
 
 
 def _load_form(path: str):
-    """A plain form file or a constructed-form file; returns (form, cf|None)."""
+    """A plain form file or a constructed-form file; returns (form, sections),
+    where sections is the undecoded constructed-form object (None for a plain
+    form).  A command decodes only the sections it reads (`_section`)."""
     obj = _load_json(path)
     if isinstance(obj, dict) and "form" in obj:
-        phi = jsonio.decode_form(obj["form"], "$.form")
-        witness_obj = obj.get("witness")
-        composition = None
-        algebra = None
-        if "composition" in obj:
-            composition = jsonio.decode_structure_matrices(
-                obj["composition"], phi.field, "$.composition"
-            )
-        if "algebra" in obj:
-            algebra = jsonio.decode_algebra(obj["algebra"], phi.field, "$.algebra")
-        w = (
-            jsonio.decode_scaled_witness(witness_obj, phi.field, "$.witness")
-            if witness_obj is not None
-            else None
-        )
-        cf = constructions.ConstructedForm(
-            form=phi,
-            provenance=obj.get("provenance", {"kind": "file"}),
-            witness=w,
-            composition=composition,
-            algebra=algebra,
-        )
-        return phi, cf
+        return jsonio.decode_form(obj["form"], "$.form"), obj
     return jsonio.decode_form(obj), None
+
+
+def _section(sections, name: str, field):
+    """One decoded section of a constructed-form file, or None when absent."""
+    if sections is None or sections.get(name) is None:
+        return None
+    decode = {
+        "witness": jsonio.decode_scaled_witness,
+        "composition": jsonio.decode_structure_matrices,
+        "algebra": jsonio.decode_algebra,
+    }[name]
+    return decode(sections[name], field, "$." + name)
+
+
+def _load_factor(path: str):
+    """An input of product or power: a constructed form keeps its witness."""
+    phi, sections = _load_form(path)
+    if sections is None:
+        return phi
+    return constructions.ConstructedForm(
+        form=phi,
+        provenance=sections.get("provenance", {"kind": "file"}),
+        witness=_section(sections, "witness", phi.field),
+    )
 
 
 def _emit(payload, output: Optional[str]) -> None:
@@ -286,18 +274,14 @@ def _construct(args) -> int:
         )
         if len(powers) != len(args.input):
             raise UsageError("powers must match the number of --input files")
-        factors = []
-        for path, s in zip(args.input, powers):
-            phi, cf_in = _load_form(path)
-            factors.append((cf_in if cf_in is not None else phi, s))
+        factors = [(_load_factor(path), s) for path, s in zip(args.input, powers)]
         cf = constructions.product_form(factors)
     elif kind == "power":
         if len(args.input) != 1:
             raise UsageError("power needs exactly one --input form")
         m = _as_int(_take(params, "m", required=True), "m")
         _no_leftovers(params)
-        phi, cf_in = _load_form(args.input[0])
-        cf = constructions.power_form(cf_in if cf_in is not None else phi, m)
+        cf = constructions.power_form(_load_factor(args.input[0]), m)
     elif kind == "norm-compose":
         if len(args.input) != 1:
             raise UsageError("norm-compose needs exactly one --input form over the extension")
@@ -367,38 +351,23 @@ def _verdict_exit(verdict: str) -> int:
     return EXIT_UNKNOWN
 
 
-def _witness_payload(args, phi, cf):
-    """The (kind, payload) pair for a verify run, from --witness or the form file."""
+def _witness_payload(args, phi, sections):
+    """The (kind, payload) pair for a verify run, from --witness or the form
+    file; only the section that is returned gets decoded."""
     if args.witness:
         return jsonio.decode_witness_payload(_load_json(args.witness), phi.field)
-    if cf is not None:
-        if args.what in ("composition",) and cf.composition is not None:
-            return "composition", cf.composition
-        if args.what in ("composition", "jordan") and cf.algebra is not None:
-            return "algebra", cf.algebra
-        if cf.witness is not None:
-            return "scaled", cf.witness
+    wanted = {"composition": ("composition", "algebra"), "jordan": ("algebra",)}
+    for name in wanted.get(args.what, ()) + ("witness",):
+        payload = _section(sections, name, phi.field)
+        if payload is not None:
+            return ("scaled" if name == "witness" else name), payload
     raise UsageError("no --witness given and the form file carries none")
 
 
 def _verify(args) -> int:
-    config = CommandConfig(
-        subcommand="verify",
-        inputs=(args.form,) + ((args.witness,) if args.witness else ()),
-        output=args.output,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-        budget=args.budget,
-    )
-    phi, cf = _load_form(args.form)
-    kind, payload = _witness_payload(args, phi, cf)
-    kw = dict(
-        mode=config.mode,
-        samples=config.samples,
-        seed=config.seed,
-        budget=config.budget,
-    )
+    phi, sections = _load_form(args.form)
+    kind, payload = _witness_payload(args, phi, sections)
+    kw = dict(mode=args.mode, samples=args.samples, seed=args.seed, budget=args.budget)
 
     what = args.what
     if what == "composition":
@@ -538,7 +507,6 @@ def main(argv=None) -> int:
 
     try:
         if args.subcommand == "verify":
-            # validated via CommandConfig inside _verify as well; fail fast here
             if args.mode == "random" and args.seed is None:
                 raise UsageError("--seed is required when --mode random")
         return _DISPATCH[args.subcommand](args)

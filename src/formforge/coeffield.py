@@ -270,17 +270,6 @@ def regular_representation(A: EtaleAlgebra, x: FieldElement):
     return cols
 
 
-def element_arith(A, op: str, x: FieldElement, y: FieldElement = None) -> FieldElement:
-    """Dispatch table kept for the wire-level callers; operators do the work."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "inv":
-        return x.inv()
-    raise ValueError("unknown op %r" % (op,))
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials over a coefficient field, as plain coefficient lists
 # (low degree first, no trailing zeros).  Used for minimal-polynomial work

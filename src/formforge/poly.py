@@ -8,12 +8,13 @@ Schwartz-Zippel style confidence bound).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .coeffield import FieldElement
+from .coeffield import FieldElement, RationalField
 
 
 class NotDivisible(ArithmeticError):
@@ -39,12 +40,13 @@ def _grlex(e: Tuple[int, ...]):
 
 
 class Polynomial:
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "terms", "_compiled")
 
     def __init__(self, field, nvars: int, terms: dict):
         self.field = field
         self.nvars = nvars
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        self._compiled = None
 
     # -- constructors ------------------------------------------------------
 
@@ -199,6 +201,13 @@ class Polynomial:
     def eval(self, point: Sequence[FieldElement]) -> FieldElement:
         if len(point) != self.nvars:
             raise ValueError("point has %d coordinates, expected %d" % (len(point), self.nvars))
+        field = self.field
+        if isinstance(field, RationalField):
+            for x in point:
+                f = getattr(x, "field", None)
+                if f is not field and f != field:
+                    raise TypeError("coordinate %r is not in %r" % (x, field))
+            return self._eval_q([x.coeffs[0] for x in point])
         maxes = [0] * self.nvars
         for e in self.terms:
             for i, ei in enumerate(e):
@@ -220,7 +229,51 @@ class Polynomial:
         return total
 
     def eval_int(self, point: Sequence[int]) -> FieldElement:
+        if isinstance(self.field, RationalField) and len(point) == self.nvars:
+            return self._eval_q(point)
         return self.eval([self.field.from_rational(x) for x in point])
+
+    def _compile_q(self):
+        """The polynomial over Q as (L, D, terms): L is the least common
+        denominator of the coefficients, D the total degree, and each term is
+        (L * coefficient, degree, ((variable, exponent), ...))."""
+        coeffs = [c.coeffs[0] for c in self.terms.values()]
+        L = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+        terms = []
+        for e, c in zip(self.terms, coeffs):
+            mono = tuple((i, k) for i, k in enumerate(e) if k)
+            terms.append((c.numerator * (L // c.denominator), sum(e), mono))
+        D = max((t[1] for t in terms), default=0)
+        self._compiled = (L, D, terms)
+        return self._compiled
+
+    def _eval_q(self, values) -> FieldElement:
+        """Exact value over Q at a point of ints or Fractions, computed in ints.
+
+        Rational coordinates are written as a_i / B over their common
+        denominator B; a term of degree k then contributes c * a^e * B^(D - k)
+        to the numerator of the value times L * B^D."""
+        L, D, terms = self._compiled or self._compile_q()
+        B = 1
+        for v in values:
+            if v.denominator != 1:
+                B = math.lcm(B, v.denominator)
+        if B == 1:
+            a = [v.numerator for v in values]
+            total = 0
+            for c, _, mono in terms:
+                for i, k in mono:
+                    c *= a[i] ** k
+                total += c
+            return FieldElement(self.field, (Fraction(total, L),))
+        a = [v.numerator * (B // v.denominator) for v in values]
+        scale = [B**j for j in range(D + 1)]
+        total = 0
+        for c, k, mono in terms:
+            for i, ek in mono:
+                c *= a[i] ** ek
+            total += c * scale[D - k]
+        return FieldElement(self.field, (Fraction(total, L * scale[D]),))
 
     def compose(self, args: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute args[i] for variable i.  All args share one ambient ring."""
@@ -289,16 +342,6 @@ class Polynomial:
             bits.append("%r%s" % (c, "*" + mono if mono else ""))
         tail = " + ..." if len(self.terms) > 8 else ""
         return "Poly(%s%s)" % (" + ".join(bits), tail)
-
-
-def poly_arith(op: str, p: Polynomial, q: Polynomial) -> Polynomial:
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    if op == "exact_div":
-        return p.exact_div(q)
-    raise ValueError("unknown op %r" % (op,))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +421,44 @@ class RationalFunction:
 # linear substitution with denominator clearing
 
 
+def clear_denominators(M: Sequence[Sequence[RationalFunction]]):
+    """(N, D) for a matrix M of rational functions: D is the product of the
+    distinct entry denominators and N = D * M, a matrix of polynomials."""
+    field = M[0][0].num.field
+    nx = M[0][0].num.nvars
+    dens = []
+    for row in M:
+        for entry in row:
+            if not any(entry.den == d for d in dens):
+                dens.append(entry.den)
+    D = Polynomial.const(field, nx, field.one)
+    for d in dens:
+        D = D * d
+    N = tuple(
+        tuple(
+            Polynomial.zero(field, nx) if entry.is_zero() else entry.num * D.exact_div(entry.den)
+            for entry in row
+        )
+        for row in M
+    )
+    return N, D
+
+
+def linear_forms(N: Sequence[Sequence[Polynomial]]):
+    """The entries of N(X) * Y, as polynomials in the X then Y variables."""
+    n = len(N)
+    field = N[0][0].field
+    y_exps = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
+    return [
+        Polynomial(
+            field,
+            N[0][0].nvars + n,
+            {e + y_exps[j]: c for j, entry in enumerate(row) for e, c in entry.terms.items()},
+        )
+        for row in N
+    ]
+
+
 def substitute_linear(p: Polynomial, M: Sequence[Sequence[RationalFunction]]):
     """For homogeneous p in Y and a square matrix M of rational functions in X,
     return (q, D) with q = D^deg(p) * p(M*Y), a polynomial in the X then Y
@@ -389,35 +470,10 @@ def substitute_linear(p: Polynomial, M: Sequence[Sequence[RationalFunction]]):
         raise ValueError("substitute_linear needs a homogeneous polynomial")
     if n == 0:
         raise ValueError("no variables to substitute")
-    field = M[0][0].num.field
-    nx = M[0][0].num.nvars
-    if field != p.field:
+    if M[0][0].num.field != p.field:
         raise TypeError("matrix and polynomial use different coefficient fields")
-    big = nx + n
-
-    dens = []
-    for row in M:
-        for entry in row:
-            if not any(entry.den == d for d in dens):
-                dens.append(entry.den)
-    D = Polynomial.const(field, nx, field.one)
-    for d in dens:
-        D = D * d
-
-    args = []
-    for i in range(n):
-        w = Polynomial.zero(field, big)
-        for j in range(n):
-            entry = M[i][j]
-            if entry.is_zero():
-                continue
-            coeff = entry.num * D.exact_div(entry.den)
-            lifted = coeff.embed(big, 0)
-            yj = Polynomial.variable(field, big, nx + j)
-            w = w + lifted * yj
-        args.append(w)
-    q = p.compose(args)
-    return q, D
+    N, D = clear_denominators(M)
+    return p.compose(linear_forms(N)), D
 
 
 # ---------------------------------------------------------------------------

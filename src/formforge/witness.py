@@ -27,10 +27,11 @@ from .poly import (
     Polynomial,
     RationalFunction,
     TermBudgetExceeded,
+    clear_denominators,
     compose_estimate,
     is_dth_power,
+    linear_forms,
     ring_matrix_determinant,
-    substitute_linear,
     verify_identity,
 )
 
@@ -119,16 +120,15 @@ def _resolve_mode(requested: str, estimate: int, budget: int, seed: Optional[int
 # scaled witnesses
 
 
-def _matrix_invertible(phi: HomogeneousForm, w: ScaledWitness) -> None:
+def _matrix_invertible(phi: HomogeneousForm, w: ScaledWitness, N, D: Polynomial) -> None:
     """Prove det M(X) is not identically zero, or raise SingularWitness.
 
-    One exact nonzero evaluation at an integer point proves nonvanishing; the
-    symbolic determinant is the fallback when sampled points keep landing on
-    zeros or poles.
+    With N = D * M, one exact nonzero value of det N(x) at an integer point x
+    proves nonvanishing; the symbolic determinant is the fallback when sampled
+    points keep landing on zeros of det M or of D.
     """
     field = phi.field
-    n = w.dim
-    nx = w.matrix[0][0].num.nvars
+    nx = D.nvars
     rng = random.Random(1)
     points = [(1,) * nx]
     bound = 3
@@ -138,21 +138,9 @@ def _matrix_invertible(phi: HomogeneousForm, w: ScaledWitness) -> None:
             bound *= 2
     for pt in points:
         fpt = [field.from_rational(x) for x in pt]
-        rows = []
-        ok = True
-        for row in w.matrix:
-            out_row = []
-            for entry in row:
-                den = entry.den.eval(fpt)
-                if den.is_zero():
-                    ok = False
-                    break
-                out_row.append(entry.num.eval(fpt) * den.inv())
-            if not ok:
-                break
-            rows.append(out_row)
-        if not ok:
+        if D.eval(fpt).is_zero():
             continue
+        rows = [[field.zero if p.is_zero() else p.eval(fpt) for p in row] for row in N]
         if not linalg.determinant(field, rows).is_zero():
             return
     det = ring_matrix_determinant(
@@ -202,30 +190,23 @@ def verify_scaled_witness(
     if w.dim != n or any(len(row) != n for row in w.matrix):
         raise DimensionMismatch("witness matrix must be %d x %d" % (n, n))
     budget = term_budget() if budget is None else budget
-    _matrix_invertible(phi, w)
+    # N = D * M over the common denominator D of the matrix entries
+    N, D = clear_denominators(w.matrix)
+    nx = D.nvars
+    _matrix_invertible(phi, w, N, D)
 
     identity = "num(c) * den(M)^%d * phi(Y) == den(c) * phi_cleared(M Y)" % phi.degree
 
-    # common denominator of the matrix, for the estimate and the symbolic path
-    dens = []
-    for row in w.matrix:
-        for entry in row:
-            if not any(entry.den == d for d in dens):
-                dens.append(entry.den)
-    D = Polynomial.const(phi.field, w.matrix[0][0].num.nvars, phi.field.one)
-    for dpoly in dens:
-        D = D * dpoly
-
     estimate = _estimate_scaled(phi, w, D)
     use_mode, use_seed, note = _resolve_mode(mode, estimate, budget, seed)
+    forms = linear_forms(N)  # N(X) Y, in the X then Y variables
 
     if use_mode == "symbolic":
-        q, Dq = substitute_linear(phi.body, w.matrix)
-        nx = Dq.nvars
+        q = phi.body.compose(forms)
         big = nx + n
         lhs = (
             w.scalar.num.embed(big, 0)
-            * (Dq**phi.degree).embed(big, 0)
+            * (D**phi.degree).embed(big, 0)
             * phi.body.embed(big, nx)
         )
         rhs = w.scalar.den.embed(big, 0) * q
@@ -239,10 +220,10 @@ def verify_scaled_witness(
             notes=note,
         )
 
-    # random mode: evaluate the uncleaned identity c(x) phi(y) = phi(M(x) y)
+    # random mode: evaluate the cleared identity at (x, y), skipping the poles
+    # of c and M, which are the points with den(c)(x) = 0 or D(x) = 0
     rng = random.Random(use_seed)
     field = phi.field
-    nx = w.matrix[0][0].num.nvars
     deg_bound = (
         phi.degree * (max((e.den.total_degree() for row in w.matrix for e in row), default=0) + 1)
         + w.scalar.num.total_degree()
@@ -256,33 +237,20 @@ def verify_scaled_witness(
         attempts += 1
         if attempts > 50 * samples:
             raise RuntimeError("could not avoid witness poles while sampling")
-        xpt = [field.from_rational(rng.randint(-box_halfwidth, box_halfwidth)) for _ in range(nx)]
-        ypt = [field.from_rational(rng.randint(-box_halfwidth, box_halfwidth)) for _ in range(n)]
-        cden = w.scalar.den.eval(xpt)
+        xpt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(nx)]
+        ypt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(n)]
+        xvec = [field.from_rational(v) for v in xpt]
+        cden = w.scalar.den.eval(xvec)
         if cden.is_zero():
             continue
-        bad = False
-        mval = []
-        for row in w.matrix:
-            out_row = []
-            for entry in row:
-                dv = entry.den.eval(xpt)
-                if dv.is_zero():
-                    bad = True
-                    break
-                out_row.append(entry.num.eval(xpt) * dv.inv())
-            if bad:
-                break
-            mval.append(out_row)
-        if bad:
+        dval = D.eval(xvec)
+        if dval.is_zero():
             continue
-        cval = w.scalar.num.eval(xpt) * cden.inv()
-        zpt = [
-            _dot(field, mval[i], ypt)
-            for i in range(n)
-        ]
-        lhs_v = cval * phi.body.eval(ypt)
-        rhs_v = phi.body.eval(zpt)
+        yvec = [field.from_rational(v) for v in ypt]
+        xy = xvec + yvec
+        zpt = [f.eval(xy) for f in forms]
+        lhs_v = w.scalar.num.eval(xvec) * dval**phi.degree * phi.body.eval(yvec)
+        rhs_v = cden * phi.body.eval(zpt)
         if lhs_v != rhs_v:
             return VerificationReport(
                 verdict="refuted",
@@ -291,7 +259,7 @@ def verify_scaled_witness(
                 samples=samples,
                 seed=use_seed,
                 box_halfwidth=box_halfwidth,
-                counterexample=tuple(int(x.as_rational()) for x in xpt + ypt),
+                counterexample=tuple(xpt + ypt),
                 elapsed_s=time.perf_counter() - t0,
                 notes=note,
             )
@@ -310,13 +278,6 @@ def verify_scaled_witness(
         elapsed_s=time.perf_counter() - t0,
         notes=note,
     )
-
-
-def _dot(field, row, vec):
-    out = field.zero
-    for a, b in zip(row, vec):
-        out = out + a * b
-    return out
 
 
 def _as_matrix(phi: HomogeneousForm, witness) -> Tuple[Tuple[RationalFunction, ...], ...]:
@@ -423,10 +384,11 @@ def verify_composition(
 
     rng = random.Random(use_seed)
     for k in range(samples):
-        xpt = [field.from_rational(rng.randint(-box_halfwidth, box_halfwidth)) for _ in range(n)]
-        ypt = [field.from_rational(rng.randint(-box_halfwidth, box_halfwidth)) for _ in range(n)]
-        zpt = [zp.eval(xpt + ypt) for zp in zpolys]
-        if phi.body.eval(xpt) * phi.body.eval(ypt) != phi.body.eval(zpt):
+        xpt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(n)]
+        ypt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(n)]
+        xy = xpt + ypt
+        zpt = [zp.eval_int(xy) for zp in zpolys]
+        if phi.body.eval_int(xpt) * phi.body.eval_int(ypt) != phi.body.eval(zpt):
             return VerificationReport(
                 verdict="refuted",
                 mode="random",
@@ -434,7 +396,7 @@ def verify_composition(
                 samples=samples,
                 seed=use_seed,
                 box_halfwidth=box_halfwidth,
-                counterexample=tuple(int(v.as_rational()) for v in xpt + ypt),
+                counterexample=tuple(xpt + ypt),
                 elapsed_s=time.perf_counter() - t0,
                 notes=note,
             )
@@ -463,8 +425,10 @@ def verify_jordan_composition(
     budget: Optional[int] = None,
 ) -> VerificationReport:
     """phi({v w v}) = phi(v)^2 phi(w), with {v w v} from the presentation:
-    v(wv) when the product is associative, else 2(v.w).v - w.(v.v).
-    Requires phi(unit) = 1 (UnitMismatch otherwise)."""
+    v(wv) when the product is associative, else the U-operator
+    2(v.w).v - w.(v.v) of the Jordan product x.y = (xy + yx)/2, which is
+    v(wv) again in an alternative algebra.  Requires phi(unit) = 1
+    (UnitMismatch otherwise)."""
     t0 = time.perf_counter()
     n = phi.nvars
     field = phi.field
@@ -482,11 +446,12 @@ def verify_jordan_composition(
         vw = algebra.product_polys(v, w)
         triple = algebra.product_polys(vw, v)
     else:
-        vw = algebra.product_polys(v, w)
-        vv = algebra.product_polys(v, v)
+        jordan = _jordan_product(algebra)
+        vw = jordan(v, w)
+        vv = jordan(v, v)
         two = field.from_rational(2)
-        first = [p.scale(two) for p in algebra.product_polys(vw, v)]
-        second = algebra.product_polys(w, vv)
+        first = [p.scale(two) for p in jordan(vw, v)]
+        second = jordan(w, vv)
         triple = [a - b for a, b in zip(first, second)]
 
     identity = "phi({v w v}) == phi(v)^2 * phi(w)"
@@ -508,11 +473,12 @@ def verify_jordan_composition(
 
     rng = random.Random(use_seed)
     for _ in range(samples):
-        vpt = [field.from_rational(rng.randint(-box_halfwidth, box_halfwidth)) for _ in range(n)]
-        wpt = [field.from_rational(rng.randint(-box_halfwidth, box_halfwidth)) for _ in range(n)]
-        tript = [tp.eval(vpt + wpt) for tp in triple]
+        vpt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(n)]
+        wpt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(n)]
+        vw = vpt + wpt
+        tript = [tp.eval_int(vw) for tp in triple]
         lhs_v = phi.body.eval(tript)
-        rhs_v = phi.body.eval(vpt) ** 2 * phi.body.eval(wpt)
+        rhs_v = phi.body.eval_int(vpt) ** 2 * phi.body.eval_int(wpt)
         if lhs_v != rhs_v:
             return VerificationReport(
                 verdict="refuted",
@@ -521,7 +487,7 @@ def verify_jordan_composition(
                 samples=samples,
                 seed=use_seed,
                 box_halfwidth=box_halfwidth,
-                counterexample=tuple(int(x.as_rational()) for x in vpt + wpt),
+                counterexample=tuple(vpt + wpt),
                 elapsed_s=time.perf_counter() - t0,
                 notes=note,
             )
@@ -538,6 +504,22 @@ def verify_jordan_composition(
         elapsed_s=time.perf_counter() - t0,
         notes=note,
     )
+
+
+def _jordan_product(algebra):
+    """x.y = (xy + yx)/2 on coordinate polynomials; the algebra's own product
+    when its structure constants are commutative."""
+    st = algebra.structure
+    n = algebra.dim
+    if all(st[i][j] == st[j][i] for i in range(n) for j in range(i + 1, n)):
+        return algebra.product_polys
+    half = algebra.field.from_rational(Fraction(1, 2))
+
+    def product(x, y):
+        xy = algebra.product_polys(x, y)
+        return [(a + b).scale(half) for a, b in zip(xy, algebra.product_polys(y, x))]
+
+    return product
 
 
 # ---------------------------------------------------------------------------

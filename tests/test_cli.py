@@ -14,6 +14,8 @@ from formforge import (
     QQ,
     RationalFunction,
     ScaledWitness,
+    composition_algebra_norm,
+    det_norm,
     diagonal_form,
     tits_cubic,
 )
@@ -342,3 +344,27 @@ def test_installed_console_script_matches_main(capsys):
     code, out, _ = run(capsys, *EXPONENT_ARGV)
     assert installed.returncode == code == 0
     assert installed.stdout == out.encode("utf-8")
+
+
+def test_unread_section_is_not_validated(capsys, tmp_path):
+    payload = encode_constructed_form(det_norm(2))
+    payload["algebra"]["structure"][0].pop()  # a structure plane one row short
+    path = write_json(tmp_path / "det2.json", payload)
+    code, out, _ = run(capsys, "verify", "strong-mult", "--form", path)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "proved"
+    code, _, err = run(capsys, "verify", "jordan", "--form", path)
+    assert code == 4
+    assert "$.algebra.structure[0]" in err
+
+
+def test_verify_jordan_split_octonion_norm(capsys, tmp_path):
+    cf = composition_algebra_norm("octonion", [1, 1, 1])
+    path = write_json(tmp_path / "oct.json", encode_constructed_form(cf))
+    code, out, _ = run(capsys, "verify", "jordan", "--form", path, "--mode", "symbolic")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "proved"
+    code, out, _ = run(capsys, "verify", "jordan", "--form", path,
+                       "--mode", "random", "--seed", "4", "--samples", "20")
+    assert code == 2
+    assert json.loads(out)["verdict"] == "evidence"

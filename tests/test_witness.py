@@ -11,6 +11,7 @@ from formforge import (
     UnitMismatch,
     absorb_twist,
     brute_force_exponent_closure,
+    composition_algebra_norm,
     det_norm,
     diagonal_jordan_cubic_decision,
     diagonal_strong_mult_decision,
@@ -32,6 +33,8 @@ from formforge import (
     verify_strong_jordan_multiplicativity,
     verify_strong_multiplicativity,
 )
+from formforge.coeffield import field_extend
+from formforge.constructions import _det_form
 
 
 def var(n, i):
@@ -313,3 +316,50 @@ def test_brute_force_closure_matches_gcd():
     for d in (3, 5, 6, 8, 12):
         for s in range(1, d):
             assert brute_force_exponent_closure(d, s) == reduce_exponent(d, s)
+
+
+def _witness_cases(field):
+    """Genuine, tampered and denominator-carrying strong-mult witnesses for
+    det-3 over `field`."""
+    phi = _det_form(3, field)
+    m = matrix_algebra(3, field=field).left_mult_witness_matrix()
+    x0 = RationalFunction.from_poly(Polynomial.variable(field, 9, 0))
+    tampered = tuple(
+        tuple(e + x0 if (i, j) == (1, 2) else e for j, e in enumerate(row))
+        for i, row in enumerate(m)
+    )
+    inv_x0 = x0.inv()
+    scaled = tuple(tuple(inv_x0 * e for e in row) for row in m)
+    c = RationalFunction.from_poly(phi.body)
+    return phi, [
+        ScaledWitness(scalar=c, matrix=m),
+        ScaledWitness(scalar=c, matrix=tampered),
+        ScaledWitness(scalar=c * inv_x0 ** 3, matrix=scaled),
+    ]
+
+
+def test_random_mode_same_over_q_and_a_degree_one_extension():
+    # Q[t]/(t) is Q again, but its elements take the generic evaluation path
+    # instead of the integer kernel; the sample loop is shared.
+    K = field_extend(QQ, [0, 1])
+    phi_q, cases_q = _witness_cases(QQ)
+    phi_k, cases_k = _witness_cases(K)
+    verdicts = []
+    for wq, wk in zip(cases_q, cases_k):
+        for seed, box in ((5, 10**6), (11, 2)):
+            kw = dict(mode="random", samples=25, seed=seed, box_halfwidth=box)
+            rq = verify_scaled_witness(phi_q, wq, **kw)
+            rk = verify_scaled_witness(phi_k, wk, **kw)
+            assert (rq.verdict, rq.counterexample, rq.per_sample_bound, rq.samples) == (
+                rk.verdict, rk.counterexample, rk.per_sample_bound, rk.samples
+            )
+            verdicts.append(rq.verdict)
+    assert verdicts == ["evidence"] * 2 + ["refuted"] * 2 + ["evidence"] * 2
+
+
+def test_jordan_composition_split_octonions():
+    cf = composition_algebra_norm("octonion", [1, 1, 1])
+    assert not cf.algebra.associative
+    assert verify_jordan_composition(cf.form, cf.algebra, mode="symbolic").verdict == "proved"
+    report = verify_jordan_composition(cf.form, cf.algebra, mode="random", seed=3, samples=30)
+    assert report.verdict == "evidence"
