@@ -32,6 +32,7 @@ from .poly import (
     is_dth_power,
     linear_forms,
     ring_matrix_determinant,
+    substitute_linear,
     verify_identity,
 )
 
@@ -137,10 +138,9 @@ def _matrix_invertible(phi: HomogeneousForm, w: ScaledWitness, N, D: Polynomial)
         if i % 8 == 7:
             bound *= 2
     for pt in points:
-        fpt = [field.from_rational(x) for x in pt]
-        if D.eval(fpt).is_zero():
+        if D.eval_int(pt).is_zero():
             continue
-        rows = [[field.zero if p.is_zero() else p.eval(fpt) for p in row] for row in N]
+        rows = [[field.zero if p.is_zero() else p.eval_int(pt) for p in row] for row in N]
         if not linalg.determinant(field, rows).is_zero():
             return
     det = ring_matrix_determinant(
@@ -199,10 +199,9 @@ def verify_scaled_witness(
 
     estimate = _estimate_scaled(phi, w, D)
     use_mode, use_seed, note = _resolve_mode(mode, estimate, budget, seed)
-    forms = linear_forms(N)  # N(X) Y, in the X then Y variables
 
     if use_mode == "symbolic":
-        q = phi.body.compose(forms)
+        q, _ = substitute_linear(phi.body, w.matrix)
         big = nx + n
         lhs = (
             w.scalar.num.embed(big, 0)
@@ -223,7 +222,7 @@ def verify_scaled_witness(
     # random mode: evaluate the cleared identity at (x, y), skipping the poles
     # of c and M, which are the points with den(c)(x) = 0 or D(x) = 0
     rng = random.Random(use_seed)
-    field = phi.field
+    forms = linear_forms(N)  # N(X) Y, in the X then Y variables
     deg_bound = (
         phi.degree * (max((e.den.total_degree() for row in w.matrix for e in row), default=0) + 1)
         + w.scalar.num.total_degree()
@@ -239,17 +238,15 @@ def verify_scaled_witness(
             raise RuntimeError("could not avoid witness poles while sampling")
         xpt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(nx)]
         ypt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(n)]
-        xvec = [field.from_rational(v) for v in xpt]
-        cden = w.scalar.den.eval(xvec)
+        cden = w.scalar.den.eval_int(xpt)
         if cden.is_zero():
             continue
-        dval = D.eval(xvec)
+        dval = D.eval_int(xpt)
         if dval.is_zero():
             continue
-        yvec = [field.from_rational(v) for v in ypt]
-        xy = xvec + yvec
-        zpt = [f.eval(xy) for f in forms]
-        lhs_v = w.scalar.num.eval(xvec) * dval**phi.degree * phi.body.eval(yvec)
+        xy = xpt + ypt
+        zpt = [f.eval_int(xy) for f in forms]
+        lhs_v = w.scalar.num.eval_int(xpt) * dval**phi.degree * phi.body.eval_int(ypt)
         rhs_v = cden * phi.body.eval(zpt)
         if lhs_v != rhs_v:
             return VerificationReport(
@@ -507,12 +504,7 @@ def verify_jordan_composition(
 
 
 def _jordan_product(algebra):
-    """x.y = (xy + yx)/2 on coordinate polynomials; the algebra's own product
-    when its structure constants are commutative."""
-    st = algebra.structure
-    n = algebra.dim
-    if all(st[i][j] == st[j][i] for i in range(n) for j in range(i + 1, n)):
-        return algebra.product_polys
+    """x.y = (xy + yx)/2 on coordinate polynomials."""
     half = algebra.field.from_rational(Fraction(1, 2))
 
     def product(x, y):
