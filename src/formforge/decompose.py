@@ -31,6 +31,7 @@ from .forms import (
     HomogeneousForm,
     LinearMap,
     SymmetricTensor,
+    orthogonal_sum,
     polarize,
     radical,
     substitute_vectors,
@@ -558,7 +559,7 @@ def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:
 
     total = None
     for _, cols, form_e in comps:
-        total = form_e if total is None else _direct_sum_form(total, form_e)
+        total = form_e if total is None else orthogonal_sum(total, form_e)
     recon = substitute_vectors(phi, columns)
     if recon.body != total.body:
         raise RuntimeError("reconstruction identity failed")
@@ -571,12 +572,6 @@ def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:
         change_of_basis=LinearMap(field, p_rows),
         idempotents=tuple(e for e, _, _ in comps),
     )
-
-
-def _direct_sum_form(a: HomogeneousForm, b: HomogeneousForm) -> HomogeneousForm:
-    from .forms import orthogonal_sum
-
-    return orthogonal_sum(a, b)
 
 
 def is_absolutely_indecomposable(phi: HomogeneousForm) -> bool:

@@ -106,13 +106,18 @@ def encode_polynomial(p: Polynomial, with_field: bool = False):
     return out
 
 
+def _is_count(x) -> bool:
+    """A nonnegative JSON integer; true and false are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def decode_polynomial(obj, field=None, path="$") -> Polynomial:
     if not isinstance(obj, dict):
         raise JsonFormatError(path, "expected a polynomial object")
     if field is None:
         field = decode_field(obj.get("field", "rational"), path + ".field")
     nvars = obj.get("vars")
-    if not isinstance(nvars, int) or nvars < 0:
+    if not _is_count(nvars):
         raise JsonFormatError(path + ".vars", "expected a nonnegative integer")
     raw_terms = obj.get("terms")
     if not isinstance(raw_terms, list):
@@ -126,7 +131,7 @@ def decode_polynomial(obj, field=None, path="$") -> Polynomial:
         if (
             not isinstance(e, list)
             or len(e) != nvars
-            or any(not isinstance(x, int) or x < 0 for x in e)
+            or not all(_is_count(x) for x in e)
         ):
             raise JsonFormatError(tpath + ".e", "expected %d nonnegative exponents" % nvars)
         pairs.append((tuple(e), decode_element(field, t["c"], tpath + ".c")))

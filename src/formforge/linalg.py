@@ -151,12 +151,3 @@ def mat_mul(field, a, b):
 def identity(field, n):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
-
-def in_span(field, basis_rows, vector) -> bool:
-    """Whether `vector` lies in the row span of basis_rows."""
-    if not basis_rows:
-        return all(x.is_zero() for x in vector)
-    stack = [list(r) for r in basis_rows]
-    r0 = rank(field, stack)
-    stack.append(list(vector))
-    return rank(field, stack) == r0

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .coeffield import FieldElement, RationalField
 
@@ -610,8 +610,9 @@ def verify_identity(
 
     symbolic: canonical subtraction; "proved" is a proof, and a refutation
     carries a concrete point where the sides differ.
-    random: exact evaluation at uniformly drawn integer points; all-match is
-    "evidence" with a (total degree)/(box size) bound per sample.
+    random: exact evaluation at uniformly drawn integer points (`sample_identity`);
+    all-match is "evidence" with a min((total degree)/(box size), 1) bound per
+    sample.
     """
     lhs._check(rhs)
     if mode == "symbolic":
@@ -624,13 +625,42 @@ def verify_identity(
         raise ValueError("mode must be 'symbolic' or 'random'")
     if seed is None:
         raise ValueError("random mode needs an explicit seed")
-    rng = random.Random(seed)
-    n = lhs.nvars
     deg = max(lhs.total_degree(), rhs.total_degree(), 0)
-    size = 2 * box_halfwidth + 1
-    for _ in range(samples):
-        pt = tuple(rng.randint(-box_halfwidth, box_halfwidth) for _ in range(n))
-        if lhs.eval_int(pt) != rhs.eval_int(pt):
+    return sample_identity(
+        lambda pt: lhs.eval_int(pt) == rhs.eval_int(pt),
+        lhs.nvars, deg, samples, seed, box_halfwidth,
+    )
+
+
+def sample_identity(
+    agree: Callable[[Tuple[int, ...]], Optional[bool]],
+    nvars: int,
+    degree: int,
+    samples: int,
+    seed: int,
+    box_halfwidth: int,
+) -> IdentityReport:
+    """Random-mode check of an identity of total degree at most `degree`.
+
+    Each point draws its nvars coordinates in turn from one generator seeded
+    with `seed`, uniform in [-box_halfwidth, box_halfwidth].  agree(point)
+    says whether the two sides are equal there, or returns None at a pole of
+    the identity, and the point is redrawn (at most 50 * samples draws in
+    all).  The first disagreement refutes; agreement at every sample is
+    "evidence" with the Schwartz-Zippel bound min(degree / box size, 1) per
+    sample."""
+    rng = random.Random(seed)
+    done = 0
+    attempts = 0
+    while done < samples:
+        attempts += 1
+        if attempts > 50 * samples:
+            raise RuntimeError("could not avoid witness poles while sampling")
+        pt = tuple(rng.randint(-box_halfwidth, box_halfwidth) for _ in range(nvars))
+        ok = agree(pt)
+        if ok is None:
+            continue
+        if not ok:
             return IdentityReport(
                 verdict="refuted",
                 mode="random",
@@ -639,7 +669,8 @@ def verify_identity(
                 box_halfwidth=box_halfwidth,
                 counterexample=pt,
             )
-    per = Fraction(deg, size)
+        done += 1
+    per = min(Fraction(degree, 2 * box_halfwidth + 1), Fraction(1))
     return IdentityReport(
         verdict="evidence",
         mode="random",

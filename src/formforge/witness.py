@@ -13,9 +13,9 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .coeffield import FieldElement, QQ
@@ -32,6 +32,7 @@ from .poly import (
     is_dth_power,
     linear_forms,
     ring_matrix_determinant,
+    sample_identity,
     substitute_linear,
     verify_identity,
 )
@@ -117,6 +118,39 @@ def _resolve_mode(requested: str, estimate: int, budget: int, seed: Optional[int
     return "symbolic", seed, ""
 
 
+def _check_identity(
+    t0: float,
+    identity: str,
+    estimate: int,
+    build: Callable[[], Tuple[Polynomial, Polynomial]],
+    agree: Callable[[Tuple[int, ...]], Optional[bool]],
+    nvars: int,
+    degree: int,
+    mode: str,
+    samples: int,
+    seed: Optional[int],
+    box_halfwidth: int,
+    budget: int,
+) -> VerificationReport:
+    """The identity-check driver behind every verify_* engine.
+
+    An engine states its identity lhs == rhs: `build` expands both sides for a
+    symbolic proof, `agree` compares them at one point of the nvars sample
+    variables (None at a pole), and `degree` bounds their total degree.  The
+    mode is resolved against the estimate of the symbolic expansion."""
+    use_mode, use_seed, note = _resolve_mode(mode, estimate, budget, seed)
+    if use_mode == "symbolic":
+        rep = verify_identity(*build(), mode="symbolic")
+    else:
+        rep = sample_identity(agree, nvars, degree, samples, use_seed, box_halfwidth)
+    return VerificationReport(
+        identity=identity,
+        elapsed_s=time.perf_counter() - t0,
+        notes=note,
+        **{f.name: getattr(rep, f.name) for f in fields(rep)},
+    )
+
+
 # ---------------------------------------------------------------------------
 # scaled witnesses
 
@@ -196,11 +230,9 @@ def verify_scaled_witness(
     _matrix_invertible(phi, w, N, D)
 
     identity = "num(c) * den(M)^%d * phi(Y) == den(c) * phi_cleared(M Y)" % phi.degree
-
     estimate = _estimate_scaled(phi, w, D)
-    use_mode, use_seed, note = _resolve_mode(mode, estimate, budget, seed)
 
-    if use_mode == "symbolic":
+    def build():
         q, _ = substitute_linear(phi.body, w.matrix)
         big = nx + n
         lhs = (
@@ -208,21 +240,23 @@ def verify_scaled_witness(
             * (D**phi.degree).embed(big, 0)
             * phi.body.embed(big, nx)
         )
-        rhs = w.scalar.den.embed(big, 0) * q
-        rep = verify_identity(lhs, rhs, mode="symbolic")
-        return VerificationReport(
-            verdict=rep.verdict,
-            mode="symbolic",
-            identity=identity,
-            counterexample=rep.counterexample,
-            elapsed_s=time.perf_counter() - t0,
-            notes=note,
-        )
+        return lhs, w.scalar.den.embed(big, 0) * q
 
-    # random mode: evaluate the cleared identity at (x, y), skipping the poles
-    # of c and M, which are the points with den(c)(x) = 0 or D(x) = 0
-    rng = random.Random(use_seed)
+    # At a sample (x, y) the poles of c and M are the points with
+    # den(c)(x) = 0 or D(x) = 0; elsewhere phi(N(x) y) is phi_cleared(M Y).
     forms = linear_forms(N)  # N(X) Y, in the X then Y variables
+
+    def agree(pt):
+        x = pt[:nx]
+        cden = w.scalar.den.eval_int(x)
+        if cden.is_zero():
+            return None
+        dval = D.eval_int(x)
+        if dval.is_zero():
+            return None
+        lhs = w.scalar.num.eval_int(x) * dval**phi.degree * phi.body.eval_int(pt[nx:])
+        return lhs == cden * phi.body.eval([f.eval_int(pt) for f in forms])
+
     deg_bound = (
         phi.degree * (max((e.den.total_degree() for row in w.matrix for e in row), default=0) + 1)
         + w.scalar.num.total_degree()
@@ -230,50 +264,9 @@ def verify_scaled_witness(
         + phi.degree
         + max(e.num.total_degree() for row in w.matrix for e in row) * phi.degree
     )
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 50 * samples:
-            raise RuntimeError("could not avoid witness poles while sampling")
-        xpt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(nx)]
-        ypt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(n)]
-        cden = w.scalar.den.eval_int(xpt)
-        if cden.is_zero():
-            continue
-        dval = D.eval_int(xpt)
-        if dval.is_zero():
-            continue
-        xy = xpt + ypt
-        zpt = [f.eval_int(xy) for f in forms]
-        lhs_v = w.scalar.num.eval_int(xpt) * dval**phi.degree * phi.body.eval_int(ypt)
-        rhs_v = cden * phi.body.eval(zpt)
-        if lhs_v != rhs_v:
-            return VerificationReport(
-                verdict="refuted",
-                mode="random",
-                identity=identity,
-                samples=samples,
-                seed=use_seed,
-                box_halfwidth=box_halfwidth,
-                counterexample=tuple(xpt + ypt),
-                elapsed_s=time.perf_counter() - t0,
-                notes=note,
-            )
-        done += 1
-    per = Fraction(max(deg_bound, 1), 2 * box_halfwidth + 1)
-    per = min(per, Fraction(1))
-    return VerificationReport(
-        verdict="evidence",
-        mode="random",
-        identity=identity,
-        samples=samples,
-        seed=use_seed,
-        box_halfwidth=box_halfwidth,
-        per_sample_bound=per,
-        overall_bound=per**samples,
-        elapsed_s=time.perf_counter() - t0,
-        notes=note,
+    return _check_identity(
+        t0, identity, estimate, build, agree, nx + n, max(deg_bound, 1),
+        mode, samples, seed, box_halfwidth, budget,
     )
 
 
@@ -364,51 +357,17 @@ def verify_composition(
 
     identity = "phi(x) * phi(y) == phi(z(x, y))"
     estimate = compose_estimate(phi.body, zpolys)
-    use_mode, use_seed, note = _resolve_mode(mode, estimate, budget, seed)
 
-    if use_mode == "symbolic":
-        lhs = phi.body.embed(big, 0) * phi.body.embed(big, n)
-        rhs = phi.body.compose(zpolys)
-        rep = verify_identity(lhs, rhs, mode="symbolic")
-        return VerificationReport(
-            verdict=rep.verdict,
-            mode="symbolic",
-            identity=identity,
-            counterexample=rep.counterexample,
-            elapsed_s=time.perf_counter() - t0,
-            notes=note,
-        )
+    def build():
+        return phi.body.embed(big, 0) * phi.body.embed(big, n), phi.body.compose(zpolys)
 
-    rng = random.Random(use_seed)
-    for k in range(samples):
-        xpt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(n)]
-        ypt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(n)]
-        xy = xpt + ypt
-        zpt = [zp.eval_int(xy) for zp in zpolys]
-        if phi.body.eval_int(xpt) * phi.body.eval_int(ypt) != phi.body.eval(zpt):
-            return VerificationReport(
-                verdict="refuted",
-                mode="random",
-                identity=identity,
-                samples=samples,
-                seed=use_seed,
-                box_halfwidth=box_halfwidth,
-                counterexample=tuple(xpt + ypt),
-                elapsed_s=time.perf_counter() - t0,
-                notes=note,
-            )
-    per = min(Fraction(2 * phi.degree, 2 * box_halfwidth + 1), Fraction(1))
-    return VerificationReport(
-        verdict="evidence",
-        mode="random",
-        identity=identity,
-        samples=samples,
-        seed=use_seed,
-        box_halfwidth=box_halfwidth,
-        per_sample_bound=per,
-        overall_bound=per**samples,
-        elapsed_s=time.perf_counter() - t0,
-        notes=note,
+    def agree(pt):
+        z = [zp.eval_int(pt) for zp in zpolys]
+        return phi.body.eval_int(pt[:n]) * phi.body.eval_int(pt[n:]) == phi.body.eval(z)
+
+    return _check_identity(
+        t0, identity, estimate, build, agree, big, 2 * phi.degree,
+        mode, samples, seed, box_halfwidth, budget,
     )
 
 
@@ -453,53 +412,17 @@ def verify_jordan_composition(
 
     identity = "phi({v w v}) == phi(v)^2 * phi(w)"
     estimate = compose_estimate(phi.body, triple)
-    use_mode, use_seed, note = _resolve_mode(mode, estimate, budget, seed)
 
-    if use_mode == "symbolic":
-        lhs = phi.body.compose(triple)
-        rhs = (phi.body.embed(big, 0) ** 2) * phi.body.embed(big, n)
-        rep = verify_identity(lhs, rhs, mode="symbolic")
-        return VerificationReport(
-            verdict=rep.verdict,
-            mode="symbolic",
-            identity=identity,
-            counterexample=rep.counterexample,
-            elapsed_s=time.perf_counter() - t0,
-            notes=note,
-        )
+    def build():
+        return phi.body.compose(triple), (phi.body.embed(big, 0) ** 2) * phi.body.embed(big, n)
 
-    rng = random.Random(use_seed)
-    for _ in range(samples):
-        vpt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(n)]
-        wpt = [rng.randint(-box_halfwidth, box_halfwidth) for _ in range(n)]
-        vw = vpt + wpt
-        tript = [tp.eval_int(vw) for tp in triple]
-        lhs_v = phi.body.eval(tript)
-        rhs_v = phi.body.eval_int(vpt) ** 2 * phi.body.eval_int(wpt)
-        if lhs_v != rhs_v:
-            return VerificationReport(
-                verdict="refuted",
-                mode="random",
-                identity=identity,
-                samples=samples,
-                seed=use_seed,
-                box_halfwidth=box_halfwidth,
-                counterexample=tuple(vpt + wpt),
-                elapsed_s=time.perf_counter() - t0,
-                notes=note,
-            )
-    per = min(Fraction(3 * phi.degree, 2 * box_halfwidth + 1), Fraction(1))
-    return VerificationReport(
-        verdict="evidence",
-        mode="random",
-        identity=identity,
-        samples=samples,
-        seed=use_seed,
-        box_halfwidth=box_halfwidth,
-        per_sample_bound=per,
-        overall_bound=per**samples,
-        elapsed_s=time.perf_counter() - t0,
-        notes=note,
+    def agree(pt):
+        lhs = phi.body.eval([tp.eval_int(pt) for tp in triple])
+        return lhs == phi.body.eval_int(pt[:n]) ** 2 * phi.body.eval_int(pt[n:])
+
+    return _check_identity(
+        t0, identity, estimate, build, agree, big, 3 * phi.degree,
+        mode, samples, seed, box_halfwidth, budget,
     )
 
 
@@ -869,14 +792,6 @@ def reduce_exponent(d: int, s: int) -> int:
 
 def exponent_implies_strong(d: int, s: int) -> bool:
     return reduce_exponent(d, s) == 1
-
-
-def exponent_step(d: int, s: int, r: int) -> int:
-    """One reduction step: exponent s implies exponent r*s - d when positive."""
-    out = r * s - d
-    if out < 1:
-        raise ValueError("step does not produce a positive exponent")
-    return out
 
 
 def exponent_chain(d: int, s: int) -> List[Tuple[int, int]]:

@@ -216,7 +216,8 @@ def _in_radical(phi, vec):
 
 def test_criterion_07_norm_composition():
     A = field_extend(QQ, [-5, 0, 1])
-    cf = norm_compose(A, _promote_diag(A, [1, 2]))
+    sqrt5 = _promote_diag(A, [1, 2])  # phi0 of the norm-compose-sqrt5 catalog entry
+    cf = norm_compose(A, sqrt5)
     assert cf.form.degree == 4 and cf.form.nvars == 4
     y = [var(4, i) for i in range(4)]
     p0 = y[0] ** 2 + const(4, 5) * y[1] ** 2 + const(4, 2) * y[2] ** 2 \
@@ -234,7 +235,8 @@ def test_criterion_07_norm_composition():
     A6 = field_extend(B, [B.from_rational(-2), B.zero, B.zero, B.one])
     pairs = [((2, 0), A6.one), ((0, 2), A6.from_rational(2))]
     phi0 = HomogeneousForm(A6, 2, 2, Polynomial.from_pairs(A6, 2, pairs))
-    assert norm_via_regular(A6, phi0) == norm_via_resultant(A6, phi0)
+    for K, form0 in [(A, sqrt5), (A, degenerate), (A6, phi0)]:
+        assert norm_via_regular(K, form0) == norm_via_resultant(K, form0)
     tower = norm_compose(A6, phi0)
     assert tower.form.degree == 6 and tower.form.nvars == 6
     assert tower.form.field is B

@@ -188,6 +188,19 @@ def test_dumps_is_deterministic():
     assert dumps(encode_constructed_form(cf)) == dumps(encode_constructed_form(cf))
 
 
+@pytest.mark.parametrize(
+    "obj, path",
+    [
+        ({"vars": True, "terms": [{"e": [1], "c": "1"}]}, "$.vars"),
+        ({"vars": 1, "terms": [{"e": [True], "c": "1"}]}, "$.terms[0].e"),
+    ],
+)
+def test_polynomial_rejects_bool_counts(obj, path):
+    with pytest.raises(JsonFormatError) as exc:
+        decode_polynomial(obj, QQ)
+    assert exc.value.path == path
+
+
 def test_format_errors_carry_paths():
     with pytest.raises(JsonFormatError) as exc:
         decode_form({"degree": 3})

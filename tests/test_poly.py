@@ -175,15 +175,24 @@ def test_verify_identity_symbolic_refutation():
 
 
 def test_verify_identity_random_evidence_bound():
-    x, y = var(2, 0), var(2, 1)
-    lhs = (x + y) ** 3
-    rhs = x ** 3 + const(2, 3) * x * x * y + const(2, 3) * x * y * y + y ** 3
-    report = verify_identity(lhs, rhs, mode="random", samples=20, seed=5)
-    assert report.verdict == "evidence"
-    assert report.holds()
-    size = 2 * report.box_halfwidth + 1
-    assert report.per_sample_bound == Fraction(3, size)
-    assert report.overall_bound == Fraction(3, size) ** 20
+    x, y, t = var(2, 0), var(2, 1), var(1, 0)
+    cases = [
+        (
+            (x + y) ** 3,
+            x ** 3 + const(2, 3) * x * x * y + const(2, 3) * x * y * y + y ** 3,
+            3, 20, 5, {},
+        ),
+        # degree 4 on a box of 3 points: the per-sample bound is capped at 1
+        (t ** 4, t ** 4, 4, 3, 1, {"box_halfwidth": 1}),
+    ]
+    for lhs, rhs, degree, samples, seed, box in cases:
+        report = verify_identity(lhs, rhs, mode="random", samples=samples, seed=seed, **box)
+        assert report.verdict == "evidence"
+        assert report.holds()
+        size = 2 * report.box_halfwidth + 1
+        per = min(Fraction(degree, size), Fraction(1))
+        assert report.per_sample_bound == per <= 1
+        assert report.overall_bound == per ** samples
 
 
 def test_verify_identity_random_refutation_carries_point():

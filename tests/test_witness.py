@@ -158,6 +158,16 @@ def test_auto_falls_back_to_random_under_budget():
     assert report.overall_bound == report.per_sample_bound ** 12
 
 
+def test_random_mode_gives_up_when_every_point_is_a_pole():
+    # box_halfwidth=0 draws only x = 0, a pole of c = 1/x0
+    phi = diag([1, 1], 2)
+    w = ScaledWitness(
+        scalar=RationalFunction(const(2, 1), var(2, 0)), matrix=two_squares_matrix()
+    )
+    with pytest.raises(RuntimeError, match="could not avoid witness poles while sampling"):
+        verify_scaled_witness(phi, w, mode="random", samples=4, seed=1, box_halfwidth=0)
+
+
 def test_random_agrees_with_symbolic_proof():
     phi = diag([1, 1], 2)
     for seed in range(3):
