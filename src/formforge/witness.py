@@ -132,7 +132,7 @@ def _check_identity(
     box_halfwidth: int,
     budget: int,
 ) -> VerificationReport:
-    """The identity-check driver behind every verify_* engine.
+    """The one identity check behind every verify_* engine.
 
     An engine states its identity lhs == rhs: `build` expands both sides for a
     symbolic proof, `agree` compares them at one point of the nvars sample

@@ -1,6 +1,6 @@
 """The benchmark's tracer (bench/tracer.py) looks up every function it times
 by its formforge name when it is imported, so renaming or removing one of them
-breaks the traced benchmark; these tests catch that in the unit suite."""
+breaks the traced benchmark; this test catches that in the unit suite."""
 
 import importlib.util
 from pathlib import Path
@@ -27,8 +27,8 @@ def test_tracer_install_records_engine_spans_and_uninstall_restores():
     tracer = _load_tracer()
     engine = witness.verify_scaled_witness
     t = tracer.Tracer()
-    t.install()
     try:
+        t.install()
         assert witness.verify_scaled_witness is not engine
         report = witness.verify_strong_multiplicativity(*_two_squares())
     finally:
