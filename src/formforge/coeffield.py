@@ -78,7 +78,13 @@ class FieldElement:
         return out
 
     def is_zero(self) -> bool:
-        return all(_raw_is_zero(a) for a in self.coeffs)
+        for a in self.coeffs:
+            if isinstance(a, Fraction):
+                if a:
+                    return False
+            elif not a.is_zero():
+                return False
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):

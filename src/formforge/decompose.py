@@ -112,6 +112,21 @@ def _mat_is_zero(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
+def _coordinate_rows(n: int, mats) -> List[dict]:
+    """The system whose solutions are coordinates in the n x n matrices
+    `mats`: one dict row per matrix entry, keyed by the index of the matrix."""
+    rows = [{} for _ in range(n * n)]
+    for k, m in enumerate(mats):
+        _add_coordinate_column(rows, k, m)
+    return rows
+
+
+def _add_coordinate_column(rows, k: int, mat: Matrix) -> None:
+    for idx, x in enumerate(_flatten(mat)):
+        if not x.is_zero():
+            rows[idx][k] = x
+
+
 # ---------------------------------------------------------------------------
 # the center algebra
 
@@ -128,41 +143,34 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
     if d < 2:
         raise DegreeTooSmall("the slot-sliding system needs degree >= 2")
 
-    spectators = set()
-    for idx in theta.entries:
-        for a in range(d):
-            for b in range(a + 1, d):
-                spectators.add(idx[:a] + idx[a + 1 : b] + idx[b + 1 :])
-
-    rows = []
-    for rest in sorted(spectators):
-        for i in range(n):
-            for j in range(i + 1, n):
-                row = [field.zero] * (n * n)
-                touched = False
-                for a in range(n):
-                    cij = theta.entry(rest + (a, j))
-                    if not cij.is_zero():
-                        row[a * n + i] = row[a * n + i] + cij
-                        touched = True
-                    cji = theta.entry(rest + (a, i))
-                    if not cji.is_zero():
-                        row[a * n + j] = row[a * n + j] - cji
-                        touched = True
-                if touched:
-                    rows.append(row)
+    # Column a * n + i holds f[a][i].  Equation (rest, i, j) has the
+    # coefficient theta(rest, a, j) at f[a][i] and -theta(rest, a, i) at
+    # f[a][j], so each nonzero theta(rest, a, x) lands in the equations whose
+    # pair holds x.  Those two columns never coincide within one equation.
+    eqs = {}
+    for idx, val in theta.entries.items():
+        neg = -val
+        for p in range(d):
+            for q in range(d):
+                if p == q:
+                    continue
+                rest = tuple(v for k, v in enumerate(idx) if k != p and k != q)
+                a, x = idx[p], idx[q]
+                for i in range(x):
+                    eqs.setdefault((rest, i, x), {})[a * n + i] = val
+                for j in range(x + 1, n):
+                    eqs.setdefault((rest, x, j), {})[a * n + j] = neg
+    rows = [eqs[key] for key in sorted(eqs)]
 
     vecs = linalg.nullspace(field, rows, n * n)
     basis = [
         _mat(field, [[v[a * n + i] for i in range(n)] for a in range(n)]) for v in vecs
     ]
-
-    # coordinates of arbitrary center matrices in this basis
-    stack = [list(_flatten(b)) for b in basis]
+    cols = _coordinate_rows(n, basis)
 
     def coords(mat: Matrix):
-        cols = [[stack[k][idx] for k in range(len(stack))] for idx in range(n * n)]
-        return linalg.solve(field, cols, _flatten(mat))
+        """Coordinates of a center matrix in this basis."""
+        return linalg.solve(field, cols, _flatten(mat), len(basis))
 
     unit = coords(_mat_eye(field, n))
     if unit is None:
@@ -302,35 +310,30 @@ class _Block:
         self.field = field
         self.unit = unit
         self.basis = basis
-        self._stack = [_flatten(b) for b in basis]
+        self._cols = _coordinate_rows(len(unit), basis)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def coords(self, mat: Matrix) -> Optional[Tuple[FieldElement, ...]]:
-        m = len(self._stack)
-        size = len(self._stack[0])
-        cols = [[self._stack[k][i] for k in range(m)] for i in range(size)]
-        return linalg.solve(self.field, cols, _flatten(mat))
+        return linalg.solve(self.field, self._cols, _flatten(mat), self.dim)
 
     def minpoly(self, z: Matrix):
         """Minimal polynomial of z acting inside this block (unit = 1)."""
         field = self.field
-        pows = [self.unit]
-        vecs = [list(_flatten(self.unit))]
+        cols = _coordinate_rows(len(self.unit), [self.unit])  # powers of z found so far
+        npows = 1
         cur = self.unit
         while True:
             cur = _mat_mul(field, cur, z)
-            size = len(vecs[0])
-            cols = [[vecs[k][i] for k in range(len(vecs))] for i in range(size)]
-            rep = linalg.solve(field, cols, _flatten(cur))
+            rep = linalg.solve(field, cols, _flatten(cur), npows)
             if rep is not None:
                 coeffs = [-c for c in rep] + [field.one]
                 return poly_trim(field, coeffs)
-            pows.append(cur)
-            vecs.append(list(_flatten(cur)))
-            if len(pows) > self.dim + 1:
+            _add_coordinate_column(cols, npows, cur)
+            npows += 1
+            if npows > self.dim + 1:
                 raise RuntimeError("minimal polynomial search exceeded the block dimension")
 
     def elements(self):
@@ -431,9 +434,8 @@ def _try_split(block: _Block) -> Optional[List[Matrix]]:
     if block.dim == 1:
         return None
 
-    candidates = list(block.elements())
     minpolys = []
-    for z in candidates:
+    for z in block.elements():
         mu = block.minpoly(z)
         minpolys.append((z, mu))
         pieces = _coprime_pieces(field, mu)

@@ -226,19 +226,13 @@ def depolarize(theta: SymmetricTensor) -> HomogeneousForm:
 
 def radical_of_tensor(theta: SymmetricTensor):
     """Basis of {x : theta(x, v2, ..., vd) = 0 for all v}."""
-    n = theta.dim
-    d = theta.degree
-    if d == 1:
-        rows = [[theta.entry((j,)) for j in range(n)]]
-        return linalg.nullspace(theta.field, rows, n)
-    partials = set()
-    for idx in theta.entries:
-        for drop in range(d):
-            partials.add(idx[:drop] + idx[drop + 1 :])
-    rows = []
-    for rest in sorted(partials):
-        rows.append([theta.entry(rest + (j,)) for j in range(n)])
-    return linalg.nullspace(theta.field, rows, n)
+    # One equation per (d-1)-index `rest`: its coefficient of x_j is
+    # theta(rest, j), which is nonzero only for the entries holding rest.
+    rows = {}
+    for idx, val in theta.entries.items():
+        for drop in range(theta.degree):
+            rows.setdefault(idx[:drop] + idx[drop + 1 :], {})[idx[drop]] = val
+    return linalg.nullspace(theta.field, [rows[rest] for rest in sorted(rows)], theta.dim)
 
 
 def radical(phi: HomogeneousForm):

@@ -171,11 +171,11 @@ def decode_form(obj, path="$") -> HomogeneousForm:
         raise JsonFormatError(path, "expected a form object")
     field = decode_field(obj.get("field", "rational"), path + ".field")
     degree = obj.get("degree")
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_count(degree) or degree < 1:
         raise JsonFormatError(path + ".degree", "expected a positive integer")
     body = decode_polynomial(obj.get("body"), field, path + ".body")
     nvars = obj.get("vars", body.nvars)
-    if nvars != body.nvars:
+    if not _is_count(nvars) or nvars != body.nvars:
         raise JsonFormatError(path + ".vars", "disagrees with the body")
     try:
         return HomogeneousForm(field, degree, nvars, body)
@@ -201,9 +201,9 @@ def decode_tensor(obj, path="$") -> SymmetricTensor:
     field = decode_field(obj.get("field", "rational"), path + ".field")
     degree = obj.get("degree")
     dim = obj.get("dim")
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_count(degree) or degree < 1:
         raise JsonFormatError(path + ".degree", "expected a positive integer")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_count(dim) or dim < 1:
         raise JsonFormatError(path + ".dim", "expected a positive integer")
     raw = obj.get("entries")
     if not isinstance(raw, list):
@@ -217,7 +217,7 @@ def decode_tensor(obj, path="$") -> SymmetricTensor:
         if (
             not isinstance(idx, list)
             or len(idx) != degree
-            or any(not isinstance(x, int) or not 0 <= x < dim for x in idx)
+            or any(not _is_count(x) or x >= dim for x in idx)
         ):
             raise JsonFormatError(tpath + ".idx", "expected %d indices below %d" % (degree, dim))
         entries[tuple(sorted(idx))] = decode_element(field, t["c"], tpath + ".c")

@@ -244,9 +244,12 @@ def verify_scaled_witness(
 
     # At a sample (x, y) the poles of c and M are the points with
     # den(c)(x) = 0 or D(x) = 0; elsewhere phi(N(x) y) is phi_cleared(M Y).
-    forms = linear_forms(N)  # N(X) Y, in the X then Y variables
+    forms = None  # N(X) Y, in the X then Y variables; symbolic mode never reads it
 
     def agree(pt):
+        nonlocal forms
+        if forms is None:
+            forms = linear_forms(N)
         x = pt[:nx]
         cden = w.scalar.den.eval_int(x)
         if cden.is_zero():

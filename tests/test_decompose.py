@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from formforge import (
     DegenerateInput,
     DegreeTooSmall,
     HomogeneousForm,
+    LinearMap,
     Polynomial,
     QQ,
     apply_change_of_basis,
@@ -15,6 +18,8 @@ from formforge import (
     orthogonal_sum,
     polarize,
     primitive_idempotents,
+    split_albert_norm,
+    tits_cubic,
 )
 
 
@@ -203,3 +208,32 @@ def test_low_degree_rejected():
         krull_schmidt_decompose(diag([1, 1], 2))
     with pytest.raises(DegreeTooSmall):
         is_absolutely_indecomposable(diag([1, 1], 2))
+
+
+def unitriangular(n, rng):
+    """Upper unitriangular with entries +-1 above the diagonal."""
+    rows = [[1 if i == j else (rng.choice((-1, 1)) if j > i else 0) for j in range(n)]
+            for i in range(n)]
+    return LinearMap.from_rationals(QQ, rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_dims_survive_a_change_of_basis(seed):
+    rng = random.Random(seed)
+    coeffs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 5))]
+    tits_diag = orthogonal_sum(tits_cubic(rng.choice((2, 3, 5))).form, diag(coeffs[:2], 3))
+    for phi, dims in ((diag(coeffs, 3), [1] * len(coeffs)),
+                      (tits_diag, [1] * len(coeffs[:2]) + [3])):
+        changed = apply_change_of_basis(phi, unitriangular(phi.nvars, rng))
+        for form in (phi, changed):
+            assert sorted(c.dim for c in krull_schmidt_decompose(form).components) == dims
+
+
+def test_split_albert_norm_is_one_27_dimensional_component():
+    phi = split_albert_norm().form
+    t0 = time.perf_counter()
+    dec = krull_schmidt_decompose(phi)
+    elapsed = time.perf_counter() - t0
+    assert [c.dim for c in dec.components] == [27]
+    assert dec.components[0].form.body == phi.body
+    assert elapsed < 30, "decomposing the Albert norm took %.1f s" % elapsed

@@ -201,6 +201,29 @@ def test_polynomial_rejects_bool_counts(obj, path):
     assert exc.value.path == path
 
 
+_CUBE = {"vars": 1, "terms": [{"e": [3], "c": "1"}]}
+_TENSOR_ENTRY = {"idx": [0, 0, 0], "c": "1"}
+
+
+@pytest.mark.parametrize(
+    "decode, obj, path",
+    [
+        (decode_form, {"degree": True, "body": {"vars": 1, "terms": [{"e": [1], "c": "1"}]}},
+         "$.degree"),
+        (decode_form, {"degree": 3, "vars": True, "body": _CUBE}, "$.vars"),
+        (decode_tensor, {"degree": True, "dim": 1, "entries": [{"idx": [0], "c": "1"}]},
+         "$.degree"),
+        (decode_tensor, {"degree": 3, "dim": True, "entries": [_TENSOR_ENTRY]}, "$.dim"),
+        (decode_tensor, {"degree": 3, "dim": 2, "entries": [{"idx": [0, True, 0], "c": "1"}]},
+         "$.entries[0].idx"),
+    ],
+)
+def test_form_and_tensor_reject_bool_counts(decode, obj, path):
+    with pytest.raises(JsonFormatError) as exc:
+        decode(obj)
+    assert exc.value.path == path
+
+
 def test_format_errors_carry_paths():
     with pytest.raises(JsonFormatError) as exc:
         decode_form({"degree": 3})
