@@ -997,74 +997,6 @@ def structurable_quartic(triple: AdmissibleTriple) -> ConstructedForm:
     )
 
 
-def _mtnn_product(triple: AdmissibleTriple, x, y):
-    """Multiplication of M(T, N, N') on coordinate vectors (alpha, beta, j, j'):
-    the (1,1) entry is alpha gamma + T(j, i'), the (1,2) block
-    alpha i + delta j + j' x i', and symmetrically."""
-    field = triple.field
-    mj, mjp = triple.dim_j, triple.dim_jp
-    ax, bx, jx, jpx = x[0], x[1], x[2 : 2 + mj], x[2 + mj :]
-    ay, by, jy, jpy = y[0], y[1], y[2 : 2 + mj], y[2 + mj :]
-    out_a = ax * ay + triple.pair_polys(jx, jpy)
-    out_b = bx * by + triple.pair_polys(jy, jpx)
-    cross_jp = triple.cross_apply(triple.cross_jp, jpx, jpy, mj)
-    cross_j = triple.cross_apply(triple.cross_j, jx, jy, mjp)
-    out_j = [
-        ax * jy[c] + by * jx[c] + cross_jp[c] for c in range(mj)
-    ]
-    out_jp = [
-        ay * jpx[c] + bx * jpy[c] + cross_j[c] for c in range(mjp)
-    ]
-    return [out_a, out_b] + out_j + out_jp
-
-
-def _bar(x):
-    return [x[1], x[0]] + list(x[2:])
-
-
-def structurable_quartic_via_skew(triple: AdmissibleTriple) -> HomogeneousForm:
-    """Independent route to N_A through the skew element s0 = diag(1, -1):
-    N_A(x) = (1/12 mu) chi(s0 x, {x, s0 x, x}) with mu = s0^2 = 1 and
-    chi read off from psi(u, v) = u bar(v) - v bar(u) being a multiple of s0."""
-    field = triple.field
-    mj, mjp = triple.dim_j, triple.dim_jp
-    big = 2 + mj + mjp
-    x = [Polynomial.variable(field, big, i) for i in range(big)]
-    zero = Polynomial.zero(field, big)
-    one = Polynomial.const(field, big, field.one)
-    s0 = [one, -one] + [zero] * (mj + mjp)
-
-    def mul(u, v):
-        return _mtnn_product(triple, u, v)
-
-    bar = _bar
-
-    def psi_coefficient(u, v):
-        """psi(u, v) = u bar(v) - v bar(u) must equal lambda s0; return lambda."""
-        w = [p - q for p, q in zip(mul(u, bar(v)), mul(v, bar(u)))]
-        if not (w[0] + w[1]).is_zero():
-            raise RuntimeError("psi value is not skew in the diagonal entries")
-        for entry in w[2:]:
-            if not entry.is_zero():
-                raise RuntimeError("psi value has off-diagonal components")
-        return w[0]
-
-    s0x = mul(s0, x)
-    # {x, y, z} = (x bar y) z + (z bar y) x - (z bar x) y with y = s0 x, z = x
-    y = s0x
-    xby = mul(x, bar(y))
-    xbx = mul(x, bar(x))
-    braces = [
-        p.scale(field.from_rational(2)) - q
-        for p, q in zip(mul(xby, x), mul(xbx, y))
-    ]
-    # chi(u, v) = (2/mu) lambda where psi(s0 u, v) = lambda s0; here u = s0 x
-    lam = psi_coefficient(mul(s0, s0x), braces)
-    # N_A = (1/12 mu) chi = (1/6) lambda for mu = 1
-    body = lam.scale(field.from_rational(Fraction(1, 6)))
-    return HomogeneousForm(field, 4, big, body)
-
-
 # ---------------------------------------------------------------------------
 # Cayley-Dickson quartic (Example-4 doubling of a degree-4 Jordan algebra)
 
@@ -1225,37 +1157,9 @@ def norm_via_regular(A: EtaleAlgebra, phi0: HomogeneousForm) -> Polynomial:
     return ring_matrix_determinant(rows, Polynomial.zero(base, nv))
 
 
-def norm_via_resultant(A: EtaleAlgebra, phi0: HomogeneousForm) -> Polynomial:
-    """Transfer route 2: resultant of the minimal polynomial with the
-    coordinate polynomial U(t) = sum_s P_s(y) t^s."""
-    base = A.base
-    m = A.degree
-    coords = _phi0_coordinates(A, phi0)
-    nv = coords[0].nvars
-    zero = Polynomial.zero(base, nv)
-    e = m - 1  # nominal degree of U
-    size = m + e
-    f_desc = [Polynomial.const(base, nv, A.minpoly[m - 1 - i]) for i in range(m)]
-    f_desc = [Polynomial.const(base, nv, base.one)] + f_desc  # monic leading 1
-    u_desc = [coords[e - i] for i in range(e + 1)]
-    rows = []
-    for r in range(e):
-        row = [zero] * size
-        for i, c in enumerate(f_desc):
-            row[r + i] = c
-        rows.append(row)
-    for r in range(m):
-        row = [zero] * size
-        for i, c in enumerate(u_desc):
-            row[r + i] = c
-        rows.append(row)
-    return ring_matrix_determinant(rows, zero)
-
-
 def norm_compose(A, phi0: HomogeneousForm) -> ConstructedForm:
     """phi(v) = n_{A/base}(phi0(v)): degree [A:base] * deg(phi0) over the base
-    field, by the regular-representation route (`norm_via_resultant` is the
-    test oracle for it)."""
+    field, by the regular-representation route."""
     if isinstance(A, RationalField):
         return ConstructedForm(
             form=phi0, provenance={"kind": "norm-compose", "extension_degree": 1}

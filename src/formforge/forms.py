@@ -181,32 +181,6 @@ def polarize(phi: HomogeneousForm) -> SymmetricTensor:
     return SymmetricTensor(phi.field, d, phi.nvars, entries)
 
 
-def polarize_inclusion_exclusion(phi: HomogeneousForm) -> SymmetricTensor:
-    """The same tensor by the alternating sum over subsets of the d slots.
-
-    theta(v_1,...,v_d) = (1/d!) sum over nonempty S of (-1)^(d-|S|)
-    phi(sum of v_i, i in S).  Exponential in d; meant for cross-checking and
-    small inputs.
-    """
-    d = phi.degree
-    n = phi.nvars
-    df = factorial(d)
-    entries = {}
-    for idx in itertools.combinations_with_replacement(range(n), d):
-        total = phi.field.zero
-        for size in range(1, d + 1):
-            sign = (-1) ** (d - size)
-            for subset in itertools.combinations(range(d), size):
-                counts = [0] * n
-                for slot in subset:
-                    counts[idx[slot]] += 1
-                v = phi.body.eval_int(counts)
-                total = total + v if sign > 0 else total - v
-        if not total.is_zero():
-            entries[idx] = total * phi.field.from_rational(Fraction(1, df))
-    return SymmetricTensor(phi.field, d, n, entries)
-
-
 def depolarize(theta: SymmetricTensor) -> HomogeneousForm:
     """Restrict the tensor to the diagonal: phi(v) = theta(v,...,v)."""
     d = theta.degree

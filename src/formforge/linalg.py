@@ -7,21 +7,14 @@ stores no zeros, and a pivot step updates only the rows that hold the pivot
 column.  The pivot for a column is the first remaining row holding it, in
 the order a dense elimination that swaps rows would leave them, so results
 are deterministic and a non-invertible pivot over an etale algebra raises
-ZeroDivisor at the same step as the dense routine would.  Determinants are
-dense; products skip zero entries.
+ZeroDivisor at the same step as the dense routine would.  `bareiss` is the
+one determinant routine, for scalar and polynomial matrices alike; products
+skip zero entries.
 """
 
 from __future__ import annotations
 
 from .coeffield import ZeroDivisor
-
-
-def _find_pivot(field, rows, r0, c):
-    for r in range(r0, len(rows)):
-        entry = rows[r][c]
-        if not entry.is_zero():
-            return r
-    return None
 
 
 def _row_dict(row):
@@ -151,50 +144,85 @@ def solve(field, rows, rhs, ncols=None):
 
 
 def determinant(field, rows):
-    """Determinant by elimination; falls back to cofactors if a pivot is not
-    invertible (possible over a non-field etale coefficient algebra)."""
+    """Determinant of a square matrix over a coefficient field (`bareiss`)."""
+    return bareiss(rows, field.zero, field.one, _field_divider)
+
+
+def _field_divider(b):
+    inv = b.inv()
+    return lambda a: a * inv
+
+
+def bareiss(rows, zero, one, divider):
+    """Determinant of a square matrix over a commutative ring by fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Step k swaps a row with a nonzero entry into pivot position k and
+    replaces each entry m[i][j], i, j > k, by
+    (m[k][k] m[i][j] - m[i][k] m[k][j]) / p, where p is the previous pivot
+    (one at the first step).  By Sylvester's identity the quotient is a minor
+    of the matrix, so the exact division stays in the ring.  divider(p)
+    returns the map a -> a / p, and raises ZeroDivisor when p is not
+    invertible (possible over a non-field etale coefficient algebra); the
+    determinant then comes from cofactor expansion.  A zero column or a zero
+    row in the remaining block makes the determinant times a power of the
+    last pivot zero, so once that pivot passes divider the determinant is
+    zero; a matrix of rank r thus costs at most r steps.
+    """
+    try:
+        return _bareiss([list(r) for r in rows], zero, one, divider)
+    except ZeroDivisor:
+        return _cofactor([list(r) for r in rows], zero, one)
+
+
+def _bareiss(m, zero, one, divider):
+    n = len(m)
+    if n == 0:
+        return one
+    negate = False
+    div = None  # division by the previous pivot; none before the first step
+    pivot = one
+    for k in range(n - 1):
+        p = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
+        if p is None:
+            divider(pivot)
+            return zero
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            negate = not negate
+        top = m[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            a = row[k]
+            live = False
+            for j in range(k + 1, n):
+                x = pivot * row[j]
+                if not (a.is_zero() or top[j].is_zero()):
+                    x = x - a * top[j]
+                if div is not None:
+                    x = div(x)
+                row[j] = x
+                live = live or not x.is_zero()
+            if not live:
+                divider(pivot)
+                return zero
+        div = divider(pivot)
+    return -m[-1][-1] if negate else m[-1][-1]
+
+
+def _cofactor(rows, zero, one):
     n = len(rows)
     if n == 0:
-        return field.one
-    try:
-        return _det_gauss(field, rows)
-    except ZeroDivisor:
-        return _det_cofactor(field, rows)
-
-
-def _det_gauss(field, rows):
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = field.one
-    for c in range(n):
-        p = _find_pivot(field, m, c, c)
-        if p is None:
-            return field.zero
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = m[c][c].inv()
-        for r in range(c + 1, n):
-            if m[r][c].is_zero():
-                continue
-            f = m[r][c] * inv
-            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
-
-
-def _det_cofactor(field, rows):
-    n = len(rows)
+        return one
     if n == 1:
         return rows[0][0]
-    total = field.zero
-    sign = field.one
-    for j in range(n):
-        a = rows[0][j]
+    total = zero
+    for j, a in enumerate(rows[0]):
         if not a.is_zero():
             minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            total = total + sign * a * _det_cofactor(field, minor)
-        sign = -sign
+            term = a * _cofactor(minor, zero, one)
+            total = total + term if j % 2 == 0 else total - term
     return total
 
 

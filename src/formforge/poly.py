@@ -8,12 +8,14 @@ Schwartz-Zippel style confidence bound).
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
+from . import linalg
 from .coeffield import FieldElement, RationalField
 
 
@@ -37,6 +39,11 @@ DEFAULT_TERM_BUDGET = 5_000_000
 
 def _grlex(e: Tuple[int, ...]):
     return (sum(e), e)
+
+
+def _grlex_entry(e: Tuple[int, ...]):
+    """A min-heap entry for e that sorts the graded-lex largest monomial first."""
+    return (-sum(e), tuple(-x for x in e)), e
 
 
 class Polynomial:
@@ -149,23 +156,45 @@ class Polynomial:
         return out
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Quotient when `other` divides exactly, else NotDivisible."""
+        """Quotient when `other` divides exactly, else NotDivisible.
+
+        The remainder is updated in place in one dict, and its leading term
+        comes from a heap of its monomials in graded-lex order, along the
+        lines of Monagan & Pearce (CASC 2007).  Subtracting q * other only
+        adds monomials below the current leading one, so a monomial popped
+        once never returns."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = self
-        quot = Polynomial.zero(self.field, self.nvars)
         lt_e, lt_c = other.leading_term()
         lt_inv = lt_c.inv()
-        while not rem.is_zero():
-            re, rc = rem.leading_term()
+        tail = [(e, c) for e, c in other.terms.items() if e != lt_e]
+        rem = dict(self.terms)
+        heap = [_grlex_entry(e) for e in rem]
+        heapq.heapify(heap)
+        quot = {}
+        while heap:
+            _, re = heapq.heappop(heap)
+            rc = rem.pop(re, None)
+            if rc is None:
+                continue
             qe = tuple(a - b for a, b in zip(re, lt_e))
             if any(x < 0 for x in qe):
                 raise NotDivisible("leading term %r not divisible by %r" % (re, lt_e))
-            t = Polynomial(self.field, self.nvars, {qe: rc * lt_inv})
-            quot = quot + t
-            rem = rem - t * other
-        return quot
+            qc = quot[qe] = rc * lt_inv
+            for e, c in tail:
+                me = tuple(a + b for a, b in zip(qe, e))
+                old = rem.get(me)
+                if old is None:
+                    rem[me] = -(qc * c)
+                    heapq.heappush(heap, _grlex_entry(me))
+                else:
+                    v = old - qc * c
+                    if v.is_zero():
+                        del rem[me]
+                    else:
+                        rem[me] = v
+        return Polynomial(self.field, self.nvars, quot)
 
     # -- structure ---------------------------------------------------------
 
@@ -699,19 +728,14 @@ def compose_estimate(p: Polynomial, args: Sequence[Polynomial]) -> int:
 
 
 def ring_matrix_determinant(rows, zero):
-    """Cofactor determinant over any commutative ring element type."""
-    n = len(rows)
-    if n == 0:
-        return zero
-    if n == 1:
-        return rows[0][0]
-    total = zero
-    for j in range(n):
-        a = rows[0][j]
-        if a.is_zero():
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        sub = ring_matrix_determinant(minor, zero)
-        term = a * sub
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    """Determinant of a square matrix of polynomials from the ring of `zero`,
+    by fraction-free elimination with exact division (`linalg.bareiss`)."""
+    one = Polynomial.const(zero.field, zero.nvars, zero.field.one)
+    return linalg.bareiss(rows, zero, one, _poly_divider)
+
+
+def _poly_divider(b: Polynomial):
+    # exact_div inverts the leading coefficient of b.  When that inverse
+    # exists b is no zero divisor, which bareiss's zero shortcut relies on.
+    b.leading_term()[1].inv()
+    return lambda a: a.exact_div(b)

@@ -155,12 +155,13 @@ def _check_identity(
 # scaled witnesses
 
 
-def _matrix_invertible(phi: HomogeneousForm, w: ScaledWitness, N, D: Polynomial) -> None:
+def _matrix_invertible(phi: HomogeneousForm, N, D: Polynomial) -> None:
     """Prove det M(X) is not identically zero, or raise SingularWitness.
 
     With N = D * M, one exact nonzero value of det N(x) at an integer point x
-    proves nonvanishing; the symbolic determinant is the fallback when sampled
-    points keep landing on zeros of det M or of D.
+    proves nonvanishing; the symbolic determinant of N is the fallback when
+    sampled points keep landing on zeros of det M or of D.  Since D is
+    nonzero, det M vanishes identically exactly when det N does.
     """
     field = phi.field
     nx = D.nvars
@@ -177,11 +178,7 @@ def _matrix_invertible(phi: HomogeneousForm, w: ScaledWitness, N, D: Polynomial)
         rows = [[field.zero if p.is_zero() else p.eval_int(pt) for p in row] for row in N]
         if not linalg.determinant(field, rows).is_zero():
             return
-    det = ring_matrix_determinant(
-        [list(row) for row in w.matrix],
-        RationalFunction.from_poly(Polynomial.zero(field, nx)),
-    )
-    if det.is_zero():
+    if ring_matrix_determinant(N, Polynomial.zero(field, nx)).is_zero():
         raise SingularWitness("witness matrix has identically zero determinant")
 
 
@@ -227,7 +224,7 @@ def verify_scaled_witness(
     # N = D * M over the common denominator D of the matrix entries
     N, D = clear_denominators(w.matrix)
     nx = D.nvars
-    _matrix_invertible(phi, w, N, D)
+    _matrix_invertible(phi, N, D)
 
     identity = "num(c) * den(M)^%d * phi(Y) == den(c) * phi_cleared(M Y)" % phi.degree
     estimate = _estimate_scaled(phi, w, D)
@@ -826,18 +823,3 @@ def exponent_chain(d: int, s: int) -> List[Tuple[int, int]]:
                 return list(reversed(chain))
             queue.append(nxt)
     raise RuntimeError("no reduction chain found within the search window")
-
-
-def brute_force_exponent_closure(d: int, s: int) -> int:
-    """Oracle: the subgroup of Z/dZ generated by s, reported as its least
-    positive element (d itself when s = 0 mod d)."""
-    seen = {0, s % d}
-    frontier = [s % d]
-    while frontier:
-        v = frontier.pop()
-        w = (v + s) % d
-        if w not in seen:
-            seen.add(w)
-            frontier.append(w)
-    positives = [x for x in seen if x > 0]
-    return min(positives) if positives else d

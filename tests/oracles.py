@@ -1,0 +1,181 @@
+"""Reference implementations the tests check the library against.
+
+Nothing in `src/formforge` calls these: each computes something the library
+also computes, by an independent and usually slower route (subset sums,
+a skew element, a resultant, a permutation sum, a subgroup walk, a
+division that rebuilds the remainder at every step).
+"""
+
+import itertools
+from fractions import Fraction
+from math import factorial
+
+from formforge import HomogeneousForm, NotDivisible, Polynomial, SymmetricTensor
+from formforge.constructions import AdmissibleTriple, _phi0_coordinates
+from formforge.coeffield import EtaleAlgebra
+
+
+def leibniz_determinant(rows, zero, one):
+    """The determinant as the sum over permutations of signed products."""
+    n = len(rows)
+    total = zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def long_division(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p / q by repeated leading-term subtraction, each step building new
+    polynomials; NotDivisible when q does not divide p."""
+    rem = p
+    quot = Polynomial.zero(p.field, p.nvars)
+    lt_e, lt_c = q.leading_term()
+    while not rem.is_zero():
+        re, rc = rem.leading_term()
+        qe = tuple(a - b for a, b in zip(re, lt_e))
+        if any(x < 0 for x in qe):
+            raise NotDivisible("leading term %r not divisible by %r" % (re, lt_e))
+        t = Polynomial(p.field, p.nvars, {qe: rc * lt_c.inv()})
+        quot = quot + t
+        rem = rem - t * q
+    return quot
+
+
+def polarize_inclusion_exclusion(phi: HomogeneousForm) -> SymmetricTensor:
+    """The same tensor by the alternating sum over subsets of the d slots.
+
+    theta(v_1,...,v_d) = (1/d!) sum over nonempty S of (-1)^(d-|S|)
+    phi(sum of v_i, i in S).  Exponential in d; meant for cross-checking and
+    small inputs.
+    """
+    d = phi.degree
+    n = phi.nvars
+    df = factorial(d)
+    entries = {}
+    for idx in itertools.combinations_with_replacement(range(n), d):
+        total = phi.field.zero
+        for size in range(1, d + 1):
+            sign = (-1) ** (d - size)
+            for subset in itertools.combinations(range(d), size):
+                counts = [0] * n
+                for slot in subset:
+                    counts[idx[slot]] += 1
+                v = phi.body.eval_int(counts)
+                total = total + v if sign > 0 else total - v
+        if not total.is_zero():
+            entries[idx] = total * phi.field.from_rational(Fraction(1, df))
+    return SymmetricTensor(phi.field, d, n, entries)
+
+
+def _mtnn_product(triple: AdmissibleTriple, x, y):
+    """Multiplication of M(T, N, N') on coordinate vectors (alpha, beta, j, j'):
+    the (1,1) entry is alpha gamma + T(j, i'), the (1,2) block
+    alpha i + delta j + j' x i', and symmetrically."""
+    field = triple.field
+    mj, mjp = triple.dim_j, triple.dim_jp
+    ax, bx, jx, jpx = x[0], x[1], x[2 : 2 + mj], x[2 + mj :]
+    ay, by, jy, jpy = y[0], y[1], y[2 : 2 + mj], y[2 + mj :]
+    out_a = ax * ay + triple.pair_polys(jx, jpy)
+    out_b = bx * by + triple.pair_polys(jy, jpx)
+    cross_jp = triple.cross_apply(triple.cross_jp, jpx, jpy, mj)
+    cross_j = triple.cross_apply(triple.cross_j, jx, jy, mjp)
+    out_j = [
+        ax * jy[c] + by * jx[c] + cross_jp[c] for c in range(mj)
+    ]
+    out_jp = [
+        ay * jpx[c] + bx * jpy[c] + cross_j[c] for c in range(mjp)
+    ]
+    return [out_a, out_b] + out_j + out_jp
+
+
+def _bar(x):
+    return [x[1], x[0]] + list(x[2:])
+
+
+def structurable_quartic_via_skew(triple: AdmissibleTriple) -> HomogeneousForm:
+    """Independent route to N_A through the skew element s0 = diag(1, -1):
+    N_A(x) = (1/12 mu) chi(s0 x, {x, s0 x, x}) with mu = s0^2 = 1 and
+    chi read off from psi(u, v) = u bar(v) - v bar(u) being a multiple of s0."""
+    field = triple.field
+    mj, mjp = triple.dim_j, triple.dim_jp
+    big = 2 + mj + mjp
+    x = [Polynomial.variable(field, big, i) for i in range(big)]
+    zero = Polynomial.zero(field, big)
+    one = Polynomial.const(field, big, field.one)
+    s0 = [one, -one] + [zero] * (mj + mjp)
+
+    def mul(u, v):
+        return _mtnn_product(triple, u, v)
+
+    bar = _bar
+
+    def psi_coefficient(u, v):
+        """psi(u, v) = u bar(v) - v bar(u) must equal lambda s0; return lambda."""
+        w = [p - q for p, q in zip(mul(u, bar(v)), mul(v, bar(u)))]
+        if not (w[0] + w[1]).is_zero():
+            raise RuntimeError("psi value is not skew in the diagonal entries")
+        for entry in w[2:]:
+            if not entry.is_zero():
+                raise RuntimeError("psi value has off-diagonal components")
+        return w[0]
+
+    s0x = mul(s0, x)
+    # {x, y, z} = (x bar y) z + (z bar y) x - (z bar x) y with y = s0 x, z = x
+    y = s0x
+    xby = mul(x, bar(y))
+    xbx = mul(x, bar(x))
+    braces = [
+        p.scale(field.from_rational(2)) - q
+        for p, q in zip(mul(xby, x), mul(xbx, y))
+    ]
+    # chi(u, v) = (2/mu) lambda where psi(s0 u, v) = lambda s0; here u = s0 x
+    lam = psi_coefficient(mul(s0, s0x), braces)
+    # N_A = (1/12 mu) chi = (1/6) lambda for mu = 1
+    body = lam.scale(field.from_rational(Fraction(1, 6)))
+    return HomogeneousForm(field, 4, big, body)
+
+
+def norm_via_resultant(A: EtaleAlgebra, phi0: HomogeneousForm) -> Polynomial:
+    """Transfer route 2: resultant of the minimal polynomial with the
+    coordinate polynomial U(t) = sum_s P_s(y) t^s."""
+    base = A.base
+    m = A.degree
+    coords = _phi0_coordinates(A, phi0)
+    nv = coords[0].nvars
+    zero = Polynomial.zero(base, nv)
+    e = m - 1  # nominal degree of U
+    size = m + e
+    f_desc = [Polynomial.const(base, nv, A.minpoly[m - 1 - i]) for i in range(m)]
+    f_desc = [Polynomial.const(base, nv, base.one)] + f_desc  # monic leading 1
+    u_desc = [coords[e - i] for i in range(e + 1)]
+    rows = []
+    for r in range(e):
+        row = [zero] * size
+        for i, c in enumerate(f_desc):
+            row[r + i] = c
+        rows.append(row)
+    for r in range(m):
+        row = [zero] * size
+        for i, c in enumerate(u_desc):
+            row[r + i] = c
+        rows.append(row)
+    return leibniz_determinant(rows, zero, Polynomial.const(base, nv, base.one))
+
+
+def brute_force_exponent_closure(d: int, s: int) -> int:
+    """Oracle: the subgroup of Z/dZ generated by s, reported as its least
+    positive element (d itself when s = 0 mod d)."""
+    seen = {0, s % d}
+    frontier = [s % d]
+    while frontier:
+        v = frontier.pop()
+        w = (v + s) % d
+        if w not in seen:
+            seen.add(w)
+            frontier.append(w)
+    positives = [x for x in seen if x > 0]
+    return min(positives) if positives else d

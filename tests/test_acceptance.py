@@ -11,7 +11,6 @@ from formforge import (
     HomogeneousForm,
     Polynomial,
     QQ,
-    brute_force_exponent_closure,
     cayley_dickson_quartic,
     composition_algebra_norm,
     depolarize,
@@ -30,7 +29,6 @@ from formforge import (
     norm_compose,
     orthogonal_sum,
     polarize,
-    polarize_inclusion_exclusion,
     radical,
     reduce_exponent,
     split_albert_norm,
@@ -41,9 +39,10 @@ from formforge import (
     verify_jordan_composition,
     verify_scaled_witness,
 )
-from formforge.constructions import albert_sharp, catalog, norm_via_regular, norm_via_resultant
+from formforge.constructions import albert_sharp, catalog, norm_via_regular
 from formforge.forms import apply_change_of_basis
 from formforge.poly import verify_identity
+from oracles import brute_force_exponent_closure, norm_via_resultant, polarize_inclusion_exclusion
 
 
 def var(n, i):

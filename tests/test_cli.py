@@ -368,3 +368,20 @@ def test_verify_jordan_split_octonion_norm(capsys, tmp_path):
                        "--mode", "random", "--seed", "4", "--samples", "20")
     assert code == 2
     assert json.loads(out)["verdict"] == "evidence"
+
+
+def test_verify_rejects_octonion_witness_with_proportional_rows(capsys, tmp_path):
+    cf = composition_algebra_norm("octonion", [1, 1, 1])
+    m = cf.witness.matrix
+    nx = m[0][0].num.nvars
+    k = RationalFunction.const(QQ, nx, 3)
+    rows = [list(r) for r in m]
+    rows[1] = [k * e for e in rows[0]]
+    w = ScaledWitness(RationalFunction.const(QQ, nx, 1), tuple(tuple(r) for r in rows))
+    form_path = write_json(tmp_path / "oct.json", encode_constructed_form(cf))
+    witness_path = write_json(tmp_path / "singular.json", encode_scaled_witness(w))
+    code, out, err = run(capsys, "verify", "strong-mult", "--form", form_path,
+                         "--witness", witness_path)
+    assert code == 3
+    assert out == ""
+    assert "identically zero determinant" in err

@@ -28,11 +28,11 @@ from formforge import (
     split_etale_presentation,
     split_jordan_q4,
     structurable_quartic,
-    structurable_quartic_via_skew,
     tits_cubic,
     verify_composition,
     verify_scaled_witness,
 )
+from oracles import structurable_quartic_via_skew
 
 
 def var(n, i):

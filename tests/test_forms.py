@@ -16,13 +16,13 @@ from formforge import (
     is_nondegenerate,
     orthogonal_sum,
     polarize,
-    polarize_inclusion_exclusion,
     radical,
     tensor_product,
     transfer,
     transfer_form,
 )
 from formforge.forms import DegreeMismatch, Singular, ZeroFunctional
+from oracles import polarize_inclusion_exclusion
 
 
 def var(n, i):

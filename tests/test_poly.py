@@ -12,6 +12,9 @@ from formforge import (
     substitute_linear,
     verify_identity,
 )
+from formforge.constructions import catalog
+from formforge.poly import clear_denominators
+from oracles import long_division
 
 
 def var(n, i):
@@ -36,6 +39,32 @@ def test_exact_division_failure():
     x, y = var(2, 0), var(2, 1)
     with pytest.raises(NotDivisible):
         (x * x + y * y).exact_div(x - y)
+
+
+def test_clear_denominators_on_catalog_witnesses():
+    """N and D as long division gives them, for every catalog witness and for
+    the same witness with row i divided by 1 + x_(i mod 3), so that D has up
+    to three factors and each entry its own cofactor D / den."""
+    checked = 0
+    for _, cf in catalog():
+        if cf.witness is None:
+            continue
+        m = cf.witness.matrix
+        nx = m[0][0].num.nvars
+        one = RationalFunction.const(QQ, nx, 1)
+        dens = [one + RationalFunction.from_poly(var(nx, i % min(3, nx))) for i in range(len(m))]
+        divided = tuple(tuple(e * d.inv() for e in row) for row, d in zip(m, dens))
+        for M in (m, divided):
+            N, D = clear_denominators(M)
+            assert N == tuple(
+                tuple(
+                    Polynomial.zero(QQ, nx) if e.is_zero() else e.num * long_division(D, e.den)
+                    for e in row
+                )
+                for row in M
+            )
+            checked += 1
+    assert checked >= 20
 
 
 def test_substitute_linear_swap_matrix():

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from formforge import (
@@ -10,7 +13,6 @@ from formforge import (
     TermBudgetExceeded,
     UnitMismatch,
     absorb_twist,
-    brute_force_exponent_closure,
     composition_algebra_norm,
     det_norm,
     diagonal_jordan_cubic_decision,
@@ -33,8 +35,10 @@ from formforge import (
     verify_strong_jordan_multiplicativity,
     verify_strong_multiplicativity,
 )
+from formforge import linalg
 from formforge.coeffield import field_extend
 from formforge.constructions import _det_form
+from oracles import brute_force_exponent_closure
 
 
 def var(n, i):
@@ -132,6 +136,35 @@ def test_singular_witness_rejected():
     m = ((rf(x1), rf(x1)), (rf(x1), rf(x1)))
     with pytest.raises(SingularWitness):
         verify_strong_multiplicativity(phi, m)
+
+
+def test_rank_deficient_12x12_witness_rejected_in_polynomial_time():
+    """Eleven independent rows of entries a + b*x and a last row 2 * row 0 -
+    row 10: every sampled point gives determinant zero, so the symbolic
+    determinant decides.  Cofactor expansion would need 12! products; the
+    elimination stops after eleven steps."""
+    n = 12
+    phi = diag([1] * n, 2)
+    rng = random.Random(12)
+    one, x = Polynomial.const(QQ, 1, 1), var(1, 0)
+    rows = [
+        [one.scale(rng.randint(-3, 3)) + x.scale(rng.randint(-3, 3)) for _ in range(n)]
+        for _ in range(n - 1)
+    ]
+    at_one = [[p.eval_int((1,)) for p in row] for row in rows]
+    assert linalg.rank(QQ, at_one) == n - 1  # the dependency is in the last row only
+    rows.append([a.scale(2) - b for a, b in zip(rows[0], rows[-1])])
+    w = ScaledWitness(rf(one), tuple(tuple(rf(p) for p in row) for row in rows))
+    best = None
+    for _ in range(3):  # the least CPU time of up to three runs, against host noise
+        t0 = time.process_time()
+        with pytest.raises(SingularWitness, match="identically zero determinant"):
+            verify_scaled_witness(phi, w)
+        spent = time.process_time() - t0
+        best = spent if best is None else min(best, spent)
+        if best < 1.0:
+            break
+    assert best < 1.0
 
 
 def test_symbolic_budget_overflow_raises():
