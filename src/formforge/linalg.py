@@ -162,8 +162,8 @@ def bareiss(rows, zero, one, divider):
     (m[k][k] m[i][j] - m[i][k] m[k][j]) / p, where p is the previous pivot
     (one at the first step).  By Sylvester's identity the quotient is a minor
     of the matrix, so the exact division stays in the ring.  divider(p)
-    returns the map a -> a / p, and raises ZeroDivisor when p is not
-    invertible (possible over a non-field etale coefficient algebra); the
+    returns the map a -> a / p, or raises ZeroDivisor when p may be a zero
+    divisor (possible over a non-field etale coefficient algebra); the
     determinant then comes from cofactor expansion.  A zero column or a zero
     row in the remaining block makes the determinant times a power of the
     last pivot zero, so once that pivot passes divider the determinant is
@@ -180,35 +180,68 @@ def _bareiss(m, zero, one, divider):
     if n == 0:
         return one
     negate = False
-    div = None  # division by the previous pivot; none before the first step
-    pivot = one
+    pivots, divs = [one], [None]  # the pivot before step t, and division by it
+    # A step that meets a zero in a row's pivot column would only scale the
+    # row by the new pivot over the previous one.  It leaves the row alone
+    # instead: age[i] counts the steps row i is up to date with, and
+    # `current` scales the row by pivots[k] / pivots[age] when it is next
+    # used.  The scaling keeps zeros zero, and nonzero entries nonzero, as
+    # every pivot has passed divider; so the zero tests below and last[i],
+    # the last nonzero column of row i, hold for stale rows too.  A sparse
+    # matrix thus costs about as much as with Gaussian elimination.
+    age = [0] * n
+    last = [max((j for j, x in enumerate(r) if not x.is_zero()), default=-1) for r in m]
+
+    def current(i, k):
+        row, t = m[i], age[i]
+        if t < k:
+            f, d = pivots[k], divs[t]
+            for j in range(k, n):
+                if not row[j].is_zero():
+                    row[j] = f * row[j] if d is None else d(f * row[j])
+            age[i] = k
+        return row
+
     for k in range(n - 1):
         p = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
         if p is None:
-            divider(pivot)
             return zero
         if p != k:
-            m[k], m[p] = m[p], m[k]
+            for v in (m, age, last):
+                v[k], v[p] = v[p], v[k]
             negate = not negate
-        top = m[k]
-        pivot = top[k]
+        top = current(k, k)
+        pivot, div = top[k], divs[k]
+        pivots.append(pivot)
+        divs.append(divider(pivot))
         for i in range(k + 1, n):
-            row = m[i]
+            if m[i][k].is_zero():
+                if last[i] <= k:
+                    return zero
+                continue
+            row = current(i, k)
             a = row[k]
-            live = False
+            end = -1
             for j in range(k + 1, n):
-                x = pivot * row[j]
-                if not (a.is_zero() or top[j].is_zero()):
-                    x = x - a * top[j]
+                b, c = row[j], top[j]
+                if c.is_zero():
+                    if b.is_zero():
+                        continue
+                    x = pivot * b
+                elif b.is_zero():
+                    x = -(a * c)
+                else:
+                    x = pivot * b - a * c
                 if div is not None:
                     x = div(x)
                 row[j] = x
-                live = live or not x.is_zero()
-            if not live:
-                divider(pivot)
+                if not x.is_zero():
+                    end = j
+            if end < 0:
                 return zero
-        div = divider(pivot)
-    return -m[-1][-1] if negate else m[-1][-1]
+            age[i], last[i] = k + 1, end
+    det = current(n - 1, n - 1)[-1]
+    return -det if negate else det
 
 
 def _cofactor(rows, zero, one):

@@ -33,10 +33,12 @@ def _poly(field, nvars, max_terms, max_deg):
 
 
 @st.composite
-def _matrix(draw, entry, max_n):
-    """A square matrix.  When the drawn rank r is below n, the rows past the
-    first r are combinations of those, with coefficients drawn like entries,
-    and they sit first, in the middle or last."""
+def _matrix(draw, entry, zero, max_n):
+    """A square matrix, sparse or dense.  When the drawn rank r is below n,
+    the rows past the first r are combinations of those, with coefficients
+    drawn like entries, and they sit first, in the middle or last."""
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(zero), entry)
     n = draw(st.integers(0, max_n))
     r = draw(st.integers(0, n))
     rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(r)]
@@ -49,8 +51,6 @@ def _matrix(draw, entry, max_n):
             row = scaled if row is None else [a + b for a, b in zip(row, scaled)]
         dependent.append(row)
     if dependent and dependent[0] is None:  # rank 0: zero rows
-        zero = draw(entry)
-        zero = zero - zero
         dependent = [[zero] * n for _ in dependent]
     where = draw(st.sampled_from([0, r // 2, r]))
     return rows[:where] + dependent + rows[where:], r < n
@@ -60,7 +60,7 @@ def _matrix(draw, entry, max_n):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_scalar_determinant_matches_permutation_sum(field, data):
-    rows, singular = data.draw(_matrix(_scalar(field), 5))
+    rows, singular = data.draw(_matrix(_scalar(field), field.zero, 5))
     det = linalg.determinant(field, rows)
     assert det == leibniz_determinant(rows, field.zero, field.one)
     if singular:
@@ -73,9 +73,9 @@ def test_scalar_determinant_matches_permutation_sum(field, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_polynomial_determinant_matches_permutation_sum(field, nvars, max_n, data):
-    rows, singular = data.draw(_matrix(_poly(field, nvars, 3, 2), max_n))
     zero = Polynomial.zero(field, nvars)
     one = Polynomial.const(field, nvars, field.one)
+    rows, singular = data.draw(_matrix(_poly(field, nvars, 3, 2), zero, max_n))
     det = ring_matrix_determinant(rows, zero)
     assert det == leibniz_determinant(rows, zero, one)
     if singular:
@@ -85,6 +85,21 @@ def test_polynomial_determinant_matches_permutation_sum(field, nvars, max_n, dat
 def test_empty_matrix_has_determinant_one():
     assert linalg.determinant(QQ, []) == QQ.one
     assert ring_matrix_determinant([], Polynomial.zero(QQ, 2)) == Polynomial.const(QQ, 2, 1)
+
+
+def test_swap_keeps_each_stale_row_scaling():
+    """Step 0 updates rows 1 and 3 and leaves row 2 alone (a zero in column
+    0); step 1 swaps rows 1 and 2, whose entries are then up to date with
+    different steps.  Mixing up their scalings breaks an exact division."""
+    x = Polynomial.variable(QQ, 1, 0)
+    one, zero = Polynomial.const(QQ, 1, 1), Polynomial.zero(QQ, 1)
+    rows = [
+        [x + one, zero, zero, x],
+        [x + one, zero, x + x, x + one],
+        [zero, x + x, x + x, x],
+        [one, zero, one, x + x],
+    ]
+    assert ring_matrix_determinant(rows, zero) == leibniz_determinant(rows, zero, one)
 
 
 def test_zero_divisor_pivot_falls_back_to_cofactors(monkeypatch):
