@@ -181,14 +181,14 @@ def _bareiss(m, zero, one, divider):
         return one
     negate = False
     pivots, divs = [one], [None]  # the pivot before step t, and division by it
-    # A step that meets a zero in a row's pivot column would only scale the
-    # row by the new pivot over the previous one.  It leaves the row alone
-    # instead: age[i] counts the steps row i is up to date with, and
-    # `current` scales the row by pivots[k] / pivots[age] when it is next
-    # used.  The scaling keeps zeros zero, and nonzero entries nonzero, as
-    # every pivot has passed divider; so the zero tests below and last[i],
-    # the last nonzero column of row i, hold for stale rows too.  A sparse
-    # matrix thus costs about as much as with Gaussian elimination.
+    # A step would only scale a row with a zero in the pivot column, by the
+    # new pivot over the previous one, so it leaves the row alone: age[i]
+    # counts the steps row i is up to date with, and `current` scales it by
+    # pivots[k] / pivots[age[i]] when it is next used.  Every pivot has
+    # passed divider, so the scaling keeps zero entries zero and nonzero
+    # ones nonzero, and the zero tests and last[i] (the last nonzero column
+    # of row i) hold for stale rows too.  Sparse matrices thus cost about
+    # what Gaussian elimination costs.
     age = [0] * n
     last = [max((j for j, x in enumerate(r) if not x.is_zero()), default=-1) for r in m]
 
