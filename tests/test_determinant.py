@@ -44,14 +44,11 @@ def _matrix(draw, entry, zero, max_n):
     rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(r)]
     dependent = []
     for _ in range(n - r):
-        row = None
+        row = [zero] * n
         for base in rows:
             c = draw(entry)
-            scaled = [c * x for x in base]
-            row = scaled if row is None else [a + b for a, b in zip(row, scaled)]
+            row = [a + c * x for a, x in zip(row, base)]
         dependent.append(row)
-    if dependent and dependent[0] is None:  # rank 0: zero rows
-        dependent = [[zero] * n for _ in dependent]
     where = draw(st.sampled_from([0, r // 2, r]))
     return rows[:where] + dependent + rows[where:], r < n
 
