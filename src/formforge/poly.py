@@ -183,11 +183,15 @@ class Polynomial:
                 raise NotDivisible("leading term %r not divisible by %r" % (re, lt_e))
             qc = quot[qe] = rc * lt_inv
             for e, c in tail:
+                # qc * c can be zero with both factors nonzero over a
+                # non-field etale algebra, so a new monomial is checked too
                 me = tuple(a + b for a, b in zip(qe, e))
                 old = rem.get(me)
                 if old is None:
-                    rem[me] = -(qc * c)
-                    heapq.heappush(heap, _grlex_entry(me))
+                    v = -(qc * c)
+                    if not v.is_zero():
+                        rem[me] = v
+                        heapq.heappush(heap, _grlex_entry(me))
                 else:
                     v = old - qc * c
                     if v.is_zero():

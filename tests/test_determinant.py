@@ -10,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from formforge import NotDivisible, Polynomial, QQ, field_extend, linalg  # noqa: E402
+from formforge import NotDivisible, Polynomial, QQ, ZeroDivisor, field_extend, linalg  # noqa: E402
 from formforge.poly import ring_matrix_determinant  # noqa: E402
 from oracles import leibniz_determinant, long_division  # noqa: E402
 
@@ -23,7 +23,12 @@ _small = st.integers(-2, 2)
 def _scalar(field):
     if field is QQ:
         return _small.map(field.from_rational)
-    return st.lists(_small, min_size=2, max_size=2).map(field.element)
+    pairs = st.lists(_small, min_size=2, max_size=2)
+    if field is Q_TIMES_Q:
+        # a(1 + t) and a(1 - t) are zero divisors: their product is zero
+        signs = st.sampled_from([1, -1])
+        pairs = st.one_of(pairs, st.tuples(_small, signs).map(lambda a: [a[0], a[0] * a[1]]))
+    return pairs.map(field.element)
 
 
 def _poly(field, nvars, max_terms, max_deg):
@@ -54,7 +59,7 @@ def _matrix(draw, entry, zero, max_n):
 
 
 @pytest.mark.parametrize("field", [QQ, Q_SQRT2, Q_TIMES_Q], ids=["Q", "Q(sqrt2)", "QxQ"])
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_scalar_determinant_matches_permutation_sum(field, data):
     rows, singular = data.draw(_matrix(_scalar(field), field.zero, 5))
@@ -122,14 +127,20 @@ def test_zero_divisor_pivot_falls_back_to_cofactors(monkeypatch):
     assert det == c(one - e) * x * x * x
 
 
-@pytest.mark.parametrize("field", [QQ, Q_SQRT2], ids=["Q", "Q(sqrt2)"])
-@settings(max_examples=80, deadline=None)
+@pytest.mark.parametrize("field", [QQ, Q_SQRT2, Q_TIMES_Q], ids=["Q", "Q(sqrt2)", "QxQ"])
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_exact_div_inverts_multiplication(field, data):
+    """Over Q[t]/(t^2 - 1) a product of two nonzero coefficients can be zero,
+    so the remainder meets cancellations that leave no term."""
     nvars = data.draw(st.integers(1, 3))
     p = data.draw(_poly(field, nvars, 5, 3))
     q = data.draw(_poly(field, nvars, 4, 2))
     assume(not q.is_zero())
+    try:
+        q.leading_term()[1].inv()
+    except ZeroDivisor:
+        assume(False)  # exact_div needs an invertible leading coefficient
     assert (p * q).exact_div(q) == p == long_division(p * q, q)
     if q.total_degree() >= 1:
         # a nonzero r of lower degree than q leaves a remainder

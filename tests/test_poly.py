@@ -8,12 +8,13 @@ from formforge import (
     Polynomial,
     QQ,
     RationalFunction,
+    field_extend,
     is_dth_power,
     substitute_linear,
     verify_identity,
 )
 from formforge.constructions import catalog
-from formforge.poly import clear_denominators
+from formforge.poly import clear_denominators, ring_matrix_determinant
 from oracles import long_division
 
 
@@ -65,6 +66,47 @@ def test_clear_denominators_on_catalog_witnesses():
             )
             checked += 1
     assert checked >= 20
+
+
+# Over Q[t]/(t^2 - 1), (1 + t)(1 - t) = 0: exact division meets a product of
+# nonzero coefficients that is zero, and must not keep it as a term.
+QxQ = field_extend(QQ, [-1, 0, 1])
+T = QxQ.element([0, 1])
+
+
+def qxq(c):
+    return Polynomial.const(QxQ, 2, c)
+
+
+def test_exact_division_drops_zero_coefficient_products():
+    x, y = Polynomial.variable(QxQ, 2, 0), Polynomial.variable(QxQ, 2, 1)
+    one = QxQ.one
+    assert (qxq(one + T) * x * y).exact_div(x + qxq(one - T)) == qxq(one + T) * y
+
+
+def test_ring_determinant_with_zero_coefficient_products():
+    x, y = Polynomial.variable(QxQ, 2, 0), Polynomial.variable(QxQ, 2, 1)
+    one, zero = qxq(QxQ.one), qxq(QxQ.zero)
+    rows = [
+        [x + qxq(QxQ.one - T), zero, zero],
+        [zero, one, zero],
+        [zero, one, qxq(QxQ.one + T) * y],
+    ]
+    # (x + 1 - t)(1 + t) y = (1 + t) x y
+    assert ring_matrix_determinant(rows, zero) == qxq(QxQ.one + T) * x * y
+
+
+def test_clear_denominators_with_zero_coefficient_products():
+    x = Polynomial.variable(QxQ, 2, 0)
+    one = RationalFunction.const(QxQ, 2, 1)
+    plus, minus = x + qxq(QxQ.one + T), x + qxq(QxQ.one - T)
+    M = [
+        [RationalFunction.from_poly(plus).inv(), one],
+        [one, RationalFunction.from_poly(minus).inv()],
+    ]
+    N, D = clear_denominators(M)
+    assert D == plus * minus == x * x + x + x  # 1 - t^2 = 0
+    assert N == ((minus, D), (D, plus))
 
 
 def test_substitute_linear_swap_matrix():
