@@ -43,24 +43,6 @@ class MissingWitness(ValueError):
 # algebra presentations
 
 
-def _structure_product(field, structure, x, y):
-    """xy for coordinate vectors x, y under e_i e_j = sum_l structure[i][j][l] e_l."""
-    n = len(structure)
-    out = [field.zero] * n
-    for i in range(n):
-        if x[i].is_zero():
-            continue
-        for j in range(n):
-            if y[j].is_zero():
-                continue
-            xy = x[i] * y[j]
-            for l in range(n):
-                c = structure[i][j][l]
-                if not c.is_zero():
-                    out[l] = out[l] + c * xy
-    return tuple(out)
-
-
 class AlgebraPresentation:
     """A finite-dimensional algebra by structure constants: e_i e_j =
     sum_l structure[i][j][l] e_l."""
@@ -107,7 +89,7 @@ class AlgebraPresentation:
         )
 
     def product(self, x, y):
-        return _structure_product(self.field, self.structure, x, y)
+        return linalg.structure_product(self.field, self.structure, x, y)
 
     def product_polys(self, x, y):
         n = self.dim
@@ -300,7 +282,7 @@ def _double(field, structure, conj, norm_body, gamma: FieldElement):
         return tuple(field.one if j == i else zero for j in range(n))
 
     def mul(x, y):
-        return _structure_product(field, structure, x, y)
+        return linalg.structure_product(field, structure, x, y)
 
     def cj(x):
         return tuple(

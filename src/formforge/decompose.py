@@ -1,18 +1,26 @@
 """Orthogonal decomposition of nondegenerate d-linear spaces, d >= 3.
 
 The endomorphisms that slide between slots of the polarization form a
-commutative matrix algebra; its primitive idempotents cut the space into the
-unique unordered orthogonal decomposition.  Idempotents are found from
-minimal polynomials of a deterministic element sequence, split by gcd-based
-coprime factorization, lifted through the nilradical, and certified (or
-refined) by univariate factorization when the gcd pipeline stalls.
+commutative matrix algebra C, the center; its primitive idempotents cut the
+space into the unique unordered orthogonal decomposition.  `center_algebra`
+finds a basis of C with one elimination, reads the coordinates of each
+product of basis matrices off that basis, and keeps them as structure
+constants.  The splitting then works in the regular representation of C, as
+in Friedl & Ronyai (STOC 1985): an element is its coordinate vector,
+multiplied through the structure constants, and n x n matrices are built
+only for the final idempotents.  Idempotents are found from minimal
+polynomials of a deterministic element sequence, split by gcd-based coprime
+factorization and rational roots, lifted through the nilradical, and
+certified (or refined) by univariate factorization over Q when the gcd
+pipeline stalls; the rank of the trace form of C bounds the semisimple part.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import linalg
 from .coeffield import (
@@ -81,53 +89,6 @@ class Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# matrix utilities (small and dense; FieldElement entries)
-
-
-def _mat(field, rows) -> Matrix:
-    return tuple(tuple(r) for r in rows)
-
-
-def _mat_mul(field, a: Matrix, b: Matrix) -> Matrix:
-    return _mat(field, linalg.mat_mul(field, [list(r) for r in a], [list(r) for r in b]))
-
-
-def _mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(c: FieldElement, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in r) for r in a)
-
-
-def _mat_eye(field, n: int) -> Matrix:
-    return _mat(field, linalg.identity(field, n))
-
-
-def _flatten(a: Matrix):
-    return [x for row in a for x in row]
-
-
-def _mat_is_zero(a: Matrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
-def _coordinate_rows(n: int, mats) -> List[dict]:
-    """The system whose solutions are coordinates in the n x n matrices
-    `mats`: one dict row per matrix entry, keyed by the index of the matrix."""
-    rows = [{} for _ in range(n * n)]
-    for k, m in enumerate(mats):
-        _add_coordinate_column(rows, k, m)
-    return rows
-
-
-def _add_coordinate_column(rows, k: int, mat: Matrix) -> None:
-    for idx, x in enumerate(_flatten(mat)):
-        if not x.is_zero():
-            rows[idx][k] = x
-
-
-# ---------------------------------------------------------------------------
 # the center algebra
 
 
@@ -162,58 +123,75 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
                     eqs.setdefault((rest, x, j), {})[a * n + j] = neg
     rows = [eqs[key] for key in sorted(eqs)]
 
-    vecs = linalg.nullspace(field, rows, n * n)
-    basis = [
-        _mat(field, [[v[a * n + i] for i in range(n)] for a in range(n)]) for v in vecs
+    vecs = [
+        {c: x for c, x in enumerate(v) if not x.is_zero()}
+        for v in linalg.nullspace(field, rows, n * n)
     ]
-    cols = _coordinate_rows(n, basis)
+    # Each nullspace vector is 1 at its own free column, 0 at the others, and
+    # zero past its free column, so a matrix in the span has its coordinates
+    # at the free columns.
+    free = [max(v) for v in vecs]
+    sparse = []  # the basis matrices as dict rows
+    for v in vecs:
+        mat = [{} for _ in range(n)]
+        for c, x in v.items():
+            mat[c // n][c % n] = x
+        sparse.append(mat)
 
-    def coords(mat: Matrix):
-        """Coordinates of a center matrix in this basis."""
-        return linalg.solve(field, cols, _flatten(mat), len(basis))
+    def coords(mat):
+        """Coordinates of a matrix given as dict rows, or None outside the span."""
+        rest = {a * n + i: x for a, row in enumerate(mat) for i, x in row.items()}
+        out = tuple(rest.get(c, field.zero) for c in free)
+        for ck, v in zip(out, vecs):
+            if not ck.is_zero():
+                for c, x in v.items():
+                    rest[c] = rest[c] - ck * x if c in rest else -(ck * x)
+        return out if all(x.is_zero() for x in rest.values()) else None
 
-    unit = coords(_mat_eye(field, n))
+    unit = coords([{a: field.one} for a in range(n)])
     if unit is None:
         raise CenterNotClosed("identity matrix missing from the sliding solution space")
 
     structure = []
-    for bi in basis:
+    for bi in sparse:
         row = []
-        for bj in basis:
-            prod = _mat_mul(field, bi, bj)
-            c = coords(prod)
+        for bj in sparse:
+            c = coords(linalg.mat_mul(field, bi, bj))
             if c is None:
                 raise CenterNotClosed("center is not closed under multiplication")
-            row.append(tuple(c))
+            row.append(c)
         structure.append(tuple(row))
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
             if structure[i][j] != structure[j][i]:
                 raise CenterNotClosed("center is not commutative")
 
     return CenterAlgebra(
         field=field,
         dim_space=n,
-        basis=tuple(basis),
+        basis=tuple(
+            tuple(tuple(row.get(i, field.zero) for i in range(n)) for row in mat)
+            for mat in sparse
+        ),
         structure=tuple(structure),
-        unit_coords=tuple(unit),
+        unit_coords=unit,
     )
 
 
 # ---------------------------------------------------------------------------
-# idempotent machinery
+# idempotent machinery, on coordinate vectors in the center's basis
 
 
-def _matrix_poly_eval(field, coeffs, z: Matrix, unit: Matrix) -> Matrix:
-    """Evaluate a univariate polynomial (low-first coefficient list) at a
-    matrix, with the given unit standing in for 1."""
-    n = len(z)
-    out = _mat(field, [[field.zero] * n for _ in range(n)])
-    for c in reversed(list(coeffs)):
-        out = _mat_mul(field, out, z)
-        if not c.is_zero():
-            out = _mat_add(out, _mat_scale(c, unit))
-    return out
+def _add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _scale(c: FieldElement, x):
+    return tuple(c * a for a in x)
+
+
+def _unit_vectors(field, m: int):
+    return [tuple(field.one if k == i else field.zero for k in range(m)) for i in range(m)]
 
 
 def _yun_squarefree_groups(field, f):
@@ -238,14 +216,14 @@ def _yun_squarefree_groups(field, f):
     return out
 
 
-def _rational_roots(field, f) -> List[Fraction]:
-    """Rational roots of a squarefree f over Q, by the bounded divisor test."""
-    if field != QQ:
+def _rational_roots(f) -> List[Fraction]:
+    """Rational roots of a squarefree f, by the bounded divisor test; none
+    unless every coefficient is rational."""
+    try:
+        fr = [c.as_rational() for c in f]
+    except ValueError:
         return []
-    fr = [c.coeffs[0] for c in f]
-    den = 1
-    for c in fr:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in fr))
     ints = [int(c * den) for c in fr]
     roots = []
     # peel the root 0 first
@@ -269,12 +247,6 @@ def _rational_roots(field, f) -> List[Fraction]:
     return sorted(roots)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n: int) -> List[int]:
     n = abs(n)
     out = []
@@ -294,7 +266,7 @@ def _coprime_pieces(field, mu):
     pieces = []
     for g in _yun_squarefree_groups(field, mu):
         rest = g
-        for r in _rational_roots(field, g):
+        for r in _rational_roots(g):
             lin = [field.from_rational(-r), field.one]
             rest, _ = poly_divmod(field, rest, lin)
             pieces.append(lin)
@@ -304,37 +276,47 @@ def _coprime_pieces(field, mu):
 
 
 class _Block:
-    """A unital commutative subalgebra e*C with its coordinate frame."""
+    """A unital commutative subalgebra e*C of the center C: its unit e and a
+    basis, as coordinate vectors in the basis of C."""
 
-    def __init__(self, field, unit: Matrix, basis: List[Matrix]):
-        self.field = field
+    def __init__(self, center: CenterAlgebra, unit, basis):
+        self.field = center.field
+        self.structure = center.structure
         self.unit = unit
         self.basis = basis
-        self._cols = _coordinate_rows(len(unit), basis)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords(self, mat: Matrix) -> Optional[Tuple[FieldElement, ...]]:
-        return linalg.solve(self.field, self._cols, _flatten(mat), self.dim)
+    def mul(self, x, y):
+        return linalg.structure_product(self.field, self.structure, x, y)
 
-    def minpoly(self, z: Matrix):
+    def minpoly(self, z):
         """Minimal polynomial of z acting inside this block (unit = 1)."""
         field = self.field
-        cols = _coordinate_rows(len(self.unit), [self.unit])  # powers of z found so far
-        npows = 1
-        cur = self.unit
+        powers = [self.unit]  # the powers of z found independent so far
         while True:
-            cur = _mat_mul(field, cur, z)
-            rep = linalg.solve(field, cols, _flatten(cur), npows)
+            cur = self.mul(powers[-1], z)
+            rows = [{k: p[i] for k, p in enumerate(powers) if not p[i].is_zero()}
+                    for i in range(len(cur))]
+            rep = linalg.solve(field, rows, cur, len(powers))
             if rep is not None:
                 coeffs = [-c for c in rep] + [field.one]
                 return poly_trim(field, coeffs)
-            _add_coordinate_column(cols, npows, cur)
-            npows += 1
-            if npows > self.dim + 1:
+            powers.append(cur)
+            if len(powers) > self.dim + 1:
                 raise RuntimeError("minimal polynomial search exceeded the block dimension")
+
+    def poly_eval(self, coeffs, z):
+        """A univariate polynomial (low-first coefficient list) at z, by
+        Horner's rule, with the block's unit standing in for 1."""
+        out = tuple(self.field.zero for _ in z)
+        for c in reversed(list(coeffs)):
+            out = self.mul(out, z)
+            if not c.is_zero():
+                out = _add(out, _scale(c, self.unit))
+        return out
 
     def elements(self):
         """Deterministic candidate sequence: basis, then pairwise sums, then
@@ -344,49 +326,49 @@ class _Block:
         m = len(self.basis)
         for i in range(m):
             for j in range(i + 1, m):
-                yield _mat_add(self.basis[i], self.basis[j])
+                yield _add(self.basis[i], self.basis[j])
         for w in range(2, 6):
             c = self.field.from_rational(w)
             for i in range(m):
                 for j in range(m):
                     if i != j:
-                        yield _mat_add(self.basis[i], _mat_scale(c, self.basis[j]))
+                        yield _add(self.basis[i], _scale(c, self.basis[j]))
 
-    def nilradical_rank(self) -> Tuple[int, List[Tuple[FieldElement, ...]]]:
-        """Rank of the regular trace form; its kernel is the nilradical."""
+    def nilradical_rank(self) -> int:
+        """Rank of the regular trace form t(xy) on the block; its kernel is
+        the nilradical.  Multiplication by x in eC is zero on (1 - e)C, so
+        its trace on eC is its trace on C, t(x) = sum_i x_i t_i with
+        t_i = sum_k structure[i][k][k]."""
         field = self.field
+        t = [sum((plane[k][k] for k in range(len(plane))), field.zero)
+             for plane in self.structure]
+
+        def trace(x):
+            return sum((a * b for a, b in zip(t, x) if not b.is_zero()), field.zero)
+
         m = self.dim
-        gram = []
+        gram = [[field.zero] * m for _ in range(m)]
         for i in range(m):
-            row = []
-            for j in range(m):
-                prod = _mat_mul(field, self.basis[i], self.basis[j])
-                tr = field.zero
-                for k in range(m):
-                    rep = self.coords(_mat_mul(field, prod, self.basis[k]))
-                    if rep is None:
-                        raise CenterNotClosed("block is not closed under multiplication")
-                    tr = tr + rep[k]
-                row.append(tr)
-            gram.append(row)
-        kernel = linalg.nullspace(field, gram, m)
-        return m - len(kernel), kernel
+            for j in range(i, m):
+                gram[i][j] = gram[j][i] = trace(self.mul(self.basis[i], self.basis[j]))
+        return linalg.rank(field, gram)
 
 
-def _lift_idempotent(field, e: Matrix) -> Matrix:
+def _lift_idempotent(block: _Block, e):
     """Newton iteration e <- 3e^2 - 2e^3; exact once it stabilizes."""
+    field = block.field
     three = field.from_rational(3)
     minus_two = field.from_rational(-2)
     for _ in range(64):
-        e2 = _mat_mul(field, e, e)
+        e2 = block.mul(e, e)
         if e2 == e:
             return e
-        e3 = _mat_mul(field, e2, e)
-        e = _mat_add(_mat_scale(three, e2), _mat_scale(minus_two, e3))
+        e3 = block.mul(e2, e)
+        e = _add(_scale(three, e2), _scale(minus_two, e3))
     raise RuntimeError("idempotent lifting failed to stabilize")
 
 
-def _split_with_pieces(block: _Block, z: Matrix, pieces) -> List[Matrix]:
+def _split_with_pieces(block: _Block, z, pieces):
     """CRT idempotents for pairwise coprime pieces of the squarefree part of
     the minimal polynomial of z, lifted through the nilradical."""
     field = block.field
@@ -402,8 +384,7 @@ def _split_with_pieces(block: _Block, z: Matrix, pieces) -> List[Matrix]:
         scale = g[0].inv()
         vh = poly_mul(field, poly_scale(field, v, scale), h)
         _, vh = poly_divmod(field, vh, sf)
-        e0 = _matrix_poly_eval(field, vh, z, block.unit)
-        out.append(_lift_idempotent(field, e0))
+        out.append(_lift_idempotent(block, block.poly_eval(vh, z)))
     return out
 
 
@@ -427,7 +408,7 @@ def _factor_pieces_sympy(field, mu):
     return pieces
 
 
-def _try_split(block: _Block) -> Optional[List[Matrix]]:
+def _try_split(block: _Block):
     """One round: return orthogonal idempotents refining the block, or None
     when the block is certified primitive."""
     field = block.field
@@ -443,7 +424,7 @@ def _try_split(block: _Block) -> Optional[List[Matrix]]:
             return _split_with_pieces(block, z, pieces)
 
     # gcd pipeline found nothing; certify through the semisimple quotient
-    ss_rank, _ = block.nilradical_rank()
+    ss_rank = block.nilradical_rank()
     if ss_rank == 1:
         return None
     for z, mu in minpolys:
@@ -466,40 +447,49 @@ def _squarefree_part(field, f):
 
 
 def primitive_idempotents(center: CenterAlgebra) -> List[Matrix]:
+    """The primitive idempotents of the center, split on coordinate vectors
+    in its basis and returned as n x n matrices in a canonical order."""
     field = center.field
-    n = center.dim_space
-    eye = _mat_eye(field, n)
+    units = _unit_vectors(field, center.dim)
 
-    def make_block(e: Matrix) -> _Block:
-        prods = [_mat_mul(field, e, b) for b in center.basis]
-        rows = [list(_flatten(p)) for p in prods]
+    def make_block(e) -> _Block:
+        rows = [linalg.structure_product(field, center.structure, e, b) for b in units]
         red, pivots = linalg.rref(field, rows)
-        basis = []
-        for i in range(len(pivots)):
-            vec = red[i]
-            basis.append(_mat(field, [[vec[a * n + c] for c in range(n)] for a in range(n)]))
-        return _Block(field, e, basis)
+        return _Block(center, e, [tuple(red[i]) for i in range(len(pivots))])
 
-    final: List[Matrix] = []
-    queue: List[Matrix] = [eye]
+    final = []
+    queue = [center.unit_coords]
     while queue:
         e = queue.pop(0)
-        block = make_block(e)
-        split = _try_split(block)
+        split = _try_split(make_block(e))
         if split is None:
             final.append(e)
         else:
             for piece in split:
-                if _mat_is_zero(piece):
+                if all(x.is_zero() for x in piece):
                     raise RuntimeError("zero idempotent produced by a split")
             queue.extend(split)
+
+    n = center.dim_space
+    entries = [
+        [(a, i, x) for a, row in enumerate(b) for i, x in enumerate(row) if not x.is_zero()]
+        for b in center.basis
+    ]
+    mats = []
+    for e in final:
+        mat = [[field.zero] * n for _ in range(n)]
+        for ek, nonzero in zip(e, entries):
+            if not ek.is_zero():
+                for a, i, x in nonzero:
+                    mat[a][i] = mat[a][i] + ek * x
+        mats.append(tuple(tuple(row) for row in mat))
 
     def key(mat: Matrix):
         return tuple(
             tuple(_element_sort_key(x) for x in row) for row in mat
         )
 
-    return sorted(final, key=key)
+    return sorted(mats, key=key)
 
 
 def _element_sort_key(x: FieldElement):
@@ -584,7 +574,5 @@ def is_absolutely_indecomposable(phi: HomogeneousForm) -> bool:
     if radical(phi):
         raise DegenerateInput("form has a nonzero radical")
     center = center_algebra(polarize(phi))
-    eye = _mat_eye(phi.field, phi.nvars)
-    block = _Block(phi.field, eye, list(center.basis))
-    ss_rank, _ = block.nilradical_rank()
-    return ss_rank == 1
+    block = _Block(center, center.unit_coords, _unit_vectors(center.field, center.dim))
+    return block.nilradical_rank() == 1

@@ -364,12 +364,15 @@ def decode_algebra(obj, field, path="$"):
             for i, c in enumerate(trace_raw)
         ]
     norm = decode_form(obj["norm"], path + ".norm") if "norm" in obj else None
+    associative = obj.get("associative", False)
+    if not isinstance(associative, bool):
+        raise JsonFormatError(path + ".associative", "expected true or false")
     try:
         return AlgebraPresentation(
             field,
             structure,
             unit,
-            associative=bool(obj.get("associative", False)),
+            associative=associative,
             involution=involution,
             norm=norm,
             trace=trace,

@@ -8,8 +8,8 @@ column.  The pivot for a column is the first remaining row holding it, in
 the order a dense elimination that swaps rows would leave them, so results
 are deterministic and a non-invertible pivot over an etale algebra raises
 ZeroDivisor at the same step as the dense routine would.  `bareiss` is the
-one determinant routine, for scalar and polynomial matrices alike; products
-skip zero entries.
+one determinant routine, for scalar and polynomial matrices alike;
+`mat_mul` and `structure_product` skip zero entries.
 """
 
 from __future__ import annotations
@@ -260,28 +260,51 @@ def _cofactor(rows, zero, one):
 
 
 def mat_mul(field, a, b):
-    """Product of dense matrices; zero entries of either factor cost no
+    """Product of matrices given as dense rows, or as dict rows (the product
+    then comes back as dict rows); zero entries of either factor cost no
     arithmetic, and a row of b is scanned only when a uses it."""
-    cols = len(b[0]) if b else 0
+    dense = not (a and isinstance(a[0], dict))
+    cols = len(b[0]) if dense and b else 0
     b_rows = {}  # k -> the nonzero (j, b[k][j])
     out = []
     for ai in a:
         acc = {}
-        for k in range(len(b)):
-            f = ai[k]
+        for k, f in enumerate(ai) if dense else ai.items():
             if f.is_zero():
                 continue
             bk = b_rows.get(k)
             if bk is None:
-                bk = b_rows[k] = [(j, x) for j, x in enumerate(b[k]) if not x.is_zero()]
+                bk = b_rows[k] = list(_row_dict(b[k]).items())
             for j, x in bk:
                 y = f * x
                 acc[j] = acc[j] + y if j in acc else y
-        row = [field.zero] * cols
-        for j, v in acc.items():
-            row[j] = v
-        out.append(row)
+        if dense:
+            row = [field.zero] * cols
+            for j, v in acc.items():
+                row[j] = v
+            out.append(row)
+        else:
+            out.append({j: v for j, v in acc.items() if not v.is_zero()})
     return out
+
+
+def structure_product(field, structure, x, y):
+    """xy for coordinate vectors x, y under e_i e_j = sum_l structure[i][j][l] e_l;
+    zero coordinates and zero constants cost no arithmetic."""
+    out = [field.zero] * len(structure)
+    ys = [(j, b) for j, b in enumerate(y) if not b.is_zero()]
+    for i, a in enumerate(x):
+        if a.is_zero():
+            continue
+        plane = structure[i]
+        for j, b in ys:
+            ab = None
+            for l, c in enumerate(plane[j]):
+                if not c.is_zero():
+                    if ab is None:
+                        ab = a * b
+                    out[l] = out[l] + c * ab
+    return tuple(out)
 
 
 def identity(field, n):

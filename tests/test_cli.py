@@ -17,6 +17,8 @@ from formforge import (
     composition_algebra_norm,
     det_norm,
     diagonal_form,
+    field_extend,
+    orthogonal_sum,
     tits_cubic,
 )
 from formforge.cli import main
@@ -188,6 +190,21 @@ def test_decompose_with_absolute_flag(capsys, tmp_path):
     payload = json.loads(out)
     assert len(payload["components"]) == 1
     assert payload["absolutely_indecomposable"] is True
+
+
+def test_decompose_over_q_sqrt2_peels_rational_roots(capsys, tmp_path):
+    """Over Q(sqrt 2) the idempotents of a diagonal summand have the minimal
+    polynomial t^2 - t, which splits without factoring over Q."""
+    k = field_extend(QQ, [-2, 0, 1])
+    r2 = k.element([0, 1])
+    pair = diagonal_form([k.one, r2], 3, field=k).form
+    triple = diagonal_form([k.one, r2, k.one + r2], 3, field=k).form
+    with_tits = orthogonal_sum(triple, tits_cubic(r2).form)
+    for phi, dims in ((pair, [1, 1]), (with_tits, [1, 1, 1, 3])):
+        path = write_json(tmp_path / "form.json", encode_form(phi))
+        code, out, err = run(capsys, "decompose", "--form", path)
+        assert code == 0, err
+        assert [c["dim"] for c in json.loads(out)["components"]] == dims
 
 
 def test_polarize_and_radical(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,11 @@ from formforge import (
     QQ,
     apply_change_of_basis,
     center_algebra,
+    diagonal_form,
+    field_extend,
     is_absolutely_indecomposable,
     krull_schmidt_decompose,
+    linalg,
     orthogonal_sum,
     polarize,
     primitive_idempotents,
@@ -42,10 +46,30 @@ def xy2():
 
 def mat_mul(a, b):
     n = len(a)
+    zero = a[0][0].field.zero
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), QQ.from_rational(0)) for j in range(n))
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), zero) for j in range(n))
         for i in range(n)
     )
+
+
+def eye(field, n):
+    return tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
+
+
+def tits_diag():
+    return orthogonal_sum(tits_cubic(2).form, diag([1, 2], 3))
+
+
+def tits_diag_changed():
+    phi = tits_diag()
+    return apply_change_of_basis(phi, unitriangular(phi.nvars, random.Random(0)))
+
+
+def sqrt2_pair():
+    """<1, sqrt 2> over Q(sqrt 2)."""
+    k = field_extend(QQ, [-2, 0, 1])
+    return diagonal_form([k.one, k.element([0, 1])], 3, field=k).form
 
 
 def as_fracs(m):
@@ -146,20 +170,62 @@ def test_squared_quadratic_is_absolutely_indecomposable():
 
 
 def test_idempotents_are_orthogonal_and_complete():
-    dec = krull_schmidt_decompose(diag([1, 2, 3], 3))
-    n = 3
-    total = [[Fraction(0)] * n for _ in range(n)]
-    for e in dec.idempotents:
-        ef = as_fracs(e)
-        for i in range(n):
-            for j in range(n):
-                total[i][j] += ef[i][j]
-        assert as_fracs(mat_mul(e, e)) == ef
-    assert total == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a in range(len(dec.idempotents)):
-        for b in range(a + 1, len(dec.idempotents)):
-            prod = mat_mul(dec.idempotents[a], dec.idempotents[b])
-            assert all(x.is_zero() for row in prod for x in row)
+    for phi in (diag([1, 2, 3], 3), tits_diag_changed(), orthogonal_sum(xy2(), diag([1, 2], 3)),
+                sqrt2_pair()):
+        field, n = phi.field, phi.nvars
+        dec = krull_schmidt_decompose(phi)
+        span = [[x for row in b for x in row] for b in center_algebra(polarize(phi)).basis]
+        total = tuple(tuple(field.zero for _ in range(n)) for _ in range(n))
+        for e in dec.idempotents:
+            assert mat_mul(e, e) == e
+            assert linalg.rank(field, span + [[x for row in e for x in row]]) == len(span)
+            total = tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(total, e))
+        assert total == eye(field, n)
+        for a in range(len(dec.idempotents)):
+            for b in range(a + 1, len(dec.idempotents)):
+                prod = mat_mul(dec.idempotents[a], dec.idempotents[b])
+                assert all(x.is_zero() for row in prod for x in row)
+
+
+@pytest.mark.parametrize("make", [xy2, lambda: diag([1, 2, 3], 3), tits_diag, tits_diag_changed],
+                         ids=["xy2", "diag3", "tits-diag", "tits-diag-changed"])
+def test_structure_constants_multiply_the_basis(make):
+    """sum_l structure[i][j][l] basis[l] is basis[i] basis[j], and the unit
+    coordinates give the identity matrix."""
+    center = center_algebra(polarize(make()))
+    field, n, basis = center.field, center.dim_space, center.basis
+
+    def combination(coords):
+        return tuple(
+            tuple(sum((c * b[r][s] for c, b in zip(coords, basis)), field.zero) for s in range(n))
+            for r in range(n)
+        )
+
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            assert combination(center.structure[i][j]) == mat_mul(bi, bj)
+    assert combination(center.unit_coords) == eye(field, n)
+
+
+def test_center_reads_coordinates_and_splitting_stays_small(monkeypatch):
+    """The center's coordinates are read off its basis, with no solve and
+    one elimination; splitting multiplies structure-constant coordinates,
+    so the only matrix products are the center's m^2."""
+    counts = Counter()
+    for name in ("solve", "rref", "mat_mul"):
+        original = getattr(linalg, name)
+
+        def counted(*args, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    phi = diag(list(range(1, 17)), 3)
+    center_algebra(polarize(phi))
+    assert counts["solve"] == 0 and counts["rref"] == 1
+    counts.clear()
+    assert len(krull_schmidt_decompose(phi).components) == 16
+    assert counts["mat_mul"] <= 256 and counts["solve"] <= 64
 
 
 def test_reconstruction_identity():

@@ -14,10 +14,13 @@ from formforge import (
     verify_scaled_witness,
     krull_schmidt_decompose,
     krull_schmidt_obstruction,
+    matrix_algebra,
+    split_octonion_algebra,
     verify_composition,
 )
 from formforge.jsonio import (
     JsonFormatError,
+    decode_algebra,
     decode_field,
     decode_form,
     decode_polynomial,
@@ -27,6 +30,7 @@ from formforge.jsonio import (
     decode_tensor,
     decode_witness_payload,
     dumps,
+    encode_algebra,
     encode_constructed_form,
     encode_decomposition,
     encode_field,
@@ -234,3 +238,24 @@ def test_format_errors_carry_paths():
         decode_polynomial({"vars": 2, "terms": [{"e": [1], "c": "1"}]}, QQ)
     with pytest.raises(JsonFormatError):
         decode_scaled_witness({"kind": "scaled", "matrix": [[{"num": 1}], []]}, QQ)
+
+
+@pytest.mark.parametrize(
+    "flag", ["false", "true", None, [], 0, 1],
+    ids=["string-false", "string-true", "null", "list", "zero", "one"],
+)
+def test_algebra_associative_flag_must_be_a_boolean(flag):
+    obj = rebuild(encode_algebra(split_octonion_algebra()))
+    obj["associative"] = flag
+    with pytest.raises(JsonFormatError) as exc:
+        decode_algebra(obj, QQ)
+    assert exc.value.path == "$.associative"
+
+
+def test_algebra_associative_flag_defaults_to_false():
+    obj = rebuild(encode_algebra(split_octonion_algebra()))
+    del obj["associative"]
+    assert decode_algebra(obj, QQ).associative is False
+    obj = rebuild(encode_algebra(matrix_algebra(2)))
+    assert obj["associative"] is True
+    assert decode_algebra(obj, QQ).associative is True
