@@ -4,10 +4,26 @@ Everything downstream (polynomials, forms, witnesses) is generic over a
 coefficient field object.  Two kinds exist: the rationals, and quotients
 k[t]/(f) with f monic squarefree over an existing coefficient field, so
 towers like Q -> Q(w) -> Q(w)[t]/(t^3 - 2) are ordinary values.
+
+Every field also has a flat Q-basis of its whole tower, of size
+`absolute_degree` m: the basis of k[t]/(f) is t^k * b_j for the flat basis
+b_j of k, ordered with j running fastest, and the basis of Q is 1.  `flat`
+writes an element as its m rational coordinates and `from_flat` reads them
+back.  Products in an etale algebra come from its multiplication tensor over
+that basis (the multiplication table of Cohen, GTM 138, section 4.2): b_i b_j
+= sum_k T[i][j][k] b_k / Dt with integers T[i][j][k] stored as sparse
+(k, T[i][j][k]) rows and one common denominator Dt, which is 1 when every
+minimal polynomial in the tower is monic with integer coefficients.  The
+tensor is built once, on first use, from the m(m+1)/2 products of basis
+elements (the algebra is commutative), computed with `poly_mul` and
+`poly_divmod`.  `tensor_mul` multiplies
+integer coordinate vectors with it, which is also how `Polynomial.eval` works
+over an etale algebra.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -119,6 +135,7 @@ class RationalField:
     """The field Q.  A single shared instance `QQ` is used everywhere."""
 
     degree = 1
+    absolute_degree = 1
 
     def __init__(self):
         self.zero = FieldElement(self, (Fraction(0),))
@@ -130,6 +147,12 @@ class RationalField:
 
     def from_rational(self, q: Rat) -> FieldElement:
         return FieldElement(self, (Fraction(q),))
+
+    def flat(self, x: FieldElement) -> list:
+        return [x.coeffs[0]]
+
+    def from_flat(self, v: Sequence[Fraction]) -> FieldElement:
+        return FieldElement(self, (v[0],))
 
     def _mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
         return FieldElement(self, (x.coeffs[0] * y.coeffs[0],))
@@ -163,6 +186,8 @@ class EtaleAlgebra:
         self.base = base
         self.minpoly = tuple(minpoly)  # monic, includes leading 1
         self.degree = len(minpoly) - 1
+        self.absolute_degree = self.degree * base.absolute_degree
+        self._tensor = None
         self.zero = self.element([0] * self.degree)
         self.one = self.element([1] + [0] * (self.degree - 1))
         if self.degree >= 2:
@@ -186,11 +211,51 @@ class EtaleAlgebra:
             return c
         return self.base.from_rational(c)
 
+    def flat(self, x: FieldElement) -> list:
+        """The rational coordinates of x in the flat basis of the tower."""
+        base = self.base
+        return [q for c in x.coeffs for q in base.flat(c)]
+
+    def from_flat(self, v: Sequence[Fraction]) -> FieldElement:
+        """The element with rational coordinates v in the flat basis."""
+        base, mb = self.base, self.base.absolute_degree
+        return FieldElement(
+            self, tuple(base.from_flat(v[k : k + mb]) for k in range(0, len(v), mb))
+        )
+
+    def tensor(self):
+        """(T, Dt): b_i b_j = sum over (k, c) in T[i][j] of c b_k / Dt."""
+        if self._tensor is None:
+            m = self.absolute_degree
+            basis = [
+                list(self.from_flat([Fraction(int(i == j)) for j in range(m)]).coeffs)
+                for i in range(m)
+            ]
+            prods = {
+                (i, j): self.flat(self._reduce(poly_mul(self.base, basis[i], basis[j])))
+                for i in range(m)
+                for j in range(i, m)
+            }
+            Dt = math.lcm(*(q.denominator for v in prods.values() for q in v))
+            T = [[()] * m for _ in range(m)]
+            for (i, j), v in prods.items():
+                T[i][j] = T[j][i] = tuple(
+                    (k, q.numerator * (Dt // q.denominator)) for k, q in enumerate(v) if q
+                )
+            self._tensor = (T, Dt)
+        return self._tensor
+
+    def _reduce(self, p) -> FieldElement:
+        """The element p(t) mod f for a coefficient list p over the base."""
+        _, rem = poly_divmod(self.base, p, list(self.minpoly))
+        return FieldElement(self, tuple(rem + [self.base.zero] * (self.degree - len(rem))))
+
     def _mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        prod = poly_mul(self.base, list(x.coeffs), list(y.coeffs))
-        _, rem = poly_divmod(self.base, prod, list(self.minpoly))
-        rem = rem + [self.base.zero] * (self.degree - len(rem))
-        return FieldElement(self, tuple(rem))
+        T, Dt = self.tensor()
+        a, da = integral_coordinates(self.flat(x))
+        b, db = integral_coordinates(self.flat(y))
+        den = da * db * Dt
+        return self.from_flat([Fraction(c, den) for c in tensor_mul(T, a, b)])
 
     def _inv(self, x: FieldElement) -> FieldElement:
         if x.is_zero():
@@ -202,10 +267,7 @@ class EtaleAlgebra:
                 hint=tuple(g),
             )
         # g is a nonzero constant; u/g is the inverse of x mod minpoly
-        scale = g[0].inv()
-        _, out = poly_divmod(self.base, poly_scale(self.base, u, scale), list(self.minpoly))
-        out = out + [self.base.zero] * (self.degree - len(out))
-        return FieldElement(self, tuple(out))
+        return self._reduce(poly_scale(self.base, u, g[0].inv()))
 
     def __eq__(self, other):
         return (
@@ -219,6 +281,28 @@ class EtaleAlgebra:
 
     def __repr__(self):
         return "Etale(deg=%d over %r)" % (self.degree, self.base)
+
+
+def integral_coordinates(v: Sequence[Rat]):
+    """(a, B): integers a and the least common denominator B of the rationals
+    v, with v[i] = a[i] / B."""
+    B = math.lcm(*(q.denominator for q in v))
+    return [q.numerator * (B // q.denominator) for q in v], B
+
+
+def tensor_mul(T, a: Sequence[int], b: Sequence[int]) -> list:
+    """The integer coordinates of the product of the elements with integer flat
+    coordinates a and b, over the denominator Dt of the tensor T."""
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
+        if ai:
+            row = T[i]
+            for j, bj in enumerate(b):
+                if bj:
+                    c = ai * bj
+                    for k, t in row[j]:
+                        out[k] += c * t
+    return out
 
 
 def field_extend(base, minpoly: Sequence) -> EtaleAlgebra:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeffield import FieldElement, RationalField
+from .coeffield import FieldElement, RationalField, integral_coordinates, tensor_mul
 
 
 class NotDivisible(ArithmeticError):
@@ -232,39 +232,29 @@ class Polynomial:
     # -- evaluation and substitution ----------------------------------------
 
     def eval(self, point: Sequence[FieldElement]) -> FieldElement:
-        if len(point) != self.nvars:
-            raise ValueError("point has %d coordinates, expected %d" % (len(point), self.nvars))
+        self._check_length(point)
         field = self.field
+        for x in point:
+            f = getattr(x, "field", None)
+            if f is not field and f != field:
+                raise TypeError("coordinate %r is not in %r" % (x, field))
         if isinstance(field, RationalField):
-            for x in point:
-                f = getattr(x, "field", None)
-                if f is not field and f != field:
-                    raise TypeError("coordinate %r is not in %r" % (x, field))
             return self._eval_q([x.coeffs[0] for x in point])
-        maxes = [0] * self.nvars
-        for e in self.terms:
-            for i, ei in enumerate(e):
-                if ei > maxes[i]:
-                    maxes[i] = ei
-        powers = []
-        for i in range(self.nvars):
-            row = [self.field.one]
-            for _ in range(maxes[i]):
-                row.append(row[-1] * point[i])
-            powers.append(row)
-        total = self.field.zero
-        for e, c in self.terms.items():
-            v = c
-            for i, ei in enumerate(e):
-                if ei:
-                    v = v * powers[i][ei]
-            total = total + v
-        return total
+        values = []
+        for x in point:
+            v = field.flat(x)
+            values.append(v if any(v[1:]) else v[0])
+        return self._eval_flat(values)
 
     def eval_int(self, point: Sequence[int]) -> FieldElement:
-        if isinstance(self.field, RationalField) and len(point) == self.nvars:
+        self._check_length(point)
+        if isinstance(self.field, RationalField):
             return self._eval_q(point)
-        return self.eval([self.field.from_rational(x) for x in point])
+        return self._eval_flat(point)
+
+    def _check_length(self, point):
+        if len(point) != self.nvars:
+            raise ValueError("point has %d coordinates, expected %d" % (len(point), self.nvars))
 
     def _compile_q(self):
         """The polynomial over Q as (L, D, terms): L is the least common
@@ -307,6 +297,67 @@ class Polynomial:
                 c *= a[i] ** ek
             total += c * scale[D - k]
         return FieldElement(self.field, (Fraction(total, L * scale[D]),))
+
+    def _compile_flat(self):
+        """The polynomial over an etale algebra as (L, D, terms, maxes), as
+        `_compile_q` does over Q, but each coefficient is the integer vector
+        L * (its flat coordinates); maxes[i] is the top exponent of variable i."""
+        m = self.field.absolute_degree
+        flats = [q for c in self.terms.values() for q in self.field.flat(c)]
+        ints, L = integral_coordinates(flats)
+        maxes = [0] * self.nvars
+        terms = []
+        for t, e in enumerate(self.terms):
+            mono = tuple((i, k) for i, k in enumerate(e) if k)
+            for i, k in mono:
+                maxes[i] = max(maxes[i], k)
+            terms.append((ints[t * m : (t + 1) * m], sum(e), mono))
+        D = max((t[1] for t in terms), default=0)
+        self._compiled = (L, D, terms, maxes)
+        return self._compiled
+
+    def _eval_flat(self, values) -> FieldElement:
+        """Exact value over an etale algebra, computed in ints with its
+        multiplication tensor (T, Dt).
+
+        values[i] is coordinate i: a rational when it lies in Q, else its flat
+        coordinate vector (a list); all are written over one common
+        denominator B.  A rational coordinate a enters a term as the integer
+        (a * Dt)^e over (B * Dt)^e.  A vector enters through its power table,
+        whose e-th power has denominator B^e * Dt^(e-1), and one `tensor_mul`
+        with the running coefficient, which adds a factor Dt.  So a term of
+        degree k has denominator L * (B * Dt)^k and is scaled by
+        (B * Dt)^(D - k), as in `_eval_q`."""
+        field = self.field
+        L, D, terms, maxes = self._compiled or self._compile_flat()
+        T, Dt = field.tensor()
+        B = math.lcm(
+            *(q.denominator for v in values for q in (v if isinstance(v, list) else (v,)))
+        )
+        powers = []
+        for v, top in zip(values, maxes):
+            if isinstance(v, list):
+                a = [q.numerator * (B // q.denominator) for q in v]
+                row = [None, a]
+                for _ in range(1, top):
+                    row.append(tensor_mul(T, row[-1], a))
+                powers.append(row)
+            else:
+                powers.append(v.numerator * (B // v.denominator) * Dt)
+        scale = [(B * Dt) ** j for j in range(D + 1)]
+        total = [0] * field.absolute_degree
+        for c, k, mono in terms:
+            s = scale[D - k]
+            for i, e in mono:
+                p = powers[i]
+                if p.__class__ is int:
+                    s *= p**e
+                else:
+                    c = tensor_mul(T, c, p[e])
+            for j, x in enumerate(c):
+                total[j] += x * s
+        den = L * scale[D]
+        return field.from_flat([Fraction(x, den) for x in total])
 
     def compose(self, args: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute args[i] for variable i.  All args share one ambient ring."""

@@ -3,7 +3,8 @@
 Nothing in `src/formforge` calls these: each computes something the library
 also computes, by an independent and usually slower route (subset sums,
 a skew element, a resultant, a permutation sum, a subgroup walk, a
-division that rebuilds the remainder at every step).
+division that rebuilds the remainder at every step, an evaluation that
+multiplies field elements one at a time).
 """
 
 import itertools
@@ -25,6 +26,31 @@ def leibniz_determinant(rows, zero, one):
         for i, j in enumerate(perm):
             term = term * rows[i][j]
         total = total - term if inversions % 2 else total + term
+    return total
+
+
+def generic_eval(p: Polynomial, point):
+    """p at a point of field elements, by power tables and term-by-term
+    products of `FieldElement`s."""
+    if len(point) != p.nvars:
+        raise ValueError("point has %d coordinates, expected %d" % (len(point), p.nvars))
+    maxes = [0] * p.nvars
+    for e in p.terms:
+        for i, ei in enumerate(e):
+            maxes[i] = max(maxes[i], ei)
+    powers = []
+    for i in range(p.nvars):
+        row = [p.field.one]
+        for _ in range(maxes[i]):
+            row.append(row[-1] * point[i])
+        powers.append(row)
+    total = p.field.zero
+    for e, c in p.terms.items():
+        v = c
+        for i, ei in enumerate(e):
+            if ei:
+                v = v * powers[i][ei]
+        total = total + v
     return total
 
 

@@ -14,6 +14,7 @@ from formforge import (
     verify_identity,
 )
 from formforge.constructions import catalog
+from formforge.jsonio import decode_field
 from formforge.poly import clear_denominators, ring_matrix_determinant
 from oracles import long_division
 
@@ -315,3 +316,26 @@ def test_eval_over_q_edge_cases():
     assert p.eval([half, third]) == QQ.from_rational(Fraction(1, 8) + Fraction(2, 9) + 5)
     with pytest.raises(ValueError):
         p.eval_int((1,))
+
+
+def test_eval_over_etale_checks_the_point():
+    """A coordinate from Q or from another extension is refused, as is a point
+    of the wrong length; a separately decoded copy of the same field is the
+    same field (each command-line job decodes its own)."""
+    field_json = {"base": "rational", "minpoly": ["-2", "0", "1"]}
+    K = decode_field(field_json)
+    p = Polynomial.from_pairs(K, 2, [((1, 1), K.gen), ((0, 2), 3)])
+    for stranger in (QQ.from_rational(2), field_extend(QQ, [-3, 0, 1]).gen):
+        with pytest.raises(TypeError):
+            p.eval([K.gen, stranger])
+        with pytest.raises(TypeError):
+            p.eval([stranger, K.gen])
+    for bad in ([K.gen], [K.gen] * 3):
+        with pytest.raises(ValueError):
+            p.eval(bad)
+        with pytest.raises(ValueError):
+            p.eval_int([1] * len(bad))
+    copy = decode_field(field_json)
+    assert copy is not K and copy == K
+    # sqrt2 * sqrt2 * (1 + sqrt2) + 3 * (1 + sqrt2)^2 = 11 + 8 sqrt2
+    assert p.eval([copy.gen, copy.element([1, 1])]) == K.element([11, 8])

@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -32,13 +33,14 @@ from formforge import (
     verify_exponent,
     verify_jordan_composition,
     verify_scaled_witness,
+    verify_similarity,
     verify_strong_jordan_multiplicativity,
     verify_strong_multiplicativity,
 )
 from formforge import linalg
-from formforge.coeffield import field_extend
+from formforge.coeffield import EtaleAlgebra, field_extend
 from formforge.constructions import _det_form
-from oracles import brute_force_exponent_closure
+from oracles import brute_force_exponent_closure, generic_eval
 
 
 def var(n, i):
@@ -387,8 +389,9 @@ def _witness_cases(field):
 
 
 def test_random_mode_same_over_q_and_a_degree_one_extension():
-    # Q[t]/(t) is Q again, but its elements take the generic evaluation path
-    # instead of the integer kernel; the sample loop is shared.
+    # Q[t]/(t) is Q again, but its polynomials are evaluated on flat
+    # coordinates and a 1 x 1 multiplication tensor instead of the scalar
+    # kernel over Q; the sample loop is shared.
     K = field_extend(QQ, [0, 1])
     phi_q, cases_q = _witness_cases(QQ)
     phi_k, cases_k = _witness_cases(K)
@@ -411,3 +414,80 @@ def test_jordan_composition_split_octonions():
     assert verify_jordan_composition(cf.form, cf.algebra, mode="symbolic").verdict == "proved"
     report = verify_jordan_composition(cf.form, cf.algebra, mode="random", seed=3, samples=30)
     assert report.verdict == "evidence"
+
+
+# ---------------------------------------------------------------------------
+# random mode over etale fields: the integer kernel against generic evaluation
+
+
+def _tits_over(minpoly, a):
+    K = field_extend(QQ, minpoly)
+    return K, tits_cubic(K.element(a))
+
+
+def _etale_random_case(label):
+    """The random-mode run named by label: a tampered Tits(cbrt 2)
+    strong-mult witness, the Tits(sqrt 2) Jordan check, or a similarity
+    witness over Q(sqrt 2) with diagonal entries x0/x0 (kept unreduced, so
+    D = x0) on a box of three points, where a third of the draws are poles
+    and are drawn again."""
+    _, t3 = _tits_over([-2, 0, 0, 1], [1, 0, 2])
+    m = [list(row) for row in t3.witness.matrix]
+    m[1][1] = m[1][1] + rf(Polynomial.variable(t3.form.field, 3, 2).scale(2))
+    tampered = tuple(tuple(row) for row in m)
+    K2, t2 = _tits_over([-2, 0, 1], [1, 1])
+    x0 = Polynomial.variable(K2, 1, 0)
+    poled = tuple(
+        tuple(RationalFunction(x0, x0) if i == j else RationalFunction.const(K2, 1, 0)
+              for j in range(3))
+        for i in range(3)
+    )
+    return {
+        "tampered-tits-cbrt2": lambda: verify_strong_multiplicativity(
+            t3.form, tampered, mode="random", samples=20, seed=4),
+        "jordan-tits-sqrt2": lambda: verify_jordan_composition(
+            t2.form, t2.algebra, mode="random", samples=30, seed=9),
+        "poles-sqrt2": lambda: verify_similarity(
+            t2.form, poled, 1, mode="random", samples=30, seed=2, box_halfwidth=1),
+    }[label]
+
+
+@pytest.mark.parametrize("label", ["tampered-tits-cbrt2", "jordan-tits-sqrt2", "poles-sqrt2"])
+def test_random_mode_over_etale_matches_generic_eval(label, monkeypatch):
+    run = _etale_random_case(label)
+
+    def report_fields(rep):
+        return {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "elapsed_s"}
+
+    kernel = report_fields(run())
+    monkeypatch.setattr(Polynomial, "eval", generic_eval)
+    monkeypatch.setattr(
+        Polynomial, "eval_int",
+        lambda p, pt: generic_eval(p, [p.field.from_rational(x) for x in pt]),
+    )
+    assert report_fields(run()) == kernel
+    assert kernel["verdict"] == ("refuted" if label.startswith("tampered") else "evidence")
+    if label == "poles-sqrt2":
+        rng = random.Random(2)
+        draws = [tuple(rng.randint(-1, 1) for _ in range(4)) for _ in range(30)]
+        assert any(pt[0] == 0 for pt in draws)  # x0 = 0 is a pole of x0/x0
+
+
+def test_random_jordan_check_over_cbrt2_multiplies_few_field_elements(monkeypatch):
+    """Evaluation over Q(cbrt 2) runs on the field's integer multiplication
+    tensor, not on field-element products: 100 samples of the Tits(cbrt 2)
+    Jordan check made 12,187 `EtaleAlgebra._mul` calls when every evaluation
+    multiplied elements one at a time; the bound is a tenth of that."""
+    _, t3 = _tits_over([-2, 0, 0, 1], [1, 0, 2])
+    calls = 0
+    mul = EtaleAlgebra._mul
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(EtaleAlgebra, "_mul", counted)
+    report = verify_jordan_composition(t3.form, t3.algebra, mode="random", samples=100, seed=1)
+    assert report.verdict == "evidence"
+    assert calls <= 1218
