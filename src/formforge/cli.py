@@ -509,6 +509,12 @@ def main(argv=None) -> int:
         if args.subcommand == "verify":
             if args.mode == "random" and args.seed is None:
                 raise UsageError("--seed is required when --mode random")
+            # auto mode can fall back to random sampling, so both are checked
+            # whatever the mode
+            if args.samples < 1:
+                raise UsageError("--samples must be positive, got %d" % args.samples)
+            if args.budget is not None and args.budget < 1:
+                raise UsageError("--budget must be positive, got %d" % args.budget)
         return _DISPATCH[args.subcommand](args)
     except json.JSONDecodeError as exc:
         print(

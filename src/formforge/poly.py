@@ -1,9 +1,29 @@
 """Sparse multivariate polynomials and rational functions over a coefficient field.
 
-Terms are stored as {exponent tuple: coefficient}; the canonical term order is
-graded lexicographic.  Identity checking offers a symbolic mode (canonical
-subtraction, a proof) and a random mode (exact evaluation with a
-Schwartz-Zippel style confidence bound).
+A `Polynomial` reads as {exponent tuple: coefficient} through `terms`; the
+canonical term order is graded lexicographic.  Identity checking offers a
+symbolic mode (canonical subtraction, a proof) and a random mode (exact
+evaluation with a Schwartz-Zippel style confidence bound).
+
+Storage depends on the coefficient field.  Over an etale algebra the terms
+dict is the polynomial.  Over Q the polynomial is an integer form: a dict
+from packed exponent keys to integer numerators over one shared positive
+denominator, kept canonical (the denominator is coprime to the numerators
+taken together), and arithmetic runs in Python ints (sparse products as in
+Johnson, SIGSAM Bull. 8(3), 1974; heap division with packed exponent vectors
+as in Monagan & Pearce, CASC 2007).  `terms` is then a view built on first
+read and cached.
+
+Packing: with b bits a variable, the key of x^e in n variables is
+sum(e) * 2^(n b) + sum_i e_i * 2^((n - 1 - i) b), so the total degree sits in
+the top field and integer order is graded-lex order, and the key of a product
+of monomials is the sum of their keys as long as no exponent reaches 2^b.  A
+polynomial of total degree D is packed with b = bitlen(D) + 1, which leaves
+room for one product with itself.  Every product and composition checks its
+degree bound against 2^b first and repacks its operands wider when the bound
+does not fit; sums, comparisons and division, whose results are of no higher
+degree than an operand, repack the narrower operand to the wider width.  So
+no field ever carries into the next.
 """
 
 from __future__ import annotations
@@ -46,14 +66,122 @@ def _grlex_entry(e: Tuple[int, ...]):
     return (-sum(e), tuple(-x for x in e)), e
 
 
+# ---------------------------------------------------------------------------
+# packed exponents and integer numerators (the form over Q)
+
+
+def _width(degree: int) -> int:
+    """Bits a variable for total degree `degree`: one more than it needs."""
+    return degree.bit_length() + 1
+
+
+def _pack(e: Sequence[int], bits: int) -> int:
+    k = sum(e)
+    for x in e:
+        k = (k << bits) | x
+    return k
+
+
+def _unpack(k: int, n: int, bits: int) -> Tuple[int, ...]:
+    mask = (1 << bits) - 1
+    e = [0] * n
+    for i in range(n - 1, -1, -1):
+        e[i] = k & mask
+        k >>= bits
+    return tuple(e)
+
+
+def _mul_nums(a: dict, b: dict) -> dict:
+    """The product of two packed integer polynomials (no zero terms: Z has no
+    zero divisors, but sums of products may cancel)."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((ka, ca),) = a.items()
+        return {ka + kb: ca * cb for kb, cb in b.items()}
+    out = {}
+    get = out.get
+    items = list(b.items())
+    for ka, ca in a.items():
+        for kb, cb in items:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _canonical(nums: dict, den: int):
+    """(nums, den) with the common factor of den and every numerator divided out."""
+    if not nums:
+        return nums, 1
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: c // g for k, c in nums.items()}
+            den //= g
+    return nums, den
+
+
 class Polynomial:
-    __slots__ = ("field", "nvars", "terms", "_compiled")
+    __slots__ = ("field", "nvars", "_terms", "_nums", "_den", "_bits", "_compiled")
 
     def __init__(self, field, nvars: int, terms: dict):
         self.field = field
         self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
         self._compiled = None
+        if not isinstance(field, RationalField):
+            self._terms = {e: c for e, c in terms.items() if not c.is_zero()}
+            self._nums = None
+            return
+        self._terms = terms = {e: c for e, c in terms.items() if c.coeffs[0]}
+        if not terms:
+            self._nums, self._den, self._bits = {}, 1, 1
+            return
+        coeffs = [c.coeffs[0] for c in terms.values()]
+        self._den = den = math.lcm(*[q.denominator for q in coeffs])
+        self._bits = bits = _width(max(map(sum, terms)))
+        self._nums = {
+            _pack(e, bits): q.numerator * (den // q.denominator) for e, q in zip(terms, coeffs)
+        }
+
+    @classmethod
+    def _from_ints(cls, field, nvars: int, bits: int, nums: dict, den: int) -> "Polynomial":
+        """A polynomial over Q from its integer form, made canonical."""
+        p = cls.__new__(cls)
+        p.field = field
+        p.nvars = nvars
+        p._nums, p._den = _canonical(nums, den)
+        p._bits = bits
+        p._terms = None
+        p._compiled = None
+        return p
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: nonzero coefficient}; read-only.  Over Q it is
+        built from the integer form on first read and cached."""
+        t = self._terms
+        if t is None:
+            field, den, n, bits = self.field, self._den, self.nvars, self._bits
+            t = self._terms = {
+                _unpack(k, n, bits): FieldElement(field, (Fraction(c, den),))
+                for k, c in self._nums.items()
+            }
+        return t
+
+    def _widen(self, bits: int) -> None:
+        """Repack the integer form with `bits` bits a variable (at least the
+        current width); the value does not change."""
+        if bits != self._bits:
+            n, old = self.nvars, self._bits
+            self._nums = {_pack(_unpack(k, n, old), bits): c for k, c in self._nums.items()}
+            self._bits = bits
+
+    def _aligned(self, other: "Polynomial") -> int:
+        """Repack the narrower of two polynomials over Q to the other's width."""
+        bits = max(self._bits, other._bits)
+        self._widen(bits)
+        other._widen(bits)
+        return bits
 
     # -- constructors ------------------------------------------------------
 
@@ -87,38 +215,70 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                s = out[e] + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        return Polynomial(self.field, self.nvars, out)
+        if self._nums is None:
+            return self._dict_combine(other, 1)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        if self._nums is None:
+            return self._dict_combine(other, -1)
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over Q."""
+        bits = self._aligned(other)
+        da, db = self._den, other._den
+        den = math.lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        out = dict(self._nums) if fa == 1 else {k: c * fa for k, c in self._nums.items()}
+        for k, c in other._nums.items():
+            v = out.get(k, 0) + c * fb
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return Polynomial._from_ints(self.field, self.nvars, bits, out, den)
+
+    def _dict_combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over an etale algebra, on the terms dicts."""
+        out = dict(self._terms)
+        for e, c in other._terms.items():
             if e in out:
-                s = out[e] - c
+                s = out[e] + c if sign > 0 else out[e] - c
                 if s.is_zero():
                     del out[e]
                 else:
                     out[e] = s
             else:
-                out[e] = -c
+                out[e] = c if sign > 0 else -c
         return Polynomial(self.field, self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
+        if self._nums is None:
+            return Polynomial(self.field, self.nvars, {e: -c for e, c in self._terms.items()})
+        return Polynomial._from_ints(
+            self.field, self.nvars, self._bits, {k: -c for k, c in self._nums.items()}, self._den
+        )
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        a, b = self.terms, other.terms
+        if self._nums is None:
+            return self._dict_mul(other)
+        if not self._nums or not other._nums:
+            return Polynomial.zero(self.field, self.nvars)
+        degree = self.total_degree() + other.total_degree()
+        bits = max(self._bits, other._bits)
+        if degree >> bits:
+            bits = _width(degree)
+        self._widen(bits)
+        other._widen(bits)
+        nums = _mul_nums(self._nums, other._nums)
+        return Polynomial._from_ints(self.field, self.nvars, bits, nums, self._den * other._den)
+
+    def _dict_mul(self, other: "Polynomial") -> "Polynomial":
+        """self * other over an etale algebra, on the terms dicts."""
+        a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
         out = {}
@@ -141,7 +301,14 @@ class Polynomial:
             c = self.field.from_rational(c)
         if c.is_zero():
             return Polynomial.zero(self.field, self.nvars)
-        return Polynomial(self.field, self.nvars, {e: c * v for e, v in self.terms.items()})
+        if self._nums is None:
+            return Polynomial(self.field, self.nvars, {e: c * v for e, v in self._terms.items()})
+        if c.field != self.field:
+            raise TypeError("mixed-field arithmetic: %r vs %r" % (c, self.field))
+        q = c.coeffs[0]
+        nums = {k: v * q.numerator for k, v in self._nums.items()}
+        den = self._den * q.denominator
+        return Polynomial._from_ints(self.field, self.nvars, self._bits, nums, den)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -162,14 +329,67 @@ class Polynomial:
         comes from a heap of its monomials in graded-lex order, along the
         lines of Monagan & Pearce (CASC 2007).  Subtracting q * other only
         adds monomials below the current leading one, so a monomial popped
-        once never returns."""
+        once never returns.
+
+        Over Q the division runs on integer numerators by the primitive part
+        P of `other`: when P divides an integer polynomial over Q, the
+        quotient has integer coefficients (Gauss's lemma), so a leading
+        coefficient that P's does not divide proves there is no quotient."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
+        if self._nums is None:
+            return self._dict_exact_div(other)
+        n = self.nvars
+        bits = self._aligned(other)
+        content = math.gcd(*other._nums.values())
+        lt = max(other._nums)
+        lc = other._nums[lt] // content
+        tail = [(k, c // content) for k, c in other._nums.items() if k != lt]
+        # a borrow out of an exponent field flips the lowest bit of the next
+        borrows = sum(1 << (i * bits) for i in range(1, n + 1))
+        rem = dict(self._nums)
+        heap = [-k for k in rem]
+        heapq.heapify(heap)
+        quot = {}
+        while heap:
+            rk = -heapq.heappop(heap)
+            rc = rem.pop(rk, None)
+            if rc is None:
+                continue
+            qk = rk - lt
+            if qk < 0 or (qk ^ rk ^ lt) & borrows:
+                raise NotDivisible(
+                    "leading term %r not divisible by %r"
+                    % (_unpack(rk, n, bits), _unpack(lt, n, bits))
+                )
+            qc, r = divmod(rc, lc)
+            if r:
+                raise NotDivisible("coefficient %d not divisible by %d" % (rc, lc))
+            quot[qk] = qc
+            for k, c in tail:
+                mk = qk + k
+                old = rem.get(mk)
+                if old is None:
+                    rem[mk] = -qc * c
+                    heapq.heappush(heap, -mk)
+                else:
+                    v = old - qc * c
+                    if v:
+                        rem[mk] = v
+                    else:
+                        del rem[mk]
+        # self = A / da and other = content * P / db, with A = P * quot
+        db = other._den
+        nums = quot if db == 1 else {k: c * db for k, c in quot.items()}
+        return Polynomial._from_ints(self.field, n, bits, nums, self._den * content)
+
+    def _dict_exact_div(self, other: "Polynomial") -> "Polynomial":
+        """exact_div over an etale algebra, on the terms dicts."""
         lt_e, lt_c = other.leading_term()
         lt_inv = lt_c.inv()
-        tail = [(e, c) for e, c in other.terms.items() if e != lt_e]
-        rem = dict(self.terms)
+        tail = [(e, c) for e, c in other._terms.items() if e != lt_e]
+        rem = dict(self._terms)
         heap = [_grlex_entry(e) for e in rem]
         heapq.heapify(heap)
         quot = {}
@@ -203,31 +423,48 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._terms if self._nums is None else self._nums)
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
-        if not self.terms:
+        if self._nums is None:
+            return max(map(sum, self._terms), default=-1)
+        if not self._nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self._nums) >> (self.nvars * self._bits)
 
     def is_homogeneous(self, d: Optional[int] = None) -> bool:
-        if not self.terms:
+        if self._nums is None:
+            degs = set(map(sum, self._terms))
+        else:
+            shift = self.nvars * self._bits
+            degs = {min(self._nums) >> shift, max(self._nums) >> shift} if self._nums else set()
+        if not degs:
             return True
-        degs = {sum(e) for e in self.terms}
         if len(degs) != 1:
             return False
         return True if d is None else degs == {d}
 
     def leading_term(self):
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        if self._nums is None:
+            e = max(self._terms, key=_grlex)
+            return e, self._terms[e]
+        k = max(self._nums)
+        e = _unpack(k, self.nvars, self._bits)
+        if self._terms is not None:
+            return e, self._terms[e]
+        return e, FieldElement(self.field, (Fraction(self._nums[k], self._den),))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
 
     def constant_coeff(self) -> FieldElement:
-        return self.terms.get((0,) * self.nvars, self.field.zero)
+        if self._nums is None:
+            return self._terms.get((0,) * self.nvars, self.field.zero)
+        c = self._nums.get(0)
+        if c is None:
+            return self.field.zero
+        return FieldElement(self.field, (Fraction(c, self._den),))
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -257,17 +494,21 @@ class Polynomial:
             raise ValueError("point has %d coordinates, expected %d" % (len(point), self.nvars))
 
     def _compile_q(self):
-        """The polynomial over Q as (L, D, terms): L is the least common
-        denominator of the coefficients, D the total degree, and each term is
-        (L * coefficient, degree, ((variable, exponent), ...))."""
-        coeffs = [c.coeffs[0] for c in self.terms.values()]
-        L = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-        terms = []
-        for e, c in zip(self.terms, coeffs):
-            mono = tuple((i, k) for i, k in enumerate(e) if k)
-            terms.append((c.numerator * (L // c.denominator), sum(e), mono))
+        """The polynomial over Q as (L, D, terms) for evaluation: L is the
+        shared denominator, D the total degree, and each term is
+        (numerator, degree, ((variable, exponent), ...))."""
+        n, bits = self.nvars, self._bits
+        # the terms view, when built, lists the monomials in the order of the
+        # keys, as every integer form is built in the order of the one before
+        exps = self._terms
+        if exps is None:
+            exps = [_unpack(k, n, bits) for k in self._nums]
+        terms = [
+            (c, sum(e), tuple((i, x) for i, x in enumerate(e) if x))
+            for e, c in zip(exps, self._nums.values())
+        ]
         D = max((t[1] for t in terms), default=0)
-        self._compiled = (L, D, terms)
+        self._compiled = (self._den, D, terms)
         return self._compiled
 
     def _eval_q(self, values) -> FieldElement:
@@ -360,40 +601,100 @@ class Polynomial:
         return field.from_flat([Fraction(x, den) for x in total])
 
     def compose(self, args: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute args[i] for variable i.  All args share one ambient ring."""
+        """Substitute args[i] for variable i.  All args share one ambient ring
+        over this polynomial's coefficient field."""
         if len(args) != self.nvars:
             raise ValueError("need %d substitution arguments" % (self.nvars,))
-        if args:
-            field, nvars = args[0].field, args[0].nvars
-        else:
-            field, nvars = self.field, 0
+        if not args:
+            return self
+        ring = args[0]
+        for a in args:
+            if not isinstance(a, Polynomial):
+                raise TypeError("expected a Polynomial, got %r" % (a,))
+            ring._check(a)
+        if ring.field != self.field:
+            raise TypeError("mixed-field arithmetic: %r vs %r" % (self.field, ring.field))
+        if self._nums is None:
+            return self._dict_compose(args)
+        return self._compose_ints(args)
+
+    def _compose_ints(self, args: Sequence["Polynomial"]) -> "Polynomial":
+        """compose over Q.  Each term c x^e becomes c * prod_i A_i^e_i, with
+        A_i the numerators of the arguments and their powers cached, and the
+        last product of each term adds straight into one output dict.  With
+        a_i the argument denominators and t_i the top exponent of variable i,
+        the sum lies over den * prod_i a_i^t_i, so term e is scaled by
+        prod_i a_i^(t_i - e_i)."""
+        terms = [(_unpack(k, self.nvars, self._bits), c) for k, c in self._nums.items()]
+        degs = [max(a.total_degree(), 0) for a in args]
+        degree = max((sum(k * d for k, d in zip(e, degs)) for e, _ in terms), default=0)
+        bits = max(_width(degree), *(a._bits for a in args))
+        for a in args:
+            a._widen(bits)
+        den = self._den
+        scales = []
+        for i, a in enumerate(args):
+            top = max((e[i] for e, _ in terms), default=0)
+            den *= a._den**top
+            scales.append([a._den ** (top - k) for k in range(top + 1)])
+        powers = [[{0: 1}, a._nums] for a in args]
+        out = {}
+        get = out.get
+        for e, c in terms:
+            factors = []
+            for i, k in enumerate(e):
+                if k:
+                    row = powers[i]
+                    while len(row) <= k:
+                        row.append(_mul_nums(row[-1], row[1]))
+                    factors.append(row[k])
+                c *= scales[i][k]
+            t = {0: c}
+            for f in factors[:-1]:
+                t = _mul_nums(t, f)
+            last = factors[-1] if factors else {0: 1}
+            for k1, c1 in t.items():
+                for k2, c2 in last.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        nums = {k: v for k, v in out.items() if v}
+        return Polynomial._from_ints(self.field, args[0].nvars, bits, nums, den)
+
+    def _dict_compose(self, args: Sequence["Polynomial"]) -> "Polynomial":
+        """compose over an etale algebra, on the terms dicts."""
+        field, nvars = self.field, args[0].nvars
         cache = {}
-
-        def arg_pow(i: int, k: int) -> "Polynomial":
-            key = (i, k)
-            if key not in cache:
-                cache[key] = args[i] ** k
-            return cache[key]
-
-        out = Polynomial.zero(field, nvars)
-        for e, c in self.terms.items():
+        out = {}
+        for e, c in self._terms.items():
             t = Polynomial.const(field, nvars, c)
-            for i, ei in enumerate(e):
-                if ei:
-                    t = t * arg_pow(i, ei)
-            out = out + t
-        return out
+            for i, k in enumerate(e):
+                if k:
+                    if (i, k) not in cache:
+                        cache[i, k] = args[i] ** k
+                    t = t * cache[i, k]
+            for m, v in t._terms.items():
+                out[m] = out[m] + v if m in out else v
+        return Polynomial(field, nvars, out)
 
     def embed(self, nvars: int, offset: int) -> "Polynomial":
         """The same polynomial with variables shifted into a larger ring."""
         if offset < 0 or offset + self.nvars > nvars:
             raise ValueError("embedding does not fit")
-        out = {}
-        pad_lo = (0,) * offset
-        pad_hi = (0,) * (nvars - offset - self.nvars)
-        for e, c in self.terms.items():
-            out[pad_lo + e + pad_hi] = c
-        return Polynomial(self.field, nvars, out)
+        if self._nums is None:
+            pad_lo = (0,) * offset
+            pad_hi = (0,) * (nvars - offset - self.nvars)
+            return Polynomial(
+                self.field, nvars, {pad_lo + e + pad_hi: c for e, c in self._terms.items()}
+            )
+        # the degree field moves to the new top; the exponent fields keep
+        # their width and land below the offset's variables
+        bits = self._bits
+        shift = self.nvars * bits
+        mask = (1 << shift) - 1
+        low = (nvars - offset - self.nvars) * bits
+        top = nvars * bits
+        nums = {((k >> shift) << top) | ((k & mask) << low): c for k, c in self._nums.items()}
+        return Polynomial._from_ints(self.field, nvars, bits, nums, self._den)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -406,17 +707,18 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
+        if self.field != other.field or self.nvars != other.nvars:
+            return False
+        if self._nums is None:
+            return self._terms == other._terms
+        self._aligned(other)
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if self.is_zero():
             return "Poly(0)"
         bits = []
         for e, c in self.sorted_terms()[:8]:
@@ -732,7 +1034,9 @@ def sample_identity(
     the identity, and the point is redrawn (at most 50 * samples draws in
     all).  The first disagreement refutes; agreement at every sample is
     "evidence" with the Schwartz-Zippel bound min(degree / box size, 1) per
-    sample."""
+    sample; at least one sample is required."""
+    if samples < 1:
+        raise ValueError("samples must be positive, got %d" % samples)
     rng = random.Random(seed)
     done = 0
     attempts = 0

@@ -4,9 +4,11 @@ Nothing in `src/formforge` calls these: each computes something the library
 also computes, by an independent and usually slower route (subset sums,
 a skew element, a resultant, a permutation sum, a subgroup walk, a
 division that rebuilds the remainder at every step, an evaluation that
-multiplies field elements one at a time).
+multiplies field elements one at a time, and sums, products, substitution and
+heap division on {exponent tuple: FieldElement} dicts).
 """
 
+import heapq
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -52,6 +54,91 @@ def generic_eval(p: Polynomial, point):
                 v = v * powers[i][ei]
         total = total + v
     return total
+
+
+def dict_add(p: Polynomial, q: Polynomial, subtract: bool = False) -> Polynomial:
+    """p + q (or p - q) term by term on the terms dicts."""
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        if e in out:
+            s = out[e] - c if subtract else out[e] + c
+            if s.is_zero():
+                del out[e]
+            else:
+                out[e] = s
+        else:
+            out[e] = -c if subtract else c
+    return Polynomial(p.field, p.nvars, out)
+
+
+def dict_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q by the schoolbook double loop over the terms dicts, one
+    field-element product per pair of terms."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            v = c1 * c2
+            if e in out:
+                s = out[e] + v
+                if s.is_zero():
+                    del out[e]
+                else:
+                    out[e] = s
+            else:
+                out[e] = v
+    return Polynomial(p.field, p.nvars, out)
+
+
+def dict_compose(p: Polynomial, args) -> Polynomial:
+    """p with args[i] substituted for variable i, each term built as its own
+    polynomial and added to the running sum."""
+    if len(args) != p.nvars:
+        raise ValueError("need %d substitution arguments" % (p.nvars,))
+    field, nvars = (args[0].field, args[0].nvars) if args else (p.field, 0)
+    out = Polynomial.zero(field, nvars)
+    for e, c in p.terms.items():
+        t = Polynomial.const(field, nvars, c)
+        for i, ei in enumerate(e):
+            for _ in range(ei):
+                t = dict_mul(t, args[i])
+        out = dict_add(out, t)
+    return out
+
+
+def heap_exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p / q by the heap division of Monagan & Pearce on the terms dicts, the
+    remainder updated in place; NotDivisible when q does not divide p."""
+    lt_e, lt_c = max(q.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+    lt_inv = lt_c.inv()
+    tail = [(e, c) for e, c in q.terms.items() if e != lt_e]
+    rem = dict(p.terms)
+
+    def entry(e):
+        return (-sum(e), tuple(-x for x in e)), e
+
+    heap = [entry(e) for e in rem]
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        _, re = heapq.heappop(heap)
+        rc = rem.pop(re, None)
+        if rc is None:
+            continue
+        qe = tuple(a - b for a, b in zip(re, lt_e))
+        if any(x < 0 for x in qe):
+            raise NotDivisible("leading term %r not divisible by %r" % (re, lt_e))
+        qc = quot[qe] = rc * lt_inv
+        for e, c in tail:
+            me = tuple(a + b for a, b in zip(qe, e))
+            v = rem.get(me, p.field.zero) - qc * c
+            if me not in rem and not v.is_zero():
+                heapq.heappush(heap, entry(me))
+            if v.is_zero():
+                rem.pop(me, None)
+            else:
+                rem[me] = v
+    return Polynomial(p.field, p.nvars, quot)
 
 
 def long_division(p: Polynomial, q: Polynomial) -> Polynomial:

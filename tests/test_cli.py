@@ -151,6 +151,28 @@ def test_budget_flag_overrides_env(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["mode"] == "symbolic"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--mode", "random", "--seed", "1", "--samples", "-2"),
+        ("--mode", "random", "--seed", "1", "--samples", "0"),
+        ("--samples", "0"),
+        ("--budget", "0"),
+        ("--budget", "-3"),
+        ("--mode", "symbolic", "--budget", "0"),
+    ],
+)
+def test_verify_rejects_non_positive_samples_and_budget(capsys, tmp_path, flags):
+    """A sample count below 1 gave "evidence" with no bound behind it, and a
+    budget below 1 sent auto mode to random sampling; both exit 3 before any
+    work, whatever the mode."""
+    path = write_json(tmp_path / "tits.json", encode_constructed_form(tits_cubic(1)))
+    code, out, err = run(capsys, "verify", "strong-mult", "--form", path, *flags)
+    assert code == 3
+    assert out == ""
+    assert "must be positive" in err
+
+
 def test_exponent_subcommand(capsys):
     code, out, _ = run(capsys, "exponent", "--degree", "6", "--exponent", "4")
     assert code == 0

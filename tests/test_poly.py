@@ -15,7 +15,7 @@ from formforge import (
 )
 from formforge.constructions import catalog
 from formforge.jsonio import decode_field
-from formforge.poly import clear_denominators, ring_matrix_determinant
+from formforge.poly import clear_denominators, ring_matrix_determinant, sample_identity
 from oracles import long_division
 
 
@@ -272,6 +272,45 @@ def test_verify_identity_random_refutation_carries_point():
     report = verify_identity(x, x + const(1, 1), mode="random", samples=3, seed=0)
     assert report.verdict == "refuted"
     assert report.counterexample is not None
+
+
+def test_random_mode_needs_a_positive_sample_count():
+    """No draws prove nothing, and a negative count made min(d / box, 1)^s a
+    huge number rather than a bound."""
+    x = var(1, 0)
+    for samples in (0, -2):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            verify_identity(x, x, mode="random", samples=samples, seed=1)
+        with pytest.raises(ValueError, match="samples must be positive"):
+            sample_identity(lambda pt: True, 1, 1, samples, 1, 10)
+
+
+def test_compose_and_mul_reject_arguments_from_other_rings():
+    x, y = var(2, 0), var(2, 1)
+    r2 = field_extend(QQ, [-2, 0, 1])
+    s = Polynomial.variable(r2, 2, 0)
+    with pytest.raises(ValueError, match="need 2 substitution arguments"):
+        x.compose([x])
+    with pytest.raises(ValueError, match="need 2 substitution arguments"):
+        s.compose([s, s, s])
+    with pytest.raises(TypeError, match="polynomials from different rings"):
+        x.compose([y, var(3, 0)])
+    with pytest.raises(TypeError, match="polynomials from different rings"):
+        s.compose([s, Polynomial.variable(r2, 3, 0)])
+    with pytest.raises(TypeError, match="polynomials from different rings"):
+        x * var(3, 0)
+    with pytest.raises(TypeError, match="polynomials from different rings"):
+        x * s
+    with pytest.raises(TypeError, match="polynomials from different rings"):
+        s * x
+    # coefficients over Q, arguments over Q(sqrt 2), and the reverse; also
+    # for a constant, which multiplies no coefficient
+    with pytest.raises(TypeError, match="mixed-field arithmetic"):
+        x.compose([s, s])
+    with pytest.raises(TypeError, match="mixed-field arithmetic"):
+        s.compose([x, y])
+    with pytest.raises(TypeError, match="mixed-field arithmetic"):
+        const(2, 5).compose([s, s])
 
 
 def test_verify_identity_random_needs_seed():

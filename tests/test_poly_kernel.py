@@ -1,7 +1,9 @@
-"""Property tests of the integer evaluation kernels of Polynomial.eval: over Q
-against a term-by-term Fraction sum, and over etale algebras against
-`oracles.generic_eval`, which multiplies field elements one at a time.  Needs
-hypothesis (the `test` extra)."""
+"""Property tests of the integer kernels of Polynomial: arithmetic over Q on
+packed exponents and integer numerators against the dict arithmetic of
+`oracles` (one field-element operation per pair of terms), evaluation over Q
+against a term-by-term Fraction sum, and evaluation over etale algebras
+against `oracles.generic_eval`, which multiplies field elements one at a time.
+Needs hypothesis (the `test` extra)."""
 
 from fractions import Fraction
 
@@ -10,9 +12,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from formforge import Polynomial, QQ, ZeroDivisor, field_extend  # noqa: E402
+from formforge import NotDivisible, Polynomial, QQ, ZeroDivisor, field_extend  # noqa: E402
 from formforge.coeffield import poly_divmod, poly_mul  # noqa: E402
-from oracles import generic_eval  # noqa: E402
+from oracles import (  # noqa: E402
+    dict_add,
+    dict_compose,
+    dict_mul,
+    generic_eval,
+    heap_exact_div,
+)
 
 _coeff = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 _coord = st.one_of(
@@ -52,6 +60,142 @@ def test_eval_over_q_matches_fraction_sum(case):
         assert p.eval_int(point) == QQ.from_rational(expected)
     # a second call reuses the compiled form
     assert p.eval([QQ.from_rational(x) for x in point]).coeffs[0] == expected
+
+
+# ---------------------------------------------------------------------------
+# arithmetic over Q: packed exponents, integer numerators, one denominator
+
+# large denominators, pairwise coprime and coprime to the small ones
+_LARGE_DENS = (2**61 - 1, 10**18 + 9, 3**40, 7**25)
+_q_coeff = st.one_of(
+    _coeff,
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.sampled_from(_LARGE_DENS)),
+)
+# exponents on both sides of the field widths 2, 3 and 4 bits
+_edge_exp = st.sampled_from((0, 1, 2, 3, 4, 7, 8, 15, 16))
+
+
+def _q_poly(draw, n, exp, max_terms):
+    exps = st.tuples(*[exp] * n)
+    return Polynomial.from_pairs(
+        QQ, n, draw(st.lists(st.tuples(exps, _q_coeff), max_size=max_terms))
+    )
+
+
+def _outcome(divide):
+    try:
+        return divide()
+    except NotDivisible:
+        return NotDivisible
+
+
+def _same(kernel, oracle):
+    """Equal as values and as term views."""
+    assert kernel == oracle
+    assert kernel.terms == oracle.terms
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_q_arithmetic_matches_dict_oracles(data):
+    n = data.draw(st.integers(0, 3))
+    p = _q_poly(data.draw, n, _edge_exp, 4)
+    q = _q_poly(data.draw, n, _edge_exp, 4)
+    _same(p + q, dict_add(p, q))
+    _same(p - q, dict_add(p, q, subtract=True))
+    assert (p - p).is_zero() and (p + -p).terms == {} and (p - p).total_degree() == -1
+    pq = p * q
+    _same(pq, dict_mul(p, q))
+    k = data.draw(st.integers(0, 3))
+    power = Polynomial.const(QQ, n, 1)
+    for _ in range(k):
+        power = dict_mul(power, p)
+    _same(p**k, power)
+    c = data.draw(_q_coeff)
+    _same(p.scale(c), dict_mul(p, Polynomial.const(QQ, n, c)))
+    if not q.is_zero():
+        _same(pq.exact_div(q), p)
+        _same(pq.exact_div(q), heap_exact_div(pq, q))
+        e = data.draw(st.tuples(*[_edge_exp] * n))
+        r = pq + Polynomial.from_pairs(QQ, n, [(e, data.draw(_q_coeff))])
+        kernel, oracle = _outcome(lambda: r.exact_div(q)), _outcome(lambda: heap_exact_div(r, q))
+        if oracle is NotDivisible:
+            assert kernel is NotDivisible
+        else:
+            _same(kernel, oracle)
+    # the integer form read back through the views and the evaluation kernel
+    assert Polynomial(QQ, n, pq.terms) == pq
+    point = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    assert pq.eval_int(point) == p.eval_int(point) * q.eval_int(point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_q_compose_matches_dict_oracle(data):
+    n = data.draw(st.integers(0, 3))
+    m = data.draw(st.integers(0, 4))  # the ambient ring of the arguments
+    p = _q_poly(data.draw, n, st.integers(0, 3), 4)
+    args = [_q_poly(data.draw, m, st.integers(0, 2), 3) for _ in range(n)]
+    _same(p.compose(args), dict_compose(p, args))
+
+
+def test_q_products_across_packing_widths():
+    """x^k is packed with b = bitlen(k) + 1 bits a variable when built
+    directly, and a running product keeps its width while it fits: x^3 fills
+    a 2-bit field (2^2 - 1) and x^4 needs a wider one, as x^15 fills a 4-bit
+    field and x^16 does not.  Products, quotients and embeddings give the
+    expected monomials at every step, and a composition matches the oracle."""
+    x, y = Polynomial.variable(QQ, 2, 0), Polynomial.variable(QQ, 2, 1)
+    one = Polynomial.const(QQ, 2, 1)
+    p, widths = one, {}
+    for k in range(1, 41):
+        p = p * x
+        widths[k] = p._bits
+        assert p.terms == {(k, 0): QQ.one}
+        py = p * y
+        assert py.terms == {(k, 1): QQ.one}
+        _same(py.exact_div(y), p)
+        _same(py.exact_div(p), y)
+        assert _outcome(lambda: p.exact_div(py)) is NotDivisible
+        assert _outcome(lambda: y.exact_div(x)) is NotDivisible
+        assert py.embed(3, 1).terms == {(0, k, 1): QQ.one}
+    assert (widths[3], widths[4], widths[15], widths[16]) == (2, 4, 4, 6)
+    assert (x**1000).terms == {(1000, 0): QQ.one}
+    s = x + y.scale(Fraction(1, 10**18 + 9))
+    _same(s.compose([p, p]), dict_compose(s, [p, p]))
+
+
+def test_q_edge_cases():
+    zero0, one0 = Polynomial.zero(QQ, 0), Polynomial.const(QQ, 0, Fraction(3, 7))
+    assert (zero0 + one0) == one0
+    assert (one0 * one0).terms == {(): QQ.from_rational(Fraction(9, 49))}
+    assert one0.compose([]) == one0 and one0.exact_div(one0) == Polynomial.const(QQ, 0, 1)
+    with pytest.raises(ZeroDivisionError):
+        one0.exact_div(zero0)
+    x = Polynomial.variable(QQ, 1, 0)
+    half = Polynomial.const(QQ, 1, Fraction(1, 2))
+    # (x + 1/2) - (x - 1/2) - 1 cancels to zero, with its denominator
+    assert ((x + half) - (x - half) - Polynomial.const(QQ, 1, 1)).is_zero()
+    assert (x.scale(Fraction(2, 3)) * x.scale(Fraction(3, 2))).terms == {(2,): QQ.one}
+    # the quotient of an integer polynomial by 2x is not integral, yet exact
+    assert (x * x + x).exact_div(x.scale(2)) == (x + Polynomial.const(QQ, 1, 1)).scale(
+        Fraction(1, 2)
+    )
+    three = Polynomial.const(QQ, 1, 3)
+    for a, b in (
+        (x * x + Polynomial.const(QQ, 1, 1), x.scale(2) + Polynomial.const(QQ, 1, 1)),
+        # 3x + 3 - 1 * (2x + 3) leaves x, though the tail cancels the 3
+        (x.scale(3) + three, x.scale(2) + three),
+    ):
+        assert _outcome(lambda: heap_exact_div(a, b)) is NotDivisible
+        with pytest.raises(NotDivisible):
+            a.exact_div(b)
+    # y^2 / x: the exponent of x would borrow from the field of y
+    u, v = Polynomial.variable(QQ, 2, 0), Polynomial.variable(QQ, 2, 1)
+    with pytest.raises(NotDivisible):
+        (v * v).exact_div(u)
+    with pytest.raises(NotDivisible):
+        (v * v * v + v).exact_div(u * v)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from formforge import (
     verify_strong_multiplicativity,
 )
 from formforge import linalg
-from formforge.coeffield import EtaleAlgebra, field_extend
+from formforge.coeffield import EtaleAlgebra, RationalField, field_extend
 from formforge.constructions import _det_form
 from oracles import brute_force_exponent_closure, generic_eval
 
@@ -172,6 +172,49 @@ def test_rank_deficient_12x12_witness_rejected_in_polynomial_time(monkeypatch):
     with pytest.raises(SingularWitness, match="identically zero determinant"):
         verify_scaled_witness(phi, w)
     assert time.process_time() - t0 < 10.0  # about 0.5 s; the count is the bound
+    assert products >= n  # the elimination multiplies through Polynomial.__mul__
+
+
+def test_symbolic_det3_proof_makes_no_rational_products_in_polynomial_arithmetic(monkeypatch):
+    """Over Q, Polynomial arithmetic runs on integer numerators: a symbolic
+    strong-multiplicativity proof for det-3 multiplies no `Fraction` field
+    elements inside it, where the term-by-term dict arithmetic made one
+    `RationalField._mul` call per pair of terms."""
+    cf = det_norm(3)
+    depth = products = calls = 0
+    rational_mul = RationalField._mul
+
+    def inside(fn):
+        def wrapper(*args, **kwargs):
+            nonlocal depth
+            depth += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth -= 1
+        return wrapper
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += depth > 0
+        return rational_mul(self, x, y)
+
+    polynomial_mul = Polynomial.__mul__
+
+    def multiplied(a, b):
+        nonlocal products
+        products += 1
+        return polynomial_mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", multiplied)
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "scale", "compose",
+                 "embed", "exact_div"):
+        monkeypatch.setattr(Polynomial, name, inside(getattr(Polynomial, name)))
+    monkeypatch.setattr(RationalField, "_mul", counted)
+    report = verify_strong_multiplicativity(cf.form, cf.witness, mode="symbolic")
+    assert report.verdict == "proved" and report.mode == "symbolic"
+    assert products > 0
+    assert calls == 0
 
 
 def test_symbolic_budget_overflow_raises():
