@@ -7,6 +7,7 @@ Stable exit codes: 0 proved/true, 1 refuted/false, 2 unknown/evidence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -66,7 +67,9 @@ class _Parser(argparse.ArgumentParser):
         return EXIT_ERROR
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use; parsing leaves it unchanged."""
     parser = _Parser(prog="formforge", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
 

@@ -2,19 +2,35 @@
 
 Matrices are lists of row lists of FieldElement.  `rref`, `nullspace` and
 `solve` also take sparse rows: {column: FieldElement} dicts that hold no
-zero entries.  All three run one Gauss-Jordan elimination on such dicts; it
-stores no zeros, and a pivot step updates only the rows that hold the pivot
-column.  The pivot for a column is the first remaining row holding it, in
-the order a dense elimination that swaps rows would leave them, so results
-are deterministic and a non-invertible pivot over an etale algebra raises
-ZeroDivisor at the same step as the dense routine would.  `bareiss` is the
-one determinant routine, for scalar and polynomial matrices alike;
-`mat_mul` and `structure_product` skip zero entries.
+zero entries, and raise TypeError for an entry over another field.  All
+three run one Gauss-Jordan elimination on dict rows; it stores no zeros, and
+a pivot step updates only the rows that hold the pivot column.  The pivot for
+a column is the first remaining row holding it, in the order a dense
+elimination that swaps rows would leave them, so results are deterministic.
+
+Over Q the elimination runs on primitive integer rows: each row is scaled by
+the lcm of its denominators and divided by the gcd of the results, a row
+holding the pivot column takes the fraction-free update
+row <- (a/g) row - (f/g) pivot_row (a the pivot, f the row's entry,
+g = gcd(a, f); Bareiss, Math. Comp. 22, 1968) and is divided by its content
+again, and only the reduced pivot rows become Fractions, each entry over its
+pivot.  Scaling a row by a nonzero constant keeps its zero pattern, so the
+pivots and the row order are those of the field elimination, and the reduced
+rows are too, since the reduced row echelon form is unique.  Over an etale
+algebra the elimination scales each pivot row by the inverse of its pivot,
+so a non-invertible pivot raises ZeroDivisor at the same step as the dense
+routine would.
+
+`bareiss` is the one determinant routine, for scalar and polynomial matrices
+alike; `mat_mul` and `structure_product` skip zero entries.
 """
 
 from __future__ import annotations
 
-from .coeffield import ZeroDivisor
+from fractions import Fraction
+from math import gcd
+
+from .coeffield import FieldElement, RationalField, ZeroDivisor, integral_coordinates
 
 
 def _row_dict(row):
@@ -25,10 +41,99 @@ def _row_dict(row):
     return {c: x for c, x in enumerate(row) if not x.is_zero()}
 
 
-def _gauss_jordan(rows):
-    """The nonzero rows of the reduced row echelon form, as dicts in pivot
-    order, and the pivot columns."""
-    rows = [_row_dict(r) for r in rows]
+def _check_field(field, x):
+    if x.field != field:
+        raise TypeError("mixed-field arithmetic: entry %r is not over %r" % (x, field))
+
+
+def _integer_row(field, row):
+    """A dense or dict row over Q as a primitive {column: int} row: the
+    row times the lcm of its denominators, over the gcd of the results."""
+    cols, fracs = [], []
+    for c, x in row.items() if isinstance(row, dict) else enumerate(row):
+        if x.field is not field:
+            _check_field(field, x)
+        q = x.coeffs[0]
+        if q:
+            cols.append(c)
+            fracs.append(q)
+    if not fracs:
+        return {}
+    ints, _ = integral_coordinates(fracs)
+    g = gcd(*ints)
+    if g != 1:
+        ints = [v // g for v in ints]
+    return dict(zip(cols, ints))
+
+
+def _field_step(rows, p, c, hold, holders):
+    """Scale the pivot row p to 1 at column c and clear column c from the
+    other rows in `hold`, by field-element arithmetic."""
+    inv = rows[p][c].inv()
+    prow = rows[p] = {k: inv * x for k, x in rows[p].items()}
+    for i in hold:
+        if i == p:
+            continue
+        row = rows[i]
+        f = row.pop(c)
+        for k, b in prow.items():
+            if k == c:
+                continue
+            a = row.get(k)
+            if a is None:
+                v = -(f * b)
+                if not v.is_zero():
+                    row[k] = v
+                    holders[k].add(i)
+            else:
+                v = a - f * b
+                if v.is_zero():
+                    del row[k]
+                    holders[k].discard(i)
+                else:
+                    row[k] = v
+
+
+def _integer_step(rows, p, c, hold, holders):
+    """Clear column c from the rows in `hold` other than the pivot row p by
+    the fraction-free update, keeping every row primitive."""
+    prow = rows[p]
+    a = prow[c]
+    for i in hold:
+        if i == p:
+            continue
+        row = rows[i]
+        f = row.pop(c)
+        g = gcd(a, f)
+        s, t = a // g, f // g
+        if s != 1:
+            row = rows[i] = {k: s * v for k, v in row.items()}
+        for k, b in prow.items():
+            if k == c:
+                continue
+            v = row.get(k)
+            if v is None:
+                row[k] = -t * b
+                holders[k].add(i)
+            else:
+                v -= t * b
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+                    holders[k].discard(i)
+        if row:
+            g = gcd(*row.values())
+            if g != 1:
+                rows[i] = {k: v // g for k, v in row.items()}
+
+
+def _eliminate(rows, step):
+    """Gauss-Jordan on dict rows (changed in place): the reduced rows in
+    pivot order and the pivot columns.  step(rows, p, c, hold, holders)
+    clears column c from the rows in `hold` (the rows holding c, p among
+    them) with row p, and keeps holders[k], the rows with a nonzero at
+    column k, up to date."""
     order = list(range(len(rows)))  # position -> row; positions below len(pivots) are pivots
     where = list(range(len(rows)))  # row -> position
     holders = {}  # column -> the rows with a nonzero there
@@ -48,32 +153,28 @@ def _gauss_jordan(rows):
         q, at = order[r0], where[p]
         order[r0], order[at] = p, q
         where[p], where[q] = r0, at
-        inv = rows[p][c].inv()
-        prow = rows[p] = {k: inv * x for k, x in rows[p].items()}
-        for i in hold:
-            if i == p:
-                continue
-            row = rows[i]
-            f = row.pop(c)
-            for k, b in prow.items():
-                if k == c:
-                    continue
-                a = row.get(k)
-                if a is None:
-                    v = -(f * b)
-                    if not v.is_zero():
-                        row[k] = v
-                        holders[k].add(i)
-                else:
-                    v = a - f * b
-                    if v.is_zero():
-                        del row[k]
-                        holders[k].discard(i)
-                    else:
-                        row[k] = v
+        step(rows, p, c, hold, holders)
         holders[c] = {p}
         pivots.append(c)
     return [rows[i] for i in order[: len(pivots)]], pivots
+
+
+def _gauss_jordan(field, rows):
+    """The nonzero rows of the reduced row echelon form, as dicts of field
+    elements in pivot order, and the pivot columns."""
+    if isinstance(field, RationalField):
+        red, pivots = _eliminate([_integer_row(field, r) for r in rows], _integer_step)
+        out = []
+        for row, c in zip(red, pivots):
+            a = row[c]
+            out.append({k: FieldElement(field, (Fraction(v, a),)) for k, v in row.items()})
+        return out, pivots
+    rows = [_row_dict(r) for r in rows]
+    for row in rows:
+        for x in row.values():
+            if x.field is not field:
+                _check_field(field, x)
+    return _eliminate(rows, _field_step)
 
 
 def rref(field, rows):
@@ -83,7 +184,7 @@ def rref(field, rows):
     or dicts), as many as were given: the pivot rows in pivot order, then
     zero rows.
     """
-    red, pivots = _gauss_jordan(rows)
+    red, pivots = _gauss_jordan(field, rows)
     red += [{} for _ in range(len(rows) - len(red))]
     if rows and not isinstance(rows[0], dict):
         red = [[row.get(c, field.zero) for c in range(len(rows[0]))] for row in red]

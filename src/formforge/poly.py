@@ -813,19 +813,30 @@ def clear_denominators(M: Sequence[Sequence[RationalFunction]]):
     field = M[0][0].num.field
     nx = M[0][0].num.nvars
     dens = []
+    where = []  # per row, the index in dens of each entry's denominator
     for row in M:
+        at = []
         for entry in row:
-            if not any(entry.den == d for d in dens):
+            k = next((k for k, d in enumerate(dens) if entry.den == d), None)
+            if k is None:
+                k = len(dens)
                 dens.append(entry.den)
-    D = Polynomial.const(field, nx, field.one)
+            at.append(k)
+        where.append(at)
+    one = Polynomial.const(field, nx, field.one)
+    D = one
     for d in dens:
         D = D * d
+    # one exact division per distinct denominator; a quotient of 1 multiplies nothing
+    quots = [None if q == one else q for q in (D.exact_div(d) for d in dens)]
     N = tuple(
         tuple(
-            Polynomial.zero(field, nx) if entry.is_zero() else entry.num * D.exact_div(entry.den)
-            for entry in row
+            Polynomial.zero(field, nx)
+            if entry.is_zero()
+            else entry.num if quots[k] is None else entry.num * quots[k]
+            for entry, k in zip(row, at)
         )
-        for row in M
+        for row, at in zip(M, where)
     )
     return N, D
 

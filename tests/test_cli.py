@@ -21,6 +21,7 @@ from formforge import (
     orthogonal_sum,
     tits_cubic,
 )
+from formforge import cli
 from formforge.cli import main
 from formforge.jsonio import (
     dumps,
@@ -424,3 +425,33 @@ def test_verify_rejects_octonion_witness_with_proportional_rows(capsys, tmp_path
     assert code == 3
     assert out == ""
     assert "identically zero determinant" in err
+
+
+def test_parser_is_built_once_and_calls_do_not_share_values(capsys, tmp_path):
+    """Successive `main` calls in one process share one parser; the append
+    actions --param and --input give each call only its own values, and a
+    usage error leaves the parser usable."""
+    code, out, _ = run(capsys, "construct", "--kind", "diagonal",
+                       "--param", "coeffs=1,2", "--param", "degree=3")
+    assert code == 0
+    diag = write_json(tmp_path / "diag.json", json.loads(out))
+    # A leftover coeffs or degree from the call before would be rejected.
+    code, out, _ = run(capsys, "construct", "--kind", "det", "--param", "d=2")
+    assert code == 0
+    assert json.loads(out)["form"]["degree"] == 2
+
+    # power takes exactly one --input, so a value kept from the call before
+    # would exit 3.
+    for m in (2, 3):
+        code, out, err = run(capsys, "construct", "--kind", "power",
+                             "--input", diag, "--param", "m=%d" % m)
+        assert code == 0, err
+        assert json.loads(out)["form"]["degree"] == 3 * m
+
+    code, _, _ = run(capsys, "construct", "--kind", "no-such-kind")
+    assert code == 3
+    code, out, _ = run(capsys, "construct", "--kind", "det", "--param", "d=3")
+    assert code == 0
+    assert json.loads(out)["form"]["degree"] == 3
+
+    assert cli._build_parser() is cli._build_parser()

@@ -2,6 +2,8 @@
 `solve` against a dense Gauss-Jordan reference.  Needs hypothesis (the
 `test` extra)."""
 
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -75,21 +77,32 @@ def outcome(fn, *args):
 
 
 _small = st.integers(-2, 2)
+# Rationals with small denominators, and numerators and denominators built
+# from large pairwise coprime values, so the integer rows over Q clear
+# denominators and remove contents that do not fit a machine word.
+_LARGE = (2**61 - 1, 10**18 + 9)
+_rational = st.one_of(
+    _small,
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    st.builds(Fraction, st.sampled_from(_LARGE), st.sampled_from(_LARGE)),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.sampled_from(_LARGE)),
+)
 
 
-def _entry(field):
+def _entry(field, coord):
     if field is QQ:
-        return _small.map(field.from_rational)
-    return st.lists(_small, min_size=2, max_size=2).map(field.element)
+        return coord.map(field.from_rational)
+    return st.lists(coord, min_size=2, max_size=2).map(field.element)
 
 
 @st.composite
-def _system(draw, field):
+def _system(draw, field, coord, max_size):
     """A matrix with zero and repeated rows mixed in, and a right-hand side
     that is either random or in the column span."""
-    ncols = draw(st.integers(1, 5))
-    row = st.lists(_entry(field), min_size=ncols, max_size=ncols)
-    rows = draw(st.lists(row, max_size=5))
+    entry = _entry(field, coord)
+    ncols = draw(st.integers(1, max_size))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=max_size))
     for kind in draw(st.lists(st.sampled_from(["zero", "copy", "sum"]), max_size=2)):
         if kind == "zero":
             rows.append([field.zero] * ncols)
@@ -101,18 +114,26 @@ def _system(draw, field):
         order = draw(st.permutations(range(len(rows))))
         rows = [rows[i] for i in order]
     if draw(st.booleans()):
-        x = draw(st.lists(_entry(field), min_size=ncols, max_size=ncols))
+        x = draw(st.lists(entry, min_size=ncols, max_size=ncols))
         rhs = [sum((a * b for a, b in zip(r, x)), field.zero) for r in rows]
     else:
-        rhs = draw(st.lists(_entry(field), min_size=len(rows), max_size=len(rows)))
+        rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
     return rows, ncols, rhs
 
 
-@pytest.mark.parametrize("field", [QQ, Q_SQRT2, Q_TIMES_Q], ids=["Q", "Q(sqrt2)", "QxQ"])
+@pytest.mark.parametrize(
+    "field, coord, max_size",
+    [
+        pytest.param(QQ, _small, 5, id="Q"),
+        pytest.param(QQ, _rational, 8, id="Q-rational"),
+        pytest.param(Q_SQRT2, _small, 5, id="Q(sqrt2)"),
+        pytest.param(Q_TIMES_Q, _small, 5, id="QxQ"),
+    ],
+)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_sparse_elimination_matches_dense(field, data):
-    rows, ncols, rhs = data.draw(_system(field))
+def test_sparse_elimination_matches_dense(field, coord, max_size, data):
+    rows, ncols, rhs = data.draw(_system(field, coord, max_size))
     expect = outcome(dense_rref, field, rows)
     assert outcome(rref, field, rows) == expect
     red = outcome(rref, field, as_dicts(rows))
@@ -152,3 +173,22 @@ def test_non_invertible_pivot_raises():
     pivot = t - Q_TIMES_Q.one  # a zero divisor: (t - 1)(t + 1) = 0
     with pytest.raises(ZeroDivisor):
         rref(Q_TIMES_Q, [[pivot, Q_TIMES_Q.one]])
+
+
+def test_entries_over_another_field_raise():
+    """Over Q the elimination reads an entry's rational coordinate, so an
+    entry over Q(sqrt2) must be refused, not cut down to its rational part."""
+    r2 = Q_SQRT2.element([0, 1])
+    one = QQ.one
+    calls = [
+        lambda: rref(QQ, [[r2]]),
+        lambda: rref(QQ, [[one], [r2]]),
+        lambda: rref(QQ, [{0: one}, {0: r2 + Q_SQRT2.one}]),
+        lambda: nullspace(QQ, [[one, r2]], 2),
+        lambda: solve(QQ, [[one]], [r2]),
+        lambda: rref(Q_SQRT2, [[one]]),
+        lambda: solve(Q_SQRT2, [[Q_SQRT2.one]], [one]),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="mixed-field arithmetic"):
+            call()
