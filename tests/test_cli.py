@@ -455,3 +455,34 @@ def test_parser_is_built_once_and_calls_do_not_share_values(capsys, tmp_path):
     assert json.loads(out)["form"]["degree"] == 3
 
     assert cli._build_parser() is cli._build_parser()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "expected, argv",
+    [
+        ("tits-cubic-2.decompose.json", ["decompose", "--absolute", "--form", "tits-cubic-2.json"]),
+        ("det3-basis-changed.decompose.json",
+         ["decompose", "--absolute", "--form", "det3-basis-changed.json"]),
+        ("transfer-cbrt2.decompose.json",
+         ["decompose", "--absolute", "--form", "transfer-cbrt2.json"]),
+        ("pfister-quaternion.construct.json",
+         ["construct", "--kind", "pfister", "--param", "gammas=2,-3"]),
+        ("pfister-octonion.construct.json",
+         ["construct", "--kind", "pfister", "--param", "gammas=-1,2,3"]),
+    ],
+    ids=["decompose-tits-cubic", "decompose-det3-basis-changed", "decompose-transfer-cbrt2",
+         "construct-pfister-quaternion", "construct-pfister-octonion"],
+)
+def test_stdout_is_byte_identical_to_golden(capsys, monkeypatch, expected, argv):
+    """The stdout of a command, byte for byte, against a file written by an
+    earlier version of formforge whose structure-constant arithmetic ran on
+    field elements one at a time.  The inputs sit next to the outputs: a Tits
+    cubic, det-3 after a unipotent change of basis, and the transfer of a
+    diagonal cubic along Q(cbrt 2)/Q."""
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / expected).read_text(encoding="utf-8")

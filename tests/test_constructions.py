@@ -156,6 +156,64 @@ def test_composition_algebra_parameter_checks():
         composition_algebra_norm("sedenion", [1, 1, 1, 1])
 
 
+def _presented(alg, **changes):
+    """alg rebuilt from its structure constants, with some inputs replaced."""
+    kw = dict(unit=alg.unit, associative=alg.associative, involution=alg.involution,
+              norm=alg.norm, trace=alg.trace)
+    kw.update(changes)
+    return AlgebraPresentation(alg.field, alg.structure, **kw)
+
+
+def _scaled_identity(field, n, c):
+    return [[field.from_rational(c if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def _presentation_failures():
+    quat = composition_algebra_norm("quaternion", [-1, -1]).algebra
+    octo = composition_algebra_norm("octonion", [-1, -1, -1]).algebra
+    k2 = field_extend(QQ, [-2, 0, 1])
+    tits_k2 = tits_cubic(k2.element([1, 1])).algebra
+    return [
+        ("unit-quaternion-i", lambda: _presented(quat, unit=quat.basis_vector(1)),
+         "unit does not act as identity on basis element 0"),
+        ("unit-split-etale", lambda: _presented(
+            split_etale_presentation(3), unit=[QQ.one, QQ.zero, QQ.one]),
+         "unit does not act as identity on basis element 1"),
+        ("unit-over-sqrt2", lambda: _presented(
+            tits_k2, unit=[k2.one, k2.one, k2.zero]),
+         "unit does not act as identity on basis element 0"),
+        ("involution-twice-conjugation", lambda: _presented(
+            quat, involution=[[c + c for c in row] for row in quat.involution]),
+         "involution is not of period 2"),
+        ("involution-over-sqrt2", lambda: _presented(
+            tits_k2, involution=_scaled_identity(k2, 3, 2)),
+         "involution is not of period 2"),
+        ("automorphism-identity-on-M2", lambda: _presented(
+            matrix_algebra(2), involution=_scaled_identity(QQ, 4, 1)),
+         "involution is not an anti-automorphism"),
+        ("octonions-declared-associative", lambda: _presented(octo, associative=True),
+         "product is not associative"),
+    ]
+
+
+@pytest.mark.parametrize("build, message",
+                         [case[1:] for case in _presentation_failures()],
+                         ids=[case[0] for case in _presentation_failures()])
+def test_presentation_checks_reject_bad_data(build, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        build()
+
+
+def test_presentation_checks_accept_good_data():
+    k2 = field_extend(QQ, [-2, 0, 1])
+    tits_k2 = tits_cubic(k2.element([1, 1])).algebra
+    quat = composition_algebra_norm("quaternion", [-1, -1]).algebra
+    for alg in (quat, matrix_algebra(2), tits_k2):
+        assert _presented(alg).structure == alg.structure
+    # the commutative Tits algebra: the identity is an involution over Q(sqrt 2)
+    _presented(tits_k2, involution=_scaled_identity(k2, 3, 1))
+
+
 def test_hyperbolic_plane_is_split_binary():
     cf = hyperbolic_plane()
     assert cf.form.body == var(2, 0) ** 2 - var(2, 1) ** 2
