@@ -9,16 +9,20 @@ Every field also has a flat Q-basis of its whole tower, of size
 `absolute_degree` m: the basis of k[t]/(f) is t^k * b_j for the flat basis
 b_j of k, ordered with j running fastest, and the basis of Q is 1.  `flat`
 writes an element as its m rational coordinates and `from_flat` reads them
-back.  Products in an etale algebra come from its multiplication tensor over
-that basis (the multiplication table of Cohen, GTM 138, section 4.2): b_i b_j
-= sum_k T[i][j][k] b_k / Dt with integers T[i][j][k] stored as sparse
-(k, T[i][j][k]) rows and one common denominator Dt, which is 1 when every
-minimal polynomial in the tower is monic with integer coefficients.  The
-tensor is built once, on first use, from the m(m+1)/2 products of basis
-elements (the algebra is commutative), computed with `poly_mul` and
-`poly_divmod`.  `tensor_mul` multiplies
-integer coordinate vectors with it, which is also how `Polynomial.eval` works
-over an etale algebra.
+back.
+
+A `StructureTensor` holds the structure constants of a finite-dimensional
+algebra as sparse rows: b_i b_j = sum over (l, c) in rows[i][j] of c b_l / den
+(the multiplication table of Cohen, GTM 138, section 4.2).  Over Q the
+constants are ints over one common denominator, and `mul` multiplies integer
+coordinate vectors in Python ints; over an etale coefficient field they are
+field elements and den is 1.  It is the one product by structure constants:
+an etale algebra multiplies through the tensor of its flat basis (built once,
+on first use, from the m(m+1)/2 products of basis elements, computed with
+`poly_mul` and `poly_divmod`; its den is 1 when every minimal polynomial in
+the tower is monic with integer coefficients), which is also how
+`Polynomial.eval` works over an etale algebra, and the algebra presentations
+of `constructions` and the center algebras of `decompose` each store one.
 """
 
 from __future__ import annotations
@@ -223,8 +227,8 @@ class EtaleAlgebra:
             self, tuple(base.from_flat(v[k : k + mb]) for k in range(0, len(v), mb))
         )
 
-    def tensor(self):
-        """(T, Dt): b_i b_j = sum over (k, c) in T[i][j] of c b_k / Dt."""
+    def tensor(self) -> "StructureTensor":
+        """The integer multiplication tensor of the flat basis, over Q."""
         if self._tensor is None:
             m = self.absolute_degree
             basis = [
@@ -242,7 +246,7 @@ class EtaleAlgebra:
                 T[i][j] = T[j][i] = tuple(
                     (k, q.numerator * (Dt // q.denominator)) for k, q in enumerate(v) if q
                 )
-            self._tensor = (T, Dt)
+            self._tensor = StructureTensor(QQ, T, Dt)
         return self._tensor
 
     def _reduce(self, p) -> FieldElement:
@@ -251,11 +255,11 @@ class EtaleAlgebra:
         return FieldElement(self, tuple(rem + [self.base.zero] * (self.degree - len(rem))))
 
     def _mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        T, Dt = self.tensor()
+        t = self.tensor()
         a, da = integral_coordinates(self.flat(x))
         b, db = integral_coordinates(self.flat(y))
-        den = da * db * Dt
-        return self.from_flat([Fraction(c, den) for c in tensor_mul(T, a, b)])
+        den = da * db * t.den
+        return self.from_flat([Fraction(c, den) for c in t.mul(a, b)])
 
     def _inv(self, x: FieldElement) -> FieldElement:
         if x.is_zero():
@@ -290,19 +294,120 @@ def integral_coordinates(v: Sequence[Rat]):
     return [q.numerator * (B // q.denominator) for q in v], B
 
 
-def tensor_mul(T, a: Sequence[int], b: Sequence[int]) -> list:
-    """The integer coordinates of the product of the elements with integer flat
-    coordinates a and b, over the denominator Dt of the tensor T."""
-    out = [0] * len(a)
-    for i, ai in enumerate(a):
-        if ai:
-            row = T[i]
-            for j, bj in enumerate(b):
-                if bj:
-                    c = ai * bj
-                    for k, t in row[j]:
-                        out[k] += c * t
-    return out
+class StructureTensor:
+    """The structure constants of an algebra with basis b_0, ..., b_(n-1), as
+    sparse rows: b_i b_j = sum over (l, c) in rows[i][j] of c b_l / den.
+
+    Over Q (`integral`) the constants are nonzero ints over one common
+    positive denominator den, and coordinates travel as int vectors over a
+    denominator of their own.  Over an etale coefficient field the constants
+    and coordinates are nonzero field elements and den is 1: the field path.
+    """
+
+    __slots__ = ("field", "rows", "den", "integral")
+
+    def __init__(self, field, rows, den: int = 1):
+        self.field = field
+        self.rows = rows
+        self.den = den
+        self.integral = isinstance(field, RationalField)
+
+    @classmethod
+    def from_elements(cls, field, planes) -> "StructureTensor":
+        """The tensor of dense constants planes[i][j][l], field elements."""
+        if not isinstance(field, RationalField):
+            return cls(field, tuple(
+                tuple(tuple((l, c) for l, c in enumerate(row) if not c.is_zero()) for row in plane)
+                for plane in planes
+            ))
+        den = math.lcm(*(c.coeffs[0].denominator for plane in planes for row in plane
+                         for c in row))
+        return cls(field, tuple(
+            tuple(
+                tuple((l, c.coeffs[0].numerator * (den // c.coeffs[0].denominator))
+                      for l, c in enumerate(row) if c.coeffs[0])
+                for row in plane
+            )
+            for plane in planes
+        ), den)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def elements(self):
+        """The dense constants: planes[i][j][l] as field elements."""
+        n, field = len(self.rows), self.field
+        out = []
+        for plane in self.rows:
+            rows = []
+            for row in plane:
+                v = [field.zero] * n
+                for l, c in row:
+                    v[l] = FieldElement(field, (Fraction(c, self.den),)) if self.integral else c
+                rows.append(tuple(v))
+            out.append(tuple(rows))
+        return tuple(out)
+
+    def coordinates(self, x):
+        """(a, den) for a vector x of field elements: over Q the ints a with
+        x = a / den, den their least common denominator; else x over 1."""
+        if self.integral:
+            return integral_coordinates([c.coeffs[0] for c in x])
+        return list(x), 1
+
+    def vector(self, a, den: int = 1):
+        """The field elements a / den: `coordinates` read back."""
+        if self.integral:
+            field = self.field
+            return tuple(FieldElement(field, (Fraction(v, den),)) for v in a)
+        return tuple(a)
+
+    def scalar(self, k: int):
+        """The integer k as a coordinate value."""
+        return k if self.integral else self.field.from_rational(k)
+
+    def is_zero(self, c) -> bool:
+        return not c if self.integral else c.is_zero()
+
+    def mul(self, a, b) -> list:
+        """The coordinates of the product of the elements with coordinates a
+        and b.  Over Q, a and b are ints and so is the result, over den times
+        the denominators of a and b."""
+        rows = self.rows
+        if not self.integral:
+            out = [self.field.zero] * len(rows)
+            bs = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
+            for i, x in enumerate(a):
+                if not x.is_zero():
+                    row = rows[i]
+                    for j, y in bs:
+                        xy = x * y
+                        for l, c in row[j]:
+                            out[l] = out[l] + c * xy
+            return out
+        out = [0] * len(a)
+        for i, ai in enumerate(a):
+            if ai:
+                row = rows[i]
+                for j, bj in enumerate(b):
+                    if bj:
+                        c = ai * bj
+                        for k, t in row[j]:
+                            out[k] += c * t
+        return out
+
+    def combine(self, pairs) -> dict:
+        """sum of s * row over (s, row) in pairs, for sparse rows ((l, c), ...),
+        as a dict {l: nonzero value}."""
+        acc = {}
+        get = acc.get
+        for s, row in pairs:
+            for l, c in row:
+                v = get(l)
+                acc[l] = s * c if v is None else v + s * c
+        is_zero = self.is_zero
+        return {l: v for l, v in acc.items() if not is_zero(v)}
 
 
 def field_extend(base, minpoly: Sequence) -> EtaleAlgebra:

@@ -10,12 +10,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import linalg
-from .coeffield import EtaleAlgebra, FieldElement, QQ, RationalField, field_extend
+from .coeffield import (
+    EtaleAlgebra,
+    FieldElement,
+    QQ,
+    RationalField,
+    StructureTensor,
+    field_extend,
+)
 from .forms import HomogeneousForm, polarize
 from .poly import Polynomial, RationalFunction, ring_matrix_determinant
 from .witness import (
@@ -45,7 +53,14 @@ class MissingWitness(ValueError):
 
 class AlgebraPresentation:
     """A finite-dimensional algebra by structure constants: e_i e_j =
-    sum_l structure[i][j][l] e_l."""
+    sum_l structure[i][j][l] e_l.
+
+    The constants live in one `StructureTensor` (`structure` may be given as
+    one, or as dense planes), and the involution x -> involution * x as its
+    sparse columns over one denominator, in the tensor's coordinates.  Over Q
+    the unit, involution and associativity checks compare integer rows;
+    field elements are built only for the public views.
+    """
 
     def __init__(
         self,
@@ -58,11 +73,12 @@ class AlgebraPresentation:
         trace=None,
     ):
         self.field = field
-        self.dim = len(structure)
-        self.structure = tuple(
-            tuple(tuple(self._coerce(c) for c in row) for row in plane)
-            for plane in structure
-        )
+        if not isinstance(structure, StructureTensor):
+            structure = StructureTensor.from_elements(
+                field, [[[self._coerce(c) for c in row] for row in plane] for plane in structure]
+            )
+        self.tensor = structure
+        self.dim = structure.dim
         self.unit = tuple(self._coerce(c) for c in unit)
         self.associative = associative
         self.involution = (
@@ -74,6 +90,7 @@ class AlgebraPresentation:
         self.trace = None if trace is None else tuple(self._coerce(c) for c in trace)
         self._check_unit()
         if self.involution is not None:
+            self._columns = _involution_columns(structure, self.involution)
             self._check_involution()
         if associative:
             self._check_associative()
@@ -83,49 +100,61 @@ class AlgebraPresentation:
             return c
         return self.field.from_rational(c)
 
+    @property
+    def structure(self):
+        """The dense constants: structure[i][j][l] as field elements."""
+        return self.tensor.elements()
+
     def basis_vector(self, i: int):
         return tuple(
             self.field.one if j == i else self.field.zero for j in range(self.dim)
         )
 
     def product(self, x, y):
-        return linalg.structure_product(self.field, self.structure, x, y)
+        t = self.tensor
+        a, da = t.coordinates(x)
+        b, db = t.coordinates(y)
+        return t.vector(t.mul(a, b), da * db * t.den)
 
     def product_polys(self, x, y):
+        """The product of two vectors of polynomials: the constants enter as
+        the tensor's integers, and the sums are divided by its denominator."""
         n = self.dim
         nv = x[0].nvars
+        rows = self.tensor.rows
         out = [Polynomial.zero(self.field, nv) for _ in range(n)]
         for i in range(n):
             if x[i].is_zero():
                 continue
             for j in range(n):
-                if y[j].is_zero():
+                if y[j].is_zero() or not rows[i][j]:
                     continue
                 xy = x[i] * y[j]
-                for l in range(n):
-                    c = self.structure[i][j][l]
-                    if not c.is_zero():
-                        out[l] = out[l] + xy.scale(c)
-        return out
+                for l, c in rows[i][j]:
+                    out[l] = out[l] + xy.scale(c)
+        return self._over_den(out, self.tensor.den)
 
     def involve(self, x):
-        rows = self.involution
-        return tuple(
-            sum((rows[i][j] * x[j] for j in range(self.dim)), self.field.zero)
-            for i in range(self.dim)
-        )
+        t = self.tensor
+        cols, ds = self._columns
+        a, da = t.coordinates(x)
+        v = t.combine((c, cols[j]) for j, c in enumerate(a) if not t.is_zero(c))
+        return t.vector([v.get(i, t.scalar(0)) for i in range(self.dim)], da * ds)
 
     def involve_polys(self, x):
-        rows = self.involution
-        nv = x[0].nvars
-        out = []
-        for i in range(self.dim):
-            acc = Polynomial.zero(self.field, nv)
-            for j in range(self.dim):
-                if not rows[i][j].is_zero():
-                    acc = acc + x[j].scale(rows[i][j])
-            out.append(acc)
-        return out
+        cols, ds = self._columns
+        out = [Polynomial.zero(self.field, x[0].nvars) for _ in range(self.dim)]
+        for j, col in enumerate(cols):
+            if not x[j].is_zero():
+                for i, c in col:
+                    out[i] = out[i] + x[j].scale(c)
+        return self._over_den(out, ds)
+
+    def _over_den(self, polys, den: int):
+        if den == 1:
+            return polys
+        inv = self.field.from_rational(Fraction(1, den))
+        return [p.scale(inv) for p in polys]
 
     def trace_value(self, x) -> FieldElement:
         if self.trace is None:
@@ -138,65 +167,88 @@ class AlgebraPresentation:
     def structure_matrices(self):
         """z_l(x, y) coefficient matrices: out[l][i][j] multiplies x_i y_j."""
         n = self.dim
+        planes = self.structure
         return tuple(
-            tuple(tuple(self.structure[i][j][l] for j in range(n)) for i in range(n))
+            tuple(tuple(planes[i][j][l] for j in range(n)) for i in range(n))
             for l in range(n)
         )
 
     def left_mult_witness_matrix(self):
         """M(X) = left multiplication by the generic element, as rational
-        functions in n variables."""
+        functions in n variables: M[l][j] = sum_i structure[i][j][l] x_i."""
         n = self.dim
-        rows = []
-        for l in range(n):
-            row = []
-            for j in range(n):
-                terms = {}
-                for i in range(n):
-                    c = self.structure[i][j][l]
-                    if c.is_zero():
-                        continue
-                    e = [0] * n
-                    e[i] = 1
-                    terms[tuple(e)] = terms.get(tuple(e), self.field.zero) + c
-                row.append(RationalFunction.from_poly(Polynomial(self.field, n, terms)))
-            rows.append(tuple(row))
-        return tuple(rows)
+        t = self.tensor
+        entries = [[{} for _ in range(n)] for _ in range(n)]
+        for i, plane in enumerate(t.rows):
+            e = [0] * n
+            e[i] = 1
+            e = tuple(e)
+            for j, row in enumerate(plane):
+                for l, c in row:
+                    entries[l][j][e] = t.vector([c], t.den)[0]
+        return tuple(
+            tuple(RationalFunction.from_poly(Polynomial(self.field, n, terms)) for terms in row)
+            for row in entries
+        )
 
     def _check_unit(self):
+        t = self.tensor
+        rows = t.rows
+        u, du = t.coordinates(self.unit)
+        u = [(k, c) for k, c in enumerate(u) if not t.is_zero(c)]
+        one = t.scalar(du * t.den)
         for i in range(self.dim):
-            e = self.basis_vector(i)
-            if self.product(self.unit, e) != e or self.product(e, self.unit) != e:
+            want = {i: one}
+            if (t.combine((c, rows[k][i]) for k, c in u) != want
+                    or t.combine((c, rows[i][k]) for k, c in u) != want):
                 raise ValueError("unit does not act as identity on basis element %d" % i)
 
     def _check_involution(self):
-        n = self.dim
-        for i in range(n):
-            e = self.basis_vector(i)
-            if self.involve(self.involve(e)) != e:
+        """s(s(e_j)) = e_j and s(e_i e_j) = s(e_j) s(e_i) on the basis, in the
+        tensor's coordinates: with s(e_j) = cols[j] / ds and e_i e_j =
+        rows[i][j] / D, the second reads ds * s(rows[i][j]) =
+        sum cols[j][a] cols[i][b] rows[a][b], both sides over D ds^2."""
+        t = self.tensor
+        rows = t.rows
+        cols, ds = self._columns
+        one = t.scalar(ds * ds)
+        for j, col in enumerate(cols):
+            if t.combine((c, cols[i]) for i, c in col) != {j: one}:
                 raise ValueError("involution is not of period 2")
-        for i in range(n):
-            for j in range(n):
-                lhs = self.involve(
-                    self.product(self.basis_vector(i), self.basis_vector(j))
-                )
-                rhs = self.product(
-                    self.involve(self.basis_vector(j)), self.involve(self.basis_vector(i))
-                )
+        for i, col_i in enumerate(cols):
+            for j, col_j in enumerate(cols):
+                lhs = t.combine((c, cols[l]) for l, c in rows[i][j])
+                if ds != 1:
+                    lhs = {k: v * ds for k, v in lhs.items()}
+                rhs = t.combine((a * b, rows[p][q]) for p, a in col_j for q, b in col_i)
                 if lhs != rhs:
                     raise ValueError("involution is not an anti-automorphism")
 
     def _check_associative(self):
+        """(e_i e_j) e_l = e_i (e_j e_l) on the basis, both over D^2."""
+        t = self.tensor
+        rows = t.rows
         n = self.dim
-        basis = [self.basis_vector(i) for i in range(n)]
         for i in range(n):
             for j in range(n):
-                ij = self.product(basis[i], basis[j])
+                ij = rows[i][j]
                 for l in range(n):
-                    lhs = self.product(ij, basis[l])
-                    rhs = self.product(basis[i], self.product(basis[j], basis[l]))
+                    lhs = t.combine((c, rows[k][l]) for k, c in ij)
+                    rhs = t.combine((c, rows[i][k]) for k, c in rows[j][l])
                     if lhs != rhs:
                         raise ValueError("product is not associative")
+
+
+def _involution_columns(tensor: StructureTensor, matrix):
+    """(cols, ds): column j of the matrix as sparse (i, c) pairs over ds, in
+    the coordinates of the tensor."""
+    n = len(matrix)
+    flat, ds = tensor.coordinates([matrix[i][j] for j in range(n) for i in range(n)])
+    cols = tuple(
+        tuple((i, c) for i, c in enumerate(flat[j * n : (j + 1) * n]) if not tensor.is_zero(c))
+        for j in range(n)
+    )
+    return cols, ds
 
 
 def split_etale_presentation(n: int, field=QQ) -> AlgebraPresentation:
@@ -271,39 +323,45 @@ def _det_form(d: int, field) -> HomogeneousForm:
 # Cayley-Dickson doubling
 
 
-def _double(field, structure, conj, norm_body, gamma: FieldElement):
+def _double(tensor: StructureTensor, conj, norm_body, gamma: FieldElement):
     """(a,b)(c,d) = (ac + gamma conj(d) b, d a + b conj(c)); bar = (conj a, -b);
-    n(a,b) = n(a) - gamma n(b)."""
-    n = len(structure)
-    n2 = 2 * n
+    n(a,b) = n(a) - gamma n(b).
+
+    On basis pairs only one product survives: e_p e_q = (e_p e_q, 0),
+    e_p f_q = (0, e_q e_p), f_p e_q = (0, e_p conj(e_q)) and f_p f_q =
+    (gamma conj(e_q) e_p, 0), with f_p = (0, e_p).  With e_p e_q = rows / D,
+    conj(e_q) = cols[q] / ds and gamma = g / dg, the new rows lie over
+    D ds dg."""
+    field = tensor.field
+    n = tensor.dim
+    rows = tensor.rows
+    cols, ds = _involution_columns(tensor, conj)
+    (g,), dg = tensor.coordinates([gamma])
+    lift = ds * dg
+
+    def shifted(row, offset=0, scale=1):
+        return tuple((l + offset, c * scale if scale != 1 else c) for l, c in row)
+
+    new_rows = [[()] * (2 * n) for _ in range(2 * n)]
+    for p in range(n):
+        for q in range(n):
+            new_rows[p][q] = shifted(rows[p][q], 0, lift)
+            new_rows[p][n + q] = shifted(rows[q][p], n, lift)
+            row = tensor.combine((c, rows[p][i]) for i, c in cols[q])
+            new_rows[n + p][q] = shifted(sorted(row.items()), n, dg)
+            row = tensor.combine((g * c, rows[i][p]) for i, c in cols[q])
+            new_rows[n + p][n + q] = shifted(sorted(row.items()))
+    den = tensor.den * lift
+    if tensor.integral:
+        common = math.gcd(den, *(c for plane in new_rows for row in plane for _, c in row))
+        if common != 1:
+            new_rows = [[tuple((l, c // common) for l, c in row) for row in plane]
+                        for plane in new_rows]
+            den //= common
+    new_tensor = StructureTensor(field, tuple(tuple(plane) for plane in new_rows), den)
+
     zero = field.zero
-
-    def basis(i):
-        return tuple(field.one if j == i else zero for j in range(n))
-
-    def mul(x, y):
-        return linalg.structure_product(field, structure, x, y)
-
-    def cj(x):
-        return tuple(
-            sum((conj[i][j] * x[j] for j in range(n)), zero) for i in range(n)
-        )
-
-    new_structure = [[[zero] * n2 for _ in range(n2)] for _ in range(n2)]
-    for p in range(n2):
-        a = basis(p % n) if p < n else tuple([zero] * n)
-        b = tuple([zero] * n) if p < n else basis(p % n)
-        for q in range(n2):
-            c = basis(q % n) if q < n else tuple([zero] * n)
-            d = tuple([zero] * n) if q < n else basis(q % n)
-            first = tuple(
-                u + gamma * v for u, v in zip(mul(a, c), mul(cj(d), b))
-            )
-            second = tuple(u + v for u, v in zip(mul(d, a), mul(b, cj(c))))
-            for l in range(n):
-                new_structure[p][q][l] = first[l]
-                new_structure[p][q][n + l] = second[l]
-
+    n2 = 2 * n
     new_conj = [[zero] * n2 for _ in range(n2)]
     for i in range(n):
         for j in range(n):
@@ -314,21 +372,21 @@ def _double(field, structure, conj, norm_body, gamma: FieldElement):
     low = norm_body.embed(n2, 0)
     high = norm_body.embed(n2, n)
     new_norm = low - high.scale(gamma)
-    return new_structure, new_conj, new_norm
+    return new_tensor, new_conj, new_norm
 
 
 def _cayley_dickson(field, gammas):
-    structure = [[[field.one]]]
+    tensor = StructureTensor.from_elements(field, [[[field.one]]])
     conj = [[field.one]]
     norm_body = Polynomial(field, 1, {(2,): field.one})
     for g in gammas:
-        structure, conj, norm_body = _double(field, structure, conj, norm_body, g)
-    dim = len(structure)
+        tensor, conj, norm_body = _double(tensor, conj, norm_body, g)
+    dim = tensor.dim
     unit = [field.one] + [field.zero] * (dim - 1)
     norm = HomogeneousForm(field, 2, dim, norm_body)
     return AlgebraPresentation(
         field,
-        structure,
+        tensor,
         unit,
         associative=(len(gammas) <= 2),
         involution=conj,

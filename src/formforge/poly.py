@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeffield import FieldElement, RationalField, integral_coordinates, tensor_mul
+from .coeffield import FieldElement, RationalField, integral_coordinates
 
 
 class NotDivisible(ArithmeticError):
@@ -559,19 +559,20 @@ class Polynomial:
 
     def _eval_flat(self, values) -> FieldElement:
         """Exact value over an etale algebra, computed in ints with its
-        multiplication tensor (T, Dt).
+        multiplication tensor T, whose denominator is Dt.
 
         values[i] is coordinate i: a rational when it lies in Q, else its flat
         coordinate vector (a list); all are written over one common
         denominator B.  A rational coordinate a enters a term as the integer
         (a * Dt)^e over (B * Dt)^e.  A vector enters through its power table,
-        whose e-th power has denominator B^e * Dt^(e-1), and one `tensor_mul`
+        whose e-th power has denominator B^e * Dt^(e-1), and one `T.mul`
         with the running coefficient, which adds a factor Dt.  So a term of
         degree k has denominator L * (B * Dt)^k and is scaled by
         (B * Dt)^(D - k), as in `_eval_q`."""
         field = self.field
         L, D, terms, maxes = self._compiled or self._compile_flat()
-        T, Dt = field.tensor()
+        T = field.tensor()
+        Dt = T.den
         B = math.lcm(
             *(q.denominator for v in values for q in (v if isinstance(v, list) else (v,)))
         )
@@ -581,7 +582,7 @@ class Polynomial:
                 a = [q.numerator * (B // q.denominator) for q in v]
                 row = [None, a]
                 for _ in range(1, top):
-                    row.append(tensor_mul(T, row[-1], a))
+                    row.append(T.mul(row[-1], a))
                 powers.append(row)
             else:
                 powers.append(v.numerator * (B // v.denominator) * Dt)
@@ -594,7 +595,7 @@ class Polynomial:
                 if p.__class__ is int:
                     s *= p**e
                 else:
-                    c = tensor_mul(T, c, p[e])
+                    c = T.mul(c, p[e])
             for j, x in enumerate(c):
                 total[j] += x * s
         den = L * scale[D]

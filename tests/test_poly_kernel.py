@@ -275,9 +275,9 @@ def test_tensor_product_matches_polynomial_remainder(data):
 
 
 def test_tensor_denominators():
-    assert [FIELDS[name].tensor()[1] for name in sorted(FIELDS)] == [1, 1, 1, 1, 2]
+    assert [FIELDS[name].tensor().den for name in sorted(FIELDS)] == [1, 1, 1, 1, 2]
     odd = field_extend(QQ, [Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9), 1])
-    assert odd.tensor()[1] == 567
+    assert odd.tensor().den == 567
 
 
 def test_split_quadratic_idempotents():
