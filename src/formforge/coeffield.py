@@ -106,6 +106,11 @@ class FieldElement:
                 return False
         return True
 
+    def __bool__(self) -> bool:
+        """False exactly for zero, as for ints and Fractions, so that sparse
+        rows of ints and of field elements drop zeros alike."""
+        return not self.is_zero()
+
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
@@ -287,6 +292,22 @@ class EtaleAlgebra:
         return "Etale(deg=%d over %r)" % (self.degree, self.base)
 
 
+def to_coordinates(field, xs):
+    """(a, den) for field elements xs: over Q the ints a with xs = a / den,
+    den their least common denominator; over an etale field the elements
+    themselves over 1."""
+    if isinstance(field, RationalField):
+        return integral_coordinates([x.coeffs[0] for x in xs])
+    return list(xs), 1
+
+
+def from_coordinates(field, a, den: int = 1) -> tuple:
+    """The field elements a / den: `to_coordinates` read back."""
+    if isinstance(field, RationalField):
+        return tuple(FieldElement(field, (Fraction(v, den),)) for v in a)
+    return tuple(a)
+
+
 def integral_coordinates(v: Sequence[Rat]):
     """(a, B): integers a and the least common denominator B of the rationals
     v, with v[i] = a[i] / B."""
@@ -344,49 +365,21 @@ class StructureTensor:
             for row in plane:
                 v = [field.zero] * n
                 for l, c in row:
-                    v[l] = FieldElement(field, (Fraction(c, self.den),)) if self.integral else c
+                    v[l] = from_coordinates(field, (c,), self.den)[0]
                 rows.append(tuple(v))
             out.append(tuple(rows))
         return tuple(out)
 
-    def coordinates(self, x):
-        """(a, den) for a vector x of field elements: over Q the ints a with
-        x = a / den, den their least common denominator; else x over 1."""
-        if self.integral:
-            return integral_coordinates([c.coeffs[0] for c in x])
-        return list(x), 1
-
-    def vector(self, a, den: int = 1):
-        """The field elements a / den: `coordinates` read back."""
-        if self.integral:
-            field = self.field
-            return tuple(FieldElement(field, (Fraction(v, den),)) for v in a)
-        return tuple(a)
-
     def scalar(self, k: int):
         """The integer k as a coordinate value."""
         return k if self.integral else self.field.from_rational(k)
-
-    def is_zero(self, c) -> bool:
-        return not c if self.integral else c.is_zero()
 
     def mul(self, a, b) -> list:
         """The coordinates of the product of the elements with coordinates a
         and b.  Over Q, a and b are ints and so is the result, over den times
         the denominators of a and b."""
         rows = self.rows
-        if not self.integral:
-            out = [self.field.zero] * len(rows)
-            bs = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
-            for i, x in enumerate(a):
-                if not x.is_zero():
-                    row = rows[i]
-                    for j, y in bs:
-                        xy = x * y
-                        for l, c in row[j]:
-                            out[l] = out[l] + c * xy
-            return out
-        out = [0] * len(a)
+        out = [0 if self.integral else self.field.zero] * len(a)
         for i, ai in enumerate(a):
             if ai:
                 row = rows[i]
@@ -406,8 +399,7 @@ class StructureTensor:
             for l, c in row:
                 v = get(l)
                 acc[l] = s * c if v is None else v + s * c
-        is_zero = self.is_zero
-        return {l: v for l, v in acc.items() if not is_zero(v)}
+        return {l: v for l, v in acc.items() if v}
 
 
 def field_extend(base, minpoly: Sequence) -> EtaleAlgebra:

@@ -23,6 +23,8 @@ from .coeffield import (
     RationalField,
     StructureTensor,
     field_extend,
+    from_coordinates,
+    to_coordinates,
 )
 from .forms import HomogeneousForm, polarize
 from .poly import Polynomial, RationalFunction, ring_matrix_determinant
@@ -112,9 +114,9 @@ class AlgebraPresentation:
 
     def product(self, x, y):
         t = self.tensor
-        a, da = t.coordinates(x)
-        b, db = t.coordinates(y)
-        return t.vector(t.mul(a, b), da * db * t.den)
+        a, da = to_coordinates(self.field, x)
+        b, db = to_coordinates(self.field, y)
+        return from_coordinates(self.field, t.mul(a, b), da * db * t.den)
 
     def product_polys(self, x, y):
         """The product of two vectors of polynomials: the constants enter as
@@ -137,9 +139,10 @@ class AlgebraPresentation:
     def involve(self, x):
         t = self.tensor
         cols, ds = self._columns
-        a, da = t.coordinates(x)
-        v = t.combine((c, cols[j]) for j, c in enumerate(a) if not t.is_zero(c))
-        return t.vector([v.get(i, t.scalar(0)) for i in range(self.dim)], da * ds)
+        a, da = to_coordinates(self.field, x)
+        v = t.combine((c, cols[j]) for j, c in enumerate(a) if c)
+        return from_coordinates(self.field, [v.get(i, t.scalar(0)) for i in range(self.dim)],
+                                da * ds)
 
     def involve_polys(self, x):
         cols, ds = self._columns
@@ -185,7 +188,7 @@ class AlgebraPresentation:
             e = tuple(e)
             for j, row in enumerate(plane):
                 for l, c in row:
-                    entries[l][j][e] = t.vector([c], t.den)[0]
+                    entries[l][j][e] = from_coordinates(self.field, (c,), t.den)[0]
         return tuple(
             tuple(RationalFunction.from_poly(Polynomial(self.field, n, terms)) for terms in row)
             for row in entries
@@ -194,8 +197,8 @@ class AlgebraPresentation:
     def _check_unit(self):
         t = self.tensor
         rows = t.rows
-        u, du = t.coordinates(self.unit)
-        u = [(k, c) for k, c in enumerate(u) if not t.is_zero(c)]
+        u, du = to_coordinates(self.field, self.unit)
+        u = [(k, c) for k, c in enumerate(u) if c]
         one = t.scalar(du * t.den)
         for i in range(self.dim):
             want = {i: one}
@@ -243,9 +246,9 @@ def _involution_columns(tensor: StructureTensor, matrix):
     """(cols, ds): column j of the matrix as sparse (i, c) pairs over ds, in
     the coordinates of the tensor."""
     n = len(matrix)
-    flat, ds = tensor.coordinates([matrix[i][j] for j in range(n) for i in range(n)])
+    flat, ds = to_coordinates(tensor.field, [matrix[i][j] for j in range(n) for i in range(n)])
     cols = tuple(
-        tuple((i, c) for i, c in enumerate(flat[j * n : (j + 1) * n]) if not tensor.is_zero(c))
+        tuple((i, c) for i, c in enumerate(flat[j * n : (j + 1) * n]) if c)
         for j in range(n)
     )
     return cols, ds
@@ -336,7 +339,7 @@ def _double(tensor: StructureTensor, conj, norm_body, gamma: FieldElement):
     n = tensor.dim
     rows = tensor.rows
     cols, ds = _involution_columns(tensor, conj)
-    (g,), dg = tensor.coordinates([gamma])
+    (g,), dg = to_coordinates(field, [gamma])
     lift = ds * dg
 
     def shifted(row, offset=0, scale=1):

@@ -4,15 +4,25 @@ The endomorphisms that slide between slots of the polarization form a
 commutative matrix algebra C, the center; its primitive idempotents cut the
 space into the unique unordered orthogonal decomposition.  `center_algebra`
 finds a basis of C with one elimination, reads the coordinates of each
-product of basis matrices off that basis, and keeps them as structure
-constants.  The splitting then works in the regular representation of C, as
-in Friedl & Ronyai (STOC 1985): an element is its coordinate vector,
-multiplied through the structure constants, and n x n matrices are built
-only for the final idempotents.  Idempotents are found from minimal
-polynomials of a deterministic element sequence, split by gcd-based coprime
-factorization and rational roots, lifted through the nilradical, and
-certified (or refined) by univariate factorization over Q when the gcd
-pipeline stalls; the rank of the trace form of C bounds the semisimple part.
+product of basis matrices off that basis, and keeps them as a
+`StructureTensor`.  The splitting then works in the regular representation
+of C, as in Friedl & Ronyai (STOC 1985): an element is its coordinate
+vector, multiplied through the tensor, and n x n matrices are built only for
+the final idempotents.  Idempotents are found from minimal polynomials of a
+deterministic element sequence, split by gcd-based coprime factorization and
+rational roots, lifted through the nilradical, and certified (or refined) by
+univariate factorization over Q when the gcd pipeline stalls; the rank of
+the trace form of C bounds the semisimple part.
+
+Over Q everything between the polarization and the final idempotents runs
+in Python ints.  A vector is a pair (a, den) of an int list and a positive
+denominator with no common factor; the elimination gets integer dict rows;
+a minimal polynomial comes from a Krylov sequence whose powers stay integral
+(`_Block.minpoly`); and univariate polynomials are primitive integer
+coefficient lists, whose gcds come from primitive pseudo-remainder sequences
+(Collins, J. ACM 14, 1967; Brown, J. ACM 18, 1971).  Over an etale field the
+same code runs on field elements, every denominator is 1, and univariate
+polynomials are monic coefficient lists (the field path).
 """
 
 from __future__ import annotations
@@ -25,7 +35,10 @@ from typing import List, Tuple
 from . import linalg
 from .coeffield import (
     FieldElement,
-    QQ,
+    RationalField,
+    StructureTensor,
+    from_coordinates,
+    integral_coordinates,
     poly_add,
     poly_derivative,
     poly_divmod,
@@ -34,6 +47,7 @@ from .coeffield import (
     poly_scale,
     poly_trim,
     poly_xgcd,
+    to_coordinates,
 )
 from .forms import (
     HomogeneousForm,
@@ -63,15 +77,43 @@ Matrix = Tuple[Tuple[FieldElement, ...], ...]
 
 @dataclass(frozen=True)
 class CenterAlgebra:
+    """The center: basis matrices b_k = matrices[k][0] / matrices[k][1]
+    (n dict rows {column: value} over a positive int), multiplied through
+    `tensor`, and the identity matrix as a vector (a, den) in that basis."""
+
     field: object
     dim_space: int  # n: the matrices are n x n
-    basis: Tuple[Matrix, ...]
-    structure: Tuple[Tuple[Tuple[FieldElement, ...], ...], ...]  # basis[i]*basis[j] coords
-    unit_coords: Tuple[FieldElement, ...]
+    tensor: StructureTensor  # b_i b_j in the basis
+    unit: tuple
+    matrices: tuple
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.tensor.dim
+
+    @property
+    def basis(self) -> Tuple[Matrix, ...]:
+        n = self.dim_space
+        zero = self.field.zero
+        out = []
+        for rows, s in self.matrices:
+            mat = []
+            for row in rows:
+                line = [zero] * n
+                for i, x in zip(row, from_coordinates(self.field, row.values(), s)):
+                    line[i] = x
+                mat.append(tuple(line))
+            out.append(tuple(mat))
+        return tuple(out)
+
+    @property
+    def structure(self):
+        """structure[i][j]: the coordinates of basis[i] * basis[j]."""
+        return self.tensor.elements()
+
+    @property
+    def unit_coords(self) -> Tuple[FieldElement, ...]:
+        return from_coordinates(self.field, *self.unit)
 
 
 @dataclass(frozen=True)
@@ -86,6 +128,21 @@ class Decomposition:
     components: Tuple[Component, ...]
     change_of_basis: LinearMap  # columns are the concatenated component bases
     idempotents: Tuple[Matrix, ...]
+
+
+def _times(x, k: int):
+    """x * k for an int k that is 1 whenever x is a field element."""
+    return x if k == 1 else x * k
+
+
+def _reduced(a, den: int):
+    """The vector (a, den) with the common factor of den and the ints a
+    divided out; over an etale field den is 1 and nothing changes."""
+    if den != 1:
+        g = math.gcd(den, *a)
+        if g != 1:
+            return [v // g for v in a], den // g
+    return a, den
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +160,16 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
     d = theta.degree
     if d < 2:
         raise DegreeTooSmall("the slot-sliding system needs degree >= 2")
+    integral = isinstance(field, RationalField)
 
     # Column a * n + i holds f[a][i].  Equation (rest, i, j) has the
     # coefficient theta(rest, a, j) at f[a][i] and -theta(rest, a, i) at
     # f[a][j], so each nonzero theta(rest, a, x) lands in the equations whose
     # pair holds x.  Those two columns never coincide within one equation.
+    # Over Q every entry is scaled by one common denominator.
+    values, _ = to_coordinates(field, theta.entries.values())
     eqs = {}
-    for idx, val in theta.entries.items():
+    for idx, val in zip(theta.entries, values):
         neg = -val
         for p in range(d):
             for q in range(d):
@@ -121,110 +181,195 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
                     eqs.setdefault((rest, i, x), {})[a * n + i] = val
                 for j in range(x + 1, n):
                     eqs.setdefault((rest, x, j), {})[a * n + j] = neg
-    rows = [eqs[key] for key in sorted(eqs)]
+    red, pivots = linalg.rref(field, [eqs[key] for key in sorted(eqs)])
 
-    vecs = [
-        {c: x for c, x in enumerate(v) if not x.is_zero()}
-        for v in linalg.nullspace(field, rows, n * n)
-    ]
-    # Each nullspace vector is 1 at its own free column, 0 at the others, and
-    # zero past its free column, so a matrix in the span has its coordinates
-    # at the free columns.
-    free = [max(v) for v in vecs]
-    sparse = []  # the basis matrices as dict rows
-    for v in vecs:
+    # The kernel vector of a free column is 1 there, 0 at the other free
+    # columns and -red[r][free] / red[r][pivot] at the pivot of row r, so a
+    # matrix in the span has its coordinates at the free columns.  Over Q it
+    # is kept as an int vector over a positive scale.
+    pivot_set = set(pivots)
+    free = [c for c in range(n * n) if c not in pivot_set]
+    at = {c: [] for c in free}  # free column -> (pivot, entry, pivot entry)
+    for row, pc in zip(red, pivots):
+        for c, v in row.items():
+            if c != pc:
+                at[c].append((pc, v, row[pc]))
+    vectors, scales = [], []
+    for fc in free:
+        if integral:
+            s = math.lcm(*(a for _, _, a in at[fc]))
+            vec = {fc: s}
+            for pc, v, a in at[fc]:
+                vec[pc] = -v * (s // a)
+            g = math.gcd(*vec.values())
+            if g != 1:
+                vec = {c: v // g for c, v in vec.items()}
+                s //= g
+        else:
+            s = 1
+            vec = {fc: field.one}
+            for pc, v, _ in at[fc]:
+                vec[pc] = -v
+        vectors.append(vec)
+        scales.append(s)
+    matrices = []
+    for vec, s in zip(vectors, scales):
         mat = [{} for _ in range(n)]
-        for c, x in v.items():
-            mat[c // n][c % n] = x
-        sparse.append(mat)
+        for c in sorted(vec):
+            mat[c // n][c % n] = vec[c]
+        matrices.append(mat)
 
     def coords(mat):
-        """Coordinates of a matrix given as dict rows, or None outside the span."""
-        rest = {a * n + i: x for a, row in enumerate(mat) for i, x in row.items()}
-        out = tuple(rest.get(c, field.zero) for c in free)
-        for ck, v in zip(out, vecs):
-            if not ck.is_zero():
-                for c, x in v.items():
-                    rest[c] = rest[c] - ck * x if c in rest else -(ck * x)
-        return out if all(x.is_zero() for x in rest.values()) else None
+        """The coordinates of the matrix with dict rows mat, over the
+        matrix's own denominator, or None outside the span."""
+        out = [mat[c // n].get(c % n, 0 if integral else field.zero) for c in free]
+        scale = math.lcm(*(s for s, ck in zip(scales, out) if ck))
+        rest = {a * n + i: _times(x, scale) for a, row in enumerate(mat) for i, x in row.items()}
+        for ck, vec, s in zip(out, vectors, scales):
+            if ck:
+                f = _times(ck, scale // s)
+                for c, x in vec.items():
+                    v = rest[c] - f * x if c in rest else -(f * x)
+                    if v:
+                        rest[c] = v
+                    else:
+                        del rest[c]
+        return None if rest else out
 
-    unit = coords([{a: field.one} for a in range(n)])
+    unit = coords([{a: 1 if integral else field.one} for a in range(n)])
     if unit is None:
         raise CenterNotClosed("identity matrix missing from the sliding solution space")
 
-    structure = []
-    for bi in sparse:
-        row = []
-        for bj in sparse:
-            c = coords(linalg.mat_mul(field, bi, bj))
+    m = len(free)
+    structure = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            c = coords(linalg.mat_mul(field, matrices[i], matrices[j]))
             if c is None:
                 raise CenterNotClosed("center is not closed under multiplication")
-            row.append(c)
-        structure.append(tuple(row))
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
+            structure[i][j] = c  # over scales[i] * scales[j]
+    for i in range(m):
+        for j in range(i + 1, m):
             if structure[i][j] != structure[j][i]:
                 raise CenterNotClosed("center is not commutative")
-
+    den = math.lcm(*(si * sj for si in scales for sj in scales))
+    rows = tuple(
+        tuple(
+            tuple((k, _times(v, den // (scales[i] * scales[j]))) for k, v in enumerate(c) if v)
+            for j, c in enumerate(line)
+        )
+        for i, line in enumerate(structure)
+    )
+    if integral:
+        g = math.gcd(den, *(v for plane in rows for row in plane for _, v in row))
+        if g != 1:
+            rows = tuple(tuple(tuple((k, v // g) for k, v in row) for row in plane)
+                         for plane in rows)
+            den //= g
     return CenterAlgebra(
         field=field,
         dim_space=n,
-        basis=tuple(
-            tuple(tuple(row.get(i, field.zero) for i in range(n)) for row in mat)
-            for mat in sparse
-        ),
-        structure=tuple(structure),
-        unit_coords=unit,
+        tensor=StructureTensor(field, rows, den),
+        unit=_reduced(unit, 1),
+        matrices=tuple(zip(matrices, scales)),
     )
 
 
 # ---------------------------------------------------------------------------
-# idempotent machinery, on coordinate vectors in the center's basis
+# univariate polynomials for the splitting: over Q primitive integer
+# coefficient lists (lowest degree first, positive leading coefficient), over
+# an etale field monic coefficient lists
 
 
-def _add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+def _primitive(f):
+    """f over its content, with a positive leading coefficient."""
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    if not f:
+        return f
+    g = math.gcd(*f)
+    if f[-1] < 0:
+        g = -g
+    return f if g == 1 else [c // g for c in f]
 
 
-def _scale(c: FieldElement, x):
-    return tuple(c * a for a in x)
+def _int_derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
 
 
-def _unit_vectors(field, m: int):
-    return [tuple(field.one if k == i else field.zero for k in range(m)) for i in range(m)]
-
-
-def _yun_squarefree_groups(field, f):
-    """Yun's algorithm: f = prod g_i^i with the g_i squarefree and pairwise
-    coprime.  Returns the nonconstant g_i (multiplicity dropped)."""
-    f = poly_trim(field, list(f))
-    out = []
-    df = poly_derivative(field, f)
-    a = poly_gcd(field, f, df)
-    if len(a) <= 1:
-        return [poly_scale(field, f, f[-1].inv())]
-    b, _ = poly_divmod(field, f, a)
-    c, _ = poly_divmod(field, df, a)
-    d = poly_add(field, c, poly_scale(field, poly_derivative(field, b), -field.one))
-    while len(b) > 1:
-        g = poly_gcd(field, b, d)
-        if len(g) > 1:
-            out.append(g)
-        b, _ = poly_divmod(field, b, g)
-        c, _ = poly_divmod(field, d, g)
-        d = poly_add(field, c, poly_scale(field, poly_derivative(field, b), -field.one))
+def _int_sub(f, g):
+    n = max(len(f), len(g))
+    out = [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
-def _rational_roots(f) -> List[Fraction]:
-    """Rational roots of a squarefree f, by the bounded divisor test; none
-    unless every coefficient is rational."""
-    try:
-        fr = [c.as_rational() for c in f]
-    except ValueError:
+def _int_mul(f, g):
+    if not f or not g:
         return []
-    den = math.lcm(*(c.denominator for c in fr))
-    ints = [int(c * den) for c in fr]
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+def _pseudo_divmod(f, g):
+    """(q, r, m) with m f = q g + r, deg r < deg g and m = lc(g)^k for the k
+    division steps taken."""
+    r = list(f)
+    lc = g[-1]
+    q = [0] * max(len(r) - len(g) + 1, 0)
+    m = 1
+    while r and len(r) >= len(g):
+        k = len(r) - len(g)
+        c = r[-1]
+        if lc != 1:
+            r = [lc * v for v in r]
+            q = [lc * v for v in q]
+            m *= lc
+        q[k] += c
+        for i, v in enumerate(g):
+            r[k + i] -= c * v
+        while r and not r[-1]:
+            r.pop()
+    return q, r, m
+
+
+def _int_quo(f, g):
+    """f / g when g divides f; for primitive g the quotient is integral (Gauss)."""
+    q = [0] * (len(f) - len(g) + 1)
+    r = list(f)
+    lc = g[-1]
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + len(g) - 1] // lc
+        q[k] = c
+        if c:
+            for i, v in enumerate(g):
+                r[k + i] -= c * v
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _int_gcd(f, g):
+    """The primitive gcd, by the primitive pseudo-remainder sequence."""
+    a, b = _primitive(f), _primitive(g)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        _, r, _ = _pseudo_divmod(a, b)
+        a, b = b, _primitive(r)
+    return a
+
+
+def _rational_roots(ints) -> List[Fraction]:
+    """Rational roots of a squarefree integer polynomial, by the bounded
+    divisor test: p/q in lowest terms is a root when sum c_i p^i q^(deg-i),
+    evaluated by a homogeneous Horner rule in ints, is zero."""
     roots = []
     # peel the root 0 first
     if ints[0] == 0:
@@ -238,12 +383,15 @@ def _rational_roots(f) -> List[Fraction]:
         return roots
     for p in _divisors(a0):
         for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0 and cand not in roots:
-                    roots.append(cand)
+            if math.gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                acc, qk = ints[-1], 1
+                for c in reversed(ints[:-1]):
+                    qk *= q
+                    acc = acc * num + c * qk
+                if acc == 0:
+                    roots.append(Fraction(num, q))
     return sorted(roots)
 
 
@@ -260,28 +408,197 @@ def _divisors(n: int) -> List[int]:
     return sorted(out)
 
 
-def _coprime_pieces(field, mu):
+class _IntegerPolys:
+    """Univariate arithmetic over Q on primitive integer coefficient lists."""
+
+    normalize = staticmethod(_primitive)
+    derivative = staticmethod(_int_derivative)
+    gcd = staticmethod(_int_gcd)
+    quo = staticmethod(_int_quo)
+    sub = staticmethod(_int_sub)
+
+    @staticmethod
+    def rational_roots(f):
+        return _rational_roots(f)
+
+    @staticmethod
+    def linear(r: Fraction):
+        return [-r.numerator, r.denominator]
+
+    @staticmethod
+    def crt_idempotents(pieces):
+        """(E, den) per piece p: E / den is 1 mod p and 0 mod the other
+        pieces, and of lower degree than their product sf.  Along the
+        pseudo-remainder sequence of p and h = sf / p, each remainder r
+        keeps a cofactor s with s h = r mod p; at the constant remainder c,
+        E = s h / c, reduced mod sf."""
+        sf = pieces[0]
+        for p in pieces[1:]:
+            sf = _int_mul(sf, p)
+        out = []
+        for p in pieces:
+            h = _int_quo(sf, p)
+            r0, s0, r1, s1 = p, [], h, [1]
+            while len(r1) > 1:
+                q, r, m = _pseudo_divmod(r0, r1)
+                s = _int_sub([m * v for v in s0], _int_mul(q, s1))
+                g = math.gcd(*r, *s)
+                r0, s0, r1, s1 = r1, s1, [v // g for v in r], [v // g for v in s]
+            if not r1:
+                raise RuntimeError("pieces were not coprime")
+            _, e, m = _pseudo_divmod(_int_mul(s1, h), sf)
+            den = r1[0] * m
+            g = math.gcd(den, *e)
+            if den < 0:
+                g = -g
+            out.append(([v // g for v in e], den // g))
+        return out
+
+    @staticmethod
+    def factor(f):
+        """Irreducible factors over Q, by sympy: the certification step."""
+        import sympy
+
+        t = sympy.Symbol("t")
+        expr = sum(sympy.Integer(c) * t**i for i, c in enumerate(f))
+        _, factors = sympy.Poly(expr, t, domain="QQ").factor_list()
+        pieces = []
+        for fac, _mult in factors:
+            cs = [Fraction(str(c)) for c in fac.all_coeffs()[::-1]]
+            pieces.append(_primitive(integral_coordinates(cs)[0]))
+        return pieces
+
+
+class _FieldPolys:
+    """Univariate arithmetic over an etale field on monic coefficient lists."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def normalize(self, f):
+        f = poly_trim(self.field, list(f))
+        return poly_scale(self.field, f, f[-1].inv())
+
+    def derivative(self, f):
+        return poly_derivative(self.field, f)
+
+    def gcd(self, f, g):
+        return poly_gcd(self.field, f, g)
+
+    def quo(self, f, g):
+        return poly_divmod(self.field, f, g)[0]
+
+    def sub(self, f, g):
+        return poly_add(self.field, f, poly_scale(self.field, g, -self.field.one))
+
+    @staticmethod
+    def rational_roots(f):
+        """None unless every coefficient is rational."""
+        try:
+            ints, _ = integral_coordinates([c.as_rational() for c in f])
+        except ValueError:
+            return []
+        return _rational_roots(ints)
+
+    def linear(self, r: Fraction):
+        return [self.field.from_rational(-r), self.field.one]
+
+    def crt_idempotents(self, pieces):
+        field = self.field
+        sf = pieces[0]
+        for p in pieces[1:]:
+            sf = poly_mul(field, sf, p)
+        out = []
+        for piece in pieces:
+            h, _ = poly_divmod(field, sf, piece)
+            g, u, v = poly_xgcd(field, piece, h)
+            if len(g) != 1:
+                raise RuntimeError("pieces were not coprime")
+            vh = poly_mul(field, poly_scale(field, v, g[0].inv()), h)
+            _, vh = poly_divmod(field, vh, sf)
+            out.append((vh, 1))
+        return out
+
+    @staticmethod
+    def factor(f):
+        raise NotImplementedError("primitivity certification is implemented over Q only")
+
+
+def _yun_squarefree_groups(ops, f):
+    """Yun's algorithm: f = prod g_i^i with the g_i squarefree and pairwise
+    coprime.  Returns the nonconstant g_i (multiplicity dropped).  Over Q the
+    quotients stay integral: each divisor is primitive (Gauss's lemma)."""
+    f = ops.normalize(f)
+    out = []
+    df = ops.derivative(f)
+    a = ops.gcd(f, df)
+    if len(a) <= 1:
+        return [f]
+    b = ops.quo(f, a)
+    c = ops.quo(df, a)
+    d = ops.sub(c, ops.derivative(b))
+    while len(b) > 1:
+        g = ops.gcd(b, d)
+        if len(g) > 1:
+            out.append(g)
+        b = ops.quo(b, g)
+        c = ops.quo(d, g)
+        d = ops.sub(c, ops.derivative(b))
+    return out
+
+
+def _coprime_pieces(ops, mu):
     """Pairwise coprime factors of the squarefree part of mu, found by gcds:
     Yun groups first, then rational linear factors peeled from each group."""
     pieces = []
-    for g in _yun_squarefree_groups(field, mu):
+    for g in _yun_squarefree_groups(ops, mu):
         rest = g
-        for r in _rational_roots(g):
-            lin = [field.from_rational(-r), field.one]
-            rest, _ = poly_divmod(field, rest, lin)
+        for r in ops.rational_roots(g):
+            lin = ops.linear(r)
+            rest = ops.quo(rest, lin)
             pieces.append(lin)
         if len(rest) > 1:
             pieces.append(rest)
     return pieces
 
 
+def _squarefree_part(ops, f):
+    return ops.normalize(ops.quo(f, ops.gcd(f, ops.derivative(f))))
+
+
+# ---------------------------------------------------------------------------
+# idempotent machinery, on coordinate vectors (a, den) in the center's basis
+
+
+def _polys(field):
+    return _IntegerPolys if isinstance(field, RationalField) else _FieldPolys(field)
+
+
+def _lincomb(tensor: StructureTensor, terms):
+    """sum of k * x over (k, x) in terms, for ints k and vectors x."""
+    den = math.lcm(*(d for _, (_, d) in terms))
+    out = [tensor.scalar(0)] * len(terms[0][1][0])
+    for k, (a, d) in terms:
+        f = tensor.scalar(k * (den // d))
+        for i, x in enumerate(a):
+            if x:
+                out[i] = out[i] + f * x
+    return _reduced(out, den)
+
+
+def _unit_vectors(tensor: StructureTensor):
+    m = tensor.dim
+    return [([tensor.scalar(int(k == i)) for k in range(m)], 1) for i in range(m)]
+
+
 class _Block:
     """A unital commutative subalgebra e*C of the center C: its unit e and a
-    basis, as coordinate vectors in the basis of C."""
+    basis, as vectors in the basis of C."""
 
     def __init__(self, center: CenterAlgebra, unit, basis):
         self.field = center.field
-        self.structure = center.structure
+        self.tensor = center.tensor
+        self.polys = _polys(center.field)
         self.unit = unit
         self.basis = basis
 
@@ -290,128 +607,147 @@ class _Block:
         return len(self.basis)
 
     def mul(self, x, y):
-        return linalg.structure_product(self.field, self.structure, x, y)
+        return _reduced(self.tensor.mul(x[0], y[0]), x[1] * y[1] * self.tensor.den)
 
     def minpoly(self, z):
-        """Minimal polynomial of z acting inside this block (unit = 1)."""
-        field = self.field
-        powers = [self.unit]  # the powers of z found independent so far
-        while True:
-            cur = self.mul(powers[-1], z)
-            rows = [{k: p[i] for k, p in enumerate(powers) if not p[i].is_zero()}
-                    for i in range(len(cur))]
-            rep = linalg.solve(field, rows, cur, len(powers))
-            if rep is not None:
-                coeffs = [-c for c in rep] + [field.one]
-                return poly_trim(field, coeffs)
-            powers.append(cur)
-            if len(powers) > self.dim + 1:
-                raise RuntimeError("minimal polynomial search exceeded the block dimension")
+        """Minimal polynomial of z acting inside this block (unit = 1).
 
-    def poly_eval(self, coeffs, z):
-        """A univariate polynomial (low-first coefficient list) at z, by
-        Horner's rule, with the block's unit standing in for 1."""
-        out = tuple(self.field.zero for _ in z)
-        for c in reversed(list(coeffs)):
-            out = self.mul(out, z)
-            if not c.is_zero():
-                out = _add(out, _scale(c, self.unit))
-        return out
+        With z = Z / dz, e = U / de and w = dz * den, the vectors
+        q_k = de w^k e z^k are integral: q_0 = U and q_(k+1) = T(q_k, Z).
+        Each q_k is reduced against the earlier ones (an echelon form that
+        records the combination of the q_i behind each row); the first that
+        reduces to zero gives sum c_i q_i = 0, so mu(t) is sum c_i w^i t^i."""
+        t = self.tensor
+        Z, dz = z
+        w = dz * t.den
+        one = t.scalar(1)
+        q = self.unit[0]
+        echelon = []  # (pivot column, row, combination); zero at earlier pivots
+        for k in range(self.dim + 2):
+            row = {i: v for i, v in enumerate(q) if v}
+            comb = {k: one}
+            for p, erow, ecomb in echelon:
+                f = row.get(p)
+                if f:
+                    a = erow[p]
+                    if t.integral:
+                        g = math.gcd(a, f)
+                        a, f = a // g, f // g
+                    row = _sub_scaled(a, row, f, erow)
+                    comb = _sub_scaled(a, comb, f, ecomb)
+            if not row:
+                return self.polys.normalize(
+                    [comb.get(i, t.scalar(0)) * t.scalar(w**i) for i in range(k + 1)]
+                )
+            p = min(row)
+            if t.integral:
+                g = math.gcd(*row.values(), *comb.values())
+                if g != 1:
+                    row = {i: v // g for i, v in row.items()}
+                    comb = {i: v // g for i, v in comb.items()}
+            else:
+                inv = row[p].inv()
+                row = {i: v * inv for i, v in row.items()}
+                comb = {i: v * inv for i, v in comb.items()}
+            echelon.append((p, row, comb))
+            q = t.mul(q, Z)
+        raise RuntimeError("minimal polynomial search exceeded the block dimension")
+
+    def poly_eval(self, poly, z):
+        """The polynomial coeffs / den, poly = (coeffs, den), at z by Horner's
+        rule, with the block's unit standing in for 1.  With w = dz * den_T
+        the partial value after coefficient k is A_k / (de w^(deg - k)),
+        A_deg = c_deg U and A_k = T(A_(k+1), Z) + c_k w^(deg - k) U."""
+        coeffs, cden = poly
+        t = self.tensor
+        U, de = self.unit
+        Z, dz = z
+        w = dz * t.den
+        deg = len(coeffs) - 1
+        acc = [t.scalar(0)] * len(U)
+        for k in range(deg, -1, -1):
+            if k < deg:
+                acc = t.mul(acc, Z)
+            c = coeffs[k]
+            if c:
+                f = c * t.scalar(w ** (deg - k))
+                acc = [x + f * u if u else x for x, u in zip(acc, U)]
+        return _reduced(acc, de * w**deg * cden)
 
     def elements(self):
         """Deterministic candidate sequence: basis, then pairwise sums, then
         sums with small integer weights."""
+        t = self.tensor
         for b in self.basis:
             yield b
         m = len(self.basis)
         for i in range(m):
             for j in range(i + 1, m):
-                yield _add(self.basis[i], self.basis[j])
+                yield _lincomb(t, [(1, self.basis[i]), (1, self.basis[j])])
         for w in range(2, 6):
-            c = self.field.from_rational(w)
             for i in range(m):
                 for j in range(m):
                     if i != j:
-                        yield _add(self.basis[i], _scale(c, self.basis[j]))
+                        yield _lincomb(t, [(1, self.basis[i]), (w, self.basis[j])])
 
     def nilradical_rank(self) -> int:
         """Rank of the regular trace form t(xy) on the block; its kernel is
         the nilradical.  Multiplication by x in eC is zero on (1 - e)C, so
         its trace on eC is its trace on C, t(x) = sum_i x_i t_i with
-        t_i = sum_k structure[i][k][k]."""
-        field = self.field
-        t = [sum((plane[k][k] for k in range(len(plane))), field.zero)
-             for plane in self.structure]
-
-        def trace(x):
-            return sum((a * b for a, b in zip(t, x) if not b.is_zero()), field.zero)
-
+        t_i = sum_k T[i][k][k].  Scaling the rows and columns of the Gram
+        matrix by nonzero constants keeps its rank, so it is built on the
+        numerators of the basis vectors and of the t_i."""
+        t = self.tensor
+        zero = t.scalar(0)
+        tr = [sum((c for k, row in enumerate(plane) for l, c in row if l == k), zero)
+              for plane in t.rows]
         m = self.dim
-        gram = [[field.zero] * m for _ in range(m)]
+        gram = [{} for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
-                gram[i][j] = gram[j][i] = trace(self.mul(self.basis[i], self.basis[j]))
-        return linalg.rank(field, gram)
+                prod = t.mul(self.basis[i][0], self.basis[j][0])
+                v = sum((a * b for a, b in zip(tr, prod) if b), zero)
+                if v:
+                    gram[i][j] = gram[j][i] = v
+        return linalg.rank(self.field, gram)
+
+
+def _sub_scaled(a, x: dict, f, y: dict) -> dict:
+    """a x - f y for sparse rows, without zeros."""
+    out = {k: a * v for k, v in x.items()}
+    for k, v in y.items():
+        s = out[k] - f * v if k in out else -(f * v)
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
 
 
 def _lift_idempotent(block: _Block, e):
     """Newton iteration e <- 3e^2 - 2e^3; exact once it stabilizes."""
-    field = block.field
-    three = field.from_rational(3)
-    minus_two = field.from_rational(-2)
     for _ in range(64):
         e2 = block.mul(e, e)
         if e2 == e:
             return e
         e3 = block.mul(e2, e)
-        e = _add(_scale(three, e2), _scale(minus_two, e3))
+        e = _lincomb(block.tensor, [(3, e2), (-2, e3)])
     raise RuntimeError("idempotent lifting failed to stabilize")
 
 
 def _split_with_pieces(block: _Block, z, pieces):
     """CRT idempotents for pairwise coprime pieces of the squarefree part of
     the minimal polynomial of z, lifted through the nilradical."""
-    field = block.field
-    sf = pieces[0]
-    for p in pieces[1:]:
-        sf = poly_mul(field, sf, p)
-    out = []
-    for piece in pieces:
-        h, _ = poly_divmod(field, sf, piece)
-        g, u, v = poly_xgcd(field, piece, h)
-        if len(g) != 1:
-            raise RuntimeError("pieces were not coprime")
-        scale = g[0].inv()
-        vh = poly_mul(field, poly_scale(field, v, scale), h)
-        _, vh = poly_divmod(field, vh, sf)
-        out.append(_lift_idempotent(block, block.poly_eval(vh, z)))
-    return out
-
-
-def _factor_pieces_sympy(field, mu):
-    """Irreducible factors over Q as coefficient lists; the certification step."""
-    if field != QQ:
-        raise NotImplementedError(
-            "primitivity certification is implemented over Q only"
-        )
-    import sympy
-
-    t = sympy.Symbol("t")
-    expr = sum(sympy.Rational(c.coeffs[0]) * t**i for i, c in enumerate(mu))
-    _, factors = sympy.Poly(expr, t, domain="QQ").factor_list()
-    pieces = []
-    for fac, _mult in factors:
-        cs = fac.all_coeffs()[::-1]
-        lead = Fraction(str(cs[-1]))
-        piece = [field.from_rational(Fraction(str(c)) / lead) for c in cs]
-        pieces.append(piece)
-    return pieces
+    return [
+        _lift_idempotent(block, block.poly_eval(poly, z))
+        for poly in block.polys.crt_idempotents(pieces)
+    ]
 
 
 def _try_split(block: _Block):
     """One round: return orthogonal idempotents refining the block, or None
     when the block is certified primitive."""
-    field = block.field
+    polys = block.polys
     if block.dim == 1:
         return None
 
@@ -419,7 +755,7 @@ def _try_split(block: _Block):
     for z in block.elements():
         mu = block.minpoly(z)
         minpolys.append((z, mu))
-        pieces = _coprime_pieces(field, mu)
+        pieces = _coprime_pieces(polys, mu)
         if len(pieces) >= 2:
             return _split_with_pieces(block, z, pieces)
 
@@ -428,10 +764,10 @@ def _try_split(block: _Block):
     if ss_rank == 1:
         return None
     for z, mu in minpolys:
-        sf = _squarefree_part(field, mu)
+        sf = _squarefree_part(polys, mu)
         if len(sf) - 1 == ss_rank:
             # z generates the semisimple quotient; factor its minimal polynomial
-            pieces = _factor_pieces_sympy(field, sf)
+            pieces = polys.factor(sf)
             if len(pieces) >= 2:
                 return _split_with_pieces(block, z, pieces)
             return None
@@ -440,25 +776,24 @@ def _try_split(block: _Block):
     )
 
 
-def _squarefree_part(field, f):
-    g = poly_gcd(field, f, poly_derivative(field, f))
-    out, _ = poly_divmod(field, f, g)
-    return poly_scale(field, out, out[-1].inv())
-
-
 def primitive_idempotents(center: CenterAlgebra) -> List[Matrix]:
     """The primitive idempotents of the center, split on coordinate vectors
     in its basis and returned as n x n matrices in a canonical order."""
     field = center.field
-    units = _unit_vectors(field, center.dim)
+    t = center.tensor
 
     def make_block(e) -> _Block:
-        rows = [linalg.structure_product(field, center.structure, e, b) for b in units]
+        # the rows e * b_k, straight from the tensor's rows
+        E = [(i, c) for i, c in enumerate(e[0]) if c]
+        rows = [t.combine((c, t.rows[i][k]) for i, c in E) for k in range(t.dim)]
         red, pivots = linalg.rref(field, rows)
-        return _Block(center, e, [tuple(red[i]) for i in range(len(pivots))])
+        zero = t.scalar(0)
+        return _Block(center, e, [([row.get(i, zero) for i in range(t.dim)], row[c])
+                                  if t.integral else ([row.get(i, zero) for i in range(t.dim)], 1)
+                                  for row, c in zip(red, pivots)])
 
     final = []
-    queue = [center.unit_coords]
+    queue = [center.unit]
     while queue:
         e = queue.pop(0)
         split = _try_split(make_block(e))
@@ -466,23 +801,28 @@ def primitive_idempotents(center: CenterAlgebra) -> List[Matrix]:
             final.append(e)
         else:
             for piece in split:
-                if all(x.is_zero() for x in piece):
+                if not any(piece[0]):
                     raise RuntimeError("zero idempotent produced by a split")
             queue.extend(split)
 
     n = center.dim_space
-    entries = [
-        [(a, i, x) for a, row in enumerate(b) for i, x in enumerate(row) if not x.is_zero()]
-        for b in center.basis
-    ]
     mats = []
-    for e in final:
-        mat = [[field.zero] * n for _ in range(n)]
-        for ek, nonzero in zip(e, entries):
-            if not ek.is_zero():
-                for a, i, x in nonzero:
-                    mat[a][i] = mat[a][i] + ek * x
-        mats.append(tuple(tuple(row) for row in mat))
+    for ek, de in final:
+        scale = math.lcm(*(s for c, (_, s) in zip(ek, center.matrices) if c))
+        acc = [{} for _ in range(n)]
+        for c, (rows, s) in zip(ek, center.matrices):
+            if c:
+                f = _times(c, scale // s)
+                for a, row in enumerate(rows):
+                    line = acc[a]
+                    for i, x in row.items():
+                        line[i] = line[i] + f * x if i in line else f * x
+        mat = []
+        for line in acc:
+            values = from_coordinates(field, [line.get(i, t.scalar(0)) for i in range(n)],
+                                      de * scale)
+            mat.append(values)
+        mats.append(tuple(mat))
 
     def key(mat: Matrix):
         return tuple(
@@ -574,5 +914,5 @@ def is_absolutely_indecomposable(phi: HomogeneousForm) -> bool:
     if radical(phi):
         raise DegenerateInput("form has a nonzero radical")
     center = center_algebra(polarize(phi))
-    block = _Block(center, center.unit_coords, _unit_vectors(center.field, center.dim))
+    block = _Block(center, center.unit, _unit_vectors(center.tensor))
     return block.nilradical_rank() == 1

@@ -2,7 +2,10 @@
 
 Matrices are lists of row lists of FieldElement.  `rref`, `nullspace` and
 `solve` also take sparse rows: {column: FieldElement} dicts that hold no
-zero entries, and raise TypeError for an entry over another field.  All
+zero entries, and raise TypeError for an entry over another field.  Over Q a
+dict row may hold nonzero ints instead: `rref` then returns each reduced row
+as the primitive integer row with a positive pivot, a positive multiple of
+the reduced row, and the rows need no conversion.  All
 three run one Gauss-Jordan elimination on dict rows; it stores no zeros, and
 a pivot step updates only the rows that hold the pivot column.  The pivot for
 a column is the first remaining row holding it, in the order a dense
@@ -22,7 +25,8 @@ so a non-invertible pivot raises ZeroDivisor at the same step as the dense
 routine would.
 
 `bareiss` is the one determinant routine, for scalar and polynomial matrices
-alike; `mat_mul` and `structure_product` skip zero entries.
+alike; `mat_mul` skips zero entries, and takes dict rows of ints too.
+Products by structure constants live in `coeffield.StructureTensor`.
 """
 
 from __future__ import annotations
@@ -47,8 +51,12 @@ def _check_field(field, x):
 
 
 def _integer_row(field, row):
-    """A dense or dict row over Q as a primitive {column: int} row: the
-    row times the lcm of its denominators, over the gcd of the results."""
+    """A dense or dict row over Q as a new primitive {column: int} row: the
+    row times the lcm of its denominators, over the gcd of the results.  A
+    dict row of ints is only divided by its content."""
+    if _holds_ints(row):
+        g = gcd(*row.values())
+        return dict(row) if g == 1 else {k: v // g for k, v in row.items()}
     cols, fracs = [], []
     for c, x in row.items() if isinstance(row, dict) else enumerate(row):
         if x.field is not field:
@@ -64,6 +72,10 @@ def _integer_row(field, row):
     if g != 1:
         ints = [v // g for v in ints]
     return dict(zip(cols, ints))
+
+
+def _holds_ints(row) -> bool:
+    return isinstance(row, dict) and isinstance(next(iter(row.values()), None), int)
 
 
 def _field_step(rows, p, c, hold, holders):
@@ -160,11 +172,16 @@ def _eliminate(rows, step):
 
 
 def _gauss_jordan(field, rows):
-    """The nonzero rows of the reduced row echelon form, as dicts of field
-    elements in pivot order, and the pivot columns."""
+    """The nonzero rows of the reduced row echelon form in pivot order, and
+    the pivot columns.  The rows are dicts of field elements, or over Q, for
+    rows of ints, primitive integer rows with a positive pivot."""
     if isinstance(field, RationalField):
         red, pivots = _eliminate([_integer_row(field, r) for r in rows], _integer_step)
         out = []
+        if any(_holds_ints(r) for r in rows):
+            for row, c in zip(red, pivots):
+                out.append(row if row[c] > 0 else {k: -v for k, v in row.items()})
+            return out, pivots
         for row, c in zip(red, pivots):
             a = row[c]
             out.append({k: FieldElement(field, (Fraction(v, a),)) for k, v in row.items()})
@@ -362,8 +379,9 @@ def _cofactor(rows, zero, one):
 
 def mat_mul(field, a, b):
     """Product of matrices given as dense rows, or as dict rows (the product
-    then comes back as dict rows); zero entries of either factor cost no
-    arithmetic, and a row of b is scanned only when a uses it."""
+    then comes back as dict rows, and their entries may be ints); zero
+    entries of either factor cost no arithmetic, and a row of b is scanned
+    only when a uses it."""
     dense = not (a and isinstance(a[0], dict))
     cols = len(b[0]) if dense and b else 0
     b_rows = {}  # k -> the nonzero (j, b[k][j])
@@ -371,7 +389,7 @@ def mat_mul(field, a, b):
     for ai in a:
         acc = {}
         for k, f in enumerate(ai) if dense else ai.items():
-            if f.is_zero():
+            if not f:
                 continue
             bk = b_rows.get(k)
             if bk is None:
@@ -385,27 +403,8 @@ def mat_mul(field, a, b):
                 row[j] = v
             out.append(row)
         else:
-            out.append({j: v for j, v in acc.items() if not v.is_zero()})
+            out.append({j: v for j, v in acc.items() if v})
     return out
-
-
-def structure_product(field, structure, x, y):
-    """xy for coordinate vectors x, y under e_i e_j = sum_l structure[i][j][l] e_l;
-    zero coordinates and zero constants cost no arithmetic."""
-    out = [field.zero] * len(structure)
-    ys = [(j, b) for j, b in enumerate(y) if not b.is_zero()]
-    for i, a in enumerate(x):
-        if a.is_zero():
-            continue
-        plane = structure[i]
-        for j, b in ys:
-            ab = None
-            for l, c in enumerate(plane[j]):
-                if not c.is_zero():
-                    if ab is None:
-                        ab = a * b
-                    out[l] = out[l] + c * ab
-    return tuple(out)
 
 
 def identity(field, n):
