@@ -304,7 +304,8 @@ def to_coordinates(field, xs):
 def from_coordinates(field, a, den: int = 1) -> tuple:
     """The field elements a / den: `to_coordinates` read back."""
     if isinstance(field, RationalField):
-        return tuple(FieldElement(field, (Fraction(v, den),)) for v in a)
+        zero = field.zero
+        return tuple(FieldElement(field, (Fraction(v, den),)) if v else zero for v in a)
     return tuple(a)
 
 

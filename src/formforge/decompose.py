@@ -27,6 +27,7 @@ polynomials are monic coefficient lists (the field path).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -806,6 +807,7 @@ def primitive_idempotents(center: CenterAlgebra) -> List[Matrix]:
             queue.extend(split)
 
     n = center.dim_space
+    zero = t.scalar(0)
     mats = []
     for ek, de in final:
         scale = math.lcm(*(s for c, (_, s) in zip(ek, center.matrices) if c))
@@ -817,19 +819,23 @@ def primitive_idempotents(center: CenterAlgebra) -> List[Matrix]:
                     line = acc[a]
                     for i, x in row.items():
                         line[i] = line[i] + f * x if i in line else f * x
-        mat = []
-        for line in acc:
-            values = from_coordinates(field, [line.get(i, t.scalar(0)) for i in range(n)],
-                                      de * scale)
-            mat.append(values)
-        mats.append(tuple(mat))
+        mats.append(tuple(
+            from_coordinates(field, [line.get(i, zero) for i in range(n)], de * scale)
+            for line in acc
+        ))
 
-    def key(mat: Matrix):
-        return tuple(
-            tuple(_element_sort_key(x) for x in row) for row in mat
-        )
+    return sorted(mats, key=functools.cmp_to_key(_matrix_order))
 
-    return sorted(mats, key=key)
+
+def _matrix_order(a: Matrix, b: Matrix) -> int:
+    """Lexicographic order of the matrices' entries by `_element_sort_key`,
+    which is computed only at the first entry where they differ."""
+    for ra, rb in zip(a, b):
+        if ra != rb:
+            for x, y in zip(ra, rb):
+                if x != y:
+                    return -1 if _element_sort_key(x) < _element_sort_key(y) else 1
+    return 0
 
 
 def _element_sort_key(x: FieldElement):
