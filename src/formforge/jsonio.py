@@ -440,8 +440,6 @@ def encode_obstruction_report(rep):
     out = {
         "verdict": rep.verdict,
         "dims": list(rep.dims),
-        "permutations_checked": rep.permutations_checked,
-        "permutations_surviving": rep.permutations_surviving,
         "details": rep.details,
     }
     if rep.clause is not None:

@@ -843,18 +843,46 @@ def clear_denominators(M: Sequence[Sequence[RationalFunction]]):
 
 
 def linear_forms(N: Sequence[Sequence[Polynomial]]):
-    """The entries of N(X) * Y, as polynomials in the X then Y variables."""
+    """The entries of N(X) * Y, as polynomials in the X then Y variables.
+
+    Over Q each row is built from the integer forms of its entries, as
+    `embed` shifts keys: a key of N[i][j] keeps its exponent fields, moved
+    up past the n new ones, gains y_j's field and one more degree, and is
+    scaled to the row's common denominator."""
     n = len(N)
     field = N[0][0].field
-    y_exps = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
-    return [
-        Polynomial(
-            field,
-            N[0][0].nvars + n,
-            {e + y_exps[j]: c for j, entry in enumerate(row) for e, c in entry.terms.items()},
-        )
-        for row in N
-    ]
+    nx = N[0][0].nvars
+    nv = nx + n
+    if not isinstance(field, RationalField):
+        y_exps = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
+        return [
+            Polynomial(
+                field,
+                nv,
+                {e + y_exps[j]: c for j, entry in enumerate(row) for e, c in entry.terms.items()},
+            )
+            for row in N
+        ]
+    entries = [entry for row in N for entry in row]
+    degree = max(entry.total_degree() for entry in entries) + 1
+    bits = max(_width(degree), *(entry._bits for entry in entries))
+    shift = nx * bits
+    mask = (1 << shift) - 1
+    top = nv * bits
+    up = n * bits
+    out = []
+    for row in N:
+        den = math.lcm(*(entry._den for entry in row))
+        nums = {}
+        for j, entry in enumerate(row):
+            if entry._nums:
+                entry._widen(bits)
+                f = den // entry._den
+                y = 1 << ((n - 1 - j) * bits)
+                for k, c in entry._nums.items():
+                    nums[(((k >> shift) + 1) << top) | ((k & mask) << up) | y] = c * f
+        out.append(Polynomial._from_ints(field, nv, bits, nums, den))
+    return out
 
 
 def substitute_linear(p: Polynomial, M: Sequence[Sequence[RationalFunction]]):

@@ -8,7 +8,6 @@ exact evaluation at random points (evidence with a stated bound).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
@@ -95,8 +94,6 @@ class ObstructionReport:
     dims: Tuple[int, ...]
     clause: Optional[str] = None
     power_test: str = ""
-    permutations_checked: int = 0
-    permutations_surviving: int = 0
     details: str = ""
 
 
@@ -586,11 +583,16 @@ def diagonal_jordan_cubic_decision(coeffs, field=QQ) -> DiagonalDecision:
 
 def krull_schmidt_obstruction(phi: HomogeneousForm) -> ObstructionReport:
     """Dimension-multiset constraints on a hypothetical strong-multiplicativity
-    permutation, reduced to perfect-power tests.
+    permutation, reduced to a perfect-power test.
 
     Any witness over K = k(X) permutes the indecomposable components within a
     dimension class; a one-dimensional component <a> mapped to <b> forces
     (a/b) phi(X) to be a d-th power in K, whose polynomial part is testable.
+    That test decides every input with a one-dimensional component and at
+    least two components: phi(X) = c g(X)^d with phi of degree d makes g a
+    linear form l, and then phi = c l^d has a radical of dimension n - 1 >= 1,
+    which `krull_schmidt_decompose` has already refused as degenerate.  So
+    such an input is always obstructed at `one_dim_power`.
     """
     d = phi.degree
     dec = krull_schmidt_decompose(phi)
@@ -601,71 +603,23 @@ def krull_schmidt_obstruction(phi: HomogeneousForm) -> ObstructionReport:
             dims=dims,
             details="single indecomposable component: no dimension-multiset constraint",
         )
-    ones = [c for c in dec.components if c.dim == 1]
-    if not ones:
+    if 1 not in dims:
         return ObstructionReport(
             verdict="consistent_unknown",
             dims=dims,
             details="no one-dimensional component: remaining clauses are not "
             "reducible to perfect-power tests",
         )
-    scalars = []
-    for c in ones:
-        ((e, a),) = c.form.body.terms.items()
-        scalars.append(a)
-
-    res = is_dth_power(phi.body, d)
-    if res is None:
-        return ObstructionReport(
-            verdict="obstructed",
-            dims=dims,
-            clause="one_dim_power",
-            power_test="phi(X) is not a scalar times a d-th power in k[X]",
-            details="a permutation must map the one-dimensional class to itself, "
-            "forcing (a_i/a_j) phi(X) into k(X)^%d; the polynomial part already fails" % d,
-        )
-    c_scalar, _root = res
-    if len(ones) > 6:
-        return ObstructionReport(
-            verdict="consistent_unknown",
-            dims=dims,
-            power_test="phi(X) = c g^d with c = %r" % (c_scalar,),
-            details="one-dimensional class too large to enumerate",
-        )
-    checked = 0
-    surviving = 0
-    undecided = False
-    for perm in itertools.permutations(range(len(ones))):
-        checked += 1
-        ok = True
-        for i, pi in enumerate(perm):
-            ratio = c_scalar * scalars[i] * scalars[pi].inv()
-            verdict, _ = scalar_is_dth_power(ratio, d)
-            if verdict is None:
-                undecided = True
-            if verdict is False:
-                ok = False
-                break
-        if ok:
-            surviving += 1
-    if surviving == 0 and not undecided:
-        return ObstructionReport(
-            verdict="obstructed",
-            dims=dims,
-            clause="one_dim_scalar_permutation",
-            power_test="phi(X) = c g^d with c = %r" % (c_scalar,),
-            permutations_checked=checked,
-            permutations_surviving=0,
-            details="no permutation of the one-dimensional components makes all "
-            "forced scalars d-th powers in k",
-        )
+    if is_dth_power(phi.body, d) is not None:
+        raise RuntimeError("a nondegenerate form with two or more components "
+                           "reported as a scalar times a d-th power")
     return ObstructionReport(
-        verdict="consistent_unknown",
+        verdict="obstructed",
         dims=dims,
-        power_test="phi(X) = c g^d with c = %r" % (c_scalar,),
-        permutations_checked=checked,
-        permutations_surviving=surviving,
-        details="some permutation remains consistent with the perfect-power constraints",
+        clause="one_dim_power",
+        power_test="phi(X) is not a scalar times a d-th power in k[X]",
+        details="a permutation must map the one-dimensional class to itself, "
+        "forcing (a_i/a_j) phi(X) into k(X)^%d; the polynomial part already fails" % d,
     )
 
 

@@ -4,8 +4,9 @@ Nothing in `src/formforge` calls these: each computes something the library
 also computes, by an independent and usually slower route (subset sums,
 a skew element, a resultant, a permutation sum, a subgroup walk, a
 division that rebuilds the remainder at every step, an evaluation that
-multiplies field elements one at a time, and sums, products, substitution and
-heap division on {exponent tuple: FieldElement} dicts).
+multiplies field elements one at a time, a product by dense structure
+constants, linear forms built from the terms dicts, and sums, products,
+substitution and heap division on {exponent tuple: FieldElement} dicts).
 """
 
 import heapq
@@ -292,3 +293,37 @@ def brute_force_exponent_closure(d: int, s: int) -> int:
             frontier.append(w)
     positives = [x for x in seen if x > 0]
     return min(positives) if positives else d
+
+
+def structure_product(field, structure, x, y):
+    """xy for coordinate vectors x, y under e_i e_j = sum_l structure[i][j][l] e_l,
+    one field-element product at a time over the dense constants."""
+    out = [field.zero] * len(structure)
+    ys = [(j, b) for j, b in enumerate(y) if not b.is_zero()]
+    for i, a in enumerate(x):
+        if a.is_zero():
+            continue
+        plane = structure[i]
+        for j, b in ys:
+            ab = None
+            for l, c in enumerate(plane[j]):
+                if not c.is_zero():
+                    if ab is None:
+                        ab = a * b
+                    out[l] = out[l] + c * ab
+    return tuple(out)
+
+
+def linear_forms_from_terms(N):
+    """The entries of N(X) * Y from the terms dicts of N's entries."""
+    n = len(N)
+    field = N[0][0].field
+    y_exps = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
+    return [
+        Polynomial(
+            field,
+            N[0][0].nvars + n,
+            {e + y_exps[j]: c for j, entry in enumerate(row) for e, c in entry.terms.items()},
+        )
+        for row in N
+    ]

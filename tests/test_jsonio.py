@@ -176,6 +176,7 @@ def test_obstruction_report_payload():
     obj = rebuild(encode_obstruction_report(rep))
     assert obj["verdict"] == "obstructed"
     assert obj["dims"] == [1, 1]
+    assert sorted(obj) == ["clause", "details", "dims", "power_test", "verdict"]
 
 
 def test_decomposition_payload():

@@ -15,8 +15,13 @@ from formforge import (
 )
 from formforge.constructions import catalog
 from formforge.jsonio import decode_field
-from formforge.poly import clear_denominators, ring_matrix_determinant, sample_identity
-from oracles import long_division
+from formforge.poly import (
+    clear_denominators,
+    linear_forms,
+    ring_matrix_determinant,
+    sample_identity,
+)
+from oracles import linear_forms_from_terms, long_division
 
 
 def var(n, i):
@@ -65,6 +70,11 @@ def test_clear_denominators_on_catalog_witnesses():
                 )
                 for row in M
             )
+            # rows over different denominators, with N's entries as they come
+            scaled = [[e.scale(Fraction(1, 2 + i + 3 * j)) for j, e in enumerate(row)]
+                      for i, row in enumerate(N)]
+            for rows in (N, scaled):
+                assert linear_forms(rows) == linear_forms_from_terms(rows)
             checked += 1
     assert checked >= 20
 

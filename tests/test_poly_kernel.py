@@ -3,7 +3,8 @@ packed exponents and integer numerators against the dict arithmetic of
 `oracles` (one field-element operation per pair of terms), evaluation over Q
 against a term-by-term Fraction sum, and evaluation over etale algebras
 against `oracles.generic_eval`, which multiplies field elements one at a time.
-Needs hypothesis (the `test` extra)."""
+Products through a `StructureTensor` are checked against the dense
+`oracles.structure_product`.  Needs hypothesis (the `test` extra)."""
 
 from fractions import Fraction
 
@@ -13,13 +14,20 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from formforge import NotDivisible, Polynomial, QQ, ZeroDivisor, field_extend  # noqa: E402
-from formforge.coeffield import poly_divmod, poly_mul  # noqa: E402
+from formforge.coeffield import (  # noqa: E402
+    StructureTensor,
+    from_coordinates,
+    poly_divmod,
+    poly_mul,
+    to_coordinates,
+)
 from oracles import (  # noqa: E402
     dict_add,
     dict_compose,
     dict_mul,
     generic_eval,
     heap_exact_div,
+    structure_product,
 )
 
 _coeff = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
@@ -293,3 +301,37 @@ def test_split_quadratic_idempotents():
         with pytest.raises(ZeroDivisor, match="zero divisor") as exc:
             e.inv()
         assert exc.value.hint == tuple(QQ.from_rational(c) for c in hint)
+
+
+# ---------------------------------------------------------------------------
+# structure tensors of algebras
+
+
+def _sparse_element(draw, field):
+    """Zero about half the time, else a rational (with a denominator up to
+    12) over Q, or an element of the field."""
+    if draw(st.booleans()):
+        return field.zero
+    return field.from_rational(draw(_coeff)) if field == QQ else _element(draw, field)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_structure_tensor_product_matches_dense_constants(data):
+    """Random sparse tables of structure constants, over Q in ints and over
+    Q(sqrt 2) on the field path: the tensor's product of two vectors, and
+    its dense constants read back, against the dense oracle."""
+    field = data.draw(st.sampled_from((QQ, _SQRT2)))
+    n = data.draw(st.integers(1, 5))
+    planes = tuple(
+        tuple(tuple(_sparse_element(data.draw, field) for _ in range(n)) for _ in range(n))
+        for _ in range(n)
+    )
+    x = [_sparse_element(data.draw, field) for _ in range(n)]
+    y = [_sparse_element(data.draw, field) for _ in range(n)]
+    t = StructureTensor.from_elements(field, planes)
+    assert t.elements() == planes
+    a, da = to_coordinates(field, x)
+    b, db = to_coordinates(field, y)
+    got = from_coordinates(field, t.mul(a, b), da * db * t.den)
+    assert got == structure_product(field, planes, x, y)

@@ -301,6 +301,21 @@ def test_obstruction_split_pair():
     assert report.dims == (1, 1)
 
 
+@pytest.mark.parametrize("make, dims", [
+    (lambda: diag([1, 8], 3), (1, 1)),
+    (lambda: diag([2, -3, 5], 4), (1, 1, 1)),
+    (lambda: diag([1, 1, 1, 1, 1, 1, 1], 3), (1,) * 7),
+    (lambda: orthogonal_sum(diag([1, 2, 3, 4, 5, 6, 7], 3), tits_cubic(2).form),
+     (1,) * 7 + (3,)),
+], ids=["two-cubes", "three-quartic", "seven-ones", "seven-ones-and-tits"])
+def test_obstruction_with_one_dimensional_components_stops_at_the_power_test(make, dims):
+    """With a one-dimensional component and at least two components, phi is
+    never c l^d (that has a radical), so the power test decides, however
+    many one-dimensional components there are."""
+    report = krull_schmidt_obstruction(make())
+    assert (report.verdict, report.clause, report.dims) == ("obstructed", "one_dim_power", dims)
+
+
 def test_obstruction_silent_on_single_component():
     report = krull_schmidt_obstruction(tits_cubic(2).form)
     assert report.verdict == "consistent_unknown"
