@@ -337,21 +337,16 @@ class StructureTensor:
     @classmethod
     def from_elements(cls, field, planes) -> "StructureTensor":
         """The tensor of dense constants planes[i][j][l], field elements."""
-        if not isinstance(field, RationalField):
-            return cls(field, tuple(
-                tuple(tuple((l, c) for l, c in enumerate(row) if not c.is_zero()) for row in plane)
-                for plane in planes
-            ))
-        den = math.lcm(*(c.coeffs[0].denominator for plane in planes for row in plane
-                         for c in row))
-        return cls(field, tuple(
+        n = len(planes)
+        flat, den = to_coordinates(field, [c for plane in planes for row in plane for c in row])
+        rows = tuple(
             tuple(
-                tuple((l, c.coeffs[0].numerator * (den // c.coeffs[0].denominator))
-                      for l, c in enumerate(row) if c.coeffs[0])
-                for row in plane
+                tuple((l, c) for l, c in enumerate(flat[(i * n + j) * n : (i * n + j + 1) * n]) if c)
+                for j in range(n)
             )
-            for plane in planes
-        ), den)
+            for i in range(n)
+        )
+        return cls(field, rows, den)
 
     @property
     def dim(self) -> int:

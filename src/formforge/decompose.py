@@ -271,7 +271,7 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
         field=field,
         dim_space=n,
         tensor=StructureTensor(field, rows, den),
-        unit=_reduced(unit, 1),
+        unit=(unit, 1),
         matrices=tuple(zip(matrices, scales)),
     )
 
@@ -431,8 +431,8 @@ class _IntegerPolys:
         """(E, den) per piece p: E / den is 1 mod p and 0 mod the other
         pieces, and of lower degree than their product sf.  Along the
         pseudo-remainder sequence of p and h = sf / p, each remainder r
-        keeps a cofactor s with s h = r mod p; at the constant remainder c,
-        E = s h / c, reduced mod sf."""
+        keeps a cofactor s with s h = r mod p, and deg s < deg p; at the
+        constant remainder c, E = s h and den = c."""
         sf = pieces[0]
         for p in pieces[1:]:
             sf = _int_mul(sf, p)
@@ -447,8 +447,8 @@ class _IntegerPolys:
                 r0, s0, r1, s1 = r1, s1, [v // g for v in r], [v // g for v in s]
             if not r1:
                 raise RuntimeError("pieces were not coprime")
-            _, e, m = _pseudo_divmod(_int_mul(s1, h), sf)
-            den = r1[0] * m
+            e = _int_mul(s1, h)
+            den = r1[0]
             g = math.gcd(den, *e)
             if den < 0:
                 g = -g
@@ -789,9 +789,11 @@ def primitive_idempotents(center: CenterAlgebra) -> List[Matrix]:
         rows = [t.combine((c, t.rows[i][k]) for i, c in E) for k in range(t.dim)]
         red, pivots = linalg.rref(field, rows)
         zero = t.scalar(0)
-        return _Block(center, e, [([row.get(i, zero) for i in range(t.dim)], row[c])
-                                  if t.integral else ([row.get(i, zero) for i in range(t.dim)], 1)
-                                  for row, c in zip(red, pivots)])
+        # over Q a reduced row comes back as the primitive row over its pivot
+        return _Block(center, e, [
+            ([row.get(i, zero) for i in range(t.dim)], row[c] if t.integral else 1)
+            for row, c in zip(red, pivots)
+        ])
 
     final = []
     queue = [center.unit]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from formforge import (
@@ -147,6 +149,25 @@ def test_composition_algebra_norms():
         assert verify_composition(cf.form, cf.composition).verdict == "proved"
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("quaternion", [Fraction(1, 2), -3]),
+    ("octonion", [Fraction(-2, 3), 5, Fraction(7, 4)]),
+])
+def test_composition_algebra_with_rational_parameters(kind, params):
+    """Doubling with gamma = g / dg puts the constants over a denominator;
+    the norm is the diagonal form <1, -g1, -g2, g1 g2, ...> and the product
+    composes it."""
+    cf = composition_algebra_norm(kind, params)
+    n = cf.form.nvars
+    coeffs = [Fraction(1)]
+    for g in params:
+        coeffs += [-Fraction(g) * c for c in coeffs]
+    assert cf.form.body == sum((const(n, c) * var(n, i) ** 2 for i, c in enumerate(coeffs)),
+                               Polynomial.zero(QQ, n))
+    assert verify_composition(cf.form, cf.composition).verdict == "proved"
+    assert verify_scaled_witness(cf.form, cf.witness).verdict == "proved"
+
+
 def test_composition_algebra_parameter_checks():
     with pytest.raises(ValueError):
         composition_algebra_norm("quaternion", [-1])
@@ -168,6 +189,16 @@ def _scaled_identity(field, n, c):
     return [[field.from_rational(c if i == j else 0) for j in range(n)] for i in range(n)]
 
 
+def _swap_algebra():
+    """Q x Q on the basis f1 = (1, 0), f2 = (0, 2), whose swap involution has
+    the rational matrix [[0, 2], [1/2, 0]]."""
+    zero, one, two = QQ.zero, QQ.one, QQ.from_rational(2)
+    structure = [[[one, zero], [zero, zero]], [[zero, zero], [zero, two]]]
+    swap = [[zero, two], [QQ.from_rational(Fraction(1, 2)), zero]]
+    return AlgebraPresentation(QQ, structure, [one, QQ.from_rational(Fraction(1, 2))],
+                               associative=True, involution=swap)
+
+
 def _presentation_failures():
     quat = composition_algebra_norm("quaternion", [-1, -1]).algebra
     octo = composition_algebra_norm("octonion", [-1, -1, -1]).algebra
@@ -182,8 +213,16 @@ def _presentation_failures():
         ("unit-over-sqrt2", lambda: _presented(
             tits_k2, unit=[k2.one, k2.one, k2.zero]),
          "unit does not act as identity on basis element 0"),
+        ("left-unit-only", lambda: AlgebraPresentation(
+            QQ, [[[QQ.from_rational(int(l == j)) for l in range(2)] for j in range(2)]
+                 for _ in range(2)], [QQ.one, QQ.zero], associative=True),
+         "unit does not act as identity on basis element 1"),
         ("involution-twice-conjugation", lambda: _presented(
             quat, involution=[[c + c for c in row] for row in quat.involution]),
+         "involution is not of period 2"),
+        ("involution-rational-not-period-2", lambda: _presented(
+            _swap_algebra(), involution=[[QQ.zero, QQ.from_rational(2)],
+                                         [QQ.from_rational(Fraction(1, 3)), QQ.zero]]),
          "involution is not of period 2"),
         ("involution-over-sqrt2", lambda: _presented(
             tits_k2, involution=_scaled_identity(k2, 3, 2)),
@@ -208,7 +247,7 @@ def test_presentation_checks_accept_good_data():
     k2 = field_extend(QQ, [-2, 0, 1])
     tits_k2 = tits_cubic(k2.element([1, 1])).algebra
     quat = composition_algebra_norm("quaternion", [-1, -1]).algebra
-    for alg in (quat, matrix_algebra(2), tits_k2):
+    for alg in (quat, matrix_algebra(2), tits_k2, _swap_algebra()):
         assert _presented(alg).structure == alg.structure
     # the commutative Tits algebra: the identity is an involution over Q(sqrt 2)
     _presented(tits_k2, involution=_scaled_identity(k2, 3, 1))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from formforge import decompose
 from formforge import (
     DegenerateInput,
     DegreeTooSmall,
@@ -283,6 +284,14 @@ def unitriangular(n, rng):
     return LinearMap.from_rationals(QQ, rows)
 
 
+def triangular(n, rng):
+    """Upper triangular with diagonal entries from 2, -3, 1/2 and 5/3: the
+    center's basis matrices then have rational entries."""
+    rows = [[rng.choice((2, -3, Fraction(1, 2), Fraction(5, 3))) if i == j
+             else (rng.choice((-1, 1)) if j > i else 0) for j in range(n)] for i in range(n)]
+    return LinearMap.from_rationals(QQ, rows)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_component_dims_survive_a_change_of_basis(seed):
     rng = random.Random(seed)
@@ -291,8 +300,53 @@ def test_component_dims_survive_a_change_of_basis(seed):
     for phi, dims in ((diag(coeffs, 3), [1] * len(coeffs)),
                       (tits_diag, [1] * len(coeffs[:2]) + [3])):
         changed = apply_change_of_basis(phi, unitriangular(phi.nvars, rng))
-        for form in (phi, changed):
+        scaled = apply_change_of_basis(phi, triangular(phi.nvars, rng))
+        for form in (phi, changed, scaled):
             assert sorted(c.dim for c in krull_schmidt_decompose(form).components) == dims
+
+
+def test_split_through_a_nilradical():
+    """x y^2 has the center Q[n]/(n^2), so the sum with two more summands
+    has idempotents that are lifted through the nilradical."""
+    phi = orthogonal_sum(orthogonal_sum(xy2(), diag([2], 3)), xy2())
+    for form in (phi, apply_change_of_basis(phi, triangular(5, random.Random(1)))):
+        dec = krull_schmidt_decompose(form)
+        assert sorted(c.dim for c in dec.components) == [1, 2, 2]
+
+
+def _as_monic(f):
+    fr = [Fraction(c) if isinstance(c, int) else c.as_rational() for c in f]
+    return tuple(c / fr[-1] for c in fr)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_integer_univariate_steps_match_the_field_path(seed):
+    """Yun's groups, the coprime pieces and the CRT idempotent polynomials on
+    primitive integer lists against the same steps on field elements, for
+    products of powers of non-monic linear and quadratic factors."""
+    rng = random.Random(seed)
+    mu = [1]
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.6:
+            f = [rng.choice((-5, -3, -1, 1, 2, 4)), rng.randint(1, 4)]
+        else:
+            f = [rng.choice((-6, -2, 1, 3, 5)), rng.randint(-3, 3), rng.randint(1, 3)]
+        for _ in range(rng.randint(1, 3)):
+            mu = decompose._int_mul(mu, f)
+    ints, field = decompose._IntegerPolys, decompose._FieldPolys(QQ)
+    mu_q = [QQ.from_rational(c) for c in mu]
+    assert ([_as_monic(g) for g in decompose._yun_squarefree_groups(ints, mu)]
+            == [_as_monic(g) for g in decompose._yun_squarefree_groups(field, mu_q)])
+    pieces = decompose._coprime_pieces(ints, mu)
+    assert [_as_monic(p) for p in pieces] == [_as_monic(p) for p in
+                                              decompose._coprime_pieces(field, mu_q)]
+    assert (_as_monic(decompose._squarefree_part(ints, mu))
+            == _as_monic(decompose._squarefree_part(field, mu_q)))
+    if len(pieces) >= 2:
+        got = [[Fraction(c, den) for c in e] for e, den in ints.crt_idempotents(pieces)]
+        pieces_q = [[QQ.from_rational(c) for c in p] for p in pieces]
+        want = [[c.as_rational() for c in e] for e, _ in field.crt_idempotents(pieces_q)]
+        assert got == want
 
 
 def test_split_albert_norm_is_one_27_dimensional_component():

@@ -2,6 +2,7 @@
 `solve` against a dense Gauss-Jordan reference.  Needs hypothesis (the
 `test` extra)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from formforge import QQ, ZeroDivisor, field_extend  # noqa: E402
+from formforge.coeffield import integral_coordinates  # noqa: E402
 from formforge.linalg import nullspace, rref, solve  # noqa: E402
 
 Q_SQRT2 = field_extend(QQ, [-2, 0, 1])
@@ -141,6 +143,20 @@ def test_sparse_elimination_matches_dense(field, coord, max_size, data):
         assert red is ZeroDivisor
     else:
         assert red == (as_dicts(expect[0]), expect[1])
+    if field is QQ:
+        # the same rows in ints, scaled by +-(i + 1) so that some are not
+        # primitive and some lead negative: primitive rows with a positive
+        # pivot come back, each a positive multiple of the reduced row
+        ints = []
+        for i, row in enumerate(as_dicts(rows)):
+            a, _ = integral_coordinates([x.coeffs[0] for x in row.values()]) if row else ([], 1)
+            ints.append({c: v * (i + 1) * (-1) ** i for c, v in zip(row, a)})
+        red, pivots = rref(QQ, ints)
+        assert pivots == expect[1]
+        for row, c, want in zip(red, pivots, as_dicts(expect[0])):
+            assert row[c] > 0 and math.gcd(*row.values()) == 1
+            assert {k: QQ.from_rational(Fraction(v, row[c])) for k, v in row.items()} == want
+        assert red[len(pivots):] == [{}] * (len(rows) - len(pivots))
     expect_kernel = outcome(dense_nullspace, field, rows, ncols)
     assert outcome(nullspace, field, rows, ncols) == expect_kernel
     assert outcome(nullspace, field, as_dicts(rows), ncols) == expect_kernel
