@@ -326,13 +326,14 @@ class StructureTensor:
     and coordinates are nonzero field elements and den is 1: the field path.
     """
 
-    __slots__ = ("field", "rows", "den", "integral")
+    __slots__ = ("field", "rows", "den", "integral", "zero")
 
     def __init__(self, field, rows, den: int = 1):
         self.field = field
         self.rows = rows
         self.den = den
         self.integral = isinstance(field, RationalField)
+        self.zero = 0 if self.integral else field.zero
 
     @classmethod
     def from_elements(cls, field, planes) -> "StructureTensor":
@@ -375,7 +376,7 @@ class StructureTensor:
         and b.  Over Q, a and b are ints and so is the result, over den times
         the denominators of a and b."""
         rows = self.rows
-        out = [0 if self.integral else self.field.zero] * len(a)
+        out = [self.zero] * len(a)
         for i, ai in enumerate(a):
             if ai:
                 row = rows[i]

@@ -141,7 +141,7 @@ class AlgebraPresentation:
         cols, ds = self._columns
         a, da = to_coordinates(self.field, x)
         v = t.combine((c, cols[j]) for j, c in enumerate(a) if c)
-        return from_coordinates(self.field, [v.get(i, t.scalar(0)) for i in range(self.dim)],
+        return from_coordinates(self.field, [v.get(i, t.zero) for i in range(self.dim)],
                                 da * ds)
 
     def involve_polys(self, x):

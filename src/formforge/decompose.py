@@ -578,7 +578,7 @@ def _polys(field):
 def _lincomb(tensor: StructureTensor, terms):
     """sum of k * x over (k, x) in terms, for ints k and vectors x."""
     den = math.lcm(*(d for _, (_, d) in terms))
-    out = [tensor.scalar(0)] * len(terms[0][1][0])
+    out = [tensor.zero] * len(terms[0][1][0])
     for k, (a, d) in terms:
         f = tensor.scalar(k * (den // d))
         for i, x in enumerate(a):
@@ -638,7 +638,7 @@ class _Block:
                     comb = _sub_scaled(a, comb, f, ecomb)
             if not row:
                 return self.polys.normalize(
-                    [comb.get(i, t.scalar(0)) * t.scalar(w**i) for i in range(k + 1)]
+                    [comb.get(i, t.zero) * t.scalar(w**i) for i in range(k + 1)]
                 )
             p = min(row)
             if t.integral:
@@ -665,7 +665,7 @@ class _Block:
         Z, dz = z
         w = dz * t.den
         deg = len(coeffs) - 1
-        acc = [t.scalar(0)] * len(U)
+        acc = [t.zero] * len(U)
         for k in range(deg, -1, -1):
             if k < deg:
                 acc = t.mul(acc, Z)
@@ -699,7 +699,7 @@ class _Block:
         matrix by nonzero constants keeps its rank, so it is built on the
         numerators of the basis vectors and of the t_i."""
         t = self.tensor
-        zero = t.scalar(0)
+        zero = t.zero
         tr = [sum((c for k, row in enumerate(plane) for l, c in row if l == k), zero)
               for plane in t.rows]
         m = self.dim
@@ -788,7 +788,7 @@ def primitive_idempotents(center: CenterAlgebra) -> List[Matrix]:
         E = [(i, c) for i, c in enumerate(e[0]) if c]
         rows = [t.combine((c, t.rows[i][k]) for i, c in E) for k in range(t.dim)]
         red, pivots = linalg.rref(field, rows)
-        zero = t.scalar(0)
+        zero = t.zero
         # over Q a reduced row comes back as the primitive row over its pivot
         return _Block(center, e, [
             ([row.get(i, zero) for i in range(t.dim)], row[c] if t.integral else 1)
@@ -809,7 +809,7 @@ def primitive_idempotents(center: CenterAlgebra) -> List[Matrix]:
             queue.extend(split)
 
     n = center.dim_space
-    zero = t.scalar(0)
+    zero = t.zero
     mats = []
     for ek, de in final:
         scale = math.lcm(*(s for c, (_, s) in zip(ek, center.matrices) if c))
