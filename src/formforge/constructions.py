@@ -878,7 +878,12 @@ class AdmissibleTriple:
         self._adjoint_checked = False
 
     def _solve_cross(self, N, transpose: bool):
-        """cross[a][b] = coordinates of b_a x b_b in the opposite space."""
+        """cross[a][b] = coordinates of b_a x b_b in the opposite space.
+
+        They solve the pairing system for the m^2 right-hand sides
+        6 theta(b_a, b_b, b_l), l < m; one elimination of the pairing matrix
+        with all of them appended gives each particular solution (free
+        variables 0), as a solve of each system alone would."""
         field = self.field
         theta = polarize(N)
         m = N.nvars
@@ -893,21 +898,26 @@ class AdmissibleTriple:
         else:
             rows = [list(self.gram[l]) for l in range(self.dim_j)]
             out_dim = self.dim_jp
-        cross = []
-        for a in range(m):
-            row_out = []
-            for b in range(m):
-                rhs = [
-                    six * theta.entry(tuple(sorted((a, b, l)))) for l in range(m)
-                ]
-                sol = linalg.solve(field, [list(r) for r in rows], rhs)
-                if sol is None:
-                    raise DegeneratePairing("pairing does not determine the cross product")
-                if len(sol) != out_dim:
-                    raise DegeneratePairing("pairing matrix is not square-solvable")
-                row_out.append(tuple(sol))
-            cross.append(tuple(row_out))
-        return tuple(cross)
+        ncols = len(rows[0])
+        aug = []
+        for l, r in enumerate(rows):
+            row = {c: x for c, x in enumerate(r) if not x.is_zero()}
+            for t in range(m * m):
+                v = six * theta.entry(tuple(sorted((t // m, t % m, l))))
+                if not v.is_zero():
+                    row[ncols + t] = v
+            aug.append(row)
+        red, pivots = linalg.rref(field, aug)
+        if pivots and pivots[-1] >= ncols:
+            raise DegeneratePairing("pairing does not determine the cross product")
+        if ncols != out_dim:
+            raise DegeneratePairing("pairing matrix is not square-solvable")
+        sols = [[field.zero] * ncols for _ in range(m * m)]
+        for row, pc in zip(red, pivots):
+            for c, x in row.items():
+                if c >= ncols:
+                    sols[c - ncols][pc] = x
+        return tuple(tuple(tuple(sols[a * m + b]) for b in range(m)) for a in range(m))
 
     def cross_apply(self, cross, u, v, out_dim: int):
         """The bilinear cross product on polynomial vectors."""

@@ -9,11 +9,12 @@ of base-field encodings in the power basis.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .coeffield import EtaleAlgebra, FieldElement, QQ, RationalField, field_extend
 from .forms import HomogeneousForm, SymmetricTensor
-from .poly import Polynomial, RationalFunction
+from .poly import Polynomial, RationalFunction, _pack, _unpack, _width
 from .witness import ScaledWitness
 
 
@@ -62,20 +63,49 @@ def encode_element(x: FieldElement):
     return [encode_element(c) for c in x.coeffs]
 
 
-def decode_element(field, obj, path="$") -> FieldElement:
-    if isinstance(field, RationalField):
-        if isinstance(obj, (int, str)):
-            try:
-                return field.from_rational(Fraction(obj))
-            except (ValueError, ZeroDivisionError):
-                raise JsonFormatError(path, "not a rational scalar: %r" % (obj,))
-        raise JsonFormatError(path, "expected a rational scalar string")
+class _NotRational(ValueError):
+    """A scalar that is not a rational; the message says how."""
+
+
+def _rational_parts(obj):
+    """(numerator, positive denominator) of a rational scalar, not always in
+    lowest terms.  A JSON integer, or a string of ASCII digits with an
+    optional leading minus and an optional "/digits", is read directly; any
+    other string goes through Fraction, which also takes decimals, exponents
+    and surrounding blanks."""
+    if obj.__class__ is int:
+        return obj, 1
+    if obj.__class__ is str:
+        num, slash, den = obj.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdecimal() and (
+            not slash or (den.isascii() and den.isdecimal() and den.strip("0"))
+        ):
+            return int(num), int(den) if slash else 1
     if isinstance(obj, (int, str)):
-        # promote a rational constant into the extension
         try:
-            return field.from_rational(Fraction(obj))
+            q = Fraction(obj)
         except (ValueError, ZeroDivisionError):
-            raise JsonFormatError(path, "not a rational scalar: %r" % (obj,))
+            raise _NotRational("not a rational scalar: %r" % (obj,))
+        return q.numerator, q.denominator
+    raise _NotRational("expected a rational scalar string")
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+def decode_element(field, obj, path="$") -> FieldElement:
+    rational = isinstance(field, RationalField)
+    if rational or isinstance(obj, (int, str)):
+        try:
+            num, den = _rational_parts(obj)
+        except _NotRational as exc:
+            raise JsonFormatError(path, str(exc))
+        if rational:
+            return FieldElement(field, (_fraction(num, den),)) if num else field.zero
+        # promote a rational constant into the extension
+        return field.from_rational(_fraction(num, den))
     if isinstance(obj, list):
         if len(obj) != field.degree:
             raise JsonFormatError(
@@ -122,6 +152,8 @@ def decode_polynomial(obj, field=None, path="$") -> Polynomial:
     raw_terms = obj.get("terms")
     if not isinstance(raw_terms, list):
         raise JsonFormatError(path + ".terms", "expected a list")
+    if isinstance(field, RationalField):
+        return _decode_rational_polynomial(raw_terms, field, nvars, path)
     pairs = []
     for i, t in enumerate(raw_terms):
         tpath = "%s.terms[%d]" % (path, i)
@@ -133,9 +165,59 @@ def decode_polynomial(obj, field=None, path="$") -> Polynomial:
             or len(e) != nvars
             or not all(_is_count(x) for x in e)
         ):
-            raise JsonFormatError(tpath + ".e", "expected %d nonnegative exponents" % nvars)
+            raise _bad_exponents(path, i, nvars)
         pairs.append((tuple(e), decode_element(field, t["c"], tpath + ".c")))
     return Polynomial.from_pairs(field, nvars, pairs)
+
+
+def _bad_exponents(path: str, i: int, nvars: int) -> JsonFormatError:
+    return JsonFormatError("%s.terms[%d].e" % (path, i), "expected %d nonnegative exponents" % nvars)
+
+
+def _decode_rational_polynomial(raw_terms, field, nvars: int, path: str) -> Polynomial:
+    """decode_polynomial over Q, straight into the integer form: one pass
+    checks and packs each exponent list and reads each coefficient.  Keys are
+    packed for the largest degree seen so far and repacked when a term needs
+    more bits; equal keys add up and zero sums are dropped, and the width is
+    then the one `Polynomial` gives the remaining terms."""
+    bits = 1
+    keys, nums, dens = [], [], []
+    for i, t in enumerate(raw_terms):
+        if not isinstance(t, dict) or "e" not in t or "c" not in t:
+            raise JsonFormatError("%s.terms[%d]" % (path, i), "expected {e, c}")
+        e = t["e"]
+        if not isinstance(e, list) or len(e) != nvars:
+            raise _bad_exponents(path, i, nvars)
+        k = 0
+        for x in e:
+            if (x.__class__ is not int and not _is_count(x)) or x < 0:
+                raise _bad_exponents(path, i, nvars)
+            k = (k << bits) | x
+        degree = sum(e)
+        if degree >> (bits - 1):
+            old, bits = bits, _width(degree)
+            keys = [_pack(_unpack(key, nvars, old), bits) for key in keys]
+            k = _pack(e, bits)
+        else:
+            k |= degree << (nvars * bits)
+        try:
+            num, den = _rational_parts(t["c"])
+        except _NotRational as exc:
+            raise JsonFormatError("%s.terms[%d].c" % (path, i), str(exc))
+        keys.append(k)
+        nums.append(num)
+        dens.append(den)
+    L = math.lcm(*dens)
+    acc = {}
+    get = acc.get
+    for k, num, den in zip(keys, nums, dens):
+        acc[k] = get(k, 0) + num * (L // den)
+    acc = {k: c for k, c in acc.items() if c}
+    if not acc:
+        return Polynomial.zero(field, nvars)
+    p = Polynomial._from_ints(field, nvars, bits, acc, L)
+    p._widen(_width(max(acc) >> (nvars * bits)))
+    return p
 
 
 def encode_rational_function(r: RationalFunction):

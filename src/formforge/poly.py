@@ -29,7 +29,9 @@ no field ever carries into the next.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -425,6 +427,17 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not (self._terms if self._nums is None else self._nums)
 
+    def term_count(self) -> int:
+        return len(self._terms if self._nums is None else self._nums)
+
+    def exponents(self) -> list:
+        """The exponent tuples of the terms; over Q they are read from the
+        integer form, and the terms view is not built."""
+        if self._nums is None:
+            return list(self._terms)
+        n, bits = self.nvars, self._bits
+        return [_unpack(k, n, bits) for k in self._nums]
+
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
         if self._nums is None:
@@ -455,6 +468,13 @@ class Polynomial:
             return e, self._terms[e]
         return e, FieldElement(self.field, (Fraction(self._nums[k], self._den),))
 
+    def is_monic(self) -> bool:
+        """Whether the leading coefficient is 1; over Q read from the integer
+        form.  The zero polynomial is not monic."""
+        if self._nums is None:
+            return bool(self._terms) and self.leading_term()[1] == self.field.one
+        return bool(self._nums) and self._nums[max(self._nums)] == self._den
+
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
 
@@ -469,137 +489,38 @@ class Polynomial:
     # -- evaluation and substitution ----------------------------------------
 
     def eval(self, point: Sequence[FieldElement]) -> FieldElement:
+        """The value at a point of field elements, through `program`: the
+        coordinates are written as flat int vectors over one common
+        denominator, and as ints when all of them are rational."""
         self._check_length(point)
         field = self.field
         for x in point:
             f = getattr(x, "field", None)
             if f is not field and f != field:
                 raise TypeError("coordinate %r is not in %r" % (x, field))
-        if isinstance(field, RationalField):
-            return self._eval_q([x.coeffs[0] for x in point])
-        values = []
-        for x in point:
-            v = field.flat(x)
-            values.append(v if any(v[1:]) else v[0])
-        return self._eval_flat(values)
+        flats = [field.flat(x) for x in point]
+        B = math.lcm(*(q.denominator for v in flats for q in v))
+        nums = [[q.numerator * (B // q.denominator) for q in v] for v in flats]
+        prog = self.program()
+        if any(any(v[1:]) for v in nums):
+            return prog.element(prog.at_vectors(nums, B)[0], B)
+        return prog.element(prog.at([v[0] for v in nums], B)[0], B)
 
     def eval_int(self, point: Sequence[int]) -> FieldElement:
         self._check_length(point)
-        if isinstance(self.field, RationalField):
-            return self._eval_q(point)
-        return self._eval_flat(point)
+        prog = self.program()
+        return prog.element(prog.at(point)[0])
 
     def _check_length(self, point):
         if len(point) != self.nvars:
             raise ValueError("point has %d coordinates, expected %d" % (len(point), self.nvars))
 
-    def _compile_q(self):
-        """The polynomial over Q as (L, D, terms) for evaluation: L is the
-        shared denominator, D the total degree, and each term is
-        (numerator, degree, ((variable, exponent), ...))."""
-        n, bits = self.nvars, self._bits
-        # the terms view, when built, lists the monomials in the order of the
-        # keys, as every integer form is built in the order of the one before
-        exps = self._terms
-        if exps is None:
-            exps = [_unpack(k, n, bits) for k in self._nums]
-        terms = [
-            (c, sum(e), tuple((i, x) for i, x in enumerate(e) if x))
-            for e, c in zip(exps, self._nums.values())
-        ]
-        D = max((t[1] for t in terms), default=0)
-        self._compiled = (self._den, D, terms)
-        return self._compiled
-
-    def _eval_q(self, values) -> FieldElement:
-        """Exact value over Q at a point of ints or Fractions, computed in ints.
-
-        Rational coordinates are written as a_i / B over their common
-        denominator B; a term of degree k then contributes c * a^e * B^(D - k)
-        to the numerator of the value times L * B^D."""
-        L, D, terms = self._compiled or self._compile_q()
-        B = 1
-        for v in values:
-            if v.denominator != 1:
-                B = math.lcm(B, v.denominator)
-        if B == 1:
-            a = [v.numerator for v in values]
-            total = 0
-            for c, _, mono in terms:
-                for i, k in mono:
-                    c *= a[i] ** k
-                total += c
-            return FieldElement(self.field, (Fraction(total, L),))
-        a = [v.numerator * (B // v.denominator) for v in values]
-        scale = [B**j for j in range(D + 1)]
-        total = 0
-        for c, k, mono in terms:
-            for i, ek in mono:
-                c *= a[i] ** ek
-            total += c * scale[D - k]
-        return FieldElement(self.field, (Fraction(total, L * scale[D]),))
-
-    def _compile_flat(self):
-        """The polynomial over an etale algebra as (L, D, terms, maxes), as
-        `_compile_q` does over Q, but each coefficient is the integer vector
-        L * (its flat coordinates); maxes[i] is the top exponent of variable i."""
-        m = self.field.absolute_degree
-        flats = [q for c in self.terms.values() for q in self.field.flat(c)]
-        ints, L = integral_coordinates(flats)
-        maxes = [0] * self.nvars
-        terms = []
-        for t, e in enumerate(self.terms):
-            mono = tuple((i, k) for i, k in enumerate(e) if k)
-            for i, k in mono:
-                maxes[i] = max(maxes[i], k)
-            terms.append((ints[t * m : (t + 1) * m], sum(e), mono))
-        D = max((t[1] for t in terms), default=0)
-        self._compiled = (L, D, terms, maxes)
-        return self._compiled
-
-    def _eval_flat(self, values) -> FieldElement:
-        """Exact value over an etale algebra, computed in ints with its
-        multiplication tensor T, whose denominator is Dt.
-
-        values[i] is coordinate i: a rational when it lies in Q, else its flat
-        coordinate vector (a list); all are written over one common
-        denominator B.  A rational coordinate a enters a term as the integer
-        (a * Dt)^e over (B * Dt)^e.  A vector enters through its power table,
-        whose e-th power has denominator B^e * Dt^(e-1), and one `T.mul`
-        with the running coefficient, which adds a factor Dt.  So a term of
-        degree k has denominator L * (B * Dt)^k and is scaled by
-        (B * Dt)^(D - k), as in `_eval_q`."""
-        field = self.field
-        L, D, terms, maxes = self._compiled or self._compile_flat()
-        T = field.tensor()
-        Dt = T.den
-        B = math.lcm(
-            *(q.denominator for v in values for q in (v if isinstance(v, list) else (v,)))
-        )
-        powers = []
-        for v, top in zip(values, maxes):
-            if isinstance(v, list):
-                a = [q.numerator * (B // q.denominator) for q in v]
-                row = [None, a]
-                for _ in range(1, top):
-                    row.append(T.mul(row[-1], a))
-                powers.append(row)
-            else:
-                powers.append(v.numerator * (B // v.denominator) * Dt)
-        scale = [(B * Dt) ** j for j in range(D + 1)]
-        total = [0] * field.absolute_degree
-        for c, k, mono in terms:
-            s = scale[D - k]
-            for i, e in mono:
-                p = powers[i]
-                if p.__class__ is int:
-                    s *= p**e
-                else:
-                    c = T.mul(c, p[e])
-            for j, x in enumerate(c):
-                total[j] += x * s
-        den = L * scale[D]
-        return field.from_flat([Fraction(x, den) for x in total])
+    def program(self) -> "EvalProgram":
+        """This polynomial's `EvalProgram`, compiled on first use and kept."""
+        prog = self._compiled
+        if prog is None:
+            prog = self._compiled = EvalProgram([self])
+        return prog
 
     def compose(self, args: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute args[i] for variable i.  All args share one ambient ring
@@ -732,6 +653,157 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# compiled evaluation
+
+
+class EvalProgram:
+    """The values of polynomials p_0, ..., p_(r-1) of one ring at a point,
+    computed in Python ints over one denominator fixed at compile time.
+
+    Compiling lists the distinct monomials of all the p_j, closed under
+    taking a parent: each monomial of degree k > 0 is one of degree k - 1
+    times one variable.  At a point the monomials are computed a degree at a
+    time, one product each, so the powers of each coordinate are built once
+    and shared by every p_j, and a term costs one product more.
+
+    The coefficients are ints over their least common denominator L: one int
+    a term over Q, the int vector of its flat coordinates over an etale
+    field.  With D the top total degree and Dt the denominator of the field's
+    multiplication tensor (1 over Q), every value comes back as its numerator
+    over `den` = L * Dt^D, or over den * B^D when the coordinates are
+    numerators over a common denominator B (`scale`):
+    - `at` takes int coordinates, and gives an int a polynomial over Q and an
+      int vector over an etale field;
+    - `at_vectors` (etale fields) takes flat int vectors and multiplies
+      through the tensor.  A monomial of degree k > 0 then carries
+      Dt^(k - 1), and its product with a coefficient one Dt more, so in both
+      a term of degree k is scaled by (B * Dt)^(D - k).
+    """
+
+    __slots__ = ("field", "nvars", "den", "_degree", "_tensor", "_levels", "_mono",
+                 "_codeg", "_coeffs", "_cols", "_starts", "_ends")
+
+    def __init__(self, polys: Sequence[Polynomial]):
+        first = polys[0]
+        for p in polys:
+            first._check(p)
+        field, n = first.field, first.nvars
+        if isinstance(field, RationalField):
+            L = math.lcm(*(p._den for p in polys))
+            terms = [
+                [(_unpack(k, n, p._bits), c * (L // p._den)) for k, c in p._nums.items()]
+                for p in polys
+            ]
+            self._tensor, dt = None, 1
+        else:
+            m = field.absolute_degree
+            items = [list(p.terms.items()) for p in polys]
+            flats = [q for it in items for _, c in it for q in field.flat(c)]
+            ints, L = integral_coordinates(flats)
+            chunks = iter([ints[i : i + m] for i in range(0, len(ints), m)])
+            terms = [[(e, next(chunks)) for e, _ in it] for it in items]
+            self._tensor = field.tensor()
+            dt = self._tensor.den
+        D = max((sum(e) for ts in terms for e, _ in ts), default=0)
+        # by_degree[k]: each monomial of degree k with its (parent, variable),
+        # a parent that is a term's monomial preferred
+        by_degree = [{} for _ in range(D + 1)]
+        for ts in terms:
+            for e, _ in ts:
+                by_degree[sum(e)][e] = None
+        for k in range(D, 0, -1):
+            level, lower = by_degree[k], by_degree[k - 1]
+            for e in level:
+                step = None
+                for i, x in enumerate(e):
+                    if x:
+                        parent = e[:i] + (x - 1,) + e[i + 1 :]
+                        if parent in lower:
+                            step = parent, i
+                            break
+                        step = step or (parent, i)
+                else:
+                    lower[step[0]] = None
+                level[e] = step
+        index = {(0,) * n: 0}
+        self._levels = []
+        for level in by_degree[1:]:
+            parents, xs = [], []
+            for e, (parent, i) in level.items():
+                index[e] = len(index)
+                parents.append(index[parent])
+                xs.append(i)
+            self._levels.append((parents, xs))
+        self._mono = [index[e] for ts in terms for e, _ in ts]
+        self._codeg = [D - sum(e) for ts in terms for e, _ in ts]
+        self._coeffs = [c for ts in terms for _, c in ts]
+        self._cols = None if self._tensor is None else [
+            [c[l] for c in self._coeffs] for l in range(field.absolute_degree)
+        ]
+        # polynomial j is the terms from starts[j] up to ends[j]
+        self._ends = list(itertools.accumulate(map(len, terms)))
+        self._starts = [0] + self._ends[:-1]
+        self.field, self.nvars, self._degree = field, n, D
+        self.den = L * dt**D
+
+    def at(self, point: Sequence[int], scale: int = 1) -> list:
+        """The numerators of the values at the int point `point` / scale."""
+        mv = [1]
+        get = mv.__getitem__
+        for parents, xs in self._levels:
+            mv += list(map(operator.mul, map(get, parents), map(point.__getitem__, xs)))
+        vals = list(map(get, self._mono))
+        dt = 1 if self._tensor is None else self._tensor.den
+        if scale != 1 or dt != 1:
+            f = dt**self._degree
+            w = [f * scale**j for j in range(self._degree + 1)]
+            vals = list(map(operator.mul, vals, map(w.__getitem__, self._codeg)))
+        if self._cols is None:
+            return self._sums(map(operator.mul, self._coeffs, vals))
+        parts = [self._sums(map(operator.mul, col, vals)) for col in self._cols]
+        return [list(v) for v in zip(*parts)]
+
+    def _sums(self, products) -> list:
+        """The sum of each polynomial's share of the term products."""
+        if len(self._ends) == 1:
+            return [sum(products)]
+        acc = list(itertools.accumulate(products, initial=0))
+        get = acc.__getitem__
+        return list(map(operator.sub, map(get, self._ends), map(get, self._starts)))
+
+    def at_vectors(self, point: Sequence[Sequence[int]], scale: int = 1) -> list:
+        """The numerators of the values at the point whose coordinates are
+        the flat int vectors of `point` over scale (etale fields only)."""
+        T = self._tensor
+        mv = [None]  # the constant monomial: a term of degree 0 is its coefficient
+        for parents, xs in self._levels:
+            for p, i in zip(parents, xs):
+                u = mv[p]
+                mv.append(point[i] if u is None else T.mul(u, point[i]))
+        f = scale * T.den
+        w = [f**j for j in range(self._degree + 1)]
+        coeffs, mono, codeg = self._coeffs, self._mono, self._codeg
+        out = []
+        for a, b in zip(self._starts, self._ends):
+            total = [0] * len(self._cols)
+            for t in range(a, b):
+                u = mv[mono[t]]
+                v = coeffs[t] if u is None else T.mul(coeffs[t], u)
+                s = w[codeg[t]]
+                for j, x in enumerate(v):
+                    total[j] += x * s
+            out.append(total)
+        return out
+
+    def element(self, value, scale: int = 1) -> FieldElement:
+        """The field element of a value that `at` or `at_vectors` returned."""
+        den = self.den * scale**self._degree
+        if self._cols is None:
+            return FieldElement(self.field, (Fraction(value, den),))
+        return self.field.from_flat([Fraction(x, den) for x in value])
+
+
+# ---------------------------------------------------------------------------
 # rational functions
 
 
@@ -745,13 +817,13 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            den = Polynomial.const(num.field, num.nvars, num.field.one)
-        else:
-            _, lc = den.leading_term()
-            if lc != num.field.one:
-                inv = lc.inv()
-                num = num.scale(inv)
-                den = den.scale(inv)
+            if not (den.total_degree() == 0 and den.is_monic() and den.nvars == num.nvars
+                    and den.field == num.field):
+                den = Polynomial.const(num.field, num.nvars, num.field.one)
+        elif not den.is_monic():
+            inv = den.leading_term()[1].inv()
+            num = num.scale(inv)
+            den = den.scale(inv)
         self.num = num
         self.den = den
 
@@ -1052,10 +1124,16 @@ def verify_identity(
     if seed is None:
         raise ValueError("random mode needs an explicit seed")
     deg = max(lhs.total_degree(), rhs.total_degree(), 0)
-    return sample_identity(
-        lambda pt: lhs.eval_int(pt) == rhs.eval_int(pt),
-        lhs.nvars, deg, samples, seed, box_halfwidth,
-    )
+    prog = None  # both sides over one denominator, compiled at the first sample
+
+    def agree(pt):
+        nonlocal prog
+        if prog is None:
+            prog = EvalProgram([lhs, rhs])
+        a, b = prog.at(pt)
+        return a == b
+
+    return sample_identity(agree, lhs.nvars, deg, samples, seed, box_halfwidth)
 
 
 def sample_identity(
@@ -1074,17 +1152,25 @@ def sample_identity(
     the identity, and the point is redrawn (at most 50 * samples draws in
     all).  The first disagreement refutes; agreement at every sample is
     "evidence" with the Schwartz-Zippel bound min(degree / box size, 1) per
-    sample; at least one sample is required."""
+    sample; at least one sample is required.
+
+    The callers' agree evaluate each side on `EvalProgram`s compiled at the
+    first point, so symbolic mode compiles nothing, and compare numerators
+    over denominators cleared at compile time: one exact int (or int vector)
+    equality a point."""
     if samples < 1:
         raise ValueError("samples must be positive, got %d" % samples)
     rng = random.Random(seed)
+    lows = [-box_halfwidth] * nvars
+    highs = [box_halfwidth + 1] * nvars
     done = 0
     attempts = 0
     while done < samples:
         attempts += 1
         if attempts > 50 * samples:
             raise RuntimeError("could not avoid witness poles while sampling")
-        pt = tuple(rng.randint(-box_halfwidth, box_halfwidth) for _ in range(nvars))
+        # randrange(a, b + 1) is randint(a, b), without the extra call
+        pt = tuple(map(rng.randrange, lows, highs))
         ok = agree(pt)
         if ok is None:
             continue
@@ -1112,12 +1198,13 @@ def sample_identity(
 
 def compose_estimate(p: Polynomial, args: Sequence[Polynomial]) -> int:
     """Upper bound on the number of monomial products expanded by p.compose(args)."""
+    sizes = [max(1, a.term_count()) for a in args]
     total = 0
-    for e, _ in p.terms.items():
+    for e in p.exponents():
         t = 1
         for i, ei in enumerate(e):
             if ei:
-                t *= max(1, len(args[i].terms)) ** ei
+                t *= sizes[i] ** ei
             if t > 10**15:
                 return 10**15
         total += t

@@ -9,27 +9,29 @@ exact evaluation at random points (evidence with a stated bound).
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeffield import FieldElement, QQ
+from .coeffield import FieldElement, QQ, RationalField
 from .decompose import DegenerateInput, krull_schmidt_decompose
 from .forms import DimensionMismatch, HomogeneousForm
 from .poly import (
     DEFAULT_BOX_HALFWIDTH,
     DEFAULT_TERM_BUDGET,
+    EvalProgram,
     Polynomial,
     RationalFunction,
     TermBudgetExceeded,
     clear_denominators,
     compose_estimate,
     is_dth_power,
-    linear_forms,
     ring_matrix_determinant,
     sample_identity,
     substitute_linear,
@@ -134,7 +136,13 @@ def _check_identity(
     An engine states its identity lhs == rhs: `build` expands both sides for a
     symbolic proof, `agree` compares them at one point of the nvars sample
     variables (None at a pole), and `degree` bounds their total degree.  The
-    mode is resolved against the estimate of the symbolic expansion."""
+    mode is resolved against the estimate of the symbolic expansion.
+
+    In random mode nothing is expanded.  `agree` evaluates `EvalProgram`s in
+    ints (for the z_l, the triple, num(c) and den(c), and phi, compiled at
+    the first point; D and N are compiled before, for the invertibility
+    check) and compares the two sides as products of program values
+    (`_Values`), whose denominators cancel once at compile time."""
     use_mode, use_seed, note = _resolve_mode(mode, estimate, budget, seed)
     if use_mode == "symbolic":
         rep = verify_identity(*build(), mode="symbolic")
@@ -149,48 +157,113 @@ def _check_identity(
 
 
 # ---------------------------------------------------------------------------
+# values of evaluation programs
+
+
+@dataclass(frozen=True)
+class _Values:
+    """Arithmetic on the values that `EvalProgram`s over one field return:
+    ints over Q, flat int vectors over an etale field.  Over an etale field a
+    product of k values is taken through the field's multiplication tensor
+    and carries dt^(k - 1) more in its denominator, so `equal` compares a
+    product of kx values with one of ky values."""
+
+    ints: bool
+    product: Callable  # the product of a list of values
+    dot: Callable  # sum_j row[j] * y[j] for values row[j] and ints y[j]
+    times: Callable  # a value times an int
+    dt: int
+
+    @staticmethod
+    def of(field) -> "_Values":
+        if isinstance(field, RationalField):
+            return _Values(True, math.prod, lambda row, y: sum(map(operator.mul, row, y)),
+                           operator.mul, 1)
+        T = field.tensor()
+        return _Values(
+            False,
+            lambda vs: reduce(T.mul, vs),
+            lambda row, y: [sum(map(operator.mul, c, y)) for c in zip(*row)],
+            lambda v, k: [x * k for x in v],
+            T.den,
+        )
+
+    def is_zero(self, v) -> bool:
+        return not v if self.ints else not any(v)
+
+    def at(self, prog: EvalProgram, point) -> list:
+        """prog at a point whose coordinates are values."""
+        return prog.at(point) if self.ints else prog.at_vectors(point)
+
+    def equal(self, x, kx: int, y, ky: int) -> bool:
+        if self.dt != 1 and kx != ky:
+            if kx > ky:
+                y = self.times(y, self.dt ** (kx - ky))
+            else:
+                x = self.times(x, self.dt ** (ky - kx))
+        return x == y
+
+
+# ---------------------------------------------------------------------------
 # scaled witnesses
 
 
-def _matrix_invertible(phi: HomogeneousForm, N, D: Polynomial) -> None:
+def _invertibility_points(nx: int):
+    """The all-ones point, then 40 from a generator seeded with 1, in boxes
+    of halfwidth 3 that double every eight points; drawn as they are used."""
+    yield (1,) * nx
+    rng = random.Random(1)
+    bound = 3
+    for i in range(40):
+        yield tuple(rng.randint(-bound, bound) for _ in range(nx))
+        if i % 8 == 7:
+            bound *= 2
+
+
+def _matrix_invertible(N, prog: EvalProgram) -> None:
     """Prove det M(X) is not identically zero, or raise SingularWitness.
 
     With N = D * M, one exact nonzero value of det N(x) at an integer point x
     proves nonvanishing; the symbolic determinant of N is the fallback when
     sampled points keep landing on zeros of det M or of D.  Since D is
-    nonzero, det M vanishes identically exactly when det N does.
+    nonzero, det M vanishes identically exactly when det N does.  `prog`
+    evaluates D and then the entries of N row by row, all over one
+    denominator, which leaves the zero set of det N(x) as it is: over Q the
+    matrix of numerators is an int matrix, nonsingular when it has full rank.
     """
-    field = phi.field
-    nx = D.nvars
-    rng = random.Random(1)
-    points = [(1,) * nx]
-    bound = 3
-    for i in range(40):
-        points.append(tuple(rng.randint(-bound, bound) for _ in range(nx)))
-        if i % 8 == 7:
-            bound *= 2
-    for pt in points:
-        if D.eval_int(pt).is_zero():
+    field, nx, n = prog.field, prog.nvars, len(N)
+    values = _Values.of(field)
+    for pt in _invertibility_points(nx):
+        d, *entries = prog.at(pt)
+        if values.is_zero(d):
             continue
-        rows = [[field.zero if p.is_zero() else p.eval_int(pt) for p in row] for row in N]
-        if not linalg.determinant(field, rows).is_zero():
-            return
+        if values.ints:
+            rows = [{j: v for j, v in enumerate(entries[i * n : (i + 1) * n]) if v}
+                    for i in range(n)]
+            if linalg.rank(field, rows) == n:
+                return
+        else:
+            elements = [field.from_flat([Fraction(x) for x in v]) for v in entries]
+            rows = [elements[i * n : (i + 1) * n] for i in range(n)]
+            if not linalg.determinant(field, rows).is_zero():
+                return
     if ring_matrix_determinant(N, Polynomial.zero(field, nx)).is_zero():
         raise SingularWitness("witness matrix has identically zero determinant")
 
 
 def _estimate_scaled(phi: HomogeneousForm, w: ScaledWitness, D: Polynomial) -> int:
     n = phi.nvars
+    d_terms = max(1, D.term_count())
     fake_args = []
     for i in range(n):
         t = 0
         for j in range(n):
             entry = w.matrix[i][j]
             if not entry.is_zero():
-                t += len(entry.num.terms) * max(1, len(D.terms))
+                t += entry.num.term_count() * d_terms
         fake_args.append(max(1, t))
     total = 0
-    for e in phi.body.terms:
+    for e in phi.body.exponents():
         t = 1
         for i, ei in enumerate(e):
             t *= fake_args[i] ** ei
@@ -199,7 +272,7 @@ def _estimate_scaled(phi: HomogeneousForm, w: ScaledWitness, D: Polynomial) -> i
         total += t
         if total > 10**15:
             return 10**15
-    lhs = len(w.scalar.num.terms) * max(1, len(D.terms)) ** phi.degree * len(phi.body.terms)
+    lhs = w.scalar.num.term_count() * d_terms**phi.degree * phi.body.term_count()
     return max(total, min(lhs, 10**15))
 
 
@@ -221,7 +294,8 @@ def verify_scaled_witness(
     # N = D * M over the common denominator D of the matrix entries
     N, D = clear_denominators(w.matrix)
     nx = D.nvars
-    _matrix_invertible(phi, N, D)
+    xprog = EvalProgram([D] + [p for row in N for p in row])
+    _matrix_invertible(N, xprog)
 
     identity = "num(c) * den(M)^%d * phi(Y) == den(c) * phi_cleared(M Y)" % phi.degree
     estimate = _estimate_scaled(phi, w, D)
@@ -238,21 +312,30 @@ def verify_scaled_witness(
 
     # At a sample (x, y) the poles of c and M are the points with
     # den(c)(x) = 0 or D(x) = 0; elsewhere phi(N(x) y) is phi_cleared(M Y).
-    forms = None  # N(X) Y, in the X then Y variables; symbolic mode never reads it
+    # With a, b the numerators of num(c), den(c) at x over one denominator,
+    # and D(x), N(x) over another (xprog), phi homogeneous makes the identity
+    # a * D(x)^d * phi(y) == b * phi(N(x) y) in numerators, every denominator
+    # cancelling.
+    d = phi.degree
+    values = _Values.of(phi.field)
+    progs = None  # compiled at the first sample; symbolic mode never needs them
 
     def agree(pt):
-        nonlocal forms
-        if forms is None:
-            forms = linear_forms(N)
-        x = pt[:nx]
-        cden = w.scalar.den.eval_int(x)
-        if cden.is_zero():
+        nonlocal progs
+        if progs is None:
+            progs = EvalProgram([w.scalar.num, w.scalar.den]), phi.body.program()
+        cprog, pprog = progs
+        x, y = pt[:nx], pt[nx:]
+        a, b = cprog.at(x)
+        if values.is_zero(b):
             return None
-        dval = D.eval_int(x)
-        if dval.is_zero():
+        dval, *entries = xprog.at(x)
+        if values.is_zero(dval):
             return None
-        lhs = w.scalar.num.eval_int(x) * dval**phi.degree * phi.body.eval_int(pt[nx:])
-        return lhs == cden * phi.body.eval([f.eval_int(pt) for f in forms])
+        v = [values.dot(entries[i * n : (i + 1) * n], y) for i in range(n)]
+        lhs = values.product([a] + [dval] * d + pprog.at(y))
+        rhs = values.product([b] + values.at(pprog, v))
+        return values.equal(lhs, d + 2, rhs, 2)
 
     deg_bound = (
         phi.degree * (max((e.den.total_degree() for row in w.matrix for e in row), default=0) + 1)
@@ -358,9 +441,20 @@ def verify_composition(
     def build():
         return phi.body.embed(big, 0) * phi.body.embed(big, n), phi.body.compose(zpolys)
 
+    # phi(x) phi(y) == phi(z) in the numerators of zprog and of phi's program:
+    # px py den_z^d == pz den_phi.
+    values = _Values.of(field)
+    progs = None  # compiled at the first sample; symbolic mode never needs them
+
     def agree(pt):
-        z = [zp.eval_int(pt) for zp in zpolys]
-        return phi.body.eval_int(pt[:n]) * phi.body.eval_int(pt[n:]) == phi.body.eval(z)
+        nonlocal progs
+        if progs is None:
+            zprog, pprog = EvalProgram(zpolys), phi.body.program()
+            progs = zprog, pprog, zprog.den**phi.degree
+        zprog, pprog, zscale = progs
+        lhs = values.product(pprog.at(pt[:n]) + pprog.at(pt[n:]))
+        (pz,) = values.at(pprog, zprog.at(pt))
+        return values.equal(values.times(lhs, zscale), 2, values.times(pz, pprog.den), 1)
 
     return _check_identity(
         t0, identity, estimate, build, agree, big, 2 * phi.degree,
@@ -413,9 +507,21 @@ def verify_jordan_composition(
     def build():
         return phi.body.compose(triple), (phi.body.embed(big, 0) ** 2) * phi.body.embed(big, n)
 
+    # phi({v w v}) == phi(v)^2 phi(w) in the numerators of tprog and of phi's
+    # program: pt den_phi^2 == pv^2 pw den_t^d.
+    values = _Values.of(field)
+    progs = None  # compiled at the first sample; symbolic mode never needs them
+
     def agree(pt):
-        lhs = phi.body.eval([tp.eval_int(pt) for tp in triple])
-        return lhs == phi.body.eval_int(pt[:n]) ** 2 * phi.body.eval_int(pt[n:])
+        nonlocal progs
+        if progs is None:
+            tprog, pprog = EvalProgram(triple), phi.body.program()
+            progs = tprog, pprog, tprog.den**phi.degree
+        tprog, pprog, tscale = progs
+        (lhs,) = values.at(pprog, tprog.at(pt))
+        (pv,), (pw,) = pprog.at(pt[:n]), pprog.at(pt[n:])
+        rhs = values.product([pv, pv, pw])
+        return values.equal(values.times(lhs, pprog.den**2), 1, values.times(rhs, tscale), 3)
 
     return _check_identity(
         t0, identity, estimate, build, agree, big, 3 * phi.degree,

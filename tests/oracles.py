@@ -5,8 +5,10 @@ also computes, by an independent and usually slower route (subset sums,
 a skew element, a resultant, a permutation sum, a subgroup walk, a
 division that rebuilds the remainder at every step, an evaluation that
 multiplies field elements one at a time, a product by dense structure
-constants, linear forms built from the terms dicts, and sums, products,
-substitution and heap division on {exponent tuple: FieldElement} dicts).
+constants, linear forms built from the terms dicts, sums, products,
+substitution and heap division on {exponent tuple: FieldElement} dicts, and
+random-mode identities that evaluate every polynomial on its own in field
+elements).
 """
 
 import heapq
@@ -14,7 +16,8 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from formforge import HomogeneousForm, NotDivisible, Polynomial, SymmetricTensor
+from formforge import HomogeneousForm, NotDivisible, Polynomial, SymmetricTensor, linalg, polarize
+from formforge.poly import clear_denominators
 from formforge.constructions import AdmissibleTriple, _phi0_coordinates
 from formforge.coeffield import EtaleAlgebra
 
@@ -206,6 +209,31 @@ def _mtnn_product(triple: AdmissibleTriple, x, y):
     return [out_a, out_b] + out_j + out_jp
 
 
+def cross_by_solves(triple: AdmissibleTriple, N: HomogeneousForm, transpose: bool):
+    """The cross products of `AdmissibleTriple`, one `linalg.solve` of the
+    pairing system per pair (a, b); None when a system has no solution."""
+    field = triple.field
+    theta = polarize(N)
+    m = N.nvars
+    gram = triple.gram
+    if transpose:
+        rows = [[gram[c][l] for c in range(triple.dim_j)] for l in range(triple.dim_jp)]
+    else:
+        rows = [list(gram[l]) for l in range(triple.dim_j)]
+    cross = []
+    for a in range(m):
+        row_out = []
+        for b in range(m):
+            rhs = [field.from_rational(6) * theta.entry(tuple(sorted((a, b, l))))
+                   for l in range(m)]
+            sol = linalg.solve(field, [list(r) for r in rows], rhs)
+            if sol is None:
+                return None
+            row_out.append(sol)
+        cross.append(tuple(row_out))
+    return tuple(cross)
+
+
 def _bar(x):
     return [x[1], x[0]] + list(x[2:])
 
@@ -327,3 +355,97 @@ def linear_forms_from_terms(N):
         )
         for row in N
     ]
+
+
+# ---------------------------------------------------------------------------
+# random-mode identities, one polynomial at a time
+#
+# Each returns (agree, nvars, degree) for `poly.sample_identity`: the
+# identity the engine of `witness` checks, evaluated as the engines did
+# before they ran on compiled programs.  Every entry of N(X) Y, every z_l and
+# every side is its own polynomial, evaluated by `generic_eval` in field
+# elements; degree is the engine's stated bound.
+
+
+def _at_ints(p: Polynomial, point):
+    return generic_eval(p, [p.field.from_rational(x) for x in point])
+
+
+def scaled_witness_identity(phi: HomogeneousForm, w):
+    """num(c) * D(x)^d * phi(y) == den(c) * phi(N(x) y), None at a pole."""
+    N, D = clear_denominators(w.matrix)
+    nx = D.nvars
+    forms = linear_forms_from_terms(N)
+
+    def agree(pt):
+        x = pt[:nx]
+        cden = _at_ints(w.scalar.den, x)
+        if cden.is_zero():
+            return None
+        dval = _at_ints(D, x)
+        if dval.is_zero():
+            return None
+        lhs = _at_ints(w.scalar.num, x) * dval**phi.degree * _at_ints(phi.body, pt[nx:])
+        return lhs == cden * generic_eval(phi.body, [_at_ints(f, pt) for f in forms])
+
+    entries = [e for row in w.matrix for e in row]
+    degree = (
+        phi.degree * (max(e.den.total_degree() for e in entries) + 1)
+        + w.scalar.num.total_degree()
+        + w.scalar.den.total_degree()
+        + phi.degree
+        + max(e.num.total_degree() for e in entries) * phi.degree
+    )
+    return agree, nx + phi.nvars, max(degree, 1)
+
+
+def composition_identity(phi: HomogeneousForm, structure):
+    """phi(x) phi(y) == phi(z(x, y)), z_l = sum_ij structure[l][i][j] x_i y_j."""
+    n, field = phi.nvars, phi.field
+    zpolys = [
+        Polynomial.from_pairs(
+            field,
+            2 * n,
+            [
+                (tuple(int(k == i) + int(k == n + j) for k in range(2 * n)), structure[l][i][j])
+                for i in range(n)
+                for j in range(n)
+            ],
+        )
+        for l in range(n)
+    ]
+
+    def agree(pt):
+        lhs = _at_ints(phi.body, pt[:n]) * _at_ints(phi.body, pt[n:])
+        return lhs == generic_eval(phi.body, [_at_ints(z, pt) for z in zpolys])
+
+    return agree, 2 * n, 2 * phi.degree
+
+
+def jordan_identity(phi: HomogeneousForm, algebra):
+    """phi({v w v}) == phi(v)^2 phi(w), with {v w v} = (v w) v for an
+    associative presentation and 2 (v.w).v - w.(v.v) for the Jordan product
+    x.y = (xy + yx)/2 otherwise, computed at the point by `structure_product`
+    on the dense constants."""
+    n, field = phi.nvars, phi.field
+    planes = algebra.structure
+    half = field.from_rational(Fraction(1, 2))
+    two = field.from_rational(2)
+
+    def mul(x, y):
+        return structure_product(field, planes, x, y)
+
+    def jordan(x, y):
+        return [(a + b) * half for a, b in zip(mul(x, y), mul(y, x))]
+
+    def agree(pt):
+        v = [field.from_rational(c) for c in pt[:n]]
+        w = [field.from_rational(c) for c in pt[n:]]
+        if algebra.associative:
+            triple = mul(mul(v, w), v)
+        else:
+            triple = [two * a - b for a, b in zip(jordan(jordan(v, w), v), jordan(w, jordan(v, v)))]
+        phi_v = generic_eval(phi.body, v)
+        return generic_eval(phi.body, list(triple)) == phi_v * phi_v * generic_eval(phi.body, w)
+
+    return agree, 2 * n, 3 * phi.degree

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -486,3 +487,44 @@ def test_stdout_is_byte_identical_to_golden(capsys, monkeypatch, expected, argv)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / expected).read_text(encoding="utf-8")
+
+
+_RANDOM_GOLDEN = {
+    "tits-cubic-3.strong-mult.random.json": ["--form", "tits-cubic-3.witnessed.json"],
+    "tits-cubic-3.tampered.random.json": ["--form", "tits-cubic-3.witnessed.json",
+                                          "--witness", "tits-cubic-3.tampered.json"],
+    "tits-sqrt2.strong-mult.random.json": ["--form", "tits-sqrt2.witnessed.json"],
+    "tits-sqrt2.tampered.random.json": ["--form", "tits-sqrt2.witnessed.json",
+                                        "--witness", "tits-sqrt2.tampered.json"],
+}
+
+
+@pytest.mark.parametrize(
+    "expected, argv",
+    [(name, ["verify", "strong-mult"] + args + ["--mode", "random", "--seed",
+                                                "2024" if "cubic" in name else "77",
+                                                "--samples", "30"])
+     for name, args in _RANDOM_GOLDEN.items()]
+    + [("tits-sqrt2.jordan.random.json",
+        ["verify", "jordan", "--form", "tits-sqrt2.witnessed.json", "--mode", "random",
+         "--seed", "5", "--samples", "30"]),
+       ("tits-sqrt2.composition.random.json",
+        ["verify", "composition", "--form", "tits-sqrt2.witnessed.json", "--mode", "random",
+         "--seed", "6", "--samples", "30"])],
+    ids=["q-genuine", "q-tampered", "sqrt2-genuine", "sqrt2-tampered", "sqrt2-jordan",
+         "sqrt2-composition"],
+)
+def test_random_verify_stdout_matches_golden(capsys, monkeypatch, expected, argv):
+    """Random-mode verify stdout against files written by an earlier version
+    of formforge, which evaluated every entry of N(x) y, every z_l and every
+    side as its own polynomial in field elements: the Tits cubic with a = 3
+    over Q and with a = 1 + 2 sqrt 2 over Q(sqrt 2), with their own witnesses
+    and with one diagonal entry bumped by -2 x_2.  The verdict, the
+    counterexample, the samples and both bounds are the same byte for byte;
+    only `elapsed_s` may differ."""
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = run(capsys, *argv)
+    want = (GOLDEN / expected).read_text(encoding="utf-8")
+    assert code == (1 if json.loads(want)["verdict"] == "refuted" else 2)
+    elapsed = re.compile(r'"elapsed_s": [0-9.e-]+')
+    assert elapsed.sub('"elapsed_s": 0', out) == elapsed.sub('"elapsed_s": 0', want)

@@ -34,7 +34,7 @@ from formforge import (
     verify_composition,
     verify_scaled_witness,
 )
-from oracles import structurable_quartic_via_skew
+from oracles import cross_by_solves, structurable_quartic_via_skew
 
 
 def var(n, i):
@@ -449,3 +449,22 @@ def test_catalog_names_and_provenance():
     ]
     for _, cf in entries:
         assert "kind" in cf.provenance
+
+
+def test_cross_products_match_one_solve_per_pair():
+    """One elimination of the pairing matrix with all m^2 right-hand sides
+    gives the solution each system alone gives, free variables 0 included:
+    the pairing of the matrix triple, and a singular pairing whose systems
+    are all consistent (N = x_0^3 on a rank-one gram matrix)."""
+    cube = HomogeneousForm.from_body(3, var(2, 0) ** 3)
+    one, zero = QQ.from_rational(1), QQ.zero
+    triples = [jordan_triple_from_degree3(matrix_algebra(3), zeta) for zeta in (1, 2)]
+    triples.append(AdmissibleTriple(QQ, cube, cube, [[one, zero], [zero, zero]]))
+    for triple in triples:
+        assert triple.cross_j == cross_by_solves(triple, triple.N, transpose=False)
+        assert triple.cross_jp == cross_by_solves(triple, triple.Np, transpose=True)
+    assert triples[-1].cross_j[0][0] == (QQ.from_rational(6), zero)
+    # with N = x_0^2 x_1 the second equation reads 0 = 6 theta(0, 0, 1) = 2
+    mixed = HomogeneousForm.from_body(3, var(2, 0) ** 2 * var(2, 1))
+    with pytest.raises(DegeneratePairing, match="does not determine"):
+        AdmissibleTriple(QQ, mixed, cube, [[one, zero], [zero, zero]])

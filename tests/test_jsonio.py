@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -260,3 +261,67 @@ def test_algebra_associative_flag_defaults_to_false():
     obj = rebuild(encode_algebra(matrix_algebra(2)))
     assert obj["associative"] is True
     assert decode_algebra(obj, QQ).associative is True
+
+
+_SCALAR_SPELLINGS = [
+    lambda q: str(q),                       # "-7/3", "5"
+    lambda q: q.numerator if q.denominator == 1 else str(q),  # a JSON integer
+    lambda q: "%d/%d" % (q.numerator * 2, q.denominator * 2),  # not in lowest terms
+    lambda q: " %s " % q,                   # blanks, read by Fraction
+    lambda q: "+%s" % q if q >= 0 else str(q),
+    lambda q: "%se0" % q if q.denominator == 1 else str(q),  # an exponent
+]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rational_polynomial_decodes_into_the_constructor_form(seed):
+    """Over Q the decoder packs terms itself.  Its result equals the
+    polynomial the constructor builds from the same terms, with the same
+    integer form and packing width, whatever the spelling of the
+    coefficients, with repeated exponents that add up (to zero, too) and
+    degrees that need wider packing as the terms go on."""
+    rng = random.Random(seed)
+    n = rng.randrange(0, 4)
+    pairs, raw = [], []
+    for _ in range(rng.randrange(0, 9)):
+        top = rng.choice((1, 3, 7, 20))
+        e = [rng.randrange(0, top + 1) for _ in range(n)]
+        q = Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3, 12)))
+        pairs.append((tuple(e), q))
+        raw.append({"e": e, "c": rng.choice(_SCALAR_SPELLINGS)(q)})
+        if pairs and rng.random() < 0.3:  # the same monomial again
+            e0, q0 = rng.choice(pairs)
+            q1 = -q0 if rng.random() < 0.5 else Fraction(1, 5)
+            pairs.append((e0, q1))
+            raw.append({"e": list(e0), "c": str(q1)})
+    got = decode_polynomial({"vars": n, "terms": raw}, QQ)
+    want = Polynomial.from_pairs(QQ, n, pairs)
+    assert got == want
+    assert (got._nums, got._den, got._bits) == (want._nums, want._den, want._bits)
+
+
+@pytest.mark.parametrize(
+    "c, path, message",
+    [
+        ("x", "$.terms[1].c", "not a rational scalar: 'x'"),
+        ("1/0", "$.terms[1].c", "not a rational scalar: '1/0'"),
+        ("1/-2", "$.terms[1].c", "not a rational scalar: '1/-2'"),
+        ("", "$.terms[1].c", "not a rational scalar: ''"),
+        (1.5, "$.terms[1].c", "expected a rational scalar string"),
+        (None, "$.terms[1].c", "expected a rational scalar string"),
+    ],
+)
+def test_rational_coefficient_errors_keep_their_paths(c, path, message):
+    obj = {"vars": 1, "terms": [{"e": [1], "c": "2"}, {"e": [0], "c": c}]}
+    with pytest.raises(JsonFormatError) as exc:
+        decode_polynomial(obj, QQ)
+    assert exc.value.path == path
+    assert str(exc.value) == "%s: %s" % (path, message)
+
+
+@pytest.mark.parametrize("e", [[-1, 0], ["1", 0], [1.0, 0], [0], [0, 1, 2], "11"])
+def test_rational_exponent_errors_keep_their_paths(e):
+    obj = {"vars": 2, "terms": [{"e": [1, 1], "c": "2"}, {"e": e, "c": "1"}]}
+    with pytest.raises(JsonFormatError) as exc:
+        decode_polynomial(obj, QQ)
+    assert str(exc.value) == "$.terms[1].e: expected 2 nonnegative exponents"

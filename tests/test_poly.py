@@ -388,3 +388,21 @@ def test_eval_over_etale_checks_the_point():
     assert copy is not K and copy == K
     # sqrt2 * sqrt2 * (1 + sqrt2) + 3 * (1 + sqrt2)^2 = 11 + 8 sqrt2
     assert p.eval([copy.gen, copy.element([1, 1])]) == K.element([11, 8])
+
+
+@pytest.mark.parametrize("field", [QQ, field_extend(QQ, [-2, 0, 1])], ids=["q", "sqrt2"])
+def test_rational_function_keeps_a_monic_denominator(field):
+    """The denominator is scaled to leading coefficient 1, and a zero
+    numerator takes the denominator 1 (the one given, when it is 1)."""
+    x, y = (Polynomial.variable(field, 2, i) for i in range(2))
+    three = field.from_rational(3)
+    r = RationalFunction(x.scale(three), x.scale(three) * y + x)
+    assert r.den.leading_term()[1] == field.one and r.den.is_monic()
+    assert r.num == x
+    assert r.den == x * y + x.scale(field.from_rational(Fraction(1, 3)))
+    one = Polynomial.const(field, 2, field.one)
+    zero = Polynomial.zero(field, 2)
+    assert RationalFunction(zero, one).den is one
+    for den in (x + y, Polynomial.const(field, 2, three), Polynomial.const(field, 1, field.one)):
+        assert RationalFunction(zero, den).den == one
+    assert not zero.is_monic() and not (x.scale(three) + y).is_monic() and (x + y).is_monic()

@@ -1,11 +1,13 @@
 """Property tests of the integer kernels of Polynomial: arithmetic over Q on
 packed exponents and integer numerators against the dict arithmetic of
 `oracles` (one field-element operation per pair of terms), evaluation over Q
-against a term-by-term Fraction sum, and evaluation over etale algebras
-against `oracles.generic_eval`, which multiplies field elements one at a time.
+against a term-by-term Fraction sum, and evaluation over etale algebras and
+compiled evaluation programs against `oracles.generic_eval`, which
+multiplies field elements one at a time.
 Products through a `StructureTensor` are checked against the dense
 `oracles.structure_product`.  Needs hypothesis (the `test` extra)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from formforge.coeffield import (  # noqa: E402
     poly_mul,
     to_coordinates,
 )
+from formforge.poly import EvalProgram  # noqa: E402
 from oracles import (  # noqa: E402
     dict_add,
     dict_compose,
@@ -335,3 +338,54 @@ def test_structure_tensor_product_matches_dense_constants(data):
     b, db = to_coordinates(field, y)
     got = from_coordinates(field, t.mul(a, b), da * db * t.den)
     assert got == structure_product(field, planes, x, y)
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation programs
+
+_PROGRAM_FIELDS = dict(FIELDS, q=QQ)
+
+
+@st.composite
+def _program_case(draw):
+    """Up to four polynomials of one ring, zero and constant ones among them,
+    an int point and a point of field elements."""
+    field = _PROGRAM_FIELDS[draw(st.sampled_from(sorted(_PROGRAM_FIELDS)))]
+    n = draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("zero", "constant", "general")))
+        if kind == "zero":
+            polys.append(Polynomial.zero(field, n))
+        elif kind == "constant":
+            polys.append(Polynomial.const(field, n, _element(draw, field)))
+        else:
+            pairs = [(draw(exps), _element(draw, field)) for _ in range(draw(st.integers(1, 5)))]
+            polys.append(Polynomial.from_pairs(field, n, pairs))
+    ints = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    elements = [_element(draw, field) for _ in range(n)]
+    return field, polys, ints, elements
+
+
+@settings(max_examples=250, deadline=None)
+@given(_program_case())
+def test_program_matches_eval_of_each_polynomial(case):
+    """One program over several polynomials gives each polynomial's value over
+    the program's one denominator: at int points as eval_int and the
+    field-element oracle, and at points of flat vectors over a common
+    denominator B (or of rationals, as ints over B) as the oracle."""
+    field, polys, ints, elements = case
+    prog = EvalProgram(polys)
+    want = [generic_eval(p, [field.from_rational(x) for x in ints]) for p in polys]
+    values = prog.at(ints)
+    assert [prog.element(v) for v in values] == [p.eval_int(ints) for p in polys] == want
+    flats = [field.flat(x) for x in elements]
+    B = math.lcm(*(q.denominator for v in flats for q in v))
+    nums = [[q.numerator * (B // q.denominator) for q in v] for v in flats]
+    want = [generic_eval(p, elements) for p in polys]
+    if field == QQ:
+        values = prog.at([v[0] for v in nums], B)
+    else:
+        values = prog.at_vectors(nums, B)
+    assert [prog.element(v, B) for v in values] == want

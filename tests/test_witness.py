@@ -1,6 +1,7 @@
 import random
 import time
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
@@ -38,9 +39,17 @@ from formforge import (
     verify_strong_multiplicativity,
 )
 from formforge import linalg
+from formforge import witness as W
 from formforge.coeffield import EtaleAlgebra, RationalField, field_extend
 from formforge.constructions import _det_form
-from oracles import brute_force_exponent_closure, generic_eval
+from formforge.poly import sample_identity
+from oracles import (
+    brute_force_exponent_closure,
+    composition_identity,
+    generic_eval,
+    jordan_identity,
+    scaled_witness_identity,
+)
 
 
 def var(n, i):
@@ -549,3 +558,118 @@ def test_random_jordan_check_over_cbrt2_multiplies_few_field_elements(monkeypatc
     report = verify_jordan_composition(t3.form, t3.algebra, mode="random", samples=100, seed=1)
     assert report.verdict == "evidence"
     assert calls <= 1218
+
+
+# ---------------------------------------------------------------------------
+# random mode against the identities evaluated one polynomial at a time
+
+_SQRT2 = field_extend(QQ, [-2, 0, 1])
+_HALF = field_extend(QQ, [Fraction(-1, 2), 0, 1])  # multiplication tensor over 2
+_ENGINE_FIELDS = pytest.mark.parametrize("field", [QQ, _SQRT2, _HALF],
+                                         ids=["q", "sqrt2", "sqrt-half"])
+_REPORT_FIELDS = ("verdict", "mode", "samples", "seed", "box_halfwidth", "counterexample",
+                  "per_sample_bound", "overall_bound")
+
+
+def _tits(field):
+    return tits_cubic(3 if field == QQ else field.element([1, 2]))
+
+
+def _bumped(m, field):
+    """One diagonal entry of M plus -2 x_2: the identity breaks."""
+    rows = [list(r) for r in m]
+    rows[1][1] = rows[1][1] + rf(Polynomial.variable(field, 3, 2).scale(field.from_rational(-2)))
+    return tuple(tuple(r) for r in rows)
+
+
+def _same_reports(report, identity, samples, seed, box_halfwidth):
+    agree, nvars, degree = identity
+    expected = sample_identity(agree, nvars, degree, samples, seed, box_halfwidth)
+    assert {f: getattr(report, f) for f in _REPORT_FIELDS} == {
+        f: getattr(expected, f) for f in _REPORT_FIELDS}
+
+
+@_ENGINE_FIELDS
+def test_random_scaled_witness_matches_per_entry_identity(field):
+    cf = _tits(field)
+    phi, one = cf.form, RationalFunction.const(field, 3, field.one)
+    x = [Polynomial.variable(field, 3, i) for i in range(3)]
+    # den(c) = x_1 and D = x_0: with a box of halfwidth 2 about a third of the
+    # drawn points are poles and are drawn again
+    pole = ScaledWitness(
+        scalar=RationalFunction(x[1], x[1]),
+        matrix=tuple(tuple(RationalFunction(x[0], x[0]) if i == j else
+                           RationalFunction.from_poly(Polynomial.zero(field, 3))
+                           for j in range(3)) for i in range(3)),
+    )
+    cases = [
+        (ScaledWitness(scalar=rf(phi.body), matrix=cf.witness.matrix), 100, "evidence"),
+        (ScaledWitness(scalar=rf(phi.body), matrix=_bumped(cf.witness.matrix, field)), 100,
+         "refuted"),
+        (odd_degree_strengthen(phi, ScaledWitness(
+            scalar=rf(phi.body**2), matrix=W._rf_mat_mul(cf.witness.matrix, cf.witness.matrix))),
+         100, "evidence"),
+        (pole, 2, "evidence"),
+        (ScaledWitness(scalar=one, matrix=_bumped(pole.matrix, field)), 2, "refuted"),
+    ]
+    for w, box, verdict in cases:
+        for seed in (1, 2):
+            rep = verify_scaled_witness(phi, w, mode="random", samples=25, seed=seed,
+                                        box_halfwidth=box)
+            assert rep.verdict == verdict
+            _same_reports(rep, scaled_witness_identity(phi, w), 25, seed, box)
+
+
+@_ENGINE_FIELDS
+def test_random_composition_matches_per_entry_identity(field):
+    cf = _tits(field)
+    bad = [[list(row) for row in plane] for plane in cf.composition]
+    bad[0][1][2] = bad[0][1][2] + field.one
+    for structure, verdict in ((cf.composition, "evidence"), (bad, "refuted")):
+        for seed in (3, 4):
+            rep = verify_composition(cf.form, structure, mode="random", samples=25, seed=seed,
+                                     box_halfwidth=50)
+            assert rep.verdict == verdict
+            _same_reports(rep, composition_identity(cf.form, structure), 25, seed, 50)
+
+
+@_ENGINE_FIELDS
+def test_random_jordan_matches_per_entry_identity(field):
+    cf = _tits(field)
+    phi = cf.form
+    # x_1^3 vanishes at the unit (1, 0, 0), so phi(1) = 1 still holds
+    bent = HomogeneousForm(field, 3, 3, phi.body + Polynomial.variable(field, 3, 1) ** 3)
+    for form, verdict in ((phi, "evidence"), (bent, "refuted")):
+        for seed in (5, 6):
+            rep = verify_jordan_composition(form, cf.algebra, mode="random", samples=25,
+                                            seed=seed, box_halfwidth=50)
+            assert rep.verdict == verdict
+            _same_reports(rep, jordan_identity(form, cf.algebra), 25, seed, 50)
+
+
+def test_random_det3_check_builds_no_fraction_per_sample(monkeypatch):
+    """Over Q the random-mode identity is compared in ints: a det-3
+    strong-multiplicativity check builds as many `Fraction`s, and makes as
+    many rational products, with 40 samples as with 4."""
+    cf = det_norm(3)
+    counts = {"fractions": 0, "products": 0}
+    new, rational_mul = Fraction.__new__, RationalField._mul
+
+    def counted_new(cls, *args, **kwargs):
+        counts["fractions"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_mul(self, x, y):
+        counts["products"] += 1
+        return rational_mul(self, x, y)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(RationalField, "_mul", counted_mul)
+    seen = []
+    for samples in (4, 40):
+        counts.update(fractions=0, products=0)
+        rep = verify_strong_multiplicativity(cf.form, cf.witness, mode="random",
+                                             samples=samples, seed=9)
+        assert rep.verdict == "evidence" and rep.samples == samples
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
