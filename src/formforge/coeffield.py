@@ -309,6 +309,13 @@ def from_coordinates(field, a, den: int = 1) -> tuple:
     return tuple(a)
 
 
+def _times(x, k: int):
+    """x * k for an int k that is 1 whenever x is a field element: a
+    coordinate value scaled by an int, without mixing ints with field
+    elements."""
+    return x if k == 1 else x * k
+
+
 def integral_coordinates(v: Sequence[Rat]):
     """(a, B): integers a and the least common denominator B of the rationals
     v, with v[i] = a[i] / B."""

@@ -136,14 +136,6 @@ class AlgebraPresentation:
                     out[l] = out[l] + xy.scale(c)
         return self._over_den(out, self.tensor.den)
 
-    def involve(self, x):
-        t = self.tensor
-        cols, ds = self._columns
-        a, da = to_coordinates(self.field, x)
-        v = t.combine((c, cols[j]) for j, c in enumerate(a) if c)
-        return from_coordinates(self.field, [v.get(i, t.zero) for i in range(self.dim)],
-                                da * ds)
-
     def involve_polys(self, x):
         cols, ds = self._columns
         out = [Polynomial.zero(self.field, x[0].nvars) for _ in range(self.dim)]

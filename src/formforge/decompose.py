@@ -38,6 +38,7 @@ from .coeffield import (
     FieldElement,
     RationalField,
     StructureTensor,
+    _times,
     from_coordinates,
     integral_coordinates,
     poly_add,
@@ -129,11 +130,6 @@ class Decomposition:
     components: Tuple[Component, ...]
     change_of_basis: LinearMap  # columns are the concatenated component bases
     idempotents: Tuple[Matrix, ...]
-
-
-def _times(x, k: int):
-    """x * k for an int k that is 1 whenever x is a field element."""
-    return x if k == 1 else x * k
 
 
 def _reduced(a, den: int):
@@ -367,6 +363,11 @@ def _int_gcd(f, g):
     return a
 
 
+# the divisor test of `_rational_roots` runs when both end coefficients are
+# at most this large in absolute value, and then finds every rational root
+_DIVISOR_BOUND = 10**8
+
+
 def _rational_roots(ints) -> List[Fraction]:
     """Rational roots of a squarefree integer polynomial, by the bounded
     divisor test: p/q in lowest terms is a root when sum c_i p^i q^(deg-i),
@@ -380,7 +381,7 @@ def _rational_roots(ints) -> List[Fraction]:
     if len(ints) <= 1:
         return roots
     a0, lead = abs(ints[0]), abs(ints[-1])
-    if a0 > 10**8 or lead > 10**8:
+    if a0 > _DIVISOR_BOUND or lead > _DIVISOR_BOUND:
         return roots
     for p in _divisors(a0):
         for q in _divisors(lead):
@@ -457,7 +458,13 @@ class _IntegerPolys:
 
     @staticmethod
     def factor(f):
-        """Irreducible factors over Q, by sympy: the certification step."""
+        """Irreducible factors over Q of a primitive squarefree f: the
+        certification step.  At degree at most 3, f is irreducible when it
+        has no rational root, which the divisor test decides when it runs in
+        full; otherwise sympy factors f."""
+        if (len(f) <= 4 and abs(f[0]) <= _DIVISOR_BOUND and abs(f[-1]) <= _DIVISOR_BOUND
+                and not _rational_roots(f)):
+            return [f]
         import sympy
 
         t = sympy.Symbol("t")

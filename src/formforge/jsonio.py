@@ -215,7 +215,7 @@ def _decode_rational_polynomial(raw_terms, field, nvars: int, path: str) -> Poly
     acc = {k: c for k, c in acc.items() if c}
     if not acc:
         return Polynomial.zero(field, nvars)
-    p = Polynomial._from_ints(field, nvars, bits, acc, L)
+    p = Polynomial._from_nums(field, nvars, bits, acc, L)
     p._widen(_width(max(acc) >> (nvars * bits)))
     return p
 

@@ -5,14 +5,20 @@ canonical term order is graded lexicographic.  Identity checking offers a
 symbolic mode (canonical subtraction, a proof) and a random mode (exact
 evaluation with a Schwartz-Zippel style confidence bound).
 
-Storage depends on the coefficient field.  Over an etale algebra the terms
-dict is the polynomial.  Over Q the polynomial is an integer form: a dict
-from packed exponent keys to integer numerators over one shared positive
-denominator, kept canonical (the denominator is coprime to the numerators
-taken together), and arithmetic runs in Python ints (sparse products as in
-Johnson, SIGSAM Bull. 8(3), 1974; heap division with packed exponent vectors
-as in Monagan & Pearce, CASC 2007).  `terms` is then a view built on first
-read and cached.
+Every polynomial is stored in one packed form: a dict from packed exponent
+keys to coefficients over one shared positive denominator, written with the
+codec of `coeffield.to_coordinates`.  Over Q the coefficients are integer
+numerators, and the form is kept canonical (the denominator is coprime to
+the numerators taken together); over an etale algebra they are field
+elements and the denominator is 1.  Sums, products (sparse, as in Johnson,
+SIGSAM Bull. 8(3), 1974), heap division with packed exponent vectors (as in
+Monagan & Pearce, CASC 2007), composition and embedding run on that form
+for every field, in Python ints over Q; only the constructor, `terms`,
+`scale`, the leading and constant coefficients and the coefficient step of
+the division read the coefficient type.  `terms` is a view built on first
+read and cached.  Over an etale algebra that is not a field, such as
+Q[t]/(t^2 - 1), a product of nonzero coefficients can be zero, so products
+drop zero coefficients as sums do.
 
 Packing: with b bits a variable, the key of x^e in n variables is
 sum(e) * 2^(n b) + sum_i e_i * 2^((n - 1 - i) b), so the total degree sits in
@@ -38,7 +44,14 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeffield import FieldElement, RationalField, integral_coordinates
+from .coeffield import (
+    FieldElement,
+    RationalField,
+    _times,
+    from_coordinates,
+    integral_coordinates,
+    to_coordinates,
+)
 
 
 class NotDivisible(ArithmeticError):
@@ -63,13 +76,8 @@ def _grlex(e: Tuple[int, ...]):
     return (sum(e), e)
 
 
-def _grlex_entry(e: Tuple[int, ...]):
-    """A min-heap entry for e that sorts the graded-lex largest monomial first."""
-    return (-sum(e), tuple(-x for x in e)), e
-
-
 # ---------------------------------------------------------------------------
-# packed exponents and integer numerators (the form over Q)
+# packed exponents and coefficients over one denominator
 
 
 def _width(degree: int) -> int:
@@ -94,20 +102,22 @@ def _unpack(k: int, n: int, bits: int) -> Tuple[int, ...]:
 
 
 def _mul_nums(a: dict, b: dict) -> dict:
-    """The product of two packed integer polynomials (no zero terms: Z has no
-    zero divisors, but sums of products may cancel)."""
+    """The product of two packed polynomials, without zero terms: sums of
+    products may cancel, and over a non-field etale algebra so may a single
+    product."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
         ((ka, ca),) = a.items()
-        return {ka + kb: ca * cb for kb, cb in b.items()}
+        return {ka + kb: c for kb, cb in b.items() if (c := ca * cb)}
     out = {}
     get = out.get
     items = list(b.items())
     for ka, ca in a.items():
         for kb, cb in items:
             k = ka + kb
-            out[k] = get(k, 0) + ca * cb
+            v = get(k)
+            out[k] = ca * cb if v is None else v + ca * cb
     return {k: c for k, c in out.items() if c}
 
 
@@ -130,24 +140,21 @@ class Polynomial:
         self.field = field
         self.nvars = nvars
         self._compiled = None
-        if not isinstance(field, RationalField):
-            self._terms = {e: c for e, c in terms.items() if not c.is_zero()}
-            self._nums = None
-            return
-        self._terms = terms = {e: c for e, c in terms.items() if c.coeffs[0]}
+        if isinstance(field, RationalField):
+            terms = {e: c for e, c in terms.items() if c.coeffs[0]}
+        else:
+            terms = {e: c for e, c in terms.items() if c}
+        self._terms = terms
         if not terms:
             self._nums, self._den, self._bits = {}, 1, 1
             return
-        coeffs = [c.coeffs[0] for c in terms.values()]
-        self._den = den = math.lcm(*[q.denominator for q in coeffs])
+        nums, self._den = to_coordinates(field, terms.values())
         self._bits = bits = _width(max(map(sum, terms)))
-        self._nums = {
-            _pack(e, bits): q.numerator * (den // q.denominator) for e, q in zip(terms, coeffs)
-        }
+        self._nums = dict(zip([_pack(e, bits) for e in terms], nums))
 
     @classmethod
-    def _from_ints(cls, field, nvars: int, bits: int, nums: dict, den: int) -> "Polynomial":
-        """A polynomial over Q from its integer form, made canonical."""
+    def _from_nums(cls, field, nvars: int, bits: int, nums: dict, den: int) -> "Polynomial":
+        """A polynomial from its packed form, made canonical."""
         p = cls.__new__(cls)
         p.field = field
         p.nvars = nvars
@@ -159,27 +166,25 @@ class Polynomial:
 
     @property
     def terms(self) -> dict:
-        """{exponent tuple: nonzero coefficient}; read-only.  Over Q it is
-        built from the integer form on first read and cached."""
+        """{exponent tuple: nonzero coefficient}; read-only.  Built from the
+        packed form on first read and cached."""
         t = self._terms
         if t is None:
-            field, den, n, bits = self.field, self._den, self.nvars, self._bits
-            t = self._terms = {
-                _unpack(k, n, bits): FieldElement(field, (Fraction(c, den),))
-                for k, c in self._nums.items()
-            }
+            n, bits = self.nvars, self._bits
+            coeffs = from_coordinates(self.field, self._nums.values(), self._den)
+            t = self._terms = dict(zip([_unpack(k, n, bits) for k in self._nums], coeffs))
         return t
 
     def _widen(self, bits: int) -> None:
-        """Repack the integer form with `bits` bits a variable (at least the
-        current width); the value does not change."""
+        """Repack with `bits` bits a variable (at least the current width);
+        the value does not change."""
         if bits != self._bits:
             n, old = self.nvars, self._bits
             self._nums = {_pack(_unpack(k, n, old), bits): c for k, c in self._nums.items()}
             self._bits = bits
 
     def _aligned(self, other: "Polynomial") -> int:
-        """Repack the narrower of two polynomials over Q to the other's width."""
+        """Repack the narrower of two polynomials to the other's width."""
         bits = max(self._bits, other._bits)
         self._widen(bits)
         other._widen(bits)
@@ -217,56 +222,41 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        if self._nums is None:
-            return self._dict_combine(other, 1)
-        return self._combine(other, 1)
+        return self._combine(other, False)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        if self._nums is None:
-            return self._dict_combine(other, -1)
-        return self._combine(other, -1)
+        return self._combine(other, True)
 
-    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign * other over Q."""
+    def _combine(self, other: "Polynomial", subtract: bool) -> "Polynomial":
+        """self + other, or self - other, over the common denominator."""
         bits = self._aligned(other)
         da, db = self._den, other._den
         den = math.lcm(da, db)
-        fa, fb = den // da, sign * (den // db)
+        fa, fb = den // da, den // db
         out = dict(self._nums) if fa == 1 else {k: c * fa for k, c in self._nums.items()}
+        get = out.get
         for k, c in other._nums.items():
-            v = out.get(k, 0) + c * fb
-            if v:
-                out[k] = v
+            if fb != 1:
+                c = c * fb
+            v = get(k)
+            if v is None:
+                out[k] = -c if subtract else c
             else:
-                del out[k]
-        return Polynomial._from_ints(self.field, self.nvars, bits, out, den)
-
-    def _dict_combine(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign * other over an etale algebra, on the terms dicts."""
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            if e in out:
-                s = out[e] + c if sign > 0 else out[e] - c
-                if s.is_zero():
-                    del out[e]
+                v = v - c if subtract else v + c
+                if v:
+                    out[k] = v
                 else:
-                    out[e] = s
-            else:
-                out[e] = c if sign > 0 else -c
-        return Polynomial(self.field, self.nvars, out)
+                    del out[k]
+        return Polynomial._from_nums(self.field, self.nvars, bits, out, den)
 
     def __neg__(self) -> "Polynomial":
-        if self._nums is None:
-            return Polynomial(self.field, self.nvars, {e: -c for e, c in self._terms.items()})
-        return Polynomial._from_ints(
+        return Polynomial._from_nums(
             self.field, self.nvars, self._bits, {k: -c for k, c in self._nums.items()}, self._den
         )
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        if self._nums is None:
-            return self._dict_mul(other)
         if not self._nums or not other._nums:
             return Polynomial.zero(self.field, self.nvars)
         degree = self.total_degree() + other.total_degree()
@@ -276,41 +266,18 @@ class Polynomial:
         self._widen(bits)
         other._widen(bits)
         nums = _mul_nums(self._nums, other._nums)
-        return Polynomial._from_ints(self.field, self.nvars, bits, nums, self._den * other._den)
-
-    def _dict_mul(self, other: "Polynomial") -> "Polynomial":
-        """self * other over an etale algebra, on the terms dicts."""
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                p = c1 * c2
-                if e in out:
-                    s = out[e] + p
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
-                else:
-                    out[e] = p
-        return Polynomial(self.field, self.nvars, out)
+        return Polynomial._from_nums(self.field, self.nvars, bits, nums, self._den * other._den)
 
     def scale(self, c) -> "Polynomial":
         if not isinstance(c, FieldElement):
             c = self.field.from_rational(c)
         if c.is_zero():
             return Polynomial.zero(self.field, self.nvars)
-        if self._nums is None:
-            return Polynomial(self.field, self.nvars, {e: c * v for e, v in self._terms.items()})
         if c.field != self.field:
             raise TypeError("mixed-field arithmetic: %r vs %r" % (c, self.field))
-        q = c.coeffs[0]
-        nums = {k: v * q.numerator for k, v in self._nums.items()}
-        den = self._den * q.denominator
-        return Polynomial._from_ints(self.field, self.nvars, self._bits, nums, den)
+        (a,), d = to_coordinates(self.field, [c])
+        nums = {k: x for k, v in self._nums.items() if (x := v * a)}
+        return Polynomial._from_nums(self.field, self.nvars, self._bits, nums, self._den * d)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -336,18 +303,25 @@ class Polynomial:
         Over Q the division runs on integer numerators by the primitive part
         P of `other`: when P divides an integer polynomial over Q, the
         quotient has integer coefficients (Gauss's lemma), so a leading
-        coefficient that P's does not divide proves there is no quotient."""
+        coefficient that P's does not divide proves there is no quotient.
+        Over an etale algebra each quotient coefficient is a product with the
+        inverse of the leading coefficient, and a leading coefficient that is
+        a zero divisor raises ZeroDivisor."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self._nums is None:
-            return self._dict_exact_div(other)
         n = self.nvars
         bits = self._aligned(other)
-        content = math.gcd(*other._nums.values())
         lt = max(other._nums)
-        lc = other._nums[lt] // content
-        tail = [(k, c // content) for k, c in other._nums.items() if k != lt]
+        integral = isinstance(self.field, RationalField)
+        if integral:
+            content = math.gcd(*other._nums.values())
+            tail = {k: c // content for k, c in other._nums.items()}
+            lc = tail.pop(lt)
+        else:
+            content, tail = 1, dict(other._nums)
+            lc = tail.pop(lt).inv()
+        tail = list(tail.items())
         # a borrow out of an exponent field flips the lowest bit of the next
         borrows = sum(1 << (i * bits) for i in range(1, n + 1))
         rem = dict(self._nums)
@@ -365,16 +339,21 @@ class Polynomial:
                     "leading term %r not divisible by %r"
                     % (_unpack(rk, n, bits), _unpack(lt, n, bits))
                 )
-            qc, r = divmod(rc, lc)
-            if r:
-                raise NotDivisible("coefficient %d not divisible by %d" % (rc, lc))
+            if integral:
+                qc, r = divmod(rc, lc)
+                if r:
+                    raise NotDivisible("coefficient %d not divisible by %d" % (rc, lc))
+            else:
+                qc = rc * lc
             quot[qk] = qc
             for k, c in tail:
                 mk = qk + k
                 old = rem.get(mk)
                 if old is None:
-                    rem[mk] = -qc * c
-                    heapq.heappush(heap, -mk)
+                    v = -qc * c
+                    if v:
+                        rem[mk] = v
+                        heapq.heappush(heap, -mk)
                 else:
                     v = old - qc * c
                     if v:
@@ -384,74 +363,31 @@ class Polynomial:
         # self = A / da and other = content * P / db, with A = P * quot
         db = other._den
         nums = quot if db == 1 else {k: c * db for k, c in quot.items()}
-        return Polynomial._from_ints(self.field, n, bits, nums, self._den * content)
-
-    def _dict_exact_div(self, other: "Polynomial") -> "Polynomial":
-        """exact_div over an etale algebra, on the terms dicts."""
-        lt_e, lt_c = other.leading_term()
-        lt_inv = lt_c.inv()
-        tail = [(e, c) for e, c in other._terms.items() if e != lt_e]
-        rem = dict(self._terms)
-        heap = [_grlex_entry(e) for e in rem]
-        heapq.heapify(heap)
-        quot = {}
-        while heap:
-            _, re = heapq.heappop(heap)
-            rc = rem.pop(re, None)
-            if rc is None:
-                continue
-            qe = tuple(a - b for a, b in zip(re, lt_e))
-            if any(x < 0 for x in qe):
-                raise NotDivisible("leading term %r not divisible by %r" % (re, lt_e))
-            qc = quot[qe] = rc * lt_inv
-            for e, c in tail:
-                # qc * c can be zero with both factors nonzero over a
-                # non-field etale algebra, so a new monomial is checked too
-                me = tuple(a + b for a, b in zip(qe, e))
-                old = rem.get(me)
-                if old is None:
-                    v = -(qc * c)
-                    if not v.is_zero():
-                        rem[me] = v
-                        heapq.heappush(heap, _grlex_entry(me))
-                else:
-                    v = old - qc * c
-                    if v.is_zero():
-                        del rem[me]
-                    else:
-                        rem[me] = v
-        return Polynomial(self.field, self.nvars, quot)
+        return Polynomial._from_nums(self.field, n, bits, nums, self._den * content)
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self._terms if self._nums is None else self._nums)
+        return not self._nums
 
     def term_count(self) -> int:
-        return len(self._terms if self._nums is None else self._nums)
+        return len(self._nums)
 
     def exponents(self) -> list:
-        """The exponent tuples of the terms; over Q they are read from the
-        integer form, and the terms view is not built."""
-        if self._nums is None:
-            return list(self._terms)
+        """The exponent tuples of the terms, read from the packed form; the
+        terms view is not built."""
         n, bits = self.nvars, self._bits
         return [_unpack(k, n, bits) for k in self._nums]
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
-        if self._nums is None:
-            return max(map(sum, self._terms), default=-1)
         if not self._nums:
             return -1
         return max(self._nums) >> (self.nvars * self._bits)
 
     def is_homogeneous(self, d: Optional[int] = None) -> bool:
-        if self._nums is None:
-            degs = set(map(sum, self._terms))
-        else:
-            shift = self.nvars * self._bits
-            degs = {min(self._nums) >> shift, max(self._nums) >> shift} if self._nums else set()
+        shift = self.nvars * self._bits
+        degs = {min(self._nums) >> shift, max(self._nums) >> shift} if self._nums else set()
         if not degs:
             return True
         if len(degs) != 1:
@@ -459,32 +395,29 @@ class Polynomial:
         return True if d is None else degs == {d}
 
     def leading_term(self):
-        if self._nums is None:
-            e = max(self._terms, key=_grlex)
-            return e, self._terms[e]
         k = max(self._nums)
         e = _unpack(k, self.nvars, self._bits)
         if self._terms is not None:
             return e, self._terms[e]
-        return e, FieldElement(self.field, (Fraction(self._nums[k], self._den),))
+        return e, from_coordinates(self.field, (self._nums[k],), self._den)[0]
 
     def is_monic(self) -> bool:
-        """Whether the leading coefficient is 1; over Q read from the integer
-        form.  The zero polynomial is not monic."""
-        if self._nums is None:
-            return bool(self._terms) and self.leading_term()[1] == self.field.one
-        return bool(self._nums) and self._nums[max(self._nums)] == self._den
+        """Whether the leading coefficient is 1, read from the packed form
+        (over Q, a canonical numerator equal to the denominator).  The zero
+        polynomial is not monic."""
+        if not self._nums:
+            return False
+        lc = self._nums[max(self._nums)]
+        return lc == (self._den if isinstance(self.field, RationalField) else self.field.one)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
 
     def constant_coeff(self) -> FieldElement:
-        if self._nums is None:
-            return self._terms.get((0,) * self.nvars, self.field.zero)
         c = self._nums.get(0)
         if c is None:
             return self.field.zero
-        return FieldElement(self.field, (Fraction(c, self._den),))
+        return from_coordinates(self.field, (c,), self._den)[0]
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -524,7 +457,14 @@ class Polynomial:
 
     def compose(self, args: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute args[i] for variable i.  All args share one ambient ring
-        over this polynomial's coefficient field."""
+        over this polynomial's coefficient field.
+
+        Each term c x^e becomes c * prod_i A_i^e_i, with A_i the packed
+        arguments and their powers cached, and the last product of each term
+        adds straight into one output dict.  With a_i the argument
+        denominators and t_i the top exponent of variable i, the sum lies
+        over den * prod_i a_i^t_i, so term e is scaled by
+        prod_i a_i^(t_i - e_i)."""
         if len(args) != self.nvars:
             raise ValueError("need %d substitution arguments" % (self.nvars,))
         if not args:
@@ -536,18 +476,7 @@ class Polynomial:
             ring._check(a)
         if ring.field != self.field:
             raise TypeError("mixed-field arithmetic: %r vs %r" % (self.field, ring.field))
-        if self._nums is None:
-            return self._dict_compose(args)
-        return self._compose_ints(args)
-
-    def _compose_ints(self, args: Sequence["Polynomial"]) -> "Polynomial":
-        """compose over Q.  Each term c x^e becomes c * prod_i A_i^e_i, with
-        A_i the numerators of the arguments and their powers cached, and the
-        last product of each term adds straight into one output dict.  With
-        a_i the argument denominators and t_i the top exponent of variable i,
-        the sum lies over den * prod_i a_i^t_i, so term e is scaled by
-        prod_i a_i^(t_i - e_i)."""
-        terms = [(_unpack(k, self.nvars, self._bits), c) for k, c in self._nums.items()]
+        terms = [(_unpack(k, self.nvars, self._bits), c) for k, c in self._nums.items() if k]
         degs = [max(a.total_degree(), 0) for a in args]
         degree = max((sum(k * d for k, d in zip(e, degs)) for e, _ in terms), default=0)
         bits = max(_width(degree), *(a._bits for a in args))
@@ -559,55 +488,36 @@ class Polynomial:
             top = max((e[i] for e, _ in terms), default=0)
             den *= a._den**top
             scales.append([a._den ** (top - k) for k in range(top + 1)])
-        powers = [[{0: 1}, a._nums] for a in args]
-        out = {}
+        powers = [[None, a._nums] for a in args]
+        # the constant term, key 0, is scaled by every a_i^t_i
+        c = self._nums.get(0)
+        out = {} if c is None else {0: _times(c, den // self._den)}
         get = out.get
         for e, c in terms:
             factors = []
+            s = 1
             for i, k in enumerate(e):
                 if k:
                     row = powers[i]
                     while len(row) <= k:
                         row.append(_mul_nums(row[-1], row[1]))
                     factors.append(row[k])
-                c *= scales[i][k]
-            t = {0: c}
+                s *= scales[i][k]
+            t = {0: _times(c, s)}
             for f in factors[:-1]:
                 t = _mul_nums(t, f)
-            last = factors[-1] if factors else {0: 1}
             for k1, c1 in t.items():
-                for k2, c2 in last.items():
+                for k2, c2 in factors[-1].items():
                     k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
+                    v = get(k)
+                    out[k] = c1 * c2 if v is None else v + c1 * c2
         nums = {k: v for k, v in out.items() if v}
-        return Polynomial._from_ints(self.field, args[0].nvars, bits, nums, den)
-
-    def _dict_compose(self, args: Sequence["Polynomial"]) -> "Polynomial":
-        """compose over an etale algebra, on the terms dicts."""
-        field, nvars = self.field, args[0].nvars
-        cache = {}
-        out = {}
-        for e, c in self._terms.items():
-            t = Polynomial.const(field, nvars, c)
-            for i, k in enumerate(e):
-                if k:
-                    if (i, k) not in cache:
-                        cache[i, k] = args[i] ** k
-                    t = t * cache[i, k]
-            for m, v in t._terms.items():
-                out[m] = out[m] + v if m in out else v
-        return Polynomial(field, nvars, out)
+        return Polynomial._from_nums(self.field, args[0].nvars, bits, nums, den)
 
     def embed(self, nvars: int, offset: int) -> "Polynomial":
         """The same polynomial with variables shifted into a larger ring."""
         if offset < 0 or offset + self.nvars > nvars:
             raise ValueError("embedding does not fit")
-        if self._nums is None:
-            pad_lo = (0,) * offset
-            pad_hi = (0,) * (nvars - offset - self.nvars)
-            return Polynomial(
-                self.field, nvars, {pad_lo + e + pad_hi: c for e, c in self._terms.items()}
-            )
         # the degree field moves to the new top; the exponent fields keep
         # their width and land below the offset's variables
         bits = self._bits
@@ -616,7 +526,7 @@ class Polynomial:
         low = (nvars - offset - self.nvars) * bits
         top = nvars * bits
         nums = {((k >> shift) << top) | ((k & mask) << low): c for k, c in self._nums.items()}
-        return Polynomial._from_ints(self.field, nvars, bits, nums, self._den)
+        return Polynomial._from_nums(self.field, nvars, bits, nums, self._den)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -631,8 +541,6 @@ class Polynomial:
             return NotImplemented
         if self.field != other.field or self.nvars != other.nvars:
             return False
-        if self._nums is None:
-            return self._terms == other._terms
         self._aligned(other)
         return self._den == other._den and self._nums == other._nums
 
@@ -688,16 +596,13 @@ class EvalProgram:
         for p in polys:
             first._check(p)
         field, n = first.field, first.nvars
+        items = [[(_unpack(k, n, p._bits), c) for k, c in p._nums.items()] for p in polys]
         if isinstance(field, RationalField):
             L = math.lcm(*(p._den for p in polys))
-            terms = [
-                [(_unpack(k, n, p._bits), c * (L // p._den)) for k, c in p._nums.items()]
-                for p in polys
-            ]
+            terms = [[(e, c * (L // p._den)) for e, c in it] for p, it in zip(polys, items)]
             self._tensor, dt = None, 1
         else:
             m = field.absolute_degree
-            items = [list(p.terms.items()) for p in polys]
             flats = [q for it in items for _, c in it for q in field.flat(c)]
             ints, L = integral_coordinates(flats)
             chunks = iter([ints[i : i + m] for i in range(0, len(ints), m)])
@@ -917,24 +822,14 @@ def clear_denominators(M: Sequence[Sequence[RationalFunction]]):
 def linear_forms(N: Sequence[Sequence[Polynomial]]):
     """The entries of N(X) * Y, as polynomials in the X then Y variables.
 
-    Over Q each row is built from the integer forms of its entries, as
-    `embed` shifts keys: a key of N[i][j] keeps its exponent fields, moved
-    up past the n new ones, gains y_j's field and one more degree, and is
-    scaled to the row's common denominator."""
+    Each row is built from the packed forms of its entries, as `embed` shifts
+    keys: a key of N[i][j] keeps its exponent fields, moved up past the n new
+    ones, gains y_j's field and one more degree, and is scaled to the row's
+    common denominator."""
     n = len(N)
     field = N[0][0].field
     nx = N[0][0].nvars
     nv = nx + n
-    if not isinstance(field, RationalField):
-        y_exps = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
-        return [
-            Polynomial(
-                field,
-                nv,
-                {e + y_exps[j]: c for j, entry in enumerate(row) for e, c in entry.terms.items()},
-            )
-            for row in N
-        ]
     entries = [entry for row in N for entry in row]
     degree = max(entry.total_degree() for entry in entries) + 1
     bits = max(_width(degree), *(entry._bits for entry in entries))
@@ -952,8 +847,8 @@ def linear_forms(N: Sequence[Sequence[Polynomial]]):
                 f = den // entry._den
                 y = 1 << ((n - 1 - j) * bits)
                 for k, c in entry._nums.items():
-                    nums[(((k >> shift) + 1) << top) | ((k & mask) << up) | y] = c * f
-        out.append(Polynomial._from_ints(field, nv, bits, nums, den))
+                    nums[(((k >> shift) + 1) << top) | ((k & mask) << up) | y] = _times(c, f)
+        out.append(Polynomial._from_nums(field, nv, bits, nums, den))
     return out
 
 
@@ -1016,9 +911,11 @@ def _binom_frac(x: Fraction, j: int) -> Fraction:
 
 
 def _trunc(p: Polynomial, bound: int) -> Polynomial:
-    return Polynomial(
-        p.field, p.nvars, {e: c for e, c in p.terms.items() if sum(e) <= bound}
-    )
+    """The terms of p of total degree at most `bound`: a filter on the
+    degree field of the keys."""
+    shift = p.nvars * p._bits
+    nums = {k: c for k, c in p._nums.items() if k >> shift <= bound}
+    return Polynomial._from_nums(p.field, p.nvars, p._bits, nums, p._den)
 
 
 def is_dth_power(p: Polynomial, d: int):

@@ -489,6 +489,21 @@ def test_stdout_is_byte_identical_to_golden(capsys, monkeypatch, expected, argv)
     assert out == (GOLDEN / expected).read_text(encoding="utf-8")
 
 
+def test_golden_decompose_imports_no_sympy():
+    """The Q(cbrt 2) transfer needs only minimal polynomials of degree 2 and
+    3 certified, and the complete rational-root test does that: a fresh
+    process writes the golden stdout without importing sympy."""
+    script = ("import sys; from formforge.cli import main; code = main(sys.argv[1:]); "
+              "sys.stderr.write('sympy imported: %s' % ('sympy' in sys.modules)); "
+              "sys.exit(code)")
+    done = run_checkout([sys.executable, "-c", script, "decompose", "--absolute", "--form",
+                         "transfer-cbrt2.json"], GOLDEN)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode() == (GOLDEN / "transfer-cbrt2.decompose.json").read_text(
+        encoding="utf-8")
+    assert done.stderr.decode().endswith("sympy imported: False")
+
+
 _RANDOM_GOLDEN = {
     "tits-cubic-3.strong-mult.random.json": ["--form", "tits-cubic-3.witnessed.json"],
     "tits-cubic-3.tampered.random.json": ["--form", "tits-cubic-3.witnessed.json",

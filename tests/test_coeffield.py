@@ -12,6 +12,7 @@ from formforge import (
     field_extend,
     regular_representation,
 )
+from formforge.coeffield import _times
 
 
 def test_quadratic_extension_square_of_generator():
@@ -23,6 +24,18 @@ def test_cubic_extension_accepted():
     A = field_extend(QQ, [-2, 0, 0, 1])
     assert A.degree == 3
     assert A.gen ** 3 == A.from_rational(2)
+
+
+@pytest.mark.parametrize("field", [QQ, field_extend(QQ, [-2, 0, 1])], ids=["q", "sqrt2"])
+def test_field_elements_do_not_mix_with_ints(field):
+    """Packed polynomials keep ints and field elements apart; a product or
+    sum of the two raises instead of coercing, and `_times` skips a factor
+    of 1."""
+    with pytest.raises(TypeError):
+        field.one * 2
+    with pytest.raises(TypeError):
+        0 + field.one
+    assert _times(field.one, 1) is field.one
 
 
 def test_repeated_root_rejected():

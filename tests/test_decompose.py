@@ -349,6 +349,14 @@ def test_integer_univariate_steps_match_the_field_path(seed):
         assert got == want
 
 
+def test_certification_outside_the_divisor_bound_factors_with_sympy():
+    """(t - 10^9)(t^2 + 1) has a rational root that the bounded divisor test
+    does not look for, so it is not certified irreducible: sympy splits it."""
+    f = decompose._int_mul([-(10**9), 1], [1, 0, 1])
+    assert decompose._rational_roots(f) == []
+    assert sorted(decompose._IntegerPolys.factor(f), key=len) == [[-(10**9), 1], [1, 0, 1]]
+
+
 def test_split_albert_norm_is_one_27_dimensional_component():
     phi = split_albert_norm().form
     t0 = time.perf_counter()

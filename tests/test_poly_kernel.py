@@ -1,5 +1,5 @@
-"""Property tests of the integer kernels of Polynomial: arithmetic over Q on
-packed exponents and integer numerators against the dict arithmetic of
+"""Property tests of the packed kernels of Polynomial: arithmetic over Q and
+over etale algebras, on packed exponents, against the dict arithmetic of
 `oracles` (one field-element operation per pair of terms), evaluation over Q
 against a term-by-term Fraction sum, and evaluation over etale algebras and
 compiled evaluation programs against `oracles.generic_eval`, which
@@ -23,13 +23,14 @@ from formforge.coeffield import (  # noqa: E402
     poly_mul,
     to_coordinates,
 )
-from formforge.poly import EvalProgram  # noqa: E402
+from formforge.poly import EvalProgram, linear_forms  # noqa: E402
 from oracles import (  # noqa: E402
     dict_add,
     dict_compose,
     dict_mul,
     generic_eval,
     heap_exact_div,
+    linear_forms_from_terms,
     structure_product,
 )
 
@@ -96,8 +97,8 @@ def _q_poly(draw, n, exp, max_terms):
 def _outcome(divide):
     try:
         return divide()
-    except NotDivisible:
-        return NotDivisible
+    except (NotDivisible, ZeroDivisor) as exc:
+        return type(exc)
 
 
 def _same(kernel, oracle):
@@ -193,6 +194,8 @@ def test_q_edge_cases():
         Fraction(1, 2)
     )
     three = Polynomial.const(QQ, 1, 3)
+    # the constant term of a composition lies over the arguments' denominators too
+    assert (x + three).compose([x.scale(Fraction(1, 2))]) == x.scale(Fraction(1, 2)) + three
     for a, b in (
         (x * x + Polynomial.const(QQ, 1, 1), x.scale(2) + Polynomial.const(QQ, 1, 1)),
         # 3x + 3 - 1 * (2x + 3) leaves x, though the tail cancels the 3
@@ -304,6 +307,88 @@ def test_split_quadratic_idempotents():
         with pytest.raises(ZeroDivisor, match="zero divisor") as exc:
             e.inv()
         assert exc.value.hint == tuple(QQ.from_rational(c) for c in hint)
+
+
+# ---------------------------------------------------------------------------
+# arithmetic over etale algebras
+
+
+def _etale_poly(draw, field, n, exp, max_terms):
+    exps = st.tuples(*[exp] * n)
+    pairs = [(draw(exps), _element(draw, field)) for _ in range(draw(st.integers(0, max_terms)))]
+    return Polynomial.from_pairs(field, n, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_etale_arithmetic_matches_dict_oracles(data):
+    """Sums, products, powers, scaling, exact division, embedding and
+    composition over Q(sqrt 2), Q(cbrt 2), the tower and the two quadratic
+    algebras against the dict oracles.  Division gives the oracle's quotient,
+    or the same NotDivisible or ZeroDivisor (a zero-divisor leading
+    coefficient over Q[t]/(t^2 - 1))."""
+    field = FIELDS[data.draw(_field)]
+    n = data.draw(st.integers(0, 3))
+    p = _etale_poly(data.draw, field, n, st.integers(0, 3), 4)
+    q = _etale_poly(data.draw, field, n, st.integers(0, 3), 4)
+    _same(p + q, dict_add(p, q))
+    _same(p - q, dict_add(p, q, subtract=True))
+    assert (p - p).is_zero() and (p - p).total_degree() == -1
+    pq = p * q
+    _same(pq, dict_mul(p, q))
+    k = data.draw(st.integers(0, 3))
+    power = Polynomial.const(field, n, field.one)
+    for _ in range(k):
+        power = dict_mul(power, p)
+    _same(p**k, power)
+    c = _element(data.draw, field)
+    _same(p.scale(c), dict_mul(p, Polynomial.const(field, n, c)))
+    if not q.is_zero():
+        e = data.draw(st.tuples(*[st.integers(0, 3)] * n))
+        r = pq + Polynomial.from_pairs(field, n, [(e, _element(data.draw, field))])
+        for a in (pq, r):
+            kernel, oracle = _outcome(lambda: a.exact_div(q)), _outcome(lambda: heap_exact_div(a, q))
+            if oracle in (NotDivisible, ZeroDivisor):
+                assert kernel is oracle
+            else:
+                _same(kernel, oracle)
+        if _outcome(lambda: pq.exact_div(q)) is not ZeroDivisor:
+            _same(pq.exact_div(q), p)
+    nv = n + data.draw(st.integers(0, 2))
+    offset = data.draw(st.integers(0, nv - n))
+    pad_lo, pad_hi = (0,) * offset, (0,) * (nv - n - offset)
+    assert p.embed(nv, offset).terms == {pad_lo + e + pad_hi: v for e, v in p.terms.items()}
+    m = data.draw(st.integers(0, 3))
+    args = [_etale_poly(data.draw, field, m, st.integers(0, 2), 3) for _ in range(n)]
+    _same(p.compose(args), dict_compose(p, args))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_etale_linear_forms_match_terms_oracle(data):
+    field = FIELDS[data.draw(_field)]
+    n, nx = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    N = [[_etale_poly(data.draw, field, nx, st.integers(0, 3), 3) for _ in range(n)]
+         for _ in range(n)]
+    for got, want in zip(linear_forms(N), linear_forms_from_terms(N)):
+        _same(got, want)
+
+
+def test_split_algebra_products_cancel():
+    """Over Q[t]/(t^2 - 1), (1 + t) x * (1 - t) y = 0: a product of nonzero
+    coefficients that is zero leaves no term in a product, a scaling or a
+    composition, and a divisor whose leading coefficient is a zero divisor
+    raises ZeroDivisor."""
+    A = FIELDS["split"]
+    t = A.element([0, 1])
+    x, y = Polynomial.variable(A, 2, 0), Polynomial.variable(A, 2, 1)
+    a, b = x.scale(A.one + t), y.scale(A.one - t)
+    assert (a * b).is_zero() and (a * b).terms == {} and (a * b).total_degree() == -1
+    assert (a * (b + x)).terms == {(2, 0): A.one + t}
+    assert a.scale(A.one - t).is_zero()
+    assert (a + y).compose([x.scale(A.one - t), y]) == y
+    assert _outcome(lambda: (a * y).exact_div(a + y)) is ZeroDivisor
+    assert _outcome(lambda: heap_exact_div(a * y, a + y)) is ZeroDivisor
 
 
 # ---------------------------------------------------------------------------
