@@ -305,7 +305,7 @@ def from_coordinates(field, a, den: int = 1) -> tuple:
     """The field elements a / den: `to_coordinates` read back."""
     if isinstance(field, RationalField):
         zero = field.zero
-        return tuple(FieldElement(field, (Fraction(v, den),)) if v else zero for v in a)
+        return tuple([FieldElement(field, (Fraction(v, den),)) if v else zero for v in a])
     return tuple(a)
 
 

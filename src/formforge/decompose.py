@@ -10,9 +10,10 @@ of C, as in Friedl & Ronyai (STOC 1985): an element is its coordinate
 vector, multiplied through the tensor, and n x n matrices are built only for
 the final idempotents.  Idempotents are found from minimal polynomials of a
 deterministic element sequence, split by gcd-based coprime factorization and
-rational roots, lifted through the nilradical, and certified (or refined) by
-univariate factorization over Q when the gcd pipeline stalls; the rank of
-the trace form of C bounds the semisimple part.
+rational roots, lifted through the nilradical, and certified (or refined)
+over Q when the gcd pipeline stalls, by the rational-root test at degree at
+most 3 and by univariate factorization above; the rank of the trace form of
+C bounds the semisimple part.
 
 Over Q everything between the polarization and the final idempotents runs
 in Python ints.  A vector is a pair (a, den) of an int list and a positive

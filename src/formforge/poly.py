@@ -503,7 +503,7 @@ class Polynomial:
                         row.append(_mul_nums(row[-1], row[1]))
                     factors.append(row[k])
                 s *= scales[i][k]
-            t = {0: _times(c, s)}
+            t = {0: c if s == 1 else c * s}
             for f in factors[:-1]:
                 t = _mul_nums(t, f)
             for k1, c1 in t.items():
@@ -596,13 +596,16 @@ class EvalProgram:
         for p in polys:
             first._check(p)
         field, n = first.field, first.nvars
-        items = [[(_unpack(k, n, p._bits), c) for k, c in p._nums.items()] for p in polys]
         if isinstance(field, RationalField):
             L = math.lcm(*(p._den for p in polys))
-            terms = [[(e, c * (L // p._den)) for e, c in it] for p, it in zip(polys, items)]
+            terms = [
+                [(_unpack(k, n, p._bits), c * (L // p._den)) for k, c in p._nums.items()]
+                for p in polys
+            ]
             self._tensor, dt = None, 1
         else:
             m = field.absolute_degree
+            items = [[(_unpack(k, n, p._bits), c) for k, c in p._nums.items()] for p in polys]
             flats = [q for it in items for _, c in it for q in field.flat(c)]
             ints, L = integral_coordinates(flats)
             chunks = iter([ints[i : i + m] for i in range(0, len(ints), m)])
