@@ -23,6 +23,10 @@ on first use, from the m(m+1)/2 products of basis elements, computed with
 the tower is monic with integer coefficients), which is also how
 `Polynomial.eval` works over an etale algebra, and the algebra presentations
 of `constructions` and the center algebras of `decompose` each store one.
+Beside it each etale algebra builds, once, its `GeneratorKeys`: the flat
+basis as packed generator exponents, with the products of basis monomials
+that leave the basis read off the tensor, which is how a `Polynomial` over
+the algebra reduces its products in ints.
 """
 
 from __future__ import annotations
@@ -145,6 +149,7 @@ class RationalField:
 
     degree = 1
     absolute_degree = 1
+    generator_bits = 0
 
     def __init__(self):
         self.zero = FieldElement(self, (Fraction(0),))
@@ -162,6 +167,9 @@ class RationalField:
 
     def from_flat(self, v: Sequence[Fraction]) -> FieldElement:
         return FieldElement(self, (v[0],))
+
+    def generator_keys(self) -> "GeneratorKeys":
+        return _NO_GENERATOR
 
     def _mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
         return FieldElement(self, (x.coeffs[0] * y.coeffs[0],))
@@ -196,7 +204,10 @@ class EtaleAlgebra:
         self.minpoly = tuple(minpoly)  # monic, includes leading 1
         self.degree = len(minpoly) - 1
         self.absolute_degree = self.degree * base.absolute_degree
+        # the generators' bits in a packed key (`generator_keys`)
+        self.generator_bits = base.generator_bits + (2 * (self.degree - 1)).bit_length()
         self._tensor = None
+        self._keys = None
         self.zero = self.element([0] * self.degree)
         self.one = self.element([1] + [0] * (self.degree - 1))
         if self.degree >= 2:
@@ -254,6 +265,22 @@ class EtaleAlgebra:
             self._tensor = StructureTensor(QQ, T, Dt)
         return self._tensor
 
+    def generator_keys(self) -> "GeneratorKeys":
+        """The flat basis as packed generator exponents, with the reduction
+        table of their products (built once, from `tensor`)."""
+        if self._keys is None:
+            base = self.base.generator_keys()
+            keys = tuple((k << base.bits) | b for k in range(self.degree) for b in base.keys)
+            T = self.tensor()
+            gk = GeneratorKeys(self.generator_bits, keys, {}, T.den)
+            for i, a in enumerate(keys):
+                for j in range(i, len(keys)):
+                    s = a + keys[j]
+                    if s not in gk.index:
+                        gk.table[s] = tuple((keys[l], c) for l, c in T.rows[i][j])
+            self._keys = gk
+        return self._keys
+
     def _reduce(self, p) -> FieldElement:
         """The element p(t) mod f for a coefficient list p over the base."""
         _, rem = poly_divmod(self.base, p, list(self.minpoly))
@@ -290,6 +317,31 @@ class EtaleAlgebra:
 
     def __repr__(self):
         return "Etale(deg=%d over %r)" % (self.degree, self.base)
+
+
+class GeneratorKeys:
+    """The flat basis of a field as packed generator exponents: the monomial
+    t_1^k_1 ... t_r^k_r of a tower, top level first, is the int with k_i in a
+    field of its own, wide enough for 2(m_i - 1) with m_i the degree of
+    level i, so that the key of a product of two basis monomials is the sum
+    of their keys.  `keys[l]` is the key of flat basis element l, and
+    `table` maps the key of every product with some k_i >= m_i to that
+    product in the flat basis, as ((key, c), ...) over `den`, the
+    denominator of the field's tensor.  Over Q there is no generator: one
+    key 0 in zero bits."""
+
+    __slots__ = ("bits", "mask", "keys", "index", "table", "den")
+
+    def __init__(self, bits: int, keys, table, den: int):
+        self.bits = bits
+        self.mask = (1 << bits) - 1
+        self.keys = keys
+        self.index = {t: l for l, t in enumerate(keys)}
+        self.table = table
+        self.den = den
+
+
+_NO_GENERATOR = GeneratorKeys(0, (0,), {}, 1)
 
 
 def to_coordinates(field, xs):

@@ -785,9 +785,12 @@ def _try_split(block: _Block):
     )
 
 
-def primitive_idempotents(center: CenterAlgebra) -> List[Matrix]:
+def primitive_idempotents(center: CenterAlgebra, columns: bool = False) -> list:
     """The primitive idempotents of the center, split on coordinate vectors
-    in its basis and returned as n x n matrices in a canonical order."""
+    in its basis and returned as n x n matrices in a canonical order.  With
+    `columns`, each comes as (matrix, basis): the basis is the reduced row
+    echelon form of the matrix's columns, as `linalg.rref` gives it, and
+    over Q it is computed from the integer matrix."""
     field = center.field
     t = center.tensor
 
@@ -829,12 +832,38 @@ def primitive_idempotents(center: CenterAlgebra) -> List[Matrix]:
                     line = acc[a]
                     for i, x in row.items():
                         line[i] = line[i] + f * x if i in line else f * x
-        mats.append(tuple(
+        mats.append((tuple(
             from_coordinates(field, [line.get(i, zero) for i in range(n)], de * scale)
             for line in acc
-        ))
+        ), acc))
 
-    return sorted(mats, key=functools.cmp_to_key(_matrix_order))
+    mats.sort(key=functools.cmp_to_key(lambda a, b: _matrix_order(a[0], b[0])))
+    if not columns:
+        return [m for m, _ in mats]
+    return [(m, _column_basis(field, m, acc)) for m, acc in mats]
+
+
+def _column_basis(field, mat: Matrix, rows) -> list:
+    """The nonzero rows of the reduced row echelon form of the columns of
+    mat, as dense tuples.  Over Q they are read from `rows`, mat as dict
+    rows of int numerators over one denominator, which the column space
+    does not depend on."""
+    if not isinstance(field, RationalField):
+        red, pivots = linalg.rref(field, [list(col) for col in zip(*mat)])
+        return [tuple(red[i]) for i in range(len(pivots))]
+    n = len(mat)
+    cols = [{} for _ in range(n)]
+    for a, row in enumerate(rows):
+        for i, v in row.items():
+            if v:
+                cols[i][a] = v
+    red, pivots = linalg.rref(field, cols)
+    zero = field.zero
+    return [
+        tuple(FieldElement(field, (Fraction(row[k], row[c]),)) if k in row else zero
+              for k in range(n))
+        for row, c in zip(red, pivots)
+    ]
 
 
 def _matrix_order(a: Matrix, b: Matrix) -> int:
@@ -879,13 +908,10 @@ def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:
 
     theta = polarize(phi)
     center = center_algebra(theta)
-    idems = primitive_idempotents(center)
+    idems = primitive_idempotents(center, columns=True)
 
     comps = []
-    for e in idems:
-        rows = [list(row) for row in zip(*e)]  # columns of e as row vectors
-        red, pivots = linalg.rref(field, rows)
-        cols = [tuple(red[i]) for i in range(len(pivots))]
+    for e, cols in idems:
         form_e = substitute_vectors(phi, cols)
         comps.append((e, cols, form_e))
 

@@ -96,27 +96,36 @@ def _fraction(num: int, den: int) -> Fraction:
 
 
 def decode_element(field, obj, path="$") -> FieldElement:
-    rational = isinstance(field, RationalField)
-    if rational or isinstance(obj, (int, str)):
+    """The element an encoding gives; zero is the shared `field.zero`."""
+    if isinstance(field, RationalField):
         try:
             num, den = _rational_parts(obj)
         except _NotRational as exc:
             raise JsonFormatError(path, str(exc))
-        if rational:
-            return FieldElement(field, (_fraction(num, den),)) if num else field.zero
-        # promote a rational constant into the extension
-        return field.from_rational(_fraction(num, den))
+        return FieldElement(field, (_fraction(num, den),)) if num else field.zero
+    parts = _flat_parts(field, obj, path)
+    if not any(num for num, _ in parts):
+        return field.zero
+    return field.from_flat([_fraction(num, den) for num, den in parts])
+
+
+def _flat_parts(field, obj, path: str) -> list:
+    """The flat coordinates of an encoded element as (numerator, positive
+    denominator) pairs; a rational promotes into an extension."""
+    if isinstance(field, RationalField) or isinstance(obj, (int, str)):
+        try:
+            q = _rational_parts(obj)
+        except _NotRational as exc:
+            raise JsonFormatError(path, str(exc))
+        return [q] + [(0, 1)] * (field.absolute_degree - 1)
     if isinstance(obj, list):
         if len(obj) != field.degree:
             raise JsonFormatError(
                 path, "expected %d coordinates, got %d" % (field.degree, len(obj))
             )
-        return field.element(
-            [
-                decode_element(field.base, c, "%s[%d]" % (path, i))
-                for i, c in enumerate(obj)
-            ]
-        )
+        return [
+            q for i, c in enumerate(obj) for q in _flat_parts(field.base, c, "%s[%d]" % (path, i))
+        ]
     raise JsonFormatError(path, "expected a scalar or coordinate list")
 
 
@@ -152,34 +161,23 @@ def decode_polynomial(obj, field=None, path="$") -> Polynomial:
     raw_terms = obj.get("terms")
     if not isinstance(raw_terms, list):
         raise JsonFormatError(path + ".terms", "expected a list")
-    if isinstance(field, RationalField):
-        return _decode_rational_polynomial(raw_terms, field, nvars, path)
-    pairs = []
-    for i, t in enumerate(raw_terms):
-        tpath = "%s.terms[%d]" % (path, i)
-        if not isinstance(t, dict) or "e" not in t or "c" not in t:
-            raise JsonFormatError(tpath, "expected {e, c}")
-        e = t["e"]
-        if (
-            not isinstance(e, list)
-            or len(e) != nvars
-            or not all(_is_count(x) for x in e)
-        ):
-            raise _bad_exponents(path, i, nvars)
-        pairs.append((tuple(e), decode_element(field, t["c"], tpath + ".c")))
-    return Polynomial.from_pairs(field, nvars, pairs)
+    return _decode_packed_polynomial(raw_terms, field, nvars, path)
 
 
 def _bad_exponents(path: str, i: int, nvars: int) -> JsonFormatError:
     return JsonFormatError("%s.terms[%d].e" % (path, i), "expected %d nonnegative exponents" % nvars)
 
 
-def _decode_rational_polynomial(raw_terms, field, nvars: int, path: str) -> Polynomial:
-    """decode_polynomial over Q, straight into the integer form: one pass
-    checks and packs each exponent list and reads each coefficient.  Keys are
-    packed for the largest degree seen so far and repacked when a term needs
-    more bits; equal keys add up and zero sums are dropped, and the width is
-    then the one `Polynomial` gives the remaining terms."""
+def _decode_packed_polynomial(raw_terms, field, nvars: int, path: str) -> Polynomial:
+    """decode_polynomial straight into the packed integer form: one pass
+    checks and packs each exponent list and reads each coefficient's flat
+    coordinates.  Exponent parts are packed for the largest degree seen so
+    far and repacked when a term needs more bits; equal keys add up and zero
+    sums are dropped, and the width is then the one `Polynomial` gives the
+    remaining terms."""
+    gen = field.generator_keys()
+    G = gen.bits
+    rational = isinstance(field, RationalField)
     bits = 1
     keys, nums, dens = [], [], []
     for i, t in enumerate(raw_terms):
@@ -196,17 +194,26 @@ def _decode_rational_polynomial(raw_terms, field, nvars: int, path: str) -> Poly
         degree = sum(e)
         if degree >> (bits - 1):
             old, bits = bits, _width(degree)
-            keys = [_pack(_unpack(key, nvars, old), bits) for key in keys]
+            keys = [(_pack(_unpack(key >> G, nvars, old), bits) << G) | (key & gen.mask)
+                    for key in keys]
             k = _pack(e, bits)
         else:
             k |= degree << (nvars * bits)
-        try:
-            num, den = _rational_parts(t["c"])
-        except _NotRational as exc:
-            raise JsonFormatError("%s.terms[%d].c" % (path, i), str(exc))
-        keys.append(k)
-        nums.append(num)
-        dens.append(den)
+        if rational:
+            try:
+                num, den = _rational_parts(t["c"])
+            except _NotRational as exc:
+                raise JsonFormatError("%s.terms[%d].c" % (path, i), str(exc))
+            keys.append(k)
+            nums.append(num)
+            dens.append(den)
+        else:
+            # a key, numerator and denominator a flat coordinate
+            for g, (num, den) in zip(gen.keys, _flat_parts(
+                    field, t["c"], "%s.terms[%d].c" % (path, i))):
+                keys.append((k << G) | g)
+                nums.append(num)
+                dens.append(den)
     L = math.lcm(*dens)
     acc = {}
     get = acc.get
@@ -216,7 +223,7 @@ def _decode_rational_polynomial(raw_terms, field, nvars: int, path: str) -> Poly
     if not acc:
         return Polynomial.zero(field, nvars)
     p = Polynomial._from_nums(field, nvars, bits, acc, L)
-    p._widen(_width(max(acc) >> (nvars * bits)))
+    p._widen(_width(max(acc) >> (nvars * bits + G)))
     return p
 
 
@@ -357,6 +364,7 @@ def decode_structure_matrices(obj, field, path="$"):
     if not isinstance(raw, list) or not raw:
         raise JsonFormatError(path + ".matrices", "expected structure matrices")
     n = len(raw)
+    zero = field.zero
     out = []
     for l, plane in enumerate(raw):
         if not isinstance(plane, list) or len(plane) != n:
@@ -367,9 +375,11 @@ def decode_structure_matrices(obj, field, path="$"):
                 raise JsonFormatError(
                     "%s.matrices[%d][%d]" % (path, l, i), "expected %d entries" % n
                 )
+            # most constants are zero: "0" decodes to the shared zero unparsed
             rows.append(
                 tuple(
-                    decode_element(field, c, "%s.matrices[%d][%d][%d]" % (path, l, i, j))
+                    zero if c == "0"
+                    else decode_element(field, c, "%s.matrices[%d][%d][%d]" % (path, l, i, j))
                     for j, c in enumerate(row)
                 )
             )

@@ -5,31 +5,34 @@ canonical term order is graded lexicographic.  Identity checking offers a
 symbolic mode (canonical subtraction, a proof) and a random mode (exact
 evaluation with a Schwartz-Zippel style confidence bound).
 
-Every polynomial is stored in one packed form: a dict from packed exponent
-keys to coefficients over one shared positive denominator, written with the
-codec of `coeffield.to_coordinates`.  Over Q the coefficients are integer
-numerators, and the form is kept canonical (the denominator is coprime to
-the numerators taken together); over an etale algebra they are field
-elements and the denominator is 1.  Sums, products (sparse, as in Johnson,
-SIGSAM Bull. 8(3), 1974), heap division with packed exponent vectors (as in
-Monagan & Pearce, CASC 2007), composition and embedding run on that form
-for every field, in Python ints over Q; only the constructor, `terms`,
-`scale`, the leading and constant coefficients and the coefficient step of
-the division read the coefficient type.  `terms` is a view built on first
-read and cached.  Over an etale algebra that is not a field, such as
-Q[t]/(t^2 - 1), a product of nonzero coefficients can be zero, so products
-drop zero coefficients as sums do.
+Every polynomial is stored in one packed form: a dict from packed keys to
+integer numerators over one positive denominator, kept canonical (the
+denominator is coprime to the numerators taken together).  Over Q a key is
+a packed exponent vector.  Over an etale algebra K = Q[t]/(f), or a tower of
+them, a key also carries the generators' exponents (`GeneratorKeys` of
+`coeffield`), so a coefficient of K is the group of keys that share one
+exponent vector, with its flat coordinates as numerators.  Sums, products
+(sparse, as in Johnson, SIGSAM Bull. 8(3), 1974), composition, embedding and
+comparison run on ints for every field; over K the one extra step is
+`_reduce`, once per product, which writes generator powers at or above their
+degree in the flat basis through the field's table.  Heap division with
+packed exponent vectors (as in Monagan & Pearce, CASC 2007) pops a whole
+coefficient group at a time.  `terms` is a view of field elements built on
+first read and cached.
 
-Packing: with b bits a variable, the key of x^e in n variables is
+Packing: with b bits a variable, the exponent part of x^e in n variables is
 sum(e) * 2^(n b) + sum_i e_i * 2^((n - 1 - i) b), so the total degree sits in
-the top field and integer order is graded-lex order, and the key of a product
-of monomials is the sum of their keys as long as no exponent reaches 2^b.  A
-polynomial of total degree D is packed with b = bitlen(D) + 1, which leaves
-room for one product with itself.  Every product and composition checks its
-degree bound against 2^b first and repacks its operands wider when the bound
-does not fit; sums, comparisons and division, whose results are of no higher
-degree than an operand, repack the narrower operand to the wider width.  So
-no field ever carries into the next.
+the top field; the generators' G bits sit below it, and the key is the
+exponent part times 2^G plus the generator part.  Integer order is then
+graded-lex order on x, then order on the generators, and the key of a
+product of monomials is the sum of their keys as long as no exponent reaches
+2^b; each generator field has room for the product of two reduced powers.
+A polynomial of total degree D is packed with b = bitlen(D) + 1, which
+leaves room for one product with itself.  Every product and composition
+checks its degree bound against 2^b first and repacks its operands wider
+when the bound does not fit; sums, comparisons and division, whose results
+are of no higher degree than an operand, repack the narrower operand to the
+wider width.  So no field ever carries into the next.
 """
 
 from __future__ import annotations
@@ -44,14 +47,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeffield import (
-    FieldElement,
-    RationalField,
-    _times,
-    from_coordinates,
-    integral_coordinates,
-    to_coordinates,
-)
+from .coeffield import FieldElement, RationalField, integral_coordinates
 
 
 class NotDivisible(ArithmeticError):
@@ -102,14 +98,13 @@ def _unpack(k: int, n: int, bits: int) -> Tuple[int, ...]:
 
 
 def _mul_nums(a: dict, b: dict) -> dict:
-    """The product of two packed polynomials, without zero terms: sums of
-    products may cancel, and over a non-field etale algebra so may a single
-    product."""
+    """The product of two packed polynomials, without the zero terms that
+    sums of products may leave."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
         ((ka, ca),) = a.items()
-        return {ka + kb: c for kb, cb in b.items() if (c := ca * cb)}
+        return {ka + kb: ca * cb for kb, cb in b.items()}
     out = {}
     get = out.get
     items = list(b.items())
@@ -119,6 +114,41 @@ def _mul_nums(a: dict, b: dict) -> dict:
             v = get(k)
             out[k] = ca * cb if v is None else v + ca * cb
     return {k: c for k, c in out.items() if c}
+
+
+def _reduce(nums: dict, gen) -> dict:
+    """nums, a packed product (changed in place), with every key whose
+    generator part is in `gen.table` written in the flat basis, and the
+    value times gen.den, so the product lies over gen.den times its
+    denominator.  Over an etale algebra that is not a field, such as
+    Q[t]/(t^2 - 1), terms can cancel here, and they are dropped."""
+    table, mask, dt = gen.table, gen.mask, gen.den
+    high = [k for k in nums if (k & mask) in table]
+    high = [(k ^ (k & mask), nums.pop(k), table[k & mask]) for k in high]
+    if dt != 1:
+        for k in nums:
+            nums[k] *= dt
+    get = nums.get
+    for x, c, row in high:
+        for t, a in row:
+            k = x | t
+            v = get(k)
+            if v is None:
+                nums[k] = c * a
+            else:
+                v += c * a
+                if v:
+                    nums[k] = v
+                else:
+                    del nums[k]
+    return nums
+
+
+def _product(a: dict, b: dict, gen) -> dict:
+    """The packed product of a and b over gen.den times their denominators
+    (`_reduce`; over Q, with no table, gen.den is 1)."""
+    nums = _mul_nums(a, b)
+    return _reduce(nums, gen) if gen.table else nums
 
 
 def _canonical(nums: dict, den: int):
@@ -142,15 +172,28 @@ class Polynomial:
         self._compiled = None
         if isinstance(field, RationalField):
             terms = {e: c for e, c in terms.items() if c.coeffs[0]}
-        else:
-            terms = {e: c for e, c in terms.items() if c}
-        self._terms = terms
-        if not terms:
-            self._nums, self._den, self._bits = {}, 1, 1
+            self._terms = terms
+            if not terms:
+                self._nums, self._den, self._bits = {}, 1, 1
+                return
+            nums, self._den = integral_coordinates([c.coeffs[0] for c in terms.values()])
+            self._bits = bits = _width(max(map(sum, terms)))
+            self._nums = dict(zip([_pack(e, bits) for e in terms], nums))
             return
-        nums, self._den = to_coordinates(field, terms.values())
-        self._bits = bits = _width(max(map(sum, terms)))
-        self._nums = dict(zip([_pack(e, bits) for e in terms], nums))
+        gen = field.generator_keys()
+        m = len(gen.keys)
+        ints, den = integral_coordinates([q for c in terms.values() for q in field.flat(c)])
+        rows = [(e, ints[i : i + m]) for e, i in zip(terms, range(0, len(ints), m))]
+        rows = [(e, v) for e, v in rows if any(v)]
+        self._terms = None
+        self._bits = bits = _width(max((sum(e) for e, _ in rows), default=0))
+        nums = {}
+        for e, v in rows:
+            x = _pack(e, bits) << gen.bits
+            for t, a in zip(gen.keys, v):
+                if a:
+                    nums[x | t] = a
+        self._nums, self._den = _canonical(nums, den)
 
     @classmethod
     def _from_nums(cls, field, nvars: int, bits: int, nums: dict, den: int) -> "Polynomial":
@@ -170,17 +213,54 @@ class Polynomial:
         packed form on first read and cached."""
         t = self._terms
         if t is None:
-            n, bits = self.nvars, self._bits
-            coeffs = from_coordinates(self.field, self._nums.values(), self._den)
-            t = self._terms = dict(zip([_unpack(k, n, bits) for k in self._nums], coeffs))
+            n, bits, field, den = self.nvars, self._bits, self.field, self._den
+            if isinstance(field, RationalField):
+                t = {
+                    _unpack(k, n, bits): FieldElement(field, (Fraction(c, den),))
+                    for k, c in self._nums.items()
+                }
+            else:
+                t = {
+                    _unpack(x, n, bits): field.from_flat([Fraction(c, den) for c in v])
+                    for x, v in self._vectors().items()
+                }
+            self._terms = t
         return t
+
+    def _vectors(self) -> dict:
+        """{exponent part of a key: the flat int coordinates of its
+        coefficient}, over the denominator."""
+        gen = self.field.generator_keys()
+        G, mask, index, m = gen.bits, gen.mask, gen.index, len(gen.keys)
+        out = {}
+        for k, c in self._nums.items():
+            v = out.get(k >> G)
+            if v is None:
+                v = out[k >> G] = [0] * m
+            v[index[k & mask]] = c
+        return out
+
+    def _coefficient(self, x: int) -> FieldElement:
+        """The coefficient of the exponent part x of a key."""
+        field = self.field
+        gen = field.generator_keys()
+        base = x << gen.bits
+        v = [self._nums.get(base | t, 0) for t in gen.keys]
+        if not any(v):
+            return field.zero
+        return field.from_flat([Fraction(c, self._den) for c in v])
 
     def _widen(self, bits: int) -> None:
         """Repack with `bits` bits a variable (at least the current width);
         the value does not change."""
         if bits != self._bits:
             n, old = self.nvars, self._bits
-            self._nums = {_pack(_unpack(k, n, old), bits): c for k, c in self._nums.items()}
+            G = self.field.generator_bits
+            mask = (1 << G) - 1
+            self._nums = {
+                (_pack(_unpack(k >> G, n, old), bits) << G) | (k & mask): c
+                for k, c in self._nums.items()
+            }
             self._bits = bits
 
     def _aligned(self, other: "Polynomial") -> int:
@@ -265,8 +345,10 @@ class Polynomial:
             bits = _width(degree)
         self._widen(bits)
         other._widen(bits)
-        nums = _mul_nums(self._nums, other._nums)
-        return Polynomial._from_nums(self.field, self.nvars, bits, nums, self._den * other._den)
+        gen = self.field.generator_keys()
+        nums = _product(self._nums, other._nums, gen)
+        den = self._den * other._den * gen.den
+        return Polynomial._from_nums(self.field, self.nvars, bits, nums, den)
 
     def scale(self, c) -> "Polynomial":
         if not isinstance(c, FieldElement):
@@ -275,9 +357,11 @@ class Polynomial:
             return Polynomial.zero(self.field, self.nvars)
         if c.field != self.field:
             raise TypeError("mixed-field arithmetic: %r vs %r" % (c, self.field))
-        (a,), d = to_coordinates(self.field, [c])
-        nums = {k: x for k, v in self._nums.items() if (x := v * a)}
-        return Polynomial._from_nums(self.field, self.nvars, self._bits, nums, self._den * d)
+        gen = self.field.generator_keys()
+        a, d = integral_coordinates(self.field.flat(c))
+        nums = _product(self._nums, {t: x for t, x in zip(gen.keys, a) if x}, gen)
+        den = self._den * d * gen.den
+        return Polynomial._from_nums(self.field, self.nvars, self._bits, nums, den)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -295,35 +379,32 @@ class Polynomial:
         """Quotient when `other` divides exactly, else NotDivisible.
 
         The remainder is updated in place in one dict, and its leading term
-        comes from a heap of its monomials in graded-lex order, along the
-        lines of Monagan & Pearce (CASC 2007).  Subtracting q * other only
-        adds monomials below the current leading one, so a monomial popped
-        once never returns.
+        comes from a heap of its keys, along the lines of Monagan & Pearce
+        (CASC 2007).  Subtracting q * other only adds monomials below the
+        current leading one, so a monomial popped once never returns.
 
         Over Q the division runs on integer numerators by the primitive part
         P of `other`: when P divides an integer polynomial over Q, the
         quotient has integer coefficients (Gauss's lemma), so a leading
         coefficient that P's does not divide proves there is no quotient.
-        Over an etale algebra each quotient coefficient is a product with the
-        inverse of the leading coefficient, and a leading coefficient that is
-        a zero divisor raises ZeroDivisor."""
+        Over an etale algebra the leading coefficient is the group of keys
+        of the top monomial, inverted once (ZeroDivisor for a zero divisor),
+        and each step pops a whole group of the remainder; the remainder and
+        the quotient are held in Fractions."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         n = self.nvars
         bits = self._aligned(other)
-        lt = max(other._nums)
-        integral = isinstance(self.field, RationalField)
-        if integral:
-            content = math.gcd(*other._nums.values())
-            tail = {k: c // content for k, c in other._nums.items()}
-            lc = tail.pop(lt)
-        else:
-            content, tail = 1, dict(other._nums)
-            lc = tail.pop(lt).inv()
-        tail = list(tail.items())
         # a borrow out of an exponent field flips the lowest bit of the next
         borrows = sum(1 << (i * bits) for i in range(1, n + 1))
+        if not isinstance(self.field, RationalField):
+            return self._exact_div_groups(other, bits, borrows)
+        lt = max(other._nums)
+        content = math.gcd(*other._nums.values())
+        tail = {k: c // content for k, c in other._nums.items()}
+        lc = tail.pop(lt)
+        tail = list(tail.items())
         rem = dict(self._nums)
         heap = [-k for k in rem]
         heapq.heapify(heap)
@@ -339,21 +420,16 @@ class Polynomial:
                     "leading term %r not divisible by %r"
                     % (_unpack(rk, n, bits), _unpack(lt, n, bits))
                 )
-            if integral:
-                qc, r = divmod(rc, lc)
-                if r:
-                    raise NotDivisible("coefficient %d not divisible by %d" % (rc, lc))
-            else:
-                qc = rc * lc
+            qc, r = divmod(rc, lc)
+            if r:
+                raise NotDivisible("coefficient %d not divisible by %d" % (rc, lc))
             quot[qk] = qc
             for k, c in tail:
                 mk = qk + k
                 old = rem.get(mk)
                 if old is None:
-                    v = -qc * c
-                    if v:
-                        rem[mk] = v
-                        heapq.heappush(heap, -mk)
+                    rem[mk] = -qc * c
+                    heapq.heappush(heap, -mk)
                 else:
                     v = old - qc * c
                     if v:
@@ -365,59 +441,109 @@ class Polynomial:
         nums = quot if db == 1 else {k: c * db for k, c in quot.items()}
         return Polynomial._from_nums(self.field, n, bits, nums, self._den * content)
 
+    def _exact_div_groups(self, other: "Polynomial", bits: int, borrows: int) -> "Polynomial":
+        """exact_div over an etale algebra, on the numerators A of self and
+        B of other: A / B in Fractions, then scaled by their denominators."""
+        n, field = self.nvars, self.field
+        gen = field.generator_keys()
+        G, mask, dt = gen.bits, gen.mask, gen.den
+        lx = max(other._nums) >> G
+        tail = {k: c for k, c in other._nums.items() if k >> G != lx}
+        lc = other._vectors()[lx]
+        u, e = integral_coordinates(field.flat(field.from_flat([Fraction(c) for c in lc]).inv()))
+        inv = {t: a for t, a in zip(gen.keys, u) if a}
+        s = e * dt  # a quotient coefficient is (rc * inv) / s, reduced
+        rem = {k: Fraction(c) for k, c in self._nums.items()}
+        heap = [-k for k in rem]
+        heapq.heapify(heap)
+        quot = {}
+        while heap:
+            rk = -heapq.heappop(heap)
+            if rk not in rem:
+                continue
+            rx = rk >> G
+            qx = rx - lx
+            if qx < 0 or (qx ^ rx ^ lx) & borrows:
+                raise NotDivisible(
+                    "leading term %r not divisible by %r"
+                    % (_unpack(rx, n, bits), _unpack(lx, n, bits))
+                )
+            base = rx << G
+            rc = {t: rem.pop(base | t) for t in gen.keys if base | t in rem}
+            base = qx << G
+            qc = {base | t: c / s for t, c in _product(rc, inv, gen).items()}
+            quot.update(qc)
+            for mk, v in _product(qc, tail, gen).items():
+                if dt != 1:
+                    v /= dt
+                old = rem.get(mk)
+                if old is None:
+                    rem[mk] = -v
+                    heapq.heappush(heap, -mk)
+                else:
+                    v = old - v
+                    if v:
+                        rem[mk] = v
+                    else:
+                        del rem[mk]
+        L = math.lcm(*(q.denominator for q in quot.values()))
+        db = other._den
+        nums = {k: q.numerator * (L // q.denominator) * db for k, q in quot.items()}
+        return Polynomial._from_nums(field, n, bits, nums, self._den * L)
+
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._nums
 
     def term_count(self) -> int:
-        return len(self._nums)
+        G = self.field.generator_bits
+        return len({k >> G for k in self._nums}) if G else len(self._nums)
 
     def exponents(self) -> list:
         """The exponent tuples of the terms, read from the packed form; the
         terms view is not built."""
         n, bits = self.nvars, self._bits
-        return [_unpack(k, n, bits) for k in self._nums]
+        G = self.field.generator_bits
+        return [_unpack(x, n, bits) for x in dict.fromkeys(k >> G for k in self._nums)]
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
         if not self._nums:
             return -1
-        return max(self._nums) >> (self.nvars * self._bits)
+        return max(self._nums) >> (self.nvars * self._bits + self.field.generator_bits)
 
     def is_homogeneous(self, d: Optional[int] = None) -> bool:
-        shift = self.nvars * self._bits
-        degs = {min(self._nums) >> shift, max(self._nums) >> shift} if self._nums else set()
-        if not degs:
+        if not self._nums:
             return True
-        if len(degs) != 1:
+        shift = self.nvars * self._bits + self.field.generator_bits
+        lo, hi = min(self._nums) >> shift, max(self._nums) >> shift
+        if lo != hi:
             return False
-        return True if d is None else degs == {d}
+        return d is None or lo == d
 
     def leading_term(self):
-        k = max(self._nums)
-        e = _unpack(k, self.nvars, self._bits)
+        x = max(self._nums) >> self.field.generator_bits
+        e = _unpack(x, self.nvars, self._bits)
         if self._terms is not None:
             return e, self._terms[e]
-        return e, from_coordinates(self.field, (self._nums[k],), self._den)[0]
+        return e, self._coefficient(x)
 
     def is_monic(self) -> bool:
-        """Whether the leading coefficient is 1, read from the packed form
-        (over Q, a canonical numerator equal to the denominator).  The zero
-        polynomial is not monic."""
+        """Whether the leading coefficient is 1, read from the packed form:
+        the top key has no generator part (so it is alone in its group) and
+        its canonical numerator equals the denominator.  The zero polynomial
+        is not monic."""
         if not self._nums:
             return False
-        lc = self._nums[max(self._nums)]
-        return lc == (self._den if isinstance(self.field, RationalField) else self.field.one)
+        k = max(self._nums)
+        return not k & ((1 << self.field.generator_bits) - 1) and self._nums[k] == self._den
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
 
     def constant_coeff(self) -> FieldElement:
-        c = self._nums.get(0)
-        if c is None:
-            return self.field.zero
-        return from_coordinates(self.field, (c,), self._den)[0]
+        return self._coefficient(0)
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -461,10 +587,14 @@ class Polynomial:
 
         Each term c x^e becomes c * prod_i A_i^e_i, with A_i the packed
         arguments and their powers cached, and the last product of each term
-        adds straight into one output dict.  With a_i the argument
-        denominators and t_i the top exponent of variable i, the sum lies
-        over den * prod_i a_i^t_i, so term e is scaled by
-        prod_i a_i^(t_i - e_i)."""
+        adds straight into one output dict, reduced once at the end.  With
+        a_i the argument denominators and t_i the top exponent of variable
+        i, the sum lies over den * prod_i a_i^t_i, so term e is scaled by
+        prod_i a_i^(t_i - e_i).  Over an etale algebra with tensor
+        denominator Dt, a term of degree k > 0 comes out of its k reductions
+        (`_reduce`) over Dt^k, and the constant term out of the last one, so
+        with D the top degree the sum lies over one more Dt^D and term e is
+        also scaled by Dt^(D - k), the constant term by Dt^(D - 1)."""
         if len(args) != self.nvars:
             raise ValueError("need %d substitution arguments" % (self.nvars,))
         if not args:
@@ -476,7 +606,18 @@ class Polynomial:
             ring._check(a)
         if ring.field != self.field:
             raise TypeError("mixed-field arithmetic: %r vs %r" % (self.field, ring.field))
-        terms = [(_unpack(k, self.nvars, self._bits), c) for k, c in self._nums.items() if k]
+        gen = self.field.generator_keys()
+        G, mask, dt = gen.bits, gen.mask, gen.den
+        # each monomial's coefficient as a packed constant: its group of keys
+        groups = {}
+        for k, c in self._nums.items():
+            g = groups.get(k >> G)
+            if g is None:
+                groups[k >> G] = {k & mask: c}
+            else:
+                g[k & mask] = c
+        const = groups.pop(0, None)
+        terms = [(_unpack(x, self.nvars, self._bits), g) for x, g in groups.items()]
         degs = [max(a.total_degree(), 0) for a in args]
         degree = max((sum(k * d for k, d in zip(e, degs)) for e, _ in terms), default=0)
         bits = max(_width(degree), *(a._bits for a in args))
@@ -488,30 +629,38 @@ class Polynomial:
             top = max((e[i] for e, _ in terms), default=0)
             den *= a._den**top
             scales.append([a._den ** (top - k) for k in range(top + 1)])
+        # the constant term is scaled by every a_i^t_i
+        s0 = den // self._den
+        if dt != 1 and terms:
+            D = max(sum(e) for e, _ in terms)
+            dts = [dt**k for k in range(D + 1)]
+            s0 *= dts[D - 1]
+            den *= dts[D]
         powers = [[None, a._nums] for a in args]
-        # the constant term, key 0, is scaled by every a_i^t_i
-        c = self._nums.get(0)
-        out = {} if c is None else {0: _times(c, den // self._den)}
+        out = {} if const is None else {k: c * s0 for k, c in const.items()}
         get = out.get
-        for e, c in terms:
+        for e, t in terms:
             factors = []
-            s = 1
+            s = 1 if dt == 1 else dts[D - sum(e)]
             for i, k in enumerate(e):
                 if k:
                     row = powers[i]
                     while len(row) <= k:
-                        row.append(_mul_nums(row[-1], row[1]))
+                        row.append(_product(row[-1], row[1], gen))
                     factors.append(row[k])
                 s *= scales[i][k]
-            t = {0: c if s == 1 else c * s}
+            if s != 1:
+                t = {k: c * s for k, c in t.items()}
             for f in factors[:-1]:
-                t = _mul_nums(t, f)
+                t = _product(t, f, gen)
             for k1, c1 in t.items():
                 for k2, c2 in factors[-1].items():
                     k = k1 + k2
                     v = get(k)
                     out[k] = c1 * c2 if v is None else v + c1 * c2
         nums = {k: v for k, v in out.items() if v}
+        if gen.table and terms:
+            nums = _reduce(nums, gen)
         return Polynomial._from_nums(self.field, args[0].nvars, bits, nums, den)
 
     def embed(self, nvars: int, offset: int) -> "Polynomial":
@@ -519,13 +668,19 @@ class Polynomial:
         if offset < 0 or offset + self.nvars > nvars:
             raise ValueError("embedding does not fit")
         # the degree field moves to the new top; the exponent fields keep
-        # their width and land below the offset's variables
+        # their width and land below the offset's variables, and the
+        # generator part stays below them all
+        G = self.field.generator_bits
+        gmask = (1 << G) - 1
         bits = self._bits
         shift = self.nvars * bits
         mask = (1 << shift) - 1
         low = (nvars - offset - self.nvars) * bits
         top = nvars * bits
-        nums = {((k >> shift) << top) | ((k & mask) << low): c for k, c in self._nums.items()}
+        nums = {}
+        for k, c in self._nums.items():
+            x = k >> G
+            nums[((((x >> shift) << top) | ((x & mask) << low)) << G) | (k & gmask)] = c
         return Polynomial._from_nums(self.field, nvars, bits, nums, self._den)
 
     # -- plumbing ------------------------------------------------------------
@@ -604,12 +759,14 @@ class EvalProgram:
             ]
             self._tensor, dt = None, 1
         else:
-            m = field.absolute_degree
-            items = [[(_unpack(k, n, p._bits), c) for k, c in p._nums.items()] for p in polys]
-            flats = [q for it in items for _, c in it for q in field.flat(c)]
-            ints, L = integral_coordinates(flats)
-            chunks = iter([ints[i : i + m] for i in range(0, len(ints), m)])
-            terms = [[(e, next(chunks)) for e, _ in it] for it in items]
+            L = math.lcm(*(p._den for p in polys))
+            terms = [
+                [
+                    (_unpack(x, n, p._bits), v if L == p._den else [c * (L // p._den) for c in v])
+                    for x, v in p._vectors().items()
+                ]
+                for p in polys
+            ]
             self._tensor = field.tensor()
             dt = self._tensor.den
         D = max((sum(e) for ts in terms for e, _ in ts), default=0)
@@ -833,6 +990,8 @@ def linear_forms(N: Sequence[Sequence[Polynomial]]):
     field = N[0][0].field
     nx = N[0][0].nvars
     nv = nx + n
+    G = field.generator_bits
+    gmask = (1 << G) - 1
     entries = [entry for row in N for entry in row]
     degree = max(entry.total_degree() for entry in entries) + 1
     bits = max(_width(degree), *(entry._bits for entry in entries))
@@ -850,7 +1009,9 @@ def linear_forms(N: Sequence[Sequence[Polynomial]]):
                 f = den // entry._den
                 y = 1 << ((n - 1 - j) * bits)
                 for k, c in entry._nums.items():
-                    nums[(((k >> shift) + 1) << top) | ((k & mask) << up) | y] = _times(c, f)
+                    x = k >> G
+                    x = (((x >> shift) + 1) << top) | ((x & mask) << up) | y
+                    nums[(x << G) | (k & gmask)] = c * f
         out.append(Polynomial._from_nums(field, nv, bits, nums, den))
     return out
 
@@ -916,7 +1077,7 @@ def _binom_frac(x: Fraction, j: int) -> Fraction:
 def _trunc(p: Polynomial, bound: int) -> Polynomial:
     """The terms of p of total degree at most `bound`: a filter on the
     degree field of the keys."""
-    shift = p.nvars * p._bits
+    shift = p.nvars * p._bits + p.field.generator_bits
     nums = {k: c for k, c in p._nums.items() if k >> shift <= bound}
     return Polynomial._from_nums(p.field, p.nvars, p._bits, nums, p._den)
 

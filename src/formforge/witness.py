@@ -419,20 +419,22 @@ def verify_composition(
     if len(structure) != n:
         raise DimensionMismatch("need one structure matrix per coordinate")
     big = 2 * n
+    zero = field.zero  # decoded payloads share it
     zpolys = []
     for l in range(n):
         terms = {}
         for i in range(n):
             for j in range(n):
                 c = structure[l][i][j]
+                if c is zero:
+                    continue
                 if not isinstance(c, FieldElement):
                     c = field.from_rational(c)
                 if c.is_zero():
                     continue
                 e = [0] * big
-                e[i] += 1
-                e[n + j] += 1
-                terms[tuple(e)] = terms.get(tuple(e), field.zero) + c
+                e[i] = e[n + j] = 1
+                terms[tuple(e)] = c
         zpolys.append(Polynomial(field, big, terms))
 
     identity = "phi(x) * phi(y) == phi(z(x, y))"
@@ -829,18 +831,56 @@ def odd_degree_strengthen(phi: HomogeneousForm, w) -> ScaledWitness:
 
 
 def _rf_mat_mul(a, b):
+    """The product of two n x n matrices of rational functions, with the
+    products of zero entries skipped.  When the nonzero entries of a share
+    one denominator, and those of b another, each entry is one sum of
+    numerator products over the product of the two; otherwise the nonzero
+    products are added as rational functions.  Both give the entries that
+    adding up every product would."""
     n = len(a)
+    p = a[0][0].num
+    zero = RationalFunction.const(p.field, p.nvars, p.field.zero)
+    da, db = _common_denominator(a), _common_denominator(b)
+    if da is None or db is None:
+        left, right, den = a, b, None
+    else:
+        left = [[e.num for e in row] for row in a]
+        right = [[e.num for e in row] for row in b]
+        den = da * db
+    nonzero_a = [[l for l, e in enumerate(row) if not e.is_zero()] for row in a]
+    nonzero_b = [[not e.is_zero() for e in row] for row in b]
     out = []
     for i in range(n):
         row = []
         for j in range(n):
             acc = None
-            for l in range(n):
-                term = a[i][l] * b[l][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
+            for l in nonzero_a[i]:
+                if nonzero_b[l][j]:
+                    term = left[i][l] * right[l][j]
+                    acc = term if acc is None else acc + term
+            if acc is None:
+                row.append(zero)
+            else:
+                row.append(acc if den is None else RationalFunction(acc, den))
         out.append(tuple(row))
     return tuple(out)
+
+
+def _common_denominator(m):
+    """The one denominator of the nonzero entries of m (1 when there are
+    none), or None when they have more than one."""
+    den = None
+    for row in m:
+        for e in row:
+            if not e.is_zero():
+                if den is None:
+                    den = e.den
+                elif e.den != den:
+                    return None
+    if den is None:
+        p = m[0][0].num
+        den = Polynomial.const(p.field, p.nvars, p.field.one)
+    return den
 
 
 def reduce_exponent(d: int, s: int) -> int:

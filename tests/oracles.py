@@ -6,7 +6,8 @@ a skew element, a resultant, a permutation sum, a subgroup walk, a
 division that rebuilds the remainder at every step, an evaluation that
 multiplies field elements one at a time, a product by dense structure
 constants, linear forms built from the terms dicts, sums, products,
-substitution and heap division on {exponent tuple: FieldElement} dicts, and
+substitution and heap division on {exponent tuple: FieldElement} dicts, a
+matrix product that adds up every product of rational functions, and
 random-mode identities that evaluate every polynomial on its own in field
 elements).
 """
@@ -160,6 +161,22 @@ def long_division(p: Polynomial, q: Polynomial) -> Polynomial:
         quot = quot + t
         rem = rem - t * q
     return quot
+
+
+def rf_mat_mul_all_products(a, b):
+    """The product of two square matrices of rational functions, each entry
+    the running sum of all n products of entries, zeros included."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a[i][0] * b[0][j]
+            for l in range(1, n):
+                acc = acc + a[i][l] * b[l][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def polarize_inclusion_exclusion(phi: HomogeneousForm) -> SymmetricTensor:

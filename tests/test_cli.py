@@ -22,7 +22,7 @@ from formforge import (
     orthogonal_sum,
     tits_cubic,
 )
-from formforge import cli
+from formforge import cli, witness
 from formforge.cli import main
 from formforge.jsonio import (
     dumps,
@@ -543,3 +543,39 @@ def test_random_verify_stdout_matches_golden(capsys, monkeypatch, expected, argv
     assert code == (1 if json.loads(want)["verdict"] == "refuted" else 2)
     elapsed = re.compile(r'"elapsed_s": [0-9.e-]+')
     assert elapsed.sub('"elapsed_s": 0', out) == elapsed.sub('"elapsed_s": 0', want)
+
+
+@pytest.mark.parametrize("what", ["strong-mult", "composition", "jordan", "strong-jordan"])
+@pytest.mark.parametrize("name", ["tits-sqrt2", "tits-cbrt2"])
+def test_auto_verify_stdout_matches_golden(capsys, monkeypatch, name, what):
+    """Auto-mode (symbolic) verify stdout against files written by an earlier
+    version of formforge, whose polynomial arithmetic over an etale field
+    multiplied field elements one coefficient at a time: the Tits cubic with
+    a = 1 + 2 sqrt 2 over Q(sqrt 2) and with a = 1 + 2 cbrt 4 over Q(cbrt 2),
+    strong-jordan with the square of the form's own witness.  Only
+    `elapsed_s` may differ."""
+    monkeypatch.chdir(GOLDEN)
+    argv = ["verify", what, "--form", name + ".witnessed.json"]
+    if what == "strong-jordan":
+        argv += ["--witness", name + ".m2.json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    want = (GOLDEN / ("%s.%s.auto.json" % (name, what))).read_text(encoding="utf-8")
+    elapsed = re.compile(r'"elapsed_s": [0-9.e-]+')
+    assert elapsed.sub('"elapsed_s": 0', out) == elapsed.sub('"elapsed_s": 0', want)
+
+
+@pytest.mark.parametrize("name, a", [("tits-sqrt2", [1, 2]), ("tits-cbrt2", [1, 0, 2])])
+def test_squared_witness_matches_golden(name, a):
+    """The square of the Tits cubic's witness matrix, by `_rf_mat_mul`,
+    encodes byte for byte as the file the earlier version wrote, which added
+    up every product of entries as a rational function."""
+    field = field_extend(QQ, [-2, 0, 1] if len(a) == 2 else [-2, 0, 0, 1])
+    cf = tits_cubic(field.element(a))
+    assert (GOLDEN / (name + ".witnessed.json")).read_text(encoding="utf-8") == (
+        dumps(encode_constructed_form(cf)) + "\n")
+    m = cf.witness.matrix
+    square = ScaledWitness(scalar=RationalFunction.const(field, m[0][0].num.nvars, field.one),
+                           matrix=witness._rf_mat_mul(m, m))
+    assert (GOLDEN / (name + ".m2.json")).read_text(encoding="utf-8") == (
+        dumps(encode_scaled_witness(square)) + "\n")

@@ -365,3 +365,29 @@ def test_split_albert_norm_is_one_27_dimensional_component():
     assert [c.dim for c in dec.components] == [27]
     assert dec.components[0].form.body == phi.body
     assert elapsed < 30, "decomposing the Albert norm took %.1f s" % elapsed
+
+
+@pytest.mark.parametrize("over", ["q", "sqrt2"])
+def test_idempotent_column_bases_are_the_rref_of_their_columns(over):
+    """With `columns`, each primitive idempotent comes with the reduced row
+    echelon form of its columns, which over Q is computed from the integer
+    matrix: the very tuples `linalg.rref` gives on the field-element
+    columns, after a change of basis that fills the idempotents in and
+    gives their primitive integer column rows pivots other than 1."""
+    field = QQ if over == "q" else field_extend(QQ, [-2, 0, 1])
+    phi = orthogonal_sum(tits_cubic(5).form, diag([2, -3], 3))
+    if over != "q":
+        phi = HomogeneousForm(field, 3, phi.nvars, Polynomial(
+            field, phi.nvars, {e: field.from_rational(c.as_rational())
+                               for e, c in phi.body.terms.items()}))
+    n = phi.nvars
+    f = LinearMap.from_rationals(field, [[1 if i == j else (3 if j == i + 1 else 0)
+                                          for j in range(n)] for i in range(n)])
+    center = center_algebra(polarize(apply_change_of_basis(phi, f)))
+    plain = primitive_idempotents(center)
+    with_columns = primitive_idempotents(center, columns=True)
+    assert [e for e, _ in with_columns] == plain
+    for e, basis in with_columns:
+        red, pivots = linalg.rref(field, [list(col) for col in zip(*e)])
+        assert basis == [tuple(red[i]) for i in range(len(pivots))]
+        assert any(x != field.zero and x != field.one for row in e for x in row)

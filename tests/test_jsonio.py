@@ -9,6 +9,7 @@ from formforge import (
     Polynomial,
     QQ,
     RationalFunction,
+    det_norm,
     field_extend,
     polarize,
     tits_cubic,
@@ -22,6 +23,7 @@ from formforge import (
 from formforge.jsonio import (
     JsonFormatError,
     decode_algebra,
+    decode_element,
     decode_field,
     decode_form,
     decode_polynomial,
@@ -325,3 +327,96 @@ def test_rational_exponent_errors_keep_their_paths(e):
     with pytest.raises(JsonFormatError) as exc:
         decode_polynomial(obj, QQ)
     assert str(exc.value) == "$.terms[1].e: expected 2 nonnegative exponents"
+
+
+_SQRT2 = field_extend(QQ, [-2, 0, 1])
+_DECODE_FIELDS = [
+    _SQRT2,
+    field_extend(QQ, [-2, 0, 0, 1]),
+    field_extend(_SQRT2, [-2, 0, 0, 1]),
+    field_extend(QQ, [Fraction(-1, 2), 0, 1]),
+]
+
+
+def _encoded(field, q, rng):
+    """An encoding of the flat coordinates q: a coordinate list, nested for
+    a tower, or a bare scalar when only the first coordinate is nonzero."""
+    if not any(q[1:]) and rng.random() < 0.5:
+        return rng.choice(_SCALAR_SPELLINGS)(q[0])
+    if field.base != QQ:
+        mb = field.base.absolute_degree
+        return [_encoded(field.base, q[k : k + mb], rng) for k in range(0, len(q), mb)]
+    return [rng.choice(_SCALAR_SPELLINGS)(c) for c in q]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_etale_polynomial_decodes_into_the_constructor_form(seed):
+    """Over an etale field the decoder packs the flat coordinates of every
+    coefficient itself: the same value, integer form and packing width as
+    the constructor gives the decoded elements, for coordinate lists,
+    nested lists over a tower, rational scalars and repeated exponents."""
+    rng = random.Random(seed)
+    field = _DECODE_FIELDS[seed % len(_DECODE_FIELDS)]
+    m = field.absolute_degree
+    n = rng.randrange(0, 4)
+    pairs, raw = [], []
+    for _ in range(rng.randrange(0, 7)):
+        e = [rng.randrange(0, rng.choice((1, 3, 9)) + 1) for _ in range(n)]
+        q = [Fraction(rng.randrange(-5, 6), rng.choice((1, 2, 3))) if rng.random() < 0.6
+             else Fraction(0) for _ in range(m)]
+        if pairs and rng.random() < 0.3:  # the same monomial again, cancelling
+            e, q0 = rng.choice(pairs)
+            e, q = list(e), field.flat(-q0)
+        pairs.append((tuple(e), field.from_flat(q)))
+        raw.append({"e": e, "c": _encoded(field, q, rng)})
+    got = decode_polynomial({"vars": n, "terms": raw}, field)
+    want = Polynomial.from_pairs(field, n, pairs)
+    assert got == want and got.terms == want.terms
+    assert (got._nums, got._den, got._bits) == (want._nums, want._den, want._bits)
+
+
+@pytest.mark.parametrize(
+    "field, c, path, message",
+    [
+        (_SQRT2, ["1"], "$.terms[1].c", "expected 2 coordinates, got 1"),
+        (_SQRT2, ["1", "x"], "$.terms[1].c[1]", "not a rational scalar: 'x'"),
+        (_SQRT2, ["1", [1, 2]], "$.terms[1].c[1]", "expected a rational scalar string"),
+        (_SQRT2, {"c": 1}, "$.terms[1].c", "expected a scalar or coordinate list"),
+        (_SQRT2, "1/0", "$.terms[1].c", "not a rational scalar: '1/0'"),
+        (_DECODE_FIELDS[2], [["1", "2"], "3", ["4", None]], "$.terms[1].c[2][1]",
+         "expected a rational scalar string"),
+        (_DECODE_FIELDS[2], [["1", "2"], ["3"], "4"], "$.terms[1].c[1]",
+         "expected 2 coordinates, got 1"),
+    ],
+)
+def test_etale_coefficient_errors_keep_their_paths(field, c, path, message):
+    obj = {"vars": 1, "terms": [{"e": [1], "c": "2"}, {"e": [0], "c": c}]}
+    with pytest.raises(JsonFormatError) as exc:
+        decode_polynomial(obj, field)
+    assert exc.value.path == path
+    assert str(exc.value) == "%s: %s" % (path, message)
+    with pytest.raises(JsonFormatError) as exc:
+        decode_element(field, c, "$.c")
+    assert exc.value.path == "$.c" + path[len("$.terms[1].c"):]
+
+
+def test_structure_matrix_zeros_are_shared_and_every_entry_is_checked():
+    """A zero structure constant decodes to the field's shared zero, which
+    verify_composition skips by identity; every entry is still read, so a
+    bad one after the zeros keeps its path and message."""
+    obj = rebuild(encode_structure_matrices(det_norm(3).composition))
+    mats = decode_structure_matrices(obj, QQ)
+    entries = [c for plane in mats for row in plane for c in row]
+    zeros = [c for c in entries if c.is_zero()]
+    assert zeros and all(c is QQ.zero for c in zeros)
+    assert len(zeros) == len([c for plane in obj["matrices"] for row in plane for c in row
+                              if c == "0"])
+    obj["matrices"][8][8][8] = "0/0"
+    with pytest.raises(JsonFormatError) as exc:
+        decode_structure_matrices(obj, QQ)
+    assert str(exc.value) == "$.matrices[8][8][8]: not a rational scalar: '0/0'"
+    k = field_extend(QQ, [-2, 0, 1])
+    assert decode_structure_matrices({"matrices": [[["0"]]]}, k)[0][0][0] is k.zero
+    with pytest.raises(JsonFormatError) as exc:
+        decode_structure_matrices({"matrices": [[[["0"]]]]}, k)
+    assert str(exc.value) == "$.matrices[0][0][0]: expected 2 coordinates, got 1"

@@ -17,12 +17,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from formforge import NotDivisible, Polynomial, QQ, ZeroDivisor, field_extend  # noqa: E402
 from formforge.coeffield import (  # noqa: E402
+    EtaleAlgebra,
     StructureTensor,
     from_coordinates,
     poly_divmod,
     poly_mul,
     to_coordinates,
 )
+from formforge.constructions import det_norm  # noqa: E402
 from formforge.poly import EvalProgram, linear_forms  # noqa: E402
 from oracles import (  # noqa: E402
     dict_add,
@@ -389,6 +391,65 @@ def test_split_algebra_products_cancel():
     assert (a + y).compose([x.scale(A.one - t), y]) == y
     assert _outcome(lambda: (a * y).exact_div(a + y)) is ZeroDivisor
     assert _outcome(lambda: heap_exact_div(a * y, a + y)) is ZeroDivisor
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_products_at_the_reduction_boundary(name):
+    """The last flat basis element g has every generator at m_i - 1, so the
+    key of g * g carries 2(m_i - 1), the most a generator field holds, in
+    every field before `_reduce`.  Products, a scaling, a composition and a
+    division through it agree with field-element arithmetic, every key
+    comes back reduced, and the readers of the key groups see the
+    coefficients."""
+    field = FIELDS[name]
+    m = field.absolute_degree
+    g = field.from_flat([Fraction(int(k == m - 1)) for k in range(m)])
+    h = g + field.from_rational(Fraction(1, 3))
+    x, y = Polynomial.variable(field, 2, 0), Polynomial.variable(field, 2, 1)
+    p = x.scale(g) + y.scale(h)
+    sq = p * p
+    _same(sq, dict_mul(p, p))
+    assert sq.terms == {(2, 0): g * g, (1, 1): g * h + g * h, (0, 2): h * h}
+    composed = p.compose([p, y])
+    _same(composed, dict_compose(p, [p, y]))
+    _same(sq.scale(g), dict_mul(sq, Polynomial.const(field, 2, g)))
+    _same(sq.exact_div(p), p)
+    keys = field.generator_keys()
+    for q in (sq, composed, sq.scale(g)):
+        assert all((k & keys.mask) in keys.index for k in q._nums)
+    assert sq.leading_term() == ((2, 0), g * g)
+    assert (sq + Polynomial.const(field, 2, h)).constant_coeff() == h
+    assert sq.constant_coeff() == field.zero
+    assert sq.term_count() == 3 and sorted(sq.exponents()) == [(0, 2), (1, 1), (2, 0)]
+    assert sq.total_degree() == 2 and sq.is_homogeneous(2)
+    assert sq.is_monic() == (g * g == field.one) and sq.scale((g * g).inv()).is_monic()
+    assert x.is_monic() and not x.scale(g).is_monic() and (x + y.scale(g)).is_monic()
+
+
+def test_etale_products_make_no_field_element_products(monkeypatch):
+    """det-3 composed with x_i + (i + 1) y_i and squared over Q(sqrt 2) runs
+    in ints on the packed form: no coefficient product goes through
+    `EtaleAlgebra._mul`, and the result is the one over Q."""
+    calls = []
+    mul = EtaleAlgebra._mul
+    monkeypatch.setattr(EtaleAlgebra, "_mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    body = det_norm(3).form.body
+    n = body.nvars
+
+    def composed_and_squared(field):
+        p = Polynomial(field, n, {e: field.from_rational(c.as_rational())
+                                  for e, c in body.terms.items()})
+        args = [Polynomial.variable(field, 2 * n, i)
+                + Polynomial.variable(field, 2 * n, n + i).scale(i + 1) for i in range(n)]
+        q = p.compose(args)
+        return q * q
+
+    over_k = composed_and_squared(_SQRT2)
+    assert calls == []
+    over_q = composed_and_squared(QQ)
+    assert over_k.term_count() == over_q.term_count() == 978
+    assert {e: c.as_rational() for e, c in over_k.terms.items()} == {
+        e: c.as_rational() for e, c in over_q.terms.items()}
 
 
 # ---------------------------------------------------------------------------

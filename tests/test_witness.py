@@ -48,6 +48,7 @@ from oracles import (
     composition_identity,
     generic_eval,
     jordan_identity,
+    rf_mat_mul_all_products,
     scaled_witness_identity,
 )
 
@@ -673,3 +674,35 @@ def test_random_det3_check_builds_no_fraction_per_sample(monkeypatch):
         assert rep.verdict == "evidence" and rep.samples == samples
         seen.append(dict(counts))
     assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_rf_mat_mul_matches_all_products(shared):
+    """`_rf_mat_mul` skips zero entries and, when each matrix has one
+    denominator, sums numerator products; the entries are the very
+    numerators and denominators that adding up every product gives.  With
+    `shared` false the entries of a have two denominators."""
+    rng = random.Random(7)
+    field = field_extend(QQ, [-2, 0, 1])
+    x = [Polynomial.variable(field, 2, i) for i in range(2)]
+    one = Polynomial.const(field, 2, field.one)
+    dens = [x[0] * x[0] + x[1] + one, x[0] - x[1].scale(3)]
+
+    def matrix(den_of):
+        rows = []
+        for i in range(3):
+            row = []
+            for j in range(3):
+                if rng.random() < 0.4:
+                    row.append(rf(Polynomial.zero(field, 2)))
+                else:
+                    num = x[rng.randrange(2)].scale(field.element([rng.randint(-3, 3), 1]))
+                    row.append(RationalFunction(num + one, den_of(i, j)))
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    a = matrix((lambda i, j: dens[0]) if shared else (lambda i, j: dens[(i + j) % 2]))
+    b = matrix(lambda i, j: dens[1])
+    for got_row, want_row in zip(W._rf_mat_mul(a, b), rf_mat_mul_all_products(a, b)):
+        for got, want in zip(got_row, want_row):
+            assert got.num == want.num and got.den == want.den
