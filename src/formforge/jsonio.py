@@ -9,6 +9,7 @@ of base-field encodings in the power basis.
 from __future__ import annotations
 
 import json
+import marshal
 import math
 from fractions import Fraction
 
@@ -329,25 +330,72 @@ def encode_scaled_witness(w: ScaledWitness):
 
 
 def decode_scaled_witness(obj, field, path="$") -> ScaledWitness:
+    """A scaled witness.  Every num of the matrix has the `vars` of the
+    first entry's num, and every den, the scalar's too, those of its num.
+
+    Most entries of a witness matrix are zero and most share one
+    denominator.  An entry whose JSON is that of the first zero entry is
+    that same zero `RationalFunction`, and a den whose JSON is that of the
+    den decoded last is that same `Polynomial`.  Both tests compare the
+    parsed JSON with == and then by `_exact`, which tells 1, 1.0 and true
+    apart; anything else is decoded and checked at its own path."""
     matrix_raw = obj.get("matrix")
     if not isinstance(matrix_raw, list) or not matrix_raw:
         raise JsonFormatError(path + ".matrix", "expected a nonempty matrix")
+    den_raw = den_exact = den = None  # the den decoded last
+
+    def entry(e, where, nvars, like):
+        """The rational function at `where`, whose num must have nvars
+        variables, as `like` has (no check when nvars is None)."""
+        nonlocal den_raw, den_exact, den
+        if not isinstance(e, dict) or "num" not in e:
+            raise JsonFormatError(where, "expected {num, den}")
+        num = decode_polynomial(e["num"], field, where + ".num")
+        _check_vars(num, nvars, where + ".num", like)
+        if "den" not in e:
+            return RationalFunction.from_poly(num)
+        raw = e["den"]
+        if not (raw == den_raw and _exact(raw) == den_exact):
+            den = decode_polynomial(raw, field, where + ".den")
+            den_raw, den_exact = raw, _exact(raw)
+        _check_vars(den, num.nvars, where + ".den", where + ".num")
+        return RationalFunction(num, den)
+
+    first = "%s.matrix[0][0].num" % path
+    nvars = None
+    zero_raw = zero_exact = zero = None  # the first zero entry
     rows = []
     for i, row in enumerate(matrix_raw):
         if not isinstance(row, list) or len(row) != len(matrix_raw):
             raise JsonFormatError(path + ".matrix", "matrix must be square")
-        rows.append(
-            tuple(
-                decode_rational_function(e, field, "%s.matrix[%d][%d]" % (path, i, j))
-                for j, e in enumerate(row)
-            )
-        )
-    nx = rows[0][0].num.nvars
+        out = []
+        for j, e in enumerate(row):
+            if zero is not None and e == zero_raw and _exact(e) == zero_exact:
+                out.append(zero)
+                continue
+            r = entry(e, "%s.matrix[%d][%d]" % (path, i, j), nvars, first)
+            nvars = r.num.nvars
+            if zero is None and r.is_zero():
+                zero, zero_raw, zero_exact = r, e, _exact(e)
+            out.append(r)
+        rows.append(tuple(out))
     if "scalar" in obj:
-        scalar = decode_rational_function(obj["scalar"], field, path + ".scalar")
+        scalar = entry(obj["scalar"], path + ".scalar", None, None)
     else:
-        scalar = RationalFunction.const(field, nx, field.one)
+        scalar = RationalFunction.const(field, nvars, field.one)
     return ScaledWitness(scalar=scalar, matrix=tuple(rows))
+
+
+def _exact(obj) -> bytes:
+    """Parsed JSON as bytes that tell 1, 1.0 and true apart, which == does
+    not; two values from one parse that are == have equal bytes exactly when
+    they have the same types and key order."""
+    return marshal.dumps(obj, 2)
+
+
+def _check_vars(p: Polynomial, nvars, where: str, like: str) -> None:
+    if nvars is not None and p.nvars != nvars:
+        raise JsonFormatError(where + ".vars", "expected %d, as in %s" % (nvars, like))
 
 
 def encode_structure_matrices(matrices):

@@ -947,18 +947,23 @@ class RationalFunction:
 
 def clear_denominators(M: Sequence[Sequence[RationalFunction]]):
     """(N, D) for a matrix M of rational functions: D is the product of the
-    distinct entry denominators and N = D * M, a matrix of polynomials."""
+    distinct denominators of the nonzero entries and N = D * M, a matrix of
+    polynomials whose zero entries are one shared zero.  Denominators are
+    told apart by identity first: decoded witnesses share them."""
     field = M[0][0].num.field
     nx = M[0][0].num.nvars
     dens = []
-    where = []  # per row, the index in dens of each entry's denominator
+    where = []  # per row, the index in dens of each entry's denominator, None at a zero
     for row in M:
         at = []
         for entry in row:
-            k = next((k for k, d in enumerate(dens) if entry.den == d), None)
-            if k is None:
-                k = len(dens)
-                dens.append(entry.den)
+            k = None
+            if not entry.is_zero():
+                den = entry.den
+                k = next((k for k, d in enumerate(dens) if d is den or d == den), None)
+                if k is None:
+                    k = len(dens)
+                    dens.append(den)
             at.append(k)
         where.append(at)
     one = Polynomial.const(field, nx, field.one)
@@ -967,11 +972,10 @@ def clear_denominators(M: Sequence[Sequence[RationalFunction]]):
         D = D * d
     # one exact division per distinct denominator; a quotient of 1 multiplies nothing
     quots = [None if q == one else q for q in (D.exact_div(d) for d in dens)]
+    zero = Polynomial.zero(field, nx)
     N = tuple(
         tuple(
-            Polynomial.zero(field, nx)
-            if entry.is_zero()
-            else entry.num if quots[k] is None else entry.num * quots[k]
+            zero if k is None else entry.num if quots[k] is None else entry.num * quots[k]
             for entry, k in zip(row, at)
         )
         for row, at in zip(M, where)
@@ -1208,12 +1212,15 @@ def sample_identity(
     """Random-mode check of an identity of total degree at most `degree`.
 
     Each point draws its nvars coordinates in turn from one generator seeded
-    with `seed`, uniform in [-box_halfwidth, box_halfwidth].  agree(point)
-    says whether the two sides are equal there, or returns None at a pole of
-    the identity, and the point is redrawn (at most 50 * samples draws in
-    all).  The first disagreement refutes; agreement at every sample is
-    "evidence" with the Schwartz-Zippel bound min(degree / box size, 1) per
-    sample; at least one sample is required.
+    with `seed`, uniform in [-h, h] for h = box_halfwidth.  A coordinate is
+    the first getrandbits(k) below 2h + 1, less h, where k is the bit length
+    of 2h + 1: that is how CPython's randrange(-h, h + 1) draws, so the
+    points are the ones it gives, without a call to it per coordinate.
+    agree(point) says whether the two sides are equal there, or returns None
+    at a pole of the identity, and the point is redrawn (at most
+    50 * samples draws in all).  The first disagreement refutes; agreement
+    at every sample is "evidence" with the Schwartz-Zippel bound
+    min(degree / box size, 1) per sample; at least one sample is required.
 
     The callers' agree evaluate each side on `EvalProgram`s compiled at the
     first point, so symbolic mode compiles nothing, and compare numerators
@@ -1221,17 +1228,28 @@ def sample_identity(
     equality a point."""
     if samples < 1:
         raise ValueError("samples must be positive, got %d" % samples)
-    rng = random.Random(seed)
-    lows = [-box_halfwidth] * nvars
-    highs = [box_halfwidth + 1] * nvars
+    if box_halfwidth < 0:
+        raise ValueError("box_halfwidth must be nonnegative, got %d" % box_halfwidth)
+    getrandbits = random.Random(seed).getrandbits
+    h = box_halfwidth
+    width = 2 * h + 1
+    k = width.bit_length()
+
+    def draw(m):
+        # each coordinate draws k bits until they are below width, so the
+        # coordinates are the draws below width, in order
+        return [r - h for r in map(getrandbits, itertools.repeat(k, m)) if r < width]
+
     done = 0
     attempts = 0
     while done < samples:
         attempts += 1
         if attempts > 50 * samples:
             raise RuntimeError("could not avoid witness poles while sampling")
-        # randrange(a, b + 1) is randint(a, b), without the extra call
-        pt = tuple(map(rng.randrange, lows, highs))
+        pt = draw(nvars)
+        while len(pt) < nvars:
+            pt += draw(nvars - len(pt))
+        pt = tuple(pt)
         ok = agree(pt)
         if ok is None:
             continue

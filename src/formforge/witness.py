@@ -8,6 +8,7 @@ exact evaluation at random points (evidence with a stated bound).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -32,9 +33,9 @@ from .poly import (
     clear_denominators,
     compose_estimate,
     is_dth_power,
+    linear_forms,
     ring_matrix_determinant,
     sample_identity,
-    substitute_linear,
     verify_identity,
 )
 
@@ -140,9 +141,10 @@ def _check_identity(
 
     In random mode nothing is expanded.  `agree` evaluates `EvalProgram`s in
     ints (for the z_l, the triple, num(c) and den(c), and phi, compiled at
-    the first point; D and N are compiled before, for the invertibility
-    check) and compares the two sides as products of program values
-    (`_Values`), whose denominators cancel once at compile time."""
+    the first point; D and the nonzero entries of N are compiled before, for
+    the invertibility check) and compares the two sides as products of
+    program values (`_Values`), whose denominators cancel once at compile
+    time."""
     use_mode, use_seed, note = _resolve_mode(mode, estimate, budget, seed)
     if use_mode == "symbolic":
         rep = verify_identity(*build(), mode="symbolic")
@@ -170,23 +172,16 @@ class _Values:
 
     ints: bool
     product: Callable  # the product of a list of values
-    dot: Callable  # sum_j row[j] * y[j] for values row[j] and ints y[j]
     times: Callable  # a value times an int
     dt: int
 
     @staticmethod
     def of(field) -> "_Values":
         if isinstance(field, RationalField):
-            return _Values(True, math.prod, lambda row, y: sum(map(operator.mul, row, y)),
-                           operator.mul, 1)
+            return _Values(True, math.prod, operator.mul, 1)
         T = field.tensor()
-        return _Values(
-            False,
-            lambda vs: reduce(T.mul, vs),
-            lambda row, y: [sum(map(operator.mul, c, y)) for c in zip(*row)],
-            lambda v, k: [x * k for x in v],
-            T.den,
-        )
+        return _Values(False, lambda vs: reduce(T.mul, vs), lambda v, k: [x * k for x in v],
+                       T.den)
 
     def is_zero(self, v) -> bool:
         return not v if self.ints else not any(v)
@@ -194,6 +189,15 @@ class _Values:
     def at(self, prog: EvalProgram, point) -> list:
         """prog at a point whose coordinates are values."""
         return prog.at(point) if self.ints else prog.at_vectors(point)
+
+    def matvec(self, entries: list, rows: "_SparseRows", y) -> list:
+        """M y for an int vector y and a matrix M whose nonzero entries are
+        the values `entries` (at least one), laid out by `rows`."""
+        ys = list(map(y.__getitem__, rows.cols))
+        if self.ints:
+            return rows.sums(map(operator.mul, entries, ys))
+        parts = [rows.sums(map(operator.mul, col, ys)) for col in zip(*entries)]
+        return [list(v) for v in zip(*parts)]
 
     def equal(self, x, kx: int, y, ky: int) -> bool:
         if self.dt != 1 and kx != ky:
@@ -220,16 +224,52 @@ def _invertibility_points(nx: int):
             bound *= 2
 
 
-def _matrix_invertible(N, prog: EvalProgram) -> None:
+@dataclass(frozen=True)
+class _SparseRows:
+    """Where the nonzero entries of a square matrix, listed row by row, sit:
+    row i's are entries starts[i] up to ends[i], in the columns
+    cols[starts[i]:ends[i]]."""
+
+    cols: list
+    starts: list
+    ends: list
+
+    def sums(self, products) -> list:
+        """Each row's sum of the products, one a nonzero entry."""
+        acc = list(itertools.accumulate(products, initial=0))
+        get = acc.__getitem__
+        return list(map(operator.sub, map(get, self.ends), map(get, self.starts)))
+
+    def split(self, entries: list) -> list:
+        """Each row's (columns, entries)."""
+        return [(self.cols[a:b], entries[a:b]) for a, b in zip(self.starts, self.ends)]
+
+
+def _sparse_program(D: Polynomial, N):
+    """The program of D and then the nonzero entries of N row by row, and
+    their `_SparseRows`."""
+    polys, cols, starts, ends = [D], [], [], []
+    for row in N:
+        starts.append(len(cols))
+        for j, p in enumerate(row):
+            if not p.is_zero():
+                polys.append(p)
+                cols.append(j)
+        ends.append(len(cols))
+    return EvalProgram(polys), _SparseRows(cols, starts, ends)
+
+
+def _matrix_invertible(N, prog: EvalProgram, rows: _SparseRows) -> None:
     """Prove det M(X) is not identically zero, or raise SingularWitness.
 
     With N = D * M, one exact nonzero value of det N(x) at an integer point x
     proves nonvanishing; the symbolic determinant of N is the fallback when
     sampled points keep landing on zeros of det M or of D.  Since D is
-    nonzero, det M vanishes identically exactly when det N does.  `prog`
-    evaluates D and then the entries of N row by row, all over one
-    denominator, which leaves the zero set of det N(x) as it is: over Q the
-    matrix of numerators is an int matrix, nonsingular when it has full rank.
+    nonzero, det M vanishes identically exactly when det N does.  `prog` and
+    `rows` are `_sparse_program`'s: the values of D and of the nonzero
+    entries of N, all over one denominator, which leaves the zero set of
+    det N(x) as it is.  Over Q the matrix of numerators is an int matrix,
+    nonsingular when it has full rank.
     """
     field, nx, n = prog.field, prog.nvars, len(N)
     values = _Values.of(field)
@@ -238,30 +278,25 @@ def _matrix_invertible(N, prog: EvalProgram) -> None:
         if values.is_zero(d):
             continue
         if values.ints:
-            rows = [{j: v for j, v in enumerate(entries[i * n : (i + 1) * n]) if v}
-                    for i in range(n)]
-            if linalg.rank(field, rows) == n:
+            if linalg.rank(field, [{j: v for j, v in zip(cols, row) if v}
+                                   for cols, row in rows.split(entries)]) == n:
                 return
         else:
-            elements = [field.from_flat([Fraction(x) for x in v]) for v in entries]
-            rows = [elements[i * n : (i + 1) * n] for i in range(n)]
-            if not linalg.determinant(field, rows).is_zero():
+            dense = [[field.zero] * n for _ in range(n)]
+            for out, (cols, row) in zip(dense, rows.split(entries)):
+                for j, v in zip(cols, row):
+                    out[j] = field.from_flat([Fraction(x) for x in v])
+            if not linalg.determinant(field, dense).is_zero():
                 return
     if ring_matrix_determinant(N, Polynomial.zero(field, nx)).is_zero():
         raise SingularWitness("witness matrix has identically zero determinant")
 
 
-def _estimate_scaled(phi: HomogeneousForm, w: ScaledWitness, D: Polynomial) -> int:
-    n = phi.nvars
+def _estimate_scaled(phi: HomogeneousForm, scalar: RationalFunction, nonzero,
+                     D: Polynomial) -> int:
+    """`nonzero` holds the nonzero entries of each row of M."""
     d_terms = max(1, D.term_count())
-    fake_args = []
-    for i in range(n):
-        t = 0
-        for j in range(n):
-            entry = w.matrix[i][j]
-            if not entry.is_zero():
-                t += entry.num.term_count() * d_terms
-        fake_args.append(max(1, t))
+    fake_args = [max(1, sum(e.num.term_count() for e in row) * d_terms) for row in nonzero]
     total = 0
     for e in phi.body.exponents():
         t = 1
@@ -272,7 +307,7 @@ def _estimate_scaled(phi: HomogeneousForm, w: ScaledWitness, D: Polynomial) -> i
         total += t
         if total > 10**15:
             return 10**15
-    lhs = w.scalar.num.term_count() * d_terms**phi.degree * phi.body.term_count()
+    lhs = scalar.num.term_count() * d_terms**phi.degree * phi.body.term_count()
     return max(total, min(lhs, 10**15))
 
 
@@ -294,14 +329,16 @@ def verify_scaled_witness(
     # N = D * M over the common denominator D of the matrix entries
     N, D = clear_denominators(w.matrix)
     nx = D.nvars
-    xprog = EvalProgram([D] + [p for row in N for p in row])
-    _matrix_invertible(N, xprog)
+    xprog, rows = _sparse_program(D, N)
+    _matrix_invertible(N, xprog, rows)
 
     identity = "num(c) * den(M)^%d * phi(Y) == den(c) * phi_cleared(M Y)" % phi.degree
-    estimate = _estimate_scaled(phi, w, D)
+    nonzero = [[e for e in row if not e.is_zero()] for row in w.matrix]
+    estimate = _estimate_scaled(phi, w.scalar, nonzero, D)
 
     def build():
-        q, _ = substitute_linear(phi.body, w.matrix)
+        # substitute_linear(phi.body, w.matrix), on the N cleared above
+        q = phi.body.compose(linear_forms(N))
         big = nx + n
         lhs = (
             w.scalar.num.embed(big, 0)
@@ -332,17 +369,17 @@ def verify_scaled_witness(
         dval, *entries = xprog.at(x)
         if values.is_zero(dval):
             return None
-        v = [values.dot(entries[i * n : (i + 1) * n], y) for i in range(n)]
+        v = values.matvec(entries, rows, y)
         lhs = values.product([a] + [dval] * d + pprog.at(y))
         rhs = values.product([b] + values.at(pprog, v))
         return values.equal(lhs, d + 2, rhs, 2)
 
     deg_bound = (
-        phi.degree * (max((e.den.total_degree() for row in w.matrix for e in row), default=0) + 1)
+        phi.degree * (max((e.den.total_degree() for row in nonzero for e in row), default=0) + 1)
         + w.scalar.num.total_degree()
         + w.scalar.den.total_degree()
         + phi.degree
-        + max(e.num.total_degree() for row in w.matrix for e in row) * phi.degree
+        + max((e.num.total_degree() for row in nonzero for e in row), default=-1) * phi.degree
     )
     return _check_identity(
         t0, identity, estimate, build, agree, nx + n, max(deg_bound, 1),

@@ -579,3 +579,34 @@ def test_squared_witness_matches_golden(name, a):
                            matrix=witness._rf_mat_mul(m, m))
     assert (GOLDEN / (name + ".m2.json")).read_text(encoding="utf-8") == (
         dumps(encode_scaled_witness(square)) + "\n")
+
+
+@pytest.mark.parametrize("mode", ["auto", "symbolic", "random"])
+def test_witness_with_mixed_vars_exits_4(capsys, tmp_path, mode):
+    """An entry of det-2's witness in 3 variables, where the others have 4,
+    is malformed input (exit 4) in every mode, whether the witness comes in
+    a --witness file or in the form file."""
+    payload = encode_constructed_form(det_norm(2))
+    payload["witness"]["matrix"][0][1] = {"num": {"vars": 3, "terms": []}}
+    form_path = write_json(tmp_path / "det2.json", payload)
+    witness_path = write_json(tmp_path / "witness.json", payload["witness"])
+    flags = ["--mode", mode, "--seed", "1"]
+    for argv, path in (
+        (["--form", form_path, "--witness", witness_path], "$.matrix[0][1].num.vars"),
+        (["--form", form_path], "$.witness.matrix[0][1].num.vars"),
+    ):
+        code, out, err = run(capsys, "verify", "strong-mult", *argv, *flags)
+        assert (code, out) == (4, "")
+        assert err == ("error: malformed JSON payload at %s: expected 4, as in %s\n"
+                       % (path, path.replace("[0][1].num.vars", "[0][0].num")))
+
+
+def test_witness_scalar_den_in_other_vars_exits_4(capsys, tmp_path):
+    """construct --kind power reads the scalar of its input's witness; a den
+    in other variables than its num is malformed input."""
+    payload = encode_constructed_form(det_norm(2))
+    payload["witness"]["scalar"]["den"] = {"vars": 3, "terms": [{"e": [0, 0, 0], "c": "1"}]}
+    path = write_json(tmp_path / "det2.json", payload)
+    code, out, err = run(capsys, "construct", "--kind", "power", "--param", "m=2", "--input", path)
+    assert (code, out) == (4, "")
+    assert "$.witness.scalar.den.vars: expected 4, as in $.witness.scalar.num" in err

@@ -9,9 +9,11 @@ from formforge import (
     Polynomial,
     QQ,
     RationalFunction,
+    ScaledWitness,
     det_norm,
     field_extend,
     polarize,
+    scaled_block_sum,
     tits_cubic,
     verify_scaled_witness,
     krull_schmidt_decompose,
@@ -20,6 +22,8 @@ from formforge import (
     split_octonion_algebra,
     verify_composition,
 )
+from formforge import jsonio
+from formforge import witness as W
 from formforge.jsonio import (
     JsonFormatError,
     decode_algebra,
@@ -420,3 +424,126 @@ def test_structure_matrix_zeros_are_shared_and_every_entry_is_checked():
     with pytest.raises(JsonFormatError) as exc:
         decode_structure_matrices({"matrices": [[[["0"]]]]}, k)
     assert str(exc.value) == "$.matrices[0][0][0]: expected 2 coordinates, got 1"
+
+
+def _det3_witness():
+    """det-3's witness as parsed JSON, with the positions of its last zero
+    entry and its last nonzero entry: both come after an entry with the
+    same JSON (54 of the 81 entries are zero, every den is 1)."""
+    obj = rebuild(encode_scaled_witness(det_norm(3).witness))
+    m = obj["matrix"]
+    zeros = [(i, j) for i, row in enumerate(m) for j, e in enumerate(row) if not e["num"]["terms"]]
+    nonzero = [(i, j) for i, row in enumerate(m) for j, e in enumerate(row) if e["num"]["terms"]]
+    return obj, zeros[-1], nonzero[-1]
+
+
+def test_witness_zeros_and_denominators_are_shared():
+    obj, _, _ = _det3_witness()
+    w = decode_scaled_witness(obj, QQ)
+    entries = [e for row in w.matrix for e in row]
+    zeros = [e for e in entries if e.is_zero()]
+    assert len(zeros) == 54 and all(e is zeros[0] for e in zeros)
+    assert len({id(e.den) for e in entries if not e.is_zero()} | {id(w.scalar.den)}) == 1
+    assert verify_scaled_witness(det_norm(3).form, w).verdict == "proved"
+
+
+def _set(part, key, value):
+    """Set e[part][key], or e[part] itself when key is None."""
+    def edit(e):
+        if key is None:
+            e[part] = value
+        else:
+            e[part][key] = value
+    return edit
+
+
+def _set_den_term(key, value):
+    def edit(e):
+        e["den"]["terms"][0][key] = value
+    return edit
+
+
+def _set_den_exponent(value):
+    def edit(e):
+        e["den"]["terms"][0]["e"][0] = value
+    return edit
+
+
+def _constant_in_8_vars(part):
+    return _set(part, None, {"vars": 8, "terms": [{"e": [0] * 8, "c": "1"}]})
+
+
+@pytest.mark.parametrize(
+    "entry, edit, suffix, message",
+    [
+        ("zero", _set("num", "vars", 9.0), ".num.vars", "expected a nonnegative integer"),
+        ("zero", _set_den_exponent(False), ".den.terms[0].e", "expected 9 nonnegative exponents"),
+        ("zero", _set_den_exponent(0.0), ".den.terms[0].e", "expected 9 nonnegative exponents"),
+        ("zero", _set_den_term("c", 1.0), ".den.terms[0].c", "expected a rational scalar string"),
+        ("zero", _set("num", "terms", [{"e": [0] * 9}]), ".num.terms[0]", "expected {e, c}"),
+        ("nonzero", _set("den", "vars", 9.0), ".den.vars", "expected a nonnegative integer"),
+        ("nonzero", _set_den_exponent(False), ".den.terms[0].e",
+         "expected 9 nonnegative exponents"),
+        ("nonzero", _set_den_term("c", "1/x"), ".den.terms[0].c",
+         "not a rational scalar: '1/x'"),
+        ("nonzero", _constant_in_8_vars("num"), ".num.vars",
+         "expected 9, as in $.matrix[0][0].num"),
+        ("nonzero", _constant_in_8_vars("den"), ".den.vars", "expected 9, as in ENTRY.num"),
+    ],
+    ids=["zero-float-vars", "zero-bool-exponent", "zero-float-exponent", "zero-float-coefficient",
+         "zero-term-without-c", "den-float-vars", "den-bool-exponent", "den-bad-coefficient",
+         "num-other-vars", "den-other-vars"],
+)
+def test_sharing_keeps_every_error(entry, edit, suffix, message):
+    """An entry after a shared zero, or a den after a shared den, whose JSON
+    is == to the shared one's but not the same, or differs, is decoded and
+    reports its own path and message."""
+    obj, zero, nonzero = _det3_witness()
+    i, j = zero if entry == "zero" else nonzero
+    edit(obj["matrix"][i][j])
+    with pytest.raises(JsonFormatError) as exc:
+        decode_scaled_witness(obj, QQ)
+    at = "$.matrix[%d][%d]" % (i, j)
+    assert str(exc.value) == "%s%s: %s" % (at, suffix, message.replace("ENTRY", at))
+
+
+def test_zero_denominator_after_a_shared_one_still_divides_by_zero():
+    obj, _, (i, j) = _det3_witness()
+    obj["matrix"][i][j]["den"]["terms"] = []
+    with pytest.raises(ZeroDivisionError):
+        decode_scaled_witness(obj, QQ)
+
+
+def test_scalar_den_must_have_the_vars_of_its_num():
+    obj, _, _ = _det3_witness()
+    obj["scalar"]["den"]["vars"] = 8
+    obj["scalar"]["den"]["terms"] = [{"e": [0] * 8, "c": "1"}]
+    with pytest.raises(JsonFormatError) as exc:
+        decode_scaled_witness(obj, QQ)
+    assert str(exc.value) == "$.scalar.den.vars: expected 9, as in $.scalar.num"
+
+
+def test_witness_decoding_skips_shared_zeros_and_denominators(monkeypatch):
+    """At most one decode_polynomial call per nonzero entry and distinct
+    den, and two more (the first zero num and the scalar's num); the
+    squared witness of the block sum of two det-3 norms makes 651 at
+    every entry's num and den."""
+    m = scaled_block_sum(det_norm(3), [2, -3]).witness.matrix
+    m2 = W._rf_mat_mul(m, m)
+    nx = m2[0][0].num.nvars
+    w = ScaledWitness(RationalFunction.const(QQ, nx, 1), m2)
+    obj = rebuild(encode_scaled_witness(w))
+    calls = []
+    decode = jsonio.decode_polynomial
+    monkeypatch.setattr(jsonio, "decode_polynomial",
+                        lambda *a, **kw: calls.append(a) or decode(*a, **kw))
+    got = decode_scaled_witness(obj, QQ)
+    entries = [e for row in m2 for e in row]
+    nonzero = [e for e in entries if not e.is_zero()]
+    dens = []
+    for e in nonzero:
+        if all(e.den != d for d in dens):
+            dens.append(e.den)
+    assert (len(entries), len(nonzero), len(dens)) == (324, 18, 1)
+    assert len(calls) <= len(nonzero) + len(dens) + 2
+    assert all(a == b for a, b in zip((e for row in got.matrix for e in row), entries))

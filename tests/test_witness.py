@@ -27,6 +27,7 @@ from formforge import (
     orthogonal_sum,
     reduce_exponent,
     root_of_unity_ratio,
+    scaled_block_sum,
     split_etale_presentation,
     tits_cubic,
     twist_witness,
@@ -38,7 +39,7 @@ from formforge import (
     verify_strong_jordan_multiplicativity,
     verify_strong_multiplicativity,
 )
-from formforge import linalg
+from formforge import linalg, poly
 from formforge import witness as W
 from formforge.coeffield import EtaleAlgebra, RationalField, field_extend
 from formforge.constructions import _det_form
@@ -706,3 +707,42 @@ def test_rf_mat_mul_matches_all_products(shared):
     for got_row, want_row in zip(W._rf_mat_mul(a, b), rf_mat_mul_all_products(a, b)):
         for got, want in zip(got_row, want_row):
             assert got.num == want.num and got.den == want.den
+
+
+def test_random_mode_compiles_only_the_nonzero_entries(monkeypatch):
+    """Random mode on M^2 of the block sum of two det-3 norms, 306 of whose
+    324 entries are zero, compiles D and the 18 nonzero entries of N."""
+    cf = scaled_block_sum(det_norm(3), [2, -3])
+    m2 = W._rf_mat_mul(cf.witness.matrix, cf.witness.matrix)
+    assert sum(not e.is_zero() for row in m2 for e in row) == 18
+    sizes = []
+
+    class Recording(W.EvalProgram):
+        def __init__(self, polys):
+            sizes.append(len(polys))
+            super().__init__(polys)
+
+    monkeypatch.setattr(W, "EvalProgram", Recording)
+    rep = verify_strong_jordan_multiplicativity(cf.form, m2, mode="random", seed=1, samples=5)
+    assert rep.verdict == "evidence"
+    assert sizes[0] == 1 + 18
+
+
+def test_symbolic_scaled_check_clears_denominators_once(monkeypatch):
+    calls = []
+    clear = poly.clear_denominators
+
+    def counting(m):
+        calls.append(m)
+        return clear(m)
+
+    monkeypatch.setattr(poly, "clear_denominators", counting)
+    monkeypatch.setattr(W, "clear_denominators", counting)
+    x = [var(2, i) for i in range(2)]
+    phi = HomogeneousForm(QQ, 2, 2, x[0] * x[1])
+    # diag(x_0 / x_1, x_1 / x_0): phi(M Y) = phi(Y), so c = 1
+    w = ScaledWitness(RationalFunction.const(QQ, 2, 1),
+                      ((RationalFunction(x[0], x[1]), RationalFunction.const(QQ, 2, 0)),
+                       (RationalFunction.const(QQ, 2, 0), RationalFunction(x[1], x[0]))))
+    assert verify_scaled_witness(phi, w, mode="symbolic").verdict == "proved"
+    assert len(calls) == 1
