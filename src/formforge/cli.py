@@ -535,7 +535,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, RuntimeError, ZeroDivisionError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_ERROR
 

@@ -515,8 +515,8 @@ def regular_representation(A: EtaleAlgebra, x: FieldElement):
 
 # ---------------------------------------------------------------------------
 # univariate polynomials over a coefficient field, as plain coefficient lists
-# (low degree first, no trailing zeros).  Used for minimal-polynomial work
-# here and for the idempotent machinery in decompose.
+# (low degree first, no trailing zeros), for the minimal polynomials and
+# inverses of this module.
 
 
 def poly_trim(field, p):
@@ -604,10 +604,3 @@ def poly_derivative(field, p):
     return poly_trim(
         field, [field.from_rational(i) * c for i, c in enumerate(p)][1:]
     )
-
-
-def poly_eval(field, p, x: FieldElement) -> FieldElement:
-    out = field.zero
-    for c in reversed(p):
-        out = out * x + c
-    return out

@@ -15,15 +15,15 @@ over Q when the gcd pipeline stalls, by the rational-root test at degree at
 most 3 and by univariate factorization above; the rank of the trace form of
 C bounds the semisimple part.
 
-Over Q everything between the polarization and the final idempotents runs
-in Python ints.  A vector is a pair (a, den) of an int list and a positive
+The splitting runs over Q, in Python ints, for every coefficient field: over
+an etale field K the center is restricted to Q first (`_restrict_to_q`), and
+the final idempotents read their coefficients in K back off their flat
+coordinates.  A vector is a pair (a, den) of an int list and a positive
 denominator with no common factor; the elimination gets integer dict rows;
 a minimal polynomial comes from a Krylov sequence whose powers stay integral
 (`_Block.minpoly`); and univariate polynomials are primitive integer
 coefficient lists, whose gcds come from primitive pseudo-remainder sequences
-(Collins, J. ACM 14, 1967; Brown, J. ACM 18, 1971).  Over an etale field the
-same code runs on field elements, every denominator is 1, and univariate
-polynomials are monic coefficient lists (the field path).
+(Collins, J. ACM 14, 1967; Brown, J. ACM 18, 1971).
 """
 
 from __future__ import annotations
@@ -36,20 +36,14 @@ from typing import List, Tuple
 
 from . import linalg
 from .coeffield import (
+    QQ,
     FieldElement,
     RationalField,
     StructureTensor,
+    ZeroDivisor,
     _times,
     from_coordinates,
     integral_coordinates,
-    poly_add,
-    poly_derivative,
-    poly_divmod,
-    poly_gcd,
-    poly_mul,
-    poly_scale,
-    poly_trim,
-    poly_xgcd,
     to_coordinates,
 )
 from .forms import (
@@ -135,12 +129,23 @@ class Decomposition:
 
 def _reduced(a, den: int):
     """The vector (a, den) with the common factor of den and the ints a
-    divided out; over an etale field den is 1 and nothing changes."""
+    divided out."""
     if den != 1:
         g = math.gcd(den, *a)
         if g != 1:
             return [v // g for v in a], den // g
     return a, den
+
+
+def _integer_tensor(rows, den: int) -> StructureTensor:
+    """The tensor over Q of the int constants rows over den, with their
+    common factor divided out."""
+    g = math.gcd(den, *(v for plane in rows for row in plane for _, v in row))
+    if g != 1:
+        rows = tuple(tuple(tuple((k, v // g) for k, v in row) for row in plane)
+                     for plane in rows)
+        den //= g
+    return StructureTensor(QQ, rows, den)
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +263,18 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
         )
         for i, line in enumerate(structure)
     )
-    if integral:
-        g = math.gcd(den, *(v for plane in rows for row in plane for _, v in row))
-        if g != 1:
-            rows = tuple(tuple(tuple((k, v // g) for k, v in row) for row in plane)
-                         for plane in rows)
-            den //= g
     return CenterAlgebra(
         field=field,
         dim_space=n,
-        tensor=StructureTensor(field, rows, den),
+        tensor=_integer_tensor(rows, den) if integral else StructureTensor(field, rows, den),
         unit=(unit, 1),
         matrices=tuple(zip(matrices, scales)),
     )
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials for the splitting: over Q primitive integer
-# coefficient lists (lowest degree first, positive leading coefficient), over
-# an etale field monic coefficient lists
+# univariate polynomials for the splitting: primitive integer coefficient
+# lists (lowest degree first, positive leading coefficient)
 
 
 def _primitive(f):
@@ -411,203 +409,160 @@ def _divisors(n: int) -> List[int]:
     return sorted(out)
 
 
-class _IntegerPolys:
-    """Univariate arithmetic over Q on primitive integer coefficient lists."""
-
-    normalize = staticmethod(_primitive)
-    derivative = staticmethod(_int_derivative)
-    gcd = staticmethod(_int_gcd)
-    quo = staticmethod(_int_quo)
-    sub = staticmethod(_int_sub)
-
-    @staticmethod
-    def rational_roots(f):
-        return _rational_roots(f)
-
-    @staticmethod
-    def linear(r: Fraction):
-        return [-r.numerator, r.denominator]
-
-    @staticmethod
-    def crt_idempotents(pieces):
-        """(E, den) per piece p: E / den is 1 mod p and 0 mod the other
-        pieces, and of lower degree than their product sf.  Along the
-        pseudo-remainder sequence of p and h = sf / p, each remainder r
-        keeps a cofactor s with s h = r mod p, and deg s < deg p; at the
-        constant remainder c, E = s h and den = c."""
-        sf = pieces[0]
-        for p in pieces[1:]:
-            sf = _int_mul(sf, p)
-        out = []
-        for p in pieces:
-            h = _int_quo(sf, p)
-            r0, s0, r1, s1 = p, [], h, [1]
-            while len(r1) > 1:
-                q, r, m = _pseudo_divmod(r0, r1)
-                s = _int_sub([m * v for v in s0], _int_mul(q, s1))
-                g = math.gcd(*r, *s)
-                r0, s0, r1, s1 = r1, s1, [v // g for v in r], [v // g for v in s]
-            if not r1:
-                raise RuntimeError("pieces were not coprime")
-            e = _int_mul(s1, h)
-            den = r1[0]
-            g = math.gcd(den, *e)
-            if den < 0:
-                g = -g
-            out.append(([v // g for v in e], den // g))
-        return out
-
-    @staticmethod
-    def factor(f):
-        """Irreducible factors over Q of a primitive squarefree f: the
-        certification step.  At degree at most 3, f is irreducible when it
-        has no rational root, which the divisor test decides when it runs in
-        full; otherwise sympy factors f."""
-        if (len(f) <= 4 and abs(f[0]) <= _DIVISOR_BOUND and abs(f[-1]) <= _DIVISOR_BOUND
-                and not _rational_roots(f)):
-            return [f]
-        import sympy
-
-        t = sympy.Symbol("t")
-        expr = sum(sympy.Integer(c) * t**i for i, c in enumerate(f))
-        _, factors = sympy.Poly(expr, t, domain="QQ").factor_list()
-        pieces = []
-        for fac, _mult in factors:
-            cs = [Fraction(str(c)) for c in fac.all_coeffs()[::-1]]
-            pieces.append(_primitive(integral_coordinates(cs)[0]))
-        return pieces
-
-
-class _FieldPolys:
-    """Univariate arithmetic over an etale field on monic coefficient lists."""
-
-    def __init__(self, field):
-        self.field = field
-
-    def normalize(self, f):
-        f = poly_trim(self.field, list(f))
-        return poly_scale(self.field, f, f[-1].inv())
-
-    def derivative(self, f):
-        return poly_derivative(self.field, f)
-
-    def gcd(self, f, g):
-        return poly_gcd(self.field, f, g)
-
-    def quo(self, f, g):
-        return poly_divmod(self.field, f, g)[0]
-
-    def sub(self, f, g):
-        return poly_add(self.field, f, poly_scale(self.field, g, -self.field.one))
-
-    @staticmethod
-    def rational_roots(f):
-        """None unless every coefficient is rational."""
-        try:
-            ints, _ = integral_coordinates([c.as_rational() for c in f])
-        except ValueError:
-            return []
-        return _rational_roots(ints)
-
-    def linear(self, r: Fraction):
-        return [self.field.from_rational(-r), self.field.one]
-
-    def crt_idempotents(self, pieces):
-        field = self.field
-        sf = pieces[0]
-        for p in pieces[1:]:
-            sf = poly_mul(field, sf, p)
-        out = []
-        for piece in pieces:
-            h, _ = poly_divmod(field, sf, piece)
-            g, u, v = poly_xgcd(field, piece, h)
-            if len(g) != 1:
-                raise RuntimeError("pieces were not coprime")
-            vh = poly_mul(field, poly_scale(field, v, g[0].inv()), h)
-            _, vh = poly_divmod(field, vh, sf)
-            out.append((vh, 1))
-        return out
-
-    @staticmethod
-    def factor(f):
-        raise NotImplementedError("primitivity certification is implemented over Q only")
-
-
-def _yun_squarefree_groups(ops, f):
-    """Yun's algorithm: f = prod g_i^i with the g_i squarefree and pairwise
-    coprime.  Returns the nonconstant g_i (multiplicity dropped).  Over Q the
-    quotients stay integral: each divisor is primitive (Gauss's lemma)."""
-    f = ops.normalize(f)
+def _crt_idempotents(pieces):
+    """(E, den) per piece p: E / den is 1 mod p and 0 mod the other pieces,
+    and of lower degree than their product sf.  Along the pseudo-remainder
+    sequence of p and h = sf / p, each remainder r keeps a cofactor s with
+    s h = r mod p, and deg s < deg p; at the constant remainder c, E = s h
+    and den = c."""
+    sf = pieces[0]
+    for p in pieces[1:]:
+        sf = _int_mul(sf, p)
     out = []
-    df = ops.derivative(f)
-    a = ops.gcd(f, df)
-    if len(a) <= 1:
-        return [f]
-    b = ops.quo(f, a)
-    c = ops.quo(df, a)
-    d = ops.sub(c, ops.derivative(b))
-    while len(b) > 1:
-        g = ops.gcd(b, d)
-        if len(g) > 1:
-            out.append(g)
-        b = ops.quo(b, g)
-        c = ops.quo(d, g)
-        d = ops.sub(c, ops.derivative(b))
+    for p in pieces:
+        h = _int_quo(sf, p)
+        r0, s0, r1, s1 = p, [], h, [1]
+        while len(r1) > 1:
+            q, r, m = _pseudo_divmod(r0, r1)
+            s = _int_sub([m * v for v in s0], _int_mul(q, s1))
+            g = math.gcd(*r, *s)
+            r0, s0, r1, s1 = r1, s1, [v // g for v in r], [v // g for v in s]
+        if not r1:
+            raise RuntimeError("pieces were not coprime")
+        e = _int_mul(s1, h)
+        den = r1[0]
+        g = math.gcd(den, *e)
+        if den < 0:
+            g = -g
+        out.append(([v // g for v in e], den // g))
     return out
 
 
-def _coprime_pieces(ops, mu):
+def _factor(f):
+    """Irreducible factors over Q of a primitive squarefree f: the
+    certification step.  At degree at most 3, f is irreducible when it has
+    no rational root, which the divisor test decides when it runs in full;
+    otherwise sympy factors f."""
+    if (len(f) <= 4 and abs(f[0]) <= _DIVISOR_BOUND and abs(f[-1]) <= _DIVISOR_BOUND
+            and not _rational_roots(f)):
+        return [f]
+    import sympy
+
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Integer(c) * t**i for i, c in enumerate(f))
+    _, factors = sympy.Poly(expr, t, domain="QQ").factor_list()
+    pieces = []
+    for fac, _mult in factors:
+        cs = [Fraction(str(c)) for c in fac.all_coeffs()[::-1]]
+        pieces.append(_primitive(integral_coordinates(cs)[0]))
+    return pieces
+
+
+def _yun_squarefree_groups(f):
+    """Yun's algorithm: f = prod g_i^i with the g_i squarefree and pairwise
+    coprime.  Returns the nonconstant g_i (multiplicity dropped).  The
+    quotients stay integral: each divisor is primitive (Gauss's lemma)."""
+    f = _primitive(f)
+    out = []
+    df = _int_derivative(f)
+    a = _int_gcd(f, df)
+    if len(a) <= 1:
+        return [f]
+    b = _int_quo(f, a)
+    c = _int_quo(df, a)
+    d = _int_sub(c, _int_derivative(b))
+    while len(b) > 1:
+        g = _int_gcd(b, d)
+        if len(g) > 1:
+            out.append(g)
+        b = _int_quo(b, g)
+        c = _int_quo(d, g)
+        d = _int_sub(c, _int_derivative(b))
+    return out
+
+
+def _coprime_pieces(mu):
     """Pairwise coprime factors of the squarefree part of mu, found by gcds:
     Yun groups first, then rational linear factors peeled from each group."""
     pieces = []
-    for g in _yun_squarefree_groups(ops, mu):
+    for g in _yun_squarefree_groups(mu):
         rest = g
-        for r in ops.rational_roots(g):
-            lin = ops.linear(r)
-            rest = ops.quo(rest, lin)
+        for r in _rational_roots(g):
+            lin = [-r.numerator, r.denominator]
+            rest = _int_quo(rest, lin)
             pieces.append(lin)
         if len(rest) > 1:
             pieces.append(rest)
     return pieces
 
 
-def _squarefree_part(ops, f):
-    return ops.normalize(ops.quo(f, ops.gcd(f, ops.derivative(f))))
+def _squarefree_part(f):
+    return _primitive(_int_quo(f, _int_gcd(f, _int_derivative(f))))
 
 
 # ---------------------------------------------------------------------------
-# idempotent machinery, on coordinate vectors (a, den) in the center's basis
+# idempotent machinery, on coordinate vectors (a, den) in the basis of the
+# center's restriction to Q
 
 
-def _polys(field):
-    return _IntegerPolys if isinstance(field, RationalField) else _FieldPolys(field)
-
-
-def _lincomb(tensor: StructureTensor, terms):
+def _lincomb(terms):
     """sum of k * x over (k, x) in terms, for ints k and vectors x."""
     den = math.lcm(*(d for _, (_, d) in terms))
-    out = [tensor.zero] * len(terms[0][1][0])
+    out = [0] * len(terms[0][1][0])
     for k, (a, d) in terms:
-        f = tensor.scalar(k * (den // d))
+        f = k * (den // d)
         for i, x in enumerate(a):
             if x:
-                out[i] = out[i] + f * x
+                out[i] += f * x
     return _reduced(out, den)
 
 
-def _unit_vectors(tensor: StructureTensor):
-    m = tensor.dim
-    return [([tensor.scalar(int(k == i)) for k in range(m)], 1) for i in range(m)]
+def _unit_vectors(m: int):
+    return [([int(k == i) for k in range(m)], 1) for i in range(m)]
+
+
+def _restrict_to_q(center: CenterAlgebra):
+    """The center as an algebra over Q, as (tensor, unit): restriction of
+    scalars (Friedl & Ronyai, STOC 1985).  With the flat basis kappa_0, ...,
+    kappa_(m-1) of the coefficient field K, the Q-basis is kappa_l b_i at
+    index i m + l, and b_i b_j = sum_k c_ijk b_k gives
+    (kappa_l b_i)(kappa_l' b_j) = sum_k (c_ijk kappa_l kappa_l') b_k, whose
+    flat coordinates come from K's integer tensor.  An idempotent of a
+    commutative ring does not depend on the field its scalars are taken
+    from, so the splitting sees only this tensor.  Over Q it is the
+    center's own."""
+    field, t = center.field, center.tensor
+    if isinstance(field, RationalField):
+        return t, center.unit
+    kt = field.tensor()
+    m = kt.dim
+    basis = [[int(i == l) for i in range(m)] for l in range(m)]
+    consts = list({c for plane in t.rows for row in plane for _, c in row})
+    ints, den = integral_coordinates([q for c in consts for q in field.flat(c)])
+    # prods[c][l][l2]: c kappa_l kappa_l2 as (index, value) pairs, over den kt.den^2
+    prods = {}
+    for n, c in enumerate(consts):
+        by_l = [kt.mul(ints[n * m:(n + 1) * m], e) for e in basis]
+        prods[c] = [[tuple((b, x) for b, x in enumerate(kt.mul(v, e)) if x) for e in basis]
+                    for v in by_l]
+    rows = tuple(
+        tuple(
+            tuple((k * m + b, x) for k, c in row for b, x in prods[c][l][l2])
+            for row in plane for l2 in range(m)
+        )
+        for plane in t.rows for l in range(m)
+    )
+    unit = integral_coordinates([q for u in center.unit[0] for q in field.flat(u)])
+    return _integer_tensor(rows, den * t.den * kt.den**2), unit
 
 
 class _Block:
-    """A unital commutative subalgebra e*C of the center C: its unit e and a
-    basis, as vectors in the basis of C."""
+    """A unital commutative subalgebra e*C of a commutative Q-algebra C,
+    given by its integer structure tensor: the unit e and a basis, as
+    vectors in the basis of C."""
 
-    def __init__(self, center: CenterAlgebra, unit, basis):
-        self.field = center.field
-        self.tensor = center.tensor
-        self.polys = _polys(center.field)
+    def __init__(self, tensor: StructureTensor, unit, basis):
+        self.tensor = tensor
         self.unit = unit
         self.basis = basis
 
@@ -629,35 +584,26 @@ class _Block:
         t = self.tensor
         Z, dz = z
         w = dz * t.den
-        one = t.scalar(1)
         q = self.unit[0]
         echelon = []  # (pivot column, row, combination); zero at earlier pivots
         for k in range(self.dim + 2):
             row = {i: v for i, v in enumerate(q) if v}
-            comb = {k: one}
+            comb = {k: 1}
             for p, erow, ecomb in echelon:
                 f = row.get(p)
                 if f:
                     a = erow[p]
-                    if t.integral:
-                        g = math.gcd(a, f)
-                        a, f = a // g, f // g
+                    g = math.gcd(a, f)
+                    a, f = a // g, f // g
                     row = _sub_scaled(a, row, f, erow)
                     comb = _sub_scaled(a, comb, f, ecomb)
             if not row:
-                return self.polys.normalize(
-                    [comb.get(i, t.zero) * t.scalar(w**i) for i in range(k + 1)]
-                )
+                return _primitive([comb.get(i, 0) * w**i for i in range(k + 1)])
             p = min(row)
-            if t.integral:
-                g = math.gcd(*row.values(), *comb.values())
-                if g != 1:
-                    row = {i: v // g for i, v in row.items()}
-                    comb = {i: v // g for i, v in comb.items()}
-            else:
-                inv = row[p].inv()
-                row = {i: v * inv for i, v in row.items()}
-                comb = {i: v * inv for i, v in comb.items()}
+            g = math.gcd(*row.values(), *comb.values())
+            if g != 1:
+                row = {i: v // g for i, v in row.items()}
+                comb = {i: v // g for i, v in comb.items()}
             echelon.append((p, row, comb))
             q = t.mul(q, Z)
         raise RuntimeError("minimal polynomial search exceeded the block dimension")
@@ -673,31 +619,30 @@ class _Block:
         Z, dz = z
         w = dz * t.den
         deg = len(coeffs) - 1
-        acc = [t.zero] * len(U)
+        acc = [0] * len(U)
         for k in range(deg, -1, -1):
             if k < deg:
                 acc = t.mul(acc, Z)
             c = coeffs[k]
             if c:
-                f = c * t.scalar(w ** (deg - k))
+                f = c * w ** (deg - k)
                 acc = [x + f * u if u else x for x, u in zip(acc, U)]
         return _reduced(acc, de * w**deg * cden)
 
     def elements(self):
         """Deterministic candidate sequence: basis, then pairwise sums, then
         sums with small integer weights."""
-        t = self.tensor
         for b in self.basis:
             yield b
         m = len(self.basis)
         for i in range(m):
             for j in range(i + 1, m):
-                yield _lincomb(t, [(1, self.basis[i]), (1, self.basis[j])])
+                yield _lincomb([(1, self.basis[i]), (1, self.basis[j])])
         for w in range(2, 6):
             for i in range(m):
                 for j in range(m):
                     if i != j:
-                        yield _lincomb(t, [(1, self.basis[i]), (w, self.basis[j])])
+                        yield _lincomb([(1, self.basis[i]), (w, self.basis[j])])
 
     def nilradical_rank(self) -> int:
         """Rank of the regular trace form t(xy) on the block; its kernel is
@@ -707,18 +652,17 @@ class _Block:
         matrix by nonzero constants keeps its rank, so it is built on the
         numerators of the basis vectors and of the t_i."""
         t = self.tensor
-        zero = t.zero
-        tr = [sum((c for k, row in enumerate(plane) for l, c in row if l == k), zero)
+        tr = [sum(c for k, row in enumerate(plane) for l, c in row if l == k)
               for plane in t.rows]
         m = self.dim
         gram = [{} for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
                 prod = t.mul(self.basis[i][0], self.basis[j][0])
-                v = sum((a * b for a, b in zip(tr, prod) if b), zero)
+                v = sum(a * b for a, b in zip(tr, prod) if b)
                 if v:
                     gram[i][j] = gram[j][i] = v
-        return linalg.rank(self.field, gram)
+        return linalg.rank(QQ, gram)
 
 
 def _sub_scaled(a, x: dict, f, y: dict) -> dict:
@@ -740,7 +684,7 @@ def _lift_idempotent(block: _Block, e):
         if e2 == e:
             return e
         e3 = block.mul(e2, e)
-        e = _lincomb(block.tensor, [(3, e2), (-2, e3)])
+        e = _lincomb([(3, e2), (-2, e3)])
     raise RuntimeError("idempotent lifting failed to stabilize")
 
 
@@ -749,14 +693,13 @@ def _split_with_pieces(block: _Block, z, pieces):
     the minimal polynomial of z, lifted through the nilradical."""
     return [
         _lift_idempotent(block, block.poly_eval(poly, z))
-        for poly in block.polys.crt_idempotents(pieces)
+        for poly in _crt_idempotents(pieces)
     ]
 
 
 def _try_split(block: _Block):
     """One round: return orthogonal idempotents refining the block, or None
     when the block is certified primitive."""
-    polys = block.polys
     if block.dim == 1:
         return None
 
@@ -764,7 +707,7 @@ def _try_split(block: _Block):
     for z in block.elements():
         mu = block.minpoly(z)
         minpolys.append((z, mu))
-        pieces = _coprime_pieces(polys, mu)
+        pieces = _coprime_pieces(mu)
         if len(pieces) >= 2:
             return _split_with_pieces(block, z, pieces)
 
@@ -773,10 +716,10 @@ def _try_split(block: _Block):
     if ss_rank == 1:
         return None
     for z, mu in minpolys:
-        sf = _squarefree_part(polys, mu)
+        sf = _squarefree_part(mu)
         if len(sf) - 1 == ss_rank:
             # z generates the semisimple quotient; factor its minimal polynomial
-            pieces = polys.factor(sf)
+            pieces = _factor(sf)
             if len(pieces) >= 2:
                 return _split_with_pieces(block, z, pieces)
             return None
@@ -787,27 +730,25 @@ def _try_split(block: _Block):
 
 def primitive_idempotents(center: CenterAlgebra, columns: bool = False) -> list:
     """The primitive idempotents of the center, split on coordinate vectors
-    in its basis and returned as n x n matrices in a canonical order.  With
-    `columns`, each comes as (matrix, basis): the basis is the reduced row
-    echelon form of the matrix's columns, as `linalg.rref` gives it, and
-    over Q it is computed from the integer matrix."""
+    of its restriction to Q (`_restrict_to_q`) and returned as n x n
+    matrices in a canonical order.  With `columns`, each comes as (matrix,
+    basis): the basis is the reduced row echelon form of the matrix's
+    columns, as `linalg.rref` gives it, and over Q it is computed from the
+    integer matrix."""
     field = center.field
-    t = center.tensor
+    t, unit = _restrict_to_q(center)
 
     def make_block(e) -> _Block:
-        # the rows e * b_k, straight from the tensor's rows
+        # the rows e * b_k, straight from the tensor's rows; a reduced row
+        # comes back as the primitive row over its pivot
         E = [(i, c) for i, c in enumerate(e[0]) if c]
         rows = [t.combine((c, t.rows[i][k]) for i, c in E) for k in range(t.dim)]
-        red, pivots = linalg.rref(field, rows)
-        zero = t.zero
-        # over Q a reduced row comes back as the primitive row over its pivot
-        return _Block(center, e, [
-            ([row.get(i, zero) for i in range(t.dim)], row[c] if t.integral else 1)
-            for row, c in zip(red, pivots)
-        ])
+        red, pivots = linalg.rref(QQ, rows)
+        return _Block(t, e, [([row.get(i, 0) for i in range(t.dim)], row[c])
+                             for row, c in zip(red, pivots)])
 
     final = []
-    queue = [center.unit]
+    queue = [unit]
     while queue:
         e = queue.pop(0)
         split = _try_split(make_block(e))
@@ -820,9 +761,15 @@ def primitive_idempotents(center: CenterAlgebra, columns: bool = False) -> list:
             queue.extend(split)
 
     n = center.dim_space
-    zero = t.zero
+    zero = center.tensor.zero
+    m = field.absolute_degree
     mats = []
     for ek, de in final:
+        if not isinstance(field, RationalField):
+            # the coefficient of b_k from its m flat coordinates
+            ek = [field.from_flat([Fraction(v, de) for v in ek[k:k + m]])
+                  for k in range(0, len(ek), m)]
+            de = 1
         scale = math.lcm(*(s for c, (_, s) in zip(ek, center.matrices) if c))
         acc = [{} for _ in range(n)]
         for c, (rows, s) in zip(ek, center.matrices):
@@ -908,7 +855,12 @@ def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:
 
     theta = polarize(phi)
     center = center_algebra(theta)
-    idems = primitive_idempotents(center, columns=True)
+    try:
+        idems = primitive_idempotents(center, columns=True)
+    except ZeroDivisor as exc:
+        # over a product of fields the components are not free modules, and
+        # their column bases meet a zero-divisor pivot
+        raise ValueError("decomposition needs a field: %s" % exc) from exc
 
     comps = []
     for e, cols in idems:
@@ -956,5 +908,6 @@ def is_absolutely_indecomposable(phi: HomogeneousForm) -> bool:
     if radical(phi):
         raise DegenerateInput("form has a nonzero radical")
     center = center_algebra(polarize(phi))
-    block = _Block(center, center.unit, _unit_vectors(center.tensor))
-    return block.nilradical_rank() == 1
+    t, unit = _restrict_to_q(center)
+    block = _Block(t, unit, _unit_vectors(t.dim))
+    return block.nilradical_rank() == phi.field.absolute_degree

@@ -7,9 +7,10 @@ division that rebuilds the remainder at every step, an evaluation that
 multiplies field elements one at a time, a product by dense structure
 constants, linear forms built from the terms dicts, sums, products,
 substitution and heap division on {exponent tuple: FieldElement} dicts, a
-matrix product that adds up every product of rational functions, and
+matrix product that adds up every product of rational functions,
 random-mode identities that evaluate every polynomial on its own in field
-elements).
+elements, and the univariate steps of the idempotent splitting on monic
+lists of field elements with Euclid's gcd).
 """
 
 import heapq
@@ -20,7 +21,19 @@ from math import factorial
 from formforge import HomogeneousForm, NotDivisible, Polynomial, SymmetricTensor, linalg, polarize
 from formforge.poly import clear_denominators
 from formforge.constructions import AdmissibleTriple, _phi0_coordinates
-from formforge.coeffield import EtaleAlgebra
+from formforge.coeffield import (
+    EtaleAlgebra,
+    integral_coordinates,
+    poly_add,
+    poly_derivative,
+    poly_divmod,
+    poly_gcd,
+    poly_mul,
+    poly_scale,
+    poly_trim,
+    poly_xgcd,
+)
+from formforge.decompose import _rational_roots
 
 
 def leibniz_determinant(rows, zero, one):
@@ -466,3 +479,91 @@ def jordan_identity(phi: HomogeneousForm, algebra):
         return generic_eval(phi.body, list(triple)) == phi_v * phi_v * generic_eval(phi.body, w)
 
     return agree, 2 * n, 3 * phi.degree
+
+
+class FieldPolys:
+    """The univariate steps of `decompose`'s splitting (Yun's groups, the
+    coprime pieces, the squarefree part and the CRT idempotents) on monic
+    coefficient lists of field elements, with Euclid's gcd and the extended
+    gcd in place of pseudo-remainder sequences."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def normalize(self, f):
+        f = poly_trim(self.field, list(f))
+        return poly_scale(self.field, f, f[-1].inv())
+
+    def derivative(self, f):
+        return poly_derivative(self.field, f)
+
+    def gcd(self, f, g):
+        return poly_gcd(self.field, f, g)
+
+    def quo(self, f, g):
+        return poly_divmod(self.field, f, g)[0]
+
+    def sub(self, f, g):
+        return poly_add(self.field, f, poly_scale(self.field, g, -self.field.one))
+
+    @staticmethod
+    def rational_roots(f):
+        """The rational roots when every coefficient is rational, else none."""
+        try:
+            ints, _ = integral_coordinates([c.as_rational() for c in f])
+        except ValueError:
+            return []
+        return _rational_roots(ints)
+
+    def linear(self, r: Fraction):
+        return [self.field.from_rational(-r), self.field.one]
+
+    def crt_idempotents(self, pieces):
+        field = self.field
+        sf = pieces[0]
+        for p in pieces[1:]:
+            sf = poly_mul(field, sf, p)
+        out = []
+        for piece in pieces:
+            h, _ = poly_divmod(field, sf, piece)
+            g, u, v = poly_xgcd(field, piece, h)
+            if len(g) != 1:
+                raise RuntimeError("pieces were not coprime")
+            vh = poly_mul(field, poly_scale(field, v, g[0].inv()), h)
+            _, vh = poly_divmod(field, vh, sf)
+            out.append((vh, 1))
+        return out
+
+    def yun_squarefree_groups(self, f):
+        f = self.normalize(f)
+        out = []
+        df = self.derivative(f)
+        a = self.gcd(f, df)
+        if len(a) <= 1:
+            return [f]
+        b = self.quo(f, a)
+        c = self.quo(df, a)
+        d = self.sub(c, self.derivative(b))
+        while len(b) > 1:
+            g = self.gcd(b, d)
+            if len(g) > 1:
+                out.append(g)
+            b = self.quo(b, g)
+            c = self.quo(d, g)
+            d = self.sub(c, self.derivative(b))
+        return out
+
+    def coprime_pieces(self, mu):
+        pieces = []
+        for g in self.yun_squarefree_groups(mu):
+            rest = g
+            for r in self.rational_roots(g):
+                lin = self.linear(r)
+                rest = self.quo(rest, lin)
+                pieces.append(lin)
+            if len(rest) > 1:
+                pieces.append(rest)
+        return pieces
+
+    def squarefree_part(self, f):
+        return self.normalize(self.quo(f, self.gcd(f, self.derivative(f))))

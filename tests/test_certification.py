@@ -33,4 +33,4 @@ def test_small_degrees_without_a_rational_root_are_certified_without_sympy(coeff
     assume(all(k == 1 and len(g) > 2 for g, k in factors))  # squarefree, no rational root
     assert factors == [(f, 1)]
     with mock.patch.object(sympy.Poly, "factor_list", side_effect=AssertionError("sympy used")):
-        assert decompose._IntegerPolys.factor(f) == [f]
+        assert decompose._factor(f) == [f]

@@ -11,10 +11,12 @@ import pytest
 import formforge
 from formforge import (
     HomogeneousForm,
+    LinearMap,
     Polynomial,
     QQ,
     RationalFunction,
     ScaledWitness,
+    apply_change_of_basis,
     composition_algebra_norm,
     det_norm,
     diagonal_form,
@@ -229,6 +231,58 @@ def test_decompose_over_q_sqrt2_peels_rational_roots(capsys, tmp_path):
         code, out, err = run(capsys, "decompose", "--form", path)
         assert code == 0, err
         assert [c["dim"] for c in json.loads(out)["components"]] == dims
+
+
+def test_decompose_absolute_over_q_sqrt2(capsys, tmp_path):
+    """The Tits cubic of sqrt 2 over Q(sqrt 2) is absolutely indecomposable:
+    the center's semisimple part has rank [Q(sqrt 2):Q] = 2 over Q."""
+    k = field_extend(QQ, [-2, 0, 1])
+    path = write_json(tmp_path / "tits.json", encode_form(tits_cubic(k.gen).form))
+    code, out, err = run(capsys, "decompose", "--form", path, "--absolute")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert [c["dim"] for c in payload["components"]] == [3]
+    assert payload["absolutely_indecomposable"] is True
+
+
+@pytest.mark.parametrize("coeffs, commands, message", [
+    (lambda k: [k.one, k.one + k.gen], ("radical", "decompose"),
+     "ZeroDivisor: zero divisor in Etale(deg=2 over QQ)"),
+    (lambda k: [k.one, k.gen, k.from_rational(3)], ("decompose",),
+     "ValueError: decomposition needs a field"),
+], ids=["one-plus-t", "t-and-3"])
+def test_forms_over_a_product_of_fields_exit_3(capsys, tmp_path, coeffs, commands, message):
+    """Over Q[t]/(t^2 - 1), <1, 1 + t> meets a zero divisor in the radical,
+    and the components of <1, t, 3> are not free modules: each command
+    exits 3 with a message, not 1 ("refuted") with a traceback."""
+    k = field_extend(QQ, [-1, 0, 1])
+    phi = diagonal_form(coeffs(k), 3, field=k).form
+    path = write_json(tmp_path / "form.json", encode_form(phi))
+    for command in commands:
+        code, out, err = run(capsys, command, "--form", path)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: " + message)
+
+
+def test_decompose_over_q_sqrt2_imports_no_sympy(tmp_path):
+    """A basis-changed <1 + sqrt 2, -1 + sqrt 2> plus a Tits cubic over
+    Q(sqrt 2): every block is certified by the divisor test, and a fresh
+    process decomposes it without importing sympy."""
+    k = field_extend(QQ, [-2, 0, 1])
+    phi = orthogonal_sum(tits_cubic(k.gen + k.one).form,
+                         diagonal_form([k.gen + k.one, k.gen - k.one], 3, field=k).form)
+    n = phi.nvars
+    rows = [[k.one if i == j else (k.gen if j == i + 1 else k.zero) for j in range(n)]
+            for i in range(n)]
+    path = write_json(tmp_path / "form.json",
+                      encode_form(apply_change_of_basis(phi, LinearMap(k, rows))))
+    script = ("import sys; from formforge.cli import main; code = main(sys.argv[1:]); "
+              "sys.stderr.write('sympy imported: %s' % ('sympy' in sys.modules)); "
+              "sys.exit(code)")
+    done = run_checkout([sys.executable, "-c", script, "decompose", "--form", path], tmp_path)
+    assert done.returncode == 0, done.stderr.decode()
+    assert [c["dim"] for c in json.loads(done.stdout)["components"]] == [1, 1, 3]
+    assert done.stderr.decode().endswith("sympy imported: False")
 
 
 def test_polarize_and_radical(capsys, tmp_path):

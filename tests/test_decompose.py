@@ -25,7 +25,10 @@ from formforge import (
     primitive_idempotents,
     split_albert_norm,
     tits_cubic,
+    transfer_form,
 )
+from formforge.coeffield import EtaleAlgebra
+from oracles import FieldPolys
 
 
 def var(n, i):
@@ -65,6 +68,28 @@ def tits_diag():
 def tits_diag_changed():
     phi = tits_diag()
     return apply_change_of_basis(phi, unitriangular(phi.nvars, random.Random(0)))
+
+
+SQRT2 = field_extend(QQ, [-2, 0, 1])
+CBRT2 = field_extend(QQ, [-2, 0, 0, 1])
+HALF = field_extend(QQ, [Fraction(-1, 2), 0, 1])  # t^2 = 1/2: the tensor's den is 2
+_OMEGA = field_extend(QQ, [1, 1, 1])
+TOWER = field_extend(_OMEGA, [_OMEGA.from_rational(-2), _OMEGA.zero, _OMEGA.zero, _OMEGA.one])
+
+
+def changed_over(k, coeffs, tits, seed):
+    """<c + t> for c in coeffs, t the generator of k, plus the Tits cubic of
+    t + tits when tits is not None, after an upper triangular change of
+    basis with 1, 2 or t on the diagonal and +-1 or +-t above it."""
+    phi = diagonal_form([k.from_rational(c) + k.gen for c in coeffs], 3, field=k).form
+    if tits is not None:
+        phi = orthogonal_sum(tits_cubic(k.gen + k.from_rational(tits)).form, phi)
+    rng = random.Random(seed)
+    n = phi.nvars
+    rows = [[rng.choice((k.one, k.from_rational(2), k.gen)) if i == j
+             else rng.choice((k.one, -k.one, k.gen, -k.gen)) if j > i
+             else k.zero for j in range(n)] for i in range(n)]
+    return apply_change_of_basis(phi, LinearMap(k, rows))
 
 
 def sqrt2_pair():
@@ -305,6 +330,70 @@ def test_component_dims_survive_a_change_of_basis(seed):
             assert sorted(c.dim for c in krull_schmidt_decompose(form).components) == dims
 
 
+@pytest.mark.parametrize("field, coeffs, tits, seed, dims", [
+    (SQRT2, [1, -2, 3], None, 0, [1, 1, 1]),
+    (SQRT2, [2, -1], 1, 1, [1, 1, 3]),
+    (CBRT2, [1, 2, -3], None, 0, [1, 1, 1]),
+    (CBRT2, [-1, 3], 2, 1, [1, 1, 3]),
+    (TOWER, [1, -2], None, 4, [1, 1]),
+    (TOWER, [2], 1, 0, [1, 3]),
+    (HALF, [1, 2, -3], None, 0, [1, 1, 1]),
+    (HALF, [2], 1, 0, [1, 3]),
+], ids=["sqrt2", "sqrt2-tits", "cbrt2", "cbrt2-tits", "tower", "tower-tits", "half", "half-tits"])
+def test_basis_changed_forms_over_etale_fields_decompose(field, coeffs, tits, seed, dims):
+    """A change of basis fills the center's basis with field elements, so
+    splitting it needs certification over the field; the decomposition
+    checks its reconstruction identity and change of basis itself, and the
+    idempotents, whose coordinates over Q have denominators, are complete."""
+    phi = changed_over(field, coeffs, tits, seed)
+    dec = krull_schmidt_decompose(phi)
+    assert sorted(c.dim for c in dec.components) == dims
+    total = dec.idempotents[0]
+    for e in dec.idempotents:
+        assert mat_mul(e, e) == e
+    for e in dec.idempotents[1:]:
+        total = tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(total, e))
+    assert total == eye(field, phi.nvars)
+
+
+def test_transfer_along_a_relative_quadratic_extension():
+    """<1, 2> over Q(sqrt 2)(sqrt 3), pushed down to Q(sqrt 2): two
+    components of dimension 2."""
+    k = field_extend(SQRT2, [-3, 0, 1])
+    phi = transfer_form(k, [1, 0], diagonal_form([1, 2], 3, field=k).form)
+    assert [c.dim for c in krull_schmidt_decompose(phi).components] == [2, 2]
+
+
+def test_splitting_over_sqrt2_makes_no_field_element_products(monkeypatch):
+    """The splitting multiplies the center's restriction to Q in ints: no
+    product inside `_try_split` goes through `EtaleAlgebra._mul`."""
+    calls, inside = [], []
+    mul, try_split = EtaleAlgebra._mul, decompose._try_split
+    monkeypatch.setattr(EtaleAlgebra, "_mul",
+                        lambda self, a, b: calls.append(bool(inside)) or mul(self, a, b))
+
+    def counted(block):
+        inside.append(1)
+        try:
+            return try_split(block)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(decompose, "_try_split", counted)
+    dec = krull_schmidt_decompose(changed_over(SQRT2, [2, -1], 1, 1))
+    assert sorted(c.dim for c in dec.components) == [1, 1, 3]
+    assert True not in calls
+
+
+def test_a_product_of_fields_is_refused():
+    """Over Q[t]/(t^2 - 1) the components of <1, t, 3> are not free
+    modules: the decomposition stops with ValueError."""
+    k = field_extend(QQ, [-1, 0, 1])
+    phi = diagonal_form([k.one, k.gen, k.from_rational(3)], 3, field=k).form
+    with pytest.raises(ValueError, match="decomposition needs a field"):
+        krull_schmidt_decompose(phi)
+
+
 def test_split_through_a_nilradical():
     """x y^2 has the center Q[n]/(n^2), so the sum with two more summands
     has idempotents that are lifted through the nilradical."""
@@ -333,17 +422,17 @@ def test_integer_univariate_steps_match_the_field_path(seed):
             f = [rng.choice((-6, -2, 1, 3, 5)), rng.randint(-3, 3), rng.randint(1, 3)]
         for _ in range(rng.randint(1, 3)):
             mu = decompose._int_mul(mu, f)
-    ints, field = decompose._IntegerPolys, decompose._FieldPolys(QQ)
+    field = FieldPolys(QQ)
     mu_q = [QQ.from_rational(c) for c in mu]
-    assert ([_as_monic(g) for g in decompose._yun_squarefree_groups(ints, mu)]
-            == [_as_monic(g) for g in decompose._yun_squarefree_groups(field, mu_q)])
-    pieces = decompose._coprime_pieces(ints, mu)
+    assert ([_as_monic(g) for g in decompose._yun_squarefree_groups(mu)]
+            == [_as_monic(g) for g in field.yun_squarefree_groups(mu_q)])
+    pieces = decompose._coprime_pieces(mu)
     assert [_as_monic(p) for p in pieces] == [_as_monic(p) for p in
-                                              decompose._coprime_pieces(field, mu_q)]
-    assert (_as_monic(decompose._squarefree_part(ints, mu))
-            == _as_monic(decompose._squarefree_part(field, mu_q)))
+                                              field.coprime_pieces(mu_q)]
+    assert (_as_monic(decompose._squarefree_part(mu))
+            == _as_monic(field.squarefree_part(mu_q)))
     if len(pieces) >= 2:
-        got = [[Fraction(c, den) for c in e] for e, den in ints.crt_idempotents(pieces)]
+        got = [[Fraction(c, den) for c in e] for e, den in decompose._crt_idempotents(pieces)]
         pieces_q = [[QQ.from_rational(c) for c in p] for p in pieces]
         want = [[c.as_rational() for c in e] for e, _ in field.crt_idempotents(pieces_q)]
         assert got == want
@@ -354,7 +443,7 @@ def test_certification_outside_the_divisor_bound_factors_with_sympy():
     does not look for, so it is not certified irreducible: sympy splits it."""
     f = decompose._int_mul([-(10**9), 1], [1, 0, 1])
     assert decompose._rational_roots(f) == []
-    assert sorted(decompose._IntegerPolys.factor(f), key=len) == [[-(10**9), 1], [1, 0, 1]]
+    assert sorted(decompose._factor(f), key=len) == [[-(10**9), 1], [1, 0, 1]]
 
 
 def test_split_albert_norm_is_one_27_dimensional_component():

@@ -746,3 +746,43 @@ def test_symbolic_scaled_check_clears_denominators_once(monkeypatch):
                        (RationalFunction.const(QQ, 2, 0), RationalFunction(x[1], x[0]))))
     assert verify_scaled_witness(phi, w, mode="symbolic").verdict == "proved"
     assert len(calls) == 1
+
+
+_SQRT2 = field_extend(QQ, [-2, 0, 1])
+_CBRT2 = field_extend(QQ, [-2, 0, 0, 1])
+_HALF = field_extend(QQ, [Fraction(-1, 2), 0, 1])  # t^2 = 1/2: the tensor's den is 2
+_OMEGA = field_extend(QQ, [1, 1, 1])
+_TOWER = field_extend(_OMEGA, [_OMEGA.from_rational(-2), _OMEGA.zero, _OMEGA.zero, _OMEGA.one])
+
+
+def test_rational_powers_over_an_extension_are_not_refuted():
+    """2 = (cbrt 2)^3 and 4 = (sqrt 2)^4 have no rational root, but their
+    norms are powers: undecided, where the test over Q answered False."""
+    assert W.scalar_is_dth_power(_CBRT2.from_rational(2), 3) == (None, None)
+    with pytest.raises(NotImplementedError):
+        diagonal_jordan_cubic_decision([2], field=_CBRT2)
+    with pytest.raises(NotImplementedError):
+        diagonal_strong_mult_decision([4], 4, field=_SQRT2)
+
+
+@pytest.mark.parametrize("field, d", [(_SQRT2, 3), (_SQRT2, 5), (_CBRT2, 2), (_CBRT2, 4),
+                                      (_TOWER, 4), (_TOWER, 5), (_HALF, 3)],
+                         ids=["sqrt2-3", "sqrt2-5", "cbrt2-2", "cbrt2-4", "tower-4", "tower-5",
+                              "half-3"])
+def test_dth_powers_over_etale_fields(field, d):
+    """r^d never comes back False, and a rational root is returned as one;
+    2 r^d has the norm 2^m N(r)^d, which is not a d-th power when d does
+    not divide m = [k:Q], so it comes back False."""
+    rng = random.Random(d * field.absolute_degree)
+    m = field.absolute_degree
+    for _ in range(6):
+        r = field.from_flat([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)])
+        if r.is_zero():
+            r = field.one
+        verdict, root = W.scalar_is_dth_power(r**d, d)
+        assert verdict is not False
+        if verdict:
+            assert root**d == r**d
+        assert W.scalar_is_dth_power(field.from_rational(2) * r**d, d) == (False, None)
+    q = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    assert W.scalar_is_dth_power(field.from_rational(q**d), d) == (True, field.from_rational(q))
