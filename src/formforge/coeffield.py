@@ -493,24 +493,20 @@ def etale_trace(A: EtaleAlgebra, x: FieldElement) -> FieldElement:
 
 
 def etale_norm(A: EtaleAlgebra, x: FieldElement) -> FieldElement:
-    """Determinant of multiplication-by-x over the base field."""
+    """Determinant of multiplication-by-x over the base field (that of its
+    transpose, the columns as rows)."""
     from . import linalg
 
-    cols = regular_representation(A, x)
-    rows = [[cols[j][i] for j in range(A.degree)] for i in range(A.degree)]
-    return linalg.determinant(A.base, rows)
+    return linalg.determinant(A.base, regular_representation(A, x))
 
 
 def regular_representation(A: EtaleAlgebra, x: FieldElement):
-    """Columns of the multiplication-by-x matrix in the power basis."""
-    cols = []
-    cur = x
-    basis_step = A.gen
-    for j in range(A.degree):
-        cols.append(list(cur.coeffs))
-        if j + 1 < A.degree:
-            cur = cur * basis_step
-    return cols
+    """Columns of the multiplication-by-x matrix in the power basis: the
+    coordinates of x, x t, ..., x t^(deg-1)."""
+    cols = [x]
+    while len(cols) < A.degree:
+        cols.append(cols[-1] * A.gen)
+    return [list(c.coeffs) for c in cols]
 
 
 # ---------------------------------------------------------------------------

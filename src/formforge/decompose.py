@@ -12,15 +12,17 @@ the final idempotents.  Idempotents are found from minimal polynomials of a
 deterministic element sequence, split by gcd-based coprime factorization and
 rational roots, lifted through the nilradical, and certified (or refined)
 over Q when the gcd pipeline stalls, by the rational-root test at degree at
-most 3 and by univariate factorization above; the rank of the trace form of
-C bounds the semisimple part.
+most 3, by the degrees of such irreducible minimal polynomials, and by
+univariate factorization otherwise; the rank of the trace form of C bounds
+the semisimple part.
 
 The splitting runs over Q, in Python ints, for every coefficient field: over
-an etale field K the center is restricted to Q first (`_restrict_to_q`), and
-the final idempotents read their coefficients in K back off their flat
-coordinates.  A vector is a pair (a, den) of an int list and a positive
-denominator with no common factor; the elimination gets integer dict rows;
-a minimal polynomial comes from a Krylov sequence whose powers stay integral
+an etale field K the center is restricted to Q first (`_restrict_to_q`), a
+block of the Q-dimension of K is K*e and needs no search, and the final
+idempotents read their coefficients in K back off their flat coordinates.
+A vector is a pair (a, den) of an int list and a positive denominator with
+no common factor; the elimination gets integer dict rows; a minimal
+polynomial comes from a Krylov sequence whose powers stay integral
 (`_Block.minpoly`); and univariate polynomials are primitive integer
 coefficient lists, whose gcds come from primitive pseudo-remainder sequences
 (Collins, J. ACM 14, 1967; Brown, J. ACM 18, 1971).
@@ -40,7 +42,6 @@ from .coeffield import (
     FieldElement,
     RationalField,
     StructureTensor,
-    ZeroDivisor,
     _times,
     from_coordinates,
     integral_coordinates,
@@ -438,13 +439,19 @@ def _crt_idempotents(pieces):
     return out
 
 
+def _divisor_irreducible(f) -> bool:
+    """Whether the divisor test proves the primitive squarefree f
+    irreducible over Q: at degree at most 3, f is irreducible when it has no
+    rational root, which the test decides when it runs in full."""
+    return (len(f) <= 4 and abs(f[0]) <= _DIVISOR_BOUND and abs(f[-1]) <= _DIVISOR_BOUND
+            and not _rational_roots(f))
+
+
 def _factor(f):
     """Irreducible factors over Q of a primitive squarefree f: the
-    certification step.  At degree at most 3, f is irreducible when it has
-    no rational root, which the divisor test decides when it runs in full;
-    otherwise sympy factors f."""
-    if (len(f) <= 4 and abs(f[0]) <= _DIVISOR_BOUND and abs(f[-1]) <= _DIVISOR_BOUND
-            and not _rational_roots(f)):
+    certification step.  sympy factors f when the divisor test does not
+    prove it irreducible."""
+    if _divisor_irreducible(f):
         return [f]
     import sympy
 
@@ -559,12 +566,14 @@ def _restrict_to_q(center: CenterAlgebra):
 class _Block:
     """A unital commutative subalgebra e*C of a commutative Q-algebra C,
     given by its integer structure tensor: the unit e and a basis, as
-    vectors in the basis of C."""
+    vectors in the basis of C.  C contains a field K of Q-dimension
+    `field_degree`, so e*C contains its copy K*e."""
 
-    def __init__(self, tensor: StructureTensor, unit, basis):
+    def __init__(self, tensor: StructureTensor, unit, basis, field_degree: int):
         self.tensor = tensor
         self.unit = unit
         self.basis = basis
+        self.field_degree = field_degree
 
     @property
     def dim(self) -> int:
@@ -697,10 +706,20 @@ def _split_with_pieces(block: _Block, z, pieces):
     ]
 
 
+def _one_field(minpolys, rank: int) -> bool:
+    """Whether a semisimple quotient of rank `rank`, a product of fields L_j,
+    is one field: z whose squarefree part is irreducible of degree d has
+    that minimal polynomial in each L_j, so d divides every [L_j : Q], and
+    such degrees of lcm `rank` leave one field."""
+    sfs = (_squarefree_part(mu) for _, mu in minpolys)
+    return math.lcm(1, *(len(sf) - 1 for sf in sfs if _divisor_irreducible(sf))) == rank
+
+
 def _try_split(block: _Block):
     """One round: return orthogonal idempotents refining the block, or None
-    when the block is certified primitive."""
-    if block.dim == 1:
+    when the block is certified primitive.  A block, or its semisimple
+    quotient, of the Q-dimension of K is K*e, a field."""
+    if block.dim == block.field_degree:
         return None
 
     minpolys = []
@@ -713,12 +732,15 @@ def _try_split(block: _Block):
 
     # gcd pipeline found nothing; certify through the semisimple quotient
     ss_rank = block.nilradical_rank()
-    if ss_rank == 1:
+    if ss_rank == block.field_degree:
         return None
     for z, mu in minpolys:
         sf = _squarefree_part(mu)
         if len(sf) - 1 == ss_rank:
-            # z generates the semisimple quotient; factor its minimal polynomial
+            # z generates the semisimple quotient; factor its minimal
+            # polynomial unless the divisor test or the degrees certify it
+            if _divisor_irreducible(sf) or _one_field(minpolys, ss_rank):
+                return None
             pieces = _factor(sf)
             if len(pieces) >= 2:
                 return _split_with_pieces(block, z, pieces)
@@ -728,14 +750,29 @@ def _try_split(block: _Block):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _is_field(field) -> bool:
+    """Whether the coefficient field is a field, not a product of fields:
+    the unit of its integer tensor, over Q, is primitive."""
+    if isinstance(field, RationalField):
+        return True
+    t = field.tensor()
+    unit = integral_coordinates(field.flat(field.one))
+    return _try_split(_Block(t, unit, _unit_vectors(t.dim), 1)) is None
+
+
 def primitive_idempotents(center: CenterAlgebra, columns: bool = False) -> list:
     """The primitive idempotents of the center, split on coordinate vectors
     of its restriction to Q (`_restrict_to_q`) and returned as n x n
     matrices in a canonical order.  With `columns`, each comes as (matrix,
     basis): the basis is the reduced row echelon form of the matrix's
     columns, as `linalg.rref` gives it, and over Q it is computed from the
-    integer matrix."""
+    integer matrix.  Over a product of fields, whose components would not be
+    free modules, it raises ValueError."""
     field = center.field
+    if not _is_field(field):
+        raise ValueError("decomposition needs a field, not a product of fields: %r" % (field,))
+    m = field.absolute_degree
     t, unit = _restrict_to_q(center)
 
     def make_block(e) -> _Block:
@@ -745,7 +782,7 @@ def primitive_idempotents(center: CenterAlgebra, columns: bool = False) -> list:
         rows = [t.combine((c, t.rows[i][k]) for i, c in E) for k in range(t.dim)]
         red, pivots = linalg.rref(QQ, rows)
         return _Block(t, e, [([row.get(i, 0) for i in range(t.dim)], row[c])
-                             for row, c in zip(red, pivots)])
+                             for row, c in zip(red, pivots)], m)
 
     final = []
     queue = [unit]
@@ -762,7 +799,6 @@ def primitive_idempotents(center: CenterAlgebra, columns: bool = False) -> list:
 
     n = center.dim_space
     zero = center.tensor.zero
-    m = field.absolute_degree
     mats = []
     for ek, de in final:
         if not isinstance(field, RationalField):
@@ -855,12 +891,7 @@ def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:
 
     theta = polarize(phi)
     center = center_algebra(theta)
-    try:
-        idems = primitive_idempotents(center, columns=True)
-    except ZeroDivisor as exc:
-        # over a product of fields the components are not free modules, and
-        # their column bases meet a zero-divisor pivot
-        raise ValueError("decomposition needs a field: %s" % exc) from exc
+    idems = primitive_idempotents(center, columns=True)
 
     comps = []
     for e, cols in idems:
@@ -909,5 +940,4 @@ def is_absolutely_indecomposable(phi: HomogeneousForm) -> bool:
         raise DegenerateInput("form has a nonzero radical")
     center = center_algebra(polarize(phi))
     t, unit = _restrict_to_q(center)
-    block = _Block(t, unit, _unit_vectors(t.dim))
-    return block.nilradical_rank() == phi.field.absolute_degree
+    return _Block(t, unit, _unit_vectors(t.dim), 1).nilradical_rank() == phi.field.absolute_degree

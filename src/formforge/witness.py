@@ -20,7 +20,7 @@ from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeffield import FieldElement, QQ, RationalField, integral_coordinates
+from .coeffield import FieldElement, QQ, RationalField, etale_norm
 from .decompose import DegenerateInput, krull_schmidt_decompose
 from .forms import DimensionMismatch, HomogeneousForm
 from .poly import (
@@ -618,35 +618,23 @@ def rational_is_dth_power(q: Fraction, d: int) -> Tuple[bool, Optional[Fraction]
     return True, r
 
 
-def _norm_to_q(c: FieldElement) -> Fraction:
-    """N_(k/Q)(c): the determinant of multiplication by c on the flat basis
-    of the etale k, whose columns c b_j come from k's integer tensor."""
-    field = c.field
-    t = field.tensor()
-    a, den = integral_coordinates(field.flat(c))
-    m = t.dim
-    cols = [t.mul(a, [int(l == j) for l in range(m)]) for j in range(m)]
-    rows = [[QQ.from_rational(Fraction(col[i], den * t.den)) for col in cols] for i in range(m)]
-    return linalg.determinant(QQ, rows).as_rational()
-
-
 def scalar_is_dth_power(c: FieldElement, d: int) -> Tuple[Optional[bool], Optional[FieldElement]]:
     """Decide c in k^(x d); returns (answer, r) with c = r^d when the answer
-    is True, and None when undecided.  Over an etale k the answer is False
-    when N_(k/Q)(c) is not a d-th power in Q, which is sound since c = r^d
-    gives N(c) = N(r)^d; True when c has a rational d-th root; and None
-    otherwise."""
-    over_q = isinstance(c.field, RationalField)
-    if not over_q and not rational_is_dth_power(_norm_to_q(c), d)[0]:
+    is True, and None when undecided.  The answer is False when N_(k/Q)(c),
+    taken one level of the tower at a time, is not a d-th power in Q, which
+    is sound since c = r^d gives N(c) = N(r)^d; True when c has a rational
+    d-th root; and None otherwise.  Over Q the norm is c itself."""
+    norm = c
+    while not isinstance(norm.field, RationalField):
+        norm = etale_norm(norm.field, norm)
+    if not rational_is_dth_power(norm.as_rational(), d)[0]:
         return False, None
     try:
         q = c.as_rational()
     except ValueError:
         return None, None
     ok, r = rational_is_dth_power(q, d)
-    if ok:
-        return True, c.field.from_rational(r)
-    return (False, None) if over_q else (None, None)
+    return (True, c.field.from_rational(r)) if ok else (None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -264,11 +264,18 @@ def test_forms_over_a_product_of_fields_exit_3(capsys, tmp_path, coeffs, command
         assert err.startswith("error: " + message)
 
 
-def test_decompose_over_q_sqrt2_imports_no_sympy(tmp_path):
-    """A basis-changed <1 + sqrt 2, -1 + sqrt 2> plus a Tits cubic over
-    Q(sqrt 2): every block is certified by the divisor test, and a fresh
-    process decomposes it without importing sympy."""
-    k = field_extend(QQ, [-2, 0, 1])
+_OMEGA = field_extend(QQ, [1, 1, 1])
+
+
+@pytest.mark.parametrize("k", [
+    field_extend(QQ, [-2, 0, 1]),
+    field_extend(_OMEGA, [_OMEGA.from_rational(-2), _OMEGA.zero, _OMEGA.zero, _OMEGA.one]),
+], ids=["sqrt2", "tower"])
+def test_decompose_over_etale_fields_imports_no_sympy(tmp_path, k):
+    """A basis-changed <1 + t, -1 + t> plus a Tits cubic over Q(sqrt 2) and
+    over Q(omega)(cbrt 2), t the generator: the field itself and every
+    block are certified by the divisor test, and a fresh process decomposes
+    the form without importing sympy."""
     phi = orthogonal_sum(tits_cubic(k.gen + k.one).form,
                          diagonal_form([k.gen + k.one, k.gen - k.one], 3, field=k).form)
     n = phi.nvars

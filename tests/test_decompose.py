@@ -385,10 +385,32 @@ def test_splitting_over_sqrt2_makes_no_field_element_products(monkeypatch):
     assert True not in calls
 
 
-def test_a_product_of_fields_is_refused():
-    """Over Q[t]/(t^2 - 1) the components of <1, t, 3> are not free
-    modules: the decomposition stops with ValueError."""
-    k = field_extend(QQ, [-1, 0, 1])
+def test_blocks_of_the_fields_dimension_are_not_searched(monkeypatch):
+    """Over a field K a block of Q-dimension [K:Q] is K*e: the splitting
+    takes no minimal polynomial on it."""
+    seen, minpoly = [], decompose._Block.minpoly
+    monkeypatch.setattr(decompose._Block, "minpoly",
+                        lambda self, z: seen.append((self.dim, self.field_degree)) or minpoly(self, z))
+    phi = diagonal_form([TOWER.from_rational(i) + TOWER.gen for i in (1, 2, 3)], 3, field=TOWER).form
+    assert len(primitive_idempotents(center_algebra(polarize(phi)))) == 3
+    assert (6, 6) not in seen and (18, 6) in seen
+
+
+def test_fields_are_told_from_products_of_fields():
+    """The coefficient field is certified a field from its own tensor; a
+    product of fields, also one level up a tower, is not."""
+    for k in (QQ, SQRT2, CBRT2, HALF, TOWER):
+        assert decompose._is_field(k)
+    for k in (field_extend(QQ, [-1, 0, 1]), field_extend(SQRT2, [-2, 0, 1])):
+        assert not decompose._is_field(k)
+
+
+@pytest.mark.parametrize("k", [field_extend(QQ, [-1, 0, 1]), field_extend(SQRT2, [-2, 0, 1])],
+                         ids=["t2-minus-1", "sqrt2-t2-minus-2"])
+def test_a_product_of_fields_is_refused(k):
+    """Over Q[t]/(t^2 - 1), and over Q(sqrt 2)[t]/(t^2 - 2), the components
+    of <1, t, 3> are not free modules: the decomposition stops with
+    ValueError."""
     phi = diagonal_form([k.one, k.gen, k.from_rational(3)], 3, field=k).form
     with pytest.raises(ValueError, match="decomposition needs a field"):
         krull_schmidt_decompose(phi)
