@@ -215,8 +215,9 @@ def _load_form(path: str):
     return jsonio.decode_form(obj), None
 
 
-def _section(sections, name: str, field):
-    """One decoded section of a constructed-form file, or None when absent."""
+def _section(sections, name: str, phi):
+    """One decoded section of a constructed-form file of the form phi, or
+    None when absent."""
     if sections is None or sections.get(name) is None:
         return None
     decode = {
@@ -224,7 +225,7 @@ def _section(sections, name: str, field):
         "composition": jsonio.decode_structure_matrices,
         "algebra": jsonio.decode_algebra,
     }[name]
-    return decode(sections[name], field, "$." + name)
+    return decode(sections[name], phi.field, "$." + name, n=phi.nvars)
 
 
 def _load_factor(path: str):
@@ -235,7 +236,7 @@ def _load_factor(path: str):
     return constructions.ConstructedForm(
         form=phi,
         provenance=sections.get("provenance", {"kind": "file"}),
-        witness=_section(sections, "witness", phi.field),
+        witness=_section(sections, "witness", phi),
     )
 
 
@@ -358,10 +359,10 @@ def _witness_payload(args, phi, sections):
     """The (kind, payload) pair for a verify run, from --witness or the form
     file; only the section that is returned gets decoded."""
     if args.witness:
-        return jsonio.decode_witness_payload(_load_json(args.witness), phi.field)
+        return jsonio.decode_witness_payload(_load_json(args.witness), phi.field, n=phi.nvars)
     wanted = {"composition": ("composition", "algebra"), "jordan": ("algebra",)}
     for name in wanted.get(args.what, ()) + ("witness",):
-        payload = _section(sections, name, phi.field)
+        payload = _section(sections, name, phi)
         if payload is not None:
             return ("scaled" if name == "witness" else name), payload
     raise UsageError("no --witness given and the form file carries none")

@@ -397,34 +397,44 @@ class StructureTensor:
     @classmethod
     def from_elements(cls, field, planes) -> "StructureTensor":
         """The tensor of dense constants planes[i][j][l], field elements."""
-        n = len(planes)
-        flat, den = to_coordinates(field, [c for plane in planes for row in plane for c in row])
-        rows = tuple(
-            tuple(
-                tuple((l, c) for l, c in enumerate(flat[(i * n + j) * n : (i * n + j + 1) * n]) if c)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return cls(field, rows, den)
+        return cls.from_constants(field, len(planes), [
+            ((i, j, l), c)
+            for i, plane in enumerate(planes)
+            for j, row in enumerate(plane)
+            for l, c in enumerate(row)
+            if c
+        ])
+
+    @classmethod
+    def from_constants(cls, field, n: int, constants) -> "StructureTensor":
+        """The n-dimensional tensor of the pairs ((i, j, l), c): nonzero
+        field elements c at distinct positions, every other constant zero."""
+        constants = sorted(constants, key=lambda t: t[0])
+        flat, den = to_coordinates(field, [c for _, c in constants])
+        rows = [[[] for _ in range(n)] for _ in range(n)]
+        for ((i, j, l), _), c in zip(constants, flat):
+            rows[i][j].append((l, c))
+        return cls(field, tuple(tuple(map(tuple, plane)) for plane in rows), den)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    def constants(self) -> list:
+        """The nonzero constants as pairs ((i, j, l), field element), in
+        index order: `from_constants` read back."""
+        where = [(i, j, l) for i, plane in enumerate(self.rows)
+                 for j, row in enumerate(plane) for l, _ in row]
+        values = [c for plane in self.rows for row in plane for _, c in row]
+        return list(zip(where, from_coordinates(self.field, values, self.den)))
+
     def elements(self):
         """The dense constants: planes[i][j][l] as field elements."""
-        n, field = len(self.rows), self.field
-        out = []
-        for plane in self.rows:
-            rows = []
-            for row in plane:
-                v = [field.zero] * n
-                for l, c in row:
-                    v[l] = from_coordinates(field, (c,), self.den)[0]
-                rows.append(tuple(v))
-            out.append(tuple(rows))
-        return tuple(out)
+        n, zero = len(self.rows), self.field.zero
+        out = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        for (i, j, l), c in self.constants():
+            out[i][j][l] = c
+        return tuple(tuple(map(tuple, plane)) for plane in out)
 
     def scalar(self, k: int):
         """The integer k as a coordinate value."""

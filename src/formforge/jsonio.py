@@ -1,9 +1,12 @@
 """JSON wire formats: fields, polynomials, forms, tensors, witnesses, reports.
 
 Encoding is canonical (terms in descending graded-lex order, object keys
-sorted) so that emitted JSON re-parses to an identical value.  Scalars are
+sorted, one line without blanks) so that emitted JSON re-parses to an
+identical value and the same value always has the same bytes.  Scalars are
 strings in Fraction syntax ("2/3", "-1"); elements of an extension are lists
-of base-field encodings in the power basis.
+of base-field encodings in the power basis.  Witness matrices and structure
+constants are written sparse, their nonzero entries only; the decoders read
+the dense shapes of earlier versions too.
 """
 
 from __future__ import annotations
@@ -13,8 +16,15 @@ import marshal
 import math
 from fractions import Fraction
 
-from .coeffield import EtaleAlgebra, FieldElement, QQ, RationalField, field_extend
-from .forms import HomogeneousForm, SymmetricTensor
+from .coeffield import (
+    EtaleAlgebra,
+    FieldElement,
+    QQ,
+    RationalField,
+    StructureTensor,
+    field_extend,
+)
+from .forms import DimensionMismatch, HomogeneousForm, SymmetricTensor
 from .poly import Polynomial, RationalFunction, _pack, _unpack, _width
 from .witness import ScaledWitness
 
@@ -232,14 +242,48 @@ def encode_rational_function(r: RationalFunction):
     return {"num": encode_polynomial(r.num), "den": encode_polynomial(r.den)}
 
 
-def decode_rational_function(obj, field, path="$") -> RationalFunction:
+class _Dens:
+    """The dens of one witness.  A den whose JSON is that of the den decoded
+    last is that same `Polynomial`: the test compares the parsed JSON with ==
+    and then by `_exact`, which tells 1, 1.0 and true apart."""
+
+    def __init__(self, field):
+        self.field = field
+        self.raw = self.exact = self.poly = None
+
+    def get(self, raw, path: str) -> Polynomial:
+        if not (raw == self.raw and _exact(raw) == self.exact):
+            self.poly = decode_polynomial(raw, self.field, path)
+            self.raw, self.exact = raw, _exact(raw)
+        return self.poly
+
+
+_NO_DEN = object()
+
+
+def decode_rational_function(obj, field, path="$", nvars=None, like=None,
+                             dens=None) -> RationalFunction:
+    """num/den from {num, den}; a den left out is 1.  The checks and the
+    sharing are `_rational`'s."""
     if not isinstance(obj, dict) or "num" not in obj:
         raise JsonFormatError(path, "expected {num, den}")
-    num = decode_polynomial(obj["num"], field, path + ".num")
-    if "den" in obj:
-        den = decode_polynomial(obj["den"], field, path + ".den")
-    else:
-        den = Polynomial.const(field, num.nvars, field.one)
+    return _rational(field, obj["num"], path + ".num", obj.get("den", _NO_DEN),
+                     path + ".den", nvars, like, dens)
+
+
+def _rational(field, num_raw, num_at: str, den_raw, den_at: str, nvars=None, like=None,
+              dens=None) -> RationalFunction:
+    """num/den from their JSON, decoded at num_at and den_at; den_raw
+    `_NO_DEN` is 1.  With nvars, num must have nvars variables, as `like`
+    has; den must have those of num.  `dens` shares equal dens across the
+    entries of one witness."""
+    num = decode_polynomial(num_raw, field, num_at)
+    _check_vars(num, nvars, num_at, like)
+    if den_raw is _NO_DEN:
+        return RationalFunction.from_poly(num)
+    den = decode_polynomial(den_raw, field, den_at) if dens is None else dens.get(
+        den_raw, den_at)
+    _check_vars(den, num.nvars, den_at, num_at)
     return RationalFunction(num, den)
 
 
@@ -322,46 +366,46 @@ def decode_tensor(obj, path="$") -> SymmetricTensor:
 
 
 def encode_scaled_witness(w: ScaledWitness):
-    return {
-        "kind": "scaled",
-        "scalar": encode_rational_function(w.scalar),
-        "matrix": [[encode_rational_function(e) for e in row] for row in w.matrix],
-    }
+    """{kind, n, scalar, entries}: the nonzero entries of the matrix as
+    [i, j, num, den], or as [i, j, num] under a top-level den that every
+    one of them has."""
+    entries = [(i, j, e) for i, row in enumerate(w.matrix) for j, e in enumerate(row)
+               if not e.is_zero()]
+    out = {"kind": "scaled", "n": w.dim, "scalar": encode_rational_function(w.scalar)}
+    den = entries[0][2].den if entries else None
+    if den is not None and all(e.den is den or e.den == den for _, _, e in entries):
+        out["den"] = encode_polynomial(den)
+        out["entries"] = [[i, j, encode_polynomial(e.num)] for i, j, e in entries]
+    else:
+        out["entries"] = [[i, j, encode_polynomial(e.num), encode_polynomial(e.den)]
+                          for i, j, e in entries]
+    return out
 
 
-def decode_scaled_witness(obj, field, path="$") -> ScaledWitness:
-    """A scaled witness.  Every num of the matrix has the `vars` of the
-    first entry's num, and every den, the scalar's too, those of its num.
+def decode_scaled_witness(obj, field, path="$", *, n: int) -> ScaledWitness:
+    """A scaled witness, sparse ({n, entries}) or dense ({matrix}).  Every
+    num of the matrix has the `vars` of the first entry's num, and every
+    den, the scalar's too, those of its num.  n is the form's dimension: a
+    sparse witness that is not n x n raises DimensionMismatch before
+    anything is built.  A dense one is as large as its JSON, and is left to
+    the verifier's check."""
+    _check_object(obj, path)
+    if "entries" in obj:
+        return _decode_sparse_witness(obj, field, path, n)
+    return _decode_dense_witness(obj, field, path)
 
-    Most entries of a witness matrix are zero and most share one
+
+def _decode_dense_witness(obj, field, path: str) -> ScaledWitness:
+    """Most entries of a dense witness matrix are zero and most share one
     denominator.  An entry whose JSON is that of the first zero entry is
-    that same zero `RationalFunction`, and a den whose JSON is that of the
-    den decoded last is that same `Polynomial`.  Both tests compare the
-    parsed JSON with == and then by `_exact`, which tells 1, 1.0 and true
-    apart; anything else is decoded and checked at its own path."""
+    that same zero `RationalFunction`, compared as `_Dens` compares dens,
+    and equal dens are shared; anything else is decoded and checked at its
+    own path."""
     matrix_raw = obj.get("matrix")
     if not isinstance(matrix_raw, list) or not matrix_raw:
         raise JsonFormatError(path + ".matrix", "expected a nonempty matrix")
-    den_raw = den_exact = den = None  # the den decoded last
-
-    def entry(e, where, nvars, like):
-        """The rational function at `where`, whose num must have nvars
-        variables, as `like` has (no check when nvars is None)."""
-        nonlocal den_raw, den_exact, den
-        if not isinstance(e, dict) or "num" not in e:
-            raise JsonFormatError(where, "expected {num, den}")
-        num = decode_polynomial(e["num"], field, where + ".num")
-        _check_vars(num, nvars, where + ".num", like)
-        if "den" not in e:
-            return RationalFunction.from_poly(num)
-        raw = e["den"]
-        if not (raw == den_raw and _exact(raw) == den_exact):
-            den = decode_polynomial(raw, field, where + ".den")
-            den_raw, den_exact = raw, _exact(raw)
-        _check_vars(den, num.nvars, where + ".den", where + ".num")
-        return RationalFunction(num, den)
-
-    first = "%s.matrix[0][0].num" % path
+    dens = _Dens(field)
+    first = "%s.matrix[0][0]" % path
     nvars = None
     zero_raw = zero_exact = zero = None  # the first zero entry
     rows = []
@@ -373,17 +417,90 @@ def decode_scaled_witness(obj, field, path="$") -> ScaledWitness:
             if zero is not None and e == zero_raw and _exact(e) == zero_exact:
                 out.append(zero)
                 continue
-            r = entry(e, "%s.matrix[%d][%d]" % (path, i, j), nvars, first)
+            r = decode_rational_function(e, field, "%s.matrix[%d][%d]" % (path, i, j),
+                                         nvars, first + ".num", dens)
             nvars = r.num.nvars
             if zero is None and r.is_zero():
                 zero, zero_raw, zero_exact = r, e, _exact(e)
             out.append(r)
         rows.append(tuple(out))
     if "scalar" in obj:
-        scalar = entry(obj["scalar"], path + ".scalar", None, None)
+        scalar = decode_rational_function(obj["scalar"], field, path + ".scalar", dens=dens)
     else:
         scalar = RationalFunction.const(field, nvars, field.one)
     return ScaledWitness(scalar=scalar, matrix=tuple(rows))
+
+
+def _dimension(obj, path: str, n: int, mismatch: str) -> None:
+    """Check that the `n` of a sparse payload is a positive integer, and n:
+    else DimensionMismatch(mismatch.format(n))."""
+    size = obj.get("n")
+    if not _is_count(size) or size < 1:
+        raise JsonFormatError(path + ".n", "expected a positive integer")
+    if size != n:
+        raise DimensionMismatch(mismatch.format(n))
+
+
+def _indices(t, count: int, n: int, at: str, seen: set) -> tuple:
+    """The first `count` items of the list t, indices below n that no entry
+    before has had (`seen`)."""
+    for k in range(count):
+        x = t[k]
+        if x.__class__ is not int or not 0 <= x < n:
+            raise JsonFormatError("%s[%d]" % (at, k), "expected an index below %d" % n)
+    idx = tuple(t[:count])
+    if idx in seen:
+        raise JsonFormatError(at, "repeats the position %s" % (list(idx),))
+    seen.add(idx)
+    return idx
+
+
+def _decode_sparse_witness(obj, field, path: str, n: int) -> ScaledWitness:
+    """An entry [i, j, num] has the top-level den, or 1 when there is none.
+    The entries left out are one shared zero in the variables of the first
+    entry's num, else of the top-level den, else of the scalar."""
+    _dimension(obj, path, n, "witness matrix must be {0} x {0}")
+    raw = obj["entries"]
+    if not isinstance(raw, list):
+        raise JsonFormatError(path + ".entries", "expected a list")
+    dens = _Dens(field)
+    scalar = None
+    if "scalar" in obj:
+        scalar = decode_rational_function(obj["scalar"], field, path + ".scalar", dens=dens)
+    den_raw = obj.get("den", _NO_DEN)
+    top = None if den_raw is _NO_DEN else dens.get(den_raw, path + ".den")
+    first = "%s.entries[0][2]" % path
+    nvars = None
+    seen = set()
+    placed = []
+    for k, e in enumerate(raw):
+        at = "%s.entries[%d]" % (path, k)
+        if not isinstance(e, list) or len(e) not in (3, 4):
+            raise JsonFormatError(at, "expected [i, j, num, den]")
+        i, j = _indices(e, 2, n, at, seen)
+        den = (e[3], at + "[3]") if len(e) == 4 else (den_raw, path + ".den")
+        r = _rational(field, e[2], at + "[2]", *den, nvars, first, dens)
+        nvars = r.num.nvars
+        placed.append((i, j, r))
+    if nvars is None:
+        if top is not None:
+            nvars = top.nvars
+        elif scalar is not None:
+            nvars = scalar.num.nvars
+        else:
+            raise JsonFormatError(path, "expected an entry, a den or a scalar")
+    zero = RationalFunction.from_poly(Polynomial.zero(field, nvars))
+    rows = [[zero] * n for _ in range(n)]
+    for i, j, r in placed:
+        rows[i][j] = r
+    if scalar is None:
+        scalar = RationalFunction.const(field, nvars, field.one)
+    return ScaledWitness(scalar=scalar, matrix=tuple(map(tuple, rows)))
+
+
+def _check_object(obj, path: str) -> None:
+    if not isinstance(obj, dict):
+        raise JsonFormatError(path, "expected a witness object")
 
 
 def _exact(obj) -> bytes:
@@ -398,17 +515,57 @@ def _check_vars(p: Polynomial, nvars, where: str, like: str) -> None:
         raise JsonFormatError(where + ".vars", "expected %d, as in %s" % (nvars, like))
 
 
+def _encode_constants(n: int, constants):
+    """{n, constants}: the pairs ((a, b, c), x) of nonzero constants as
+    [a, b, c, x]."""
+    return {"n": n, "constants": [[a, b, c, encode_element(x)] for (a, b, c), x in constants]}
+
+
+def _decode_constants(obj, field, path: str, n: int, mismatch: str) -> list:
+    """The constants of a sparse {n, constants} payload at path as
+    ((a, b, c), element) pairs; the zero constants become `field.zero`."""
+    _dimension(obj, path, n, mismatch)
+    raw = obj.get("constants")
+    if not isinstance(raw, list):
+        raise JsonFormatError(path + ".constants", "expected a list")
+    seen = set()
+    out = []
+    for k, t in enumerate(raw):
+        at = "%s.constants[%d]" % (path, k)
+        if not isinstance(t, list) or len(t) != 4:
+            raise JsonFormatError(at, "expected three indices and a constant")
+        idx = _indices(t, 3, n, at, seen)
+        out.append((idx, decode_element(field, t[3], at + "[3]")))
+    return out
+
+
 def encode_structure_matrices(matrices):
-    return {
-        "kind": "composition",
-        "matrices": [
-            [[encode_element(c) for c in row] for row in plane] for plane in matrices
-        ],
-    }
+    """{kind, matrices}: the nonzero constants matrices[l][i][j] as
+    [l, i, j, c]."""
+    constants = [
+        ((l, i, j), c)
+        for l, plane in enumerate(matrices)
+        for i, row in enumerate(plane)
+        for j, c in enumerate(row)
+        if c
+    ]
+    return {"kind": "composition", "matrices": _encode_constants(len(matrices), constants)}
 
 
-def decode_structure_matrices(obj, field, path="$"):
+def decode_structure_matrices(obj, field, path="$", *, n: int):
+    """Structure matrices, sparse ({n, constants}) or dense (a list of
+    planes); sparse ones must be n of n x n, as `decode_scaled_witness`
+    checks."""
+    _check_object(obj, path)
     raw = obj.get("matrices")
+    if isinstance(raw, dict):
+        constants = _decode_constants(raw, field, path + ".matrices", n,
+                                      "need one structure matrix per coordinate")
+        zero = field.zero
+        planes = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        for (l, i, j), c in constants:
+            planes[l][i][j] = c
+        return tuple(tuple(map(tuple, plane)) for plane in planes)
     if not isinstance(raw, list) or not raw:
         raise JsonFormatError(path + ".matrices", "expected structure matrices")
     n = len(raw)
@@ -438,10 +595,7 @@ def decode_structure_matrices(obj, field, path="$"):
 def encode_algebra(alg):
     out = {
         "kind": "algebra",
-        "structure": [
-            [[encode_element(c) for c in row] for row in plane]
-            for plane in alg.structure
-        ],
+        "structure": _encode_constants(alg.dim, alg.tensor.constants()),
         "unit": [encode_element(c) for c in alg.unit],
         "associative": alg.associative,
     }
@@ -454,30 +608,21 @@ def encode_algebra(alg):
     return out
 
 
-def decode_algebra(obj, field, path="$"):
+def decode_algebra(obj, field, path="$", *, n: int):
+    """An algebra, its structure constants sparse ({n, constants}) or dense
+    (a list of planes); sparse ones must be n-dimensional, as
+    `decode_scaled_witness` checks."""
     from .constructions import AlgebraPresentation
 
+    _check_object(obj, path)
     raw = obj.get("structure")
-    if not isinstance(raw, list) or not raw:
-        raise JsonFormatError(path + ".structure", "expected structure constants")
-    n = len(raw)
-    structure = []
-    for i, plane in enumerate(raw):
-        if not isinstance(plane, list) or len(plane) != n:
-            raise JsonFormatError("%s.structure[%d]" % (path, i), "expected %d rows" % n)
-        rows = []
-        for j, row in enumerate(plane):
-            if not isinstance(row, list) or len(row) != n:
-                raise JsonFormatError(
-                    "%s.structure[%d][%d]" % (path, i, j), "expected %d entries" % n
-                )
-            rows.append(
-                [
-                    decode_element(field, c, "%s.structure[%d][%d][%d]" % (path, i, j, l))
-                    for l, c in enumerate(row)
-                ]
-            )
-        structure.append(rows)
+    if isinstance(raw, dict):
+        constants = _decode_constants(raw, field, path + ".structure", n,
+                                      "presentation dimension does not match the form")
+        structure = StructureTensor.from_constants(field, n, [t for t in constants if t[1]])
+    else:
+        structure = _dense_structure(raw, field, path)
+        n = len(structure)
     unit_raw = obj.get("unit")
     if not isinstance(unit_raw, list) or len(unit_raw) != n:
         raise JsonFormatError(path + ".unit", "expected %d coordinates" % n)
@@ -521,17 +666,42 @@ def decode_algebra(obj, field, path="$"):
         raise JsonFormatError(path, str(exc))
 
 
-def decode_witness_payload(obj, field, path="$"):
-    """Dispatch on the payload kind: scaled / composition / algebra."""
-    if not isinstance(obj, dict):
-        raise JsonFormatError(path, "expected a witness object")
-    kind = obj.get("kind", "scaled" if "matrix" in obj else None)
+def _dense_structure(raw, field, path: str) -> list:
+    """Dense structure constants raw[i][j][l] as field elements."""
+    if not isinstance(raw, list) or not raw:
+        raise JsonFormatError(path + ".structure", "expected structure constants")
+    n = len(raw)
+    structure = []
+    for i, plane in enumerate(raw):
+        if not isinstance(plane, list) or len(plane) != n:
+            raise JsonFormatError("%s.structure[%d]" % (path, i), "expected %d rows" % n)
+        rows = []
+        for j, row in enumerate(plane):
+            if not isinstance(row, list) or len(row) != n:
+                raise JsonFormatError(
+                    "%s.structure[%d][%d]" % (path, i, j), "expected %d entries" % n
+                )
+            rows.append(
+                [
+                    decode_element(field, c, "%s.structure[%d][%d][%d]" % (path, i, j, l))
+                    for l, c in enumerate(row)
+                ]
+            )
+        structure.append(rows)
+    return structure
+
+
+def decode_witness_payload(obj, field, path="$", *, n: int):
+    """Dispatch on the payload kind: scaled / composition / algebra; n, the
+    form's dimension, is passed on to the decoder."""
+    _check_object(obj, path)
+    kind = obj.get("kind", "scaled" if "matrix" in obj or "entries" in obj else None)
     if kind == "scaled":
-        return "scaled", decode_scaled_witness(obj, field, path)
+        return "scaled", decode_scaled_witness(obj, field, path, n=n)
     if kind == "composition":
-        return "composition", decode_structure_matrices(obj, field, path)
+        return "composition", decode_structure_matrices(obj, field, path, n=n)
     if kind == "algebra":
-        return "algebra", decode_algebra(obj, field, path)
+        return "algebra", decode_algebra(obj, field, path, n=n)
     raise JsonFormatError(path + ".kind", "expected scaled, composition, or algebra")
 
 
@@ -557,7 +727,6 @@ def encode_verification_report(rep):
         "verdict": rep.verdict,
         "mode": rep.mode,
         "identity": rep.identity,
-        "elapsed_s": round(rep.elapsed_s, 6),
     }
     if rep.samples is not None:
         out["samples"] = rep.samples
@@ -608,7 +777,8 @@ def encode_decomposition(dec):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """One line: sorted keys, no blanks.  `python -m json.tool` indents it."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def loads_file(path: str):

@@ -20,7 +20,7 @@ from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeffield import FieldElement, QQ, RationalField, etale_norm
+from .coeffield import FieldElement, QQ, RationalField, ZeroDivisor, etale_norm
 from .decompose import DegenerateInput, krull_schmidt_decompose
 from .forms import DimensionMismatch, HomogeneousForm
 from .poly import (
@@ -262,32 +262,49 @@ def _sparse_program(D: Polynomial, N):
 def _matrix_invertible(N, prog: EvalProgram, rows: _SparseRows) -> None:
     """Prove det M(X) is not identically zero, or raise SingularWitness.
 
-    With N = D * M, one exact nonzero value of det N(x) at an integer point x
-    proves nonvanishing; the symbolic determinant of N is the fallback when
-    sampled points keep landing on zeros of det M or of D.  Since D is
-    nonzero, det M vanishes identically exactly when det N does.  `prog` and
-    `rows` are `_sparse_program`'s: the values of D and of the nonzero
-    entries of N, all over one denominator, which leaves the zero set of
-    det N(x) as it is.  Over Q the matrix of numerators is an int matrix,
-    nonsingular when it has full rank.
+    With N = D * M, one integer point x where N(x) has full rank, or over
+    an etale algebra a nonzero det N(x), proves nonvanishing.  The rank of
+    N(x) is at most the rank r of N over K(X), and equals it off a proper
+    subvariety, so once two random points give the same rank below n, r is
+    most likely that rank: the symbolic determinant of N decides then, or
+    when the points run out.  The all-ones point is not counted, as it lies
+    on every x_i = x_j.  Over an etale algebra that is not a field the rank
+    meets a zero-divisor pivot at some points; `linalg.determinant` decides
+    those, and they are not counted either.  Since D is nonzero, det M
+    vanishes identically exactly when det N does.  `prog` and `rows` are
+    `_sparse_program`'s: the values of D and of the nonzero entries of N,
+    all over one denominator, which leaves the rank of N(x) as it is.
     """
     field, nx, n = prog.field, prog.nvars, len(N)
     values = _Values.of(field)
-    for pt in _invertibility_points(nx):
+    best = seen = 0  # the highest rank below n so far, and at how many points
+    for k, pt in enumerate(_invertibility_points(nx)):
         d, *entries = prog.at(pt)
         if values.is_zero(d):
             continue
         if values.ints:
-            if linalg.rank(field, [{j: v for j, v in zip(cols, row) if v}
-                                   for cols, row in rows.split(entries)]) == n:
-                return
+            sparse = [{j: v for j, v in zip(cols, row) if v} for cols, row in rows.split(entries)]
         else:
-            dense = [[field.zero] * n for _ in range(n)]
-            for out, (cols, row) in zip(dense, rows.split(entries)):
-                for j, v in zip(cols, row):
-                    out[j] = field.from_flat([Fraction(x) for x in v])
+            sparse = [{j: field.from_flat([Fraction(x) for x in v])
+                       for j, v in zip(cols, row) if any(v)}
+                      for cols, row in rows.split(entries)]
+        try:
+            r = linalg.rank(field, sparse)
+        except ZeroDivisor:
+            dense = [[row.get(j, field.zero) for j in range(n)] for row in sparse]
             if not linalg.determinant(field, dense).is_zero():
                 return
+            continue
+        if r == n:
+            return
+        if k == 0:
+            continue
+        if r > best:
+            best, seen = r, 1
+        elif r == best:
+            seen += 1
+            if seen == 2:
+                break
     if ring_matrix_determinant(N, Polynomial.zero(field, nx)).is_zero():
         raise SingularWitness("witness matrix has identically zero determinant")
 

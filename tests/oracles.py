@@ -10,7 +10,8 @@ substitution and heap division on {exponent tuple: FieldElement} dicts, a
 matrix product that adds up every product of rational functions,
 random-mode identities that evaluate every polynomial on its own in field
 elements, and the univariate steps of the idempotent splitting on monic
-lists of field elements with Euclid's gcd).
+lists of field elements with Euclid's gcd), and the dense JSON shapes
+of witness matrices and structure constants, which the decoders still read.
 """
 
 import heapq
@@ -34,6 +35,7 @@ from formforge.coeffield import (
     poly_xgcd,
 )
 from formforge.decompose import _rational_roots
+from formforge.jsonio import encode_algebra, encode_element, encode_rational_function
 
 
 def leibniz_determinant(rows, zero, one):
@@ -567,3 +569,26 @@ class FieldPolys:
 
     def squarefree_part(self, f):
         return self.normalize(self.quo(f, self.gcd(f, self.derivative(f))))
+
+
+def dense_scaled_witness(w):
+    """A scaled witness as dense JSON: every entry of the matrix as {num, den}."""
+    return {
+        "kind": "scaled",
+        "scalar": encode_rational_function(w.scalar),
+        "matrix": [[encode_rational_function(e) for e in row] for row in w.matrix],
+    }
+
+
+def _dense_constants(planes):
+    return [[[encode_element(c) for c in row] for row in plane] for plane in planes]
+
+
+def dense_structure_matrices(matrices):
+    """Structure matrices as dense JSON: every constant, zero or not."""
+    return {"kind": "composition", "matrices": _dense_constants(matrices)}
+
+
+def dense_algebra(alg):
+    """An algebra as JSON with dense structure constants."""
+    return dict(encode_algebra(alg), structure=_dense_constants(alg.structure))

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from formforge import (
+    DimensionMismatch,
     HomogeneousForm,
     Polynomial,
     QQ,
     RationalFunction,
     ScaledWitness,
+    catalog,
     det_norm,
     field_extend,
     polarize,
@@ -50,6 +52,7 @@ from formforge.jsonio import (
     encode_tensor,
     encode_verification_report,
 )
+from oracles import dense_algebra, dense_scaled_witness, dense_structure_matrices
 
 
 def var(n, i):
@@ -138,25 +141,25 @@ def test_tensor_round_trip():
 def test_scaled_witness_round_trip_still_verifies():
     cf = tits_cubic(2)
     obj = rebuild(encode_scaled_witness(cf.witness))
-    w = decode_scaled_witness(obj, QQ)
+    w = decode_scaled_witness(obj, QQ, n=cf.form.nvars)
     assert verify_scaled_witness(cf.form, w).verdict == "proved"
 
 
 def test_structure_matrices_round_trip():
     cf = tits_cubic(1)
     obj = rebuild(encode_structure_matrices(cf.composition))
-    matrices = decode_structure_matrices(obj, QQ)
+    matrices = decode_structure_matrices(obj, QQ, n=cf.form.nvars)
     assert verify_composition(cf.form, matrices).verdict == "proved"
 
 
 def test_witness_payload_dispatch():
     cf = tits_cubic(1)
     kind, payload = decode_witness_payload(
-        rebuild(encode_scaled_witness(cf.witness)), QQ
+        rebuild(encode_scaled_witness(cf.witness)), QQ, n=cf.form.nvars
     )
     assert kind == "scaled"
     kind, payload = decode_witness_payload(
-        rebuild(encode_structure_matrices(cf.composition)), QQ
+        rebuild(encode_structure_matrices(cf.composition)), QQ, n=cf.form.nvars
     )
     assert kind == "composition"
 
@@ -245,7 +248,7 @@ def test_format_errors_carry_paths():
     with pytest.raises(JsonFormatError):
         decode_polynomial({"vars": 2, "terms": [{"e": [1], "c": "1"}]}, QQ)
     with pytest.raises(JsonFormatError):
-        decode_scaled_witness({"kind": "scaled", "matrix": [[{"num": 1}], []]}, QQ)
+        decode_scaled_witness({"kind": "scaled", "matrix": [[{"num": 1}], []]}, QQ, n=2)
 
 
 @pytest.mark.parametrize(
@@ -256,17 +259,17 @@ def test_algebra_associative_flag_must_be_a_boolean(flag):
     obj = rebuild(encode_algebra(split_octonion_algebra()))
     obj["associative"] = flag
     with pytest.raises(JsonFormatError) as exc:
-        decode_algebra(obj, QQ)
+        decode_algebra(obj, QQ, n=8)
     assert exc.value.path == "$.associative"
 
 
 def test_algebra_associative_flag_defaults_to_false():
     obj = rebuild(encode_algebra(split_octonion_algebra()))
     del obj["associative"]
-    assert decode_algebra(obj, QQ).associative is False
+    assert decode_algebra(obj, QQ, n=8).associative is False
     obj = rebuild(encode_algebra(matrix_algebra(2)))
     assert obj["associative"] is True
-    assert decode_algebra(obj, QQ).associative is True
+    assert decode_algebra(obj, QQ, n=4).associative is True
 
 
 _SCALAR_SPELLINGS = [
@@ -408,8 +411,8 @@ def test_structure_matrix_zeros_are_shared_and_every_entry_is_checked():
     """A zero structure constant decodes to the field's shared zero, which
     verify_composition skips by identity; every entry is still read, so a
     bad one after the zeros keeps its path and message."""
-    obj = rebuild(encode_structure_matrices(det_norm(3).composition))
-    mats = decode_structure_matrices(obj, QQ)
+    obj = rebuild(dense_structure_matrices(det_norm(3).composition))
+    mats = decode_structure_matrices(obj, QQ, n=9)
     entries = [c for plane in mats for row in plane for c in row]
     zeros = [c for c in entries if c.is_zero()]
     assert zeros and all(c is QQ.zero for c in zeros)
@@ -417,12 +420,12 @@ def test_structure_matrix_zeros_are_shared_and_every_entry_is_checked():
                               if c == "0"])
     obj["matrices"][8][8][8] = "0/0"
     with pytest.raises(JsonFormatError) as exc:
-        decode_structure_matrices(obj, QQ)
+        decode_structure_matrices(obj, QQ, n=9)
     assert str(exc.value) == "$.matrices[8][8][8]: not a rational scalar: '0/0'"
     k = field_extend(QQ, [-2, 0, 1])
-    assert decode_structure_matrices({"matrices": [[["0"]]]}, k)[0][0][0] is k.zero
+    assert decode_structure_matrices({"matrices": [[["0"]]]}, k, n=1)[0][0][0] is k.zero
     with pytest.raises(JsonFormatError) as exc:
-        decode_structure_matrices({"matrices": [[[["0"]]]]}, k)
+        decode_structure_matrices({"matrices": [[[["0"]]]]}, k, n=1)
     assert str(exc.value) == "$.matrices[0][0][0]: expected 2 coordinates, got 1"
 
 
@@ -430,7 +433,7 @@ def _det3_witness():
     """det-3's witness as parsed JSON, with the positions of its last zero
     entry and its last nonzero entry: both come after an entry with the
     same JSON (54 of the 81 entries are zero, every den is 1)."""
-    obj = rebuild(encode_scaled_witness(det_norm(3).witness))
+    obj = rebuild(dense_scaled_witness(det_norm(3).witness))
     m = obj["matrix"]
     zeros = [(i, j) for i, row in enumerate(m) for j, e in enumerate(row) if not e["num"]["terms"]]
     nonzero = [(i, j) for i, row in enumerate(m) for j, e in enumerate(row) if e["num"]["terms"]]
@@ -439,7 +442,7 @@ def _det3_witness():
 
 def test_witness_zeros_and_denominators_are_shared():
     obj, _, _ = _det3_witness()
-    w = decode_scaled_witness(obj, QQ)
+    w = decode_scaled_witness(obj, QQ, n=9)
     entries = [e for row in w.matrix for e in row]
     zeros = [e for e in entries if e.is_zero()]
     assert len(zeros) == 54 and all(e is zeros[0] for e in zeros)
@@ -502,7 +505,7 @@ def test_sharing_keeps_every_error(entry, edit, suffix, message):
     i, j = zero if entry == "zero" else nonzero
     edit(obj["matrix"][i][j])
     with pytest.raises(JsonFormatError) as exc:
-        decode_scaled_witness(obj, QQ)
+        decode_scaled_witness(obj, QQ, n=9)
     at = "$.matrix[%d][%d]" % (i, j)
     assert str(exc.value) == "%s%s: %s" % (at, suffix, message.replace("ENTRY", at))
 
@@ -511,7 +514,7 @@ def test_zero_denominator_after_a_shared_one_still_divides_by_zero():
     obj, _, (i, j) = _det3_witness()
     obj["matrix"][i][j]["den"]["terms"] = []
     with pytest.raises(ZeroDivisionError):
-        decode_scaled_witness(obj, QQ)
+        decode_scaled_witness(obj, QQ, n=9)
 
 
 def test_scalar_den_must_have_the_vars_of_its_num():
@@ -519,7 +522,7 @@ def test_scalar_den_must_have_the_vars_of_its_num():
     obj["scalar"]["den"]["vars"] = 8
     obj["scalar"]["den"]["terms"] = [{"e": [0] * 8, "c": "1"}]
     with pytest.raises(JsonFormatError) as exc:
-        decode_scaled_witness(obj, QQ)
+        decode_scaled_witness(obj, QQ, n=9)
     assert str(exc.value) == "$.scalar.den.vars: expected 9, as in $.scalar.num"
 
 
@@ -532,12 +535,12 @@ def test_witness_decoding_skips_shared_zeros_and_denominators(monkeypatch):
     m2 = W._rf_mat_mul(m, m)
     nx = m2[0][0].num.nvars
     w = ScaledWitness(RationalFunction.const(QQ, nx, 1), m2)
-    obj = rebuild(encode_scaled_witness(w))
+    obj = rebuild(dense_scaled_witness(w))
     calls = []
     decode = jsonio.decode_polynomial
     monkeypatch.setattr(jsonio, "decode_polynomial",
                         lambda *a, **kw: calls.append(a) or decode(*a, **kw))
-    got = decode_scaled_witness(obj, QQ)
+    got = decode_scaled_witness(obj, QQ, n=len(m2))
     entries = [e for row in m2 for e in row]
     nonzero = [e for e in entries if not e.is_zero()]
     dens = []
@@ -547,3 +550,150 @@ def test_witness_decoding_skips_shared_zeros_and_denominators(monkeypatch):
     assert (len(entries), len(nonzero), len(dens)) == (324, 18, 1)
     assert len(calls) <= len(nonzero) + len(dens) + 2
     assert all(a == b for a, b in zip((e for row in got.matrix for e in row), entries))
+
+
+_NUM3 = {"vars": 3, "terms": [{"e": [1, 0, 0], "c": "1"}]}
+_ONE2 = {"vars": 2, "terms": [{"e": [0, 0], "c": "1"}]}
+_ONE3 = {"vars": 3, "terms": [{"e": [0, 0, 0], "c": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "edit, path, message",
+    [
+        ({"n": 0}, "$.n", "expected a positive integer"),
+        ({"n": True}, "$.n", "expected a positive integer"),
+        ({"n": "2"}, "$.n", "expected a positive integer"),
+        ({"entries": {}}, "$.entries", "expected a list"),
+        ({"entries": [[0, 0]]}, "$.entries[0]", "expected [i, j, num, den]"),
+        ({"entries": [[0, 2, _NUM3]]}, "$.entries[0][1]", "expected an index below 2"),
+        ({"entries": [[-1, 0, _NUM3]]}, "$.entries[0][0]", "expected an index below 2"),
+        ({"entries": [[0, 1.0, _NUM3]]}, "$.entries[0][1]", "expected an index below 2"),
+        ({"entries": [[True, 0, _NUM3]]}, "$.entries[0][0]", "expected an index below 2"),
+        ({"entries": [[1, 0, _NUM3], [1, 0, _NUM3]]}, "$.entries[1]",
+         "repeats the position [1, 0]"),
+        ({"entries": [[0, 0, _NUM3, _ONE2]]}, "$.entries[0][3].vars",
+         "expected 3, as in $.entries[0][2]"),
+        ({"entries": [[0, 0, _NUM3], [1, 1, {"vars": 2, "terms": []}]]}, "$.entries[1][2].vars",
+         "expected 3, as in $.entries[0][2]"),
+        ({"den": _ONE2}, "$.den.vars", "expected 3, as in $.entries[0][2]"),
+        ({"entries": [[0, 0, {"vars": 3, "terms": [{"e": [1, 0], "c": "1"}]}]]},
+         "$.entries[0][2].terms[0].e", "expected 3 nonnegative exponents"),
+        ({"entries": [[0, 0, _NUM3, {"vars": 3, "terms": [{"e": [0, 0, 0], "c": "x"}]}]]},
+         "$.entries[0][3].terms[0].c", "not a rational scalar: 'x'"),
+    ],
+)
+def test_sparse_witness_errors_keep_their_paths(edit, path, message):
+    obj = dict({"kind": "scaled", "n": 2, "den": _ONE3, "entries": [[0, 0, _NUM3]]}, **edit)
+    with pytest.raises(JsonFormatError) as exc:
+        decode_scaled_witness(obj, QQ, n=2)
+    assert str(exc.value) == "%s: %s" % (path, message)
+
+
+def test_sparse_witness_takes_its_dens_and_vars_from_the_payload():
+    """An entry without a den has the top-level den, else 1; an entry's own
+    den wins; zero entries and a missing scalar take the number of
+    variables from the first entry, else from the den, else the scalar."""
+    x = RationalFunction.from_poly(var(3, 0))
+    half = RationalFunction(var(3, 0), const(3, 2))
+    obj = {"n": 2, "den": rebuild(encode_polynomial(const(3, 2))),
+           "entries": [[0, 0, _NUM3], [1, 1, _NUM3, _ONE3]]}
+    w = decode_scaled_witness(obj, QQ, n=2)
+    zero = RationalFunction.const(QQ, 3, 0)
+    assert w.matrix == ((half, zero), (zero, x))
+    assert w.scalar == RationalFunction.const(QQ, 3, 1)
+    del obj["den"]
+    assert decode_scaled_witness(obj, QQ, n=2).matrix == ((x, zero), (zero, x))
+    w = decode_scaled_witness({"n": 1, "den": _ONE2, "entries": []}, QQ, n=1)
+    assert w.matrix == ((RationalFunction.const(QQ, 2, 0),),) and w.scalar.num.nvars == 2
+    with pytest.raises(JsonFormatError) as exc:
+        decode_scaled_witness({"n": 1, "entries": []}, QQ, n=1)
+    assert str(exc.value) == "$: expected an entry, a den or a scalar"
+
+
+@pytest.mark.parametrize(
+    "edit, path, message",
+    [
+        ({"n": -1}, "$.matrices.n", "expected a positive integer"),
+        ({"constants": None}, "$.matrices.constants", "expected a list"),
+        ({"constants": [[0, 0, 0]]}, "$.matrices.constants[0]",
+         "expected three indices and a constant"),
+        ({"constants": [[0, 0, 2, "1"]]}, "$.matrices.constants[0][2]",
+         "expected an index below 2"),
+        ({"constants": [[0, "1", 0, "1"]]}, "$.matrices.constants[0][1]",
+         "expected an index below 2"),
+        ({"constants": [[0, 1, 1, "1"], [0, 1, 1, "2"]]}, "$.matrices.constants[1]",
+         "repeats the position [0, 1, 1]"),
+        ({"constants": [[0, 1, 1, "1/0"]]}, "$.matrices.constants[0][3]",
+         "not a rational scalar: '1/0'"),
+    ],
+)
+def test_sparse_constants_errors_keep_their_paths(edit, path, message):
+    obj = {"kind": "composition", "matrices": dict({"n": 2, "constants": []}, **edit)}
+    with pytest.raises(JsonFormatError) as exc:
+        decode_structure_matrices(obj, QQ, n=2)
+    assert str(exc.value) == "%s: %s" % (path, message)
+    obj = {"kind": "algebra", "structure": obj["matrices"], "unit": ["1", "0"]}
+    with pytest.raises(JsonFormatError) as exc:
+        decode_algebra(obj, QQ, n=2)
+    assert str(exc.value) == "%s: %s" % (path.replace("matrices", "structure"), message)
+
+
+@pytest.mark.parametrize("decode, obj, message", [
+    (decode_scaled_witness, {"n": 3, "entries": []}, "witness matrix must be 2 x 2"),
+    (decode_structure_matrices, {"matrices": {"n": 3, "constants": []}},
+     "need one structure matrix per coordinate"),
+    (decode_algebra, {"structure": {"n": 3, "constants": []}},
+     "presentation dimension does not match the form"),
+])
+def test_sparse_dimension_must_be_the_expected_one(decode, obj, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        decode(obj, QQ, "$", n=2)
+
+
+def test_sparse_payloads_are_small():
+    """Only the nonzero entries and constants are written: det-4's
+    constructed form and the squared witness of the block sum of two det-3
+    norms stay under 40 KB."""
+    m = scaled_block_sum(det_norm(3), [2, -3]).witness.matrix
+    m2 = W._rf_mat_mul(m, m)
+    square = ScaledWitness(RationalFunction.const(QQ, m2[0][0].num.nvars, 1), m2)
+    obj = encode_scaled_witness(square)
+    assert (len(obj["entries"]), "den" in obj) == (18, True)
+    assert len(dumps(obj)) < 40_000
+    obj = encode_constructed_form(det_norm(4))
+    assert len(obj["composition"]["matrices"]["constants"]) == 64
+    assert len(dumps(obj)) < 40_000
+
+
+def test_dumps_writes_one_line():
+    text = dumps(encode_constructed_form(tits_cubic(2)))
+    assert "\n" not in text and ": " not in text and ", " not in text
+    assert json.loads(text) == rebuild(encode_constructed_form(tits_cubic(2)))
+
+
+def test_verification_report_has_no_elapsed_time():
+    cf = tits_cubic(1)
+    rep = verify_scaled_witness(cf.form, cf.witness)
+    assert rep.elapsed_s > 0
+    assert "elapsed_s" not in encode_verification_report(rep)
+
+
+def _algebras():
+    sqrt2 = field_extend(QQ, [-2, 0, 1])
+    cfs = [cf for _, cf in catalog()] + [tits_cubic(sqrt2.element([1, 2]))]
+    return [cf.algebra for cf in cfs if cf.algebra is not None]
+
+
+@pytest.mark.parametrize("alg", _algebras(), ids=lambda a: "dim%d" % a.dim)
+def test_algebra_round_trip_sparse_and_dense(alg):
+    """Every algebra of the catalog, and the Tits cubic's over Q(sqrt 2),
+    decodes from its sparse encoding and from the dense spelling to the
+    same constants, unit, involution and trace."""
+    def value(a):
+        return a.structure, a.unit, a.involution, a.trace, a.associative, a.norm
+
+    sparse = rebuild(encode_algebra(alg))
+    assert len(sparse["structure"]["constants"]) == len(alg.tensor.constants())
+    got = decode_algebra(sparse, alg.field, "$", n=alg.dim)
+    assert value(got) == value(alg)
+    assert value(decode_algebra(rebuild(dense_algebra(alg)), alg.field, n=alg.dim)) == value(alg)

@@ -15,6 +15,7 @@ from formforge import (
     TermBudgetExceeded,
     UnitMismatch,
     absorb_twist,
+    catalog,
     composition_algebra_norm,
     det_norm,
     diagonal_jordan_cubic_decision,
@@ -786,3 +787,79 @@ def test_dth_powers_over_etale_fields(field, d):
         assert W.scalar_is_dth_power(field.from_rational(2) * r**d, d) == (False, None)
     q = Fraction(rng.randint(1, 9), rng.randint(1, 9))
     assert W.scalar_is_dth_power(field.from_rational(q**d), d) == (True, field.from_rational(q))
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+@pytest.mark.parametrize("cf", [
+    composition_algebra_norm("octonion", [1, 1, 1]),
+    tits_cubic(field_extend(QQ, [-2, 0, 1]).element([1, 2])),
+], ids=["split-octonion", "tits-sqrt2"])
+def test_singular_witness_takes_at_most_three_sampled_ranks(monkeypatch, cf):
+    """Row 1 of a witness replaced by 3 times row 0: the first two sampled
+    points give the same rank below n, and the symbolic determinant, which
+    still decides, comes after at most three rank computations."""
+    m = cf.witness.matrix
+    three = RationalFunction.const(cf.form.field, m[0][0].num.nvars, 3)
+    rows = (m[0], tuple(three * e for e in m[0])) + m[2:]
+    ranks = _count_calls(monkeypatch, linalg, "rank")
+    dets = _count_calls(monkeypatch, W, "ring_matrix_determinant")
+    with pytest.raises(SingularWitness, match="identically zero determinant"):
+        verify_strong_multiplicativity(cf.form, rows)
+    assert 2 <= len(ranks) <= 3 and len(dets) == 1
+
+
+def test_catalog_witnesses_prove_invertibility_at_a_sampled_point(monkeypatch):
+    """No witness of the catalog, nor the Tits cubic's over Q(sqrt 2), needs
+    the symbolic determinant: a sampled point of full rank proves it."""
+    forms = [cf for _, cf in catalog()]
+    forms.append(tits_cubic(field_extend(QQ, [-2, 0, 1]).element([1, 2])))
+    dets = _count_calls(monkeypatch, W, "ring_matrix_determinant")
+    witnessed = [cf for cf in forms if cf.witness is not None]
+    for cf in witnessed:
+        rep = verify_scaled_witness(cf.form, cf.witness, mode="random", seed=1, samples=1)
+        assert rep.verdict == "evidence"
+    assert len(witnessed) == 14 and dets == []
+
+
+def test_all_ones_point_does_not_count_toward_the_stop(monkeypatch):
+    """M(X) = [[x0, x1], [x1, x0]] is a similarity of x0^2 - x1^2 whose
+    det (x0 - x1)(x0 + x1) vanishes on x0 = x1.  Rank 1 at the all-ones
+    point and at (2, 2) is one deficient random point, not two: the next
+    point proves invertibility and no symbolic determinant is taken."""
+    x0, x1 = var(2, 0), var(2, 1)
+    phi = HomogeneousForm(QQ, 2, 2, x0 * x0 - x1 * x1)
+    R = RationalFunction.from_poly
+    w = ScaledWitness(scalar=R(phi.body), matrix=((R(x0), R(x1)), (R(x1), R(x0))))
+    monkeypatch.setattr(W, "_invertibility_points", lambda nx: iter([(1, 1), (2, 2), (1, 2)]))
+    ranks = _count_calls(monkeypatch, linalg, "rank")
+    dets = _count_calls(monkeypatch, W, "ring_matrix_determinant")
+    assert verify_scaled_witness(phi, w, mode="symbolic").verdict == "proved"
+    assert len(ranks) == 3 and dets == []
+
+
+@pytest.mark.parametrize("mode", ["random", "symbolic"])
+def test_zero_divisor_pivot_over_a_product_of_fields(monkeypatch, mode):
+    """Over Q[t]/(t^2 - 1), the form x0 x1 in the basis of P = [[1, t], [0, 1]]
+    is u0 x1 with u0 = x0 + t x1, and P^-1 diag(u0, x1) P is its witness.
+    At the all-ones point its first pivot is 1 + t, a zero divisor: the
+    rank cannot go on there, and the nonzero det 1 + t proves invertibility
+    with no symbolic determinant."""
+    k = field_extend(QQ, [-1, 0, 1])
+    t = k.gen
+    x0, x1 = (Polynomial.variable(k, 2, i) for i in range(2))
+    c = lambda a: Polynomial.const(k, 2, a)
+    u0 = x0 + c(t) * x1
+    phi = HomogeneousForm(k, 2, 2, u0 * x1)
+    R = RationalFunction.from_poly
+    zero = R(Polynomial.zero(k, 2))
+    w = ScaledWitness(scalar=R(phi.body),
+                      matrix=((R(u0), R(c(t) * x0 + c(k.one - t) * x1)), (zero, R(x1))))
+    dets = _count_calls(monkeypatch, W, "ring_matrix_determinant")
+    rep = verify_scaled_witness(phi, w, mode=mode, seed=1)
+    assert rep.verdict == ("evidence" if mode == "random" else "proved") and dets == []
