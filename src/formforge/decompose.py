@@ -109,10 +109,6 @@ class CenterAlgebra:
         """structure[i][j]: the coordinates of basis[i] * basis[j]."""
         return self.tensor.elements()
 
-    @property
-    def unit_coords(self) -> Tuple[FieldElement, ...]:
-        return from_coordinates(self.field, *self.unit)
-
 
 @dataclass(frozen=True)
 class Component:

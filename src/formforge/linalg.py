@@ -5,24 +5,31 @@ Matrices are lists of row lists of FieldElement.  `rref`, `nullspace` and
 zero entries, and raise TypeError for an entry over another field.  Over Q a
 dict row may hold nonzero ints instead: `rref` then returns each reduced row
 as the primitive integer row with a positive pivot, a positive multiple of
-the reduced row, and the rows need no conversion.  All
-three run one Gauss-Jordan elimination on dict rows; it stores no zeros, and
-a pivot step updates only the rows that hold the pivot column.  The pivot for
-a column is the first remaining row holding it, in the order a dense
-elimination that swaps rows would leave them, so results are deterministic.
-
-Over Q the elimination runs on primitive integer rows: each row is scaled by
-the lcm of its denominators and divided by the gcd of the results, a row
-holding the pivot column takes the fraction-free update
+the reduced row.  All three run one Gauss-Jordan elimination, on integer
+dict rows for every field.  Each row is its flat coordinates times their
+lcm denominator, over the gcd of the results.  A pivot step updates only
+the rows holding the pivot column, by the fraction-free update
 row <- (a/g) row - (f/g) pivot_row (a the pivot, f the row's entry,
-g = gcd(a, f); Bareiss, Math. Comp. 22, 1968) and is divided by its content
-again, and only the reduced pivot rows become Fractions, each entry over its
-pivot.  Scaling a row by a nonzero constant keeps its zero pattern, so the
-pivots and the row order are those of the field elimination, and the reduced
-rows are too, since the reduced row echelon form is unique.  Over an etale
-algebra the elimination scales each pivot row by the inverse of its pivot,
-so a non-invertible pivot raises ZeroDivisor at the same step as the dense
-routine would.
+g = gcd(a, f); Bareiss, Math. Comp. 22, 1968), and divides each by its
+content.  The pivot is the first remaining row holding the column, in the
+order a dense elimination that swaps rows would leave them.  Scaling a row
+by a nonzero rational keeps its zero pattern, and the reduced rows, as the
+reduced row echelon form is unique; only those become field elements.
+
+Over an etale algebra K of absolute degree m the rows are the restriction
+of scalars R(A) (`coeffield.restrict_scalars`): entry (r, c) becomes an
+m x m int block at rows r m, ..., r m + m - 1 and columns c m, ...,
+c m + m - 1.  R is a ring map with R(1) = I.  When the reduced form
+E = P A over K exists (every pivot a unit, as over a field),
+R(E) = R(P) R(A) is in reduced form with identity blocks at the pivots, so
+it is the reduced form of R(A), and E is read back from the rows of each
+block at the columns c m (column 0 of R(x) holds the flat coordinates of
+x).  Over a product of fields pivot columns that do not come in whole
+aligned blocks show a zero-divisor pivot, and raise ZeroDivisor.  When they
+do come in blocks, every block off the pivots commutes with R(K), so it is
+R(y) for the y read back: the result is a reduced form with unit pivots
+whose restriction has the row space of R(A), also where a dense elimination
+meets a zero-divisor pivot and raises.
 
 `bareiss` is the one determinant routine, for scalar and polynomial matrices
 alike; `mat_mul` skips zero entries, and takes dict rows of ints too.
@@ -34,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .coeffield import FieldElement, RationalField, ZeroDivisor, integral_coordinates
+from .coeffield import RationalField, ZeroDivisor, integral_coordinates, restrict_scalars
 
 
 def _row_dict(row):
@@ -45,70 +52,51 @@ def _row_dict(row):
     return {c: x for c, x in enumerate(row) if not x.is_zero()}
 
 
-def _check_field(field, x):
-    if x.field != field:
-        raise TypeError("mixed-field arithmetic: entry %r is not over %r" % (x, field))
-
-
 def _integer_row(field, row):
-    """A dense or dict row over Q as a new primitive {column: int} row: the
-    row times the lcm of its denominators, over the gcd of the results.  A
-    dict row of ints is only divided by its content."""
+    """A dense or dict row as a new primitive row: its flat coordinates times
+    their lcm denominator, over the gcd of the results, as {column: int}
+    over Q and {column: flat int vector} over an etale algebra.  A dict row
+    of ints is only divided by its content."""
     if _holds_ints(row):
         g = gcd(*row.values())
         return dict(row) if g == 1 else {k: v // g for k, v in row.items()}
+    rational = isinstance(field, RationalField)
     cols, fracs = [], []
     for c, x in row.items() if isinstance(row, dict) else enumerate(row):
-        if x.field is not field:
-            _check_field(field, x)
-        q = x.coeffs[0]
-        if q:
+        if x.field is not field and x.field != field:
+            raise TypeError("mixed-field arithmetic: entry %r is not over %r" % (x, field))
+        if rational:
+            q = x.coeffs[0]
+            if q:
+                cols.append(c)
+                fracs.append(q)
+        elif x:
             cols.append(c)
-            fracs.append(q)
+            fracs.extend(field.flat(x))
     if not fracs:
         return {}
     ints, _ = integral_coordinates(fracs)
     g = gcd(*ints)
     if g != 1:
         ints = [v // g for v in ints]
-    return dict(zip(cols, ints))
+    if rational:
+        return dict(zip(cols, ints))
+    m = field.absolute_degree
+    return {c: ints[i * m : i * m + m] for i, c in enumerate(cols)}
 
 
 def _holds_ints(row) -> bool:
     return isinstance(row, dict) and isinstance(next(iter(row.values()), None), int)
 
 
-def _field_step(rows, p, c, hold, holders):
-    """Scale the pivot row p to 1 at column c and clear column c from the
-    other rows in `hold`, by field-element arithmetic."""
-    inv = rows[p][c].inv()
-    prow = rows[p] = {k: inv * x for k, x in rows[p].items()}
-    for i in hold:
-        if i == p:
-            continue
-        row = rows[i]
-        f = row.pop(c)
-        for k, b in prow.items():
-            if k == c:
-                continue
-            a = row.get(k)
-            if a is None:
-                v = -(f * b)
-                if not v.is_zero():
-                    row[k] = v
-                    holders[k].add(i)
-            else:
-                v = a - f * b
-                if v.is_zero():
-                    del row[k]
-                    holders[k].discard(i)
-                else:
-                    row[k] = v
+_ZERO = Fraction(0)
 
 
 def _integer_step(rows, p, c, hold, holders):
-    """Clear column c from the rows in `hold` other than the pivot row p by
-    the fraction-free update, keeping every row primitive."""
+    """Clear column c from the rows in `hold` (the rows holding c, p among
+    them) other than the pivot row p by the fraction-free update, dividing
+    each by its content and keeping holders[k], the rows with a nonzero at
+    column k, up to date."""
     prow = rows[p]
     a = prow[c]
     for i in hold:
@@ -140,12 +128,9 @@ def _integer_step(rows, p, c, hold, holders):
                 rows[i] = {k: v // g for k, v in row.items()}
 
 
-def _eliminate(rows, step):
-    """Gauss-Jordan on dict rows (changed in place): the reduced rows in
-    pivot order and the pivot columns.  step(rows, p, c, hold, holders)
-    clears column c from the rows in `hold` (the rows holding c, p among
-    them) with row p, and keeps holders[k], the rows with a nonzero at
-    column k, up to date."""
+def _eliminate(rows):
+    """Gauss-Jordan on int dict rows (changed in place): the reduced rows
+    in pivot order and the pivot columns."""
     order = list(range(len(rows)))  # position -> row; positions below len(pivots) are pivots
     where = list(range(len(rows)))  # row -> position
     holders = {}  # column -> the rows with a nonzero there
@@ -165,7 +150,7 @@ def _eliminate(rows, step):
         q, at = order[r0], where[p]
         order[r0], order[at] = p, q
         where[p], where[q] = r0, at
-        step(rows, p, c, hold, holders)
+        _integer_step(rows, p, c, hold, holders)
         holders[c] = {p}
         pivots.append(c)
     return [rows[i] for i in order[: len(pivots)]], pivots
@@ -175,23 +160,23 @@ def _gauss_jordan(field, rows):
     """The nonzero rows of the reduced row echelon form in pivot order, and
     the pivot columns.  The rows are dicts of field elements, or over Q, for
     rows of ints, primitive integer rows with a positive pivot."""
-    if isinstance(field, RationalField):
-        red, pivots = _eliminate([_integer_row(field, r) for r in rows], _integer_step)
-        out = []
-        if any(_holds_ints(r) for r in rows):
-            for row, c in zip(red, pivots):
-                out.append(row if row[c] > 0 else {k: -v for k, v in row.items()})
-            return out, pivots
-        for row, c in zip(red, pivots):
-            a = row[c]
-            out.append({k: FieldElement(field, (Fraction(v, a),)) for k, v in row.items()})
-        return out, pivots
-    rows = [_row_dict(r) for r in rows]
-    for row in rows:
-        for x in row.values():
-            if x.field is not field:
-                _check_field(field, x)
-    return _eliminate(rows, _field_step)
+    red, pivots = _eliminate(restrict_scalars(field, [_integer_row(field, r) for r in rows]))
+    if any(_holds_ints(r) for r in rows):
+        return [row if row[c] > 0 else {k: -v for k, v in row.items()}
+                for row, c in zip(red, pivots)], pivots
+    m, out = field.absolute_degree, []
+    for s in range(0, len(pivots), m):
+        c = pivots[s]
+        if pivots[s : s + m] != list(range(c, c + m)) or c % m:
+            raise ZeroDivisor("zero divisor in %r" % (field,))
+        coords = {}
+        for k, row in enumerate(red[s : s + m]):
+            a = row[c + k]
+            for j, v in row.items():
+                if j % m == 0:
+                    coords.setdefault(j // m, [_ZERO] * m)[k] = Fraction(v, a)
+        out.append({j: field.from_flat(v) for j, v in coords.items()})
+    return out, [c // m for c in pivots[::m]]
 
 
 def rref(field, rows):
@@ -405,8 +390,4 @@ def mat_mul(field, a, b):
         else:
             out.append({j: v for j, v in acc.items() if v})
     return out
-
-
-def identity(field, n):
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 

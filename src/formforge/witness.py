@@ -20,7 +20,7 @@ from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeffield import FieldElement, QQ, RationalField, ZeroDivisor, etale_norm
+from .coeffield import FieldElement, QQ, RationalField, etale_norm, restrict_scalars
 from .decompose import DegenerateInput, krull_schmidt_decompose
 from .forms import DimensionMismatch, HomogeneousForm
 from .poly import (
@@ -262,40 +262,31 @@ def _sparse_program(D: Polynomial, N):
 def _matrix_invertible(N, prog: EvalProgram, rows: _SparseRows) -> None:
     """Prove det M(X) is not identically zero, or raise SingularWitness.
 
-    With N = D * M, one integer point x where N(x) has full rank, or over
-    an etale algebra a nonzero det N(x), proves nonvanishing.  The rank of
-    N(x) is at most the rank r of N over K(X), and equals it off a proper
-    subvariety, so once two random points give the same rank below n, r is
-    most likely that rank: the symbolic determinant of N decides then, or
-    when the points run out.  The all-ones point is not counted, as it lies
-    on every x_i = x_j.  Over an etale algebra that is not a field the rank
-    meets a zero-divisor pivot at some points; `linalg.determinant` decides
-    those, and they are not counted either.  Since D is nonzero, det M
-    vanishes identically exactly when det N does.  `prog` and `rows` are
-    `_sparse_program`'s: the values of D and of the nonzero entries of N,
-    all over one denominator, which leaves the rank of N(x) as it is.
+    With N = D * M, one integer point x where N(x) is invertible proves
+    nonvanishing: where the rank over Q of its restriction of scalars
+    R(N(x)) (`restrict_scalars`, on the program's int values) is n m, as
+    det R(N(x)) is the norm of det N(x).  That rank is at most the rank r
+    of R(N) over Q(X), and equals it off a proper subvariety, so once two
+    random points give the same rank below n m, r is most likely that
+    rank: the symbolic determinant of N decides then, or when the points
+    run out.  The all-ones point is not counted, as it lies on every
+    x_i = x_j.  Over a product of fields a nonzero det that is a zero
+    divisor at every point is decided the same way.  Since D is nonzero,
+    det M vanishes identically exactly when det N does.  `prog` and `rows`
+    are `_sparse_program`'s: the values of D and of the nonzero entries of
+    N, all over one denominator, which leaves the rank as it is.
     """
-    field, nx, n = prog.field, prog.nvars, len(N)
+    field, nx = prog.field, prog.nvars
     values = _Values.of(field)
-    best = seen = 0  # the highest rank below n so far, and at how many points
+    full = len(N) * field.absolute_degree
+    best = seen = 0  # the highest rank below full so far, and at how many points
     for k, pt in enumerate(_invertibility_points(nx)):
         d, *entries = prog.at(pt)
         if values.is_zero(d):
             continue
-        if values.ints:
-            sparse = [{j: v for j, v in zip(cols, row) if v} for cols, row in rows.split(entries)]
-        else:
-            sparse = [{j: field.from_flat([Fraction(x) for x in v])
-                       for j, v in zip(cols, row) if any(v)}
-                      for cols, row in rows.split(entries)]
-        try:
-            r = linalg.rank(field, sparse)
-        except ZeroDivisor:
-            dense = [[row.get(j, field.zero) for j in range(n)] for row in sparse]
-            if not linalg.determinant(field, dense).is_zero():
-                return
-            continue
-        if r == n:
+        sparse = [{j: v for j, v in zip(cols, row) if v} for cols, row in rows.split(entries)]
+        r = linalg.rank(QQ, restrict_scalars(field, sparse))
+        if r == full:
             return
         if k == 0:
             continue

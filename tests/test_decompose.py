@@ -27,7 +27,7 @@ from formforge import (
     tits_cubic,
     transfer_form,
 )
-from formforge.coeffield import EtaleAlgebra
+from formforge.coeffield import EtaleAlgebra, from_coordinates
 from oracles import FieldPolys
 
 
@@ -230,7 +230,7 @@ def test_structure_constants_multiply_the_basis(make):
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
             assert combination(center.structure[i][j]) == mat_mul(bi, bj)
-    assert combination(center.unit_coords) == eye(field, n)
+    assert combination(from_coordinates(field, *center.unit)) == eye(field, n)
 
 
 def test_center_reads_coordinates_and_splitting_stays_small(monkeypatch):

@@ -3,6 +3,8 @@
 `test` extra)."""
 
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,11 +13,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from formforge import QQ, ZeroDivisor, field_extend  # noqa: E402
-from formforge.coeffield import integral_coordinates  # noqa: E402
-from formforge.linalg import nullspace, rref, solve  # noqa: E402
+from formforge.coeffield import EtaleAlgebra, integral_coordinates  # noqa: E402
+from formforge.linalg import nullspace, rank, rref, solve  # noqa: E402
 
 Q_SQRT2 = field_extend(QQ, [-2, 0, 1])
+Q_CBRT2 = field_extend(QQ, [-2, 0, 0, 1])
+Q_HALF = field_extend(QQ, [Fraction(-1, 2), 0, 1])  # Q(sqrt(1/2)): the tensor's den is 2
+_OMEGA = field_extend(QQ, [1, 1, 1])
+TOWER = field_extend(_OMEGA, [_OMEGA.from_rational(-2), _OMEGA.zero, _OMEGA.zero, _OMEGA.one])
+# products of fields
 Q_TIMES_Q = field_extend(QQ, [-1, 0, 1])  # Q[t]/(t^2 - 1): t - 1 has no inverse
+SQRT2_SQUARED = field_extend(Q_SQRT2, [Q_SQRT2.from_rational(-2), Q_SQRT2.zero, Q_SQRT2.one])
+# each product with the zero divisors t - r and t + r, r its root
+PRODUCTS = {
+    Q_TIMES_Q: (Q_TIMES_Q.gen - Q_TIMES_Q.one, Q_TIMES_Q.gen + Q_TIMES_Q.one),
+    SQRT2_SQUARED: tuple(SQRT2_SQUARED.gen + SQRT2_SQUARED.element([Q_SQRT2.element([0, s]), 0])
+                         for s in (-1, 1)),
+}
 
 
 def dense_rref(field, rows):
@@ -78,6 +92,78 @@ def outcome(fn, *args):
         return ZeroDivisor
 
 
+def restricted(field, rows):
+    """The restriction of scalars R(rows) as dense rows over Q, by field
+    arithmetic: entry x becomes the block whose column l holds the flat
+    coordinates of x kappa_l."""
+    m = field.absolute_degree
+    basis = [field.from_flat([Fraction(int(i == l)) for i in range(m)]) for l in range(m)]
+    out = []
+    for row in rows:
+        blocks = [[field.flat(x * b) for b in basis] for x in row]
+        for k in range(m):
+            out.append([QQ.from_rational(col[k]) for block in blocks for col in block])
+    return out
+
+
+def q_rank(rows):
+    return len(dense_rref(QQ, rows)[1])
+
+
+def is_unit_pivot_rref(field, red, pivots):
+    """Reduced row echelon form with pivot entries one, zero rows last."""
+    if pivots != sorted(set(pivots)):
+        return False
+    for i, row in enumerate(red):
+        if i >= len(pivots):
+            if any(not x.is_zero() for x in row):
+                return False
+            continue
+        pc = pivots[i]
+        if row[pc] != field.one or any(not x.is_zero() for x in row[:pc]):
+            return False
+        if any(not red[j][pc].is_zero() for j in range(len(red)) if j != i):
+            return False
+    return True
+
+
+def times(field, rows, x):
+    return [sum((a * b for a, b in zip(r, x)), field.zero) for r in rows]
+
+
+# Over a product of fields the elimination may go on where the dense
+# reference meets a zero-divisor pivot and raises.  Each answer it then gives
+# must still be right, which these two check.
+
+
+def check_reduced(field, rows, ncols, red, kernel):
+    """ZeroDivisor from both, or a unit-pivot reduced form whose restriction
+    to Q has the row space of R(rows), and a kernel basis, A v = 0, of one
+    vector per free column."""
+    assert (red is ZeroDivisor) == (kernel is ZeroDivisor)
+    if red is ZeroDivisor:
+        return
+    red, pivots = red
+    assert is_unit_pivot_rref(field, red, pivots)
+    ra, re = restricted(field, rows), restricted(field, red)
+    assert q_rank(ra) == q_rank(re) == q_rank(ra + re)
+    assert len(kernel) == ncols - len(pivots)
+    for v in kernel:
+        assert all(y.is_zero() for y in times(field, rows, v))
+
+
+def check_solution(field, rows, rhs, x):
+    """ZeroDivisor, a solution of A x = b, or None when R(A) y = flat(b) has
+    no rational solution."""
+    if x is None:
+        m, ra = field.absolute_degree, restricted(field, rows)
+        rb = [ra[i * m + k] + [QQ.from_rational(q)]
+              for i, b in enumerate(rhs) for k, q in enumerate(field.flat(b))]
+        assert q_rank(rb) > q_rank(ra)
+    elif x is not ZeroDivisor:
+        assert times(field, rows, x) == list(rhs)
+
+
 _small = st.integers(-2, 2)
 # Rationals with small denominators, and numerators and denominators built
 # from large pairwise coprime values, so the integer rows over Q clear
@@ -94,7 +180,12 @@ _rational = st.one_of(
 def _entry(field, coord):
     if field is QQ:
         return coord.map(field.from_rational)
-    return st.lists(coord, min_size=2, max_size=2).map(field.element)
+    m = field.absolute_degree
+    entry = st.lists(coord, min_size=m, max_size=m).map(
+        lambda v: field.from_flat([Fraction(c) for c in v]))
+    if field in PRODUCTS:
+        entry = st.one_of(entry, st.builds(operator.mul, entry, st.sampled_from(PRODUCTS[field])))
+    return entry
 
 
 @st.composite
@@ -129,20 +220,41 @@ def _system(draw, field, coord, max_size):
         pytest.param(QQ, _small, 5, id="Q"),
         pytest.param(QQ, _rational, 8, id="Q-rational"),
         pytest.param(Q_SQRT2, _small, 5, id="Q(sqrt2)"),
+        pytest.param(Q_CBRT2, _small, 4, id="Q(cbrt2)"),
+        pytest.param(Q_HALF, _small, 4, id="Q(sqrt(1/2))"),
+        pytest.param(TOWER, _small, 3, id="Q(w)(cbrt2)"),
         pytest.param(Q_TIMES_Q, _small, 5, id="QxQ"),
+        pytest.param(SQRT2_SQUARED, _small, 4, id="Q(sqrt2)xQ(sqrt2)"),
     ],
 )
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sparse_elimination_matches_dense(field, coord, max_size, data):
+    """Equal results over a field.  Over a product of fields equal results
+    where the dense reference succeeds, and `check_reduced` and
+    `check_solution` where it raises."""
     rows, ncols, rhs = data.draw(_system(field, coord, max_size))
     expect = outcome(dense_rref, field, rows)
-    assert outcome(rref, field, rows) == expect
+    expect_kernel = outcome(dense_nullspace, field, rows, ncols)
+    expect_x = outcome(dense_solve, field, rows, rhs)
+    if field not in PRODUCTS:
+        assert ZeroDivisor not in (expect, expect_kernel, expect_x)
+    got = outcome(rref, field, rows)
     red = outcome(rref, field, as_dicts(rows))
+    assert red == (got if got is ZeroDivisor else (as_dicts(got[0]), got[1]))
+    kernel = outcome(nullspace, field, rows, ncols)
+    assert outcome(nullspace, field, as_dicts(rows), ncols) == kernel
+    x = outcome(solve, field, rows, rhs)
+    if rows:
+        assert outcome(solve, field, as_dicts(rows), rhs, ncols) == x
     if expect is ZeroDivisor:
-        assert red is ZeroDivisor
+        check_reduced(field, rows, ncols, got, kernel)
     else:
-        assert red == (as_dicts(expect[0]), expect[1])
+        assert (got, kernel) == (expect, expect_kernel)
+    if expect_x is ZeroDivisor:
+        check_solution(field, rows, rhs, x)
+    else:
+        assert x == expect_x
     if field is QQ:
         # the same rows in ints, scaled by +-(i + 1) so that some are not
         # primitive and some lead negative: primitive rows with a positive
@@ -157,13 +269,6 @@ def test_sparse_elimination_matches_dense(field, coord, max_size, data):
             assert row[c] > 0 and math.gcd(*row.values()) == 1
             assert {k: QQ.from_rational(Fraction(v, row[c])) for k, v in row.items()} == want
         assert red[len(pivots):] == [{}] * (len(rows) - len(pivots))
-    expect_kernel = outcome(dense_nullspace, field, rows, ncols)
-    assert outcome(nullspace, field, rows, ncols) == expect_kernel
-    assert outcome(nullspace, field, as_dicts(rows), ncols) == expect_kernel
-    expect_x = outcome(dense_solve, field, rows, rhs)
-    assert outcome(solve, field, rows, rhs) == expect_x
-    if rows:
-        assert outcome(solve, field, as_dicts(rows), rhs, ncols) == expect_x
 
 
 def test_edge_cases():
@@ -208,3 +313,32 @@ def test_entries_over_another_field_raise():
     for call in calls:
         with pytest.raises(TypeError, match="mixed-field arithmetic"):
             call()
+
+
+@pytest.mark.parametrize("field", [Q_SQRT2, TOWER], ids=["Q(sqrt2)", "Q(w)(cbrt2)"])
+def test_elimination_over_a_field_multiplies_no_field_elements(monkeypatch, field):
+    """`rref`, `rank` and `nullspace` over K eliminate on the restriction of
+    scalars in ints: no `EtaleAlgebra._mul` or `_inv` call once the field's
+    tensor is built, and the dense reference's results."""
+    rng = random.Random(7)
+    m = field.absolute_degree
+
+    def element():
+        return field.from_flat([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)])
+
+    rows = [[element() for _ in range(5)] for _ in range(3)]
+    rows.append([a + b for a, b in zip(rows[0], rows[1])])
+    rows.append([field.gen * a for a in rows[2]])
+    expect = (dense_rref(field, rows), 3, dense_nullspace(field, rows, 5))
+    field.tensor()
+    calls = []
+
+    def counted(name):
+        fn = getattr(EtaleAlgebra, name)
+        return lambda self, *args: calls.append(name) or fn(self, *args)
+
+    for name in ("_mul", "_inv"):
+        monkeypatch.setattr(EtaleAlgebra, name, counted(name))
+    got = (rref(field, rows), rank(field, rows), nullspace(field, rows, 5))
+    monkeypatch.undo()
+    assert calls == [] and got == expect

@@ -863,3 +863,51 @@ def test_zero_divisor_pivot_over_a_product_of_fields(monkeypatch, mode):
     dets = _count_calls(monkeypatch, W, "ring_matrix_determinant")
     rep = verify_scaled_witness(phi, w, mode=mode, seed=1)
     assert rep.verdict == ("evidence" if mode == "random" else "proved") and dets == []
+
+
+def test_singular_witness_over_sqrt2_with_a_row_t_times_another(monkeypatch):
+    """Row 1 of the Tits witness over Q(sqrt 2) replaced by t times row 0:
+    the restriction of N(x) to Q has rank at most (n - 1) m everywhere, so the
+    symbolic determinant decides after at most three rank computations."""
+    k = field_extend(QQ, [-2, 0, 1])
+    cf = tits_cubic(k.element([1, 2]))
+    m = cf.witness.matrix
+    t = RationalFunction.const(k, m[0][0].num.nvars, k.gen)
+    rows = (m[0], tuple(t * e for e in m[0])) + m[2:]
+    ranks = _count_calls(monkeypatch, linalg, "rank")
+    dets = _count_calls(monkeypatch, W, "ring_matrix_determinant")
+    with pytest.raises(SingularWitness, match="identically zero determinant"):
+        verify_strong_multiplicativity(cf.form, rows)
+    assert 2 <= len(ranks) <= 3 and len(dets) == 1
+
+
+def test_invertibility_over_sqrt2_multiplies_no_field_elements(monkeypatch):
+    """The Tits witness over Q(sqrt 2) is proved invertible by the rank over
+    Q of the restricted N(x), read from the program's int vectors: no
+    `EtaleAlgebra._mul` or `_inv` call inside `_matrix_invertible`."""
+    cf = tits_cubic(field_extend(QQ, [-2, 0, 1]).element([1, 2]))
+    inside, calls = [], []
+    check = W._matrix_invertible
+
+    def checked(*args):
+        inside.append(True)
+        try:
+            return check(*args)
+        finally:
+            inside.pop()
+
+    def counted(name):
+        fn = getattr(EtaleAlgebra, name)
+
+        def wrapper(self, *args):
+            if inside:
+                calls.append(name)
+            return fn(self, *args)
+        return wrapper
+
+    for name in ("_mul", "_inv"):
+        monkeypatch.setattr(EtaleAlgebra, name, counted(name))
+    monkeypatch.setattr(W, "_matrix_invertible", checked)
+    ranks = _count_calls(monkeypatch, linalg, "rank")
+    rep = verify_scaled_witness(cf.form, cf.witness, mode="random", seed=1, samples=1)
+    assert rep.verdict == "evidence" and len(ranks) == 1 and calls == []
