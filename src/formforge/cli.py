@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import constructions, jsonio, witness
 from .coeffield import QQ, field_extend
-from .decompose import is_absolutely_indecomposable, krull_schmidt_decompose
+from .decompose import krull_schmidt_decompose
 from .forms import polarize, radical
 from .jsonio import JsonFormatError
 
@@ -426,8 +426,8 @@ def _decompose(args) -> int:
     phi, _ = _load_form(args.form)
     dec = krull_schmidt_decompose(phi)
     payload = jsonio.encode_decomposition(dec)
-    if args.absolute and len(dec.components) == 1:
-        payload["absolutely_indecomposable"] = is_absolutely_indecomposable(phi)
+    if args.absolute and dec.absolutely_indecomposable is not None:
+        payload["absolutely_indecomposable"] = dec.absolutely_indecomposable
     _emit(payload, args.output)
     return EXIT_TRUE
 

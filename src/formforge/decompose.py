@@ -26,6 +26,12 @@ polynomial comes from a Krylov sequence whose powers stay integral
 (`_Block.minpoly`); and univariate polynomials are primitive integer
 coefficient lists, whose gcds come from primitive pseudo-remainder sequences
 (Collins, J. ACM 14, 1967; Brown, J. ACM 18, 1971).
+
+`krull_schmidt_decompose` does each step once: one polarization feeds the
+radical and the center, and one composition phi(P' y), P' the component
+bases side by side, gives every component form and the reconstruction
+check.  With a single component it keeps the rank of the center's trace
+form, so `decompose --absolute` builds no second center.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from . import linalg
 from .coeffield import (
@@ -51,11 +57,11 @@ from .forms import (
     HomogeneousForm,
     LinearMap,
     SymmetricTensor,
-    orthogonal_sum,
     polarize,
-    radical,
+    radical_of_tensor,
     substitute_vectors,
 )
+from .poly import Polynomial
 
 
 class DegenerateInput(ValueError):
@@ -122,6 +128,19 @@ class Decomposition:
     components: Tuple[Component, ...]
     change_of_basis: LinearMap  # columns are the concatenated component bases
     idempotents: Tuple[Matrix, ...]
+    center_dim: int  # over the coefficient field
+    # the rank over Q of the center's trace form, whose kernel is the
+    # nilradical; computed only for a single component, else None
+    nilradical_rank: Optional[int]
+
+    @property
+    def absolutely_indecomposable(self) -> Optional[bool]:
+        """Whether the single component stays indecomposable over every
+        extension field: the center modulo its nilradical is the coefficient
+        field K, of rank [K:Q] over Q.  None for two or more components."""
+        if self.nilradical_rank is None:
+            return None
+        return self.nilradical_rank == self.change_of_basis.field.absolute_degree
 
 
 def _reduced(a, den: int):
@@ -166,14 +185,19 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
     # coefficient theta(rest, a, j) at f[a][i] and -theta(rest, a, i) at
     # f[a][j], so each nonzero theta(rest, a, x) lands in the equations whose
     # pair holds x.  Those two columns never coincide within one equation.
-    # Over Q every entry is scaled by one common denominator.
+    # A repeated index gives the same (rest, a, x) at each of its positions,
+    # so a is read at the first position of its value, and x at the first
+    # position of its value other than a's.  Over Q every entry is scaled by
+    # one common denominator.
     values, _ = to_coordinates(field, theta.entries.values())
     eqs = {}
     for idx, val in zip(theta.entries, values):
         neg = -val
         for p in range(d):
+            if p and idx[p] == idx[p - 1]:
+                continue
             for q in range(d):
-                if p == q:
+                if q == p or (q and idx[q] == idx[q - 1] and q - 1 != p):
                     continue
                 rest = tuple(v for k, v in enumerate(idx) if k != p and k != q)
                 a, x = idx[p], idx[q]
@@ -870,70 +894,77 @@ def _element_sort_key(x: FieldElement):
 # public entry points
 
 
+def _polarization(phi: HomogeneousForm) -> SymmetricTensor:
+    """The polarization of phi, after refusing a degree below 3 and a
+    nonzero radical."""
+    if phi.degree < 3:
+        raise DegreeTooSmall("degree must be at least 3, got %d" % phi.degree)
+    theta = polarize(phi)
+    if radical_of_tensor(theta):
+        raise DegenerateInput("form has a nonzero radical")
+    return theta
+
+
+def _nilradical_rank(center: CenterAlgebra) -> int:
+    """The rank over Q of the trace form of the center's restriction to Q,
+    whose kernel is the nilradical: the Q-dimension of the center modulo
+    its nilradical."""
+    t, unit = _restrict_to_q(center)
+    return _Block(t, unit, _unit_vectors(t.dim), 1).nilradical_rank()
+
+
 def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:
     """The unique unordered orthogonal decomposition into indecomposables.
 
     Components are returned in a canonical order (dimension, then body terms),
-    with the idempotents that cut them and the assembled change of basis.
-    The reconstruction identity phi(P y) = sum of component forms is verified
-    symbolically before returning.
+    with the idempotents that cut them and the assembled change of basis P,
+    which must be invertible.  One composition R = phi(P' y), P' the
+    component bases in idempotent order, gives every component: setting the
+    other blocks' variables to zero leaves phi(P_e y_e), so component e's
+    form is the terms of R in block e's variables, re-indexed.  The
+    reconstruction identity phi(P' y) = sum of component forms holds exactly
+    when no term of R mixes two blocks, which is checked.  With one
+    component the nilradical rank of the center is kept for
+    `absolutely_indecomposable`.
     """
-    if phi.degree < 3:
-        raise DegreeTooSmall("degree must be at least 3, got %d" % phi.degree)
-    if radical(phi):
-        raise DegenerateInput("form has a nonzero radical")
-    field = phi.field
-    n = phi.nvars
-
-    theta = polarize(phi)
+    theta = _polarization(phi)
+    field, n, d = phi.field, phi.nvars, phi.degree
     center = center_algebra(theta)
     idems = primitive_idempotents(center, columns=True)
 
-    comps = []
-    for e, cols in idems:
-        form_e = substitute_vectors(phi, cols)
-        comps.append((e, cols, form_e))
-
-    def comp_key(item):
-        _, cols, form_e = item
-        body_key = tuple(
-            (e, _element_sort_key(c)) for e, c in form_e.body.sorted_terms()
-        )
-        return (len(cols), body_key)
-
-    comps.sort(key=comp_key)
-
-    columns = []
-    for _, cols, _ in comps:
-        columns.extend(cols)
-    p_rows = [[columns[j][i] for j in range(len(columns))] for i in range(n)]
-    if len(columns) != n or linalg.determinant(field, p_rows).is_zero():
+    columns = [col for _, cols in idems for col in cols]
+    if len(columns) != n or not linalg.is_invertible(field, list(zip(*columns))):
         raise RuntimeError("component bases failed to assemble to a change of basis")
-
-    total = None
-    for _, cols, form_e in comps:
-        total = form_e if total is None else orthogonal_sum(total, form_e)
-    recon = substitute_vectors(phi, columns)
-    if recon.body != total.body:
-        raise RuntimeError("reconstruction identity failed")
-
+    starts, block = [], []
+    for k, (_, cols) in enumerate(idems):
+        starts.append(len(block))
+        block.extend([k] * len(cols))
+    parts = [{} for _ in idems]
+    for e, c in substitute_vectors(phi, columns).body.terms.items():
+        k = block[next(i for i, x in enumerate(e) if x)]
+        part = e[starts[k]:starts[k] + len(idems[k][1])]
+        if sum(part) != d:
+            raise RuntimeError("reconstruction identity failed")
+        parts[k][part] = c
+    comps = [
+        (e, Component(dim=len(cols), basis_columns=tuple(cols),
+                      form=HomogeneousForm(field, d, len(cols), Polynomial(field, len(cols), part))))
+        for (e, cols), part in zip(idems, parts)
+    ]
+    comps.sort(key=lambda item: (item[1].dim, tuple(
+        (x, _element_sort_key(c)) for x, c in item[1].form.body.sorted_terms())))
+    columns = [col for _, comp in comps for col in comp.basis_columns]
     return Decomposition(
-        components=tuple(
-            Component(dim=len(cols), basis_columns=tuple(cols), form=form_e)
-            for _, cols, form_e in comps
-        ),
-        change_of_basis=LinearMap(field, p_rows),
-        idempotents=tuple(e for e, _, _ in comps),
+        components=tuple(comp for _, comp in comps),
+        change_of_basis=LinearMap(field, list(zip(*columns))),
+        idempotents=tuple(e for e, _ in comps),
+        center_dim=center.dim,
+        nilradical_rank=_nilradical_rank(center) if len(comps) == 1 else None,
     )
 
 
 def is_absolutely_indecomposable(phi: HomogeneousForm) -> bool:
     """True when the center modulo its nilradical is one-dimensional, i.e. the
     form stays indecomposable over every extension field."""
-    if phi.degree < 3:
-        raise DegreeTooSmall("degree must be at least 3, got %d" % phi.degree)
-    if radical(phi):
-        raise DegenerateInput("form has a nonzero radical")
-    center = center_algebra(polarize(phi))
-    t, unit = _restrict_to_q(center)
-    return _Block(t, unit, _unit_vectors(t.dim), 1).nilradical_rank() == phi.field.absolute_degree
+    theta = _polarization(phi)
+    return _nilradical_rank(center_algebra(theta)) == phi.field.absolute_degree

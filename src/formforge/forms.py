@@ -307,38 +307,25 @@ def transfer(A, s: Sequence, gamma: SymmetricTensor) -> SymmetricTensor:
 
 
 def apply_change_of_basis(phi: HomogeneousForm, f: LinearMap) -> HomogeneousForm:
-    """The form v -> phi(f(v)); f must be square and invertible."""
+    """The form v -> phi(f(v)); f must be square and invertible.  Over an
+    etale algebra that is not a field a nonzero determinant can be a zero
+    divisor, so invertibility is decided by `linalg.is_invertible`."""
     n = phi.nvars
     if f.nrows != n or f.ncols != n:
         raise DimensionMismatch("change of basis must be %d x %d" % (n, n))
     if f.field != phi.field:
         raise TypeError("map over the wrong field")
-    det = linalg.determinant(phi.field, [list(r) for r in f.rows])
-    if det.is_zero():
+    if not linalg.is_invertible(phi.field, f.rows):
         raise Singular("change of basis is not invertible")
-    args = []
-    for k in range(n):
-        w = Polynomial.zero(phi.field, n)
-        for j in range(n):
-            c = f.rows[k][j]
-            if not c.is_zero():
-                w = w + Polynomial.variable(phi.field, n, j).scale(c)
-        args.append(w)
-    body = phi.body.compose(args)
-    return HomogeneousForm(phi.field, phi.degree, n, body)
+    return substitute_vectors(phi, list(zip(*f.rows)))
 
 
 def substitute_vectors(phi: HomogeneousForm, columns) -> HomogeneousForm:
     """phi restricted to the span of the given column vectors (not necessarily
     square); new variable i is the coefficient of columns[i]."""
     r = len(columns)
-    args = []
-    for k in range(phi.nvars):
-        w = Polynomial.zero(phi.field, r)
-        for i, col in enumerate(columns):
-            c = col[k]
-            if not c.is_zero():
-                w = w + Polynomial.variable(phi.field, r, i).scale(c)
-        args.append(w)
+    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    args = [Polynomial(phi.field, r, {e: col[k] for e, col in zip(units, columns)})
+            for k in range(phi.nvars)]
     body = phi.body.compose(args)
     return HomogeneousForm(phi.field, phi.degree, r, body)

@@ -198,6 +198,16 @@ def rank(field, rows) -> int:
     return len(pivots)
 
 
+def is_invertible(field, rows) -> bool:
+    """Whether the square matrix is invertible: whether its restriction of
+    scalars has rank n m over Q, m the absolute degree.  det R(A) is the
+    norm of det A, so over a product of fields such as Q[t]/(t^2 - 1) this
+    tells a unit determinant from a nonzero zero divisor, and it never meets
+    a zero-divisor pivot."""
+    _, pivots = _eliminate(restrict_scalars(field, [_integer_row(field, r) for r in rows]))
+    return len(pivots) == len(rows) * field.absolute_degree
+
+
 def nullspace(field, rows, ncols=None):
     """Basis of the right kernel, one vector per free column, deterministic.
     `ncols` is needed for an empty row list and for dict rows."""

@@ -9,9 +9,11 @@ constants, linear forms built from the terms dicts, sums, products,
 substitution and heap division on {exponent tuple: FieldElement} dicts, a
 matrix product that adds up every product of rational functions,
 random-mode identities that evaluate every polynomial on its own in field
-elements, and the univariate steps of the idempotent splitting on monic
-lists of field elements with Euclid's gcd), and the dense JSON shapes
-of witness matrices and structure constants, which the decoders still read.
+elements, the univariate steps of the idempotent splitting on monic
+lists of field elements with Euclid's gcd, and a decomposition that
+composes the form once per component and once more to reconstruct it), and
+the dense JSON shapes of witness matrices and structure constants, which the
+decoders still read.
 """
 
 import heapq
@@ -19,7 +21,18 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from formforge import HomogeneousForm, NotDivisible, Polynomial, SymmetricTensor, linalg, polarize
+from formforge import (
+    HomogeneousForm,
+    LinearMap,
+    NotDivisible,
+    Polynomial,
+    SymmetricTensor,
+    center_algebra,
+    linalg,
+    orthogonal_sum,
+    polarize,
+    primitive_idempotents,
+)
 from formforge.poly import clear_denominators
 from formforge.constructions import AdmissibleTriple, _phi0_coordinates
 from formforge.coeffield import (
@@ -34,7 +47,7 @@ from formforge.coeffield import (
     poly_trim,
     poly_xgcd,
 )
-from formforge.decompose import _rational_roots
+from formforge.decompose import _element_sort_key, _rational_roots
 from formforge.jsonio import encode_algebra, encode_element, encode_rational_function
 
 
@@ -592,3 +605,41 @@ def dense_structure_matrices(matrices):
 def dense_algebra(alg):
     """An algebra as JSON with dense structure constants."""
     return dict(encode_algebra(alg), structure=_dense_constants(alg.structure))
+
+
+def _restrict_by_adds(phi: HomogeneousForm, columns) -> HomogeneousForm:
+    """phi on the span of the columns: each linear argument built as a sum
+    of scaled variables, then one composition."""
+    r = len(columns)
+    args = []
+    for k in range(phi.nvars):
+        w = Polynomial.zero(phi.field, r)
+        for i, col in enumerate(columns):
+            if not col[k].is_zero():
+                w = w + Polynomial.variable(phi.field, r, i).scale(col[k])
+        args.append(w)
+    return HomogeneousForm(phi.field, phi.degree, r, phi.body.compose(args))
+
+
+def per_component_decomposition(phi: HomogeneousForm):
+    """(components, change of basis, idempotents) of the Krull-Schmidt
+    decomposition, each component as (dim, basis columns, form): one
+    composition phi(P_e y) per component in the canonical order, the
+    determinant of P, and a second composition phi(P y) compared with the
+    orthogonal sum of the components."""
+    field, n = phi.field, phi.nvars
+    comps = [(e, cols, _restrict_by_adds(phi, cols))
+             for e, cols in primitive_idempotents(center_algebra(polarize(phi)), columns=True)]
+    comps.sort(key=lambda c: (len(c[1]), tuple(
+        (e, _element_sort_key(x)) for e, x in c[2].body.sorted_terms())))
+    columns = [col for _, cols, _ in comps for col in cols]
+    p_rows = [[col[i] for col in columns] for i in range(n)]
+    if len(columns) != n or linalg.determinant(field, p_rows).is_zero():
+        raise RuntimeError("component bases failed to assemble to a change of basis")
+    total = comps[0][2]
+    for _, _, form in comps[1:]:
+        total = orthogonal_sum(total, form)
+    if _restrict_by_adds(phi, columns).body != total.body:
+        raise RuntimeError("reconstruction identity failed")
+    return ([(len(cols), tuple(cols), form) for _, cols, form in comps],
+            LinearMap(field, p_rows), tuple(e for e, _, _ in comps))

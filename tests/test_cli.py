@@ -25,9 +25,9 @@ from formforge import (
     orthogonal_sum,
     tits_cubic,
 )
-from formforge import cli, witness
+from formforge import cli, decompose, witness
 from formforge.cli import main
-from formforge.constructions import ConstructedForm
+from formforge.constructions import ConstructedForm, cayley_dickson_quartic, split_jordan_q4
 from formforge.jsonio import (
     decode_algebra,
     decode_element,
@@ -224,6 +224,24 @@ def test_decompose_with_absolute_flag(capsys, tmp_path):
     payload = json.loads(out)
     assert len(payload["components"]) == 1
     assert payload["absolutely_indecomposable"] is True
+
+
+@pytest.mark.parametrize("make", [
+    lambda: det_norm(3).form,
+    lambda: cayley_dickson_quartic(split_jordan_q4(), 3).form,
+], ids=["det3", "cayley-dickson"])
+def test_decompose_absolute_builds_one_center(capsys, tmp_path, monkeypatch, make):
+    """`--absolute` reads its verdict off the decomposition's own center."""
+    path = write_json(tmp_path / "form.json", encode_form(make()))
+    calls, center_algebra = [], decompose.center_algebra
+    monkeypatch.setattr(decompose, "center_algebra",
+                        lambda theta: calls.append(1) or center_algebra(theta))
+    code, out, err = run(capsys, "decompose", "--form", path, "--absolute")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert len(payload["components"]) == 1
+    assert payload["absolutely_indecomposable"] is True
+    assert len(calls) == 1
 
 
 def test_decompose_over_q_sqrt2_peels_rational_roots(capsys, tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from formforge import decompose
+from formforge import decompose, forms
 from formforge import (
     DegenerateInput,
     DegreeTooSmall,
@@ -28,7 +28,7 @@ from formforge import (
     transfer_form,
 )
 from formforge.coeffield import EtaleAlgebra, from_coordinates
-from oracles import FieldPolys
+from oracles import FieldPolys, per_component_decomposition
 
 
 def var(n, i):
@@ -502,3 +502,98 @@ def test_idempotent_column_bases_are_the_rref_of_their_columns(over):
         red, pivots = linalg.rref(field, [list(col) for col in zip(*e)])
         assert basis == [tuple(red[i]) for i in range(len(pivots))]
         assert any(x != field.zero and x != field.one for row in e for x in row)
+
+
+def _counting(monkeypatch, counts):
+    """Count the calls of polarize (wherever it is looked up),
+    center_algebra and Polynomial.compose."""
+    polarize_fn, center_fn, compose = forms.polarize, decompose.center_algebra, Polynomial.compose
+
+    def counted_polarize(*args):
+        counts["polarize"] += 1
+        return polarize_fn(*args)
+
+    def counted_center(*args):
+        counts["center_algebra"] += 1
+        return center_fn(*args)
+
+    def counted_compose(self, args):
+        counts["compose"] += 1
+        return compose(self, args)
+
+    monkeypatch.setattr(forms, "polarize", counted_polarize)
+    monkeypatch.setattr(decompose, "polarize", counted_polarize)
+    monkeypatch.setattr(decompose, "center_algebra", counted_center)
+    monkeypatch.setattr(Polynomial, "compose", counted_compose)
+
+
+@pytest.mark.parametrize("make", [
+    xy2, lambda: diag([1, 2, 3], 3), tits_diag_changed,
+    lambda: changed_over(SQRT2, [2, -1], 1, 1),
+], ids=["xy2", "diag3", "tits-diag-changed", "sqrt2-tits"])
+def test_one_decomposition_polarizes_centers_and_composes_once(monkeypatch, make):
+    """The radical and the center share one polarization, and one
+    composition phi(P' y) gives every component and the reconstruction
+    check."""
+    phi = make()
+    counts = Counter()
+    _counting(monkeypatch, counts)
+    krull_schmidt_decompose(phi)
+    assert counts == {"polarize": 1, "center_algebra": 1, "compose": 1}
+
+
+def _changed_sum(k, seed):
+    """A random diagonal cubic, or a Tits cubic plus one, over k, after a
+    random upper unitriangular change of basis; t is the generator of k,
+    and 1/2 over Q."""
+    rng = random.Random(seed)
+    t = QQ.from_rational(Fraction(1, 2)) if k == QQ else k.gen
+    coeffs = [k.from_rational(rng.choice((-3, -2, -1, 1, 2, 3)))
+              + (t if rng.random() < 0.5 else k.zero) for _ in range(rng.randint(1, 4))]
+    phi = diagonal_form(coeffs, 3, field=k).form
+    if rng.random() < 0.5:
+        phi = orthogonal_sum(tits_cubic(k.from_rational(rng.choice((2, 3, 5))) + t).form, phi)
+    n = phi.nvars
+    rows = [[k.one if i == j else rng.choice((k.zero, k.one, -k.one, t)) if j > i
+             else k.zero for j in range(n)] for i in range(n)]
+    return apply_change_of_basis(phi, LinearMap(k, rows))
+
+
+@pytest.mark.parametrize("k", [QQ, SQRT2, CBRT2], ids=["q", "sqrt2", "cbrt2"])
+@pytest.mark.parametrize("seed", range(5))
+def test_one_composition_matches_a_composition_per_component(k, seed):
+    """Components, idempotents and change of basis read off phi(P' y) are
+    those of composing phi once per component (`oracles`)."""
+    phi = _changed_sum(k, seed)
+    dec = krull_schmidt_decompose(phi)
+    comps, p, idems = per_component_decomposition(phi)
+    assert [(c.dim, c.basis_columns, c.form) for c in dec.components] == comps
+    assert dec.change_of_basis == p
+    assert dec.idempotents == idems
+
+
+def test_non_orthogonal_component_bases_fail_the_reconstruction(monkeypatch):
+    """Bases that span the space but are not orthogonal for phi give a term
+    of phi(P' y) that mixes two blocks."""
+    phi = diag([1, 2], 3)
+    one, zero = QQ.one, QQ.zero
+    idems = primitive_idempotents(center_algebra(polarize(phi)), columns=True)
+    skewed = [(idems[0][0], [(one, one)]), (idems[1][0], [(zero, one)])]
+    monkeypatch.setattr(decompose, "primitive_idempotents", lambda center, columns: skewed)
+    with pytest.raises(RuntimeError, match="reconstruction identity failed"):
+        krull_schmidt_decompose(phi)
+
+
+def test_absolute_verdict_is_kept_for_a_single_component():
+    """With one component the decomposition keeps the center's dimension and
+    nilradical rank, and so the verdict of `is_absolutely_indecomposable`;
+    with more it keeps no verdict."""
+    transfer = transfer_form(CBRT2, [1, 0, 0], diagonal_form([1], 3, field=CBRT2).form)
+    for phi, verdict in ((xy2(), True), (transfer, False), (tits_cubic(SQRT2.gen).form, True)):
+        dec = krull_schmidt_decompose(phi)
+        assert len(dec.components) == 1
+        assert dec.absolutely_indecomposable is verdict is is_absolutely_indecomposable(phi)
+        assert dec.center_dim == center_algebra(polarize(phi)).dim
+    dec = krull_schmidt_decompose(diag([1, 2], 3))
+    assert dec.nilradical_rank is None and dec.absolutely_indecomposable is None
+    assert dec.center_dim == 2

@@ -14,6 +14,7 @@ from formforge import (
     depolarize,
     field_extend,
     is_nondegenerate,
+    linalg,
     orthogonal_sum,
     polarize,
     radical,
@@ -21,6 +22,7 @@ from formforge import (
     transfer,
     transfer_form,
 )
+from formforge.coeffield import etale_norm
 from formforge.forms import DegreeMismatch, Singular, ZeroFunctional
 from oracles import polarize_inclusion_exclusion
 
@@ -241,3 +243,34 @@ def test_singular_change_of_basis_rejected():
     phi = diag([1, 1], 2)
     with pytest.raises(Singular):
         apply_change_of_basis(phi, LinearMap.from_rationals(QQ, [[1, 1], [1, 1]]))
+
+
+def test_zero_divisor_determinant_is_not_invertible():
+    """Over Q[t]/(t^2 - 1), diag(1 + t, 1) has the nonzero determinant
+    1 + t, a zero divisor ((1 + t)(1 - t) = 0), so it is no change of basis;
+    diag(1 + 2t, 1) has the unit determinant 1 + 2t and is one."""
+    k = field_extend(QQ, [-1, 0, 1])
+    phi = _promote(diag([1, 1], 3), k)
+    with pytest.raises(Singular):
+        apply_change_of_basis(phi, LinearMap(k, [[k.one + k.gen, k.zero], [k.zero, k.one]]))
+    c = k.one + k.from_rational(2) * k.gen
+    body = Polynomial(k, 2, {(3, 0): c * c * c, (0, 3): k.one})
+    assert apply_change_of_basis(phi, LinearMap(k, [[c, k.zero], [k.zero, k.one]])).body == body
+
+
+@pytest.mark.parametrize("k", [QQ, field_extend(QQ, [-2, 0, 1]), field_extend(QQ, [-1, 0, 1])],
+                         ids=["q", "sqrt2", "t2-minus-1"])
+@pytest.mark.parametrize("seed", range(10))
+def test_invertible_exactly_when_the_determinant_is_a_unit(k, seed):
+    """A matrix is invertible when its determinant is a unit: nonzero over
+    Q, of nonzero norm over an etale algebra."""
+    rng = random.Random(seed)
+    t = QQ.from_rational(Fraction(1, 2)) if k == QQ else k.gen
+    pool = [k.zero, k.zero, k.one, -k.one, k.from_rational(Fraction(1, 3)), t, k.one + t, k.one - t]
+    n = rng.randint(1, 4)
+    rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.3:
+        rows[-1] = [a * t + b for a, b in zip(rows[0], rows[-1])]
+    det = linalg.determinant(k, rows)
+    unit = not (det if k == QQ else etale_norm(k, det)).is_zero()
+    assert linalg.is_invertible(k, rows) == unit
