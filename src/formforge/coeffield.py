@@ -18,15 +18,19 @@ constants are ints over one common denominator, and `mul` multiplies integer
 coordinate vectors in Python ints; over an etale coefficient field they are
 field elements and den is 1.  It is the one product by structure constants:
 an etale algebra multiplies through the tensor of its flat basis (built once,
-on first use, from the m(m+1)/2 products of basis elements, computed with
-`poly_mul` and `poly_divmod`; its den is 1 when every minimal polynomial in
-the tower is monic with integer coefficients), which is also how
+on first use, from the base's tensor and the flat coordinates of f, in
+ints; its den is 1 when every minimal polynomial in the tower is monic with
+integer coefficients), which is also how
 `Polynomial.eval` works over an etale algebra, and the algebra presentations
 of `constructions` and the center algebras of `decompose` each store one.
 Beside it each etale algebra builds, once, its `GeneratorKeys`: the flat
 basis as packed generator exponents, with the products of basis monomials
 that leave the basis read off the tensor, which is how a `Polynomial` over
 the algebra reduces its products in ints.
+
+Inverses and the squarefree test of f are linear algebra over Q on that
+tensor: x is inverted by one elimination of its restriction of scalars, and
+f is squarefree exactly when the trace form of k[t]/(f) is nondegenerate.
 """
 
 from __future__ import annotations
@@ -43,15 +47,7 @@ class NotSquarefree(ValueError):
 
 
 class ZeroDivisor(ArithmeticError):
-    """Inversion of a zero divisor in an etale algebra.
-
-    `hint` carries coefficients of a nontrivial monic factor of the minimal
-    polynomial when one is exposed by the failed inversion.
-    """
-
-    def __init__(self, message: str, hint=None):
-        super().__init__(message)
-        self.hint = hint
+    """Inversion of a zero divisor in an etale algebra."""
 
 
 class FieldElement:
@@ -171,6 +167,10 @@ class RationalField:
     def generator_keys(self) -> "GeneratorKeys":
         return _NO_GENERATOR
 
+    def tensor(self) -> "StructureTensor":
+        """The multiplication tensor of the basis 1."""
+        return _Q_TENSOR
+
     def _mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
         return FieldElement(self, (x.coeffs[0] * y.coeffs[0],))
 
@@ -244,25 +244,44 @@ class EtaleAlgebra:
         )
 
     def tensor(self) -> "StructureTensor":
-        """The integer multiplication tensor of the flat basis, over Q."""
+        """The integer multiplication tensor of the flat basis, over Q.
+
+        For k <= k', (t^k b_j)(t^k' b_j') is t^k applied to the base product
+        b_j b_j' (from the base's tensor) at the power t^k'.  Multiplication
+        by t shifts the coordinates one power up and replaces the
+        coefficient x of t^deg by -(x f_0 + x f_1 t + ...).  All stays in
+        ints over one denominator, less their common factor at the end."""
         if self._tensor is None:
-            m = self.absolute_degree
-            basis = [
-                list(self.from_flat([Fraction(int(i == j)) for j in range(m)]).coeffs)
-                for i in range(m)
-            ]
-            prods = {
-                (i, j): self.flat(self._reduce(poly_mul(self.base, basis[i], basis[j])))
-                for i in range(m)
-                for j in range(i, m)
-            }
-            Dt = math.lcm(*(q.denominator for v in prods.values() for q in v))
+            base, deg = self.base, self.degree
+            bt, mb, m = base.tensor(), base.absolute_degree, self.absolute_degree
+            f, df = integral_coordinates([q for c in self.minpoly[:-1] for q in base.flat(c)])
+            f = [f[i:i + mb] for i in range(0, m, mb)]
+            r = df * bt.den  # multiplication by t adds this to the denominator
+
+            def times_t(v):
+                out = [0] * mb + [x * r for x in v[:m - mb]]
+                for i, fi in enumerate(f):
+                    for k, x in enumerate(bt.mul(v[m - mb:], fi)):
+                        out[i * mb + k] -= x
+                return out
+
+            prods = {}
+            for i in range(m):
+                k, j = divmod(i, mb)
+                for i2 in range(i, m):
+                    k2, j2 = divmod(i2, mb)
+                    v = [0] * m
+                    for p, c in bt.rows[j][j2]:
+                        v[k2 * mb + p] = c
+                    for _ in range(k):
+                        v = times_t(v)
+                    prods[i, i2] = [x * r ** (deg - 1 - k) for x in v]
+            D = bt.den * r ** (deg - 1)
+            g = math.gcd(D, *(x for v in prods.values() for x in v))
             T = [[()] * m for _ in range(m)]
             for (i, j), v in prods.items():
-                T[i][j] = T[j][i] = tuple(
-                    (k, q.numerator * (Dt // q.denominator)) for k, q in enumerate(v) if q
-                )
-            self._tensor = StructureTensor(QQ, T, Dt)
+                T[i][j] = T[j][i] = tuple((k, x // g) for k, x in enumerate(v) if x)
+            self._tensor = StructureTensor(QQ, T, D // g)
         return self._tensor
 
     def generator_keys(self) -> "GeneratorKeys":
@@ -281,11 +300,6 @@ class EtaleAlgebra:
             self._keys = gk
         return self._keys
 
-    def _reduce(self, p) -> FieldElement:
-        """The element p(t) mod f for a coefficient list p over the base."""
-        _, rem = poly_divmod(self.base, p, list(self.minpoly))
-        return FieldElement(self, tuple(rem + [self.base.zero] * (self.degree - len(rem))))
-
     def _mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
         t = self.tensor()
         a, da = integral_coordinates(self.flat(x))
@@ -294,16 +308,23 @@ class EtaleAlgebra:
         return self.from_flat([Fraction(c, den) for c in t.mul(a, b)])
 
     def _inv(self, x: FieldElement) -> FieldElement:
+        """1/x from one elimination over Q: with x = a / da, the restriction
+        of scalars M = Dt R(a) (`restrict_scalars`) has M y = Dt flat(a y),
+        so M y = e_0 gives x (Dt da y) = 1.  x is a unit exactly when M has
+        rank m."""
+        from . import linalg
+
         if x.is_zero():
             raise ZeroDivisor("division by zero in %r" % (self,))
-        g, u, _ = poly_xgcd(self.base, list(x.coeffs), list(self.minpoly))
-        if len(g) > 1:
-            raise ZeroDivisor(
-                "zero divisor in %r" % (self,),
-                hint=tuple(g),
-            )
-        # g is a nonzero constant; u/g is the inverse of x mod minpoly
-        return self._reduce(poly_scale(self.base, u, g[0].inv()))
+        m = self.absolute_degree
+        a, da = integral_coordinates(self.flat(x))
+        rows = restrict_scalars(self, [{0: a}])
+        rows[0][m] = 1
+        red, pivots = linalg.rref(QQ, rows)
+        if pivots != list(range(m)):
+            raise ZeroDivisor("zero divisor in %r" % (self,))
+        s = da * self.tensor().den
+        return self.from_flat([Fraction(s * row.get(m, 0), row[k]) for k, row in enumerate(red)])
 
     def __eq__(self, other):
         return (
@@ -383,13 +404,6 @@ def restrict_scalars(field, rows) -> list:
                     block[k][c * m + l] = v
         out.extend(block)
     return out
-
-
-def _times(x, k: int):
-    """x * k for an int k that is 1 whenever x is a field element: a
-    coordinate value scaled by an int, without mixing ints with field
-    elements."""
-    return x if k == 1 else x * k
 
 
 def integral_coordinates(v: Sequence[Rat]):
@@ -480,6 +494,25 @@ class StructureTensor:
                             out[k] += c * t
         return out
 
+    def trace_form_rank(self, basis) -> int:
+        """The rank over Q of the trace form t(xy) on the span of the int
+        vectors `basis`, t(x) = sum_i x_i t_i the trace of multiplication by
+        x on the whole algebra, t_i = sum_k T[i][k][k], on the int constants
+        (a scaling keeps the rank).  On a commutative Q-algebra its kernel
+        is the nilradical."""
+        from . import linalg
+
+        tr = [sum(c for k, row in enumerate(plane) for l, c in row if l == k)
+              for plane in self.rows]
+        m = len(basis)
+        gram = [{} for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                v = sum(a * b for a, b in zip(tr, self.mul(basis[i], basis[j])) if b)
+                if v:
+                    gram[i][j] = gram[j][i] = v
+        return linalg.rank(QQ, gram)
+
     def combine(self, pairs) -> dict:
         """sum of s * row over (s, row) in pairs, for sparse rows ((l, c), ...),
         as a dict {l: nonzero value}."""
@@ -492,11 +525,15 @@ class StructureTensor:
         return {l: v for l, v in acc.items() if v}
 
 
+_Q_TENSOR = StructureTensor(QQ, ((((0, 1),),),), 1)
+
+
 def field_extend(base, minpoly: Sequence) -> EtaleAlgebra:
     """Build base[t]/(f) from monic f given as coefficients c0..c_m (c_m = 1).
 
     Raises NotSquarefree when gcd(f, f') is nonconstant, i.e. the quotient
-    would contain nilpotents.
+    would contain nilpotents: over a field k their Q-dimension
+    [k:Q] deg gcd(f, f') is the nullity of the trace form of k[t]/(f).
     """
     coeffs = []
     for c in minpoly:
@@ -510,11 +547,13 @@ def field_extend(base, minpoly: Sequence) -> EtaleAlgebra:
         raise ValueError("minimal polynomial must have degree >= 1")
     if coeffs[-1] != base.one:
         raise ValueError("minimal polynomial must be monic")
-    deriv = poly_derivative(base, coeffs)
-    g = poly_gcd(base, coeffs, deriv)
-    if len(g) > 1:
-        raise NotSquarefree("minimal polynomial has a repeated factor of degree %d" % (len(g) - 1))
-    return EtaleAlgebra(base, coeffs)
+    A = EtaleAlgebra(base, coeffs)
+    m = A.absolute_degree
+    nil = m - A.tensor().trace_form_rank([[int(i == j) for j in range(m)] for i in range(m)])
+    if nil:
+        raise NotSquarefree("minimal polynomial has a repeated factor of degree %d"
+                            % (nil // base.absolute_degree))
+    return A
 
 
 def etale_trace(A: EtaleAlgebra, x: FieldElement) -> FieldElement:
@@ -541,96 +580,3 @@ def regular_representation(A: EtaleAlgebra, x: FieldElement):
     while len(cols) < A.degree:
         cols.append(cols[-1] * A.gen)
     return [list(c.coeffs) for c in cols]
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomials over a coefficient field, as plain coefficient lists
-# (low degree first, no trailing zeros), for the minimal polynomials and
-# inverses of this module.
-
-
-def poly_trim(field, p):
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def poly_add(field, p, q):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else field.zero
-        b = q[i] if i < len(q) else field.zero
-        out.append(a + b)
-    return poly_trim(field, out)
-
-
-def poly_scale(field, p, c):
-    return poly_trim(field, [c * a for a in p])
-
-
-def poly_mul(field, p, q):
-    if not p or not q:
-        return []
-    out = [field.zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return poly_trim(field, out)
-
-
-def poly_divmod(field, p, q):
-    """Division with remainder; the leading coefficient of q must be invertible."""
-    p = poly_trim(field, list(p))
-    q = poly_trim(field, list(q))
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead_inv = q[-1].inv()
-    quot = [field.zero] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q):
-        c = p[-1] * lead_inv
-        k = len(p) - len(q)
-        quot[k] = c
-        for i in range(len(q)):
-            p[k + i] = p[k + i] - c * q[i]
-        poly_trim(field, p)
-        if not p:
-            break
-    return poly_trim(field, quot), p
-
-
-def poly_gcd(field, p, q):
-    """Monic gcd via the Euclidean algorithm."""
-    a, b = poly_trim(field, list(p)), poly_trim(field, list(q))
-    while b:
-        _, r = poly_divmod(field, a, b)
-        a, b = b, r
-    if a:
-        a = poly_scale(field, a, a[-1].inv())
-    return a
-
-
-def poly_xgcd(field, p, q):
-    """Extended gcd: returns (g, u, v) with u*p + v*q = g, g monic (or zero)."""
-    a, b = poly_trim(field, list(p)), poly_trim(field, list(q))
-    ua, va = [field.one], []
-    ub, vb = [], [field.one]
-    while b:
-        quot, r = poly_divmod(field, a, b)
-        a, b = b, r
-        ua, ub = ub, poly_add(field, ua, poly_scale(field, poly_mul(field, quot, ub), -field.one))
-        va, vb = vb, poly_add(field, va, poly_scale(field, poly_mul(field, quot, vb), -field.one))
-    if a:
-        s = a[-1].inv()
-        a = poly_scale(field, a, s)
-        ua = poly_scale(field, ua, s)
-        va = poly_scale(field, va, s)
-    return a, ua, va
-
-
-def poly_derivative(field, p):
-    return poly_trim(
-        field, [field.from_rational(i) * c for i, c in enumerate(p)][1:]
-    )

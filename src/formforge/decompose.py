@@ -16,10 +16,11 @@ most 3, by the degrees of such irreducible minimal polynomials, and by
 univariate factorization otherwise; the rank of the trace form of C bounds
 the semisimple part.
 
-The splitting runs over Q, in Python ints, for every coefficient field: over
-an etale field K the center is restricted to Q first (`_restrict_to_q`), a
-block of the Q-dimension of K is K*e and needs no search, and the final
-idempotents read their coefficients in K back off their flat coordinates.
+The center is found and split over Q, in Python ints, for every coefficient
+field: over an etale field K the slot-sliding equations are restricted to Q
+and solved as over Q, which gives the center as an algebra over Q from the
+start, a block of the Q-dimension of K is K*e and needs no search, and the
+final idempotents read their entries in K back off their flat coordinates.
 A vector is a pair (a, den) of an int list and a positive denominator with
 no common factor; the elimination gets integer dict rows; a minimal
 polynomial comes from a Krylov sequence whose powers stay integral
@@ -48,10 +49,10 @@ from .coeffield import (
     FieldElement,
     RationalField,
     StructureTensor,
-    _times,
+    ZeroDivisor,
     from_coordinates,
     integral_coordinates,
-    to_coordinates,
+    restrict_scalars,
 )
 from .forms import (
     HomogeneousForm,
@@ -81,39 +82,45 @@ Matrix = Tuple[Tuple[FieldElement, ...], ...]
 
 @dataclass(frozen=True)
 class CenterAlgebra:
-    """The center: basis matrices b_k = matrices[k][0] / matrices[k][1]
-    (n dict rows {column: value} over a positive int), multiplied through
-    `tensor`, and the identity matrix as a vector (a, den) in that basis."""
+    """The center with basis b_0, ..., b_(dim-1) over the coefficient field
+    K, as an algebra over Q: its basis is kappa_l b_k at index k m + l
+    (kappa_0 = 1, ..., kappa_(m-1) the flat basis of K), multiplied through
+    `tensor`, and the identity matrix is the vector `unit` (a, den) in it.
+    matrices[q] is basis element q as n dict rows of ints over a positive
+    int, entry (a, i) at columns i m, ..., i m + m - 1 of row a."""
 
     field: object
     dim_space: int  # n: the matrices are n x n
-    tensor: StructureTensor  # b_i b_j in the basis
+    tensor: StructureTensor
     unit: tuple
     matrices: tuple
 
     @property
     def dim(self) -> int:
-        return self.tensor.dim
+        return self.tensor.dim // self.field.absolute_degree
 
     @property
     def basis(self) -> Tuple[Matrix, ...]:
-        n = self.dim_space
-        zero = self.field.zero
-        out = []
-        for rows, s in self.matrices:
-            mat = []
-            for row in rows:
-                line = [zero] * n
-                for i, x in zip(row, from_coordinates(self.field, row.values(), s)):
-                    line[i] = x
-                mat.append(tuple(line))
-            out.append(tuple(mat))
-        return tuple(out)
+        field, n = self.field, self.dim_space
+        return tuple(tuple(_entries(field, row, s, n) for row in rows)
+                     for rows, s in self.matrices[::field.absolute_degree])
 
     @property
     def structure(self):
-        """structure[i][j]: the coordinates of basis[i] * basis[j]."""
-        return self.tensor.elements()
+        """structure[i][j]: the coordinates of basis[i] * basis[j] over K."""
+        t, m = self.tensor, self.field.absolute_degree
+        return tuple(tuple(_entries(self.field, dict(row), t.den, self.dim) for row in plane[::m])
+                     for plane in t.rows[::m])
+
+
+def _entries(field, row: dict, den: int, n: int) -> tuple:
+    """The n field elements whose flat coordinates, over den, are the dict
+    row of ints `row`: element i at columns i m, ..., i m + m - 1."""
+    if isinstance(field, RationalField):
+        return from_coordinates(field, [row.get(i, 0) for i in range(n)], den)
+    m, zero = field.absolute_degree, field.zero
+    return tuple(field.from_flat([Fraction(row.get(c + l, 0), den) for l in range(m)])
+                 if any(row.get(c + l) for l in range(m)) else zero for c in range(0, n * m, m))
 
 
 @dataclass(frozen=True)
@@ -173,13 +180,20 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
 
     Unknown f enters through its action on basis vectors; one linear equation
     per variable pair i < j and per sorted (d-2)-tuple of spectator slots.
+    The equations are restricted to Q (`restrict_scalars`) and solved once,
+    in ints: over K the kernel vector of free column c m + l is the flat
+    coordinates of kappa_l b_c, b_c that of free column c over K (Friedl &
+    Ronyai, STOC 1985).  So only the b_i b_j are matrix products, and
+    (kappa_l b_i)(kappa_l' b_j) = kappa_l kappa_l' b_i b_j comes from K's tensor.
     """
     field = theta.field
     n = theta.dim
     d = theta.degree
     if d < 2:
         raise DegreeTooSmall("the slot-sliding system needs degree >= 2")
-    integral = isinstance(field, RationalField)
+    rational = isinstance(field, RationalField)
+    m = field.absolute_degree
+    N = n * m  # the width of a matrix row of flat coordinates
 
     # Column a * n + i holds f[a][i].  Equation (rest, i, j) has the
     # coefficient theta(rest, a, j) at f[a][i] and -theta(rest, a, i) at
@@ -187,12 +201,13 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
     # pair holds x.  Those two columns never coincide within one equation.
     # A repeated index gives the same (rest, a, x) at each of its positions,
     # so a is read at the first position of its value, and x at the first
-    # position of its value other than a's.  Over Q every entry is scaled by
-    # one common denominator.
-    values, _ = to_coordinates(field, theta.entries.values())
+    # position of its value other than a's.  Every entry is scaled by one
+    # common denominator: an int over Q, a flat int vector over K.
+    flat, _ = integral_coordinates([q for v in theta.entries.values() for q in field.flat(v)])
+    values = flat if rational else [flat[k:k + m] for k in range(0, len(flat), m)]
     eqs = {}
     for idx, val in zip(theta.entries, values):
-        neg = -val
+        neg = -val if rational else [-v for v in val]
         for p in range(d):
             if p and idx[p] == idx[p - 1]:
                 continue
@@ -205,14 +220,18 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
                     eqs.setdefault((rest, i, x), {})[a * n + i] = val
                 for j in range(x + 1, n):
                     eqs.setdefault((rest, x, j), {})[a * n + j] = neg
-    red, pivots = linalg.rref(field, [eqs[key] for key in sorted(eqs)])
+    red, pivots = linalg.rref(QQ, restrict_scalars(field, [eqs[key] for key in sorted(eqs)]))
+    # Over a field the pivots come in whole blocks of m columns (see
+    # `linalg`); a product of fields can show a zero-divisor pivot instead.
+    if len(pivots) != m * len({p // m for p in pivots}):
+        raise ZeroDivisor("zero divisor in %r" % (field,))
 
     # The kernel vector of a free column is 1 there, 0 at the other free
     # columns and -red[r][free] / red[r][pivot] at the pivot of row r, so a
-    # matrix in the span has its coordinates at the free columns.  Over Q it
-    # is kept as an int vector over a positive scale.
+    # matrix in the span has its coordinates at the free columns.  It is
+    # kept as an int vector over a positive scale.
     pivot_set = set(pivots)
-    free = [c for c in range(n * n) if c not in pivot_set]
+    free = [c for c in range(n * N) if c not in pivot_set]
     at = {c: [] for c in free}  # free column -> (pivot, entry, pivot entry)
     for row, pc in zip(red, pivots):
         for c, v in row.items():
@@ -220,38 +239,32 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
                 at[c].append((pc, v, row[pc]))
     vectors, scales = [], []
     for fc in free:
-        if integral:
-            s = math.lcm(*(a for _, _, a in at[fc]))
-            vec = {fc: s}
-            for pc, v, a in at[fc]:
-                vec[pc] = -v * (s // a)
-            g = math.gcd(*vec.values())
-            if g != 1:
-                vec = {c: v // g for c, v in vec.items()}
-                s //= g
-        else:
-            s = 1
-            vec = {fc: field.one}
-            for pc, v, _ in at[fc]:
-                vec[pc] = -v
+        s = math.lcm(*(a for _, _, a in at[fc]))
+        vec = {fc: s}
+        for pc, v, a in at[fc]:
+            vec[pc] = -v * (s // a)
+        g = math.gcd(*vec.values())
+        if g != 1:
+            vec = {c: v // g for c, v in vec.items()}
+            s //= g
         vectors.append(vec)
         scales.append(s)
     matrices = []
-    for vec, s in zip(vectors, scales):
+    for vec in vectors:
         mat = [{} for _ in range(n)]
         for c in sorted(vec):
-            mat[c // n][c % n] = vec[c]
+            mat[c // N][c % N] = vec[c]
         matrices.append(mat)
 
     def coords(mat):
         """The coordinates of the matrix with dict rows mat, over the
         matrix's own denominator, or None outside the span."""
-        out = [mat[c // n].get(c % n, 0 if integral else field.zero) for c in free]
+        out = [mat[c // N].get(c % N, 0) for c in free]
         scale = math.lcm(*(s for s, ck in zip(scales, out) if ck))
-        rest = {a * n + i: _times(x, scale) for a, row in enumerate(mat) for i, x in row.items()}
+        rest = {a * N + i: x * scale for a, row in enumerate(mat) for i, x in row.items()}
         for ck, vec, s in zip(out, vectors, scales):
             if ck:
-                f = _times(ck, scale // s)
+                f = ck * (scale // s)
                 for c, x in vec.items():
                     v = rest[c] - f * x if c in rest else -(f * x)
                     if v:
@@ -260,36 +273,67 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
                         del rest[c]
         return None if rest else out
 
-    unit = coords([{a: 1 if integral else field.one} for a in range(n)])
+    unit = coords([{a * m: 1} for a in range(n)])
     if unit is None:
         raise CenterNotClosed("identity matrix missing from the sliding solution space")
 
-    m = len(free)
-    structure = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            c = coords(linalg.mat_mul(field, matrices[i], matrices[j]))
-            if c is None:
+    # Row a of b_i b_j sums coordinate l of b_i[a][k] times row k of
+    # kappa_l b_j, so b_j enters as its restriction: the rows k m + l of the
+    # basis vectors kappa_l b_j, over their common scale S[j].
+    c = len(free) // m
+    S = [math.lcm(*scales[q:q + m]) for q in range(0, len(free), m)]
+    right = []
+    for j in range(c):
+        block = list(zip(matrices[j * m:j * m + m], scales[j * m:j * m + m]))
+        right.append([rows[k] if s == S[j] else {i: v * (S[j] // s) for i, v in rows[k].items()}
+                      for k in range(n) for rows, s in block])
+    structure = [[None] * c for _ in range(c)]
+    for i in range(c):
+        for j in range(c):
+            x = coords(linalg.mat_mul(QQ, matrices[i * m], right[j]))
+            if x is None:
                 raise CenterNotClosed("center is not closed under multiplication")
-            structure[i][j] = c  # over scales[i] * scales[j]
-    for i in range(m):
-        for j in range(i + 1, m):
+            structure[i][j] = x  # over scales[i m] * S[j]
+    den = math.lcm(*(si * sj for si in scales[::m] for sj in S))
+    structure = [[[v * (den // (scales[i * m] * S[j])) for v in x] for j, x in enumerate(line)]
+                 for i, line in enumerate(structure)]
+    for i in range(c):
+        for j in range(i + 1, c):
             if structure[i][j] != structure[j][i]:
                 raise CenterNotClosed("center is not commutative")
-    den = math.lcm(*(si * sj for si in scales for sj in scales))
-    rows = tuple(
-        tuple(
-            tuple((k, _times(v, den // (scales[i] * scales[j]))) for k, v in enumerate(c) if v)
-            for j, c in enumerate(line)
-        )
-        for i, line in enumerate(structure)
-    )
+    if rational:
+        rows = tuple(tuple(tuple((k, v) for k, v in enumerate(x) if v) for x in line)
+                     for line in structure)
+    else:
+        rows, den = _kappa_multiples(field, structure), den * field.tensor().den ** 2
     return CenterAlgebra(
         field=field,
         dim_space=n,
-        tensor=_integer_tensor(rows, den) if integral else StructureTensor(field, rows, den),
+        tensor=_integer_tensor(rows, den),
         unit=(unit, 1),
         matrices=tuple(zip(matrices, scales)),
+    )
+
+
+def _kappa_multiples(field, structure):
+    """The constants of the basis kappa_l b_i (index i m + l) from the flat
+    coordinates structure[i][j] of b_i b_j = sum_k x_k b_k over K:
+    (kappa_l b_i)(kappa_l' b_j) has those of kappa_l kappa_l' x_k, over
+    K.tensor().den^2 more."""
+    kt, m = field.tensor(), field.absolute_degree
+    units = [[int(p == l) for p in range(m)] for l in range(m)]
+
+    @functools.lru_cache(maxsize=None)
+    def multiple(x, l, l2):
+        return [(b, v) for b, v in enumerate(kt.mul(kt.mul(list(x), units[l]), units[l2])) if v]
+
+    return tuple(
+        tuple(
+            tuple((k + b, v) for k in range(0, len(x), m) if any(x[k:k + m])
+                  for b, v in multiple(tuple(x[k:k + m]), l, l2))
+            for x in line for l2 in range(m)
+        )
+        for line in structure for l in range(m)
     )
 
 
@@ -529,7 +573,7 @@ def _squarefree_part(f):
 
 # ---------------------------------------------------------------------------
 # idempotent machinery, on coordinate vectors (a, den) in the basis of the
-# center's restriction to Q
+# center over Q
 
 
 def _lincomb(terms):
@@ -546,41 +590,6 @@ def _lincomb(terms):
 
 def _unit_vectors(m: int):
     return [([int(k == i) for k in range(m)], 1) for i in range(m)]
-
-
-def _restrict_to_q(center: CenterAlgebra):
-    """The center as an algebra over Q, as (tensor, unit): restriction of
-    scalars (Friedl & Ronyai, STOC 1985).  With the flat basis kappa_0, ...,
-    kappa_(m-1) of the coefficient field K, the Q-basis is kappa_l b_i at
-    index i m + l, and b_i b_j = sum_k c_ijk b_k gives
-    (kappa_l b_i)(kappa_l' b_j) = sum_k (c_ijk kappa_l kappa_l') b_k, whose
-    flat coordinates come from K's integer tensor.  An idempotent of a
-    commutative ring does not depend on the field its scalars are taken
-    from, so the splitting sees only this tensor.  Over Q it is the
-    center's own."""
-    field, t = center.field, center.tensor
-    if isinstance(field, RationalField):
-        return t, center.unit
-    kt = field.tensor()
-    m = kt.dim
-    basis = [[int(i == l) for i in range(m)] for l in range(m)]
-    consts = list({c for plane in t.rows for row in plane for _, c in row})
-    ints, den = integral_coordinates([q for c in consts for q in field.flat(c)])
-    # prods[c][l][l2]: c kappa_l kappa_l2 as (index, value) pairs, over den kt.den^2
-    prods = {}
-    for n, c in enumerate(consts):
-        by_l = [kt.mul(ints[n * m:(n + 1) * m], e) for e in basis]
-        prods[c] = [[tuple((b, x) for b, x in enumerate(kt.mul(v, e)) if x) for e in basis]
-                    for v in by_l]
-    rows = tuple(
-        tuple(
-            tuple((k * m + b, x) for k, c in row for b, x in prods[c][l][l2])
-            for row in plane for l2 in range(m)
-        )
-        for plane in t.rows for l in range(m)
-    )
-    unit = integral_coordinates([q for u in center.unit[0] for q in field.flat(u)])
-    return _integer_tensor(rows, den * t.den * kt.den**2), unit
 
 
 class _Block:
@@ -676,22 +685,8 @@ class _Block:
     def nilradical_rank(self) -> int:
         """Rank of the regular trace form t(xy) on the block; its kernel is
         the nilradical.  Multiplication by x in eC is zero on (1 - e)C, so
-        its trace on eC is its trace on C, t(x) = sum_i x_i t_i with
-        t_i = sum_k T[i][k][k].  Scaling the rows and columns of the Gram
-        matrix by nonzero constants keeps its rank, so it is built on the
-        numerators of the basis vectors and of the t_i."""
-        t = self.tensor
-        tr = [sum(c for k, row in enumerate(plane) for l, c in row if l == k)
-              for plane in t.rows]
-        m = self.dim
-        gram = [{} for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                prod = t.mul(self.basis[i][0], self.basis[j][0])
-                v = sum(a * b for a, b in zip(tr, prod) if b)
-                if v:
-                    gram[i][j] = gram[j][i] = v
-        return linalg.rank(QQ, gram)
+        its trace on eC is its trace on C."""
+        return self.tensor.trace_form_rank([b[0] for b in self.basis])
 
 
 def _sub_scaled(a, x: dict, f, y: dict) -> dict:
@@ -783,8 +778,8 @@ def _is_field(field) -> bool:
 
 def primitive_idempotents(center: CenterAlgebra, columns: bool = False) -> list:
     """The primitive idempotents of the center, split on coordinate vectors
-    of its restriction to Q (`_restrict_to_q`) and returned as n x n
-    matrices in a canonical order.  With `columns`, each comes as (matrix,
+    of the center as an algebra over Q and returned as n x n matrices in a
+    canonical order.  With `columns`, each comes as (matrix,
     basis): the basis is the reduced row echelon form of the matrix's
     columns, as `linalg.rref` gives it, and over Q it is computed from the
     integer matrix.  Over a product of fields, whose components would not be
@@ -793,7 +788,7 @@ def primitive_idempotents(center: CenterAlgebra, columns: bool = False) -> list:
     if not _is_field(field):
         raise ValueError("decomposition needs a field, not a product of fields: %r" % (field,))
     m = field.absolute_degree
-    t, unit = _restrict_to_q(center)
+    t, unit = center.tensor, center.unit
 
     def make_block(e) -> _Block:
         # the rows e * b_k, straight from the tensor's rows; a reduced row
@@ -818,27 +813,18 @@ def primitive_idempotents(center: CenterAlgebra, columns: bool = False) -> list:
             queue.extend(split)
 
     n = center.dim_space
-    zero = center.tensor.zero
     mats = []
     for ek, de in final:
-        if not isinstance(field, RationalField):
-            # the coefficient of b_k from its m flat coordinates
-            ek = [field.from_flat([Fraction(v, de) for v in ek[k:k + m]])
-                  for k in range(0, len(ek), m)]
-            de = 1
         scale = math.lcm(*(s for c, (_, s) in zip(ek, center.matrices) if c))
         acc = [{} for _ in range(n)]
         for c, (rows, s) in zip(ek, center.matrices):
             if c:
-                f = _times(c, scale // s)
+                f = c * (scale // s)
                 for a, row in enumerate(rows):
                     line = acc[a]
                     for i, x in row.items():
                         line[i] = line[i] + f * x if i in line else f * x
-        mats.append((tuple(
-            from_coordinates(field, [line.get(i, zero) for i in range(n)], de * scale)
-            for line in acc
-        ), acc))
+        mats.append((tuple(_entries(field, line, de * scale, n) for line in acc), acc))
 
     mats.sort(key=functools.cmp_to_key(lambda a, b: _matrix_order(a[0], b[0])))
     if not columns:
@@ -906,11 +892,11 @@ def _polarization(phi: HomogeneousForm) -> SymmetricTensor:
 
 
 def _nilradical_rank(center: CenterAlgebra) -> int:
-    """The rank over Q of the trace form of the center's restriction to Q,
-    whose kernel is the nilradical: the Q-dimension of the center modulo
+    """The rank over Q of the trace form of the center as an algebra over
+    Q, whose kernel is the nilradical: the Q-dimension of the center modulo
     its nilradical."""
-    t, unit = _restrict_to_q(center)
-    return _Block(t, unit, _unit_vectors(t.dim), 1).nilradical_rank()
+    t = center.tensor
+    return _Block(t, center.unit, _unit_vectors(t.dim), 1).nilradical_rank()
 
 
 def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:

@@ -52,14 +52,21 @@ def _row_dict(row):
     return {c: x for c, x in enumerate(row) if not x.is_zero()}
 
 
+def _integer_rows(field, rows):
+    """The rows as new primitive rows (`_integer_row`), and whether they are
+    dict rows of ints, which are only divided by their content: a row list
+    holds only ints or only field elements, so that is decided once."""
+    if any(isinstance(r, dict) and isinstance(next(iter(r.values()), None), int) for r in rows):
+        return [{k: v // g for k, v in r.items()} if (g := gcd(*r.values())) > 1 else dict(r)
+                for r in rows], True
+    return [_integer_row(field, r) for r in rows], False
+
+
 def _integer_row(field, row):
-    """A dense or dict row as a new primitive row: its flat coordinates times
-    their lcm denominator, over the gcd of the results, as {column: int}
-    over Q and {column: flat int vector} over an etale algebra.  A dict row
-    of ints is only divided by its content."""
-    if _holds_ints(row):
-        g = gcd(*row.values())
-        return dict(row) if g == 1 else {k: v // g for k, v in row.items()}
+    """A dense or dict row of field elements as a new primitive row: its
+    flat coordinates times their lcm denominator, over the gcd of the
+    results, as {column: int} over Q and {column: flat int vector} over an
+    etale algebra."""
     rational = isinstance(field, RationalField)
     cols, fracs = [], []
     for c, x in row.items() if isinstance(row, dict) else enumerate(row):
@@ -83,10 +90,6 @@ def _integer_row(field, row):
         return dict(zip(cols, ints))
     m = field.absolute_degree
     return {c: ints[i * m : i * m + m] for i, c in enumerate(cols)}
-
-
-def _holds_ints(row) -> bool:
-    return isinstance(row, dict) and isinstance(next(iter(row.values()), None), int)
 
 
 _ZERO = Fraction(0)
@@ -160,8 +163,9 @@ def _gauss_jordan(field, rows):
     """The nonzero rows of the reduced row echelon form in pivot order, and
     the pivot columns.  The rows are dicts of field elements, or over Q, for
     rows of ints, primitive integer rows with a positive pivot."""
-    red, pivots = _eliminate(restrict_scalars(field, [_integer_row(field, r) for r in rows]))
-    if any(_holds_ints(r) for r in rows):
+    int_rows, ints = _integer_rows(field, rows)
+    red, pivots = _eliminate(restrict_scalars(field, int_rows))
+    if ints:
         return [row if row[c] > 0 else {k: -v for k, v in row.items()}
                 for row, c in zip(red, pivots)], pivots
     m, out = field.absolute_degree, []
@@ -204,7 +208,7 @@ def is_invertible(field, rows) -> bool:
     norm of det A, so over a product of fields such as Q[t]/(t^2 - 1) this
     tells a unit determinant from a nonzero zero divisor, and it never meets
     a zero-divisor pivot."""
-    _, pivots = _eliminate(restrict_scalars(field, [_integer_row(field, r) for r in rows]))
+    _, pivots = _eliminate(restrict_scalars(field, _integer_rows(field, rows)[0]))
     return len(pivots) == len(rows) * field.absolute_degree
 
 

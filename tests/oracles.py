@@ -9,8 +9,10 @@ constants, linear forms built from the terms dicts, sums, products,
 substitution and heap division on {exponent tuple: FieldElement} dicts, a
 matrix product that adds up every product of rational functions,
 random-mode identities that evaluate every polynomial on its own in field
-elements, the univariate steps of the idempotent splitting on monic
-lists of field elements with Euclid's gcd, and a decomposition that
+elements, univariate polynomial arithmetic over a coefficient field on
+lists of field elements (`poly_*`: Euclid's gcd and the extended gcd, for
+inverses and squarefree tests in k[t]/(f)), the univariate steps of the
+idempotent splitting on monic lists of field elements, and a decomposition that
 composes the form once per component and once more to reconstruct it), and
 the dense JSON shapes of witness matrices and structure constants, which the
 decoders still read.
@@ -35,18 +37,7 @@ from formforge import (
 )
 from formforge.poly import clear_denominators
 from formforge.constructions import AdmissibleTriple, _phi0_coordinates
-from formforge.coeffield import (
-    EtaleAlgebra,
-    integral_coordinates,
-    poly_add,
-    poly_derivative,
-    poly_divmod,
-    poly_gcd,
-    poly_mul,
-    poly_scale,
-    poly_trim,
-    poly_xgcd,
-)
+from formforge.coeffield import EtaleAlgebra, integral_coordinates
 from formforge.decompose import _element_sort_key, _rational_roots
 from formforge.jsonio import encode_algebra, encode_element, encode_rational_function
 
@@ -494,6 +485,98 @@ def jordan_identity(phi: HomogeneousForm, algebra):
         return generic_eval(phi.body, list(triple)) == phi_v * phi_v * generic_eval(phi.body, w)
 
     return agree, 2 * n, 3 * phi.degree
+
+
+# ---------------------------------------------------------------------------
+# univariate polynomials over a coefficient field, as plain coefficient lists
+# (low degree first, no trailing zeros)
+
+
+def poly_trim(field, p):
+    while p and p[-1].is_zero():
+        p.pop()
+    return p
+
+
+def poly_add(field, p, q):
+    n = max(len(p), len(q))
+    out = []
+    for i in range(n):
+        a = p[i] if i < len(p) else field.zero
+        b = q[i] if i < len(q) else field.zero
+        out.append(a + b)
+    return poly_trim(field, out)
+
+
+def poly_scale(field, p, c):
+    return poly_trim(field, [c * a for a in p])
+
+
+def poly_mul(field, p, q):
+    if not p or not q:
+        return []
+    out = [field.zero] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return poly_trim(field, out)
+
+
+def poly_divmod(field, p, q):
+    """Division with remainder; the leading coefficient of q must be invertible."""
+    p = poly_trim(field, list(p))
+    q = poly_trim(field, list(q))
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead_inv = q[-1].inv()
+    quot = [field.zero] * max(0, len(p) - len(q) + 1)
+    while len(p) >= len(q):
+        c = p[-1] * lead_inv
+        k = len(p) - len(q)
+        quot[k] = c
+        for i in range(len(q)):
+            p[k + i] = p[k + i] - c * q[i]
+        poly_trim(field, p)
+        if not p:
+            break
+    return poly_trim(field, quot), p
+
+
+def poly_gcd(field, p, q):
+    """Monic gcd via the Euclidean algorithm."""
+    a, b = poly_trim(field, list(p)), poly_trim(field, list(q))
+    while b:
+        _, r = poly_divmod(field, a, b)
+        a, b = b, r
+    if a:
+        a = poly_scale(field, a, a[-1].inv())
+    return a
+
+
+def poly_xgcd(field, p, q):
+    """Extended gcd: returns (g, u, v) with u*p + v*q = g, g monic (or zero)."""
+    a, b = poly_trim(field, list(p)), poly_trim(field, list(q))
+    ua, va = [field.one], []
+    ub, vb = [], [field.one]
+    while b:
+        quot, r = poly_divmod(field, a, b)
+        a, b = b, r
+        ua, ub = ub, poly_add(field, ua, poly_scale(field, poly_mul(field, quot, ub), -field.one))
+        va, vb = vb, poly_add(field, va, poly_scale(field, poly_mul(field, quot, vb), -field.one))
+    if a:
+        s = a[-1].inv()
+        a = poly_scale(field, a, s)
+        ua = poly_scale(field, ua, s)
+        va = poly_scale(field, va, s)
+    return a, ua, va
+
+
+def poly_derivative(field, p):
+    return poly_trim(
+        field, [field.from_rational(i) * c for i, c in enumerate(p)][1:]
+    )
 
 
 class FieldPolys:

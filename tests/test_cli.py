@@ -567,12 +567,17 @@ GOLDEN = Path(__file__).parent / "golden"
          ["decompose", "--absolute", "--form", "det3-basis-changed.json"]),
         ("transfer-cbrt2.decompose.json",
          ["decompose", "--absolute", "--form", "transfer-cbrt2.json"]),
+        ("transfer-sqrt2-sqrt3.decompose.json",
+         ["decompose", "--absolute", "--form", "transfer-sqrt2-sqrt3.json"]),
+        ("tits-diag-tower.decompose.json",
+         ["decompose", "--absolute", "--form", "tits-diag-tower.json"]),
         ("pfister-quaternion.construct.json",
          ["construct", "--kind", "pfister", "--param", "gammas=2,-3"]),
         ("pfister-octonion.construct.json",
          ["construct", "--kind", "pfister", "--param", "gammas=-1,2,3"]),
     ],
     ids=["decompose-tits-cubic", "decompose-det3-basis-changed", "decompose-transfer-cbrt2",
+         "decompose-transfer-sqrt2-sqrt3", "decompose-tits-diag-tower",
          "construct-pfister-quaternion", "construct-pfister-octonion"],
 )
 def test_stdout_is_byte_identical_to_golden(capsys, monkeypatch, expected, argv):
@@ -581,8 +586,10 @@ def test_stdout_is_byte_identical_to_golden(capsys, monkeypatch, expected, argv)
     field elements one at a time, wrote the same values indented, with
     dense constants (`golden/dense` keeps its construct outputs).  The
     inputs sit next to the outputs: a Tits cubic, det-3 after a unipotent
-    change of basis, and the transfer of a diagonal cubic along
-    Q(cbrt 2)/Q."""
+    change of basis, the transfer of a diagonal cubic along Q(cbrt 2)/Q,
+    and two decompositions over etale fields: the transfer of <1, 2> along
+    Q(sqrt 2)(sqrt 3)/Q(sqrt 2), components [2, 2], and Tits(t + 1) + <1, t>
+    over Q(omega)(cbrt 2), components [1, 1, 3]."""
     monkeypatch.chdir(GOLDEN)
     code, out, _ = run(capsys, *argv)
     assert code == 0

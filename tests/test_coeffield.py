@@ -12,7 +12,7 @@ from formforge import (
     field_extend,
     regular_representation,
 )
-from formforge.coeffield import _times
+from oracles import poly_derivative, poly_gcd
 
 
 def test_quadratic_extension_square_of_generator():
@@ -29,13 +29,11 @@ def test_cubic_extension_accepted():
 @pytest.mark.parametrize("field", [QQ, field_extend(QQ, [-2, 0, 1])], ids=["q", "sqrt2"])
 def test_field_elements_do_not_mix_with_ints(field):
     """Packed polynomials keep ints and field elements apart; a product or
-    sum of the two raises instead of coercing, and `_times` skips a factor
-    of 1."""
+    sum of the two raises instead of coercing."""
     with pytest.raises(TypeError):
         field.one * 2
     with pytest.raises(TypeError):
         0 + field.one
-    assert _times(field.one, 1) is field.one
 
 
 def test_repeated_root_rejected():
@@ -84,9 +82,41 @@ def test_split_quadratic_has_zero_divisors():
     # t^2 - 1 is squarefree, so the quotient is etale but not a field
     A = field_extend(QQ, [-1, 0, 1])
     x = A.element([1, 1])
-    with pytest.raises(ZeroDivisor) as exc:
+    with pytest.raises(ZeroDivisor):
         x.inv()
-    assert exc.value.hint is not None
+
+
+_SQRT2 = field_extend(QQ, [-2, 0, 1])
+_R2 = _SQRT2.gen
+
+
+@pytest.mark.parametrize("field, pairs", [
+    (field_extend(QQ, [-1, 0, 1]), [([1, 1], [1, -1]), ([-3, 3], [1, 1])]),
+    (field_extend(_SQRT2, [-2, 0, 1]),
+     [([-_R2, 1], [_R2, 1]), ([4, _SQRT2.element([0, 2])], [-_R2, 1])]),
+], ids=["q-split", "sqrt2-split"])
+def test_zero_divisors_raise(field, pairs):
+    """Q[t]/(t^2 - 1) and Q(sqrt 2)[t]/(t^2 - 2) are etale but not fields:
+    x y = 0 for nonzero x, y, and inverting x raises ZeroDivisor."""
+    for x, y in pairs:
+        x, y = field.element(x), field.element(y)
+        assert (x * y).is_zero() and not x.is_zero() and not y.is_zero()
+        with pytest.raises(ZeroDivisor, match="zero divisor in"):
+            x.inv()
+
+
+@pytest.mark.parametrize("base, f", [
+    (QQ, [QQ.from_rational(c) for c in (4, 4, -4, -4, 1, 1)]),  # (t^2 - 2)^2 (t + 1)
+    # (t - sqrt 2)^2 (t + 1)
+    (_SQRT2, [_SQRT2.element(c) for c in ([2, 0], [2, -2], [1, -2], [1, 0])]),
+], ids=["q", "sqrt2"])
+def test_not_squarefree_reports_the_degree_of_gcd_with_the_derivative(base, f):
+    """The repeated factor's degree in the NotSquarefree message, read off
+    the rank of the trace form, is deg gcd(f, f') by Euclid's algorithm."""
+    degree = len(poly_gcd(base, f, poly_derivative(base, f))) - 1
+    assert degree == (2 if base == QQ else 1)
+    with pytest.raises(NotSquarefree, match="repeated factor of degree %d$" % degree):
+        field_extend(base, f)
 
 
 def test_division_by_zero():

@@ -27,7 +27,7 @@ from formforge import (
     tits_cubic,
     transfer_form,
 )
-from formforge.coeffield import EtaleAlgebra, from_coordinates
+from formforge.coeffield import EtaleAlgebra, FieldElement
 from oracles import FieldPolys, per_component_decomposition
 
 
@@ -213,13 +213,21 @@ def test_idempotents_are_orthogonal_and_complete():
                 assert all(x.is_zero() for row in prod for x in row)
 
 
-@pytest.mark.parametrize("make", [xy2, lambda: diag([1, 2, 3], 3), tits_diag, tits_diag_changed],
-                         ids=["xy2", "diag3", "tits-diag", "tits-diag-changed"])
+@pytest.mark.parametrize("make", [xy2, lambda: diag([1, 2, 3], 3), tits_diag, tits_diag_changed,
+                                  sqrt2_pair, lambda: changed_over(TOWER, [1, 2], None, 0)],
+                         ids=["xy2", "diag3", "tits-diag", "tits-diag-changed", "sqrt2-pair",
+                              "tower-changed"])
 def test_structure_constants_multiply_the_basis(make):
     """sum_l structure[i][j][l] basis[l] is basis[i] basis[j], and the unit
-    coordinates give the identity matrix."""
+    coordinates give the identity matrix.  Over an etale field K the basis
+    and structure are over K, and the unit is a vector over Q in the basis
+    kappa_l b_k, which is read back to K by its flat coordinates."""
     center = center_algebra(polarize(make()))
     field, n, basis = center.field, center.dim_space, center.basis
+    m = field.absolute_degree
+    assert len(basis) == center.dim == center.tensor.dim // m
+    a, den = center.unit
+    unit = [field.from_flat([Fraction(v, den) for v in a[k:k + m]]) for k in range(0, len(a), m)]
 
     def combination(coords):
         return tuple(
@@ -230,7 +238,7 @@ def test_structure_constants_multiply_the_basis(make):
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
             assert combination(center.structure[i][j]) == mat_mul(bi, bj)
-    assert combination(from_coordinates(field, *center.unit)) == eye(field, n)
+    assert combination(unit) == eye(field, n)
 
 
 def test_center_reads_coordinates_and_splitting_stays_small(monkeypatch):
@@ -365,7 +373,7 @@ def test_transfer_along_a_relative_quadratic_extension():
 
 
 def test_splitting_over_sqrt2_makes_no_field_element_products(monkeypatch):
-    """The splitting multiplies the center's restriction to Q in ints: no
+    """The splitting multiplies the center over Q in ints: no
     product inside `_try_split` goes through `EtaleAlgebra._mul`."""
     calls, inside = [], []
     mul, try_split = EtaleAlgebra._mul, decompose._try_split
@@ -383,6 +391,31 @@ def test_splitting_over_sqrt2_makes_no_field_element_products(monkeypatch):
     dec = krull_schmidt_decompose(changed_over(SQRT2, [2, -1], 1, 1))
     assert sorted(c.dim for c in dec.components) == [1, 1, 3]
     assert True not in calls
+
+
+def test_center_and_field_arithmetic_make_no_field_element_operations(monkeypatch):
+    """The center over Q(sqrt 2) and Q(omega)(cbrt 2), the tensor of a new
+    field and an inverse run on ints: no FieldElement sum, difference or
+    product, and no etale product or inverse, is made inside them."""
+    calls, inv = Counter(), EtaleAlgebra._inv
+    for cls, name in ((FieldElement, "__mul__"), (FieldElement, "__add__"),
+                      (FieldElement, "__sub__"), (EtaleAlgebra, "_mul"), (EtaleAlgebra, "_inv")):
+        def counted(*args, _original=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    thetas = [polarize(sqrt2_pair()), polarize(changed_over(TOWER, [1, 2], None, 0))]
+    x = TOWER.from_flat([Fraction(k + 1, 2) for k in range(6)])
+    calls.clear()
+    for theta in thetas:
+        center_algebra(theta)
+    omega = field_extend(QQ, [1, 1, 1])
+    field_extend(omega, [omega.from_rational(-2), omega.zero, omega.zero, omega.one]).tensor()
+    field_extend(field_extend(QQ, [-2, 0, 1]), [-3, 0, 1]).tensor()
+    y = inv(TOWER, x)
+    assert not calls
+    assert x * y == TOWER.one
 
 
 def test_blocks_of_the_fields_dimension_are_not_searched(monkeypatch):

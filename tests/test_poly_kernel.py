@@ -20,8 +20,6 @@ from formforge.coeffield import (  # noqa: E402
     EtaleAlgebra,
     StructureTensor,
     from_coordinates,
-    poly_divmod,
-    poly_mul,
     to_coordinates,
 )
 from formforge.constructions import det_norm  # noqa: E402
@@ -33,6 +31,10 @@ from oracles import (  # noqa: E402
     generic_eval,
     heap_exact_div,
     linear_forms_from_terms,
+    poly_divmod,
+    poly_mul,
+    poly_scale,
+    poly_xgcd,
     structure_product,
 )
 
@@ -290,6 +292,34 @@ def test_tensor_product_matches_polynomial_remainder(data):
     assert field.from_flat(field.flat(x)) == x
 
 
+_OMEGA = field_extend(QQ, [1, 1, 1])
+INVERSE_FIELDS = dict(
+    FIELDS,
+    tower=field_extend(_OMEGA, [_OMEGA.from_rational(-2), _OMEGA.zero, _OMEGA.zero, _OMEGA.one]),
+    sqrt2_sqrt3=field_extend(_SQRT2, [-3, 0, 1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inverse_matches_extended_gcd(data):
+    """x.inv(), one elimination over Q, is the inverse the extended gcd of x
+    and f gives, and raises ZeroDivisor exactly when that gcd is not a
+    unit (x zero, or a zero divisor of Q[t]/(t^2 - 1))."""
+    field = INVERSE_FIELDS[data.draw(st.sampled_from(sorted(INVERSE_FIELDS)))]
+    x = _element(data.draw, field)
+    base = field.base
+    g, u, _ = poly_xgcd(base, list(x.coeffs), list(field.minpoly))
+    if len(g) != 1:
+        with pytest.raises(ZeroDivisor):
+            x.inv()
+        return
+    _, rem = poly_divmod(base, poly_scale(base, u, g[0].inv()), list(field.minpoly))
+    expect = field.element(rem + [base.zero] * (field.degree - len(rem)))
+    assert x.inv() == expect
+    assert x * expect == field.one
+
+
 def test_tensor_denominators():
     assert [FIELDS[name].tensor().den for name in sorted(FIELDS)] == [1, 1, 1, 1, 2]
     odd = field_extend(QQ, [Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9), 1])
@@ -298,17 +328,16 @@ def test_tensor_denominators():
 
 def test_split_quadratic_idempotents():
     """In Q[t]/(t^2 - 1) the idempotents (1 + t)/2 and (1 - t)/2 multiply to
-    zero, and inverting either exposes the factor t + 1 or t - 1."""
+    zero, and inverting either raises ZeroDivisor."""
     A = FIELDS["split"]
     half = Fraction(1, 2)
     e1, e2 = A.element([half, half]), A.element([half, -half])
     assert e1 * e2 == A.zero
     assert e1 * e1 == e1 and e2 * e2 == e2
     assert e1 + e2 == A.one
-    for e, hint in ((e1, (1, 1)), (e2, (-1, 1))):
-        with pytest.raises(ZeroDivisor, match="zero divisor") as exc:
+    for e in (e1, e2):
+        with pytest.raises(ZeroDivisor, match="zero divisor"):
             e.inv()
-        assert exc.value.hint == tuple(QQ.from_rational(c) for c in hint)
 
 
 # ---------------------------------------------------------------------------
