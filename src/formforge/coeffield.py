@@ -35,6 +35,7 @@ f is squarefree exactly when the trace form of k[t]/(f) is nondegenerate.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence, Union
@@ -529,10 +530,12 @@ _Q_TENSOR = StructureTensor(QQ, ((((0, 1),),),), 1)
 
 
 def field_extend(base, minpoly: Sequence) -> EtaleAlgebra:
-    """Build base[t]/(f) from monic f given as coefficients c0..c_m (c_m = 1).
+    """base[t]/(f) for monic f given as coefficients c0..c_m (c_m = 1).
 
-    Raises NotSquarefree when gcd(f, f') is nonconstant, i.e. the quotient
-    would contain nilpotents: over a field k their Q-dimension
+    Fields are interned: equal (base, f) give the same `EtaleAlgebra`, so
+    its tensor, squarefree test and `GeneratorKeys` are built once per
+    process.  Raises NotSquarefree when gcd(f, f') is nonconstant, i.e. the
+    quotient would contain nilpotents: over a field k their Q-dimension
     [k:Q] deg gcd(f, f') is the nullity of the trace form of k[t]/(f).
     """
     coeffs = []
@@ -547,7 +550,13 @@ def field_extend(base, minpoly: Sequence) -> EtaleAlgebra:
         raise ValueError("minimal polynomial must have degree >= 1")
     if coeffs[-1] != base.one:
         raise ValueError("minimal polynomial must be monic")
-    A = EtaleAlgebra(base, coeffs)
+    return _extension(base, tuple(coeffs))
+
+
+@functools.lru_cache(maxsize=None)
+def _extension(base, minpoly: tuple) -> EtaleAlgebra:
+    """The interned field of `field_extend`; a failed test is not cached."""
+    A = EtaleAlgebra(base, minpoly)
     m = A.absolute_degree
     nil = m - A.tensor().trace_form_rank([[int(i == j) for j in range(m)] for i in range(m)])
     if nil:

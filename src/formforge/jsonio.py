@@ -5,8 +5,10 @@ sorted, one line without blanks) so that emitted JSON re-parses to an
 identical value and the same value always has the same bytes.  Scalars are
 strings in Fraction syntax ("2/3", "-1"); elements of an extension are lists
 of base-field encodings in the power basis.  Witness matrices and structure
-constants are written sparse, their nonzero entries only; the decoders read
-the dense shapes of earlier versions too.
+constants are written sparse, their nonzero entries only.  The dense shapes
+of earlier versions are read by rewriting each dense entry to the sparse
+item it stands for, with its dense path: one loop per payload kind decodes
+both shapes, after checking either's size against the form's dimension.
 """
 
 from __future__ import annotations
@@ -261,18 +263,17 @@ class _Dens:
 _NO_DEN = object()
 
 
-def decode_rational_function(obj, field, path="$", nvars=None, like=None,
-                             dens=None) -> RationalFunction:
+def decode_rational_function(obj, field, path="$", dens=None) -> RationalFunction:
     """num/den from {num, den}; a den left out is 1.  The checks and the
     sharing are `_rational`'s."""
     if not isinstance(obj, dict) or "num" not in obj:
         raise JsonFormatError(path, "expected {num, den}")
     return _rational(field, obj["num"], path + ".num", obj.get("den", _NO_DEN),
-                     path + ".den", nvars, like, dens)
+                     path + ".den", None, None, dens or _Dens(field))
 
 
-def _rational(field, num_raw, num_at: str, den_raw, den_at: str, nvars=None, like=None,
-              dens=None) -> RationalFunction:
+def _rational(field, num_raw, num_at: str, den_raw, den_at: str, nvars, like,
+              dens) -> RationalFunction:
     """num/den from their JSON, decoded at num_at and den_at; den_raw
     `_NO_DEN` is 1.  With nvars, num must have nvars variables, as `like`
     has; den must have those of num.  `dens` shares equal dens across the
@@ -281,8 +282,7 @@ def _rational(field, num_raw, num_at: str, den_raw, den_at: str, nvars=None, lik
     _check_vars(num, nvars, num_at, like)
     if den_raw is _NO_DEN:
         return RationalFunction.from_poly(num)
-    den = decode_polynomial(den_raw, field, den_at) if dens is None else dens.get(
-        den_raw, den_at)
+    den = dens.get(den_raw, den_at)
     _check_vars(den, num.nvars, den_at, num_at)
     return RationalFunction(num, den)
 
@@ -329,38 +329,6 @@ def encode_tensor(theta: SymmetricTensor):
     }
 
 
-def decode_tensor(obj, path="$") -> SymmetricTensor:
-    if not isinstance(obj, dict):
-        raise JsonFormatError(path, "expected a tensor object")
-    field = decode_field(obj.get("field", "rational"), path + ".field")
-    degree = obj.get("degree")
-    dim = obj.get("dim")
-    if not _is_count(degree) or degree < 1:
-        raise JsonFormatError(path + ".degree", "expected a positive integer")
-    if not _is_count(dim) or dim < 1:
-        raise JsonFormatError(path + ".dim", "expected a positive integer")
-    raw = obj.get("entries")
-    if not isinstance(raw, list):
-        raise JsonFormatError(path + ".entries", "expected a list")
-    entries = {}
-    for i, t in enumerate(raw):
-        tpath = "%s.entries[%d]" % (path, i)
-        if not isinstance(t, dict) or "idx" not in t or "c" not in t:
-            raise JsonFormatError(tpath, "expected {idx, c}")
-        idx = t["idx"]
-        if (
-            not isinstance(idx, list)
-            or len(idx) != degree
-            or any(not _is_count(x) or x >= dim for x in idx)
-        ):
-            raise JsonFormatError(tpath + ".idx", "expected %d indices below %d" % (degree, dim))
-        entries[tuple(sorted(idx))] = decode_element(field, t["c"], tpath + ".c")
-    try:
-        return SymmetricTensor(field, degree, dim, entries)
-    except ValueError as exc:
-        raise JsonFormatError(path, str(exc))
-
-
 # ---------------------------------------------------------------------------
 # witness payloads
 
@@ -383,105 +351,46 @@ def encode_scaled_witness(w: ScaledWitness):
 
 
 def decode_scaled_witness(obj, field, path="$", *, n: int) -> ScaledWitness:
-    """A scaled witness, sparse ({n, entries}) or dense ({matrix}).  Every
-    num of the matrix has the `vars` of the first entry's num, and every
-    den, the scalar's too, those of its num.  n is the form's dimension: a
-    sparse witness that is not n x n raises DimensionMismatch before
-    anything is built.  A dense one is as large as its JSON, and is left to
-    the verifier's check."""
+    """A scaled witness, sparse ({n, entries}) or dense ({matrix}), that must
+    be n x n, n the form's dimension, before anything is decoded.  One loop
+    decodes the entries of both shapes, as items that keep their own paths.
+    Every num of the matrix has the `vars` of the first entry's num, and
+    every den, the scalar's too, those of its num.  The zero entries and
+    those left out are one shared zero in the variables of the first
+    entry's num, else of the top-level den, else of the scalar; an entry
+    whose JSON is that of the first zero entry is not decoded again."""
     _check_object(obj, path)
+    den_raw = _NO_DEN
     if "entries" in obj:
-        return _decode_sparse_witness(obj, field, path, n)
-    return _decode_dense_witness(obj, field, path)
-
-
-def _decode_dense_witness(obj, field, path: str) -> ScaledWitness:
-    """Most entries of a dense witness matrix are zero and most share one
-    denominator.  An entry whose JSON is that of the first zero entry is
-    that same zero `RationalFunction`, compared as `_Dens` compares dens,
-    and equal dens are shared; anything else is decoded and checked at its
-    own path."""
-    matrix_raw = obj.get("matrix")
-    if not isinstance(matrix_raw, list) or not matrix_raw:
-        raise JsonFormatError(path + ".matrix", "expected a nonempty matrix")
-    dens = _Dens(field)
-    first = "%s.matrix[0][0]" % path
-    nvars = None
-    zero_raw = zero_exact = zero = None  # the first zero entry
-    rows = []
-    for i, row in enumerate(matrix_raw):
-        if not isinstance(row, list) or len(row) != len(matrix_raw):
-            raise JsonFormatError(path + ".matrix", "matrix must be square")
-        out = []
-        for j, e in enumerate(row):
-            if zero is not None and e == zero_raw and _exact(e) == zero_exact:
-                out.append(zero)
-                continue
-            r = decode_rational_function(e, field, "%s.matrix[%d][%d]" % (path, i, j),
-                                         nvars, first + ".num", dens)
-            nvars = r.num.nvars
-            if zero is None and r.is_zero():
-                zero, zero_raw, zero_exact = r, e, _exact(e)
-            out.append(r)
-        rows.append(tuple(out))
-    if "scalar" in obj:
-        scalar = decode_rational_function(obj["scalar"], field, path + ".scalar", dens=dens)
+        _dimension(obj.get("n"), path + ".n", n, "witness matrix must be {0} x {0}")
+        raw = obj["entries"]
+        if not isinstance(raw, list):
+            raise JsonFormatError(path + ".entries", "expected a list")
+        den_raw = obj.get("den", _NO_DEN)
+        items = _sparse_entries(raw, path, n, den_raw)
     else:
-        scalar = RationalFunction.const(field, nvars, field.one)
-    return ScaledWitness(scalar=scalar, matrix=tuple(rows))
-
-
-def _dimension(obj, path: str, n: int, mismatch: str) -> None:
-    """Check that the `n` of a sparse payload is a positive integer, and n:
-    else DimensionMismatch(mismatch.format(n))."""
-    size = obj.get("n")
-    if not _is_count(size) or size < 1:
-        raise JsonFormatError(path + ".n", "expected a positive integer")
-    if size != n:
-        raise DimensionMismatch(mismatch.format(n))
-
-
-def _indices(t, count: int, n: int, at: str, seen: set) -> tuple:
-    """The first `count` items of the list t, indices below n that no entry
-    before has had (`seen`)."""
-    for k in range(count):
-        x = t[k]
-        if x.__class__ is not int or not 0 <= x < n:
-            raise JsonFormatError("%s[%d]" % (at, k), "expected an index below %d" % n)
-    idx = tuple(t[:count])
-    if idx in seen:
-        raise JsonFormatError(at, "repeats the position %s" % (list(idx),))
-    seen.add(idx)
-    return idx
-
-
-def _decode_sparse_witness(obj, field, path: str, n: int) -> ScaledWitness:
-    """An entry [i, j, num] has the top-level den, or 1 when there is none.
-    The entries left out are one shared zero in the variables of the first
-    entry's num, else of the top-level den, else of the scalar."""
-    _dimension(obj, path, n, "witness matrix must be {0} x {0}")
-    raw = obj["entries"]
-    if not isinstance(raw, list):
-        raise JsonFormatError(path + ".entries", "expected a list")
+        raw = obj.get("matrix")
+        if not isinstance(raw, list) or not raw:
+            raise JsonFormatError(path + ".matrix", "expected a nonempty matrix")
+        _dimension(len(raw), path + ".matrix", n, "witness matrix must be {0} x {0}")
+        items = _dense_entries(raw, path, n)
     dens = _Dens(field)
     scalar = None
     if "scalar" in obj:
         scalar = decode_rational_function(obj["scalar"], field, path + ".scalar", dens=dens)
-    den_raw = obj.get("den", _NO_DEN)
     top = None if den_raw is _NO_DEN else dens.get(den_raw, path + ".den")
-    first = "%s.entries[0][2]" % path
-    nvars = None
-    seen = set()
-    placed = []
-    for k, e in enumerate(raw):
-        at = "%s.entries[%d]" % (path, k)
-        if not isinstance(e, list) or len(e) not in (3, 4):
-            raise JsonFormatError(at, "expected [i, j, num, den]")
-        i, j = _indices(e, 2, n, at, seen)
-        den = (e[3], at + "[3]") if len(e) == 4 else (den_raw, path + ".den")
-        r = _rational(field, e[2], at + "[2]", *den, nvars, first, dens)
-        nvars = r.num.nvars
-        placed.append((i, j, r))
+    nvars = first = zero = zero_raw = zero_exact = None
+    rows = [[None] * n for _ in range(n)]
+    for i, j, key, num, num_at, den, den_at in items:
+        if zero is not None and key == zero_raw and _exact(key) == zero_exact:
+            continue
+        r = _rational(field, num, num_at, den, den_at, nvars, first, dens)
+        if nvars is None:
+            nvars, first = r.num.nvars, num_at
+        if not r.is_zero():
+            rows[i][j] = r
+        elif zero is None:
+            zero, zero_raw, zero_exact = r, key, _exact(key)
     if nvars is None:
         if top is not None:
             nvars = top.nvars
@@ -489,13 +398,61 @@ def _decode_sparse_witness(obj, field, path: str, n: int) -> ScaledWitness:
             nvars = scalar.num.nvars
         else:
             raise JsonFormatError(path, "expected an entry, a den or a scalar")
-    zero = RationalFunction.from_poly(Polynomial.zero(field, nvars))
-    rows = [[zero] * n for _ in range(n)]
-    for i, j, r in placed:
-        rows[i][j] = r
+    if zero is None:
+        zero = RationalFunction.from_poly(Polynomial.zero(field, nvars))
     if scalar is None:
         scalar = RationalFunction.const(field, nvars, field.one)
-    return ScaledWitness(scalar=scalar, matrix=tuple(map(tuple, rows)))
+    return ScaledWitness(scalar=scalar, matrix=tuple(
+        tuple(zero if r is None else r for r in row) for row in rows))
+
+
+def _sparse_entries(raw, path: str, n: int, den):
+    """The entries [i, j, num, den] as items (i, j, JSON that tells equal
+    entries, num, its path, den, its path); an entry [i, j, num] has the
+    top-level den, `_NO_DEN` when there is none."""
+    seen = set()
+    for k, e in enumerate(raw):
+        at = "%s.entries[%d]" % (path, k)
+        if not isinstance(e, list) or len(e) not in (3, 4):
+            raise JsonFormatError(at, "expected [i, j, num, den]")
+        i, j = _indices(e, 2, n, at, seen)
+        own = (e[3], at + "[3]") if len(e) == 4 else (den, path + ".den")
+        yield (i, j, e[2:], e[2], at + "[2]") + own
+
+
+def _dense_entries(raw, path: str, n: int):
+    """The {num, den} entries of a dense matrix as the items of the sparse
+    entries [i, j, num, den], with their dense paths; a den left out is 1."""
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != n:
+            raise JsonFormatError(path + ".matrix", "matrix must be square")
+        for j, e in enumerate(row):
+            at = "%s.matrix[%d][%d]" % (path, i, j)
+            if not isinstance(e, dict) or "num" not in e:
+                raise JsonFormatError(at, "expected {num, den}")
+            yield i, j, e, e["num"], at + ".num", e.get("den", _NO_DEN), at + ".den"
+
+
+def _dimension(size, at: str, n: int, mismatch: str) -> None:
+    """A payload's size, its `n` or its number of rows or planes, must be a
+    positive integer, and n: else DimensionMismatch(mismatch.format(n))."""
+    if not _is_count(size) or size < 1:
+        raise JsonFormatError(at, "expected a positive integer")
+    if size != n:
+        raise DimensionMismatch(mismatch.format(n))
+
+
+def _indices(t, count: int, n: int, at: str, seen: set) -> tuple:
+    """The first `count` items of the list t, indices below n that no entry
+    before has had (`seen`)."""
+    for k, x in enumerate(t[:count]):
+        if x.__class__ is not int or not 0 <= x < n:
+            raise JsonFormatError("%s[%d]" % (at, k), "expected an index below %d" % n)
+    idx = tuple(t[:count])
+    if idx in seen:
+        raise JsonFormatError(at, "repeats the position %s" % (list(idx),))
+    seen.add(idx)
+    return idx
 
 
 def _check_object(obj, path: str) -> None:
@@ -521,22 +478,45 @@ def _encode_constants(n: int, constants):
     return {"n": n, "constants": [[a, b, c, encode_element(x)] for (a, b, c), x in constants]}
 
 
-def _decode_constants(obj, field, path: str, n: int, mismatch: str) -> list:
-    """The constants of a sparse {n, constants} payload at path as
-    ((a, b, c), element) pairs; the zero constants become `field.zero`."""
-    _dimension(obj, path, n, mismatch)
-    raw = obj.get("constants")
-    if not isinstance(raw, list):
-        raise JsonFormatError(path + ".constants", "expected a list")
+def _decode_constants(raw, field, at: str, n: int, mismatch: str, what: str) -> list:
+    """The listed constants of raw, at `at`, as ((a, b, c), element) pairs,
+    of which some may be `field.zero`.  raw is sparse, {n, constants} of
+    [a, b, c, x] items, or dense, n planes x[a][b][c] whose constants keep
+    their dense paths and whose "0"s go unlisted, as in the sparse shape.
+    Its size must be n before anything is decoded."""
+    if isinstance(raw, dict):
+        _dimension(raw.get("n"), at + ".n", n, mismatch)
+        consts = raw.get("constants")
+        if not isinstance(consts, list):
+            raise JsonFormatError(at + ".constants", "expected a list")
+        items = _sparse_constants(consts, at, n)
+    else:
+        if not isinstance(raw, list) or not raw:
+            raise JsonFormatError(at, what)
+        _dimension(len(raw), at, n, mismatch)
+        items = _dense_constants(raw, at, n)
+    return [(idx, decode_element(field, x, x_at)) for idx, x, x_at in items]
+
+
+def _sparse_constants(raw, at: str, n: int):
     seen = set()
-    out = []
     for k, t in enumerate(raw):
-        at = "%s.constants[%d]" % (path, k)
+        t_at = "%s.constants[%d]" % (at, k)
         if not isinstance(t, list) or len(t) != 4:
-            raise JsonFormatError(at, "expected three indices and a constant")
-        idx = _indices(t, 3, n, at, seen)
-        out.append((idx, decode_element(field, t[3], at + "[3]")))
-    return out
+            raise JsonFormatError(t_at, "expected three indices and a constant")
+        yield _indices(t, 3, n, t_at, seen), t[3], t_at + "[3]"
+
+
+def _dense_constants(raw, at: str, n: int):
+    for a, plane in enumerate(raw):
+        if not isinstance(plane, list) or len(plane) != n:
+            raise JsonFormatError("%s[%d]" % (at, a), "expected %d rows" % n)
+        for b, row in enumerate(plane):
+            if not isinstance(row, list) or len(row) != n:
+                raise JsonFormatError("%s[%d][%d]" % (at, a, b), "expected %d entries" % n)
+            for c, x in enumerate(row):
+                if x != "0":
+                    yield (a, b, c), x, "%s[%d][%d][%d]" % (at, a, b, c)
 
 
 def encode_structure_matrices(matrices):
@@ -553,43 +533,18 @@ def encode_structure_matrices(matrices):
 
 
 def decode_structure_matrices(obj, field, path="$", *, n: int):
-    """Structure matrices, sparse ({n, constants}) or dense (a list of
-    planes); sparse ones must be n of n x n, as `decode_scaled_witness`
-    checks."""
+    """n structure matrices of n x n, from sparse ({n, constants}) or dense (a
+    list of planes) constants, as `_decode_constants` reads them; a constant
+    left out is the shared `field.zero`."""
     _check_object(obj, path)
-    raw = obj.get("matrices")
-    if isinstance(raw, dict):
-        constants = _decode_constants(raw, field, path + ".matrices", n,
-                                      "need one structure matrix per coordinate")
-        zero = field.zero
-        planes = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for (l, i, j), c in constants:
-            planes[l][i][j] = c
-        return tuple(tuple(map(tuple, plane)) for plane in planes)
-    if not isinstance(raw, list) or not raw:
-        raise JsonFormatError(path + ".matrices", "expected structure matrices")
-    n = len(raw)
+    constants = _decode_constants(obj.get("matrices"), field, path + ".matrices", n,
+                                  "need one structure matrix per coordinate",
+                                  "expected structure matrices")
     zero = field.zero
-    out = []
-    for l, plane in enumerate(raw):
-        if not isinstance(plane, list) or len(plane) != n:
-            raise JsonFormatError("%s.matrices[%d]" % (path, l), "expected %d rows" % n)
-        rows = []
-        for i, row in enumerate(plane):
-            if not isinstance(row, list) or len(row) != n:
-                raise JsonFormatError(
-                    "%s.matrices[%d][%d]" % (path, l, i), "expected %d entries" % n
-                )
-            # most constants are zero: "0" decodes to the shared zero unparsed
-            rows.append(
-                tuple(
-                    zero if c == "0"
-                    else decode_element(field, c, "%s.matrices[%d][%d][%d]" % (path, l, i, j))
-                    for j, c in enumerate(row)
-                )
-            )
-        out.append(tuple(rows))
-    return tuple(out)
+    planes = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for (l, i, j), c in constants:
+        planes[l][i][j] = c
+    return tuple(tuple(map(tuple, plane)) for plane in planes)
 
 
 def encode_algebra(alg):
@@ -609,45 +564,25 @@ def encode_algebra(alg):
 
 
 def decode_algebra(obj, field, path="$", *, n: int):
-    """An algebra, its structure constants sparse ({n, constants}) or dense
-    (a list of planes); sparse ones must be n-dimensional, as
-    `decode_scaled_witness` checks."""
+    """An n-dimensional algebra, its structure constants sparse ({n,
+    constants}) or dense (a list of planes), as `_decode_constants` reads
+    them; the tensor is built from the nonzero ones."""
     from .constructions import AlgebraPresentation
 
     _check_object(obj, path)
-    raw = obj.get("structure")
-    if isinstance(raw, dict):
-        constants = _decode_constants(raw, field, path + ".structure", n,
-                                      "presentation dimension does not match the form")
-        structure = StructureTensor.from_constants(field, n, [t for t in constants if t[1]])
-    else:
-        structure = _dense_structure(raw, field, path)
-        n = len(structure)
-    unit_raw = obj.get("unit")
-    if not isinstance(unit_raw, list) or len(unit_raw) != n:
-        raise JsonFormatError(path + ".unit", "expected %d coordinates" % n)
-    unit = [decode_element(field, c, "%s.unit[%d]" % (path, i)) for i, c in enumerate(unit_raw)]
+    constants = _decode_constants(obj.get("structure"), field, path + ".structure", n,
+                                  "presentation dimension does not match the form",
+                                  "expected structure constants")
+    structure = StructureTensor.from_constants(field, n, [t for t in constants if t[1]])
+    unit = _coordinates(field, obj.get("unit"), path + ".unit", n)
     involution = None
     if "involution" in obj:
         inv_raw = obj["involution"]
         if not isinstance(inv_raw, list) or len(inv_raw) != n:
             raise JsonFormatError(path + ".involution", "expected an %d x %d matrix" % (n, n))
-        involution = [
-            [
-                decode_element(field, c, "%s.involution[%d][%d]" % (path, i, j))
-                for j, c in enumerate(row)
-            ]
-            for i, row in enumerate(inv_raw)
-        ]
-    trace = None
-    if "trace" in obj:
-        trace_raw = obj["trace"]
-        if not isinstance(trace_raw, list) or len(trace_raw) != n:
-            raise JsonFormatError(path + ".trace", "expected %d coordinates" % n)
-        trace = [
-            decode_element(field, c, "%s.trace[%d]" % (path, i))
-            for i, c in enumerate(trace_raw)
-        ]
+        involution = [_coordinates(field, row, "%s.involution[%d]" % (path, i), n)
+                      for i, row in enumerate(inv_raw)]
+    trace = _coordinates(field, obj["trace"], path + ".trace", n) if "trace" in obj else None
     norm = decode_form(obj["norm"], path + ".norm") if "norm" in obj else None
     associative = obj.get("associative", False)
     if not isinstance(associative, bool):
@@ -666,29 +601,11 @@ def decode_algebra(obj, field, path="$", *, n: int):
         raise JsonFormatError(path, str(exc))
 
 
-def _dense_structure(raw, field, path: str) -> list:
-    """Dense structure constants raw[i][j][l] as field elements."""
-    if not isinstance(raw, list) or not raw:
-        raise JsonFormatError(path + ".structure", "expected structure constants")
-    n = len(raw)
-    structure = []
-    for i, plane in enumerate(raw):
-        if not isinstance(plane, list) or len(plane) != n:
-            raise JsonFormatError("%s.structure[%d]" % (path, i), "expected %d rows" % n)
-        rows = []
-        for j, row in enumerate(plane):
-            if not isinstance(row, list) or len(row) != n:
-                raise JsonFormatError(
-                    "%s.structure[%d][%d]" % (path, i, j), "expected %d entries" % n
-                )
-            rows.append(
-                [
-                    decode_element(field, c, "%s.structure[%d][%d][%d]" % (path, i, j, l))
-                    for l, c in enumerate(row)
-                ]
-            )
-        structure.append(rows)
-    return structure
+def _coordinates(field, raw, at: str, n: int) -> list:
+    """The n field elements a list of encodings at `at` gives."""
+    if not isinstance(raw, list) or len(raw) != n:
+        raise JsonFormatError(at, "expected %d coordinates" % n)
+    return [decode_element(field, c, "%s[%d]" % (at, i)) for i, c in enumerate(raw)]
 
 
 def decode_witness_payload(obj, field, path="$", *, n: int):

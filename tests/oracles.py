@@ -13,9 +13,9 @@ elements, univariate polynomial arithmetic over a coefficient field on
 lists of field elements (`poly_*`: Euclid's gcd and the extended gcd, for
 inverses and squarefree tests in k[t]/(f)), the univariate steps of the
 idempotent splitting on monic lists of field elements, and a decomposition that
-composes the form once per component and once more to reconstruct it), and
-the dense JSON shapes of witness matrices and structure constants, which the
-decoders still read.
+composes the form once per component and once more to reconstruct it), the
+dense JSON shapes of witness matrices and structure constants, which the
+decoders still read, and a decoder of the tensors `polarize` writes.
 """
 
 import heapq
@@ -39,7 +39,13 @@ from formforge.poly import clear_denominators
 from formforge.constructions import AdmissibleTriple, _phi0_coordinates
 from formforge.coeffield import EtaleAlgebra, integral_coordinates
 from formforge.decompose import _element_sort_key, _rational_roots
-from formforge.jsonio import encode_algebra, encode_element, encode_rational_function
+from formforge.jsonio import (
+    decode_element,
+    decode_field,
+    encode_algebra,
+    encode_element,
+    encode_rational_function,
+)
 
 
 def leibniz_determinant(rows, zero, one):
@@ -665,6 +671,14 @@ class FieldPolys:
 
     def squarefree_part(self, f):
         return self.normalize(self.quo(f, self.gcd(f, self.derivative(f))))
+
+
+def decode_tensor(obj) -> SymmetricTensor:
+    """The tensor `jsonio.encode_tensor` wrote, read back: the round-trip
+    reference for the JSON `polarize` writes, which formforge never reads."""
+    field = decode_field(obj["field"])
+    entries = {tuple(t["idx"]): decode_element(field, t["c"]) for t in obj["entries"]}
+    return SymmetricTensor(field, obj["degree"], obj["dim"], entries)
 
 
 def dense_scaled_witness(w):

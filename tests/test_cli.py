@@ -25,7 +25,7 @@ from formforge import (
     orthogonal_sum,
     tits_cubic,
 )
-from formforge import cli, decompose, witness
+from formforge import cli, decompose, jsonio, witness
 from formforge.cli import main
 from formforge.constructions import ConstructedForm, cayley_dickson_quartic, split_jordan_q4
 from formforge.jsonio import (
@@ -748,6 +748,29 @@ def test_dense_golden_reencodes_to_its_sparse_golden(name):
     assert dumps(_reencoded(obj, phi)) + "\n" == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in (GOLDEN / "dense").iterdir()))
+def test_dense_golden_decodes_to_its_sparse_twin(name):
+    """A dense file and its sparse golden decode to equal payloads, and in
+    both every zero entry of the witness is one shared object."""
+    def decoded(obj):
+        if "form" not in obj:  # a squared witness of the form of its witnessed file
+            obj = {"form": json.loads((GOLDEN / name.replace(".m2.", ".witnessed.")).read_text(
+                encoding="utf-8"))["form"], "witness": obj}
+        phi = decode_form(obj["form"])
+        f, n = phi.field, phi.nvars
+        w = decode_scaled_witness(obj["witness"], f, n=n)
+        assert len({id(e) for row in w.matrix for e in row if e.is_zero()}) <= 1
+        out = [w.scalar, w.matrix]
+        if "algebra" in obj:
+            a = decode_algebra(obj["algebra"], f, n=n)
+            out += [decode_structure_matrices(obj["composition"], f, n=n), a.tensor.rows,
+                    a.tensor.den, a.unit, a.involution, a.trace, a.norm, a.associative]
+        return out
+
+    dense = json.loads((GOLDEN / "dense" / name).read_text(encoding="utf-8"))
+    assert decoded(dense) == decoded(json.loads((GOLDEN / name).read_text(encoding="utf-8")))
+
+
 @pytest.mark.parametrize("mode", ["auto", "symbolic", "random"])
 def test_witness_with_mixed_vars_exits_4(capsys, tmp_path, mode):
     """An entry of det-2's witness in 3 variables, where the others have 4,
@@ -810,6 +833,42 @@ def test_huge_sparse_dimension_exits_before_allocating(capsys, tmp_path, section
         tracemalloc.stop()
         assert (code, out, err) == (3, "", "error: DimensionMismatch: %s\n" % message)
         assert elapsed < 1.0 and peak < 10 * 2**20
+
+
+_ZERO4 = {"num": {"vars": 4, "terms": []}}
+_PLANES5 = [[["1" if i == j == l else "0" for l in range(5)] for j in range(5)] for i in range(5)]
+
+
+@pytest.mark.parametrize(
+    "section, payload, argv, message",
+    [
+        ("witness", {"kind": "scaled", "matrix": [[_ZERO4] * 5] * 5}, ["strong-mult"],
+         "witness matrix must be 4 x 4"),
+        ("composition", {"kind": "composition", "matrices": _PLANES5}, ["composition"],
+         "need one structure matrix per coordinate"),
+        ("algebra", {"kind": "algebra", "structure": _PLANES5, "unit": ["1"] * 5,
+                     "associative": True}, ["jordan"],
+         "presentation dimension does not match the form"),
+    ],
+    ids=["witness", "composition", "algebra"],
+)
+def test_dense_dimension_exits_before_decoding(capsys, tmp_path, monkeypatch, section, payload,
+                                                argv, message):
+    """A dense payload that is not of the form's dimension exits 3 with the
+    message of the sparse shape, before any of its entries is decoded."""
+    form = encode_constructed_form(det_norm(2))
+    form[section] = payload
+    form_path = write_json(tmp_path / "det2.json", form)
+    witness_path = write_json(tmp_path / "payload.json", payload)
+    paths = []
+    for name in ("decode_polynomial", "decode_element"):
+        decode = getattr(jsonio, name)
+        monkeypatch.setattr(jsonio, name, lambda *a, decode=decode, **kw: paths.append(
+            a[2] if len(a) > 2 else kw.get("path")) or decode(*a, **kw))
+    for files in (["--form", form_path], ["--form", form_path, "--witness", witness_path]):
+        code, out, err = run(capsys, "verify", *argv, *files)
+        assert (code, out, err) == (3, "", "error: DimensionMismatch: %s\n" % message)
+    assert not [p for p in paths if "matri" in p or "structure" in p or "unit" in p]
 
 
 @pytest.mark.parametrize("section, what", [("witness", "strong-mult"),

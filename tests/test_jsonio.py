@@ -7,6 +7,7 @@ import pytest
 from formforge import (
     DimensionMismatch,
     HomogeneousForm,
+    NotSquarefree,
     Polynomial,
     QQ,
     RationalFunction,
@@ -26,6 +27,7 @@ from formforge import (
 )
 from formforge import jsonio
 from formforge import witness as W
+from formforge.coeffield import StructureTensor
 from formforge.jsonio import (
     JsonFormatError,
     decode_algebra,
@@ -36,7 +38,6 @@ from formforge.jsonio import (
     decode_rational_function,
     decode_scaled_witness,
     decode_structure_matrices,
-    decode_tensor,
     decode_witness_payload,
     dumps,
     encode_algebra,
@@ -52,7 +53,7 @@ from formforge.jsonio import (
     encode_tensor,
     encode_verification_report,
 )
-from oracles import dense_algebra, dense_scaled_witness, dense_structure_matrices
+from oracles import decode_tensor, dense_algebra, dense_scaled_witness, dense_structure_matrices
 
 
 def var(n, i):
@@ -91,6 +92,24 @@ def test_field_round_trip():
         ),
     ):
         assert decode_field(rebuild(encode_field(field))) == field
+
+
+def test_decoded_fields_are_interned(monkeypatch):
+    """Two decodes of one field JSON give the same field, whose squarefree
+    test runs once; a minimal polynomial that is not squarefree raises on
+    every decode."""
+    calls = []
+    rank = StructureTensor.trace_form_rank
+    monkeypatch.setattr(StructureTensor, "trace_form_rank",
+                        lambda self, basis: calls.append(1) or rank(self, basis))
+    obj = {"base": {"minpoly": ["-1", "1", "1"]}, "minpoly": [["-7", "1"], "0", "0", "1"]}
+    field = decode_field(obj)
+    assert decode_field(json.loads(json.dumps(obj))) is field
+    assert len(calls) == 2  # the base's test and the tower's
+    for _ in range(2):
+        with pytest.raises(NotSquarefree):
+            decode_field({"minpoly": ["49", "-14", "1"]})
+    assert len(calls) == 4
 
 
 def test_polynomial_round_trip():
@@ -217,7 +236,6 @@ def test_polynomial_rejects_bool_counts(obj, path):
 
 
 _CUBE = {"vars": 1, "terms": [{"e": [3], "c": "1"}]}
-_TENSOR_ENTRY = {"idx": [0, 0, 0], "c": "1"}
 
 
 @pytest.mark.parametrize(
@@ -226,11 +244,6 @@ _TENSOR_ENTRY = {"idx": [0, 0, 0], "c": "1"}
         (decode_form, {"degree": True, "body": {"vars": 1, "terms": [{"e": [1], "c": "1"}]}},
          "$.degree"),
         (decode_form, {"degree": 3, "vars": True, "body": _CUBE}, "$.vars"),
-        (decode_tensor, {"degree": True, "dim": 1, "entries": [{"idx": [0], "c": "1"}]},
-         "$.degree"),
-        (decode_tensor, {"degree": 3, "dim": True, "entries": [_TENSOR_ENTRY]}, "$.dim"),
-        (decode_tensor, {"degree": 3, "dim": 2, "entries": [{"idx": [0, True, 0], "c": "1"}]},
-         "$.entries[0].idx"),
     ],
 )
 def test_form_and_tensor_reject_bool_counts(decode, obj, path):
@@ -261,6 +274,16 @@ def test_algebra_associative_flag_must_be_a_boolean(flag):
     with pytest.raises(JsonFormatError) as exc:
         decode_algebra(obj, QQ, n=8)
     assert exc.value.path == "$.associative"
+
+
+def test_algebra_involution_rows_must_have_n_coordinates():
+    """A short involution row is malformed input at its path, as a short
+    unit or trace is (it used to raise IndexError in the presentation)."""
+    obj = rebuild(encode_algebra(split_octonion_algebra()))
+    obj["involution"][2].pop()
+    with pytest.raises(JsonFormatError) as exc:
+        decode_algebra(obj, QQ, n=8)
+    assert str(exc.value) == "$.involution[2]: expected 8 coordinates"
 
 
 def test_algebra_associative_flag_defaults_to_false():
@@ -427,6 +450,67 @@ def test_structure_matrix_zeros_are_shared_and_every_entry_is_checked():
     with pytest.raises(JsonFormatError) as exc:
         decode_structure_matrices({"matrices": [[[["0"]]]]}, k, n=1)
     assert str(exc.value) == "$.matrices[0][0][0]: expected 2 coordinates, got 1"
+
+
+def _dense_det2(kind):
+    """det-2's witness, structure matrices or algebra as parsed dense JSON."""
+    cf = det_norm(2)
+    if kind == "witness":
+        return rebuild(dense_scaled_witness(cf.witness))
+    if kind == "matrices":
+        return rebuild(dense_structure_matrices(cf.composition))
+    return rebuild(dense_algebra(cf.algebra))
+
+
+def _edit(key, *where, value=None):
+    """An edit of obj[key][where...]: set it to value, or drop the last
+    item of the list there when value is None."""
+    def edit(obj):
+        target = obj[key]
+        for k in where[:-1]:
+            target = target[k]
+        if value is None:
+            target[where[-1]].pop()
+        else:
+            target[where[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("witness", _edit("matrix", 1), "$.matrix: matrix must be square"),
+        ("witness", _edit("matrix", 3, value="row"), "$.matrix: matrix must be square"),
+        ("witness", _edit("matrix", 2, 3, value=[]), "$.matrix[2][3]: expected {num, den}"),
+        ("witness", lambda obj: obj.update(matrix=[]), "$.matrix: expected a nonempty matrix"),
+        ("matrices", _edit("matrices", 1), "$.matrices[1]: expected 4 rows"),
+        ("matrices", _edit("matrices", 3, value={}), "$.matrices[3]: expected 4 rows"),
+        ("matrices", _edit("matrices", 1, 2), "$.matrices[1][2]: expected 4 entries"),
+        ("matrices", _edit("matrices", 0, 3, value="0"), "$.matrices[0][3]: expected 4 entries"),
+        ("matrices", _edit("matrices", 2, 1, 3, value="x"),
+         "$.matrices[2][1][3]: not a rational scalar: 'x'"),
+        ("matrices", lambda obj: obj.update(matrices=[]),
+         "$.matrices: expected structure matrices"),
+        ("algebra", _edit("structure", 1), "$.structure[1]: expected 4 rows"),
+        ("algebra", _edit("structure", 2, 0), "$.structure[2][0]: expected 4 entries"),
+        ("algebra", _edit("structure", 1, 2, 3, value="1/0"),
+         "$.structure[1][2][3]: not a rational scalar: '1/0'"),
+        ("algebra", _edit("structure", 3, 3, 0, value=[1]),
+         "$.structure[3][3][0]: expected a rational scalar string"),
+        ("algebra", lambda obj: obj.update(structure="x"),
+         "$.structure: expected structure constants"),
+    ],
+)
+def test_dense_shape_errors_keep_their_paths(kind, edit, message):
+    """A ragged row or plane, a malformed entry and a bad constant of a dense
+    payload report their dense path and message."""
+    obj = _dense_det2(kind)
+    edit(obj)
+    decode = {"witness": decode_scaled_witness, "matrices": decode_structure_matrices,
+              "algebra": decode_algebra}[kind]
+    with pytest.raises(JsonFormatError) as exc:
+        decode(obj, QQ, n=4)
+    assert str(exc.value) == message
 
 
 def _det3_witness():

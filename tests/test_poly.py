@@ -13,6 +13,7 @@ from formforge import (
     substitute_linear,
     verify_identity,
 )
+from formforge.coeffield import EtaleAlgebra
 from formforge.constructions import catalog
 from formforge.jsonio import decode_field
 from formforge.poly import (
@@ -369,8 +370,8 @@ def test_eval_over_q_edge_cases():
 
 def test_eval_over_etale_checks_the_point():
     """A coordinate from Q or from another extension is refused, as is a point
-    of the wrong length; a separately decoded copy of the same field is the
-    same field (each command-line job decodes its own)."""
+    of the wrong length; a separately built copy of the same field is the
+    same field (decoding interns fields, so the copy is built directly)."""
     field_json = {"base": "rational", "minpoly": ["-2", "0", "1"]}
     K = decode_field(field_json)
     p = Polynomial.from_pairs(K, 2, [((1, 1), K.gen), ((0, 2), 3)])
@@ -384,8 +385,8 @@ def test_eval_over_etale_checks_the_point():
             p.eval(bad)
         with pytest.raises(ValueError):
             p.eval_int([1] * len(bad))
-    copy = decode_field(field_json)
-    assert copy is not K and copy == K
+    copy = EtaleAlgebra(QQ, K.minpoly)
+    assert decode_field(field_json) is K and copy is not K and copy == K
     # sqrt2 * sqrt2 * (1 + sqrt2) + 3 * (1 + sqrt2)^2 = 11 + 8 sqrt2
     assert p.eval([copy.gen, copy.element([1, 1])]) == K.element([11, 8])
 
