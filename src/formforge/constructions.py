@@ -24,9 +24,10 @@ from .coeffield import (
     StructureTensor,
     field_extend,
     from_coordinates,
+    integral_coordinates,
     to_coordinates,
 )
-from .forms import HomogeneousForm, polarize
+from .forms import HomogeneousForm, coordinates_over_base
 from .poly import Polynomial, RationalFunction, ring_matrix_determinant
 from .witness import (
     ScaledWitness,
@@ -88,6 +89,9 @@ class AlgebraPresentation:
             if involution is None
             else tuple(tuple(self._coerce(c) for c in row) for row in involution)
         )
+        if norm is not None and (norm.field != field or norm.nvars != self.dim):
+            raise ValueError("norm is not a form on the algebra: %d variables over %r"
+                             % (norm.nvars, norm.field))
         self.norm = norm
         self.trace = None if trace is None else tuple(self._coerce(c) for c in trace)
         self._check_unit()
@@ -119,22 +123,7 @@ class AlgebraPresentation:
         return from_coordinates(self.field, t.mul(a, b), da * db * t.den)
 
     def product_polys(self, x, y):
-        """The product of two vectors of polynomials: the constants enter as
-        the tensor's integers, and the sums are divided by its denominator."""
-        n = self.dim
-        nv = x[0].nvars
-        rows = self.tensor.rows
-        out = [Polynomial.zero(self.field, nv) for _ in range(n)]
-        for i in range(n):
-            if x[i].is_zero():
-                continue
-            for j in range(n):
-                if y[j].is_zero() or not rows[i][j]:
-                    continue
-                xy = x[i] * y[j]
-                for l, c in rows[i][j]:
-                    out[l] = out[l] + xy.scale(c)
-        return self._over_den(out, self.tensor.den)
+        return product_polys(self.tensor, x, y)
 
     def involve_polys(self, x):
         cols, ds = self._columns
@@ -143,21 +132,7 @@ class AlgebraPresentation:
             if not x[j].is_zero():
                 for i, c in col:
                     out[i] = out[i] + x[j].scale(c)
-        return self._over_den(out, ds)
-
-    def _over_den(self, polys, den: int):
-        if den == 1:
-            return polys
-        inv = self.field.from_rational(Fraction(1, den))
-        return [p.scale(inv) for p in polys]
-
-    def trace_value(self, x) -> FieldElement:
-        if self.trace is None:
-            raise ValueError("presentation carries no trace functional")
-        out = self.field.zero
-        for t, c in zip(self.trace, x):
-            out = out + t * c
-        return out
+        return _over_den(self.field, out, ds)
 
     def structure_matrices(self):
         """z_l(x, y) coefficient matrices: out[l][i][j] multiplies x_i y_j."""
@@ -234,6 +209,33 @@ class AlgebraPresentation:
                         raise ValueError("product is not associative")
 
 
+def product_polys(tensor: StructureTensor, x, y, den: int = 1) -> list:
+    """The product of two vectors of polynomials through the tensor, over
+    den: the constants enter as the tensor's integers (its field elements
+    over an etale field), and the sums are divided by den times the
+    tensor's denominator."""
+    field, n = tensor.field, tensor.dim
+    rows = tensor.rows
+    out = [Polynomial.zero(field, x[0].nvars) for _ in range(n)]
+    for i in range(n):
+        if x[i].is_zero():
+            continue
+        for j in range(n):
+            if y[j].is_zero() or not rows[i][j]:
+                continue
+            xy = x[i] * y[j]
+            for l, c in rows[i][j]:
+                out[l] = out[l] + xy.scale(c)
+    return _over_den(field, out, den * tensor.den)
+
+
+def _over_den(field, polys, den: int) -> list:
+    if den == 1:
+        return polys
+    inv = field.from_rational(Fraction(1, den))
+    return [p.scale(inv) for p in polys]
+
+
 def _involution_columns(tensor: StructureTensor, matrix):
     """(cols, ds): column j of the matrix as sparse (i, c) pairs over ds, in
     the coordinates of the tensor."""
@@ -248,52 +250,23 @@ def _involution_columns(tensor: StructureTensor, matrix):
 
 def split_etale_presentation(n: int, field=QQ) -> AlgebraPresentation:
     """k^n with coordinatewise product; norm = product of coordinates."""
-    structure = [
-        [
-            [field.one if i == j == l else field.zero for l in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    unit = [field.one] * n
-    e = [0] * n
-    for i in range(n):
-        e[i] = 1
-    norm = HomogeneousForm(
-        field, n, n, Polynomial(field, n, {tuple(e): field.one})
-    )
-    return AlgebraPresentation(
-        field,
-        structure,
-        unit,
-        associative=True,
-        norm=norm,
-        trace=[field.one] * n,
-    )
+    one = field.one
+    tensor = StructureTensor.from_constants(field, n, [((i, i, i), one) for i in range(n)])
+    norm = HomogeneousForm(field, n, n, Polynomial(field, n, {(1,) * n: one}))
+    return AlgebraPresentation(field, tensor, [one] * n, associative=True, norm=norm,
+                               trace=[one] * n)
 
 
 def matrix_algebra(d: int, field=QQ) -> AlgebraPresentation:
     """Mat_d(k), row-major coordinates (i, j) -> d*i + j; norm = det."""
     n = d * d
-    zero = field.zero
-    one = field.one
-    structure = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for l in range(d):
-                    if j == k:
-                        structure[d * i + j][d * k + l][d * i + l] = one
-    unit = [one if i % (d + 1) == 0 else zero for i in range(n)]
-    trace = list(unit)
-    return AlgebraPresentation(
-        field,
-        structure,
-        unit,
-        associative=True,
-        norm=_det_form(d, field),
-        trace=trace,
-    )
+    tensor = StructureTensor.from_constants(field, n, [
+        ((d * i + j, d * j + l, d * i + l), field.one)
+        for i in range(d) for j in range(d) for l in range(d)
+    ])
+    unit = [field.from_rational(int(i % (d + 1) == 0)) for i in range(n)]
+    return AlgebraPresentation(field, tensor, unit, associative=True,
+                               norm=_det_form(d, field), trace=unit)
 
 
 def _det_form(d: int, field) -> HomogeneousForm:
@@ -744,19 +717,12 @@ def tits_cubic(a) -> ConstructedForm:
         (rf(w), rf(v), rf(u)),
     )
     # cubic algebra k[t]/(t^3 - a): basis 1, t, t^2
-    zero = field.zero
-    one = field.one
-    structure = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            s = i + j
-            if s < 3:
-                structure[i][j][s] = one
-            else:
-                structure[i][j][s - 3] = a
+    zero, one = field.zero, field.one
     alg = AlgebraPresentation(
         field,
-        structure,
+        StructureTensor.from_constants(field, 3, [
+            ((i, j, (i + j) % 3), one if i + j < 3 else a) for i in range(3) for j in range(3)
+        ]),
         [one, zero, zero],
         associative=True,
         norm=form,
@@ -777,11 +743,6 @@ def tits_cubic(a) -> ConstructedForm:
 # split Albert norm
 
 
-def _oct_norm_polys(oct_alg, x):
-    """n(x) for a polynomial coordinate vector."""
-    return oct_alg.norm.body.compose(list(x))
-
-
 @functools.lru_cache(maxsize=None)
 def split_albert_norm() -> ConstructedForm:
     """27-variable cubic norm of 3x3 Hermitian matrices over the split
@@ -796,9 +757,7 @@ def split_albert_norm() -> ConstructedForm:
     a = [Polynomial.variable(field, big, i) for i in range(3)]
     x1, x2, x3 = oct_vec(3), oct_vec(11), oct_vec(19)
 
-    n1 = _oct_norm_polys(oct_alg, x1)
-    n2 = _oct_norm_polys(oct_alg, x2)
-    n3 = _oct_norm_polys(oct_alg, x3)
+    n1, n2, n3 = (oct_alg.norm.body.compose(x) for x in (x1, x2, x3))
     x1x2 = oct_alg.product_polys(x1, x2)
     trilinear = oct_alg.product_polys(x1x2, x3)[0].scale(field.from_rational(2))
     body = a[0] * a[1] * a[2] - a[0] * n1 - a[1] * n2 - a[2] * n3 + trilinear
@@ -830,7 +789,7 @@ def albert_sharp(vec):
     a = [vec[0], vec[1], vec[2]]
     xs = [list(vec[3:11]), list(vec[11:19]), list(vec[19:27])]
     conj = [oct_alg.involve_polys(x) for x in xs]
-    norms = [_oct_norm_polys(oct_alg, x) for x in xs]
+    norms = [oct_alg.norm.body.compose(x) for x in xs]
     out = [
         a[1] * a[2] - norms[0],
         a[2] * a[0] - norms[1],
@@ -851,7 +810,9 @@ def albert_sharp(vec):
 class AdmissibleTriple:
     """Cubic forms N on J and N' on J', paired by T, with the derived cross
     products and sharp maps.  T(l, j x i) = N(j, i, l) and
-    T(j' x i', l') = N'(j', i', l'), where N(,,) is the full trilinear form."""
+    T(j' x i', l') = N'(j', i', l'), where N(,,) is the full trilinear form.
+    The cross products are `StructureTensor`s: cross_j.rows[a][b] holds the
+    coordinates of b_a x b_b in J', and cross_jp those of b'_a x b'_b in J."""
 
     def __init__(self, field, N: HomogeneousForm, Np: HomogeneousForm, gram, zeta=None):
         self.field = field
@@ -860,143 +821,110 @@ class AdmissibleTriple:
         self.dim_j = N.nvars
         self.dim_jp = Np.nvars
         self.gram = tuple(tuple(row) for row in gram)  # T(b_a, b'_c)
-        if len(self.gram) != self.dim_j or any(
+        if self.dim_j != self.dim_jp or len(self.gram) != self.dim_j or any(
             len(row) != self.dim_jp for row in self.gram
         ):
             raise ValueError("pairing matrix shape mismatch")
+        if N.degree != 3 or Np.degree != 3:
+            raise ValueError("N and N' must be cubic forms")
         self.zeta = zeta
-        self.cross_j = self._solve_cross(N, transpose=False)
-        self.cross_jp = self._solve_cross(Np, transpose=True)
+        self.cross_j = self._solve_cross(N, self.gram)
+        self.cross_jp = self._solve_cross(Np, tuple(zip(*self.gram)))
         self._adjoint_checked = False
 
-    def _solve_cross(self, N, transpose: bool):
-        """cross[a][b] = coordinates of b_a x b_b in the opposite space.
+    def _solve_cross(self, N, gram) -> StructureTensor:
+        """The cross product on the space of N, solved from the pairing
+        system: equation l reads sum_c gram[l][c] x_c = 6 theta(b_a, b_b, b_l),
+        and 6 theta(b_a, b_b, b_l) = c_e prod_i m_i!, with c_e the
+        coefficient of N at the exponent e of x_a x_b x_l and m_i its
+        entries.  Each equation holds its gram row and its m^2 right-hand
+        sides in ints over one denominator, the right-hand sides read from
+        N's packed ints, and one elimination of all of them gives each
+        particular solution (free variables 0), as a solve of each system
+        alone would."""
+        field, m = self.field, N.nvars
+        rational = isinstance(field, RationalField)
+        k = field.absolute_degree
+        flat, dg = integral_coordinates([q for row in gram for x in row for q in field.flat(x)])
+        terms, dn = N.body.int_terms()
 
-        They solve the pairing system for the m^2 right-hand sides
-        6 theta(b_a, b_b, b_l), l < m; one elimination of the pairing matrix
-        with all of them appended gives each particular solution (free
-        variables 0), as a solve of each system alone would."""
-        field = self.field
-        theta = polarize(N)
-        m = N.nvars
-        six = field.from_rational(6)
-        if transpose:
-            rows = [
-                [self.gram[c][l] for c in range(self.dim_j)]
-                for l in range(self.dim_jp)
-            ]
-            # here N = N' lives on J', and the cross lands in J
-            out_dim = self.dim_j
-        else:
-            rows = [list(self.gram[l]) for l in range(self.dim_j)]
-            out_dim = self.dim_jp
-        ncols = len(rows[0])
-        aug = []
-        for l, r in enumerate(rows):
-            row = {c: x for c, x in enumerate(r) if not x.is_zero()}
-            for t in range(m * m):
-                v = six * theta.entry(tuple(sorted((t // m, t % m, l))))
-                if not v.is_zero():
-                    row[ncols + t] = v
-            aug.append(row)
+        def times(v, f):
+            return v * f if rational else [x * f for x in v]
+
+        entries = flat if rational else [flat[i : i + k] for i in range(0, len(flat), k)]
+        aug = [{} for _ in range(m)]
+        for i, v in enumerate(entries):
+            if v if rational else any(v):
+                aug[i // m][i % m] = times(v, dn)
+        for e, c in terms:
+            v = times(c, dg * math.prod(map(math.factorial, e)))
+            idx = [i for i, x in enumerate(e) for _ in range(x)]
+            for l in set(idx):
+                a, b = idx[:idx.index(l)] + idx[idx.index(l) + 1 :]
+                aug[l][m + a * m + b] = aug[l][m + b * m + a] = v
         red, pivots = linalg.rref(field, aug)
-        if pivots and pivots[-1] >= ncols:
+        if pivots and pivots[-1] >= m:
             raise DegeneratePairing("pairing does not determine the cross product")
-        if ncols != out_dim:
-            raise DegeneratePairing("pairing matrix is not square-solvable")
-        sols = [[field.zero] * ncols for _ in range(m * m)]
+        constants = []
         for row, pc in zip(red, pivots):
-            for c, x in row.items():
-                if c >= ncols:
-                    sols[c - ncols][pc] = x
-        return tuple(tuple(tuple(sols[a * m + b]) for b in range(m)) for a in range(m))
-
-    def cross_apply(self, cross, u, v, out_dim: int):
-        """The bilinear cross product on polynomial vectors."""
-        field = self.field
-        nv = u[0].nvars
-        out = [Polynomial.zero(field, nv) for _ in range(out_dim)]
-        m = len(u)
-        for a in range(m):
-            if u[a].is_zero():
-                continue
-            for b in range(m):
-                if v[b].is_zero():
-                    continue
-                prod = u[a] * v[b]
-                for c in range(out_dim):
-                    coef = cross[a][b][c]
-                    if not coef.is_zero():
-                        out[c] = out[c] + prod.scale(coef)
-        return out
+            cols = [c for c in row if c >= m]
+            values = from_coordinates(field, [row[c] for c in cols], row[pc] if rational else 1)
+            constants.extend(((*divmod(c - m, m), pc), x) for c, x in zip(cols, values))
+        return StructureTensor.from_constants(field, m, constants)
 
     def sharp_j(self, vec):
         """j# = (1/2) j x j for a polynomial vector over J; lands in J'."""
-        half = self.field.from_rational(Fraction(1, 2))
-        out = self.cross_apply(self.cross_j, vec, vec, self.dim_jp)
-        return [p.scale(half) for p in out]
+        return product_polys(self.cross_j, vec, vec, 2)
 
     def sharp_jp(self, vec):
-        half = self.field.from_rational(Fraction(1, 2))
-        out = self.cross_apply(self.cross_jp, vec, vec, self.dim_j)
-        return [p.scale(half) for p in out]
+        return product_polys(self.cross_jp, vec, vec, 2)
 
     def pair_polys(self, u, v):
         """T(u, v) for polynomial vectors u over J, v over J'."""
-        field = self.field
-        nv = u[0].nvars
-        out = Polynomial.zero(field, nv)
-        for a in range(self.dim_j):
-            if u[a].is_zero():
-                continue
-            for c in range(self.dim_jp):
-                g = self.gram[a][c]
-                if g.is_zero() or v[c].is_zero():
-                    continue
-                out = out + (u[a] * v[c]).scale(g)
+        out = Polynomial.zero(self.field, u[0].nvars)
+        for ua, row in zip(u, self.gram):
+            for vc, g in zip(v, row):
+                if g and not ua.is_zero() and not vc.is_zero():
+                    out = out + (ua * vc).scale(g)
         return out
 
     def check_adjoint(self):
         """(j#)# = N(j) j and (j'#)# = N'(j') j', symbolically."""
         if self._adjoint_checked:
             return
-        field = self.field
-        for (m, sharp_in, sharp_out, norm) in (
-            (self.dim_j, self.sharp_j, self.sharp_jp, self.N),
-            (self.dim_jp, self.sharp_jp, self.sharp_j, self.Np),
-        ):
-            vec = [Polynomial.variable(field, m, i) for i in range(m)]
-            double = sharp_out(sharp_in(vec))
-            scale = norm.body
-            for c in range(m):
-                if double[c] != scale * vec[c]:
-                    raise AdjointIdentityFailure(
-                        "(j#)# = N(j) j fails in coordinate %d" % c
-                    )
+        m = self.dim_j
+        vec = [Polynomial.variable(self.field, m, i) for i in range(m)]
+        for sharp_in, sharp_out, norm in ((self.sharp_j, self.sharp_jp, self.N),
+                                          (self.sharp_jp, self.sharp_j, self.Np)):
+            for c, p in enumerate(sharp_out(sharp_in(vec))):
+                if p != norm.body * vec[c]:
+                    raise AdjointIdentityFailure("(j#)# = N(j) j fails in coordinate %d" % c)
         self._adjoint_checked = True
 
 
 def jordan_triple_from_degree3(J: AlgebraPresentation, zeta) -> AdmissibleTriple:
     """(zeta T_J, zeta N_J, zeta^2 N_J) on (J, J) for a degree-3 algebra with
-    norm N_J and trace pairing T_J(x, y) = trace(x y)."""
+    norm N_J and trace pairing T_J(x, y) = trace(x y).  The pairing is read
+    from the tensor's rows and the trace's coordinates: T_J(b_i, b_j) is
+    sum over (l, c) in rows[i][j] of trace_l c, over the denominators."""
     field = J.field
     zeta = zeta if isinstance(zeta, FieldElement) else field.from_rational(zeta)
     if zeta.is_zero():
         raise ValueError("zeta must be nonzero")
     if J.norm is None or J.norm.degree != 3 or J.trace is None:
         raise ValueError("presentation needs a cubic norm and a trace")
-    m = J.dim
-    gram = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            prod = J.product(J.basis_vector(i), J.basis_vector(j))
-            row.append(zeta * J.trace_value(prod))
-        gram.append(row)
-    if linalg.rank(field, [list(r) for r in gram]) != m:
+    t = J.tensor
+    tr, dtr = to_coordinates(field, J.trace)
+    (z,), dz = to_coordinates(field, [zeta])
+    gram = [
+        from_coordinates(field, [z * sum((tr[l] * c for l, c in row), t.zero) for row in plane],
+                         dz * dtr * t.den)
+        for plane in t.rows
+    ]
+    if linalg.rank(field, gram) != J.dim:
         raise DegeneratePairing("trace pairing is degenerate")
-    N = HomogeneousForm(field, 3, m, J.norm.body.scale(zeta))
-    Np = HomogeneousForm(field, 3, m, J.norm.body.scale(zeta * zeta))
+    N = HomogeneousForm(field, 3, J.dim, J.norm.body.scale(zeta))
+    Np = HomogeneousForm(field, 3, J.dim, N.body.scale(zeta))
     triple = AdmissibleTriple(field, N, Np, gram, zeta=zeta)
     triple.check_adjoint()
     return triple
@@ -1007,27 +935,17 @@ def structurable_quartic(triple: AdmissibleTriple) -> ConstructedForm:
     - 4 T(j'#, j#) + (alpha beta - T(j, j'))^2."""
     triple.check_adjoint()
     field = triple.field
-    mj, mjp = triple.dim_j, triple.dim_jp
-    big = 2 + mj + mjp
-    alpha = Polynomial.variable(field, big, 0)
-    beta = Polynomial.variable(field, big, 1)
-    j = [Polynomial.variable(field, big, 2 + i) for i in range(mj)]
-    jp = [Polynomial.variable(field, big, 2 + mj + i) for i in range(mjp)]
-    four = field.from_rational(4)
-    n_j = triple.N.body.embed(big, 2)
-    n_jp = triple.Np.body.embed(big, 2 + mj)
-    pairing = triple.pair_polys(j, jp)
-    sharp_pair = triple.pair_polys(triple.sharp_jp(jp), triple.sharp_j(j))
+    m = triple.dim_j
+    big = 2 + 2 * m
+    x = [Polynomial.variable(field, big, i) for i in range(big)]
+    alpha, beta, j, jp = x[0], x[1], x[2 : 2 + m], x[2 + m :]
     body = (
-        (alpha * n_j).scale(four)
-        + (beta * n_jp).scale(four)
-        - sharp_pair.scale(four)
-        + (alpha * beta - pairing) ** 2
-    )
+        alpha * triple.N.body.embed(big, 2)
+        + beta * triple.Np.body.embed(big, 2 + m)
+        - triple.pair_polys(triple.sharp_jp(jp), triple.sharp_j(j))
+    ).scale(4) + (alpha * beta - triple.pair_polys(j, jp)) ** 2
     form = HomogeneousForm(field, 4, big, body)
-    unit = tuple(
-        field.one if i in (0, 1) else field.zero for i in range(big)
-    )
+    unit = tuple(field.one if i < 2 else field.zero for i in range(big))
     if form.eval(list(unit)) != field.one:
         raise RuntimeError("structurable quartic does not take value 1 at the unit")
     return ConstructedForm(
@@ -1126,80 +1044,13 @@ def cayley_dickson_quartic(B: AlgebraPresentation, mu) -> ConstructedForm:
 # norm composition (transfer by the field norm)
 
 
-def _a_mul(A: EtaleAlgebra, u, v):
-    """Product of two A-valued polynomial vectors (coordinates over A.base)."""
-    base = A.base
-    m = A.degree
-    nv = u[0].nvars
-    conv = [Polynomial.zero(base, nv) for _ in range(2 * m - 1)]
-    for i in range(m):
-        if u[i].is_zero():
-            continue
-        for j in range(m):
-            if v[j].is_zero():
-                continue
-            conv[i + j] = conv[i + j] + u[i] * v[j]
-    for s in range(2 * m - 2, m - 1, -1):
-        top = conv[s]
-        if top.is_zero():
-            continue
-        conv[s] = Polynomial.zero(base, nv)
-        for i in range(m):
-            c = A.minpoly[i]
-            if not c.is_zero():
-                conv[s - m + i] = conv[s - m + i] - top.scale(c)
-    return conv[:m]
-
-
-def _phi0_coordinates(A: EtaleAlgebra, phi0: HomogeneousForm):
-    """Coordinates over A.base of phi0(v), v_j = sum_i y_{j m + i} t^i,
-    as polynomials in m*n variables."""
-    base = A.base
-    m = A.degree
-    n = phi0.nvars
-    big = m * n
-    vs = []
-    for j in range(n):
-        vs.append(
-            [Polynomial.variable(base, big, j * m + i) for i in range(m)]
-        )
-    coords = [Polynomial.zero(base, big) for _ in range(m)]
-    for e, c in phi0.body.terms.items():
-        acc = None
-        for j, ej in enumerate(e):
-            for _ in range(ej):
-                acc = vs[j] if acc is None else _a_mul(A, acc, vs[j])
-        if acc is None:
-            acc = [Polynomial.const(base, big, base.one)] + [
-                Polynomial.zero(base, big)
-            ] * (m - 1)
-        cvec = [Polynomial.const(base, big, cc) for cc in c.coeffs]
-        acc = _a_mul(A, acc, cvec)
-        for s in range(m):
-            coords[s] = coords[s] + acc[s]
-    return coords
-
-
 def norm_via_regular(A: EtaleAlgebra, phi0: HomogeneousForm) -> Polynomial:
-    """Transfer route 1: determinant of the multiplication-by-phi0(v) matrix."""
-    base = A.base
+    """Transfer route 1: the determinant of multiplication by U = phi0(v)
+    on A over its base, column k the coordinates of U t^k."""
     m = A.degree
-    coords = _phi0_coordinates(A, phi0)
-    nv = coords[0].nvars
-    cols = [coords]
-    for _ in range(m - 1):
-        prev = cols[-1]
-        # multiply by t: shift and reduce by the minimal polynomial
-        shifted = [Polynomial.zero(base, nv)] + list(prev[:-1])
-        top = prev[-1]
-        if not top.is_zero():
-            for i in range(m):
-                c = A.minpoly[i]
-                if not c.is_zero():
-                    shifted[i] = shifted[i] - top.scale(c)
-        cols.append(shifted)
+    cols = coordinates_over_base(A, phi0, m)
     rows = [[cols[j][i] for j in range(m)] for i in range(m)]
-    return ring_matrix_determinant(rows, Polynomial.zero(base, nv))
+    return ring_matrix_determinant(rows, Polynomial.zero(A.base, m * phi0.nvars))
 
 
 def norm_compose(A, phi0: HomogeneousForm) -> ConstructedForm:

@@ -829,25 +829,30 @@ def primitive_idempotents(center: CenterAlgebra, columns: bool = False) -> list:
     mats.sort(key=functools.cmp_to_key(lambda a, b: _matrix_order(a[0], b[0])))
     if not columns:
         return [m for m, _ in mats]
-    return [(m, _column_basis(field, m, acc)) for m, acc in mats]
+    return [(m, _column_basis(field, acc, n)) for m, acc in mats]
 
 
-def _column_basis(field, mat: Matrix, rows) -> list:
+def _column_basis(field, rows, n: int) -> list:
     """The nonzero rows of the reduced row echelon form of the columns of
-    mat, as dense tuples.  Over Q they are read from `rows`, mat as dict
-    rows of int numerators over one denominator, which the column space
-    does not depend on."""
-    if not isinstance(field, RationalField):
-        red, pivots = linalg.rref(field, [list(col) for col in zip(*mat)])
-        return [tuple(red[i]) for i in range(len(pivots))]
-    n = len(mat)
+    an n x n matrix, as dense tuples.  The matrix is given as dict rows of
+    int numerators over one denominator, which the column space does not
+    depend on, entry (a, i) at columns i m, ..., i m + m - 1 of row a; a
+    column goes to `linalg.rref` as a dict row of ints over Q and of flat
+    int vectors over an etale field."""
+    m = field.absolute_degree
+    rational = isinstance(field, RationalField)
     cols = [{} for _ in range(n)]
     for a, row in enumerate(rows):
-        for i, v in row.items():
+        for k, v in row.items():
             if v:
-                cols[i][a] = v
+                if rational:
+                    cols[k][a] = v
+                else:
+                    cols[k // m].setdefault(a, [0] * m)[k % m] = v
     red, pivots = linalg.rref(field, cols)
     zero = field.zero
+    if not rational:
+        return [tuple(row.get(k, zero) for k in range(n)) for row in red[: len(pivots)]]
     return [
         tuple(FieldElement(field, (Fraction(row[k], row[c]),)) if k in row else zero
               for k in range(n))

@@ -256,9 +256,36 @@ def tensor_product(phi1: HomogeneousForm, phi2: HomogeneousForm) -> HomogeneousF
     return depolarize(theta)
 
 
+def coordinates_over_base(A, phi: HomogeneousForm, powers: int = 1) -> list:
+    """Write phi(v), v_j = sum_i y_(j m + i) t^i, over the etale algebra A of
+    degree m over k = A.base: for each k < powers, the m coordinate
+    polynomials over k, in q m variables, of phi(v) t^k.  One composition
+    over A gives phi(v); each power of t is one more scaling by t, and
+    `Polynomial.base_coordinates` splits the packed form."""
+    if phi.field != A:
+        raise TypeError("form is not defined over the given algebra")
+    m, q = A.degree, phi.nvars
+    big = q * m
+    basis_powers = [A.one]
+    for _ in range(m - 1):
+        basis_powers.append(basis_powers[-1] * A.gen)
+    args = [
+        Polynomial(A, big, {tuple(int(k == j * m + i) for k in range(big)): c
+                            for i, c in enumerate(basis_powers)})
+        for j in range(q)
+    ]
+    u = phi.body.compose(args)
+    out = [u.base_coordinates()]
+    for _ in range(powers - 1):
+        u = u.scale(A.gen)
+        out.append(u.base_coordinates())
+    return out
+
+
 def transfer_form(A, s: Sequence, phi: HomogeneousForm) -> HomogeneousForm:
     """Push a form over the etale algebra A down to the base field along the
-    linear functional with values s on the power basis.
+    linear functional with values s on the power basis: the s-weighted sum
+    of the coordinates of phi (`coordinates_over_base`).
 
     Variables are grouped per original variable: base variable j*m + i is the
     coefficient of basis element t^i inside original variable j.
@@ -272,32 +299,12 @@ def transfer_form(A, s: Sequence, phi: HomogeneousForm) -> HomogeneousForm:
         raise DimensionMismatch("functional needs %d values" % m)
     if all(v.is_zero() for v in svals):
         raise ZeroFunctional("the transfer functional must be nonzero")
-    if phi.field != A:
-        raise TypeError("form is not defined over the given algebra")
-
-    q = phi.nvars
-    big = q * m
-    basis_powers = [A.one]
-    for _ in range(m - 1):
-        basis_powers.append(basis_powers[-1] * A.gen)
-    args = []
-    for j in range(q):
-        w = Polynomial.zero(A, big)
-        for i in range(m):
-            var = Polynomial.variable(A, big, j * m + i)
-            w = w + var.scale(basis_powers[i])
-        args.append(w)
-    over_a = phi.body.compose(args)
-
-    terms = {}
-    for e, gamma in over_a.terms.items():
-        val = base.zero
-        for gi, si in zip(gamma.coeffs, svals):
-            val = val + gi * si
-        if not val.is_zero():
-            terms[e] = val
-    body = Polynomial(base, big, terms)
-    return HomogeneousForm(base, phi.degree, big, body)
+    (coords,) = coordinates_over_base(A, phi)
+    body = Polynomial.zero(base, phi.nvars * m)
+    for p, si in zip(coords, svals):
+        if not si.is_zero():
+            body = body + p.scale(si)
+    return HomogeneousForm(base, phi.degree, phi.nvars * m, body)
 
 
 def transfer(A, s: Sequence, gamma: SymmetricTensor) -> SymmetricTensor:

@@ -5,7 +5,10 @@ Matrices are lists of row lists of FieldElement.  `rref`, `nullspace` and
 zero entries, and raise TypeError for an entry over another field.  Over Q a
 dict row may hold nonzero ints instead: `rref` then returns each reduced row
 as the primitive integer row with a positive pivot, a positive multiple of
-the reduced row.  All three run one Gauss-Jordan elimination, on integer
+the reduced row.  Over an etale algebra a dict row may hold the nonzero
+flat int vectors of its entries instead, the rows `restrict_scalars`
+takes; the reduced rows come back as field elements, as for rows of field
+elements.  All three run one Gauss-Jordan elimination, on integer
 dict rows for every field.  Each row is its flat coordinates times their
 lcm denominator, over the gcd of the results.  A pivot step updates only
 the rows holding the pivot column, by the fraction-free update
@@ -54,11 +57,17 @@ def _row_dict(row):
 
 def _integer_rows(field, rows):
     """The rows as new primitive rows (`_integer_row`), and whether they are
-    dict rows of ints, which are only divided by their content: a row list
-    holds only ints or only field elements, so that is decided once."""
-    if any(isinstance(r, dict) and isinstance(next(iter(r.values()), None), int) for r in rows):
+    dict rows of ints.  A row list holds only ints, only flat int vectors or
+    only field elements, so that is decided once; rows of ints or vectors
+    are only divided by their content."""
+    first = next((next(iter(r.values())) for r in rows if isinstance(r, dict) and r), None)
+    if isinstance(first, int):
         return [{k: v // g for k, v in r.items()} if (g := gcd(*r.values())) > 1 else dict(r)
                 for r in rows], True
+    if isinstance(first, list):
+        return [{k: [x // g for x in v] for k, v in r.items()}
+                if (g := gcd(*(x for v in r.values() for x in v))) > 1 else dict(r)
+                for r in rows], False
     return [_integer_row(field, r) for r in rows], False
 
 

@@ -507,6 +507,31 @@ class Polynomial:
         G = self.field.generator_bits
         return [_unpack(x, n, bits) for x in dict.fromkeys(k >> G for k in self._nums)]
 
+    def int_terms(self):
+        """(pairs, den): the terms as (exponent tuple, numerator) over the
+        denominator den, read from the packed form; a numerator is an int
+        over Q and the int vector of the flat coordinates over an etale
+        field."""
+        n, bits = self.nvars, self._bits
+        nums = self._nums if isinstance(self.field, RationalField) else self._vectors()
+        return [(_unpack(x, n, bits), c) for x, c in nums.items()], self._den
+
+    def base_coordinates(self) -> list:
+        """Over K = k[t]/(f) of degree m: the m polynomials over k whose
+        coefficients are the coordinates of this one's coefficients in the
+        power basis 1, t, ..., t^(m - 1).  The keys are split in place: the
+        top level of the generator part picks the coordinate, and the rest
+        is the key over k."""
+        field = self.field
+        base = field.base
+        G, Gb = field.generator_bits, base.generator_bits
+        parts = [{} for _ in range(field.degree)]
+        for k, c in self._nums.items():
+            g = k & ((1 << G) - 1)
+            parts[g >> Gb][((k >> G) << Gb) | (g & ((1 << Gb) - 1))] = c
+        return [Polynomial._from_nums(base, self.nvars, self._bits, nums, self._den)
+                for nums in parts]
+
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
         if not self._nums:
@@ -751,24 +776,17 @@ class EvalProgram:
         for p in polys:
             first._check(p)
         field, n = first.field, first.nvars
-        if isinstance(field, RationalField):
-            L = math.lcm(*(p._den for p in polys))
-            terms = [
-                [(_unpack(k, n, p._bits), c * (L // p._den)) for k, c in p._nums.items()]
-                for p in polys
-            ]
-            self._tensor, dt = None, 1
-        else:
-            L = math.lcm(*(p._den for p in polys))
-            terms = [
-                [
-                    (_unpack(x, n, p._bits), v if L == p._den else [c * (L // p._den) for c in v])
-                    for x, v in p._vectors().items()
-                ]
-                for p in polys
-            ]
-            self._tensor = field.tensor()
-            dt = self._tensor.den
+        L = math.lcm(*(p._den for p in polys))
+        rational = isinstance(field, RationalField)
+        terms = []
+        for p in polys:
+            ts, d = p.int_terms()
+            if d != L:
+                f = L // d
+                ts = [(e, c * f if rational else [x * f for x in c]) for e, c in ts]
+            terms.append(ts)
+        self._tensor = None if rational else field.tensor()
+        dt = 1 if rational else self._tensor.den
         D = max((sum(e) for ts in terms for e, _ in ts), default=0)
         # by_degree[k]: each monomial of degree k with its (parent, variable),
         # a parent that is a term's monomial preferred

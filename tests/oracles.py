@@ -2,7 +2,8 @@
 
 Nothing in `src/formforge` calls these: each computes something the library
 also computes, by an independent and usually slower route (subset sums,
-a skew element, a resultant, a permutation sum, a subgroup walk, a
+a skew element, a resultant on coordinates it builds by its own products
+over an etale algebra, a permutation sum, a subgroup walk, a
 division that rebuilds the remainder at every step, an evaluation that
 multiplies field elements one at a time, a product by dense structure
 constants, linear forms built from the terms dicts, sums, products,
@@ -36,7 +37,7 @@ from formforge import (
     primitive_idempotents,
 )
 from formforge.poly import clear_denominators
-from formforge.constructions import AdmissibleTriple, _phi0_coordinates
+from formforge.constructions import AdmissibleTriple, product_polys
 from formforge.coeffield import EtaleAlgebra, integral_coordinates
 from formforge.decompose import _element_sort_key, _rational_roots
 from formforge.jsonio import (
@@ -240,8 +241,8 @@ def _mtnn_product(triple: AdmissibleTriple, x, y):
     ay, by, jy, jpy = y[0], y[1], y[2 : 2 + mj], y[2 + mj :]
     out_a = ax * ay + triple.pair_polys(jx, jpy)
     out_b = bx * by + triple.pair_polys(jy, jpx)
-    cross_jp = triple.cross_apply(triple.cross_jp, jpx, jpy, mj)
-    cross_j = triple.cross_apply(triple.cross_j, jx, jy, mjp)
+    cross_jp = product_polys(triple.cross_jp, jpx, jpy)
+    cross_j = product_polys(triple.cross_j, jx, jy)
     out_j = [
         ax * jy[c] + by * jx[c] + cross_jp[c] for c in range(mj)
     ]
@@ -323,12 +324,68 @@ def structurable_quartic_via_skew(triple: AdmissibleTriple) -> HomogeneousForm:
     return HomogeneousForm(field, 4, big, body)
 
 
+def _a_mul(A: EtaleAlgebra, u, v):
+    """Product of two A-valued polynomial vectors (coordinates over A.base)."""
+    base = A.base
+    m = A.degree
+    nv = u[0].nvars
+    conv = [Polynomial.zero(base, nv) for _ in range(2 * m - 1)]
+    for i in range(m):
+        if u[i].is_zero():
+            continue
+        for j in range(m):
+            if v[j].is_zero():
+                continue
+            conv[i + j] = conv[i + j] + u[i] * v[j]
+    for s in range(2 * m - 2, m - 1, -1):
+        top = conv[s]
+        if top.is_zero():
+            continue
+        conv[s] = Polynomial.zero(base, nv)
+        for i in range(m):
+            c = A.minpoly[i]
+            if not c.is_zero():
+                conv[s - m + i] = conv[s - m + i] - top.scale(c)
+    return conv[:m]
+
+
+def phi0_coordinates(A: EtaleAlgebra, phi0: HomogeneousForm):
+    """Coordinates over A.base of phi0(v), v_j = sum_i y_{j m + i} t^i,
+    as polynomials in m*n variables, by products of coordinate vectors
+    reduced by the minimal polynomial (`forms.coordinates_over_base` composes
+    over A instead)."""
+    base = A.base
+    m = A.degree
+    n = phi0.nvars
+    big = m * n
+    vs = []
+    for j in range(n):
+        vs.append(
+            [Polynomial.variable(base, big, j * m + i) for i in range(m)]
+        )
+    coords = [Polynomial.zero(base, big) for _ in range(m)]
+    for e, c in phi0.body.terms.items():
+        acc = None
+        for j, ej in enumerate(e):
+            for _ in range(ej):
+                acc = vs[j] if acc is None else _a_mul(A, acc, vs[j])
+        if acc is None:
+            acc = [Polynomial.const(base, big, base.one)] + [
+                Polynomial.zero(base, big)
+            ] * (m - 1)
+        cvec = [Polynomial.const(base, big, cc) for cc in c.coeffs]
+        acc = _a_mul(A, acc, cvec)
+        for s in range(m):
+            coords[s] = coords[s] + acc[s]
+    return coords
+
+
 def norm_via_resultant(A: EtaleAlgebra, phi0: HomogeneousForm) -> Polynomial:
     """Transfer route 2: resultant of the minimal polynomial with the
     coordinate polynomial U(t) = sum_s P_s(y) t^s."""
     base = A.base
     m = A.degree
-    coords = _phi0_coordinates(A, phi0)
+    coords = phi0_coordinates(A, phi0)
     nv = coords[0].nvars
     zero = Polynomial.zero(base, nv)
     e = m - 1  # nominal degree of U

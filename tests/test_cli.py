@@ -575,10 +575,18 @@ GOLDEN = Path(__file__).parent / "golden"
          ["construct", "--kind", "pfister", "--param", "gammas=2,-3"]),
         ("pfister-octonion.construct.json",
          ["construct", "--kind", "pfister", "--param", "gammas=-1,2,3"]),
+        ("structurable-zeta2.construct.json",
+         ["construct", "--kind", "structurable", "--param", "zeta=2"]),
+        ("norm-compose-sqrt5.construct.json",
+         ["construct", "--kind", "norm-compose", "--input", "diag-sqrt5.json"]),
+        ("norm-compose-cbrt2-tower.construct.json",
+         ["construct", "--kind", "norm-compose", "--input", "diag-cbrt2-tower.json"]),
     ],
     ids=["decompose-tits-cubic", "decompose-det3-basis-changed", "decompose-transfer-cbrt2",
          "decompose-transfer-sqrt2-sqrt3", "decompose-tits-diag-tower",
-         "construct-pfister-quaternion", "construct-pfister-octonion"],
+         "construct-pfister-quaternion", "construct-pfister-octonion",
+         "construct-structurable-zeta2", "construct-norm-compose-sqrt5",
+         "construct-norm-compose-cbrt2-tower"],
 )
 def test_stdout_is_byte_identical_to_golden(capsys, monkeypatch, expected, argv):
     """The stdout of a command, byte for byte, against a golden file.  An
@@ -589,7 +597,9 @@ def test_stdout_is_byte_identical_to_golden(capsys, monkeypatch, expected, argv)
     change of basis, the transfer of a diagonal cubic along Q(cbrt 2)/Q,
     and two decompositions over etale fields: the transfer of <1, 2> along
     Q(sqrt 2)(sqrt 3)/Q(sqrt 2), components [2, 2], and Tits(t + 1) + <1, t>
-    over Q(omega)(cbrt 2), components [1, 1, 3]."""
+    over Q(omega)(cbrt 2), components [1, 1, 3].  The constructions pin the
+    structurable quartic of zeta = 2 and the norm compositions of <1, 2>
+    over Q(sqrt 5) and over the tower Q(omega)(cbrt 2)/Q(omega)."""
     monkeypatch.chdir(GOLDEN)
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -801,6 +811,20 @@ def test_witness_scalar_den_in_other_vars_exits_4(capsys, tmp_path):
     code, out, err = run(capsys, "construct", "--kind", "power", "--param", "m=2", "--input", path)
     assert (code, out) == (4, "")
     assert "$.witness.scalar.den.vars: expected 4, as in $.witness.scalar.num" in err
+
+
+def test_algebra_norm_of_another_space_exits_4(capsys, tmp_path):
+    """The quaternion algebra of a pfister file whose norm is det-3's cubic
+    in 9 variables is malformed input: `verify jordan` exits 4 at the
+    algebra, where it would otherwise prove the 4-variable form."""
+    payload = json.loads((GOLDEN / "pfister-quaternion.construct.json").read_text(
+        encoding="utf-8"))
+    payload["algebra"]["norm"] = encode_constructed_form(det_norm(3))["form"]
+    path = write_json(tmp_path / "quaternion.json", payload)
+    code, out, err = run(capsys, "verify", "jordan", "--form", path)
+    assert (code, out) == (4, "")
+    assert err == ("error: malformed JSON payload at $.algebra: norm is not a form on "
+                   "the algebra: 9 variables over QQ\n")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,10 +33,23 @@ from formforge import (
     split_jordan_q4,
     structurable_quartic,
     tits_cubic,
+    transfer_form,
     verify_composition,
     verify_scaled_witness,
 )
-from oracles import cross_by_solves, structurable_quartic_via_skew
+from formforge.coeffield import RationalField
+from formforge.constructions import norm_via_regular
+from formforge.forms import coordinates_over_base
+from formforge.jsonio import decode_form
+from oracles import (
+    cross_by_solves,
+    norm_via_resultant,
+    phi0_coordinates,
+    structurable_quartic_via_skew,
+)
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def var(n, i):
@@ -232,6 +247,11 @@ def _presentation_failures():
          "involution is not an anti-automorphism"),
         ("octonions-declared-associative", lambda: _presented(octo, associative=True),
          "product is not associative"),
+        ("norm-of-det-3-on-quaternions", lambda: _presented(quat, norm=det_norm(3).form),
+         "norm is not a form on the algebra: 9 variables over QQ"),
+        ("norm-over-q-on-algebra-over-sqrt2", lambda: _presented(
+            tits_k2, norm=tits_cubic(1).form),
+         "norm is not a form on the algebra: 3 variables over QQ"),
     ]
 
 
@@ -454,17 +474,72 @@ def test_catalog_names_and_provenance():
 def test_cross_products_match_one_solve_per_pair():
     """One elimination of the pairing matrix with all m^2 right-hand sides
     gives the solution each system alone gives, free variables 0 included:
-    the pairing of the matrix triple, and a singular pairing whose systems
-    are all consistent (N = x_0^3 on a rank-one gram matrix)."""
+    the pairing of the matrix triple over Q and over Q(sqrt 2), and a
+    singular pairing whose systems are all consistent (N = x_0^3 on a
+    rank-one gram matrix)."""
     cube = HomogeneousForm.from_body(3, var(2, 0) ** 3)
     one, zero = QQ.from_rational(1), QQ.zero
+    K = field_extend(QQ, [-2, 0, 1])
     triples = [jordan_triple_from_degree3(matrix_algebra(3), zeta) for zeta in (1, 2)]
+    triples.append(jordan_triple_from_degree3(matrix_algebra(3, field=K), K.one + K.gen))
     triples.append(AdmissibleTriple(QQ, cube, cube, [[one, zero], [zero, zero]]))
     for triple in triples:
-        assert triple.cross_j == cross_by_solves(triple, triple.N, transpose=False)
-        assert triple.cross_jp == cross_by_solves(triple, triple.Np, transpose=True)
-    assert triples[-1].cross_j[0][0] == (QQ.from_rational(6), zero)
+        assert triple.cross_j.elements() == cross_by_solves(triple, triple.N, transpose=False)
+        assert triple.cross_jp.elements() == cross_by_solves(triple, triple.Np, transpose=True)
+    assert triples[-1].cross_j.elements()[0][0] == (QQ.from_rational(6), zero)
     # with N = x_0^2 x_1 the second equation reads 0 = 6 theta(0, 0, 1) = 2
     mixed = HomogeneousForm.from_body(3, var(2, 0) ** 2 * var(2, 1))
     with pytest.raises(DegeneratePairing, match="does not determine"):
         AdmissibleTriple(QQ, mixed, cube, [[one, zero], [zero, zero]])
+
+
+def test_jordan_triple_makes_no_rational_field_product(monkeypatch):
+    """The pairing, the cross products and the adjoint check of the matrix
+    triple run on ints: no product of two field elements over Q."""
+    calls = []
+    mul = RationalField._mul
+    monkeypatch.setattr(RationalField, "_mul",
+                        lambda self, x, y: calls.append(1) or mul(self, x, y))
+    jordan_triple_from_degree3(matrix_algebra(3), 2)
+    assert calls == []
+
+
+def test_admissible_triple_needs_cubics_on_spaces_of_one_dimension():
+    one, zero = QQ.from_rational(1), QQ.zero
+    line = HomogeneousForm.from_body(3, var(1, 0) ** 3)
+    plane = HomogeneousForm.from_body(3, var(2, 0) ** 3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        AdmissibleTriple(QQ, line, plane, [[one, zero]])
+    square = HomogeneousForm.from_body(2, var(1, 0) ** 2)
+    with pytest.raises(ValueError, match="must be cubic"):
+        AdmissibleTriple(QQ, square, square, [[one]])
+
+
+def test_base_coordinates_match_products_over_the_extension():
+    """`coordinates_over_base` composes once over the extension; the oracle
+    multiplies coordinate vectors and reduces them by the minimal
+    polynomial.  Their coordinates, the transfers weighted from them and the
+    two routes to the norm agree on <1, 2> over Q(sqrt 5), the tower
+    Q(omega)(cbrt 2)/Q(omega), <1, t> over Q(cbrt 2) = Q(t) and a Tits cubic
+    over Q(sqrt 2)."""
+    sqrt5 = field_extend(QQ, [-5, 0, 1])
+    omega = field_extend(QQ, [1, 1, 1])
+    tower = field_extend(omega, [omega.from_rational(-2), omega.zero, omega.zero, omega.one])
+    cbrt2 = field_extend(QQ, [-2, 0, 0, 1])
+    tits = decode_form(json.loads((GOLDEN / "tits-sqrt2.witnessed.json").read_text())["form"])
+    inputs = [
+        (sqrt5, _promote_diag(sqrt5, [1, 2])),
+        (tower, _promote_diag(tower, [1, 2])),
+        (cbrt2, HomogeneousForm(cbrt2, 3, 2, Polynomial.from_pairs(
+            cbrt2, 2, [((3, 0), cbrt2.one), ((0, 3), cbrt2.gen)]))),
+        (tits.field, tits),
+    ]
+    for A, phi0 in inputs:
+        coords = phi0_coordinates(A, phi0)
+        assert coordinates_over_base(A, phi0)[0] == coords
+        s = [A.base.from_rational(k + 1) for k in range(A.degree)]
+        weighted = Polynomial.zero(A.base, A.degree * phi0.nvars)
+        for p, sk in zip(coords, s):
+            weighted = weighted + p.scale(sk)
+        assert transfer_form(A, s, phi0).body == weighted
+        assert norm_via_regular(A, phi0) == norm_via_resultant(A, phi0)

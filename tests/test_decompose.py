@@ -393,6 +393,31 @@ def test_splitting_over_sqrt2_makes_no_field_element_products(monkeypatch):
     assert True not in calls
 
 
+def test_column_bases_over_sqrt2_read_the_integer_matrices(monkeypatch):
+    """The component bases of <i + t>, i = 0..7, over Q(sqrt 2) = Q(t) are
+    eliminated from the idempotents' int rows: `_column_basis` turns no
+    field element back into ints (`linalg._integer_row`)."""
+    calls, inside = [], []
+    integer_row, column_basis = linalg._integer_row, decompose._column_basis
+    monkeypatch.setattr(linalg, "_integer_row",
+                        lambda *a: calls.append(bool(inside)) or integer_row(*a))
+
+    def counted(*args):
+        inside.append(1)
+        try:
+            return column_basis(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(decompose, "_column_basis", counted)
+    n, t = 8, SQRT2.gen
+    phi = HomogeneousForm(SQRT2, 3, n, Polynomial.from_pairs(SQRT2, n, [
+        (tuple(3 if j == i else 0 for j in range(n)), SQRT2.from_rational(i) + t)
+        for i in range(n)]))
+    assert [c.dim for c in krull_schmidt_decompose(phi).components] == [1] * n
+    assert True not in calls
+
+
 def test_center_and_field_arithmetic_make_no_field_element_operations(monkeypatch):
     """The center over Q(sqrt 2) and Q(omega)(cbrt 2), the tensor of a new
     field and an inverse run on ints: no FieldElement sum, difference or
