@@ -213,18 +213,26 @@ def product_polys(tensor: StructureTensor, x, y, den: int = 1) -> list:
     """The product of two vectors of polynomials through the tensor, over
     den: the constants enter as the tensor's integers (its field elements
     over an etale field), and the sums are divided by den times the
-    tensor's denominator."""
+    tensor's denominator.  When x is y, x_i x_j is formed for i <= j only,
+    under the sum of the constants of b_i b_j and b_j b_i."""
     field, n = tensor.field, tensor.dim
     rows = tensor.rows
+    square = x is y
+    one = tensor.scalar(1)
     out = [Polynomial.zero(field, x[0].nvars) for _ in range(n)]
     for i in range(n):
         if x[i].is_zero():
             continue
-        for j in range(n):
-            if y[j].is_zero() or not rows[i][j]:
+        for j in range(i if square else 0, n):
+            if y[j].is_zero():
+                continue
+            row = rows[i][j]
+            if square and j != i:
+                row = tensor.combine(((one, row), (one, rows[j][i]))).items()
+            if not row:
                 continue
             xy = x[i] * y[j]
-            for l, c in rows[i][j]:
+            for l, c in row:
                 out[l] = out[l] + xy.scale(c)
     return _over_den(field, out, den * tensor.den)
 
@@ -969,28 +977,27 @@ def split_jordan_q4() -> AlgebraPresentation:
 
 
 def cd_theta_matrix(B: AlgebraPresentation):
-    """theta(b) = -b + (1/2) t(b) 1 as a matrix; checked to have period 2."""
+    """theta(b) = -b + (1/2) t(b) 1 as a matrix; checked to have period 2.
+
+    With u the unit and t the trace, theta = (1/2) u t^T - I, so
+    theta^2 = I + c u t^T with c = t^T u / 4 - 1: theta has period 2 exactly
+    when every c u_i t_j is zero, which over a field is c = 0, u = 0 or
+    t = 0.  The check takes one dot product when c is zero."""
     field = B.field
     if B.trace is None:
         raise ValueError("presentation needs a trace")
-    n = B.dim
+    u, t = B.unit, B.trace
     half = field.from_rational(Fraction(1, 2))
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = half * B.unit[i] * B.trace[j]
-            if i == j:
-                val = val - field.one
-            row.append(val)
-        rows.append(tuple(row))
-    sq = linalg.mat_mul(field, [list(r) for r in rows], [list(r) for r in rows])
-    for i in range(n):
-        for j in range(n):
-            expect = field.one if i == j else field.zero
-            if sq[i][j] != expect:
-                raise ValueError("theta is not of period 2")
-    return tuple(rows)
+    rows = tuple(
+        tuple(half * ui * tj - field.one if i == j else half * ui * tj
+              for j, tj in enumerate(t))
+        for i, ui in enumerate(u)
+    )
+    c = sum((a * b for a, b in zip(t, u)), field.zero) * field.from_rational(Fraction(1, 4))
+    c = c - field.one
+    if not c.is_zero() and any(not (c * a * b).is_zero() for a in u for b in t):
+        raise ValueError("theta is not of period 2")
+    return rows
 
 
 def cayley_dickson_quartic(B: AlgebraPresentation, mu) -> ConstructedForm:

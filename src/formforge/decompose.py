@@ -290,7 +290,7 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
     structure = [[None] * c for _ in range(c)]
     for i in range(c):
         for j in range(c):
-            x = coords(linalg.mat_mul(QQ, matrices[i * m], right[j]))
+            x = coords(linalg.mat_mul(matrices[i * m], right[j]))
             if x is None:
                 raise CenterNotClosed("center is not closed under multiplication")
             structure[i][j] = x  # over scales[i m] * S[j]
@@ -776,14 +776,13 @@ def _is_field(field) -> bool:
     return _try_split(_Block(t, unit, _unit_vectors(t.dim), 1)) is None
 
 
-def primitive_idempotents(center: CenterAlgebra, columns: bool = False) -> list:
+def primitive_idempotents(center: CenterAlgebra) -> list:
     """The primitive idempotents of the center, split on coordinate vectors
-    of the center as an algebra over Q and returned as n x n matrices in a
-    canonical order.  With `columns`, each comes as (matrix,
-    basis): the basis is the reduced row echelon form of the matrix's
-    columns, as `linalg.rref` gives it, and over Q it is computed from the
-    integer matrix.  Over a product of fields, whose components would not be
-    free modules, it raises ValueError."""
+    of the center as an algebra over Q, in a canonical order.  Each comes
+    as (matrix, basis): the n x n matrix, and the reduced row echelon form
+    of its columns, as `linalg.rref` gives it, computed from the integer
+    matrix.  Over a product of fields, whose components would not be free
+    modules, it raises ValueError."""
     field = center.field
     if not _is_field(field):
         raise ValueError("decomposition needs a field, not a product of fields: %r" % (field,))
@@ -827,8 +826,6 @@ def primitive_idempotents(center: CenterAlgebra, columns: bool = False) -> list:
         mats.append((tuple(_entries(field, line, de * scale, n) for line in acc), acc))
 
     mats.sort(key=functools.cmp_to_key(lambda a, b: _matrix_order(a[0], b[0])))
-    if not columns:
-        return [m for m, _ in mats]
     return [(m, _column_basis(field, acc, n)) for m, acc in mats]
 
 
@@ -921,7 +918,7 @@ def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:
     theta = _polarization(phi)
     field, n, d = phi.field, phi.nvars, phi.degree
     center = center_algebra(theta)
-    idems = primitive_idempotents(center, columns=True)
+    idems = primitive_idempotents(center)
 
     columns = [col for _, cols in idems for col in cols]
     if len(columns) != n or not linalg.is_invertible(field, list(zip(*columns))):

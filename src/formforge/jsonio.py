@@ -27,7 +27,7 @@ from .coeffield import (
     field_extend,
 )
 from .forms import DimensionMismatch, HomogeneousForm, SymmetricTensor
-from .poly import Polynomial, RationalFunction, _pack, _unpack, _width
+from .poly import W, Polynomial, RationalFunction, check_degree
 from .witness import ScaledWitness
 
 
@@ -184,14 +184,12 @@ def _bad_exponents(path: str, i: int, nvars: int) -> JsonFormatError:
 def _decode_packed_polynomial(raw_terms, field, nvars: int, path: str) -> Polynomial:
     """decode_polynomial straight into the packed integer form: one pass
     checks and packs each exponent list and reads each coefficient's flat
-    coordinates.  Exponent parts are packed for the largest degree seen so
-    far and repacked when a term needs more bits; equal keys add up and zero
-    sums are dropped, and the width is then the one `Polynomial` gives the
-    remaining terms."""
+    coordinates.  Exponents pack W bits a variable, as in `Polynomial`, once
+    the term's degree is checked against the limit; equal keys add up and
+    zero sums are dropped."""
     gen = field.generator_keys()
     G = gen.bits
     rational = isinstance(field, RationalField)
-    bits = 1
     keys, nums, dens = [], [], []
     for i, t in enumerate(raw_terms):
         if not isinstance(t, dict) or "e" not in t or "c" not in t:
@@ -203,15 +201,10 @@ def _decode_packed_polynomial(raw_terms, field, nvars: int, path: str) -> Polyno
         for x in e:
             if (x.__class__ is not int and not _is_count(x)) or x < 0:
                 raise _bad_exponents(path, i, nvars)
-            k = (k << bits) | x
+            k = (k << W) | x
         degree = sum(e)
-        if degree >> (bits - 1):
-            old, bits = bits, _width(degree)
-            keys = [(_pack(_unpack(key >> G, nvars, old), bits) << G) | (key & gen.mask)
-                    for key in keys]
-            k = _pack(e, bits)
-        else:
-            k |= degree << (nvars * bits)
+        check_degree(degree)
+        k |= degree << (nvars * W)
         if rational:
             try:
                 num, den = _rational_parts(t["c"])
@@ -235,9 +228,7 @@ def _decode_packed_polynomial(raw_terms, field, nvars: int, path: str) -> Polyno
     acc = {k: c for k, c in acc.items() if c}
     if not acc:
         return Polynomial.zero(field, nvars)
-    p = Polynomial._from_nums(field, nvars, bits, acc, L)
-    p._widen(_width(max(acc) >> (nvars * bits + G)))
-    return p
+    return Polynomial._from_nums(field, nvars, acc, L)
 
 
 def encode_rational_function(r: RationalFunction):

@@ -35,7 +35,7 @@ whose restriction has the row space of R(A), also where a dense elimination
 meets a zero-divisor pivot and raises.
 
 `bareiss` is the one determinant routine, for scalar and polynomial matrices
-alike; `mat_mul` skips zero entries, and takes dict rows of ints too.
+alike; `mat_mul` multiplies dict rows, of ints too, and skips zero entries.
 Products by structure constants live in `coeffield.StructureTensor`.
 """
 
@@ -385,32 +385,23 @@ def _cofactor(rows, zero, one):
     return total
 
 
-def mat_mul(field, a, b):
-    """Product of matrices given as dense rows, or as dict rows (the product
-    then comes back as dict rows, and their entries may be ints); zero
-    entries of either factor cost no arithmetic, and a row of b is scanned
-    only when a uses it."""
-    dense = not (a and isinstance(a[0], dict))
-    cols = len(b[0]) if dense and b else 0
+def mat_mul(a, b):
+    """Product of matrices given as dict rows {column: entry}, as dict rows;
+    the entries may be ints.  Zero entries of either factor cost no
+    arithmetic, and a row of b is scanned only when a uses it."""
     b_rows = {}  # k -> the nonzero (j, b[k][j])
     out = []
     for ai in a:
         acc = {}
-        for k, f in enumerate(ai) if dense else ai.items():
+        for k, f in ai.items():
             if not f:
                 continue
             bk = b_rows.get(k)
             if bk is None:
-                bk = b_rows[k] = list(_row_dict(b[k]).items())
+                bk = b_rows[k] = [(j, x) for j, x in b[k].items() if x]
             for j, x in bk:
                 y = f * x
                 acc[j] = acc[j] + y if j in acc else y
-        if dense:
-            row = [field.zero] * cols
-            for j, v in acc.items():
-                row[j] = v
-            out.append(row)
-        else:
-            out.append({j: v for j, v in acc.items() if v})
+        out.append({j: v for j, v in acc.items() if v})
     return out
 

@@ -20,19 +20,19 @@ packed exponent vectors (as in Monagan & Pearce, CASC 2007) pops a whole
 coefficient group at a time.  `terms` is a view of field elements built on
 first read and cached.
 
-Packing: with b bits a variable, the exponent part of x^e in n variables is
-sum(e) * 2^(n b) + sum_i e_i * 2^((n - 1 - i) b), so the total degree sits in
-the top field; the generators' G bits sit below it, and the key is the
-exponent part times 2^G plus the generator part.  Integer order is then
-graded-lex order on x, then order on the generators, and the key of a
-product of monomials is the sum of their keys as long as no exponent reaches
-2^b; each generator field has room for the product of two reduced powers.
-A polynomial of total degree D is packed with b = bitlen(D) + 1, which
-leaves room for one product with itself.  Every product and composition
-checks its degree bound against 2^b first and repacks its operands wider
-when the bound does not fit; sums, comparisons and division, whose results
-are of no higher degree than an operand, repack the narrower operand to the
-wider width.  So no field ever carries into the next.
+Packing: every polynomial packs with the same W bits a variable.  The
+exponent part of x^e in n variables is sum(e) * 2^(n W) +
+sum_i e_i * 2^((n - 1 - i) W), so the total degree sits in the top field;
+the generators' G bits sit below it, and the key is the exponent part times
+2^G plus the generator part.  Integer order is then graded-lex order on x,
+then order on the generators, and the key of a product of monomials is the
+sum of their keys; each generator field has room for the product of two
+reduced powers.  No exponent field carries into the next as long as the
+total degree stays below 2^W, so that is checked where a degree can grow:
+construction (and decoding), products, powers, composition and
+`linear_forms` raise `DegreeLimitExceeded` above MAX_DEGREE, before any
+key is packed.  Two polynomials of one ring always share their packing, so
+no arithmetic, comparison or read changes an operand's keys.
 """
 
 from __future__ import annotations
@@ -67,6 +67,24 @@ class TermBudgetExceeded(RuntimeError):
 
 DEFAULT_TERM_BUDGET = 5_000_000
 
+W = 16  # bits of each exponent field of a packed key
+MAX_DEGREE = (1 << W) - 1  # the largest total degree; also one field's mask
+
+
+class DegreeLimitExceeded(ValueError):
+    """A polynomial whose total degree would be above MAX_DEGREE, which the
+    packed exponent fields cannot hold."""
+
+    def __init__(self, degree: int):
+        super().__init__("total degree %d is above the limit of %d" % (degree, MAX_DEGREE))
+        self.degree = degree
+
+
+def check_degree(degree: int) -> None:
+    """Raise DegreeLimitExceeded when `degree` does not fit the packing."""
+    if degree > MAX_DEGREE:
+        raise DegreeLimitExceeded(degree)
+
 
 def _grlex(e: Tuple[int, ...]):
     return (sum(e), e)
@@ -76,24 +94,18 @@ def _grlex(e: Tuple[int, ...]):
 # packed exponents and coefficients over one denominator
 
 
-def _width(degree: int) -> int:
-    """Bits a variable for total degree `degree`: one more than it needs."""
-    return degree.bit_length() + 1
-
-
-def _pack(e: Sequence[int], bits: int) -> int:
+def _pack(e: Sequence[int]) -> int:
     k = sum(e)
     for x in e:
-        k = (k << bits) | x
+        k = (k << W) | x
     return k
 
 
-def _unpack(k: int, n: int, bits: int) -> Tuple[int, ...]:
-    mask = (1 << bits) - 1
+def _unpack(k: int, n: int) -> Tuple[int, ...]:
     e = [0] * n
     for i in range(n - 1, -1, -1):
-        e[i] = k & mask
-        k >>= bits
+        e[i] = k & MAX_DEGREE
+        k >>= W
     return tuple(e)
 
 
@@ -164,7 +176,7 @@ def _canonical(nums: dict, den: int):
 
 
 class Polynomial:
-    __slots__ = ("field", "nvars", "_terms", "_nums", "_den", "_bits", "_compiled")
+    __slots__ = ("field", "nvars", "_terms", "_nums", "_den", "_compiled")
 
     def __init__(self, field, nvars: int, terms: dict):
         self.field = field
@@ -174,11 +186,11 @@ class Polynomial:
             terms = {e: c for e, c in terms.items() if c.coeffs[0]}
             self._terms = terms
             if not terms:
-                self._nums, self._den, self._bits = {}, 1, 1
+                self._nums, self._den = {}, 1
                 return
+            check_degree(max(map(sum, terms)))
             nums, self._den = integral_coordinates([c.coeffs[0] for c in terms.values()])
-            self._bits = bits = _width(max(map(sum, terms)))
-            self._nums = dict(zip([_pack(e, bits) for e in terms], nums))
+            self._nums = dict(zip(map(_pack, terms), nums))
             return
         gen = field.generator_keys()
         m = len(gen.keys)
@@ -186,23 +198,22 @@ class Polynomial:
         rows = [(e, ints[i : i + m]) for e, i in zip(terms, range(0, len(ints), m))]
         rows = [(e, v) for e, v in rows if any(v)]
         self._terms = None
-        self._bits = bits = _width(max((sum(e) for e, _ in rows), default=0))
+        check_degree(max((sum(e) for e, _ in rows), default=0))
         nums = {}
         for e, v in rows:
-            x = _pack(e, bits) << gen.bits
+            x = _pack(e) << gen.bits
             for t, a in zip(gen.keys, v):
                 if a:
                     nums[x | t] = a
         self._nums, self._den = _canonical(nums, den)
 
     @classmethod
-    def _from_nums(cls, field, nvars: int, bits: int, nums: dict, den: int) -> "Polynomial":
+    def _from_nums(cls, field, nvars: int, nums: dict, den: int) -> "Polynomial":
         """A polynomial from its packed form, made canonical."""
         p = cls.__new__(cls)
         p.field = field
         p.nvars = nvars
         p._nums, p._den = _canonical(nums, den)
-        p._bits = bits
         p._terms = None
         p._compiled = None
         return p
@@ -213,15 +224,15 @@ class Polynomial:
         packed form on first read and cached."""
         t = self._terms
         if t is None:
-            n, bits, field, den = self.nvars, self._bits, self.field, self._den
+            n, field, den = self.nvars, self.field, self._den
             if isinstance(field, RationalField):
                 t = {
-                    _unpack(k, n, bits): FieldElement(field, (Fraction(c, den),))
+                    _unpack(k, n): FieldElement(field, (Fraction(c, den),))
                     for k, c in self._nums.items()
                 }
             else:
                 t = {
-                    _unpack(x, n, bits): field.from_flat([Fraction(c, den) for c in v])
+                    _unpack(x, n): field.from_flat([Fraction(c, den) for c in v])
                     for x, v in self._vectors().items()
                 }
             self._terms = t
@@ -249,26 +260,6 @@ class Polynomial:
         if not any(v):
             return field.zero
         return field.from_flat([Fraction(c, self._den) for c in v])
-
-    def _widen(self, bits: int) -> None:
-        """Repack with `bits` bits a variable (at least the current width);
-        the value does not change."""
-        if bits != self._bits:
-            n, old = self.nvars, self._bits
-            G = self.field.generator_bits
-            mask = (1 << G) - 1
-            self._nums = {
-                (_pack(_unpack(k >> G, n, old), bits) << G) | (k & mask): c
-                for k, c in self._nums.items()
-            }
-            self._bits = bits
-
-    def _aligned(self, other: "Polynomial") -> int:
-        """Repack the narrower of two polynomials to the other's width."""
-        bits = max(self._bits, other._bits)
-        self._widen(bits)
-        other._widen(bits)
-        return bits
 
     # -- constructors ------------------------------------------------------
 
@@ -310,7 +301,6 @@ class Polynomial:
 
     def _combine(self, other: "Polynomial", subtract: bool) -> "Polynomial":
         """self + other, or self - other, over the common denominator."""
-        bits = self._aligned(other)
         da, db = self._den, other._den
         den = math.lcm(da, db)
         fa, fb = den // da, den // db
@@ -328,27 +318,22 @@ class Polynomial:
                     out[k] = v
                 else:
                     del out[k]
-        return Polynomial._from_nums(self.field, self.nvars, bits, out, den)
+        return Polynomial._from_nums(self.field, self.nvars, out, den)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._from_nums(
-            self.field, self.nvars, self._bits, {k: -c for k, c in self._nums.items()}, self._den
+            self.field, self.nvars, {k: -c for k, c in self._nums.items()}, self._den
         )
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         if not self._nums or not other._nums:
             return Polynomial.zero(self.field, self.nvars)
-        degree = self.total_degree() + other.total_degree()
-        bits = max(self._bits, other._bits)
-        if degree >> bits:
-            bits = _width(degree)
-        self._widen(bits)
-        other._widen(bits)
+        check_degree(self.total_degree() + other.total_degree())
         gen = self.field.generator_keys()
         nums = _product(self._nums, other._nums, gen)
         den = self._den * other._den * gen.den
-        return Polynomial._from_nums(self.field, self.nvars, bits, nums, den)
+        return Polynomial._from_nums(self.field, self.nvars, nums, den)
 
     def scale(self, c) -> "Polynomial":
         if not isinstance(c, FieldElement):
@@ -361,11 +346,12 @@ class Polynomial:
         a, d = integral_coordinates(self.field.flat(c))
         nums = _product(self._nums, {t: x for t, x in zip(gen.keys, a) if x}, gen)
         den = self._den * d * gen.den
-        return Polynomial._from_nums(self.field, self.nvars, self._bits, nums, den)
+        return Polynomial._from_nums(self.field, self.nvars, nums, den)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        check_degree(max(self.total_degree(), 0) * n)
         out = Polynomial.const(self.field, self.nvars, self.field.one)
         base = self
         while n:
@@ -395,11 +381,10 @@ class Polynomial:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         n = self.nvars
-        bits = self._aligned(other)
         # a borrow out of an exponent field flips the lowest bit of the next
-        borrows = sum(1 << (i * bits) for i in range(1, n + 1))
+        borrows = sum(1 << (i * W) for i in range(1, n + 1))
         if not isinstance(self.field, RationalField):
-            return self._exact_div_groups(other, bits, borrows)
+            return self._exact_div_groups(other, borrows)
         lt = max(other._nums)
         content = math.gcd(*other._nums.values())
         tail = {k: c // content for k, c in other._nums.items()}
@@ -418,7 +403,7 @@ class Polynomial:
             if qk < 0 or (qk ^ rk ^ lt) & borrows:
                 raise NotDivisible(
                     "leading term %r not divisible by %r"
-                    % (_unpack(rk, n, bits), _unpack(lt, n, bits))
+                    % (_unpack(rk, n), _unpack(lt, n))
                 )
             qc, r = divmod(rc, lc)
             if r:
@@ -439,9 +424,9 @@ class Polynomial:
         # self = A / da and other = content * P / db, with A = P * quot
         db = other._den
         nums = quot if db == 1 else {k: c * db for k, c in quot.items()}
-        return Polynomial._from_nums(self.field, n, bits, nums, self._den * content)
+        return Polynomial._from_nums(self.field, n, nums, self._den * content)
 
-    def _exact_div_groups(self, other: "Polynomial", bits: int, borrows: int) -> "Polynomial":
+    def _exact_div_groups(self, other: "Polynomial", borrows: int) -> "Polynomial":
         """exact_div over an etale algebra, on the numerators A of self and
         B of other: A / B in Fractions, then scaled by their denominators."""
         n, field = self.nvars, self.field
@@ -466,7 +451,7 @@ class Polynomial:
             if qx < 0 or (qx ^ rx ^ lx) & borrows:
                 raise NotDivisible(
                     "leading term %r not divisible by %r"
-                    % (_unpack(rx, n, bits), _unpack(lx, n, bits))
+                    % (_unpack(rx, n), _unpack(lx, n))
                 )
             base = rx << G
             rc = {t: rem.pop(base | t) for t in gen.keys if base | t in rem}
@@ -489,7 +474,7 @@ class Polynomial:
         L = math.lcm(*(q.denominator for q in quot.values()))
         db = other._den
         nums = {k: q.numerator * (L // q.denominator) * db for k, q in quot.items()}
-        return Polynomial._from_nums(field, n, bits, nums, self._den * L)
+        return Polynomial._from_nums(field, n, nums, self._den * L)
 
     # -- structure ---------------------------------------------------------
 
@@ -503,18 +488,17 @@ class Polynomial:
     def exponents(self) -> list:
         """The exponent tuples of the terms, read from the packed form; the
         terms view is not built."""
-        n, bits = self.nvars, self._bits
-        G = self.field.generator_bits
-        return [_unpack(x, n, bits) for x in dict.fromkeys(k >> G for k in self._nums)]
+        n, G = self.nvars, self.field.generator_bits
+        return [_unpack(x, n) for x in dict.fromkeys(k >> G for k in self._nums)]
 
     def int_terms(self):
         """(pairs, den): the terms as (exponent tuple, numerator) over the
         denominator den, read from the packed form; a numerator is an int
         over Q and the int vector of the flat coordinates over an etale
         field."""
-        n, bits = self.nvars, self._bits
+        n = self.nvars
         nums = self._nums if isinstance(self.field, RationalField) else self._vectors()
-        return [(_unpack(x, n, bits), c) for x, c in nums.items()], self._den
+        return [(_unpack(x, n), c) for x, c in nums.items()], self._den
 
     def base_coordinates(self) -> list:
         """Over K = k[t]/(f) of degree m: the m polynomials over k whose
@@ -529,19 +513,18 @@ class Polynomial:
         for k, c in self._nums.items():
             g = k & ((1 << G) - 1)
             parts[g >> Gb][((k >> G) << Gb) | (g & ((1 << Gb) - 1))] = c
-        return [Polynomial._from_nums(base, self.nvars, self._bits, nums, self._den)
-                for nums in parts]
+        return [Polynomial._from_nums(base, self.nvars, nums, self._den) for nums in parts]
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
         if not self._nums:
             return -1
-        return max(self._nums) >> (self.nvars * self._bits + self.field.generator_bits)
+        return max(self._nums) >> (self.nvars * W + self.field.generator_bits)
 
     def is_homogeneous(self, d: Optional[int] = None) -> bool:
         if not self._nums:
             return True
-        shift = self.nvars * self._bits + self.field.generator_bits
+        shift = self.nvars * W + self.field.generator_bits
         lo, hi = min(self._nums) >> shift, max(self._nums) >> shift
         if lo != hi:
             return False
@@ -549,7 +532,7 @@ class Polynomial:
 
     def leading_term(self):
         x = max(self._nums) >> self.field.generator_bits
-        e = _unpack(x, self.nvars, self._bits)
+        e = _unpack(x, self.nvars)
         if self._terms is not None:
             return e, self._terms[e]
         return e, self._coefficient(x)
@@ -642,12 +625,9 @@ class Polynomial:
             else:
                 g[k & mask] = c
         const = groups.pop(0, None)
-        terms = [(_unpack(x, self.nvars, self._bits), g) for x, g in groups.items()]
+        terms = [(_unpack(x, self.nvars), g) for x, g in groups.items()]
         degs = [max(a.total_degree(), 0) for a in args]
-        degree = max((sum(k * d for k, d in zip(e, degs)) for e, _ in terms), default=0)
-        bits = max(_width(degree), *(a._bits for a in args))
-        for a in args:
-            a._widen(bits)
+        check_degree(max((sum(k * d for k, d in zip(e, degs)) for e, _ in terms), default=0))
         den = self._den
         scales = []
         for i, a in enumerate(args):
@@ -686,27 +666,26 @@ class Polynomial:
         nums = {k: v for k, v in out.items() if v}
         if gen.table and terms:
             nums = _reduce(nums, gen)
-        return Polynomial._from_nums(self.field, args[0].nvars, bits, nums, den)
+        return Polynomial._from_nums(self.field, args[0].nvars, nums, den)
 
     def embed(self, nvars: int, offset: int) -> "Polynomial":
         """The same polynomial with variables shifted into a larger ring."""
         if offset < 0 or offset + self.nvars > nvars:
             raise ValueError("embedding does not fit")
-        # the degree field moves to the new top; the exponent fields keep
-        # their width and land below the offset's variables, and the
-        # generator part stays below them all
+        # the degree field moves to the new top; the exponent fields land
+        # below the offset's variables, and the generator part stays below
+        # them all
         G = self.field.generator_bits
         gmask = (1 << G) - 1
-        bits = self._bits
-        shift = self.nvars * bits
+        shift = self.nvars * W
         mask = (1 << shift) - 1
-        low = (nvars - offset - self.nvars) * bits
-        top = nvars * bits
+        low = (nvars - offset - self.nvars) * W
+        top = nvars * W
         nums = {}
         for k, c in self._nums.items():
             x = k >> G
             nums[((((x >> shift) << top) | ((x & mask) << low)) << G) | (k & gmask)] = c
-        return Polynomial._from_nums(self.field, nvars, bits, nums, self._den)
+        return Polynomial._from_nums(self.field, nvars, nums, self._den)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -721,7 +700,6 @@ class Polynomial:
             return NotImplemented
         if self.field != other.field or self.nvars != other.nvars:
             return False
-        self._aligned(other)
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
@@ -1014,27 +992,24 @@ def linear_forms(N: Sequence[Sequence[Polynomial]]):
     nv = nx + n
     G = field.generator_bits
     gmask = (1 << G) - 1
-    entries = [entry for row in N for entry in row]
-    degree = max(entry.total_degree() for entry in entries) + 1
-    bits = max(_width(degree), *(entry._bits for entry in entries))
-    shift = nx * bits
+    check_degree(max(entry.total_degree() for row in N for entry in row) + 1)
+    shift = nx * W
     mask = (1 << shift) - 1
-    top = nv * bits
-    up = n * bits
+    top = nv * W
+    up = n * W
     out = []
     for row in N:
         den = math.lcm(*(entry._den for entry in row))
         nums = {}
         for j, entry in enumerate(row):
             if entry._nums:
-                entry._widen(bits)
                 f = den // entry._den
-                y = 1 << ((n - 1 - j) * bits)
+                y = 1 << ((n - 1 - j) * W)
                 for k, c in entry._nums.items():
                     x = k >> G
                     x = (((x >> shift) + 1) << top) | ((x & mask) << up) | y
                     nums[(x << G) | (k & gmask)] = c * f
-        out.append(Polynomial._from_nums(field, nv, bits, nums, den))
+        out.append(Polynomial._from_nums(field, nv, nums, den))
     return out
 
 
@@ -1099,9 +1074,9 @@ def _binom_frac(x: Fraction, j: int) -> Fraction:
 def _trunc(p: Polynomial, bound: int) -> Polynomial:
     """The terms of p of total degree at most `bound`: a filter on the
     degree field of the keys."""
-    shift = p.nvars * p._bits + p.field.generator_bits
+    shift = p.nvars * W + p.field.generator_bits
     nums = {k: c for k, c in p._nums.items() if k >> shift <= bound}
-    return Polynomial._from_nums(p.field, p.nvars, p._bits, nums, p._den)
+    return Polynomial._from_nums(p.field, p.nvars, nums, p._den)
 
 
 def is_dth_power(p: Polynomial, d: int):

@@ -783,7 +783,7 @@ def per_component_decomposition(phi: HomogeneousForm):
     orthogonal sum of the components."""
     field, n = phi.field, phi.nvars
     comps = [(e, cols, _restrict_by_adds(phi, cols))
-             for e, cols in primitive_idempotents(center_algebra(polarize(phi)), columns=True)]
+             for e, cols in primitive_idempotents(center_algebra(polarize(phi)))]
     comps.sort(key=lambda c: (len(c[1]), tuple(
         (e, _element_sort_key(x)) for e, x in c[2].body.sorted_terms())))
     columns = [col for _, cols, _ in comps for col in cols]

@@ -290,6 +290,26 @@ def test_forms_over_a_product_of_fields_exit_3(capsys, tmp_path, coeffs, command
         assert err.startswith("error: " + message)
 
 
+_DEGREE_LIMIT = "error: DegreeLimitExceeded: total degree %d is above the limit of 65535\n"
+
+
+def test_form_above_the_degree_limit_exits_3(capsys, tmp_path):
+    """A one-term form of degree 2^16 does not fit the packed exponents:
+    decoding it exits 3 with the limit, before any work."""
+    body = {"vars": 1, "terms": [{"e": [65536], "c": "1"}]}
+    path = write_json(tmp_path / "form.json", {"degree": 65536, "vars": 1, "body": body})
+    assert run(capsys, "radical", "--form", path) == (3, "", _DEGREE_LIMIT % 65536)
+
+
+def test_power_above_the_degree_limit_exits_3(capsys, tmp_path):
+    """x0^3 to the power 21846 has degree 65538: `construct --kind power`
+    exits 3 with the limit, before the power is expanded."""
+    cube = HomogeneousForm(QQ, 3, 1, Polynomial.variable(QQ, 1, 0) ** 3)
+    path = write_json(tmp_path / "cube.json", encode_form(cube))
+    assert run(capsys, "construct", "--kind", "power", "--param", "m=21846",
+               "--input", path) == (3, "", _DEGREE_LIMIT % 65538)
+
+
 _OMEGA = field_extend(QQ, [1, 1, 1])
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from formforge import (
     verify_scaled_witness,
 )
 from formforge.coeffield import RationalField
-from formforge.constructions import norm_via_regular
+from formforge.constructions import cd_theta_matrix, norm_via_regular, product_polys
 from formforge.forms import coordinates_over_base
 from formforge.jsonio import decode_form
 from oracles import (
@@ -502,6 +503,71 @@ def test_jordan_triple_makes_no_rational_field_product(monkeypatch):
                         lambda self, x, y: calls.append(1) or mul(self, x, y))
     jordan_triple_from_degree3(matrix_algebra(3), 2)
     assert calls == []
+
+
+def test_sharp_forms_each_product_of_a_vector_with_itself_once(monkeypatch):
+    """When x is y, `product_polys` forms x_i x_j for i <= j only, under the
+    constants of b_i b_j and b_j b_i together: the matrix triple and its
+    structurable quartic make 6 sharp calls of 18 products (36 each when
+    every pair was formed), and the product equals the one of two distinct
+    vectors, for the noncommutative M_2 over Q and over Q(sqrt 2)."""
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counted(a, b):
+        if sys._getframe(1).f_code.co_name == "product_polys":
+            calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    structurable_quartic(jordan_triple_from_degree3(matrix_algebra(3), 2))
+    assert len(calls) == 108
+    for field in (QQ, SQRT2):
+        A = matrix_algebra(2, field=field)
+        x = [Polynomial.variable(field, 4, i).scale(field.from_rational(i + 1)) for i in range(4)]
+        assert product_polys(A.tensor, x, x) == product_polys(A.tensor, x, list(x))
+
+
+SQRT2 = field_extend(QQ, [-2, 0, 1])
+_QXQ = field_extend(QQ, [-1, 0, 1])
+
+
+def _with_trace(B, trace):
+    return AlgebraPresentation(B.field, B.tensor, B.unit, associative=True, norm=B.norm,
+                               trace=trace)
+
+
+@pytest.mark.parametrize("build, period_two", [
+    (lambda: split_jordan_q4(), True),
+    (lambda: _with_trace(split_jordan_q4(), [1, 1, 1, 2]), False),
+    (lambda: _with_trace(split_jordan_q4(), [0, 0, 0, 0]), True),
+    (lambda: _with_trace(split_etale_presentation(2, field=SQRT2),
+                         [SQRT2.element([2, 1]), SQRT2.element([2, -1])]), True),
+    # over Q[t]/(t^2 - 1): t^T u / 4 - 1 = -(1 + t)/2 is a nonzero zero
+    # divisor that kills the trace (1 - t, 1 - t), and not (1 - t, 0)
+    (lambda: _with_trace(split_etale_presentation(2, field=_QXQ),
+                         [_QXQ.one - _QXQ.gen] * 2), True),
+    (lambda: _with_trace(split_etale_presentation(2, field=_QXQ),
+                         [_QXQ.one - _QXQ.gen, _QXQ.zero]), False),
+], ids=["q4", "trace-sum-5", "zero-trace", "sqrt2", "zero-divisor-kills", "zero-divisor"])
+def test_theta_period_two_agrees_with_the_dense_square(build, period_two):
+    """`cd_theta_matrix` checks theta^2 = I from t^T u alone; the verdict
+    is the dense square's, computed here."""
+    B = build()
+    field, u, t = B.field, B.unit, B.trace
+    n = len(u)
+    half = field.from_rational(Fraction(1, 2))
+    theta = tuple(tuple(half * a * b - (field.one if i == j else field.zero)
+                        for j, b in enumerate(t)) for i, a in enumerate(u))
+    eye = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    square = [[sum((theta[i][k] * theta[k][j] for k in range(n)), field.zero)
+               for j in range(n)] for i in range(n)]
+    assert (square == eye) is period_two
+    if period_two:
+        assert cd_theta_matrix(B) == theta
+    else:
+        with pytest.raises(ValueError, match="theta is not of period 2"):
+            cd_theta_matrix(B)
 
 
 def test_admissible_triple_needs_cubics_on_spaces_of_one_dimension():

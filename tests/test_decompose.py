@@ -106,7 +106,7 @@ def test_split_cubic_center_is_two_dimensional():
     center = center_algebra(polarize(diag([1, 2], 3)))
     assert center.dim == 2
     idems = primitive_idempotents(center)
-    assert {as_fracs(e) for e in idems} == {
+    assert {as_fracs(e) for e, _ in idems} == {
         ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))),
         ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))),
     }
@@ -538,11 +538,11 @@ def test_split_albert_norm_is_one_27_dimensional_component():
 
 @pytest.mark.parametrize("over", ["q", "sqrt2"])
 def test_idempotent_column_bases_are_the_rref_of_their_columns(over):
-    """With `columns`, each primitive idempotent comes with the reduced row
-    echelon form of its columns, which over Q is computed from the integer
-    matrix: the very tuples `linalg.rref` gives on the field-element
-    columns, after a change of basis that fills the idempotents in and
-    gives their primitive integer column rows pivots other than 1."""
+    """Each primitive idempotent comes with the reduced row echelon form of
+    its columns, computed from the integer matrix: the very tuples
+    `linalg.rref` gives on the field-element columns, after a change of
+    basis that fills the idempotents in and gives their primitive integer
+    column rows pivots other than 1."""
     field = QQ if over == "q" else field_extend(QQ, [-2, 0, 1])
     phi = orthogonal_sum(tits_cubic(5).form, diag([2, -3], 3))
     if over != "q":
@@ -553,10 +553,7 @@ def test_idempotent_column_bases_are_the_rref_of_their_columns(over):
     f = LinearMap.from_rationals(field, [[1 if i == j else (3 if j == i + 1 else 0)
                                           for j in range(n)] for i in range(n)])
     center = center_algebra(polarize(apply_change_of_basis(phi, f)))
-    plain = primitive_idempotents(center)
-    with_columns = primitive_idempotents(center, columns=True)
-    assert [e for e, _ in with_columns] == plain
-    for e, basis in with_columns:
+    for e, basis in primitive_idempotents(center):
         red, pivots = linalg.rref(field, [list(col) for col in zip(*e)])
         assert basis == [tuple(red[i]) for i in range(len(pivots))]
         assert any(x != field.zero and x != field.one for row in e for x in row)
@@ -635,9 +632,9 @@ def test_non_orthogonal_component_bases_fail_the_reconstruction(monkeypatch):
     of phi(P' y) that mixes two blocks."""
     phi = diag([1, 2], 3)
     one, zero = QQ.one, QQ.zero
-    idems = primitive_idempotents(center_algebra(polarize(phi)), columns=True)
+    idems = primitive_idempotents(center_algebra(polarize(phi)))
     skewed = [(idems[0][0], [(one, one)]), (idems[1][0], [(zero, one)])]
-    monkeypatch.setattr(decompose, "primitive_idempotents", lambda center, columns: skewed)
+    monkeypatch.setattr(decompose, "primitive_idempotents", lambda center: skewed)
     with pytest.raises(RuntimeError, match="reconstruction identity failed"):
         krull_schmidt_decompose(phi)
 

@@ -309,9 +309,9 @@ _SCALAR_SPELLINGS = [
 def test_rational_polynomial_decodes_into_the_constructor_form(seed):
     """Over Q the decoder packs terms itself.  Its result equals the
     polynomial the constructor builds from the same terms, with the same
-    integer form and packing width, whatever the spelling of the
-    coefficients, with repeated exponents that add up (to zero, too) and
-    degrees that need wider packing as the terms go on."""
+    integer form, whatever the spelling of the coefficients, with repeated
+    exponents that add up (to zero, too) and degrees that grow as the terms
+    go on."""
     rng = random.Random(seed)
     n = rng.randrange(0, 4)
     pairs, raw = [], []
@@ -329,7 +329,7 @@ def test_rational_polynomial_decodes_into_the_constructor_form(seed):
     got = decode_polynomial({"vars": n, "terms": raw}, QQ)
     want = Polynomial.from_pairs(QQ, n, pairs)
     assert got == want
-    assert (got._nums, got._den, got._bits) == (want._nums, want._den, want._bits)
+    assert (got._nums, got._den) == (want._nums, want._den)
 
 
 @pytest.mark.parametrize(
@@ -382,8 +382,8 @@ def _encoded(field, q, rng):
 @pytest.mark.parametrize("seed", range(24))
 def test_etale_polynomial_decodes_into_the_constructor_form(seed):
     """Over an etale field the decoder packs the flat coordinates of every
-    coefficient itself: the same value, integer form and packing width as
-    the constructor gives the decoded elements, for coordinate lists,
+    coefficient itself: the same value and integer form as the constructor
+    gives the decoded elements, for coordinate lists,
     nested lists over a tower, rational scalars and repeated exponents."""
     rng = random.Random(seed)
     field = _DECODE_FIELDS[seed % len(_DECODE_FIELDS)]
@@ -402,7 +402,7 @@ def test_etale_polynomial_decodes_into_the_constructor_form(seed):
     got = decode_polynomial({"vars": n, "terms": raw}, field)
     want = Polynomial.from_pairs(field, n, pairs)
     assert got == want and got.terms == want.terms
-    assert (got._nums, got._den, got._bits) == (want._nums, want._den, want._bits)
+    assert (got._nums, got._den) == (want._nums, want._den)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from formforge import (
+    DegreeLimitExceeded,
     NotDivisible,
     Polynomial,
     QQ,
@@ -15,8 +16,10 @@ from formforge import (
 )
 from formforge.coeffield import EtaleAlgebra
 from formforge.constructions import catalog
-from formforge.jsonio import decode_field
+from formforge.jsonio import decode_field, decode_polynomial
 from formforge.poly import (
+    MAX_DEGREE,
+    W,
     clear_denominators,
     linear_forms,
     ring_matrix_determinant,
@@ -407,3 +410,82 @@ def test_rational_function_keeps_a_monic_denominator(field):
     for den in (x + y, Polynomial.const(field, 2, three), Polynomial.const(field, 1, field.one)):
         assert RationalFunction(zero, den).den == one
     assert not zero.is_monic() and not (x.scale(three) + y).is_monic() and (x + y).is_monic()
+
+
+# ---------------------------------------------------------------------------
+# one packing width: the degree limit and operands left as they are
+
+
+def _limit_raised(build, degree):
+    with pytest.raises(DegreeLimitExceeded) as exc:
+        build()
+    assert str(exc.value) == "total degree %d is above the limit of %d" % (degree, MAX_DEGREE)
+
+
+@pytest.mark.parametrize("field", [QQ, field_extend(QQ, [-2, 0, 1])], ids=["q", "sqrt2"])
+def test_degree_limit_at_its_boundary(field):
+    """x^(2^W - 1) builds and x^(2^W) raises, built from pairs, by a
+    product, by a power and by a composition; single terms only."""
+    assert issubclass(DegreeLimitExceeded, ValueError)
+    top, over = 2**W - 1, 2**W
+    assert MAX_DEGREE == top
+    one = field.one
+    x = Polynomial.variable(field, 2, 0)
+    y = Polynomial.variable(field, 2, 1)
+    p = Polynomial.from_pairs(field, 2, [((top, 0), one)])
+    assert p.terms == {(top, 0): one} and p.total_degree() == top
+    _limit_raised(lambda: Polynomial.from_pairs(field, 2, [((over, 0), one)]), over)
+    _limit_raised(lambda: Polynomial.from_pairs(field, 2, [((1, top), one)]), over)
+    half = x ** (2 ** (W - 1))
+    assert (half * x ** (2 ** (W - 1) - 1)) == p
+    _limit_raised(lambda: half * half, over)
+    _limit_raised(lambda: p * y, over)
+    assert x**top == p
+    _limit_raised(lambda: x**over, over)
+    _limit_raised(lambda: (x * y) ** (2 ** (W - 1)), over)
+    # every exponent field full at once, and a quotient that borrows nothing
+    q = Polynomial.from_pairs(field, 2, [((top, 0), one), ((0, top), one)])
+    assert q.leading_term() == ((top, 0), one)
+    assert q.exact_div(q) == Polynomial.const(field, 2, one)
+    assert p.exact_div(x ** (top - 1)) == x
+    with pytest.raises(NotDivisible):
+        p.exact_div(y)
+    # compose: t^(2^W - 1) substituted by x, and t^(2^(W-1)) by x y
+    assert Polynomial.from_pairs(field, 1, [((top,), one)]).compose([x]) == p
+    t = Polynomial.from_pairs(field, 1, [((2 ** (W - 1),), one)])
+    assert t.compose([x]) == half
+    _limit_raised(lambda: t.compose([x * y]), over)
+    # linear_forms adds one degree for the y variables
+    _limit_raised(lambda: linear_forms([[p]]), over)
+    assert linear_forms([[half]])[0].total_degree() == 2 ** (W - 1) + 1
+
+
+def test_degree_limit_in_json_decoding():
+    top = MAX_DEGREE
+    got = decode_polynomial({"vars": 2, "terms": [{"e": [top, 0], "c": "3"}]}, QQ)
+    assert got == Polynomial.from_pairs(QQ, 2, [((top, 0), 3)])
+    for e in ([top + 1, 0], [1, top], [2**70, 0]):
+        _limit_raised(lambda: decode_polynomial({"vars": 2, "terms": [{"e": e, "c": "1"}]}, QQ),
+                      sum(e))
+
+
+def test_arithmetic_does_not_repack_operands():
+    """Sums, products, comparisons, composition and division of
+    polynomials of different degrees leave each operand's packed keys as
+    they were: every polynomial of a ring packs with the same width."""
+    x5 = Polynomial.from_pairs(QQ, 2, [((5, 0), 1)])
+    y = var(2, 1)
+    u = Polynomial.from_pairs(QQ, 1, [((3,), 1)])
+    operands = (x5, y, u)
+    before = [dict(p._nums) for p in operands]
+    assert x5 != y
+    x5 + y
+    x5 - y
+    y * x5
+    x5 * y * y
+    y**3
+    u.compose([y])
+    u.compose([x5])
+    (x5 * y).exact_div(y)
+    (x5 * y).exact_div(x5)
+    assert [p._nums for p in operands] == before
