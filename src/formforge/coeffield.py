@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -494,6 +496,29 @@ class StructureTensor:
                         for k, t in row[j]:
                             out[k] += c * t
         return out
+
+    def mul_columns(self, a, b) -> list:
+        """The products of two batches of elements, column by column: column
+        i of a (and of b) holds coordinate i of each element of its batch,
+        and column k of the result coordinate k of each product, over den
+        times the denominators of a and b (integral tensors only).  Each
+        nonzero constant is one `map` over the batch; zero columns are
+        skipped."""
+        rows = self.rows
+        out = [None] * len(rows)
+        right = [j for j, col in enumerate(b) if any(col)]
+        for i, col in enumerate(a):
+            if not any(col):
+                continue
+            row = rows[i]
+            for j in right:
+                if row[j]:
+                    p = list(map(operator.mul, col, b[j]))
+                    for k, c in row[j]:
+                        t = p if c == 1 else list(map(operator.mul, p, repeat(c)))
+                        out[k] = t if out[k] is None else list(map(operator.add, out[k], t))
+        size = len(a[0])
+        return [[0] * size if v is None else v for v in out]
 
     def trace_form_rank(self, basis) -> int:
         """The rank over Q of the trace form t(xy) on the span of the int

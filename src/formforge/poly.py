@@ -31,7 +31,9 @@ reduced powers.  No exponent field carries into the next as long as the
 total degree stays below 2^W, so that is checked where a degree can grow:
 construction (and decoding), products, powers, composition and
 `linear_forms` raise `DegreeLimitExceeded` above MAX_DEGREE, before any
-key is packed.  Two polynomials of one ring always share their packing, so
+key is packed; construction also refuses an exponent tuple of the wrong
+length or with a negative entry, which would borrow from the field above
+it.  Two polynomials of one ring always share their packing, so
 no arithmetic, comparison or read changes an operand's keys.
 """
 
@@ -44,6 +46,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import linalg
@@ -84,6 +87,17 @@ def check_degree(degree: int) -> None:
     """Raise DegreeLimitExceeded when `degree` does not fit the packing."""
     if degree > MAX_DEGREE:
         raise DegreeLimitExceeded(degree)
+
+
+def _check_exponents(exps, n: int) -> None:
+    """Raise ValueError unless every exponent tuple of `exps` has n entries,
+    none of them negative: a packed key has one field a variable, and a
+    negative entry borrows from the field above it."""
+    for e in exps:
+        if len(e) != n:
+            raise ValueError("exponent tuple %r has %d entries, expected %d" % (e, len(e), n))
+        if n and min(e) < 0:
+            raise ValueError("exponent tuple %r has a negative entry" % (e,))
 
 
 def _grlex(e: Tuple[int, ...]):
@@ -182,6 +196,7 @@ class Polynomial:
         self.field = field
         self.nvars = nvars
         self._compiled = None
+        _check_exponents(terms, nvars)
         if isinstance(field, RationalField):
             terms = {e: c for e, c in terms.items() if c.coeffs[0]}
             self._terms = terms
@@ -271,7 +286,10 @@ class Polynomial:
     def const(field, nvars: int, c) -> "Polynomial":
         if not isinstance(c, FieldElement):
             c = field.from_rational(c)
-        return Polynomial(field, nvars, {(0,) * nvars: c})
+        # the keys of a constant are the generator keys alone
+        a, d = integral_coordinates(field.flat(c))
+        gen = field.generator_keys()
+        return Polynomial._from_nums(field, nvars, {t: x for t, x in zip(gen.keys, a) if x}, d)
 
     @staticmethod
     def variable(field, nvars: int, i: int) -> "Polynomial":
@@ -570,13 +588,15 @@ class Polynomial:
         nums = [[q.numerator * (B // q.denominator) for q in v] for v in flats]
         prog = self.program()
         if any(any(v[1:]) for v in nums):
-            return prog.element(prog.at_vectors(nums, B)[0], B)
-        return prog.element(prog.at([v[0] for v in nums], B)[0], B)
+            values = prog.at_vectors([nums], B)
+        else:
+            values = prog.at([[v[0] for v in nums]], B)
+        return prog.elements(values[0], B)[0]
 
     def eval_int(self, point: Sequence[int]) -> FieldElement:
         self._check_length(point)
         prog = self.program()
-        return prog.element(prog.at(point)[0])
+        return prog.elements(prog.at([point])[0])[0]
 
     def _check_length(self, point):
         if len(point) != self.nvars:
@@ -723,14 +743,24 @@ class Polynomial:
 
 
 class EvalProgram:
-    """The values of polynomials p_0, ..., p_(r-1) of one ring at a point,
-    computed in Python ints over one denominator fixed at compile time.
+    """The values of polynomials p_0, ..., p_(r-1) of one ring at a batch of
+    points, computed in Python ints over one denominator fixed at compile
+    time.
 
     Compiling lists the distinct monomials of all the p_j, closed under
     taking a parent: each monomial of degree k > 0 is one of degree k - 1
-    times one variable.  At a point the monomials are computed a degree at a
-    time, one product each, so the powers of each coordinate are built once
-    and shared by every p_j, and a term costs one product more.
+    times one variable.  The monomials are computed a degree at a time, one
+    product each, so the powers of each coordinate are built once and shared
+    by every p_j, and a term costs one product more.  Each degree, and the
+    term sums of all the p_j, run as C-level `map`s over the whole batch.
+    At one point the monomial values are one list, gathered a degree at a
+    time by the parents' indices.  At more points each monomial's values
+    are one tuple over the batch (a column); a degree multiplies the chained
+    columns of its parents by those of its variables, and drops the columns
+    of one degree less that no term reads.  The term products then come
+    point by point, and their running sum is kept only where a polynomial's
+    terms end, so a batch holds its monomials' columns and one value per
+    polynomial and point.
 
     The coefficients are ints over their least common denominator L: one int
     a term over Q, the int vector of its flat coordinates over an etale
@@ -738,16 +768,19 @@ class EvalProgram:
     multiplication tensor (1 over Q), every value comes back as its numerator
     over `den` = L * Dt^D, or over den * B^D when the coordinates are
     numerators over a common denominator B (`scale`):
-    - `at` takes int coordinates, and gives an int a polynomial over Q and an
-      int vector over an etale field;
+    - `at` takes int coordinates;
     - `at_vectors` (etale fields) takes flat int vectors and multiplies
-      through the tensor.  A monomial of degree k > 0 then carries
-      Dt^(k - 1), and its product with a coefficient one Dt more, so in both
-      a term of degree k is scaled by (B * Dt)^(D - k).
+      through the tensor column by column (`StructureTensor.mul_columns`).
+      A monomial of degree k > 0 then carries Dt^(k - 1), and its product
+      with a coefficient one Dt more, so in both a term of degree k is
+      scaled by (B * Dt)^(D - k).
+    Both return, for each polynomial, its values over the batch in point
+    order: a tuple of ints over Q, and over an etale field the tuples of the
+    values' flat coordinates, one a coordinate (`elements` reads either).
     """
 
     __slots__ = ("field", "nvars", "den", "_degree", "_tensor", "_levels", "_mono",
-                 "_codeg", "_coeffs", "_cols", "_starts", "_ends")
+                 "_codeg", "_coeffs", "_cols", "_starts", "_ends", "_first")
 
     def __init__(self, polys: Sequence[Polynomial]):
         first = polys[0]
@@ -762,7 +795,9 @@ class EvalProgram:
             if d != L:
                 f = L // d
                 ts = [(e, c * f if rational else [x * f for x in c]) for e, c in ts]
-            terms.append(ts)
+            # a zero polynomial gets one zero constant term, so that every
+            # polynomial's terms end at their own place
+            terms.append(ts or [((0,) * n, 0 if rational else [0] * field.absolute_degree)])
         self._tensor = None if rational else field.tensor()
         dt = 1 if rational else self._tensor.den
         D = max((sum(e) for ts in terms for e, _ in ts), default=0)
@@ -787,15 +822,21 @@ class EvalProgram:
                     lower[step[0]] = None
                 level[e] = step
         index = {(0,) * n: 0}
-        self._levels = []
+        levels, ranges = [], []
         for level in by_degree[1:]:
             parents, xs = [], []
+            ranges.append(range(len(index), len(index) + len(level)))
             for e, (parent, i) in level.items():
                 index[e] = len(index)
                 parents.append(index[parent])
                 xs.append(i)
-            self._levels.append((parents, xs))
+            levels.append((parents, xs))
         self._mono = [index[e] for ts in terms for e, _ in ts]
+        # the monomials of degree 1 are coordinates: first[j] is the variable
+        # of monomial j + 1.  Each higher degree comes with the indices of
+        # the monomials of one degree less.
+        self._first = levels[0][1] if levels else []
+        self._levels = [(parents, xs, below) for (parents, xs), below in zip(levels[1:], ranges)]
         self._codeg = [D - sum(e) for ts in terms for e, _ in ts]
         self._coeffs = [c for ts in terms for _, c in ts]
         self._cols = None if self._tensor is None else [
@@ -807,61 +848,112 @@ class EvalProgram:
         self.field, self.nvars, self._degree = field, n, D
         self.den = L * dt**D
 
-    def at(self, point: Sequence[int], scale: int = 1) -> list:
-        """The numerators of the values at the int point `point` / scale."""
-        mv = [1]
-        get = mv.__getitem__
-        for parents, xs in self._levels:
-            mv += list(map(operator.mul, map(get, parents), map(point.__getitem__, xs)))
-        vals = list(map(get, self._mono))
+    def at(self, points: Sequence[Sequence[int]], scale: int = 1) -> list:
+        """Each polynomial's numerators at the int points `points` / scale."""
+        b = len(points)
+        if b == 1:
+            (pt,) = points
+            mv = [1]
+            mv += map(pt.__getitem__, self._first)
+            get = mv.__getitem__
+            for parents, xs, _ in self._levels:
+                mv += list(map(operator.mul, map(get, parents), map(pt.__getitem__, xs)))
+            vals = list(map(get, self._mono))
+
+            def products(col):
+                return map(operator.mul, col, vals)
+        else:
+            coords = list(zip(*points))
+            mv = [(1,) * b]
+            mv += map(coords.__getitem__, self._first)
+            get = mv.__getitem__
+            read = set(self._mono).__contains__
+            for parents, xs, below in self._levels:
+                level = map(operator.mul, chain.from_iterable(map(get, parents)),
+                            chain.from_iterable(map(coords.__getitem__, xs)))
+                mv += list(zip(*[level] * b))
+                # the monomials of one degree less that no term reads
+                for i in itertools.filterfalse(read, below):
+                    mv[i] = None
+
+            def products(col):
+                # point by point, the coefficients times their monomials' values
+                return map(operator.mul, chain.from_iterable(itertools.repeat(col, b)),
+                           chain.from_iterable(zip(*map(get, self._mono))))
+        cols = [self._coeffs] if self._cols is None else self._cols
         dt = 1 if self._tensor is None else self._tensor.den
         if scale != 1 or dt != 1:
-            f = dt**self._degree
-            w = [f * scale**j for j in range(self._degree + 1)]
-            vals = list(map(operator.mul, vals, map(w.__getitem__, self._codeg)))
+            cols = self._weighted(cols, scale, dt)
         if self._cols is None:
-            return self._sums(map(operator.mul, self._coeffs, vals))
-        parts = [self._sums(map(operator.mul, col, vals)) for col in self._cols]
-        return [list(v) for v in zip(*parts)]
+            return self._sums(products(cols[0]), b)
+        return list(zip(*[self._sums(products(col), b) for col in cols]))
 
-    def _sums(self, products) -> list:
-        """The sum of each polynomial's share of the term products."""
-        if len(self._ends) == 1:
-            return [sum(products)]
-        acc = list(itertools.accumulate(products, initial=0))
-        get = acc.__getitem__
-        return list(map(operator.sub, map(get, self._ends), map(get, self._starts)))
-
-    def at_vectors(self, point: Sequence[Sequence[int]], scale: int = 1) -> list:
-        """The numerators of the values at the point whose coordinates are
-        the flat int vectors of `point` over scale (etale fields only)."""
+    def at_vectors(self, points: Sequence[Sequence[Sequence[int]]], scale: int = 1) -> list:
+        """Each polynomial's numerators at the points whose coordinates are
+        the flat int vectors of `points` over scale (etale fields only)."""
         T = self._tensor
-        mv = [None]  # the constant monomial: a term of degree 0 is its coefficient
-        for parents, xs in self._levels:
-            for p, i in zip(parents, xs):
-                u = mv[p]
-                mv.append(point[i] if u is None else T.mul(u, point[i]))
+        b, m = len(points), len(self._cols)
+        # coords[l][i]: flat coordinate l of coordinate i, over the batch
+        coords = list(zip(*(zip(*c) for c in zip(*points)))) or [()] * m
+        # the constant monomial is zero here, and the constant terms are
+        # added to the products below
+        mv = [[(0,) * b] for _ in range(m)]
+        for c, coord in zip(mv, coords):
+            c += map(coord.__getitem__, self._first)
+        read = set(self._mono).__contains__
+        for parents, xs, below in self._levels:
+            left = [list(chain.from_iterable(map(c.__getitem__, parents))) for c in mv]
+            right = [list(chain.from_iterable(map(coord.__getitem__, xs))) for coord in coords]
+            spent = list(itertools.filterfalse(read, below))
+            for c, product in zip(mv, T.mul_columns(left, right)):
+                c += zip(*[iter(product)] * b)
+                for i in spent:
+                    c[i] = None
+        monos = [list(chain.from_iterable(zip(*map(c.__getitem__, self._mono)))) for c in mv]
         f = scale * T.den
-        w = [f**j for j in range(self._degree + 1)]
-        coeffs, mono, codeg = self._coeffs, self._mono, self._codeg
-        out = []
-        for a, b in zip(self._starts, self._ends):
-            total = [0] * len(self._cols)
-            for t in range(a, b):
-                u = mv[mono[t]]
-                v = coeffs[t] if u is None else T.mul(coeffs[t], u)
-                s = w[codeg[t]]
-                for j, x in enumerate(v):
-                    total[j] += x * s
-            out.append(total)
-        return out
+        cols = self._cols if f == 1 else self._weighted(self._cols, f, 1)
+        vals = T.mul_columns([col * b for col in cols], monos)
+        if 0 in self._mono:
+            # the constant terms: their coefficients, at every point
+            vals = [map(operator.add, v, [0 if k else c for c, k in zip(col, self._mono)] * b)
+                    for v, col in zip(vals, cols)]
+        return list(zip(*[self._sums(v, b) for v in vals]))
 
-    def element(self, value, scale: int = 1) -> FieldElement:
-        """The field element of a value that `at` or `at_vectors` returned."""
+    def _weighted(self, cols: list, scale: int, dt: int) -> list:
+        """The coefficient columns with term t times dt^D * scale^codeg(t)."""
+        f = dt**self._degree
+        w = [f * scale**j for j in range(self._degree + 1)]
+        weights = list(map(w.__getitem__, self._codeg))
+        return [list(map(operator.mul, col, weights)) for col in cols]
+
+    def _sums(self, products, b: int) -> list:
+        """Each polynomial's sums of its share of the term products, given
+        point by point, as a tuple over the batch of b points.  Over more
+        than one point the running sum is kept only at the end of each
+        polynomial's terms, and the differences of those are the sums."""
+        if b == 1:
+            if len(self._ends) == 1:
+                return [(sum(products),)]
+            if len(self._ends) == len(self._mono):  # one term a polynomial
+                return list(zip(products))
+            acc = list(itertools.accumulate(products, initial=0))
+            get = acc.__getitem__
+            return list(zip(map(operator.sub, map(get, self._ends), map(get, self._starts))))
+        ending = [False] * len(self._mono)
+        for e in self._ends:
+            ending[e - 1] = True
+        ending = chain((True,), chain.from_iterable(itertools.repeat(ending, b)))
+        ends = list(compress(itertools.accumulate(products, initial=0), ending))
+        sums = map(operator.sub, itertools.islice(ends, 1, None), ends)
+        return list(zip(*zip(*[sums] * len(self._ends))))
+
+    def elements(self, values, scale: int = 1) -> list:
+        """The field elements of one polynomial's values that `at` or
+        `at_vectors` returned, point by point."""
         den = self.den * scale**self._degree
         if self._cols is None:
-            return FieldElement(self.field, (Fraction(value, den),))
-        return self.field.from_flat([Fraction(x, den) for x in value])
+            return [FieldElement(self.field, (Fraction(v, den),)) for v in values]
+        return [self.field.from_flat([Fraction(x, den) for x in v]) for v in zip(*values)]
 
 
 # ---------------------------------------------------------------------------
@@ -1184,18 +1276,26 @@ def verify_identity(
     deg = max(lhs.total_degree(), rhs.total_degree(), 0)
     prog = None  # both sides over one denominator, compiled at the first sample
 
-    def agree(pt):
+    def agree(points):
         nonlocal prog
         if prog is None:
             prog = EvalProgram([lhs, rhs])
-        a, b = prog.at(pt)
-        return a == b
+        a, b = prog.at(points)
+        if not isinstance(lhs.field, RationalField):  # flat coordinates, point by point
+            a, b = zip(*a), zip(*b)
+        return list(map(operator.eq, a, b))
 
     return sample_identity(agree, lhs.nvars, deg, samples, seed, box_halfwidth)
 
 
+SAMPLE_BATCH = 64
+"""The most points `sample_identity` hands `agree` at once.  It bounds the
+memory of a check whatever its sample count, and is above DEFAULT_SAMPLES,
+so a default check past its first point is one batch."""
+
+
 def sample_identity(
-    agree: Callable[[Tuple[int, ...]], Optional[bool]],
+    agree: Callable[[list], list],
     nvars: int,
     degree: int,
     samples: int,
@@ -1209,11 +1309,20 @@ def sample_identity(
     the first getrandbits(k) below 2h + 1, less h, where k is the bit length
     of 2h + 1: that is how CPython's randrange(-h, h + 1) draws, so the
     points are the ones it gives, without a call to it per coordinate.
-    agree(point) says whether the two sides are equal there, or returns None
-    at a pole of the identity, and the point is redrawn (at most
-    50 * samples draws in all).  The first disagreement refutes; agreement
-    at every sample is "evidence" with the Schwartz-Zippel bound
-    min(degree / box size, 1) per sample; at least one sample is required.
+    agree(points) says, for each point of a batch, whether the two sides are
+    equal there, or gives None at a pole of the identity, where the point is
+    redrawn (at most 50 * samples draws in all).  The first disagreement
+    refutes; agreement at every sample is "evidence" with the
+    Schwartz-Zippel bound min(degree / box size, 1) per sample; at least
+    one sample is required.
+
+    The points are drawn and evaluated in batches: the first point alone,
+    which refutes a wrong identity with probability at least
+    1 - degree / box size, then at most SAMPLE_BATCH points at a time, and
+    never more than the samples still missing or the draws still allowed.
+    A batch is drawn in one run of the generator and its answers are read
+    in draw order, so the points, the counterexample, the pole redraws and
+    the bounds are those of drawing and checking one point at a time.
 
     The callers' agree evaluate each side on `EvalProgram`s compiled at the
     first point, so symbolic mode compiles nothing, and compare numerators
@@ -1233,29 +1342,36 @@ def sample_identity(
         # coordinates are the draws below width, in order
         return [r - h for r in map(getrandbits, itertools.repeat(k, m)) if r < width]
 
+    def points(count):
+        m = count * nvars
+        coords = draw(m)
+        while len(coords) < m:
+            coords += draw(m - len(coords))
+        return list(zip(*[iter(coords)] * nvars)) if nvars else [()] * count
+
     done = 0
     attempts = 0
+    batch = 1
     while done < samples:
-        attempts += 1
-        if attempts > 50 * samples:
+        count = min(batch, samples - done, 50 * samples - attempts)
+        if not count:
             raise RuntimeError("could not avoid witness poles while sampling")
-        pt = draw(nvars)
-        while len(pt) < nvars:
-            pt += draw(nvars - len(pt))
-        pt = tuple(pt)
-        ok = agree(pt)
-        if ok is None:
-            continue
-        if not ok:
-            return IdentityReport(
-                verdict="refuted",
-                mode="random",
-                samples=samples,
-                seed=seed,
-                box_halfwidth=box_halfwidth,
-                counterexample=pt,
-            )
-        done += 1
+        pts = points(count)
+        for pt, ok in zip(pts, agree(pts)):
+            attempts += 1
+            if ok is None:
+                continue
+            if not ok:
+                return IdentityReport(
+                    verdict="refuted",
+                    mode="random",
+                    samples=samples,
+                    seed=seed,
+                    box_halfwidth=box_halfwidth,
+                    counterexample=pt,
+                )
+            done += 1
+        batch = SAMPLE_BATCH
     per = min(Fraction(degree, 2 * box_halfwidth + 1), Fraction(1))
     return IdentityReport(
         verdict="evidence",

@@ -8,7 +8,6 @@ exact evaluation at random points (evidence with a stated bound).
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import os
@@ -17,10 +16,12 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeffield import FieldElement, QQ, RationalField, etale_norm, restrict_scalars
+from .coeffield import (FieldElement, QQ, RationalField, StructureTensor, etale_norm,
+                        restrict_scalars)
 from .decompose import DegenerateInput, krull_schmidt_decompose
 from .forms import DimensionMismatch, HomogeneousForm
 from .poly import (
@@ -123,7 +124,7 @@ def _check_identity(
     identity: str,
     estimate: int,
     build: Callable[[], Tuple[Polynomial, Polynomial]],
-    agree: Callable[[Tuple[int, ...]], Optional[bool]],
+    agree: Callable[[list], list],
     nvars: int,
     degree: int,
     mode: str,
@@ -135,16 +136,17 @@ def _check_identity(
     """The one identity check behind every verify_* engine.
 
     An engine states its identity lhs == rhs: `build` expands both sides for a
-    symbolic proof, `agree` compares them at one point of the nvars sample
-    variables (None at a pole), and `degree` bounds their total degree.  The
-    mode is resolved against the estimate of the symbolic expansion.
+    symbolic proof, `agree` compares them at each point of a batch of points
+    of the nvars sample variables (None at a pole), and `degree` bounds
+    their total degree.  The mode is resolved against the estimate of the
+    symbolic expansion.
 
     In random mode nothing is expanded.  `agree` evaluates `EvalProgram`s in
-    ints (for the z_l, the triple, num(c) and den(c), and phi, compiled at
-    the first point; D and the nonzero entries of N are compiled before, for
-    the invertibility check) and compares the two sides as products of
-    program values (`_Values`), whose denominators cancel once at compile
-    time."""
+    ints over the whole batch (for the z_l, the triple, num(c) and den(c),
+    and phi, compiled at the first point; D and the nonzero entries of N are
+    compiled before, for the invertibility check) and compares the two sides
+    as products of program values, column by column (`_Values`), whose
+    denominators cancel once at compile time."""
     use_mode, use_seed, note = _resolve_mode(mode, estimate, budget, seed)
     if use_mode == "symbolic":
         rep = verify_identity(*build(), mode="symbolic")
@@ -164,48 +166,81 @@ def _check_identity(
 
 @dataclass(frozen=True)
 class _Values:
-    """Arithmetic on the values that `EvalProgram`s over one field return:
-    ints over Q, flat int vectors over an etale field.  Over an etale field a
-    product of k values is taken through the field's multiplication tensor
-    and carries dt^(k - 1) more in its denominator, so `equal` compares a
-    product of kx values with one of ky values."""
+    """Column-wise arithmetic on batches of the values that `EvalProgram`s
+    over one field return (`EvalProgram.at`): a batch is one int a point
+    over Q, and over an etale field the columns of the values' flat int
+    coordinates, column l holding coordinate l at every point.  Over an
+    etale field a product of k values is taken through the field's
+    multiplication tensor (`StructureTensor.mul_columns`) and carries
+    dt^(k - 1) more in its denominator, so `equal` compares a product of kx
+    values with one of ky values."""
 
-    ints: bool
-    product: Callable  # the product of a list of values
-    times: Callable  # a value times an int
-    dt: int
+    tensor: Optional[StructureTensor]  # None over Q
 
     @staticmethod
     def of(field) -> "_Values":
-        if isinstance(field, RationalField):
-            return _Values(True, math.prod, operator.mul, 1)
-        T = field.tensor()
-        return _Values(False, lambda vs: reduce(T.mul, vs), lambda v, k: [x * k for x in v],
-                       T.den)
+        return _Values(None if isinstance(field, RationalField) else field.tensor())
 
-    def is_zero(self, v) -> bool:
-        return not v if self.ints else not any(v)
+    def is_zero(self, v) -> list:
+        """Whether each point's value is zero."""
+        if self.tensor is None:
+            return list(map(operator.not_, v))
+        return [not any(x) for x in zip(*v)]
 
-    def at(self, prog: EvalProgram, point) -> list:
-        """prog at a point whose coordinates are values."""
-        return prog.at(point) if self.ints else prog.at_vectors(point)
+    def by_point(self, batches: list) -> list:
+        """The values of batches over one batch of points, point by point:
+        for each point, a tuple of the batches' values there (ints over Q,
+        flat int vectors over an etale field)."""
+        if self.tensor is None:
+            return list(zip(*batches))
+        return list(zip(*(zip(*v) for v in batches)))
 
-    def matvec(self, entries: list, rows: "_SparseRows", y) -> list:
-        """M y for an int vector y and a matrix M whose nonzero entries are
-        the values `entries` (at least one), laid out by `rows`."""
-        ys = list(map(y.__getitem__, rows.cols))
-        if self.ints:
-            return rows.sums(map(operator.mul, entries, ys))
-        parts = [rows.sums(map(operator.mul, col, ys)) for col in zip(*entries)]
-        return [list(v) for v in zip(*parts)]
+    def at(self, prog: EvalProgram, coords: list) -> list:
+        """prog at the batch of points whose coordinates are the batches
+        `coords`."""
+        points = self.by_point(coords)
+        return prog.at(points) if self.tensor is None else prog.at_vectors(points)
 
-    def equal(self, x, kx: int, y, ky: int) -> bool:
-        if self.dt != 1 and kx != ky:
-            if kx > ky:
-                y = self.times(y, self.dt ** (kx - ky))
+    def matvec(self, entries: list, rows: "_SparseRows", ys: list) -> list:
+        """The batches of M y, for the int columns ys of y and a matrix M
+        whose nonzero entries (at least one a row) have the batches
+        `entries`, laid out by `rows`."""
+
+        def row(values, cols):
+            # each point's sum of the products of the row's entries with y
+            return list(map(sum, zip(*map(map, repeat(operator.mul), values,
+                                          map(ys.__getitem__, cols)))))
+
+        out = []
+        for cols, vs in rows.split(entries):
+            if self.tensor is None:
+                out.append(row(vs, cols))
             else:
-                x = self.times(x, self.dt ** (ky - kx))
-        return x == y
+                out.append([row(col, cols) for col in zip(*vs)])
+        return out
+
+    def product(self, factors: list) -> list:
+        if self.tensor is None:
+            return reduce(lambda x, y: list(map(operator.mul, x, y)), factors)
+        return reduce(self.tensor.mul_columns, factors)
+
+    def times(self, v, k: int) -> list:
+        """Each value times the int k."""
+        if self.tensor is None:
+            return list(map(operator.mul, v, repeat(k)))
+        return [list(map(operator.mul, col, repeat(k))) for col in v]
+
+    def equal(self, x, kx: int, y, ky: int) -> list:
+        """Whether each point's product of kx values x equals that of ky
+        values y."""
+        if self.tensor is not None and self.tensor.den != 1 and kx != ky:
+            if kx > ky:
+                y = self.times(y, self.tensor.den ** (kx - ky))
+            else:
+                x = self.times(x, self.tensor.den ** (ky - kx))
+        if self.tensor is None:
+            return list(map(operator.eq, x, y))
+        return list(map(operator.eq, zip(*x), zip(*y)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +268,6 @@ class _SparseRows:
     cols: list
     starts: list
     ends: list
-
-    def sums(self, products) -> list:
-        """Each row's sum of the products, one a nonzero entry."""
-        acc = list(itertools.accumulate(products, initial=0))
-        get = acc.__getitem__
-        return list(map(operator.sub, map(get, self.ends), map(get, self.starts)))
 
     def split(self, entries: list) -> list:
         """Each row's (columns, entries)."""
@@ -281,9 +310,10 @@ def _matrix_invertible(N, prog: EvalProgram, rows: _SparseRows) -> None:
     full = len(N) * field.absolute_degree
     best = seen = 0  # the highest rank below full so far, and at how many points
     for k, pt in enumerate(_invertibility_points(nx)):
-        d, *entries = prog.at(pt)
-        if values.is_zero(d):
+        d, *entries = prog.at([pt])
+        if values.is_zero(d)[0]:
             continue
+        (entries,) = values.by_point(entries)
         sparse = [{j: v for j, v in zip(cols, row) if v} for cols, row in rows.split(entries)]
         r = linalg.rank(QQ, restrict_scalars(field, sparse))
         if r == full:
@@ -365,22 +395,20 @@ def verify_scaled_witness(
     values = _Values.of(phi.field)
     progs = None  # compiled at the first sample; symbolic mode never needs them
 
-    def agree(pt):
+    def agree(points):
         nonlocal progs
         if progs is None:
             progs = EvalProgram([w.scalar.num, w.scalar.den]), phi.body.program()
         cprog, pprog = progs
-        x, y = pt[:nx], pt[nx:]
+        x, y = [pt[:nx] for pt in points], [pt[nx:] for pt in points]
         a, b = cprog.at(x)
-        if values.is_zero(b):
-            return None
         dval, *entries = xprog.at(x)
-        if values.is_zero(dval):
-            return None
-        v = values.matvec(entries, rows, y)
+        v = values.matvec(entries, rows, list(zip(*y)))
         lhs = values.product([a] + [dval] * d + pprog.at(y))
         rhs = values.product([b] + values.at(pprog, v))
-        return values.equal(lhs, d + 2, rhs, 2)
+        poles = map(operator.or_, values.is_zero(b), values.is_zero(dval))
+        return [None if pole else same
+                for pole, same in zip(poles, values.equal(lhs, d + 2, rhs, 2))]
 
     deg_bound = (
         phi.degree * (max((e.den.total_degree() for row in nonzero for e in row), default=0) + 1)
@@ -493,14 +521,15 @@ def verify_composition(
     values = _Values.of(field)
     progs = None  # compiled at the first sample; symbolic mode never needs them
 
-    def agree(pt):
+    def agree(points):
         nonlocal progs
         if progs is None:
             zprog, pprog = EvalProgram(zpolys), phi.body.program()
             progs = zprog, pprog, zprog.den**phi.degree
         zprog, pprog, zscale = progs
-        lhs = values.product(pprog.at(pt[:n]) + pprog.at(pt[n:]))
-        (pz,) = values.at(pprog, zprog.at(pt))
+        lhs = values.product(pprog.at([pt[:n] for pt in points])
+                             + pprog.at([pt[n:] for pt in points]))
+        (pz,) = values.at(pprog, zprog.at(points))
         return values.equal(values.times(lhs, zscale), 2, values.times(pz, pprog.den), 1)
 
     return _check_identity(
@@ -559,14 +588,14 @@ def verify_jordan_composition(
     values = _Values.of(field)
     progs = None  # compiled at the first sample; symbolic mode never needs them
 
-    def agree(pt):
+    def agree(points):
         nonlocal progs
         if progs is None:
             tprog, pprog = EvalProgram(triple), phi.body.program()
             progs = tprog, pprog, tprog.den**phi.degree
         tprog, pprog, tscale = progs
-        (lhs,) = values.at(pprog, tprog.at(pt))
-        (pv,), (pw,) = pprog.at(pt[:n]), pprog.at(pt[n:])
+        (lhs,) = values.at(pprog, tprog.at(points))
+        (pv,), (pw,) = pprog.at([pt[:n] for pt in points]), pprog.at([pt[n:] for pt in points])
         rhs = values.product([pv, pv, pw])
         return values.equal(values.times(lhs, pprog.den**2), 1, values.times(rhs, tscale), 3)
 

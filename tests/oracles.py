@@ -10,7 +10,8 @@ constants, linear forms built from the terms dicts, sums, products,
 substitution and heap division on {exponent tuple: FieldElement} dicts, a
 matrix product that adds up every product of rational functions,
 random-mode identities that evaluate every polynomial on its own in field
-elements, univariate polynomial arithmetic over a coefficient field on
+elements, the random-mode sample loop that draws and checks one point at a
+time, univariate polynomial arithmetic over a coefficient field on
 lists of field elements (`poly_*`: Euclid's gcd and the extended gcd, for
 inverses and squarefree tests in k[t]/(f)), the univariate steps of the
 idempotent splitting on monic lists of field elements, and a decomposition that
@@ -21,6 +22,7 @@ decoders still read, and a decoder of the tensors `polarize` writes.
 
 import heapq
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -36,7 +38,7 @@ from formforge import (
     polarize,
     primitive_idempotents,
 )
-from formforge.poly import clear_denominators
+from formforge.poly import IdentityReport, clear_denominators
 from formforge.constructions import AdmissibleTriple, product_polys
 from formforge.coeffield import EtaleAlgebra, integral_coordinates
 from formforge.decompose import _element_sort_key, _rational_roots
@@ -458,8 +460,38 @@ def linear_forms_from_terms(N):
 
 # ---------------------------------------------------------------------------
 # random-mode identities, one polynomial at a time
-#
-# Each returns (agree, nvars, degree) for `poly.sample_identity`: the
+
+
+def sample_one_at_a_time(agree, nvars, degree, samples, seed, box_halfwidth):
+    """`poly.sample_identity` drawing and checking one point at a time:
+    agree(point) gives True, False, or None at a pole, and a pole is drawn
+    again, up to 50 * samples draws."""
+    if samples < 1:
+        raise ValueError("samples must be positive, got %d" % samples)
+    if box_halfwidth < 0:
+        raise ValueError("box_halfwidth must be nonnegative, got %d" % box_halfwidth)
+    rng = random.Random(seed)
+    h = box_halfwidth
+    report = dict(mode="random", samples=samples, seed=seed, box_halfwidth=h)
+    done = 0
+    attempts = 0
+    while done < samples:
+        attempts += 1
+        if attempts > 50 * samples:
+            raise RuntimeError("could not avoid witness poles while sampling")
+        pt = tuple(rng.randrange(-h, h + 1) for _ in range(nvars))
+        ok = agree(pt)
+        if ok is None:
+            continue
+        if not ok:
+            return IdentityReport(verdict="refuted", counterexample=pt, **report)
+        done += 1
+    per = min(Fraction(degree, 2 * h + 1), Fraction(1))
+    return IdentityReport(verdict="evidence", per_sample_bound=per,
+                          overall_bound=per**samples, **report)
+
+
+# Each returns (agree, nvars, degree) for `sample_one_at_a_time`: the
 # identity the engine of `witness` checks, evaluated as the engines did
 # before they ran on compiled programs.  Every entry of N(X) Y, every z_l and
 # every side is its own polynomial, evaluated by `generic_eval` in field

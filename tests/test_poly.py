@@ -296,7 +296,7 @@ def test_random_mode_needs_a_positive_sample_count():
         with pytest.raises(ValueError, match="samples must be positive"):
             verify_identity(x, x, mode="random", samples=samples, seed=1)
         with pytest.raises(ValueError, match="samples must be positive"):
-            sample_identity(lambda pt: True, 1, 1, samples, 1, 10)
+            sample_identity(lambda pts: [True] * len(pts), 1, 1, samples, 1, 10)
 
 
 def test_compose_and_mul_reject_arguments_from_other_rings():
@@ -458,6 +458,24 @@ def test_degree_limit_at_its_boundary(field):
     # linear_forms adds one degree for the y variables
     _limit_raised(lambda: linear_forms([[p]]), over)
     assert linear_forms([[half]])[0].total_degree() == 2 ** (W - 1) + 1
+
+
+@pytest.mark.parametrize("field", [QQ, field_extend(QQ, [-2, 0, 1])], ids=["q", "sqrt2"])
+@pytest.mark.parametrize("exponent, message", [
+    ((-1, 2), r"exponent tuple \(-1, 2\) has a negative entry"),
+    ((1, 2, 3), r"exponent tuple \(1, 2, 3\) has 3 entries, expected 2"),
+    ((1,), r"exponent tuple \(1,\) has 1 entries, expected 2"),
+], ids=["negative", "too-long", "too-short"])
+def test_malformed_exponent_tuples_are_refused(field, exponent, message):
+    """An exponent tuple with a negative entry or the wrong length is
+    refused by from_pairs and the constructor, with a zero coefficient too:
+    packed, (-1, 2) read back as total degree -1, (1, 2, 3) as degree
+    393,217 and (1,) as degree 0."""
+    for c in (1, 0):
+        with pytest.raises(ValueError, match=message):
+            Polynomial.from_pairs(field, 2, [((0, 1), 1), (exponent, c)])
+        with pytest.raises(ValueError, match=message):
+            Polynomial(field, 2, {exponent: field.from_rational(c)})
 
 
 def test_degree_limit_in_json_decoding():

@@ -44,13 +44,13 @@ from formforge import linalg, poly
 from formforge import witness as W
 from formforge.coeffield import EtaleAlgebra, RationalField, field_extend
 from formforge.constructions import _det_form
-from formforge.poly import sample_identity
 from oracles import (
     brute_force_exponent_closure,
     composition_identity,
     generic_eval,
     jordan_identity,
     rf_mat_mul_all_products,
+    sample_one_at_a_time,
     scaled_witness_identity,
 )
 
@@ -587,7 +587,7 @@ def _bumped(m, field):
 
 def _same_reports(report, identity, samples, seed, box_halfwidth):
     agree, nvars, degree = identity
-    expected = sample_identity(agree, nvars, degree, samples, seed, box_halfwidth)
+    expected = sample_one_at_a_time(agree, nvars, degree, samples, seed, box_halfwidth)
     assert {f: getattr(report, f) for f in _REPORT_FIELDS} == {
         f: getattr(expected, f) for f in _REPORT_FIELDS}
 
