@@ -286,10 +286,7 @@ class Polynomial:
     def const(field, nvars: int, c) -> "Polynomial":
         if not isinstance(c, FieldElement):
             c = field.from_rational(c)
-        # the keys of a constant are the generator keys alone
-        a, d = integral_coordinates(field.flat(c))
-        gen = field.generator_keys()
-        return Polynomial._from_nums(field, nvars, {t: x for t, x in zip(gen.keys, a) if x}, d)
+        return Polynomial(field, nvars, {(0,) * nvars: c})
 
     @staticmethod
     def variable(field, nvars: int, i: int) -> "Polynomial":

@@ -7,6 +7,7 @@ multiplies field elements one at a time.
 Products through a `StructureTensor` are checked against the dense
 `oracles.structure_product`.  Needs hypothesis (the `test` extra)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -520,8 +521,8 @@ _PROGRAM_FIELDS = dict(FIELDS, q=QQ)
 @st.composite
 def _program_case(draw):
     """Up to four polynomials of one ring, zero and constant ones among them,
-    and a batch of int points and one of points whose coordinates are flat
-    int vectors over a common denominator `scale`."""
+    a batch of int points, a batch of points of field elements and a factor
+    for their common denominator."""
     field = _PROGRAM_FIELDS[draw(st.sampled_from(sorted(_PROGRAM_FIELDS)))]
     n = draw(st.integers(0, 3))
     exps = st.tuples(*[st.integers(0, 3)] * n)
@@ -537,37 +538,36 @@ def _program_case(draw):
             polys.append(Polynomial.from_pairs(field, n, pairs))
     size = draw(st.sampled_from(_BATCH_SIZES))
     ints = [draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)) for _ in range(size)]
-    # over Q a vector is one int; elsewhere some points are rational
-    m = field.absolute_degree
-    vector = st.one_of(st.lists(st.integers(-9, 9), min_size=m, max_size=m),
-                       st.builds(lambda a: [a] + [0] * (m - 1), st.integers(-9, 9)))
-    vectors = [[draw(vector) for _ in range(n)] for _ in range(size)]
-    return field, polys, ints, vectors, draw(st.sampled_from((1, 2, 6)))
+    points = [[_element(draw, field) for _ in range(n)] for _ in range(size)]
+    return field, polys, ints, points, draw(st.sampled_from((1, 2, 6)))
 
 
 _BATCH_SIZES = (1, 2, 49, SAMPLE_BATCH)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(_program_case())
 def test_program_matches_eval_of_each_polynomial(case):
     """One program over several polynomials gives, point by point over a
     batch, each polynomial's value over the program's one denominator: at
     int points as eval_int and the field-element oracle, and at points of
-    flat int vectors over a common denominator (`at_vectors`; ints over Q,
-    by `at`) as eval and the oracle."""
-    field, polys, ints, vectors, scale = case
+    flat vectors over a common denominator B (`at_vectors`; rationals as
+    ints over B, by `at`) as eval and the oracle.  B is the lcm of the
+    batch's denominators times 1, 2 or 6."""
+    field, polys, ints, points, scale = case
     prog = EvalProgram(polys)
     values = prog.at(ints)
     assert [len(v) for v in values] == [len(ints) if field == QQ else field.absolute_degree] * len(polys)
     want = [[generic_eval(p, [field.from_rational(x) for x in pt]) for pt in ints] for p in polys]
     got = [prog.elements(v) for v in values]
     assert got == [[p.eval_int(pt) for pt in ints] for p in polys] == want
-    points = [[field.from_flat([Fraction(a, scale) for a in v]) for v in pt] for pt in vectors]
+    flats = [[field.flat(x) for x in pt] for pt in points]
+    B = scale * math.lcm(*(q.denominator for pt in flats for v in pt for q in v))
+    nums = [[[q.numerator * (B // q.denominator) for q in v] for v in pt] for pt in flats]
     if field == QQ:
-        values = prog.at([[v[0] for v in pt] for pt in vectors], scale)
+        values = prog.at([[v[0] for v in pt] for pt in nums], B)
     else:
-        values = prog.at_vectors(vectors, scale)
+        values = prog.at_vectors(nums, B)
     want = [[generic_eval(p, pt) for pt in points] for p in polys]
-    got = [prog.elements(v, scale) for v in values]
+    got = [prog.elements(v, B) for v in values]
     assert got == [[p.eval(pt) for pt in points] for p in polys] == want
