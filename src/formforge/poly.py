@@ -290,6 +290,8 @@ class Polynomial:
 
     @staticmethod
     def variable(field, nvars: int, i: int) -> "Polynomial":
+        if not 0 <= i < nvars:
+            raise ValueError("variable %d is not one of the %d variables" % (i, nvars))
         e = [0] * nvars
         e[i] = 1
         return Polynomial(field, nvars, {tuple(e): field.one})
@@ -746,10 +748,16 @@ class EvalProgram:
 
     Compiling lists the distinct monomials of all the p_j, closed under
     taking a parent: each monomial of degree k > 0 is one of degree k - 1
-    times one variable.  The monomials are computed a degree at a time, one
-    product each, so the powers of each coordinate are built once and shared
-    by every p_j, and a term costs one product more.  Each degree, and the
-    term sums of all the p_j, run as C-level `map`s over the whole batch.
+    times one variable.  It reads the packed keys (`_nums` over Q, the
+    exponent parts of `_vectors` over an etale field) and builds no exponent
+    tuple: a key's degree is its top field, its parent along variable i is
+    the key less one in the degree field and one in i's, and only the
+    variables whose field is nonzero are tried, from variable 0 on, a parent
+    that is a term's monomial preferred.  The monomials are computed a
+    degree at a time, one product each, so the powers of each coordinate are
+    built once and shared by every p_j, and a term costs one product more.
+    Each degree, and the term sums of all the p_j, run as C-level `map`s
+    over the whole batch.
     At one point the monomial values are one list, gathered a degree at a
     time by the parents' indices.  At more points each monomial's values
     are one tuple over the batch (a column); a degree multiplies the chained
@@ -786,56 +794,63 @@ class EvalProgram:
         field, n = first.field, first.nvars
         L = math.lcm(*(p._den for p in polys))
         rational = isinstance(field, RationalField)
+        # each polynomial's {packed monomial: numerator over L}; a zero
+        # polynomial gets one zero constant term, so that every polynomial's
+        # terms end at their own place
         terms = []
         for p in polys:
-            ts, d = p.int_terms()
-            if d != L:
-                f = L // d
-                ts = [(e, c * f if rational else [x * f for x in c]) for e, c in ts]
-            # a zero polynomial gets one zero constant term, so that every
-            # polynomial's terms end at their own place
-            terms.append(ts or [((0,) * n, 0 if rational else [0] * field.absolute_degree)])
+            ts = p._nums if rational else p._vectors()
+            f = L // p._den
+            if f != 1:
+                ts = {k: c * f for k, c in ts.items()} if rational else {
+                    k: [x * f for x in c] for k, c in ts.items()}
+            terms.append(ts or {0: 0 if rational else [0] * field.absolute_degree})
         self._tensor = None if rational else field.tensor()
         dt = 1 if rational else self._tensor.den
-        D = max((sum(e) for ts in terms for e, _ in ts), default=0)
-        # by_degree[k]: each monomial of degree k with its (parent, variable),
-        # a parent that is a term's monomial preferred
+        # a monomial's key holds its degree above n exponent fields of W
+        # bits, variable 0's the highest
+        shift = n * W
+        D = max((k >> shift for ts in terms for k in ts), default=0)
+        # by_degree[d]: each monomial of degree d with its (parent, variable)
         by_degree = [{} for _ in range(D + 1)]
         for ts in terms:
-            for e, _ in ts:
-                by_degree[sum(e)][e] = None
-        for k in range(D, 0, -1):
-            level, lower = by_degree[k], by_degree[k - 1]
-            for e in level:
+            for k in ts:
+                by_degree[k >> shift][k] = None
+        degree_one = 1 << shift
+        for d in range(D, 0, -1):
+            level, lower = by_degree[d], by_degree[d - 1]
+            for k in level:
                 step = None
-                for i, x in enumerate(e):
-                    if x:
-                        parent = e[:i] + (x - 1,) + e[i + 1 :]
-                        if parent in lower:
-                            step = parent, i
-                            break
-                        step = step or (parent, i)
+                rest = k & (degree_one - 1)
+                while rest:
+                    at = (rest.bit_length() - 1) // W
+                    parent = k - (degree_one | 1 << at * W)
+                    if parent in lower:
+                        step = parent, n - 1 - at
+                        break
+                    step = step or (parent, n - 1 - at)
+                    rest &= (1 << at * W) - 1
                 else:
                     lower[step[0]] = None
-                level[e] = step
-        index = {(0,) * n: 0}
+                level[k] = step
+        index = {0: 0}
         levels, ranges = [], []
         for level in by_degree[1:]:
             parents, xs = [], []
             ranges.append(range(len(index), len(index) + len(level)))
-            for e, (parent, i) in level.items():
-                index[e] = len(index)
+            for k, (parent, i) in level.items():
+                index[k] = len(index)
                 parents.append(index[parent])
                 xs.append(i)
             levels.append((parents, xs))
-        self._mono = [index[e] for ts in terms for e, _ in ts]
+        self._mono = [index[k] for ts in terms for k in ts]
         # the monomials of degree 1 are coordinates: first[j] is the variable
         # of monomial j + 1.  Each higher degree comes with the indices of
         # the monomials of one degree less.
         self._first = levels[0][1] if levels else []
         self._levels = [(parents, xs, below) for (parents, xs), below in zip(levels[1:], ranges)]
-        self._codeg = [D - sum(e) for ts in terms for e, _ in ts]
-        self._coeffs = [c for ts in terms for _, c in ts]
+        self._codeg = [D - (k >> shift) for ts in terms for k in ts]
+        self._coeffs = [c for ts in terms for c in ts.values()]
         self._cols = None if self._tensor is None else [
             [c[l] for c in self._coeffs] for l in range(field.absolute_degree)
         ]
@@ -1321,10 +1336,10 @@ def sample_identity(
     in draw order, so the points, the counterexample, the pole redraws and
     the bounds are those of drawing and checking one point at a time.
 
-    The callers' agree evaluate each side on `EvalProgram`s compiled at the
-    first point, so symbolic mode compiles nothing, and compare numerators
-    over denominators cleared at compile time: one exact int (or int vector)
-    equality a point."""
+    The callers' agree evaluate each side on `EvalProgram`s, compiled at the
+    first point or, for a scaled check's program over X, before sampling,
+    and compare numerators over denominators cleared at compile time: one
+    exact int (or int vector) equality a point."""
     if samples < 1:
         raise ValueError("samples must be positive, got %d" % samples)
     if box_halfwidth < 0:

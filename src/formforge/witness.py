@@ -142,11 +142,12 @@ def _check_identity(
     symbolic expansion.
 
     In random mode nothing is expanded.  `agree` evaluates `EvalProgram`s in
-    ints over the whole batch (for the z_l, the triple, num(c) and den(c),
-    and phi, compiled at the first point; D and the nonzero entries of N are
-    compiled before, for the invertibility check) and compares the two sides
-    as products of program values, column by column (`_Values`), whose
-    denominators cancel once at compile time."""
+    ints over the whole batch and compares the two sides as products of
+    program values, column by column (`_Values`), whose denominators cancel
+    once at compile time.  The programs of the z_l, of the triple and of phi
+    are compiled at the first point; a scaled check's one program over X
+    (D, num(c), den(c) and the nonzero entries of N) is compiled before the
+    mode is resolved, for the invertibility check, and sampled as it is."""
     use_mode, use_seed, note = _resolve_mode(mode, estimate, budget, seed)
     if use_mode == "symbolic":
         rep = verify_identity(*build(), mode="symbolic")
@@ -274,10 +275,11 @@ class _SparseRows:
         return [(self.cols[a:b], entries[a:b]) for a, b in zip(self.starts, self.ends)]
 
 
-def _sparse_program(D: Polynomial, N):
-    """The program of D and then the nonzero entries of N row by row, and
-    their `_SparseRows`."""
-    polys, cols, starts, ends = [D], [], [], []
+def _sparse_program(D: Polynomial, scalar: RationalFunction, N):
+    """The one program over X of a scaled check: D, num(c), den(c) and then
+    the nonzero entries of N row by row, all in one ring, with the
+    `_SparseRows` of those entries."""
+    polys, cols, starts, ends = [D, scalar.num, scalar.den], [], [], []
     for row in N:
         starts.append(len(cols))
         for j, p in enumerate(row):
@@ -302,15 +304,16 @@ def _matrix_invertible(N, prog: EvalProgram, rows: _SparseRows) -> None:
     x_i = x_j.  Over a product of fields a nonzero det that is a zero
     divisor at every point is decided the same way.  Since D is nonzero,
     det M vanishes identically exactly when det N does.  `prog` and `rows`
-    are `_sparse_program`'s: the values of D and of the nonzero entries of
-    N, all over one denominator, which leaves the rank as it is.
+    are `_sparse_program`'s; this check reads the values of D and of the
+    nonzero entries of N, all over one denominator, which leaves the rank
+    as it is.
     """
     field, nx = prog.field, prog.nvars
     values = _Values.of(field)
     full = len(N) * field.absolute_degree
     best = seen = 0  # the highest rank below full so far, and at how many points
     for k, pt in enumerate(_invertibility_points(nx)):
-        d, *entries = prog.at([pt])
+        d, _, _, *entries = prog.at([pt])
         if values.is_zero(d)[0]:
             continue
         (entries,) = values.by_point(entries)
@@ -364,11 +367,19 @@ def verify_scaled_witness(
     if w.dim != n or any(len(row) != n for row in w.matrix):
         raise DimensionMismatch("witness matrix must be %d x %d" % (n, n))
     budget = term_budget() if budget is None else budget
-    # N = D * M over the common denominator D of the matrix entries
+    # N = D * M over the common denominator D of the matrix entries, and
+    # c = num / den, all in the larger of the two variable counts: the
+    # smaller side is embedded at offset 0
     N, D = clear_denominators(w.matrix)
-    nx = D.nvars
-    xprog, rows = _sparse_program(D, N)
-    _matrix_invertible(N, xprog, rows)
+    c = w.scalar
+    nx = max(D.nvars, c.num.nvars)
+    if D.nvars < nx:
+        D = D.embed(nx, 0)
+        N = [[e.embed(nx, 0) for e in row] for row in N]
+    if c.num.nvars < nx:
+        c = RationalFunction(c.num.embed(nx, 0), c.den.embed(nx, 0))
+    prog, rows = _sparse_program(D, c, N)
+    _matrix_invertible(N, prog, rows)
 
     identity = "num(c) * den(M)^%d * phi(Y) == den(c) * phi_cleared(M Y)" % phi.degree
     nonzero = [[e for e in row if not e.is_zero()] for row in w.matrix]
@@ -378,31 +389,22 @@ def verify_scaled_witness(
         # substitute_linear(phi.body, w.matrix), on the N cleared above
         q = phi.body.compose(linear_forms(N))
         big = nx + n
-        lhs = (
-            w.scalar.num.embed(big, 0)
-            * (D**phi.degree).embed(big, 0)
-            * phi.body.embed(big, nx)
-        )
-        return lhs, w.scalar.den.embed(big, 0) * q
+        lhs = c.num.embed(big, 0) * (D**phi.degree).embed(big, 0) * phi.body.embed(big, nx)
+        return lhs, c.den.embed(big, 0) * q
 
     # At a sample (x, y) the poles of c and M are the points with
     # den(c)(x) = 0 or D(x) = 0; elsewhere phi(N(x) y) is phi_cleared(M Y).
-    # With a, b the numerators of num(c), den(c) at x over one denominator,
-    # and D(x), N(x) over another (xprog), phi homogeneous makes the identity
-    # a * D(x)^d * phi(y) == b * phi(N(x) y) in numerators, every denominator
-    # cancelling.
+    # The program gives a, b, D(x) and N(x), the numerators of num(c)(x),
+    # den(c)(x), D(x) and N(x), over one denominator L, and phi homogeneous
+    # makes the identity a * D(x)^d * phi(y) == b * phi(N(x) y) in
+    # numerators: both sides carry L^(d + 1), and phi's own denominator once.
     d = phi.degree
     values = _Values.of(phi.field)
-    progs = None  # compiled at the first sample; symbolic mode never needs them
 
     def agree(points):
-        nonlocal progs
-        if progs is None:
-            progs = EvalProgram([w.scalar.num, w.scalar.den]), phi.body.program()
-        cprog, pprog = progs
+        pprog = phi.body.program()  # compiled at the first sample, and kept
         x, y = [pt[:nx] for pt in points], [pt[nx:] for pt in points]
-        a, b = cprog.at(x)
-        dval, *entries = xprog.at(x)
+        dval, a, b, *entries = prog.at(x)
         v = values.matvec(entries, rows, list(zip(*y)))
         lhs = values.product([a] + [dval] * d + pprog.at(y))
         rhs = values.product([b] + values.at(pprog, v))

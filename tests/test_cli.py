@@ -112,6 +112,33 @@ def test_verify_explicit_witness_refuted(capsys, tmp_path):
     assert payload["counterexample"] is not None
 
 
+# the first draws of seed 1 in the default box, as random mode's points
+_SEED1_DRAWS = [-718218, 193707, 777197, 682471, 601751, -867656]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "random"])
+@pytest.mark.parametrize("nx", [0, 1, 2, 4])
+def test_witness_and_scalar_in_different_variable_counts(capsys, tmp_path, mode, nx):
+    """The identity witness of constants in nx variables, with c = phi(X) in
+    2, is refuted in max(nx, 2) X variables: the smaller side sits at offset
+    0, and the counterexample is max(nx, 2) x coordinates, then 2 y ones."""
+    phi = diagonal_form([1, 1], 3).form
+    form_path = write_json(tmp_path / "cubic.json", encode_form(phi))
+    rows = tuple(tuple(RationalFunction.const(QQ, nx, 1 if i == j else 0) for j in range(2))
+                 for i in range(2))
+    w = ScaledWitness(RationalFunction.from_poly(phi.body), rows)
+    witness_path = write_json(tmp_path / "w.json", encode_scaled_witness(w))
+    extra = ["--seed", "1"] if mode == "random" else []
+    code, out, err = run(capsys, "verify", "strong-mult", "--form", form_path,
+                         "--witness", witness_path, "--mode", mode, *extra)
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["mode"]) == ("refuted", mode)
+    size = max(nx, 2) + 2
+    want = [1] * size if mode == "symbolic" else _SEED1_DRAWS[:size]
+    assert payload["counterexample"] == want
+
+
 def test_verify_composition_from_constructed_form(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "--kind", "det", "--param", "d=2")
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,15 +18,17 @@ from formforge import (
 from formforge.coeffield import EtaleAlgebra
 from formforge.constructions import catalog
 from formforge.jsonio import decode_field, decode_polynomial
+from formforge import poly
 from formforge.poly import (
     MAX_DEGREE,
     W,
+    EvalProgram,
     clear_denominators,
     linear_forms,
     ring_matrix_determinant,
     sample_identity,
 )
-from oracles import linear_forms_from_terms, long_division
+from oracles import generic_eval, linear_forms_from_terms, long_division
 
 
 def var(n, i):
@@ -394,6 +397,107 @@ def test_eval_over_etale_checks_the_point():
     assert p.eval([copy.gen, copy.element([1, 1])]) == K.element([11, 8])
 
 
+# ---------------------------------------------------------------------------
+# compiled evaluation programs, built on packed keys
+
+
+_PROGRAM_EDGE_FIELDS = {
+    "q": QQ,
+    "cbrt2": field_extend(QQ, [-2, 0, 0, 1]),
+    "split": field_extend(QQ, [-1, 0, 1]),  # Q[t]/(t^2 - 1), not a field
+}
+
+# (nvars, each polynomial's exponent tuples); coefficients are filled in
+_PROGRAM_EDGE_CASES = {
+    # zero fields between nonzero ones, and the last variable (shift 0)
+    "gaps": (5, [[(3, 0, 0, 0, 2), (1, 0, 2, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, 4)],
+                 [(0, 2, 0, 0, 0), (2, 0, 0, 0, 0), (0, 0, 0, 1, 1)]]),
+    "no-variables": (0, [[()], [], [()]]),
+    "zero-and-constants": (3, [[], [(0, 0, 0)], [(1, 0, 1), (0, 0, 0)], []]),
+    # monomials of high degree whose parents are no term's monomial
+    "high-degree": (3, [[(40, 0, 0), (13, 20, 7), (0, 0, 39)], [(0, 1, 38), (0, 0, 0)]]),
+}
+
+
+def _program_polys(field, n, shapes):
+    rng = random.Random(7)
+    m = field.absolute_degree
+
+    def coeff():
+        flat = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for _ in range(m)]
+        return flat[0] if field == QQ else field.from_flat(flat)
+
+    return [Polynomial.from_pairs(field, n, [(e, coeff()) for e in es]) for es in shapes]
+
+
+def _program_values(prog, ints, points):
+    """The program's values at int points and at points of field elements,
+    as field elements, polynomial by polynomial."""
+    field = prog.field
+    got = [prog.elements(v) for v in prog.at(ints)]
+    flats = [[field.flat(x) for x in pt] for pt in points]
+    B = math.lcm(*(q.denominator for pt in flats for v in pt for q in v))
+    nums = [[[q.numerator * (B // q.denominator) for q in v] for v in pt] for pt in flats]
+    if field == QQ:
+        values = prog.at([[v[0] for v in pt] for pt in nums], B)
+    else:
+        values = prog.at_vectors(nums, B)
+    return got, [prog.elements(v, B) for v in values]
+
+
+@pytest.mark.parametrize("case", sorted(_PROGRAM_EDGE_CASES))
+@pytest.mark.parametrize("name", sorted(_PROGRAM_EDGE_FIELDS))
+def test_program_edge_cases_match_the_oracle(name, case):
+    """A program compiled on packed keys gives generic_eval's values at int
+    points and at points of field elements, one point alone and in a batch."""
+    field = _PROGRAM_EDGE_FIELDS[name]
+    n, shapes = _PROGRAM_EDGE_CASES[case]
+    polys = _program_polys(field, n, shapes)
+    rng = random.Random(3)
+    m = field.absolute_degree
+    for size in (1, 3):
+        ints = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(size)]
+        points = [[field.from_flat([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                    for _ in range(m)]) for _ in range(n)]
+                  for _ in range(size)]
+        want_ints = [[generic_eval(p, [field.from_rational(x) for x in pt]) for pt in ints]
+                     for p in polys]
+        want_points = [[generic_eval(p, pt) for pt in points] for p in polys]
+        assert _program_values(EvalProgram(polys), ints, points) == (
+            want_ints, want_points)
+
+
+def test_program_prefers_a_parent_that_is_a_term():
+    """x0 x1 comes from the term x0 (along x1), not from x1 (along x0, the
+    first variable), so x1 is no monomial of the program."""
+    x0, x1 = var(2, 0), var(2, 1)
+    prog = EvalProgram([x0 * x1 + x0])
+    assert prog._first == [0]
+    assert prog._levels == [([1], [1], range(1, 2))]
+
+
+@pytest.mark.parametrize("field", [QQ, field_extend(QQ, [-2, 0, 1])], ids=["q", "sqrt2"])
+def test_programs_compile_without_unpacking_keys(monkeypatch, field):
+    """Compiling reads the packed keys: with `_unpack` refusing every call,
+    a program over several polynomials, and `eval`, still give the oracle's
+    values."""
+    n, shapes = _PROGRAM_EDGE_CASES["gaps"]
+    polys = _program_polys(field, n, shapes + [[(0,) * n], []])
+    point = [field.from_flat([Fraction(k + 1, 2)] + [1] * (field.absolute_degree - 1))
+             for k in range(5)]
+    want = [generic_eval(p, point) for p in polys]
+    ints = [[2, -1, 0, 3, 1]]
+    want_ints = [generic_eval(p, [field.from_rational(x) for x in ints[0]]) for p in polys]
+
+    def refuse(*args):
+        raise AssertionError("_unpack called")
+
+    monkeypatch.setattr(poly, "_unpack", refuse)
+    got_ints, got = _program_values(EvalProgram(polys), ints, [point])
+    assert got_ints == [[v] for v in want_ints] and got == [[v] for v in want]
+    assert [p.eval(point) for p in polys] == want
+
+
 @pytest.mark.parametrize("field", [QQ, field_extend(QQ, [-2, 0, 1])], ids=["q", "sqrt2"])
 def test_rational_function_keeps_a_monic_denominator(field):
     """The denominator is scaled to leading coefficient 1, and a zero
@@ -476,6 +580,16 @@ def test_malformed_exponent_tuples_are_refused(field, exponent, message):
             Polynomial.from_pairs(field, 2, [((0, 1), 1), (exponent, c)])
         with pytest.raises(ValueError, match=message):
             Polynomial(field, 2, {exponent: field.from_rational(c)})
+
+
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_variable_index_outside_the_ring_is_refused(i):
+    """A variable index is one of 0, ..., n - 1: -1 is not read from the
+    end, and 5 is refused with a ValueError, not an IndexError."""
+    with pytest.raises(ValueError, match="variable %d is not one of the 2 variables" % i):
+        Polynomial.variable(QQ, 2, i)
+    with pytest.raises(ValueError, match="is not one of the 0 variables"):
+        Polynomial.variable(QQ, 0, 0)
 
 
 def test_degree_limit_in_json_decoding():

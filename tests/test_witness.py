@@ -712,7 +712,8 @@ def test_rf_mat_mul_matches_all_products(shared):
 
 def test_random_mode_compiles_only_the_nonzero_entries(monkeypatch):
     """Random mode on M^2 of the block sum of two det-3 norms, 306 of whose
-    324 entries are zero, compiles D and the 18 nonzero entries of N."""
+    324 entries are zero, compiles one program over X: D, num(c), den(c)
+    and the 18 nonzero entries of N."""
     cf = scaled_block_sum(det_norm(3), [2, -3])
     m2 = W._rf_mat_mul(cf.witness.matrix, cf.witness.matrix)
     assert sum(not e.is_zero() for row in m2 for e in row) == 18
@@ -726,7 +727,32 @@ def test_random_mode_compiles_only_the_nonzero_entries(monkeypatch):
     monkeypatch.setattr(W, "EvalProgram", Recording)
     rep = verify_strong_jordan_multiplicativity(cf.form, m2, mode="random", seed=1, samples=5)
     assert rep.verdict == "evidence"
-    assert sizes[0] == 1 + 18
+    assert sizes == [1 + 2 + 18]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "random"])
+def test_scaled_check_compiles_one_program_over_x(monkeypatch, mode):
+    """A scaled check compiles one program over X, for the invertibility
+    check and the samples alike; random mode adds only phi's own program."""
+    cf = tits_cubic(field_extend(QQ, [-2, 0, 1]).element([1, 2]))
+    phi = cf.form
+    compiled = []
+
+    class Recording(poly.EvalProgram):
+        def __init__(self, polys):
+            compiled.append(list(polys))
+            super().__init__(polys)
+
+    monkeypatch.setattr(poly, "EvalProgram", Recording)
+    monkeypatch.setattr(W, "EvalProgram", Recording)
+    rep = verify_scaled_witness(phi, cf.witness, mode=mode, seed=1, samples=3)
+    assert rep.verdict == ("proved" if mode == "symbolic" else "evidence")
+    over_x = [polys for polys in compiled if polys != [phi.body]]
+    assert len(over_x) == 1 and len(compiled) <= 2
+    N, D = poly.clear_denominators(cf.witness.matrix)
+    entries = [e for row in N for e in row if not e.is_zero()]
+    c = cf.witness.scalar
+    assert over_x[0] == [D, c.num, c.den] + entries
 
 
 def test_symbolic_scaled_check_clears_denominators_once(monkeypatch):
