@@ -28,6 +28,16 @@ polynomial comes from a Krylov sequence whose powers stay integral
 coefficient lists, whose gcds come from primitive pseudo-remainder sequences
 (Collins, J. ACM 14, 1967; Brown, J. ACM 18, 1971).
 
+The slot-sliding system has several times more equations than unknowns,
+most of them redundant.  The elimination (`linalg`) takes the equations one
+at a time against a basis of reduced rows.  An equation is reduced at each
+pivot it holds by one fraction-free update, and dropped when it reaches
+zero, so a redundant one changes no basis row.  One that survives takes its
+first column as a new pivot and is cleared from the basis rows holding that
+column.  The new pivot lies right of each such row's leading column, so
+every basis row keeps its pivot as its leading column, and the result is
+the unique reduced row echelon form whatever the order of the equations.
+
 `krull_schmidt_decompose` does each step once: one polarization feeds the
 radical and the center, and one composition phi(P' y), P' the component
 bases side by side, gives every component form and the reconstruction
@@ -447,8 +457,9 @@ def _rational_roots(ints) -> List[Fraction]:
     a0, lead = abs(ints[0]), abs(ints[-1])
     if a0 > _DIVISOR_BOUND or lead > _DIVISOR_BOUND:
         return roots
+    leads = _divisors(lead)
     for p in _divisors(a0):
-        for q in _divisors(lead):
+        for q in leads:
             if math.gcd(p, q) != 1:
                 continue
             for num in (p, -p):

@@ -10,14 +10,23 @@ flat int vectors of its entries instead, the rows `restrict_scalars`
 takes; the reduced rows come back as field elements, as for rows of field
 elements.  All three run one Gauss-Jordan elimination, on integer
 dict rows for every field.  Each row is its flat coordinates times their
-lcm denominator, over the gcd of the results.  A pivot step updates only
-the rows holding the pivot column, by the fraction-free update
-row <- (a/g) row - (f/g) pivot_row (a the pivot, f the row's entry,
-g = gcd(a, f); Bareiss, Math. Comp. 22, 1968), and divides each by its
-content.  The pivot is the first remaining row holding the column, in the
-order a dense elimination that swaps rows would leave them.  Scaling a row
-by a nonzero rational keeps its zero pattern, and the reduced rows, as the
-reduced row echelon form is unique; only those become field elements.
+lcm denominator, over the gcd of the results.  The rows are taken one at a
+time against a basis of reduced rows, each primitive with a positive pivot
+and zero at the other pivots.  A new row is reduced at each pivot column it
+holds by the fraction-free update row <- (a/g) row - (f/g) pivot_row (a
+the pivot, f the row's entry, g = gcd(a, f); Bareiss, Math. Comp. 22,
+1968).  One pass does, as the update touches no other pivot column.  A row
+that reduces to zero is dropped: a redundant row costs one update per pivot
+it holds and changes no basis row.  A row that does not is made primitive,
+its first column, which is no pivot, becomes its pivot, and that column is
+cleared from the basis rows holding it by the same update.  The new pivot
+lies right of the leading column of every basis row it clears, and the
+update adds only columns of the new row, none left of its pivot, so each
+basis row keeps its pivot as its leading column.  The basis thus ends in reduced row echelon
+form, primitive with positive pivots.  That form is unique, so it does not
+depend on the order of the rows; scaling a row by a nonzero rational keeps
+its zero pattern and the reduced rows, and only those become field
+elements.
 
 Over an etale algebra K of absolute degree m the rows are the restriction
 of scalars R(A) (`coeffield.restrict_scalars`): entry (r, c) becomes an
@@ -104,68 +113,50 @@ def _integer_row(field, row):
 _ZERO = Fraction(0)
 
 
-def _integer_step(rows, p, c, hold, holders):
-    """Clear column c from the rows in `hold` (the rows holding c, p among
-    them) other than the pivot row p by the fraction-free update, dividing
-    each by its content and keeping holders[k], the rows with a nonzero at
-    column k, up to date."""
-    prow = rows[p]
-    a = prow[c]
-    for i in hold:
-        if i == p:
-            continue
-        row = rows[i]
-        f = row.pop(c)
-        g = gcd(a, f)
-        s, t = a // g, f // g
-        if s != 1:
-            row = rows[i] = {k: s * v for k, v in row.items()}
-        for k, b in prow.items():
-            if k == c:
-                continue
-            v = row.get(k)
-            if v is None:
-                row[k] = -t * b
-                holders[k].add(i)
+def _reduce(row, prow, c):
+    """row <- (a/g) row - (f/g) prow, which clears column c (a = prow[c] > 0,
+    f = row[c], g = gcd(a, f)), as a dict row; row may be changed."""
+    a, f = prow[c], row.pop(c)
+    g = gcd(a, f)
+    s, t = a // g, f // g
+    if s != 1:
+        row = {k: s * v for k, v in row.items()}
+    for k, b in prow.items():
+        if k != c:
+            v = row.get(k, 0) - t * b
+            if v:
+                row[k] = v
             else:
-                v -= t * b
-                if v:
-                    row[k] = v
-                else:
-                    del row[k]
-                    holders[k].discard(i)
-        if row:
-            g = gcd(*row.values())
-            if g != 1:
-                rows[i] = {k: v // g for k, v in row.items()}
+                row.pop(k, None)
+    return row
+
+
+def _primitive(row, c):
+    """The row over the gcd of its entries, with a positive entry at c."""
+    g = gcd(*row.values())
+    if row[c] < 0:
+        g = -g
+    return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
 def _eliminate(rows):
-    """Gauss-Jordan on int dict rows (changed in place): the reduced rows
-    in pivot order and the pivot columns."""
-    order = list(range(len(rows)))  # position -> row; positions below len(pivots) are pivots
-    where = list(range(len(rows)))  # row -> position
-    holders = {}  # column -> the rows with a nonzero there
-    for i, row in enumerate(rows):
-        for c in row:
-            holders.setdefault(c, set()).add(i)
-    pivots = []
-    # Fill-in only lands in columns the pivot row holds, so no new column appears.
-    for c in sorted(holders):
-        r0 = len(pivots)
-        if r0 == len(rows):
-            break
-        hold = holders[c]
-        p = min((i for i in hold if where[i] >= r0), key=where.__getitem__, default=None)
-        if p is None:
+    """Gauss-Jordan on int dict rows (which may change), one row at a
+    time: the reduced rows, primitive with a positive pivot, in pivot
+    order, and the pivot columns.  A basis row holds its pivot and no other
+    pivot column."""
+    basis = {}  # pivot column -> basis row
+    for row in rows:
+        for c in [c for c in row if c in basis]:
+            row = _reduce(row, basis[c], c)
+        if not row:
             continue
-        q, at = order[r0], where[p]
-        order[r0], order[at] = p, q
-        where[p], where[q] = r0, at
-        _integer_step(rows, p, c, hold, holders)
-        holders[c] = {p}
-        pivots.append(c)
-    return [rows[i] for i in order[: len(pivots)]], pivots
+        p = min(row)
+        row = basis[p] = _primitive(row, p)
+        for q, b in basis.items():
+            if p in b and q != p:
+                basis[q] = _primitive(_reduce(b, row, p), q)
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
 def _gauss_jordan(field, rows):
@@ -175,8 +166,7 @@ def _gauss_jordan(field, rows):
     int_rows, ints = _integer_rows(field, rows)
     red, pivots = _eliminate(restrict_scalars(field, int_rows))
     if ints:
-        return [row if row[c] > 0 else {k: -v for k, v in row.items()}
-                for row, c in zip(red, pivots)], pivots
+        return red, pivots
     m, out = field.absolute_degree, []
     for s in range(0, len(pivots), m):
         c = pivots[s]

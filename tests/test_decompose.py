@@ -526,6 +526,25 @@ def test_certification_outside_the_divisor_bound_factors_with_sympy():
     assert sorted(decompose._factor(f), key=len) == [[-(10**9), 1], [1, 0, 1]]
 
 
+@pytest.mark.parametrize("roots, other", [
+    ([Fraction(3, 2), Fraction(-5, 3), Fraction(7)], []),
+    ([Fraction(-1, 6), Fraction(2, 5)], [1, 0, 1]),
+    ([Fraction(0), Fraction(-12, 7)], [2, 1, 3]),
+    ([], [12, 0, 0, 35]),
+])
+def test_rational_roots_list_the_divisors_of_each_end_once(monkeypatch, roots, other):
+    """The roots of a product of linear factors q t - p and a factor with no
+    rational root, from one divisor list per end coefficient."""
+    f = other or [1]
+    for r in roots:
+        f = decompose._int_mul(f, [-r.numerator, r.denominator])
+    calls = []
+    divisors = decompose._divisors
+    monkeypatch.setattr(decompose, "_divisors", lambda n: calls.append(n) or divisors(n))
+    assert decompose._rational_roots(f) == sorted(roots)
+    assert len(calls) == 2
+
+
 def test_split_albert_norm_is_one_27_dimensional_component():
     phi = split_albert_norm().form
     t0 = time.perf_counter()

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from formforge import QQ, ZeroDivisor, field_extend  # noqa: E402
 from formforge.coeffield import EtaleAlgebra, integral_coordinates  # noqa: E402
+from formforge import linalg  # noqa: E402
 from formforge.linalg import nullspace, rank, rref, solve  # noqa: E402
 
 Q_SQRT2 = field_extend(QQ, [-2, 0, 1])
@@ -230,10 +231,13 @@ def _system(draw, field, coord, max_size):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sparse_elimination_matches_dense(field, coord, max_size, data):
+    check_system(field, *data.draw(_system(field, coord, max_size)))
+
+
+def check_system(field, rows, ncols, rhs):
     """Equal results over a field.  Over a product of fields equal results
     where the dense reference succeeds, and `check_reduced` and
     `check_solution` where it raises."""
-    rows, ncols, rhs = data.draw(_system(field, coord, max_size))
     expect = outcome(dense_rref, field, rows)
     expect_kernel = outcome(dense_nullspace, field, rows, ncols)
     expect_x = outcome(dense_solve, field, rows, rhs)
@@ -269,6 +273,86 @@ def test_sparse_elimination_matches_dense(field, coord, max_size, data):
             assert row[c] > 0 and math.gcd(*row.values()) == 1
             assert {k: QQ.from_rational(Fraction(v, row[c])) for k, v in row.items()} == want
         assert red[len(pivots):] == [{}] * (len(rows) - len(pivots))
+
+
+@st.composite
+def _slot_system(draw, field, coord):
+    """The shape of the slot-sliding equations: several times more rows than
+    columns, of rank below the column count.  Independent rows leading at
+    distinct columns come in any order, so a later row may lead left of an
+    earlier basis row's pivot (and be reduced there) or right of one that
+    holds its column (and that basis row is cleared).  Anywhere among them come
+    copies, sign-flipped sums of two rows, multiples and zero rows, so a
+    row in the span may come before the rows it is a sum of."""
+    entry = _entry(field, coord)
+    nonzero = entry.filter(lambda x: not x.is_zero())
+    ncols = draw(st.integers(2, 6))
+    leads = draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=ncols - 1, unique=True))
+    rows = [[field.zero] * c + [draw(nonzero)] + draw(st.lists(entry, min_size=ncols - c - 1,
+                                                               max_size=ncols - c - 1))
+            for c in leads]
+    for _ in range(draw(st.integers(2 * len(rows), 3 * len(rows) + 2))):
+        kind = draw(st.sampled_from(["copy", "negsum", "multiple", "zero"]))
+        a, b = (rows[draw(st.integers(0, len(rows) - 1))] for _ in range(2))
+        if kind == "copy":
+            new = list(a)
+        elif kind == "negsum":
+            new = [-(x + y) for x, y in zip(a, b)]
+        elif kind == "multiple":
+            f = draw(nonzero)
+            new = [f * x for x in b]
+        else:
+            new = [field.zero] * ncols
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    if draw(st.booleans()):
+        x = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        rhs = [sum((a * b for a, b in zip(r, x)), field.zero) for r in rows]
+    else:
+        rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    return rows, ncols, rhs
+
+
+@pytest.mark.parametrize(
+    "field, coord",
+    [
+        pytest.param(QQ, _rational, id="Q-rational"),
+        pytest.param(Q_SQRT2, _small, id="Q(sqrt2)"),
+        pytest.param(Q_TIMES_Q, _small, id="QxQ"),
+    ],
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_overdetermined_rank_deficient_systems_match_dense(field, coord, data):
+    """Systems shaped like the slot-sliding equations, as `check_system`
+    checks them."""
+    check_system(field, *data.draw(_slot_system(field, coord)))
+
+
+def test_rows_in_the_span_cost_one_reduction_per_pivot_they_hold(monkeypatch):
+    """Appending k rows in the span of a rank-r system of int rows costs at
+    most k r reductions, each by a basis row of the system, so no basis row
+    changes; the reduced rows are the system's."""
+    rng = random.Random(11)
+    r, k = 5, 30
+    base = [{c: v for c in range(12) if (v := rng.randint(-9, 9))} for _ in range(r)]
+    span = []
+    for _ in range(k):
+        xs = [rng.randint(-4, 4) for _ in base]
+        span.append({c: v for c in range(12)
+                     if (v := sum(x * row.get(c, 0) for x, row in zip(xs, base)))})
+    calls = []
+    reduce = linalg._reduce
+    monkeypatch.setattr(linalg, "_reduce",
+                        lambda row, prow, c: calls.append(dict(prow)) or reduce(row, prow, c))
+    red, pivots = rref(QQ, base)
+    assert len(pivots) == r
+    first = list(calls)
+    got = rref(QQ, base + span)
+    assert got == (red + [{}] * k, pivots)
+    added = calls[2 * len(first):]
+    assert calls[len(first):2 * len(first)] == first
+    assert 0 < len(added) <= k * r
+    assert all(prow in red for prow in added)
 
 
 def test_edge_cases():
