@@ -38,11 +38,11 @@ column.  The new pivot lies right of each such row's leading column, so
 every basis row keeps its pivot as its leading column, and the result is
 the unique reduced row echelon form whatever the order of the equations.
 
-`krull_schmidt_decompose` does each step once: one polarization feeds the
-radical and the center, and one composition phi(P' y), P' the component
-bases side by side, gives every component form and the reconstruction
-check.  With a single component it keeps the rank of the center's trace
-form, so `decompose --absolute` builds no second center.
+`krull_schmidt_decompose` does each step once, in ints: one polarization
+feeds the radical's rank and the center, and one composition phi(P' y), P'
+the component bases side by side, split on its packed keys, gives every
+component form and the reconstruction check.  With one component it keeps
+the center's trace-form rank, so `decompose --absolute` builds no second.
 """
 
 from __future__ import annotations
@@ -69,10 +69,10 @@ from .forms import (
     LinearMap,
     SymmetricTensor,
     polarize,
-    radical_of_tensor,
+    radical_equations,
     substitute_vectors,
 )
-from .poly import Polynomial
+from .poly import W, Polynomial
 
 
 class DegenerateInput(ValueError):
@@ -211,12 +211,10 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
     # pair holds x.  Those two columns never coincide within one equation.
     # A repeated index gives the same (rest, a, x) at each of its positions,
     # so a is read at the first position of its value, and x at the first
-    # position of its value other than a's.  Every entry is scaled by one
-    # common denominator: an int over Q, a flat int vector over K.
-    flat, _ = integral_coordinates([q for v in theta.entries.values() for q in field.flat(v)])
-    values = flat if rational else [flat[k:k + m] for k in range(0, len(flat), m)]
+    # position of its value other than a's.  Every entry is its numerator
+    # over the tensor's denominator: an int over Q, a flat int vector over K.
     eqs = {}
-    for idx, val in zip(theta.entries, values):
+    for idx, val in theta.int_entries()[0].items():
         neg = -val if rational else [-v for v in val]
         for p in range(d):
             if p and idx[p] == idx[p - 1]:
@@ -899,7 +897,7 @@ def _polarization(phi: HomogeneousForm) -> SymmetricTensor:
     if phi.degree < 3:
         raise DegreeTooSmall("degree must be at least 3, got %d" % phi.degree)
     theta = polarize(phi)
-    if radical_of_tensor(theta):
+    if linalg.rank(phi.field, radical_equations(theta)) < phi.nvars:
         raise DegenerateInput("form has a nonzero radical")
     return theta
 
@@ -920,7 +918,7 @@ def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:
     which must be invertible.  One composition R = phi(P' y), P' the
     component bases in idempotent order, gives every component: setting the
     other blocks' variables to zero leaves phi(P_e y_e), so component e's
-    form is the terms of R in block e's variables, re-indexed.  The
+    form is the keys of R in block e's variables, shifted down.  The
     reconstruction identity phi(P' y) = sum of component forms holds exactly
     when no term of R mixes two blocks, which is checked.  With one
     component the nilradical rank of the center is kept for
@@ -934,20 +932,28 @@ def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:
     columns = [col for _, cols in idems for col in cols]
     if len(columns) != n or not linalg.is_invertible(field, list(zip(*columns))):
         raise RuntimeError("component bases failed to assemble to a change of basis")
-    starts, block = [], []
+    # Variable i of R's exponent part x sits at bit (n - 1 - i) W, under the
+    # total degree, so block k, variables s, ..., s + r - 1, is the r fields
+    # from bit (n - s - r) W: shifted down, the component's, under degree d.
+    R = substitute_vectors(phi, columns).body
+    G = field.generator_bits
+    owner, shifts = [], []
     for k, (_, cols) in enumerate(idems):
-        starts.append(len(block))
-        block.extend([k] * len(cols))
-    parts = [{} for _ in idems]
-    for e, c in substitute_vectors(phi, columns).body.terms.items():
-        k = block[next(i for i, x in enumerate(e) if x)]
-        part = e[starts[k]:starts[k] + len(idems[k][1])]
-        if sum(part) != d:
+        shifts.append(((n - len(owner) - len(cols)) * W, (1 << len(cols) * W) - 1,
+                       d << len(cols) * W))
+        owner.extend([k] * len(cols))
+    top, parts = d << n * W, [{} for _ in idems]
+    for key, c in R._nums.items():
+        x = key >> G
+        k = owner[n - 1 - ((x ^ top).bit_length() - 1) // W]
+        low, mask, deg = shifts[k]
+        part = (x >> low) & mask
+        if x != top | part << low:
             raise RuntimeError("reconstruction identity failed")
-        parts[k][part] = c
+        parts[k][(deg | part) << G | (key ^ x << G)] = c
     comps = [
-        (e, Component(dim=len(cols), basis_columns=tuple(cols),
-                      form=HomogeneousForm(field, d, len(cols), Polynomial(field, len(cols), part))))
+        (e, Component(dim=len(cols), basis_columns=tuple(cols), form=HomogeneousForm(
+            field, d, len(cols), Polynomial._from_nums(field, len(cols), part, R._den))))
         for (e, cols), part in zip(idems, parts)
     ]
     comps.sort(key=lambda item: (item[1].dim, tuple(

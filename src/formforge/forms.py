@@ -3,17 +3,20 @@
 In characteristic 0 a degree-d form and its symmetric d-linear polarization
 carry the same data; the conversions here are exact and inverse to each
 other.  The radical and all isometry-level operations live at this layer.
+
+A `SymmetricTensor` stores its entries in ints, as a polynomial stores its
+terms, and `polarize` reads them off the form's packed integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Sequence
 
 from . import linalg
-from .coeffield import FieldElement
+from .coeffield import FieldElement, RationalField, integral_coordinates
 from .poly import Polynomial
 
 
@@ -75,14 +78,15 @@ class HomogeneousForm:
 
 
 class SymmetricTensor:
-    """Entries indexed by sorted index tuples i1 <= ... <= id, zeros omitted."""
+    """Entries indexed by sorted index tuples i1 <= ... <= id, zeros omitted,
+    stored as {index: numerator} over one positive denominator, coprime to
+    the numerators taken together (`int_entries`): a nonzero int over Q, the
+    flat int vector over an etale algebra.  `entries` is a read-only view of
+    field elements, built on first read and cached."""
 
-    __slots__ = ("field", "degree", "dim", "entries")
+    __slots__ = ("field", "degree", "dim", "_nums", "_den", "_entries")
 
     def __init__(self, field, degree: int, dim: int, entries: dict):
-        self.field = field
-        self.degree = degree
-        self.dim = dim
         clean = {}
         for idx, val in entries.items():
             idx = tuple(idx)
@@ -92,9 +96,42 @@ class SymmetricTensor:
                 raise ValueError("index %r out of range" % (idx,))
             if tuple(sorted(idx)) != idx:
                 raise ValueError("index %r is not sorted" % (idx,))
+            if val.field != field:
+                raise TypeError("mixed-field arithmetic: entry %r is not over %r" % (val, field))
             if not val.is_zero():
-                clean[idx] = val
-        self.entries = clean
+                clean[idx] = field.flat(val)
+        # canonical: no factor of the lcm denominator divides every numerator
+        ints, den = integral_coordinates([q for v in clean.values() for q in v])
+        if not isinstance(field, RationalField):
+            m = field.absolute_degree
+            ints = [ints[k:k + m] for k in range(0, len(ints), m)]
+        self.field, self.degree, self.dim = field, degree, dim
+        self._nums, self._den, self._entries = dict(zip(clean, ints)), den, None
+
+    @classmethod
+    def _from_nums(cls, field, degree: int, dim: int, nums: dict, den: int):
+        """The tensor of the nonzero numerators nums over den, made canonical."""
+        rational = isinstance(field, RationalField)
+        g = gcd(den, *(nums.values() if rational else (x for v in nums.values() for x in v)))
+        if g != 1:
+            nums = {idx: v // g if rational else [x // g for x in v] for idx, v in nums.items()}
+        theta = cls(field, degree, dim, {})
+        theta._nums, theta._den = nums, den // g
+        return theta
+
+    def int_entries(self):
+        """(nums, den): the entries as {index: numerator} over den; read-only."""
+        return self._nums, self._den
+
+    @property
+    def entries(self) -> dict:
+        """{index: nonzero field element}; read-only."""
+        if self._entries is None:
+            den, rational = self._den, isinstance(self.field, RationalField)
+            self._entries = {idx: self.field.from_flat([Fraction(x, den) for x in
+                                                        ((v,) if rational else v)])
+                             for idx, v in self._nums.items()}
+        return self._entries
 
     def entry(self, idx) -> FieldElement:
         return self.entries.get(tuple(sorted(idx)), self.field.zero)
@@ -106,14 +143,15 @@ class SymmetricTensor:
             self.field == other.field
             and self.degree == other.degree
             and self.dim == other.dim
-            and self.entries == other.entries
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __hash__(self):
-        return hash((self.degree, self.dim, frozenset(self.entries.items())))
+        return hash((self.degree, self.dim, self._den, frozenset(self._nums)))
 
     def __repr__(self):
-        return "Tensor(d=%d, dim=%d, %d entries)" % (self.degree, self.dim, len(self.entries))
+        return "Tensor(d=%d, dim=%d, %d entries)" % (self.degree, self.dim, len(self._nums))
 
 
 class LinearMap:
@@ -168,17 +206,19 @@ def _multiplicity_product(e) -> int:
 def polarize(phi: HomogeneousForm) -> SymmetricTensor:
     """The symmetric d-linear form with theta(v,...,v) = phi(v).
 
-    Computed coefficient-by-coefficient: the entry on the index multiset with
-    multiplicities m is coeff * prod(m_i!)/d!.
+    Computed coefficient-by-coefficient on the form's packed integers
+    (`Polynomial.int_terms`): the entry on the index multiset with
+    multiplicities m is coeff * prod(m_i!)/d!, so its numerator is the
+    term's numerator times prod(m_i!), over the form's denominator times d!.
     """
-    d = phi.degree
-    df = factorial(d)
-    entries = {}
-    for e, c in phi.body.terms.items():
-        idx = _exponent_to_index(e)
-        scale = Fraction(_multiplicity_product(e), df)
-        entries[idx] = c * phi.field.from_rational(scale)
-    return SymmetricTensor(phi.field, d, phi.nvars, entries)
+    terms, den = phi.body.int_terms()
+    rational = isinstance(phi.field, RationalField)
+    nums = {}
+    for e, c in terms:
+        s = _multiplicity_product(e)
+        nums[_exponent_to_index(e)] = c * s if rational else [s * x for x in c]
+    return SymmetricTensor._from_nums(phi.field, phi.degree, phi.nvars, nums,
+                                      den * factorial(phi.degree))
 
 
 def depolarize(theta: SymmetricTensor) -> HomogeneousForm:
@@ -198,15 +238,19 @@ def depolarize(theta: SymmetricTensor) -> HomogeneousForm:
 # radical
 
 
-def radical_of_tensor(theta: SymmetricTensor):
-    """Basis of {x : theta(x, v2, ..., vd) = 0 for all v}."""
-    # One equation per (d-1)-index `rest`: its coefficient of x_j is
-    # theta(rest, j), which is nonzero only for the entries holding rest.
+def radical_equations(theta: SymmetricTensor) -> list:
+    """The radical's equations as int dict rows: one per (d-1)-index rest,
+    whose coefficient of x_j is the numerator of theta(rest, j)."""
     rows = {}
-    for idx, val in theta.entries.items():
+    for idx, val in theta._nums.items():
         for drop in range(theta.degree):
             rows.setdefault(idx[:drop] + idx[drop + 1 :], {})[idx[drop]] = val
-    return linalg.nullspace(theta.field, [rows[rest] for rest in sorted(rows)], theta.dim)
+    return [rows[rest] for rest in sorted(rows)]
+
+
+def radical_of_tensor(theta: SymmetricTensor):
+    """Basis of {x : theta(x, v2, ..., vd) = 0 for all v}."""
+    return linalg.nullspace(theta.field, radical_equations(theta), theta.dim)
 
 
 def radical(phi: HomogeneousForm):

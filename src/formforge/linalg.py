@@ -2,13 +2,13 @@
 
 Matrices are lists of row lists of FieldElement.  `rref`, `nullspace` and
 `solve` also take sparse rows: {column: FieldElement} dicts that hold no
-zero entries, and raise TypeError for an entry over another field.  Over Q a
-dict row may hold nonzero ints instead: `rref` then returns each reduced row
-as the primitive integer row with a positive pivot, a positive multiple of
-the reduced row.  Over an etale algebra a dict row may hold the nonzero
-flat int vectors of its entries instead, the rows `restrict_scalars`
-takes; the reduced rows come back as field elements, as for rows of field
-elements.  All three run one Gauss-Jordan elimination, on integer
+zero entries, and raise TypeError for an entry over another field; all but
+`solve` also take integer dict rows.  Over Q a dict row may hold nonzero
+ints: `rref` then returns each reduced row as the primitive integer row
+with a positive pivot, and `nullspace` divides by that pivot.  Over an
+etale algebra a dict row may hold the nonzero flat int vectors of its
+entries, the rows `restrict_scalars` takes; the reduced rows come back as
+field elements.  All of them run one Gauss-Jordan elimination, on integer
 dict rows for every field.  Each row is its flat coordinates times their
 lcm denominator, over the gcd of the results.  The rows are taken one at a
 time against a basis of reduced rows, each primitive with a positive pivot
@@ -232,14 +232,14 @@ def nullspace(field, rows, ncols=None):
         for row, pc in zip(red, pivots):
             x = row.get(fc)
             if x is not None:
-                v[pc] = -x
+                v[pc] = field.from_rational(Fraction(-x, row[pc])) if isinstance(x, int) else -x
         basis.append(tuple(v))
     return basis
 
 
 def solve(field, rows, rhs, ncols=None):
-    """One solution of rows * x = rhs, or None when inconsistent.
-    `ncols` is needed for dict rows."""
+    """One solution of rows * x = rhs, or None when inconsistent.  The rows
+    and rhs hold field elements; `ncols` is needed for dict rows."""
     if ncols is None:
         if rows and isinstance(rows[0], dict):
             raise ValueError("need ncols for a sparse row list")

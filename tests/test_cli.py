@@ -628,12 +628,19 @@ GOLDEN = Path(__file__).parent / "golden"
          ["construct", "--kind", "norm-compose", "--input", "diag-sqrt5.json"]),
         ("norm-compose-cbrt2-tower.construct.json",
          ["construct", "--kind", "norm-compose", "--input", "diag-cbrt2-tower.json"]),
+        ("cube-sum-degenerate.polarize.json",
+         ["polarize", "--form", "cube-sum-degenerate.json"]),
+        ("cube-sum-degenerate.radical.json", ["radical", "--form", "cube-sum-degenerate.json"]),
+        ("sqrt2-degenerate.polarize.json", ["polarize", "--form", "sqrt2-degenerate.json"]),
+        ("sqrt2-degenerate.radical.json", ["radical", "--form", "sqrt2-degenerate.json"]),
     ],
     ids=["decompose-tits-cubic", "decompose-det3-basis-changed", "decompose-transfer-cbrt2",
          "decompose-transfer-sqrt2-sqrt3", "decompose-tits-diag-tower",
          "construct-pfister-quaternion", "construct-pfister-octonion",
          "construct-structurable-zeta2", "construct-norm-compose-sqrt5",
-         "construct-norm-compose-cbrt2-tower"],
+         "construct-norm-compose-cbrt2-tower", "polarize-cube-sum-degenerate",
+         "radical-cube-sum-degenerate", "polarize-sqrt2-degenerate",
+         "radical-sqrt2-degenerate"],
 )
 def test_stdout_is_byte_identical_to_golden(capsys, monkeypatch, expected, argv):
     """The stdout of a command, byte for byte, against a golden file.  An
@@ -646,7 +653,12 @@ def test_stdout_is_byte_identical_to_golden(capsys, monkeypatch, expected, argv)
     Q(sqrt 2)(sqrt 3)/Q(sqrt 2), components [2, 2], and Tits(t + 1) + <1, t>
     over Q(omega)(cbrt 2), components [1, 1, 3].  The constructions pin the
     structurable quartic of zeta = 2 and the norm compositions of <1, 2>
-    over Q(sqrt 5) and over the tower Q(omega)(cbrt 2)/Q(omega)."""
+    over Q(sqrt 5) and over the tower Q(omega)(cbrt 2)/Q(omega).  The
+    polarizations and radicals of two degenerate cubics pin entries and
+    radical vectors that are not integers: (2x - 3y)^3 + z^3 over Q, of
+    radical basis (3/2, 1, 0), and, over Q(sqrt 2) = Q(t),
+    t u^3 + 3 u^2 z + z^3 / 2 at u = x + t y / 3, of radical basis
+    (-t/3, 1, 0), whose terms repeat indices."""
     monkeypatch.chdir(GOLDEN)
     code, out, _ = run(capsys, *argv)
     assert code == 0

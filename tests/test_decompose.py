@@ -443,6 +443,37 @@ def test_center_and_field_arithmetic_make_no_field_element_operations(monkeypatc
     assert x * y == TOWER.one
 
 
+@pytest.mark.parametrize("make", [tits_diag_changed, lambda: changed_over(SQRT2, [2, -1], 1, 1)],
+                         ids=["q", "sqrt2"])
+def test_decomposition_makes_no_field_element_arithmetic(monkeypatch, make):
+    """A basis-changed Tits-plus-diagonal cubic decomposes on ints: no
+    FieldElement sum, difference, negation, product or inverse and no
+    scalar product or inverse of the field, over Q and over Q(sqrt 2).
+    The polarization's `entries` view is never built, and the only terms
+    views read are the components', none of phi or of phi(P' y)."""
+    phi = make()
+    calls, views, terms = Counter(), [], Polynomial.terms.fget
+    for cls, name in ((FieldElement, "__add__"), (FieldElement, "__sub__"),
+                      (FieldElement, "__neg__"), (FieldElement, "__mul__"),
+                      (FieldElement, "inv"), (FieldElement, "__truediv__"),
+                      (FieldElement, "__pow__"), (type(QQ), "_mul"), (type(QQ), "_inv"),
+                      (EtaleAlgebra, "_mul"), (EtaleAlgebra, "_inv")):
+        def counted(*args, _original=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(forms.SymmetricTensor, "entries",
+                        property(lambda theta: calls.update(["entries"])))
+    monkeypatch.setattr(Polynomial, "terms",
+                        property(lambda p: views.append(p.nvars) or terms(p)))
+    dec = krull_schmidt_decompose(phi)
+    monkeypatch.undo()
+    assert sorted(c.dim for c in dec.components) == [1, 1, 3]
+    assert not calls
+    assert views and max(views) < phi.nvars
+
+
 def test_blocks_of_the_fields_dimension_are_not_searched(monkeypatch):
     """Over a field K a block of Q-dimension [K:Q] is K*e: the splitting
     takes no minimal polynomial on it."""

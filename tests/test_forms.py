@@ -22,8 +22,15 @@ from formforge import (
     transfer,
     transfer_form,
 )
-from formforge.coeffield import etale_norm
-from formforge.forms import DegreeMismatch, Singular, ZeroFunctional
+from formforge.coeffield import ZeroDivisor, etale_norm
+from formforge.decompose import CenterNotClosed, center_algebra
+from formforge.forms import (
+    DegreeMismatch,
+    Singular,
+    ZeroFunctional,
+    radical_of_tensor,
+    substitute_vectors,
+)
 from oracles import polarize_inclusion_exclusion
 
 
@@ -84,6 +91,83 @@ def test_polarize_routes_agree():
     for _ in range(12):
         phi = _random_form(rng, rng.randint(1, 3), rng.randint(2, 4))
         assert polarize(phi) == polarize_inclusion_exclusion(phi)
+
+
+Q_SQRT2 = field_extend(QQ, [-2, 0, 1])
+Q_TIMES_Q = field_extend(QQ, [-1, 0, 1])  # a product of fields
+
+
+def _random_over(rng, k, n, d):
+    """A form of degree d in n variables over k, with small fractions as the
+    flat coordinates of its coefficients: every pure power x_i^d and about
+    half of the other monomials, or, half the time, such a form in n - 1
+    variables at n random vectors, which has a nonzero radical."""
+    def coeff():
+        return k.from_flat([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                            for _ in range(k.absolute_degree)])
+
+    r = n - 1 if n > 1 and rng.random() < 0.5 else n
+    exps = [e for e in itertools.product(range(d + 1), repeat=r) if sum(e) == d]
+    pairs = [(e, coeff()) for e in exps if max(e) == d or rng.random() < 0.5]
+    phi = HomogeneousForm(k, d, r, Polynomial.from_pairs(k, r, pairs))
+    return phi if r == n else substitute_vectors(phi, [[coeff() for _ in range(r)]
+                                                       for _ in range(n)])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroDivisor, CenterNotClosed) as exc:
+        return type(exc)
+
+
+def _center_parts(theta):
+    c = _outcome(center_algebra, theta)
+    return c if isinstance(c, type) else (c.tensor.rows, c.tensor.den, c.unit, c.matrices)
+
+
+def _radical_of_entries(theta):
+    """The radical from the field-element entries, as `nullspace` takes them."""
+    rows = {}
+    for idx, val in theta.entries.items():
+        for drop in range(theta.degree):
+            rows.setdefault(idx[:drop] + idx[drop + 1:], {})[idx[drop]] = val
+    return linalg.nullspace(theta.field, [rows[rest] for rest in sorted(rows)], theta.dim)
+
+
+@pytest.mark.parametrize("k", [QQ, Q_SQRT2, Q_TIMES_Q], ids=["q", "sqrt2", "qxq"])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_polarize_on_integers_matches_inclusion_exclusion(k, d):
+    """`polarize`, read off the form's packed integers, against the
+    alternating sum over subsets of slots, which builds its tensor from
+    field elements: equal tensors and `entries`, the form back from
+    `depolarize`, and, from the tensor built of the same entries, an equal
+    center (tensor, unit and matrices) and radical, also against the
+    radical of the field-element rows."""
+    rng = random.Random(d)
+    for _ in range(4):
+        phi = _random_over(rng, k, rng.randint(1, 3), d)
+        theta = polarize(phi)
+        expect = polarize_inclusion_exclusion(phi)
+        assert theta == expect and hash(theta) == hash(expect)
+        assert theta.entries == expect.entries
+        assert depolarize(theta) == phi
+        rebuilt = SymmetricTensor(k, d, phi.nvars, theta.entries)
+        assert _center_parts(rebuilt) == _center_parts(theta)
+        kernel = _outcome(radical_of_tensor, theta)
+        assert kernel == _outcome(radical_of_tensor, rebuilt)
+        assert kernel == _outcome(_radical_of_entries, theta)
+
+
+def test_tensor_entries_are_checked():
+    """The constructor refuses a malformed index and an entry over another
+    field, which the integer storage would misread."""
+    for idx, message in (((0,), "arity"), ((0, 2), "out of range"), ((1, 0), "not sorted")):
+        with pytest.raises(ValueError, match=message):
+            SymmetricTensor(QQ, 2, 2, {idx: q(1)})
+    for k, x in ((QQ, Q_SQRT2.gen), (Q_SQRT2, q(1))):
+        with pytest.raises(TypeError, match="mixed-field arithmetic"):
+            SymmetricTensor(k, 1, 1, {(0,): x})
 
 
 def test_depolarize_inverts_polarize():

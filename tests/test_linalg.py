@@ -259,14 +259,18 @@ def check_system(field, rows, ncols, rhs):
         check_solution(field, rows, rhs, x)
     else:
         assert x == expect_x
+    # the same rows in ints, scaled by +-(i + 1) so that some are not
+    # primitive and some lead negative: an int over Q, a flat int vector
+    # over K; their kernel is that of the rows of field elements
+    ints, m = [], field.absolute_degree
+    for i, row in enumerate(as_dicts(rows)):
+        a, _ = integral_coordinates([q for x in row.values() for q in field.flat(x)])
+        a = [v * (i + 1) * (-1) ** i for v in a]
+        ints.append({c: a[k] if field is QQ else a[k * m:k * m + m] for k, c in enumerate(row)})
+    assert outcome(nullspace, field, ints, ncols) == kernel
     if field is QQ:
-        # the same rows in ints, scaled by +-(i + 1) so that some are not
-        # primitive and some lead negative: primitive rows with a positive
-        # pivot come back, each a positive multiple of the reduced row
-        ints = []
-        for i, row in enumerate(as_dicts(rows)):
-            a, _ = integral_coordinates([x.coeffs[0] for x in row.values()]) if row else ([], 1)
-            ints.append({c: v * (i + 1) * (-1) ** i for c, v in zip(row, a)})
+        # primitive rows with a positive pivot come back, each a positive
+        # multiple of the reduced row
         red, pivots = rref(QQ, ints)
         assert pivots == expect[1]
         for row, c, want in zip(red, pivots, as_dicts(expect[0])):
@@ -371,6 +375,9 @@ def test_edge_cases():
         nullspace(QQ, [{0: one}])
     with pytest.raises(ValueError):
         solve(QQ, [{0: one}], [one])
+    # int rows: the kernel vector of 2 x + y = 0 is (-1/2, 1), not the
+    # reduced row's ints
+    assert nullspace(QQ, [{0: 2, 1: 1}], 2) == [(QQ.from_rational(Fraction(-1, 2)), one)]
 
 
 def test_non_invertible_pivot_raises():
