@@ -520,16 +520,20 @@ class StructureTensor:
         size = len(a[0])
         return [[0] * size if v is None else v for v in out]
 
+    def traces(self) -> list:
+        """t_i = sum_k T[i][k][k] on the int constants: the trace of
+        multiplication by b_i on the whole algebra, times den."""
+        return [sum(c for k, row in enumerate(plane) for l, c in row if l == k)
+                for plane in self.rows]
+
     def trace_form_rank(self, basis) -> int:
         """The rank over Q of the trace form t(xy) on the span of the int
         vectors `basis`, t(x) = sum_i x_i t_i the trace of multiplication by
-        x on the whole algebra, t_i = sum_k T[i][k][k], on the int constants
-        (a scaling keeps the rank).  On a commutative Q-algebra its kernel
-        is the nilradical."""
+        x on the whole algebra (`traces`; a scaling keeps the rank).  On a
+        commutative Q-algebra its kernel is the nilradical."""
         from . import linalg
 
-        tr = [sum(c for k, row in enumerate(plane) for l, c in row if l == k)
-              for plane in self.rows]
+        tr = self.traces()
         m = len(basis)
         gram = [{} for _ in range(m)]
         for i in range(m):

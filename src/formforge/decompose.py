@@ -10,16 +10,20 @@ of C, as in Friedl & Ronyai (STOC 1985): an element is its coordinate
 vector, multiplied through the tensor, and n x n matrices are built only for
 the final idempotents.  Idempotents are found from minimal polynomials of a
 deterministic element sequence, split by gcd-based coprime factorization and
-rational roots, lifted through the nilradical, and certified (or refined)
-over Q when the gcd pipeline stalls, by the rational-root test at degree at
-most 3, by the degrees of such irreducible minimal polynomials, and by
-univariate factorization otherwise; the rank of the trace form of C bounds
+rational roots, and lifted through the nilradical.  A field block is
+certified at its first full-degree generator: an element whose minimal
+polynomial is irreducible (by the rational-root test, at degree at most 3)
+of the block's degree generates it, so the block is a field.  Otherwise a
+block is certified (or refined) over Q when the gcd pipeline stalls, by the
+rational-root test, by the degrees of such irreducible minimal polynomials,
+and by univariate factorization; the rank of the trace form of C bounds
 the semisimple part.
 
 The center is found and split over Q, in Python ints, for every coefficient
 field: over an etale field K the slot-sliding equations are restricted to Q
 and solved as over Q, which gives the center as an algebra over Q from the
-start, a block of the Q-dimension of K is K*e and needs no search, and the
+start, a block of the Q-dimension of K is K*e, read off the trace of
+multiplication by its idempotent and never built or searched, and the
 final idempotents read their entries in K back off their flat coordinates.
 A vector is a pair (a, den) of an int list and a positive denominator with
 no common factor; the elimination gets integer dict rows; a minimal
@@ -40,15 +44,18 @@ the unique reduced row echelon form whatever the order of the equations.
 
 `krull_schmidt_decompose` does each step once, in ints: one polarization
 feeds the radical's rank and the center, and one composition phi(P' y), P'
-the component bases side by side, split on its packed keys, gives every
-component form and the reconstruction check.  With one component it keeps
-the center's trace-form rank, so `decompose --absolute` builds no second.
+the component bases side by side as int columns, split on its packed keys,
+gives every component form and the reconstruction check.  With one
+component it keeps the center's trace-form rank, so `decompose --absolute`
+builds no second.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -149,6 +156,12 @@ class Decomposition:
     # the rank over Q of the center's trace form, whose kernel is the
     # nilradical; computed only for a single component, else None
     nilradical_rank: Optional[int]
+    # how the splitting went, kept out of equality and of the JSON: the
+    # blocks it searched, the minimal polynomials it took, and whether
+    # sympy factored one of them
+    splitting_rounds: int = dataclasses.field(default=0, compare=False)
+    minimal_polynomials: int = dataclasses.field(default=0, compare=False)
+    sympy_factored: bool = dataclasses.field(default=False, compare=False)
 
     @property
     def absolutely_indecomposable(self) -> Optional[bool]:
@@ -678,7 +691,10 @@ class _Block:
 
     def elements(self):
         """Deterministic candidate sequence: basis, then pairwise sums, then
-        sums with small integer weights."""
+        sums with small integer weights.  `_try_split` stops at the first
+        candidate that splits the block, or that certifies it a field by a
+        minimal polynomial irreducible of the block's degree (its first
+        full-degree generator)."""
         for b in self.basis:
             yield b
         m = len(self.basis)
@@ -739,20 +755,30 @@ def _one_field(minpolys, rank: int) -> bool:
     return math.lcm(1, *(len(sf) - 1 for sf in sfs if _divisor_irreducible(sf))) == rank
 
 
-def _try_split(block: _Block):
+def _try_split(block: _Block, record: Counter):
     """One round: return orthogonal idempotents refining the block, or None
-    when the block is certified primitive.  A block, or its semisimple
-    quotient, of the Q-dimension of K is K*e, a field."""
-    if block.dim == block.field_degree:
-        return None
+    when the block is certified primitive.
 
+    A candidate z splits the block when its minimal polynomial mu has two
+    or more coprime pieces.  It certifies the block a field when mu has the
+    block's degree, is squarefree with no rational root, and the divisor
+    test proves it irreducible: 1, z, ..., z^(dim - 1) are then independent,
+    so Q[z] is the whole block, and Q[z] = Q[t]/(mu) is a field (Friedl &
+    Ronyai, STOC 1985).  When the candidates run out, the rank of the trace
+    form certifies the block through its semisimple quotient: of the
+    Q-dimension of K it is K*e, a field.  `record` counts the round, the
+    minimal polynomials taken and a sympy factoring."""
+    record["rounds"] += 1
     minpolys = []
     for z in block.elements():
         mu = block.minpoly(z)
+        record["minimal_polynomials"] += 1
         minpolys.append((z, mu))
         pieces = _coprime_pieces(mu)
         if len(pieces) >= 2:
             return _split_with_pieces(block, z, pieces)
+        if len(mu) - 1 == block.dim and pieces == [mu] and _divisor_irreducible(mu):
+            return None
 
     # gcd pipeline found nothing; certify through the semisimple quotient
     ss_rank = block.nilradical_rank()
@@ -765,6 +791,7 @@ def _try_split(block: _Block):
             # polynomial unless the divisor test or the degrees certify it
             if _divisor_irreducible(sf) or _one_field(minpolys, ss_rank):
                 return None
+            record["sympy_factorings"] += 1
             pieces = _factor(sf)
             if len(pieces) >= 2:
                 return _split_with_pieces(block, z, pieces)
@@ -782,21 +809,33 @@ def _is_field(field) -> bool:
         return True
     t = field.tensor()
     unit = integral_coordinates(field.flat(field.one))
-    return _try_split(_Block(t, unit, _unit_vectors(t.dim), 1)) is None
+    return _try_split(_Block(t, unit, _unit_vectors(t.dim), 1), Counter()) is None
 
 
-def primitive_idempotents(center: CenterAlgebra) -> list:
+def primitive_idempotents(center: CenterAlgebra, record: Optional[Counter] = None) -> list:
     """The primitive idempotents of the center, split on coordinate vectors
     of the center as an algebra over Q, in a canonical order.  Each comes
     as (matrix, basis): the n x n matrix, and the reduced row echelon form
-    of its columns, as `linalg.rref` gives it, computed from the integer
-    matrix.  Over a product of fields, whose components would not be free
-    modules, it raises ValueError."""
+    of its columns as int columns (`_column_basis`), computed from the
+    integer matrix.  Over a product of fields, whose components would not
+    be free modules, it raises ValueError.
+
+    The center contains K, of Q-dimension m, so an idempotent e whose block
+    eC has Q-dimension m is primitive: eC is K*e, a field.  That dimension
+    is read off before the block is made: multiplication by e is a
+    projection onto eC, so dim eC = tr L_e = sum_i e_i tr L_(b_i), and the
+    traces are the tensor's diagonal constants (`StructureTensor.traces`).
+    Any other block is searched by `_try_split`, which certifies a field
+    block at its first full-degree generator.  `record`, when given, counts
+    the splitting rounds, the minimal polynomials taken and the sympy
+    factorings."""
     field = center.field
     if not _is_field(field):
         raise ValueError("decomposition needs a field, not a product of fields: %r" % (field,))
+    record = Counter() if record is None else record
     m = field.absolute_degree
     t, unit = center.tensor, center.unit
+    traces = t.traces()
 
     def make_block(e) -> _Block:
         # the rows e * b_k, straight from the tensor's rows; a reduced row
@@ -811,7 +850,11 @@ def primitive_idempotents(center: CenterAlgebra) -> list:
     queue = [unit]
     while queue:
         e = queue.pop(0)
-        split = _try_split(make_block(e))
+        # tr L_e = sum_i (E_i / de) (traces_i / den) is m
+        if sum(c * x for c, x in zip(e[0], traces) if c) == m * e[1] * t.den:
+            final.append(e)
+            continue
+        split = _try_split(make_block(e), record)
         if split is None:
             final.append(e)
         else:
@@ -840,11 +883,13 @@ def primitive_idempotents(center: CenterAlgebra) -> list:
 
 def _column_basis(field, rows, n: int) -> list:
     """The nonzero rows of the reduced row echelon form of the columns of
-    an n x n matrix, as dense tuples.  The matrix is given as dict rows of
-    int numerators over one denominator, which the column space does not
-    depend on, entry (a, i) at columns i m, ..., i m + m - 1 of row a; a
-    column goes to `linalg.rref` as a dict row of ints over Q and of flat
-    int vectors over an etale field."""
+    an n x n matrix, as int columns (nums, den) (`linalg.int_rref`): the
+    dict row nums of the nonzero numerators, {i: int} over Q and {i: flat
+    int vector} over an etale field, over the positive int den.  The matrix
+    is given as dict rows of int numerators over one denominator, which the
+    column space does not depend on, entry (a, i) at columns i m, ...,
+    i m + m - 1 of row a; a column goes to the elimination as a dict row of
+    ints over Q and of flat int vectors over an etale field."""
     m = field.absolute_degree
     rational = isinstance(field, RationalField)
     cols = [{} for _ in range(n)]
@@ -855,15 +900,16 @@ def _column_basis(field, rows, n: int) -> list:
                     cols[k][a] = v
                 else:
                     cols[k // m].setdefault(a, [0] * m)[k % m] = v
-    red, pivots = linalg.rref(field, cols)
-    zero = field.zero
-    if not rational:
-        return [tuple(row.get(k, zero) for k in range(n)) for row in red[: len(pivots)]]
-    return [
-        tuple(FieldElement(field, (Fraction(row[k], row[c]),)) if k in row else zero
-              for k in range(n))
-        for row, c in zip(red, pivots)
-    ]
+    return linalg.int_rref(field, cols)[0]
+
+
+def _column_elements(field, column, n: int) -> tuple:
+    """The n field elements of an int column of `_column_basis`."""
+    nums, den = column
+    if not isinstance(field, RationalField):
+        m = field.absolute_degree
+        nums = {i * m + l: v for i, vec in nums.items() for l, v in enumerate(vec) if v}
+    return _entries(field, nums, den, n)
 
 
 def _matrix_order(a: Matrix, b: Matrix) -> int:
@@ -927,10 +973,12 @@ def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:
     theta = _polarization(phi)
     field, n, d = phi.field, phi.nvars, phi.degree
     center = center_algebra(theta)
-    idems = primitive_idempotents(center)
+    record = Counter()
+    idems = primitive_idempotents(center, record)
 
+    # P' is invertible with its transpose, whose rows are the int columns
     columns = [col for _, cols in idems for col in cols]
-    if len(columns) != n or not linalg.is_invertible(field, list(zip(*columns))):
+    if len(columns) != n or not linalg.is_invertible(field, [nums for nums, _ in columns]):
         raise RuntimeError("component bases failed to assemble to a change of basis")
     # Variable i of R's exponent part x sits at bit (n - 1 - i) W, under the
     # total degree, so block k, variables s, ..., s + r - 1, is the r fields
@@ -952,8 +1000,9 @@ def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:
             raise RuntimeError("reconstruction identity failed")
         parts[k][(deg | part) << G | (key ^ x << G)] = c
     comps = [
-        (e, Component(dim=len(cols), basis_columns=tuple(cols), form=HomogeneousForm(
-            field, d, len(cols), Polynomial._from_nums(field, len(cols), part, R._den))))
+        (e, Component(dim=len(cols), basis_columns=tuple(
+            _column_elements(field, col, n) for col in cols), form=HomogeneousForm(
+                field, d, len(cols), Polynomial._from_nums(field, len(cols), part, R._den))))
         for (e, cols), part in zip(idems, parts)
     ]
     comps.sort(key=lambda item: (item[1].dim, tuple(
@@ -965,6 +1014,9 @@ def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:
         idempotents=tuple(e for e, _ in comps),
         center_dim=center.dim,
         nilradical_rank=_nilradical_rank(center) if len(comps) == 1 else None,
+        splitting_rounds=record["rounds"],
+        minimal_polynomials=record["minimal_polynomials"],
+        sympy_factored=record["sympy_factorings"] > 0,
     )
 
 

@@ -5,19 +5,20 @@ carry the same data; the conversions here are exact and inverse to each
 other.  The radical and all isometry-level operations live at this layer.
 
 A `SymmetricTensor` stores its entries in ints, as a polynomial stores its
-terms, and `polarize` reads them off the form's packed integers.
+terms: `polarize` reads them off the form's packed integers, and
+`depolarize` and `tensor_product` work on them without field elements.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Sequence
 
 from . import linalg
 from .coeffield import FieldElement, RationalField, integral_coordinates
-from .poly import Polynomial
+from .poly import Polynomial, _pack, check_degree
 
 
 class DimensionMismatch(ValueError):
@@ -115,8 +116,9 @@ class SymmetricTensor:
         g = gcd(den, *(nums.values() if rational else (x for v in nums.values() for x in v)))
         if g != 1:
             nums = {idx: v // g if rational else [x // g for x in v] for idx, v in nums.items()}
-        theta = cls(field, degree, dim, {})
-        theta._nums, theta._den = nums, den // g
+        theta = cls.__new__(cls)
+        theta.field, theta.degree, theta.dim = field, degree, dim
+        theta._nums, theta._den, theta._entries = nums, den // g, None
         return theta
 
     def int_entries(self):
@@ -222,16 +224,30 @@ def polarize(phi: HomogeneousForm) -> SymmetricTensor:
 
 
 def depolarize(theta: SymmetricTensor) -> HomogeneousForm:
-    """Restrict the tensor to the diagonal: phi(v) = theta(v,...,v)."""
-    d = theta.degree
+    """Restrict the tensor to the diagonal: phi(v) = theta(v,...,v).
+
+    On the tensor's ints (`int_entries`): the term on the index multiset
+    with multiplicities m has the coefficient d!/prod(m_i!) times the entry,
+    an integer multiple of its numerator over the same denominator, packed
+    as `Polynomial` keys."""
+    d, n, field = theta.degree, theta.dim, theta.field
+    check_degree(d)
+    nums, den = theta.int_entries()
+    gen = field.generator_keys()
+    rational = isinstance(field, RationalField)
     df = factorial(d)
     terms = {}
-    for idx, val in theta.entries.items():
-        e = _index_to_exponent(idx, theta.dim)
-        scale = Fraction(df, _multiplicity_product(e))
-        terms[e] = val * theta.field.from_rational(scale)
-    body = Polynomial(theta.field, theta.dim, terms)
-    return HomogeneousForm(theta.field, d, theta.dim, body)
+    for idx, val in nums.items():
+        e = _index_to_exponent(idx, n)
+        s = df // _multiplicity_product(e)
+        x = _pack(e) << gen.bits
+        if rational:
+            terms[x] = s * val
+        else:
+            for t, a in zip(gen.keys, val):
+                if a:
+                    terms[x | t] = s * a
+    return HomogeneousForm(field, d, n, Polynomial._from_nums(field, n, terms, den))
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +300,22 @@ def tensor_product(phi1: HomogeneousForm, phi2: HomogeneousForm) -> HomogeneousF
         )
     if phi1.field != phi2.field:
         raise TypeError("forms over different fields")
-    t1 = polarize(phi1)
-    t2 = polarize(phi2)
-    d = phi1.degree
-    n2 = phi2.nvars
-    dim = phi1.nvars * n2
+    field, d, n2 = phi1.field, phi1.degree, phi2.nvars
+    nums1, den1 = polarize(phi1).int_entries()
+    nums2, den2 = polarize(phi2).int_entries()
+    # over an etale field the flat vectors multiply through its tensor, over
+    # its denominator more
+    kt = None if isinstance(field, RationalField) else field.tensor()
     entries = {}
-    for a_idx, u in t1.entries.items():
-        for b_idx, v in t2.entries.items():
-            val = u * v
+    for a_idx, u in nums1.items():
+        for b_idx, v in nums2.items():
+            val = u * v if kt is None else kt.mul(u, v)
+            if kt is not None and not any(val):
+                continue
             for perm in set(itertools.permutations(b_idx)):
-                pair_idx = tuple(sorted(a * n2 + b for a, b in zip(a_idx, perm)))
-                entries[pair_idx] = val
-    theta = SymmetricTensor(phi1.field, d, dim, entries)
-    return depolarize(theta)
+                entries[tuple(sorted(a * n2 + b for a, b in zip(a_idx, perm)))] = val
+    den = den1 * den2 * (1 if kt is None else kt.den)
+    return depolarize(SymmetricTensor._from_nums(field, d, phi1.nvars * n2, entries, den))
 
 
 def coordinates_over_base(A, phi: HomogeneousForm, powers: int = 1) -> list:
@@ -373,10 +391,43 @@ def apply_change_of_basis(phi: HomogeneousForm, f: LinearMap) -> HomogeneousForm
 
 def substitute_vectors(phi: HomogeneousForm, columns) -> HomogeneousForm:
     """phi restricted to the span of the given column vectors (not necessarily
-    square); new variable i is the coefficient of columns[i]."""
-    r = len(columns)
-    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    args = [Polynomial(phi.field, r, {e: col[k] for e, col in zip(units, columns)})
-            for k in range(phi.nvars)]
-    body = phi.body.compose(args)
-    return HomogeneousForm(phi.field, phi.degree, r, body)
+    square); new variable i is the coefficient of columns[i].  A column is a
+    sequence of field elements, or an int column (nums, den): the dict row
+    nums of its nonzero numerators over the positive int den, {i: int} over
+    Q and {i: flat int vector} over an etale field, as `linalg` takes rows.
+    Argument k of the composition, sum_i columns[i][k] y_i, is packed
+    straight from the numerators over the lcm of their denominators."""
+    field, r = phi.field, len(columns)
+    rational = isinstance(field, RationalField)
+    gen = field.generator_keys()
+    args = [({}, []) for _ in range(phi.nvars)]  # coordinate k: (key: num, dens)
+    for i, col in enumerate(columns):
+        nums, den = col if len(col) == 2 and isinstance(col[0], dict) else _int_column(field, col)
+        x = _pack([int(j == i) for j in range(r)]) << gen.bits
+        for k, v in nums.items():
+            terms, dens = args[k]
+            dens.append(den)
+            if rational:
+                terms[x] = (v, den)
+            else:
+                for t, a in zip(gen.keys, v):
+                    if a:
+                        terms[x | t] = (a, den)
+    polys = []
+    for terms, dens in args:
+        D = lcm(*dens)
+        polys.append(Polynomial._from_nums(field, r, {x: a * (D // den) for x, (a, den)
+                                                      in terms.items()}, D))
+    return HomogeneousForm(field, phi.degree, r, phi.body.compose(polys))
+
+
+def _int_column(field, col) -> tuple:
+    """The field elements col as an int column (nums, den)."""
+    for x in col:
+        if x.field != field:
+            raise TypeError("mixed-field arithmetic: entry %r is not over %r" % (x, field))
+    ints, den = integral_coordinates([q for x in col for q in field.flat(x)])
+    m = field.absolute_degree
+    if isinstance(field, RationalField):
+        return {k: v for k, v in enumerate(ints) if v}, den
+    return {k: ints[k * m:k * m + m] for k in range(len(col)) if any(ints[k * m:k * m + m])}, den

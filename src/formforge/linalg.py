@@ -26,7 +26,7 @@ basis row keeps its pivot as its leading column.  The basis thus ends in reduced
 form, primitive with positive pivots.  That form is unique, so it does not
 depend on the order of the rows; scaling a row by a nonzero rational keeps
 its zero pattern and the reduced rows, and only those become field
-elements.
+elements; `int_rref` keeps them as int rows over a denominator each.
 
 Over an etale algebra K of absolute degree m the rows are the restriction
 of scalars R(A) (`coeffield.restrict_scalars`): entry (r, c) becomes an
@@ -51,9 +51,15 @@ Products by structure constants live in `coeffield.StructureTensor`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .coeffield import RationalField, ZeroDivisor, integral_coordinates, restrict_scalars
+from .coeffield import (
+    FieldElement,
+    RationalField,
+    ZeroDivisor,
+    integral_coordinates,
+    restrict_scalars,
+)
 
 
 def _row_dict(row):
@@ -110,9 +116,6 @@ def _integer_row(field, row):
     return {c: ints[i * m : i * m + m] for i, c in enumerate(cols)}
 
 
-_ZERO = Fraction(0)
-
-
 def _reduce(row, prow, c):
     """row <- (a/g) row - (f/g) prow, which clears column c (a = prow[c] > 0,
     f = row[c], g = gcd(a, f)), as a dict row; row may be changed."""
@@ -164,22 +167,47 @@ def _gauss_jordan(field, rows):
     the pivot columns.  The rows are dicts of field elements, or over Q, for
     rows of ints, primitive integer rows with a positive pivot."""
     int_rows, ints = _integer_rows(field, rows)
-    red, pivots = _eliminate(restrict_scalars(field, int_rows))
+    red, pivots = _read_back(field, *_eliminate(restrict_scalars(field, int_rows)))
     if ints:
-        return red, pivots
+        return [row for row, _ in red], pivots
+    if isinstance(field, RationalField):
+        return [{j: FieldElement(field, (Fraction(v, den),)) for j, v in row.items()}
+                for row, den in red], pivots
+    return [{j: field.from_flat([Fraction(x, den) for x in v]) for j, v in row.items()}
+            for row, den in red], pivots
+
+
+def _read_back(field, red, pivots):
+    """The reduced rows over K from the reduced rows of the restriction,
+    each as (nums, den): the dict row of its nonzero numerators, ints over
+    Q and flat int vectors over K, over the positive int den.  Over Q that
+    is the primitive row over its pivot.  Over K row k of a block of m, of
+    pivot c + k, holds coordinate k of entry j at column j m, over its
+    pivot, and den is the lcm of the block's pivots."""
+    if isinstance(field, RationalField):
+        return [(row, row[c]) for row, c in zip(red, pivots)], pivots
     m, out = field.absolute_degree, []
     for s in range(0, len(pivots), m):
         c = pivots[s]
         if pivots[s : s + m] != list(range(c, c + m)) or c % m:
             raise ZeroDivisor("zero divisor in %r" % (field,))
-        coords = {}
-        for k, row in enumerate(red[s : s + m]):
-            a = row[c + k]
+        block = red[s : s + m]
+        den = lcm(*(row[c + k] for k, row in enumerate(block)))
+        nums = {}
+        for k, row in enumerate(block):
+            f = den // row[c + k]
             for j, v in row.items():
                 if j % m == 0:
-                    coords.setdefault(j // m, [_ZERO] * m)[k] = Fraction(v, a)
-        out.append({j: field.from_flat(v) for j, v in coords.items()})
+                    nums.setdefault(j // m, [0] * m)[k] = f * v
+        out.append((nums, den))
     return out, [c // m for c in pivots[::m]]
+
+
+def int_rref(field, rows):
+    """The nonzero rows of the reduced row echelon form in pivot order, as
+    int rows (nums, den) (`_read_back`), and the pivot columns; the rows
+    are given as to `rref`."""
+    return _read_back(field, *_eliminate(restrict_scalars(field, _integer_rows(field, rows)[0])))
 
 
 def rref(field, rows):

@@ -24,7 +24,7 @@ import heapq
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from formforge import (
     HomogeneousForm,
@@ -41,7 +41,7 @@ from formforge import (
 from formforge.poly import IdentityReport, clear_denominators
 from formforge.constructions import AdmissibleTriple, product_polys
 from formforge.coeffield import EtaleAlgebra, integral_coordinates
-from formforge.decompose import _element_sort_key, _rational_roots
+from formforge.decompose import _column_elements, _element_sort_key, _rational_roots
 from formforge.jsonio import (
     decode_element,
     decode_field,
@@ -231,6 +231,34 @@ def polarize_inclusion_exclusion(phi: HomogeneousForm) -> SymmetricTensor:
         if not total.is_zero():
             entries[idx] = total * phi.field.from_rational(Fraction(1, df))
     return SymmetricTensor(phi.field, d, n, entries)
+
+
+def depolarize_by_elements(theta: SymmetricTensor) -> HomogeneousForm:
+    """phi(v) = theta(v, ..., v) from the field-element entries: the
+    coefficient of x^e is d!/prod(e_i!) times the entry on e's multiset."""
+    d, n = theta.degree, theta.dim
+    terms = {}
+    for idx, val in theta.entries.items():
+        e = [0] * n
+        for i in idx:
+            e[i] += 1
+        scale = Fraction(factorial(d), prod(factorial(m) for m in e))
+        terms[tuple(e)] = val * theta.field.from_rational(scale)
+    return HomogeneousForm(theta.field, d, n, Polynomial(theta.field, n, terms))
+
+
+def tensor_product_by_elements(phi1: HomogeneousForm, phi2: HomogeneousForm) -> HomogeneousForm:
+    """The product form on the tensor product space from field-element
+    products of the two polarizations' entries, entry (a, b) at index
+    a n2 + b for every arrangement of b's slots."""
+    t1, t2, n2 = polarize(phi1), polarize(phi2), phi2.nvars
+    entries = {}
+    for a_idx, u in t1.entries.items():
+        for b_idx, v in t2.entries.items():
+            for perm in set(itertools.permutations(b_idx)):
+                entries[tuple(sorted(a * n2 + b for a, b in zip(a_idx, perm)))] = u * v
+    return depolarize_by_elements(
+        SymmetricTensor(phi1.field, phi1.degree, phi1.nvars * n2, entries))
 
 
 def _mtnn_product(triple: AdmissibleTriple, x, y):
@@ -814,8 +842,10 @@ def per_component_decomposition(phi: HomogeneousForm):
     determinant of P, and a second composition phi(P y) compared with the
     orthogonal sum of the components."""
     field, n = phi.field, phi.nvars
-    comps = [(e, cols, _restrict_by_adds(phi, cols))
-             for e, cols in primitive_idempotents(center_algebra(polarize(phi)))]
+    comps = []
+    for e, cols in primitive_idempotents(center_algebra(polarize(phi))):
+        cols = [_column_elements(field, col, n) for col in cols]
+        comps.append((e, cols, _restrict_by_adds(phi, cols)))
     comps.sort(key=lambda c: (len(c[1]), tuple(
         (e, _element_sort_key(x)) for e, x in c[2].body.sorted_terms())))
     columns = [col for _, cols, _ in comps for col in cols]

@@ -618,6 +618,9 @@ GOLDEN = Path(__file__).parent / "golden"
          ["decompose", "--absolute", "--form", "transfer-sqrt2-sqrt3.json"]),
         ("tits-diag-tower.decompose.json",
          ["decompose", "--absolute", "--form", "tits-diag-tower.json"]),
+        ("transfer-t3-t-3.decompose.json",
+         ["decompose", "--absolute", "--form", "transfer-t3-t-3.json"]),
+        ("transfer-t3-t-3.obstruct.json", ["obstruct", "--form", "transfer-t3-t-3.json"]),
         ("pfister-quaternion.construct.json",
          ["construct", "--kind", "pfister", "--param", "gammas=2,-3"]),
         ("pfister-octonion.construct.json",
@@ -636,6 +639,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ],
     ids=["decompose-tits-cubic", "decompose-det3-basis-changed", "decompose-transfer-cbrt2",
          "decompose-transfer-sqrt2-sqrt3", "decompose-tits-diag-tower",
+         "decompose-transfer-t3-t-3", "obstruct-transfer-t3-t-3",
          "construct-pfister-quaternion", "construct-pfister-octonion",
          "construct-structurable-zeta2", "construct-norm-compose-sqrt5",
          "construct-norm-compose-cbrt2-tower", "polarize-cube-sum-degenerate",
@@ -658,10 +662,13 @@ def test_stdout_is_byte_identical_to_golden(capsys, monkeypatch, expected, argv)
     radical vectors that are not integers: (2x - 3y)^3 + z^3 over Q, of
     radical basis (3/2, 1, 0), and, over Q(sqrt 2) = Q(t),
     t u^3 + 3 u^2 z + z^3 / 2 at u = x + t y / 3, of radical basis
-    (-t/3, 1, 0), whose terms repeat indices."""
+    (-t/3, 1, 0), whose terms repeat indices.  The transfer of <1, 2> along
+    Q[t]/(t^3 - t - 3) decomposes into two 3-dimensional field blocks, and
+    with no one-dimensional component `obstruct` exits 2,
+    `consistent_unknown`."""
     monkeypatch.chdir(GOLDEN)
     code, out, _ = run(capsys, *argv)
-    assert code == 0
+    assert code == (2 if argv[0] == "obstruct" else 0)
     assert out == (GOLDEN / expected).read_text(encoding="utf-8")
 
 

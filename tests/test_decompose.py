@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from collections import Counter
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from formforge import decompose, forms
+from formforge import decompose, forms, jsonio, poly
 from formforge import (
     DegenerateInput,
     DegreeTooSmall,
@@ -72,6 +73,7 @@ def tits_diag_changed():
 
 SQRT2 = field_extend(QQ, [-2, 0, 1])
 CBRT2 = field_extend(QQ, [-2, 0, 0, 1])
+T3 = field_extend(QQ, [-3, -1, 0, 1])  # t^3 - t - 3: irreducible, with no cube root in it
 HALF = field_extend(QQ, [Fraction(-1, 2), 0, 1])  # t^2 = 1/2: the tensor's den is 2
 _OMEGA = field_extend(QQ, [1, 1, 1])
 TOWER = field_extend(_OMEGA, [_OMEGA.from_rational(-2), _OMEGA.zero, _OMEGA.zero, _OMEGA.one])
@@ -380,10 +382,10 @@ def test_splitting_over_sqrt2_makes_no_field_element_products(monkeypatch):
     monkeypatch.setattr(EtaleAlgebra, "_mul",
                         lambda self, a, b: calls.append(bool(inside)) or mul(self, a, b))
 
-    def counted(block):
+    def counted(*args):
         inside.append(1)
         try:
-            return try_split(block)
+            return try_split(*args)
         finally:
             inside.pop()
 
@@ -450,14 +452,20 @@ def test_decomposition_makes_no_field_element_arithmetic(monkeypatch, make):
     FieldElement sum, difference, negation, product or inverse and no
     scalar product or inverse of the field, over Q and over Q(sqrt 2).
     The polarization's `entries` view is never built, and the only terms
-    views read are the components', none of phi or of phi(P' y)."""
+    views read are the components'.  The component bases stay int columns
+    through the invertibility test and the composition: no field element
+    is turned back into ints (`linalg._integer_row`, `integral_coordinates`
+    in `forms` and `poly`)."""
     phi = make()
+    decompose._is_field(phi.field)
     calls, views, terms = Counter(), [], Polynomial.terms.fget
     for cls, name in ((FieldElement, "__add__"), (FieldElement, "__sub__"),
                       (FieldElement, "__neg__"), (FieldElement, "__mul__"),
                       (FieldElement, "inv"), (FieldElement, "__truediv__"),
                       (FieldElement, "__pow__"), (type(QQ), "_mul"), (type(QQ), "_inv"),
-                      (EtaleAlgebra, "_mul"), (EtaleAlgebra, "_inv")):
+                      (EtaleAlgebra, "_mul"), (EtaleAlgebra, "_inv"),
+                      (linalg, "_integer_row"), (forms, "integral_coordinates"),
+                      (poly, "integral_coordinates")):
         def counted(*args, _original=getattr(cls, name), _name=name):
             calls[_name] += 1
             return _original(*args)
@@ -492,6 +500,118 @@ def test_fields_are_told_from_products_of_fields():
         assert decompose._is_field(k)
     for k in (field_extend(QQ, [-1, 0, 1]), field_extend(SQRT2, [-2, 0, 1])):
         assert not decompose._is_field(k)
+
+
+def transfer_pair(k):
+    """<1, 2> over k pushed down to Q along the coefficient of 1."""
+    return transfer_form(k, [1] + [0] * (k.degree - 1), diagonal_form([1, 2], 3, field=k).form)
+
+
+@pytest.mark.parametrize("k", [SQRT2, CBRT2, T3], ids=["sqrt2", "cbrt2", "t3-t-3"])
+def test_field_blocks_are_certified_at_their_first_generator(monkeypatch, k):
+    """The transfer of <1, 2> along a field k of degree m = 2 or 3 has the
+    center k x k over Q.  One minimal polynomial splits it into two blocks
+    of dimension m, and one more certifies each block a field: a generator
+    whose minimal polynomial is irreducible of degree m.  No nilradical
+    rank is taken and sympy is not called.  The decomposition records the
+    three rounds and three minimal polynomials, outside its equality and
+    its JSON."""
+    rounds, calls, try_split = [], Counter(), decompose._try_split
+
+    def counted(block, record):
+        before = record["minimal_polynomials"]
+        out = try_split(block, record)
+        rounds.append((block.dim, record["minimal_polynomials"] - before, out is None))
+        return out
+
+    monkeypatch.setattr(decompose, "_try_split", counted)
+    rank = decompose._Block.nilradical_rank
+    monkeypatch.setattr(decompose._Block, "nilradical_rank",
+                        lambda self: calls.update(["nilradical_rank"]) or rank(self))
+    monkeypatch.setattr(decompose, "_factor", lambda f: calls.update(["factor"]))
+    dec = krull_schmidt_decompose(transfer_pair(k))
+    m = k.degree
+    assert [c.dim for c in dec.components] == [m, m]
+    assert rounds == [(2 * m, 1, False), (m, 1, True), (m, 1, True)]
+    assert not calls
+    assert (dec.splitting_rounds, dec.minimal_polynomials, dec.sympy_factored) == (3, 3, False)
+    assert dataclasses.replace(dec, splitting_rounds=0, minimal_polynomials=0) == dec
+    assert "splitting_rounds" not in jsonio.dumps(jsonio.encode_decomposition(dec))
+
+
+@pytest.mark.parametrize("make, blocks", [
+    (lambda: diag([1, 2, 3, 5], 3), 4),
+    (lambda: transfer_pair(CBRT2), 2),
+    (lambda: changed_over(SQRT2, [2, -1], 1, 1), 3),
+    (lambda: diagonal_form([TOWER.from_rational(i) + TOWER.gen for i in (1, 2, 3)], 3,
+                           field=TOWER).form, 3),
+], ids=["diag-q", "transfer-cbrt2", "sqrt2-tits", "tower"])
+def test_blocks_of_the_fields_dimension_are_read_off_the_trace(monkeypatch, make, blocks):
+    """An idempotent e whose block eC has the Q-dimension m of the
+    coefficient field is primitive, and tr L_e tells so before the block is
+    made: no block of dimension m is built."""
+    made, init = [], decompose._Block.__init__
+
+    def counted(self, tensor, unit, basis, field_degree):
+        made.append((len(basis), field_degree))
+        init(self, tensor, unit, basis, field_degree)
+
+    phi = make()
+    decompose._is_field(phi.field)
+    monkeypatch.setattr(decompose._Block, "__init__", counted)
+    assert len(primitive_idempotents(center_algebra(polarize(phi)))) == blocks
+    assert made and all(dim != m for dim, m in made)
+
+
+def test_a_reducible_minimal_polynomial_of_full_degree_splits():
+    """In Q[t]/((t^2 - 2)(t^2 - 3)) = Q(sqrt 2) x Q(sqrt 3), t has a
+    squarefree minimal polynomial of the full degree 4 with no rational
+    root, but the divisor test does not prove it irreducible, so it
+    certifies nothing: t^2 splits the block."""
+    k = field_extend(QQ, [6, 0, -5, 0, 1])
+    t = k.tensor()
+    record = Counter()
+    block = decompose._Block(t, ([1, 0, 0, 0], 1), decompose._unit_vectors(4), 1)
+    split = decompose._try_split(block, record)
+    assert split is not None and len(split) == 2
+    assert record == {"rounds": 1, "minimal_polynomials": 3}
+    assert not decompose._is_field(k)
+
+
+def _changed_transfer(kind, seed):
+    """A diagonal cubic over Q, or the transfer to Q of one over a field of
+    degree 2 or 3 along a nonzero functional, after a seeded upper
+    unitriangular change of basis; and its sorted component dimensions."""
+    rng = random.Random("%s:%d" % (kind, seed))
+    if kind == "q":
+        n = rng.randint(2, 6)
+        phi, dims = diag([rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(n)], 3), [1] * n
+    else:
+        k = {"sqrt2": SQRT2, "cbrt2": CBRT2, "t3-t-3": T3}[kind]
+        m, n = k.degree, rng.randint(1, 3 if k.degree == 2 else 2)
+        coeffs = [k.element([rng.choice((-2, -1, 1, 3))] + [rng.choice((-1, 0, 1))
+                                                           for _ in range(m - 1)])
+                  for _ in range(n)]
+        s = [0] * m
+        while not any(s):
+            s = [rng.choice((-1, 0, 1, 2)) for _ in range(m)]
+        phi, dims = transfer_form(k, s, diagonal_form(coeffs, 3, field=k).form), [m] * n
+    return apply_change_of_basis(phi, unitriangular(phi.nvars, rng)), dims
+
+
+@pytest.mark.parametrize("kind", ["q", "sqrt2", "cbrt2", "t3-t-3"])
+@pytest.mark.parametrize("seed", range(4))
+def test_transfers_and_diagonal_forms_match_the_per_component_oracle(kind, seed):
+    """Components, idempotents and change of basis of transfers and
+    diagonal forms in a changed basis are those of `oracles`, which
+    composes phi once per component and checks the reconstruction apart."""
+    phi, dims = _changed_transfer(kind, seed)
+    dec = krull_schmidt_decompose(phi)
+    comps, p, idems = per_component_decomposition(phi)
+    assert sorted(c.dim for c in dec.components) == dims
+    assert [(c.dim, c.basis_columns, c.form) for c in dec.components] == comps
+    assert dec.change_of_basis == p
+    assert dec.idempotents == idems
 
 
 @pytest.mark.parametrize("k", [field_extend(QQ, [-1, 0, 1]), field_extend(SQRT2, [-2, 0, 1])],
@@ -589,10 +709,11 @@ def test_split_albert_norm_is_one_27_dimensional_component():
 @pytest.mark.parametrize("over", ["q", "sqrt2"])
 def test_idempotent_column_bases_are_the_rref_of_their_columns(over):
     """Each primitive idempotent comes with the reduced row echelon form of
-    its columns, computed from the integer matrix: the very tuples
-    `linalg.rref` gives on the field-element columns, after a change of
-    basis that fills the idempotents in and gives their primitive integer
-    column rows pivots other than 1."""
+    its columns, computed from the integer matrix as int columns: read as
+    field elements, the very tuples `linalg.rref` gives on the
+    field-element columns, after a change of basis that fills the
+    idempotents in and gives their primitive integer column rows pivots
+    other than 1."""
     field = QQ if over == "q" else field_extend(QQ, [-2, 0, 1])
     phi = orthogonal_sum(tits_cubic(5).form, diag([2, -3], 3))
     if over != "q":
@@ -605,7 +726,8 @@ def test_idempotent_column_bases_are_the_rref_of_their_columns(over):
     center = center_algebra(polarize(apply_change_of_basis(phi, f)))
     for e, basis in primitive_idempotents(center):
         red, pivots = linalg.rref(field, [list(col) for col in zip(*e)])
-        assert basis == [tuple(red[i]) for i in range(len(pivots))]
+        assert ([decompose._column_elements(field, col, n) for col in basis]
+                == [tuple(red[i]) for i in range(len(pivots))])
         assert any(x != field.zero and x != field.one for row in e for x in row)
 
 
@@ -681,10 +803,9 @@ def test_non_orthogonal_component_bases_fail_the_reconstruction(monkeypatch):
     """Bases that span the space but are not orthogonal for phi give a term
     of phi(P' y) that mixes two blocks."""
     phi = diag([1, 2], 3)
-    one, zero = QQ.one, QQ.zero
     idems = primitive_idempotents(center_algebra(polarize(phi)))
-    skewed = [(idems[0][0], [(one, one)]), (idems[1][0], [(zero, one)])]
-    monkeypatch.setattr(decompose, "primitive_idempotents", lambda center: skewed)
+    skewed = [(idems[0][0], [({0: 1, 1: 1}, 1)]), (idems[1][0], [({1: 1}, 1)])]
+    monkeypatch.setattr(decompose, "primitive_idempotents", lambda center, record: skewed)
     with pytest.raises(RuntimeError, match="reconstruction identity failed"):
         krull_schmidt_decompose(phi)
 

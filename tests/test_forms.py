@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from formforge import (
     transfer,
     transfer_form,
 )
-from formforge.coeffield import ZeroDivisor, etale_norm
+from formforge.coeffield import EtaleAlgebra, FieldElement, ZeroDivisor, etale_norm
 from formforge.decompose import CenterNotClosed, center_algebra
 from formforge.forms import (
     DegreeMismatch,
@@ -31,7 +32,11 @@ from formforge.forms import (
     radical_of_tensor,
     substitute_vectors,
 )
-from oracles import polarize_inclusion_exclusion
+from oracles import (
+    depolarize_by_elements,
+    polarize_inclusion_exclusion,
+    tensor_product_by_elements,
+)
 
 
 def var(n, i):
@@ -182,6 +187,74 @@ def test_polarize_inverts_depolarize():
     phi = depolarize(theta)
     assert phi.body == var(2, 0) * var(2, 1)
     assert polarize(phi) == theta
+
+
+@pytest.mark.parametrize("k", [QQ, Q_SQRT2, Q_TIMES_Q], ids=["q", "sqrt2", "qxq"])
+def test_depolarize_and_tensor_product_on_integers_match_field_elements(k):
+    """`depolarize` and `tensor_product`, on the tensors' ints, against the
+    same steps on field elements (`oracles`), for random forms of degree 2
+    to 4, some with a radical."""
+    rng = random.Random(7)
+    for _ in range(5):
+        d = rng.randint(2, 4)
+        phi1, phi2 = (_random_over(rng, k, rng.randint(1, 2), d) for _ in range(2))
+        theta = polarize(phi1)
+        assert depolarize(theta) == depolarize_by_elements(theta) == phi1
+        assert tensor_product(phi1, phi2) == tensor_product_by_elements(phi1, phi2)
+
+
+@pytest.mark.parametrize("k", [QQ, Q_SQRT2], ids=["q", "sqrt2"])
+def test_depolarize_and_tensor_product_make_no_field_element_arithmetic(monkeypatch, k):
+    """On <1, 2, 3> (<1, t, 3> over Q(sqrt 2) = Q(t)) neither `depolarize`
+    nor `tensor_product` makes a FieldElement sum, difference, negation,
+    product, inverse, quotient or power, or a product or inverse of the
+    field, and neither reads a tensor's `entries` view."""
+    coeffs = [k.one, k.from_rational(2) if k is QQ else k.gen, k.from_rational(3)]
+    phi = HomogeneousForm(k, 3, 3, Polynomial.from_pairs(
+        k, 3, [(tuple(3 * (j == i) for j in range(3)), c) for i, c in enumerate(coeffs)]))
+    theta = polarize(phi)
+    calls = Counter()
+    for cls, name in ((FieldElement, "__add__"), (FieldElement, "__sub__"),
+                      (FieldElement, "__neg__"), (FieldElement, "__mul__"),
+                      (FieldElement, "inv"), (FieldElement, "__truediv__"),
+                      (FieldElement, "__pow__"), (type(QQ), "_mul"), (type(QQ), "_inv"),
+                      (EtaleAlgebra, "_mul"), (EtaleAlgebra, "_inv")):
+        def counted(*args, _original=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(SymmetricTensor, "entries",
+                        property(lambda theta: calls.update(["entries"])))
+    back, square = depolarize(theta), tensor_product(phi, phi)
+    monkeypatch.undo()
+    assert not calls
+    assert back == phi and square == tensor_product_by_elements(phi, phi)
+    assert square.nvars == 9 and len(square.body.terms) == 9
+
+
+def test_substitute_vectors_takes_int_columns():
+    """A column given as its numerators over a denominator, {i: int} over Q
+    and {i: flat int vector} over Q(sqrt 2), gives the form the
+    field-element column gives; a column over another field is refused."""
+    rng = random.Random(3)
+    for k in (QQ, Q_SQRT2):
+        m = k.absolute_degree
+        phi = _random_over(rng, k, 3, 3)
+        for r in (1, 2, 3):
+            cols, ints = [], []
+            for _ in range(r):
+                den = rng.choice((1, 2, 6))
+                nums = {i: rng.randint(-3, 3) if m == 1 else [rng.randint(-3, 3) for _ in range(m)]
+                        for i in range(3) if rng.random() < 0.7}
+                nums = {i: v for i, v in nums.items() if (v if m == 1 else any(v))}
+                ints.append((nums, den))
+                cols.append([k.from_flat([Fraction(x, den) for x in
+                                          ((nums[i],) if m == 1 else nums[i])])
+                             if i in nums else k.zero for i in range(3)])
+            assert substitute_vectors(phi, ints) == substitute_vectors(phi, cols)
+    with pytest.raises(TypeError, match="mixed-field arithmetic"):
+        substitute_vectors(diag([1, 2], 3), [[Q_SQRT2.one, Q_SQRT2.gen]])
 
 
 def test_radical_of_degenerate_cubic():
