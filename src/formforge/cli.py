@@ -376,7 +376,7 @@ def _verify(args) -> int:
     what = args.what
     if what == "composition":
         if kind == "algebra":
-            payload = payload.structure_matrices()
+            payload = payload.tensor
         elif kind != "composition":
             raise UsageError("composition needs structure matrices or an algebra")
         rep = witness.verify_composition(phi, payload, **kw)

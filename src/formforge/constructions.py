@@ -28,7 +28,7 @@ from .coeffield import (
     to_coordinates,
 )
 from .forms import HomogeneousForm, coordinates_over_base
-from .poly import Polynomial, RationalFunction, ring_matrix_determinant
+from .poly import Polynomial, RationalFunction, left_multiplication, ring_matrix_determinant
 from .witness import (
     ScaledWitness,
     WitnessInvalid,
@@ -145,21 +145,11 @@ class AlgebraPresentation:
 
     def left_mult_witness_matrix(self):
         """M(X) = left multiplication by the generic element, as rational
-        functions in n variables: M[l][j] = sum_i structure[i][j][l] x_i."""
-        n = self.dim
-        t = self.tensor
-        entries = [[{} for _ in range(n)] for _ in range(n)]
-        for i, plane in enumerate(t.rows):
-            e = [0] * n
-            e[i] = 1
-            e = tuple(e)
-            for j, row in enumerate(plane):
-                for l, c in row:
-                    entries[l][j][e] = from_coordinates(self.field, (c,), t.den)[0]
-        return tuple(
-            tuple(RationalFunction.from_poly(Polynomial(self.field, n, terms)) for terms in row)
-            for row in entries
-        )
+        functions in n variables: M[l][j] = sum_i structure[i][j][l] x_i
+        (`left_multiplication`)."""
+        one = Polynomial.const(self.field, self.dim, self.field.one)
+        return tuple(tuple(RationalFunction(p, one) for p in row)
+                     for row in left_multiplication(self.tensor))
 
     def _check_unit(self):
         t = self.tensor

@@ -951,7 +951,10 @@ def _polarization(phi: HomogeneousForm) -> SymmetricTensor:
 def _nilradical_rank(center: CenterAlgebra) -> int:
     """The rank over Q of the trace form of the center as an algebra over
     Q, whose kernel is the nilradical: the Q-dimension of the center modulo
-    its nilradical."""
+    its nilradical.  A center of dimension 1 over the field K is K * 1, a
+    field, and the rank is [K:Q]."""
+    if center.dim == 1:
+        return center.field.absolute_degree
     t = center.tensor
     return _Block(t, center.unit, _unit_vectors(t.dim), 1).nilradical_rank()
 

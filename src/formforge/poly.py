@@ -44,6 +44,7 @@ import itertools
 import math
 import operator
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
@@ -175,6 +176,9 @@ def _product(a: dict, b: dict, gen) -> dict:
     (`_reduce`; over Q, with no table, gen.den is 1)."""
     nums = _mul_nums(a, b)
     return _reduce(nums, gen) if gen.table else nums
+
+
+_ONE = {0: 1}  # the packed constant 1, in every ring
 
 
 def _canonical(nums: dict, den: int):
@@ -346,6 +350,10 @@ class Polynomial:
         self._check(other)
         if not self._nums or not other._nums:
             return Polynomial.zero(self.field, self.nvars)
+        if other._nums == _ONE and other._den == 1:
+            return self
+        if self._nums == _ONE and self._den == 1:
+            return other
         check_degree(self.total_degree() + other.total_degree())
         gen = self.field.generator_keys()
         nums = _product(self._nums, other._nums, gen)
@@ -1117,6 +1125,75 @@ def linear_forms(N: Sequence[Sequence[Polynomial]]):
     return out
 
 
+def left_multiplication(tensor):
+    """L_x, left multiplication by the generic element x = sum_i x_i b_i of
+    the algebra whose structure constants are the `StructureTensor` tensor,
+    as polynomials in n variables: L_x[l][j] = sum_i T[i][j][l] x_i."""
+    n = tensor.dim
+    keys = [1 << n * W | 1 << (n - 1 - i) * W for i in range(n)]  # x_0, ..., x_(n-1)
+    parts = [[{} for _ in range(n)] for _ in range(n)]
+    for i, plane in enumerate(tensor.rows):
+        for j, row in enumerate(plane):
+            for l, c in row:
+                parts[l][j][keys[i]] = c
+    return _operator(tensor.field, n, parts, tensor.den)
+
+
+def u_operator(tensor, associative: bool):
+    """U_v, the map w -> {v w v} of the generic element v, as polynomials in
+    n variables: column j is {v b_j v}.  For an associative product that is
+    (v b_j) v, so U_v[l][j] = sum_ab (sum_k T[a][j][k] T[k][b][l]) v_a v_b
+    over den^2.  Otherwise it is the U-operator 2 (v.b_j).v - b_j.(v.v) of
+    the Jordan product x.y = P(x, y) / 2, P[i][j] = T[i][j] + T[j][i],
+    which is v b_j v again in an alternative algebra: P is symmetric, so
+    each pair of constants P[a][j][k] P[k][b][l] adds 2 v_a v_b to entry
+    [l][j] (the first term) and -v_a v_j to entry [l][b] (the second, for
+    b_b), all over 4 den^2."""
+    n, rows, zero = tensor.dim, tensor.rows, tensor.zero
+    keys = [1 << n * W | 1 << (n - 1 - i) * W for i in range(n)]
+    parts = [[defaultdict(lambda: zero) for _ in range(n)] for _ in range(n)]
+    if associative:
+        for a, plane in enumerate(rows):
+            for j, row in enumerate(plane):
+                for k, c1 in row:
+                    for b, second in enumerate(rows[k]):
+                        for l, c2 in second:
+                            parts[l][j][keys[a] + keys[b]] += c1 * c2
+        return _operator(tensor.field, n, parts, tensor.den**2)
+    one = tensor.scalar(1)
+    P = [[tensor.combine(((one, rows[i][j]), (one, rows[j][i]))) for j in range(n)]
+         for i in range(n)]
+    for a in range(n):
+        for j in range(n):
+            for k, c1 in P[a][j].items():
+                for b, row in enumerate(P[k]):
+                    for l, c2 in row.items():
+                        c = c1 * c2
+                        parts[l][j][keys[a] + keys[b]] += c + c
+                        parts[l][b][keys[a] + keys[j]] -= c
+    return _operator(tensor.field, n, parts, 4 * tensor.den**2)
+
+
+def _operator(field, n: int, parts, den: int):
+    """The n x n matrix of polynomials whose entry [l][j] is parts[l][j] /
+    den, a dict {exponent part: int over Q, field element over an etale
+    field}, packed from the coefficients' int coordinates; the zero entries
+    are one shared zero."""
+    if not isinstance(field, RationalField):
+        # every coefficient's flat coordinates over one denominator, each
+        # at its generator key
+        gen = field.generator_keys()
+        flat = [q for row in parts for p in row for c in p.values() for q in field.flat(c)]
+        ints, d = integral_coordinates(flat)
+        m, den, at = len(gen.keys), den * d, itertools.count(0, len(gen.keys))
+        parts = [[{k << gen.bits | t: a for k, i in zip(p, at)
+                   for t, a in zip(gen.keys, ints[i:i + m])} for p in row] for row in parts]
+    zero = Polynomial.zero(field, n)
+    nums = [[{k: c for k, c in p.items() if c} for p in row] for row in parts]
+    return tuple(tuple(Polynomial._from_nums(field, n, p, den) if p else zero for p in row)
+                 for row in nums)
+
+
 def substitute_linear(p: Polynomial, M: Sequence[Sequence[RationalFunction]]):
     """For homogeneous p in Y and a square matrix M of rational functions in X,
     return (q, D) with q = D^deg(p) * p(M*Y), a polynomial in the X then Y
@@ -1336,10 +1413,10 @@ def sample_identity(
     in draw order, so the points, the counterexample, the pole redraws and
     the bounds are those of drawing and checking one point at a time.
 
-    The callers' agree evaluate each side on `EvalProgram`s, compiled at the
-    first point or, for a scaled check's program over X, before sampling,
-    and compare numerators over denominators cleared at compile time: one
-    exact int (or int vector) equality a point."""
+    The callers' agree (`verify_identity`'s and the one witness check's)
+    evaluate each side on `EvalProgram`s, compiled before sampling or at
+    the first point, and compare numerators over denominators cleared at
+    compile time: one exact int (or int vector) equality a point."""
     if samples < 1:
         raise ValueError("samples must be positive, got %d" % samples)
     if box_halfwidth < 0:

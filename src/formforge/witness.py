@@ -1,9 +1,15 @@
 """Witness verification, obstruction procedures, and exponent calculus.
 
-A scaled witness is a scalar c(X) and a matrix M(X) of rational functions
-certifying c(X) * phi(Y) = phi(M(X) Y) over k(X).  Verification clears
-denominators and compares polynomials, either symbolically (a proof) or by
-exact evaluation at random points (evidence with a stated bound).
+Every notion of multiplicativity is one identity, c(X) * phi(Y) =
+phi(N(X) Y) over k(X).  A scaled witness is a scalar c(X) and a matrix M(X)
+of rational functions: strong multiplicativity has c = phi(X),
+strong-Jordan phi(X)^2, exponent phi(X)^s, similarity a constant and twist
+mu phi(X)^s.  Composition phi(x) phi(y) = phi(xy) is c = phi(x) with
+N = L_x, and Jordan composition phi({v w v}) = phi(v)^2 phi(w) is
+c = phi(v)^2 with N = U_v.  One driver, `_verify_scaled`, checks them all:
+it clears denominators and compares polynomials, either symbolically (a
+proof) or by exact evaluation at random points (evidence with a stated
+bound).
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import List, Optional, Tuple
 
 from . import linalg
 from .coeffield import (FieldElement, QQ, RationalField, StructureTensor, etale_norm,
@@ -34,9 +40,11 @@ from .poly import (
     clear_denominators,
     compose_estimate,
     is_dth_power,
+    left_multiplication,
     linear_forms,
     ring_matrix_determinant,
     sample_identity,
+    u_operator,
     verify_identity,
 )
 
@@ -117,48 +125,6 @@ def _resolve_mode(requested: str, estimate: int, budget: int, seed: Optional[int
         note = "fell back to random: estimated %d terms over budget %d" % (estimate, budget)
         return "random", (0 if seed is None else seed), note
     return "symbolic", seed, ""
-
-
-def _check_identity(
-    t0: float,
-    identity: str,
-    estimate: int,
-    build: Callable[[], Tuple[Polynomial, Polynomial]],
-    agree: Callable[[list], list],
-    nvars: int,
-    degree: int,
-    mode: str,
-    samples: int,
-    seed: Optional[int],
-    box_halfwidth: int,
-    budget: int,
-) -> VerificationReport:
-    """The one identity check behind every verify_* engine.
-
-    An engine states its identity lhs == rhs: `build` expands both sides for a
-    symbolic proof, `agree` compares them at each point of a batch of points
-    of the nvars sample variables (None at a pole), and `degree` bounds
-    their total degree.  The mode is resolved against the estimate of the
-    symbolic expansion.
-
-    In random mode nothing is expanded.  `agree` evaluates `EvalProgram`s in
-    ints over the whole batch and compares the two sides as products of
-    program values, column by column (`_Values`), whose denominators cancel
-    once at compile time.  The programs of the z_l, of the triple and of phi
-    are compiled at the first point; a scaled check's one program over X
-    (D, num(c), den(c) and the nonzero entries of N) is compiled before the
-    mode is resolved, for the invertibility check, and sampled as it is."""
-    use_mode, use_seed, note = _resolve_mode(mode, estimate, budget, seed)
-    if use_mode == "symbolic":
-        rep = verify_identity(*build(), mode="symbolic")
-    else:
-        rep = sample_identity(agree, nvars, degree, samples, use_seed, box_halfwidth)
-    return VerificationReport(
-        identity=identity,
-        elapsed_s=time.perf_counter() - t0,
-        notes=note,
-        **{f.name: getattr(rep, f.name) for f in fields(rep)},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -333,23 +299,98 @@ def _matrix_invertible(N, prog: EvalProgram, rows: _SparseRows) -> None:
         raise SingularWitness("witness matrix has identically zero determinant")
 
 
-def _estimate_scaled(phi: HomogeneousForm, scalar: RationalFunction, nonzero,
-                     D: Polynomial) -> int:
-    """`nonzero` holds the nonzero entries of each row of M."""
-    d_terms = max(1, D.term_count())
-    fake_args = [max(1, sum(e.num.term_count() for e in row) * d_terms) for row in nonzero]
-    total = 0
-    for e in phi.body.exponents():
-        t = 1
-        for i, ei in enumerate(e):
-            t *= fake_args[i] ** ei
-            if t > 10**15:
-                return 10**15
-        total += t
-        if total > 10**15:
-            return 10**15
-    lhs = scalar.num.term_count() * d_terms**phi.degree * phi.body.term_count()
-    return max(total, min(lhs, 10**15))
+def _verify_scaled(
+    t0: float,
+    identity: str,
+    phi: HomogeneousForm,
+    c: RationalFunction,
+    s: int,
+    N,
+    D: Polynomial,
+    compiled,
+    mode: str,
+    samples: int,
+    seed: Optional[int],
+    box_halfwidth: int,
+    budget: Optional[int],
+) -> VerificationReport:
+    """The one identity check behind every verify_* function: the cleared
+    scaled identity P = 0,
+
+        num(c)(X) * phi(X)^s * D(X)^d * phi(Y) == den(c)(X) * phi(N(X) Y),
+
+    for c and D in the nx variables X, N a square matrix of polynomials in
+    X, and d the degree of phi; the scalar is c(X) phi(X)^s.  A scaled
+    witness M with its scalar c (`verify_scaled_witness`) is s = 0 and
+    N = D M; composition is c = 1, s = 1 and N = L_x; Jordan composition
+    c = 1, s = 2 and N = U_v, so phi(X)^s is evaluated through phi's own
+    program rather than expanded.  `compiled` is the `_sparse_program` of
+    (D, c, N) when the caller built it already, else None: it is then
+    compiled only when random mode samples.
+
+    The mode is resolved against an estimate of the symbolic expansion:
+    `compose_estimate` over the rows of N(X) Y (`linear_forms`), plus the
+    products of the left side's terms.  Symbolic mode composes phi with
+    those rows and compares canonically (`verify_identity`).
+
+    Random mode expands nothing (`sample_identity`).  At a sample (x, y)
+    the program gives the numerators of D(x), num(c)(x), den(c)(x) and the
+    nonzero entries of N(x) over one denominator L, and phi's program
+    those of phi(x), phi(y) and phi(N(x) y) over its own denominator; with
+    phi homogeneous the two sides compare as products of ints, column by
+    column over an etale field (`_Values`).  The poles, den(c)(x) = 0 or
+    D(x) = 0, are redrawn.  With Q = den(c) D, deg P at most
+    max(deg num(c) + s d + d deg D + d, deg den(c) + d (max deg N + 1))
+    and S the box, Schwartz-Zippel bounds the chance that a wrong identity
+    passes a sample off the poles by Pr[P = 0 | Q != 0] <=
+    deg P / (|S| - deg Q) <= (deg P + deg Q) / |S| (the last while the sum
+    is at most |S|; above it the bound is 1), which is the bound reported
+    per sample.  Composition reads 2d and Jordan composition 3d."""
+    d, n, nx = phi.degree, phi.nvars, D.nvars
+    budget = term_budget() if budget is None else budget
+    rows = estimate = None
+    if mode != "random":
+        rows = linear_forms(N)
+        lhs_terms = (c.num.term_count() * phi.body.term_count() ** (s + 1)
+                     * D.term_count() ** d)
+        estimate = min(compose_estimate(phi.body, rows) + lhs_terms, 10**15)
+    use_mode, use_seed, note = _resolve_mode(mode, estimate, budget, seed)
+    big = nx + n
+    if use_mode == "symbolic":
+        num = c.num * phi.body**s if s else c.num
+        lhs = (num * D**d).embed(big, 0) * phi.body.embed(big, nx)
+        rhs = c.den.embed(big, 0) * phi.body.compose(rows)
+        rep = verify_identity(lhs, rhs, mode="symbolic")
+    else:
+        prog, sparse = compiled or _sparse_program(D, c, N)
+        values = _Values.of(phi.field)
+
+        def agree(points):
+            pprog = phi.body.program()  # compiled at the first sample, and kept
+            x, y = [pt[:nx] for pt in points], [pt[nx:] for pt in points]
+            dval, a, b, *entries = prog.at(x)
+            v = values.matvec(entries, sparse, list(zip(*y)))
+            lhs = [a] + [dval] * d + pprog.at(y)
+            rhs = values.product([b] + values.at(pprog, v))
+            if s:  # phi(x)^s, and its denominator on the other side
+                lhs += pprog.at(x) * s
+                rhs = values.times(rhs, pprog.den**s)
+            lhs = values.product(lhs)
+            poles = map(operator.or_, values.is_zero(b), values.is_zero(dval))
+            return [None if pole else same
+                    for pole, same in zip(poles, values.equal(lhs, d + 2 + s, rhs, 2))]
+
+        deg_n = max(map(Polynomial.total_degree, chain.from_iterable(N)))
+        deg_p = max(c.num.total_degree() + s * d + d * D.total_degree() + d,
+                    c.den.total_degree() + d * (deg_n + 1))
+        degree = deg_p + c.den.total_degree() + D.total_degree()
+        rep = sample_identity(agree, big, degree, samples, use_seed, box_halfwidth)
+    return VerificationReport(
+        identity=identity,
+        elapsed_s=time.perf_counter() - t0,
+        notes=note,
+        **{f.name: getattr(rep, f.name) for f in fields(rep)},
+    )
 
 
 def verify_scaled_witness(
@@ -361,12 +402,14 @@ def verify_scaled_witness(
     box_halfwidth: int = DEFAULT_BOX_HALFWIDTH,
     budget: Optional[int] = None,
 ) -> VerificationReport:
-    """Check num(c) * den(M)^d * phi(Y) = den(c) * phi_cleared(M Y)."""
+    """Check num(c) * den(M)^d * phi(Y) = den(c) * phi_cleared(M Y): the
+    denominators of M cleared (`clear_denominators`, N = D M), det M
+    proved nonzero (`_matrix_invertible`, else SingularWitness), then
+    `_verify_scaled`."""
     t0 = time.perf_counter()
     n = phi.nvars
     if w.dim != n or any(len(row) != n for row in w.matrix):
         raise DimensionMismatch("witness matrix must be %d x %d" % (n, n))
-    budget = term_budget() if budget is None else budget
     # N = D * M over the common denominator D of the matrix entries, and
     # c = num / den, all in the larger of the two variable counts: the
     # smaller side is embedded at offset 0
@@ -378,51 +421,11 @@ def verify_scaled_witness(
         N = [[e.embed(nx, 0) for e in row] for row in N]
     if c.num.nvars < nx:
         c = RationalFunction(c.num.embed(nx, 0), c.den.embed(nx, 0))
-    prog, rows = _sparse_program(D, c, N)
-    _matrix_invertible(N, prog, rows)
-
+    compiled = _sparse_program(D, c, N)
+    _matrix_invertible(N, *compiled)
     identity = "num(c) * den(M)^%d * phi(Y) == den(c) * phi_cleared(M Y)" % phi.degree
-    nonzero = [[e for e in row if not e.is_zero()] for row in w.matrix]
-    estimate = _estimate_scaled(phi, w.scalar, nonzero, D)
-
-    def build():
-        # substitute_linear(phi.body, w.matrix), on the N cleared above
-        q = phi.body.compose(linear_forms(N))
-        big = nx + n
-        lhs = c.num.embed(big, 0) * (D**phi.degree).embed(big, 0) * phi.body.embed(big, nx)
-        return lhs, c.den.embed(big, 0) * q
-
-    # At a sample (x, y) the poles of c and M are the points with
-    # den(c)(x) = 0 or D(x) = 0; elsewhere phi(N(x) y) is phi_cleared(M Y).
-    # The program gives a, b, D(x) and N(x), the numerators of num(c)(x),
-    # den(c)(x), D(x) and N(x), over one denominator L, and phi homogeneous
-    # makes the identity a * D(x)^d * phi(y) == b * phi(N(x) y) in
-    # numerators: both sides carry L^(d + 1), and phi's own denominator once.
-    d = phi.degree
-    values = _Values.of(phi.field)
-
-    def agree(points):
-        pprog = phi.body.program()  # compiled at the first sample, and kept
-        x, y = [pt[:nx] for pt in points], [pt[nx:] for pt in points]
-        dval, a, b, *entries = prog.at(x)
-        v = values.matvec(entries, rows, list(zip(*y)))
-        lhs = values.product([a] + [dval] * d + pprog.at(y))
-        rhs = values.product([b] + values.at(pprog, v))
-        poles = map(operator.or_, values.is_zero(b), values.is_zero(dval))
-        return [None if pole else same
-                for pole, same in zip(poles, values.equal(lhs, d + 2, rhs, 2))]
-
-    deg_bound = (
-        phi.degree * (max((e.den.total_degree() for row in nonzero for e in row), default=0) + 1)
-        + w.scalar.num.total_degree()
-        + w.scalar.den.total_degree()
-        + phi.degree
-        + max((e.num.total_degree() for row in nonzero for e in row), default=-1) * phi.degree
-    )
-    return _check_identity(
-        t0, identity, estimate, build, agree, nx + n, max(deg_bound, 1),
-        mode, samples, seed, box_halfwidth, budget,
-    )
+    return _verify_scaled(t0, identity, phi, c, 0, N, D, compiled,
+                          mode, samples, seed, box_halfwidth, budget)
 
 
 def _as_matrix(phi: HomogeneousForm, witness) -> Tuple[Tuple[RationalFunction, ...], ...]:
@@ -478,7 +481,7 @@ def verify_mu_twist(phi, witness, mu, s: int = 1, **kw) -> VerificationReport:
 
 def verify_composition(
     phi: HomogeneousForm,
-    structure: Sequence[Sequence[Sequence[FieldElement]]],
+    structure,
     mode: str = "auto",
     samples: int = 100,
     seed: Optional[int] = None,
@@ -486,58 +489,43 @@ def verify_composition(
     budget: Optional[int] = None,
 ) -> VerificationReport:
     """phi(x) phi(y) = phi(z(x, y)) for the bilinear z given by structure
-    matrices: z_l = sum_ij structure[l][i][j] x_i y_j."""
+    matrices, z_l = sum_ij structure[l][i][j] x_i y_j, or by an algebra's
+    `StructureTensor` T, z = xy with z_l = sum_ij T[i][j][l] x_i y_j.  As
+    z(x, y) = L_x y, this is the scaled identity with scalar phi(x) and
+    N = L_x (`left_multiplication`), L_x[l][j] = sum_i structure[l][i][j]
+    x_i.  L_x is not checked for invertibility: where the identity holds
+    for a nondegenerate phi, L_x is invertible (else y -> phi(L_x y) =
+    phi(x) phi(y) would be degenerate), and a wrong z is refuted, not
+    refused as singular."""
     t0 = time.perf_counter()
-    n = phi.nvars
-    field = phi.field
-    budget = term_budget() if budget is None else budget
+    n, field = phi.nvars, phi.field
+    if not isinstance(structure, StructureTensor):
+        structure = _structure_tensor(field, n, structure)
+    elif structure.dim != n:
+        raise DimensionMismatch("need one structure matrix per coordinate")
+    one = Polynomial.const(field, n, field.one)
+    return _verify_scaled(t0, "phi(x) * phi(y) == phi(z(x, y))", phi,
+                          RationalFunction(one, one), 1, left_multiplication(structure), one,
+                          None, mode, samples, seed, box_halfwidth, budget)
+
+
+def _structure_tensor(field, n: int, structure) -> StructureTensor:
+    """The tensor of n structure matrices of n x n: T[i][j][l] =
+    structure[l][i][j], field elements or rationals."""
     if len(structure) != n:
         raise DimensionMismatch("need one structure matrix per coordinate")
-    big = 2 * n
     zero = field.zero  # decoded payloads share it
-    zpolys = []
-    for l in range(n):
-        terms = {}
-        for i in range(n):
-            for j in range(n):
-                c = structure[l][i][j]
-                if c is zero:
-                    continue
-                if not isinstance(c, FieldElement):
-                    c = field.from_rational(c)
-                if c.is_zero():
-                    continue
-                e = [0] * big
-                e[i] = e[n + j] = 1
-                terms[tuple(e)] = c
-        zpolys.append(Polynomial(field, big, terms))
-
-    identity = "phi(x) * phi(y) == phi(z(x, y))"
-    estimate = compose_estimate(phi.body, zpolys)
-
-    def build():
-        return phi.body.embed(big, 0) * phi.body.embed(big, n), phi.body.compose(zpolys)
-
-    # phi(x) phi(y) == phi(z) in the numerators of zprog and of phi's program:
-    # px py den_z^d == pz den_phi.
-    values = _Values.of(field)
-    progs = None  # compiled at the first sample; symbolic mode never needs them
-
-    def agree(points):
-        nonlocal progs
-        if progs is None:
-            zprog, pprog = EvalProgram(zpolys), phi.body.program()
-            progs = zprog, pprog, zprog.den**phi.degree
-        zprog, pprog, zscale = progs
-        lhs = values.product(pprog.at([pt[:n] for pt in points])
-                             + pprog.at([pt[n:] for pt in points]))
-        (pz,) = values.at(pprog, zprog.at(points))
-        return values.equal(values.times(lhs, zscale), 2, values.times(pz, pprog.den), 1)
-
-    return _check_identity(
-        t0, identity, estimate, build, agree, big, 2 * phi.degree,
-        mode, samples, seed, box_halfwidth, budget,
-    )
+    constants = []
+    for l, plane in enumerate(structure):
+        if len(plane) != n or any(len(row) != n for row in plane):
+            raise DimensionMismatch("structure matrices must be %d x %d" % (n, n))
+        for i, row in enumerate(plane):
+            for j, c in enumerate(row):
+                if c is not zero:
+                    constants.append(((i, j, l), c))
+    constants = [(k, c if isinstance(c, FieldElement) else field.from_rational(c))
+                 for k, c in constants]
+    return StructureTensor.from_constants(field, n, [(k, c) for k, c in constants if c])
 
 
 def verify_jordan_composition(
@@ -553,69 +541,24 @@ def verify_jordan_composition(
     v(wv) when the product is associative, else the U-operator
     2(v.w).v - w.(v.v) of the Jordan product x.y = (xy + yx)/2, which is
     v(wv) again in an alternative algebra.  Requires phi(unit) = 1
-    (UnitMismatch otherwise)."""
+    (UnitMismatch otherwise).  This is the scaled identity with scalar
+    phi(v)^2 and N = U_v, whose column j is {v e_j v} (`u_operator`).  U_v
+    is not checked for invertibility, for the reason L_x is not in
+    `verify_composition`."""
     t0 = time.perf_counter()
     n = phi.nvars
     field = phi.field
-    budget = term_budget() if budget is None else budget
     if algebra.dim != n:
         raise DimensionMismatch("presentation dimension does not match the form")
     unit_val = phi.body.eval(list(algebra.unit))
     if unit_val != field.one:
         raise UnitMismatch("phi(1) = %r, expected 1" % (unit_val,))
 
-    big = 2 * n
-    v = [Polynomial.variable(field, big, i) for i in range(n)]
-    w = [Polynomial.variable(field, big, n + i) for i in range(n)]
-    if algebra.associative:
-        vw = algebra.product_polys(v, w)
-        triple = algebra.product_polys(vw, v)
-    else:
-        jordan = _jordan_product(algebra)
-        vw = jordan(v, w)
-        vv = jordan(v, v)
-        two = field.from_rational(2)
-        first = [p.scale(two) for p in jordan(vw, v)]
-        second = jordan(w, vv)
-        triple = [a - b for a, b in zip(first, second)]
-
-    identity = "phi({v w v}) == phi(v)^2 * phi(w)"
-    estimate = compose_estimate(phi.body, triple)
-
-    def build():
-        return phi.body.compose(triple), (phi.body.embed(big, 0) ** 2) * phi.body.embed(big, n)
-
-    # phi({v w v}) == phi(v)^2 phi(w) in the numerators of tprog and of phi's
-    # program: pt den_phi^2 == pv^2 pw den_t^d.
-    values = _Values.of(field)
-    progs = None  # compiled at the first sample; symbolic mode never needs them
-
-    def agree(points):
-        nonlocal progs
-        if progs is None:
-            tprog, pprog = EvalProgram(triple), phi.body.program()
-            progs = tprog, pprog, tprog.den**phi.degree
-        tprog, pprog, tscale = progs
-        (lhs,) = values.at(pprog, tprog.at(points))
-        (pv,), (pw,) = pprog.at([pt[:n] for pt in points]), pprog.at([pt[n:] for pt in points])
-        rhs = values.product([pv, pv, pw])
-        return values.equal(values.times(lhs, pprog.den**2), 1, values.times(rhs, tscale), 3)
-
-    return _check_identity(
-        t0, identity, estimate, build, agree, big, 3 * phi.degree,
-        mode, samples, seed, box_halfwidth, budget,
-    )
-
-
-def _jordan_product(algebra):
-    """x.y = (xy + yx)/2 on coordinate polynomials."""
-    half = algebra.field.from_rational(Fraction(1, 2))
-
-    def product(x, y):
-        xy = algebra.product_polys(x, y)
-        return [(a + b).scale(half) for a, b in zip(xy, algebra.product_polys(y, x))]
-
-    return product
+    one = Polynomial.const(field, n, field.one)
+    return _verify_scaled(t0, "phi({v w v}) == phi(v)^2 * phi(w)", phi,
+                          RationalFunction(one, one), 2,
+                          u_operator(algebra.tensor, algebra.associative), one,
+                          None, mode, samples, seed, box_halfwidth, budget)
 
 
 # ---------------------------------------------------------------------------

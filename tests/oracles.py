@@ -547,15 +547,14 @@ def scaled_witness_identity(phi: HomogeneousForm, w):
         lhs = _at_ints(w.scalar.num, x) * dval**phi.degree * _at_ints(phi.body, pt[nx:])
         return lhs == cden * generic_eval(phi.body, [_at_ints(f, pt) for f in forms])
 
-    entries = [e for row in w.matrix for e in row]
-    degree = (
-        phi.degree * (max(e.den.total_degree() for e in entries) + 1)
-        + w.scalar.num.total_degree()
-        + w.scalar.den.total_degree()
-        + phi.degree
-        + max(e.num.total_degree() for e in entries) * phi.degree
-    )
-    return agree, nx + phi.nvars, max(degree, 1)
+    # the cleared identity P has degree at most max(deg num(c) + d deg D + d,
+    # deg den(c) + d (deg N + 1)); the poles are those of Q = den(c) D, and
+    # redrawing them costs deg Q more in the numerator of the bound
+    d, num, den = phi.degree, w.scalar.num, w.scalar.den
+    deg_n = max(e.total_degree() for row in N for e in row)
+    deg_p = max(num.total_degree() + d * D.total_degree() + d,
+                den.total_degree() + d * (deg_n + 1))
+    return agree, nx + phi.nvars, deg_p + den.total_degree() + D.total_degree()
 
 
 def composition_identity(phi: HomogeneousForm, structure):
@@ -608,6 +607,26 @@ def jordan_identity(phi: HomogeneousForm, algebra):
         return generic_eval(phi.body, list(triple)) == phi_v * phi_v * generic_eval(phi.body, w)
 
     return agree, 2 * n, 3 * phi.degree
+
+
+def jordan_triple_polys(algebra):
+    """{v w v} as n polynomials in v then w, from `product_polys` on
+    variable vectors: (vw)v for an associative presentation, else
+    2(v.w).v - w.(v.v) with x.y = (xy + yx)/2 (the per-product route that
+    `verify_jordan_composition` took before it read U_v off the constants)."""
+    n, field, t = algebra.dim, algebra.field, algebra.tensor
+    v = [Polynomial.variable(field, 2 * n, i) for i in range(n)]
+    w = [Polynomial.variable(field, 2 * n, n + i) for i in range(n)]
+    if algebra.associative:
+        return product_polys(t, product_polys(t, v, w), v)
+    half = field.from_rational(Fraction(1, 2))
+
+    def jordan(x, y):
+        xy, yx = product_polys(t, x, y), product_polys(t, y, x)
+        return [(a + b).scale(half) for a, b in zip(xy, yx)]
+
+    two = field.from_rational(2)
+    return [a.scale(two) - b for a, b in zip(jordan(jordan(v, w), v), jordan(w, jordan(v, v)))]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from formforge import (
     Polynomial,
     QQ,
     apply_change_of_basis,
+    cayley_dickson_quartic,
     center_algebra,
+    det_norm,
     diagonal_form,
     field_extend,
     is_absolutely_indecomposable,
@@ -25,6 +27,7 @@ from formforge import (
     polarize,
     primitive_idempotents,
     split_albert_norm,
+    split_jordan_q4,
     tits_cubic,
     transfer_form,
 )
@@ -537,6 +540,33 @@ def test_field_blocks_are_certified_at_their_first_generator(monkeypatch, k):
     assert (dec.splitting_rounds, dec.minimal_polynomials, dec.sympy_factored) == (3, 3, False)
     assert dataclasses.replace(dec, splitting_rounds=0, minimal_polynomials=0) == dec
     assert "splitting_rounds" not in jsonio.dumps(jsonio.encode_decomposition(dec))
+
+
+@pytest.mark.parametrize("make, ranks, absolute", [
+    (lambda: det_norm(3).form, 0, True),
+    (lambda: cayley_dickson_quartic(split_jordan_q4(), 2).form, 0, True),
+    (lambda: tits_cubic(2).form, 0, True),
+    (lambda: transfer_form(CBRT2, [1, 0, 0], diagonal_form([1], 3, field=CBRT2).form), 1, False),
+], ids=["det3", "cayley-dickson", "tits-2", "transfer-cbrt2"])
+def test_a_center_of_dimension_one_takes_no_nilradical_rank(monkeypatch, make, ranks, absolute):
+    """A center of dimension 1 over the coefficient field K is K * 1, whose
+    nilradical rank is [K:Q], so det-3, the Cayley-Dickson quartic and the
+    Tits cubic (the norm of Q(2^(1/3)), a product of three linear forms
+    over the algebraic closure) take no trace-form rank in
+    `krull_schmidt_decompose` or `is_absolutely_indecomposable`.  The
+    transfer of <1> along Q(2^(1/3)) has that field as its center, of
+    dimension 3, and still takes one in each, which reads it not
+    absolutely indecomposable."""
+    calls, rank = [], decompose._Block.nilradical_rank
+    monkeypatch.setattr(decompose._Block, "nilradical_rank",
+                        lambda self: calls.append(self.dim) or rank(self))
+    phi = make()
+    dec = krull_schmidt_decompose(phi)
+    assert len(dec.components) == 1
+    assert (dec.nilradical_rank == phi.field.absolute_degree) is absolute
+    assert len(calls) == ranks
+    assert is_absolutely_indecomposable(phi) is absolute
+    assert len(calls) == 2 * ranks
 
 
 @pytest.mark.parametrize("make, blocks", [

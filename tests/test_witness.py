@@ -1,11 +1,14 @@
+import ast
 import random
 import time
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from formforge import (
+    DimensionMismatch,
     HomogeneousForm,
     Polynomial,
     QQ,
@@ -42,13 +45,14 @@ from formforge import (
 )
 from formforge import linalg, poly
 from formforge import witness as W
-from formforge.coeffield import EtaleAlgebra, RationalField, field_extend
-from formforge.constructions import _det_form
+from formforge.coeffield import EtaleAlgebra, RationalField, StructureTensor, field_extend
+from formforge.constructions import _det_form, product_polys
 from oracles import (
     brute_force_exponent_closure,
     composition_identity,
     generic_eval,
     jordan_identity,
+    jordan_triple_polys,
     rf_mat_mul_all_products,
     sample_one_at_a_time,
     scaled_witness_identity,
@@ -648,6 +652,107 @@ def test_random_jordan_matches_per_entry_identity(field):
                                             seed=seed, box_halfwidth=50)
             assert rep.verdict == verdict
             _same_reports(rep, jordan_identity(form, cf.algebra), 25, seed, 50)
+
+
+def _left_mult_of_planes(field, planes):
+    """M[l][j] = sum_i planes[l][i][j] x_i, one term at a time."""
+    n = len(planes)
+    return tuple(tuple(rf(Polynomial.from_pairs(
+        field, n, [(tuple(int(k == i) for k in range(n)), planes[l][i][j]) for i in range(n)]))
+        for j in range(n)) for l in range(n))
+
+
+@pytest.mark.parametrize("field", [QQ, _SQRT2], ids=["q", "sqrt2"])
+@pytest.mark.parametrize("mode", ["symbolic", "random"])
+def test_composition_reports_as_strong_multiplicativity_of_left_multiplication(field, mode):
+    """phi(x) phi(y) = phi(z(x, y)) is the scaled identity with scalar phi(x)
+    and N = L_x: `verify_composition` gives the report that
+    `verify_strong_multiplicativity` gives on L_x, in its verdict, samples,
+    counterexample and both bounds, for the algebra's constants and for one
+    constant shifted by 1."""
+    cf = _tits(field)
+    bad = [[list(row) for row in plane] for plane in cf.composition]
+    bad[0][1][2] = bad[0][1][2] + field.one
+    cases = ((cf.composition, cf.algebra.left_mult_witness_matrix(), "proved"),
+             (bad, _left_mult_of_planes(field, bad), "refuted"))
+    assert cases[0][1] == _left_mult_of_planes(field, cf.composition)
+    kw = dict(mode=mode, samples=25, seed=7, box_halfwidth=50)
+    for structure, witness, verdict in cases:
+        a = verify_composition(cf.form, structure, **kw)
+        b = verify_strong_multiplicativity(cf.form, witness, **kw)
+        assert a.verdict == (verdict if mode == "symbolic" or verdict == "refuted" else "evidence")
+        assert a.identity != b.identity
+        same = [f.name for f in fields(a) if f.name not in ("identity", "elapsed_s")]
+        assert [getattr(a, f) for f in same] == [getattr(b, f) for f in same]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: det_norm(3).algebra,
+    lambda: composition_algebra_norm("quaternion", [-1, 3]).algebra,
+    lambda: composition_algebra_norm("octonion", [1, 1, 1]).algebra,
+    lambda: composition_algebra_norm("octonion", [-1, 2, -3]).algebra,
+    lambda: _tits(_SQRT2).algebra,
+    lambda: _tits(_HALF).algebra,
+], ids=["det3", "quaternion", "octonion-split", "octonion", "tits-sqrt2", "tits-sqrt-half"])
+def test_left_multiplication_and_u_operator_are_the_products(make):
+    """L_x y and U_v w, as polynomials in x then y (v then w), are exactly
+    the products xy and {v w v} that `product_polys` forms on variable
+    vectors, for associative presentations and for octonions, where U_v is
+    read off the Jordan product's constants."""
+    alg = make()
+    n, field = alg.dim, alg.field
+    x = [Polynomial.variable(field, 2 * n, i) for i in range(n)]
+    y = [Polynomial.variable(field, 2 * n, n + i) for i in range(n)]
+    z = product_polys(alg.tensor, x, y)
+    assert poly.linear_forms(poly.left_multiplication(alg.tensor)) == z
+    assert list(poly.linear_forms(poly.u_operator(alg.tensor, alg.associative))) == \
+        jordan_triple_polys(alg)
+    assert alg.left_mult_witness_matrix() == tuple(
+        tuple(rf(p) for p in row) for row in poly.left_multiplication(alg.tensor))
+
+
+def test_malformed_structure_planes_raise_dimension_mismatch():
+    """A structure matrix that is not n x n is refused with
+    DimensionMismatch, as a witness matrix of the wrong shape is; a plane of
+    4 x 3 on det-2 used to raise IndexError."""
+    cf = det_norm(2)
+    planes = [[list(row) for row in plane] for plane in cf.composition]
+    planes[1] = [row[:3] for row in planes[1]]
+    with pytest.raises(DimensionMismatch):
+        verify_composition(cf.form, planes)
+    planes = [[list(row) for row in plane] for plane in cf.composition]
+    planes[2] = planes[2][:3]
+    with pytest.raises(DimensionMismatch):
+        verify_composition(cf.form, planes)
+    with pytest.raises(DimensionMismatch):
+        verify_composition(cf.form, cf.composition[:3])
+    with pytest.raises(DimensionMismatch):
+        verify_composition(cf.form, det_norm(3).algebra.tensor)
+    tensor = StructureTensor.from_elements(QQ, cf.algebra.structure)
+    assert verify_composition(cf.form, tensor).verdict == "proved"
+
+
+def test_one_driver_samples_and_proves():
+    """`sample_identity` and `verify_identity` are called from one place in
+    the library: the one identity check `witness._verify_scaled` (and
+    `sample_identity` also from `poly.verify_identity`'s own random mode)."""
+    src = Path(W.__file__).parent
+    sites = {"sample_identity": [], "verify_identity": []}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name in sites:
+                        sites[name].append((path.stem, fn.name))
+    assert sites == {
+        "sample_identity": [("poly", "verify_identity"), ("witness", "_verify_scaled")],
+        "verify_identity": [("witness", "_verify_scaled")],
+    }
 
 
 def test_random_det3_check_builds_no_fraction_per_sample(monkeypatch):
