@@ -181,6 +181,17 @@ def _product(a: dict, b: dict, gen) -> dict:
 _ONE = {0: 1}  # the packed constant 1, in every ring
 
 
+def _pack_coefficients(field, parts: list):
+    """The dicts `parts`, {exponent part: field element} over an etale
+    field, packed over one denominator: ([{key: nonzero int}], den), each
+    coefficient's flat int coordinates at its generator keys."""
+    gen = field.generator_keys()
+    m, at = len(gen.keys), itertools.count(0, len(gen.keys))
+    ints, den = integral_coordinates([q for p in parts for c in p.values() for q in field.flat(c)])
+    return [{x << gen.bits | t: a for x, i in zip(p, at) for t, a in zip(gen.keys, ints[i:i + m])
+             if a} for p in parts], den
+
+
 def _canonical(nums: dict, den: int):
     """(nums, den) with the common factor of den and every numerator divided out."""
     if not nums:
@@ -211,19 +222,9 @@ class Polynomial:
             nums, self._den = integral_coordinates([c.coeffs[0] for c in terms.values()])
             self._nums = dict(zip(map(_pack, terms), nums))
             return
-        gen = field.generator_keys()
-        m = len(gen.keys)
-        ints, den = integral_coordinates([q for c in terms.values() for q in field.flat(c)])
-        rows = [(e, ints[i : i + m]) for e, i in zip(terms, range(0, len(ints), m))]
-        rows = [(e, v) for e, v in rows if any(v)]
         self._terms = None
-        check_degree(max((sum(e) for e, _ in rows), default=0))
-        nums = {}
-        for e, v in rows:
-            x = _pack(e) << gen.bits
-            for t, a in zip(gen.keys, v):
-                if a:
-                    nums[x | t] = a
+        check_degree(max((sum(e) for e, c in terms.items() if c), default=0))
+        (nums,), den = _pack_coefficients(field, [{_pack(e): c for e, c in terms.items()}])
         self._nums, self._den = _canonical(nums, den)
 
     @classmethod
@@ -1177,17 +1178,10 @@ def u_operator(tensor, associative: bool):
 def _operator(field, n: int, parts, den: int):
     """The n x n matrix of polynomials whose entry [l][j] is parts[l][j] /
     den, a dict {exponent part: int over Q, field element over an etale
-    field}, packed from the coefficients' int coordinates; the zero entries
-    are one shared zero."""
+    field}; the zero entries are one shared zero."""
     if not isinstance(field, RationalField):
-        # every coefficient's flat coordinates over one denominator, each
-        # at its generator key
-        gen = field.generator_keys()
-        flat = [q for row in parts for p in row for c in p.values() for q in field.flat(c)]
-        ints, d = integral_coordinates(flat)
-        m, den, at = len(gen.keys), den * d, itertools.count(0, len(gen.keys))
-        parts = [[{k << gen.bits | t: a for k, i in zip(p, at)
-                   for t, a in zip(gen.keys, ints[i:i + m])} for p in row] for row in parts]
+        flat, d = _pack_coefficients(field, [p for row in parts for p in row])
+        parts, den = [flat[i:i + n] for i in range(0, n * n, n)], den * d
     zero = Polynomial.zero(field, n)
     nums = [[{k: c for k, c in p.items() if c} for p in row] for row in parts]
     return tuple(tuple(Polynomial._from_nums(field, n, p, den) if p else zero for p in row)

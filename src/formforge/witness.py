@@ -170,20 +170,22 @@ class _Values:
 
     def matvec(self, entries: list, rows: "_SparseRows", ys: list) -> list:
         """The batches of M y, for the int columns ys of y and a matrix M
-        whose nonzero entries (at least one a row) have the batches
-        `entries`, laid out by `rows`."""
+        whose nonzero entries have the batches `entries`, laid out by
+        `rows`; a row with no nonzero entry gives zero at every point."""
+        zero = [0] * len(ys[0])
 
         def row(values, cols):
             # each point's sum of the products of the row's entries with y
             return list(map(sum, zip(*map(map, repeat(operator.mul), values,
-                                          map(ys.__getitem__, cols)))))
+                                          map(ys.__getitem__, cols))))) if cols else zero
 
         out = []
         for cols, vs in rows.split(entries):
             if self.tensor is None:
                 out.append(row(vs, cols))
             else:
-                out.append([row(col, cols) for col in zip(*vs)])
+                out.append([row(col, cols) for col in zip(*vs)] if cols
+                           else [zero] * self.tensor.dim)
         return out
 
     def product(self, factors: list) -> list:
@@ -428,51 +430,42 @@ def verify_scaled_witness(
                           mode, samples, seed, box_halfwidth, budget)
 
 
-def _as_matrix(phi: HomogeneousForm, witness) -> Tuple[Tuple[RationalFunction, ...], ...]:
+def _as_matrix(witness) -> Tuple[Tuple[RationalFunction, ...], ...]:
     if isinstance(witness, ScaledWitness):
         return witness.matrix
     return tuple(tuple(row) for row in witness)
 
 
-def _phi_of_x(phi: HomogeneousForm) -> RationalFunction:
-    return RationalFunction.from_poly(phi.body)
+def _verify_with_scalar(phi, scalar: Polynomial, witness, kw) -> VerificationReport:
+    """`verify_scaled_witness` of the witness matrix with the scalar c(X)."""
+    w = ScaledWitness(scalar=RationalFunction.from_poly(scalar), matrix=_as_matrix(witness))
+    return verify_scaled_witness(phi, w, **kw)
 
 
 def verify_strong_multiplicativity(phi, witness, **kw) -> VerificationReport:
     """c(X) = phi(X): the witness certifies phi(X) * phi = phi over k(X)."""
-    w = ScaledWitness(scalar=_phi_of_x(phi), matrix=_as_matrix(phi, witness))
-    return verify_scaled_witness(phi, w, **kw)
+    return _verify_with_scalar(phi, phi.body, witness, kw)
 
 
 def verify_strong_jordan_multiplicativity(phi, witness, **kw) -> VerificationReport:
-    w = ScaledWitness(scalar=_phi_of_x(phi) ** 2, matrix=_as_matrix(phi, witness))
-    return verify_scaled_witness(phi, w, **kw)
+    return _verify_with_scalar(phi, phi.body**2, witness, kw)
 
 
 def verify_exponent(phi, witness, s: int, **kw) -> VerificationReport:
     if s < 1:
         raise ValueError("exponent must be positive")
-    w = ScaledWitness(scalar=_phi_of_x(phi) ** s, matrix=_as_matrix(phi, witness))
-    return verify_scaled_witness(phi, w, **kw)
+    return _verify_with_scalar(phi, phi.body**s, witness, kw)
 
 
 def verify_similarity(phi, witness, scalar, **kw) -> VerificationReport:
     """Constant scalar a: certifies a * phi = phi composed with M."""
-    if not isinstance(scalar, FieldElement):
-        scalar = phi.field.from_rational(scalar)
-    m = _as_matrix(phi, witness)
-    nx = m[0][0].num.nvars
-    w = ScaledWitness(scalar=RationalFunction.const(phi.field, nx, scalar), matrix=m)
-    return verify_scaled_witness(phi, w, **kw)
+    nx = _as_matrix(witness)[0][0].num.nvars
+    return _verify_with_scalar(phi, Polynomial.const(phi.field, nx, scalar), witness, kw)
 
 
 def verify_mu_twist(phi, witness, mu, s: int = 1, **kw) -> VerificationReport:
     """c(X) = mu * phi(X)^s."""
-    if not isinstance(mu, FieldElement):
-        mu = phi.field.from_rational(mu)
-    scalar = RationalFunction.from_poly((phi.body**s).scale(mu))
-    w = ScaledWitness(scalar=scalar, matrix=_as_matrix(phi, witness))
-    return verify_scaled_witness(phi, w, **kw)
+    return _verify_with_scalar(phi, (phi.body**s).scale(mu), witness, kw)
 
 
 # ---------------------------------------------------------------------------
@@ -514,17 +507,12 @@ def _structure_tensor(field, n: int, structure) -> StructureTensor:
     structure[l][i][j], field elements or rationals."""
     if len(structure) != n:
         raise DimensionMismatch("need one structure matrix per coordinate")
+    if any(len(plane) != n or any(len(row) != n for row in plane) for plane in structure):
+        raise DimensionMismatch("structure matrices must be %d x %d" % (n, n))
     zero = field.zero  # decoded payloads share it
-    constants = []
-    for l, plane in enumerate(structure):
-        if len(plane) != n or any(len(row) != n for row in plane):
-            raise DimensionMismatch("structure matrices must be %d x %d" % (n, n))
-        for i, row in enumerate(plane):
-            for j, c in enumerate(row):
-                if c is not zero:
-                    constants.append(((i, j, l), c))
-    constants = [(k, c if isinstance(c, FieldElement) else field.from_rational(c))
-                 for k, c in constants]
+    constants = [((i, j, l), c if isinstance(c, FieldElement) else field.from_rational(c))
+                 for l, plane in enumerate(structure) for i, row in enumerate(plane)
+                 for j, c in enumerate(row) if c is not zero]
     return StructureTensor.from_constants(field, n, [(k, c) for k, c in constants if c])
 
 
@@ -806,15 +794,8 @@ def twist_witness(
     if not _is_root_of_unity(mu):
         raise ValueError("mu must be a root of unity in the coefficient field")
     phi = HomogeneousForm(field, d, phi0.nvars, phi0.body.scale(mu ** (d - 1)))
-    nx = w.matrix[0][0].num.nvars
-    mu_rf = RationalFunction.const(field, nx, mu)
-    new_matrix = tuple(tuple(mu_rf * entry for entry in row) for row in w.matrix)
-    new_scalar = RationalFunction.from_poly(phi.body.scale(mu))
-    tw = ScaledWitness(scalar=new_scalar, matrix=new_matrix)
-    rep = verify_scaled_witness(phi, tw, mode="auto")
-    if not rep.holds():
-        raise WitnessInvalid("twisted witness failed verification: %s" % rep.verdict)
-    return phi, tw
+    mu_rf = RationalFunction.const(field, w.matrix[0][0].num.nvars, mu)
+    return phi, _certified(phi, phi.body.scale(mu), _times(mu_rf, w.matrix), "twisted")
 
 
 def absorb_twist(phi: HomogeneousForm, w: ScaledWitness, eta) -> ScaledWitness:
@@ -824,14 +805,8 @@ def absorb_twist(phi: HomogeneousForm, w: ScaledWitness, eta) -> ScaledWitness:
     field = phi.field
     if not isinstance(eta, FieldElement):
         eta = field.from_rational(eta)
-    nx = w.matrix[0][0].num.nvars
-    inv_rf = RationalFunction.const(field, nx, eta.inv())
-    new_matrix = tuple(tuple(inv_rf * entry for entry in row) for row in w.matrix)
-    out = ScaledWitness(scalar=RationalFunction.from_poly(phi.body), matrix=new_matrix)
-    rep = verify_scaled_witness(phi, out, mode="auto")
-    if not rep.holds():
-        raise WitnessInvalid("absorbed witness failed verification: %s" % rep.verdict)
-    return out
+    inv_rf = RationalFunction.const(field, w.matrix[0][0].num.nvars, eta.inv())
+    return _certified(phi, phi.body, _times(inv_rf, w.matrix), "absorbed")
 
 
 def odd_degree_strengthen(phi: HomogeneousForm, w) -> ScaledWitness:
@@ -842,18 +817,27 @@ def odd_degree_strengthen(phi: HomogeneousForm, w) -> ScaledWitness:
     d = phi.degree
     if d % 2 == 0:
         raise ValueError("the strengthening needs odd degree")
-    m = _as_matrix(phi, w)
-    a = (d + 1) // 2
+    m = _as_matrix(w)
     acc = m
-    for _ in range(a - 1):
+    for _ in range((d + 1) // 2 - 1):
         acc = _rf_mat_mul(acc, m)
     inv_phi = RationalFunction.from_poly(phi.body).inv()
-    new_matrix = tuple(tuple(inv_phi * entry for entry in row) for row in acc)
-    out = ScaledWitness(scalar=RationalFunction.from_poly(phi.body), matrix=new_matrix)
-    rep = verify_scaled_witness(phi, out, mode="auto")
+    return _certified(phi, phi.body, _times(inv_phi, acc), "strengthened")
+
+
+def _times(f: RationalFunction, m):
+    """The matrix f m."""
+    return tuple(tuple(f * entry for entry in row) for row in m)
+
+
+def _certified(phi: HomogeneousForm, scalar: Polynomial, m, what: str) -> ScaledWitness:
+    """The witness of scalar c(X) and matrix m, once `verify_scaled_witness`
+    holds it in auto mode; else WitnessInvalid."""
+    w = ScaledWitness(scalar=RationalFunction.from_poly(scalar), matrix=m)
+    rep = verify_scaled_witness(phi, w, mode="auto")
     if not rep.holds():
-        raise WitnessInvalid("strengthened witness failed verification: %s" % rep.verdict)
-    return out
+        raise WitnessInvalid("%s witness failed verification: %s" % (what, rep.verdict))
+    return w
 
 
 def _rf_mat_mul(a, b):

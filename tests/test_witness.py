@@ -641,6 +641,21 @@ def test_random_composition_matches_per_entry_identity(field):
 
 
 @_ENGINE_FIELDS
+def test_composition_with_a_zero_plane_is_refuted(field):
+    """A structure plane of zeros makes z_l = 0 and gives L_x a zero row: the
+    identity is refuted in both modes, at the per-entry check's
+    counterexample in random mode, and not refused or crashed on."""
+    for cf in (_tits(field),) + ((det_norm(2),) if field == QQ else ()):
+        planes = [[list(row) for row in plane] for plane in cf.composition]
+        planes[1] = [[field.zero] * len(row) for row in planes[1]]
+        assert verify_composition(cf.form, planes, mode="symbolic").verdict == "refuted"
+        rep = verify_composition(cf.form, planes, mode="random", samples=25, seed=5,
+                                 box_halfwidth=50)
+        assert rep.verdict == "refuted"
+        _same_reports(rep, composition_identity(cf.form, planes), 25, 5, 50)
+
+
+@_ENGINE_FIELDS
 def test_random_jordan_matches_per_entry_identity(field):
     cf = _tits(field)
     phi = cf.form
