@@ -18,6 +18,7 @@ from .coeffield import QQ, field_extend
 from .decompose import krull_schmidt_decompose
 from .forms import polarize, radical
 from .jsonio import JsonFormatError
+from .poly import DEFAULT_SAMPLES
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -143,7 +144,7 @@ def _add_output(p):
 
 def _add_verify_flags(p):
     p.add_argument("--mode", choices=["auto", "symbolic", "random"], default="auto")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int, help="term budget override for this run")
 

@@ -388,13 +388,12 @@ def from_coordinates(field, a, den: int = 1) -> tuple:
 def restrict_scalars(field, rows) -> list:
     """The restriction of scalars R to Q (the regular representation; Friedl
     & Ronyai, STOC 1985) of a matrix given as dict rows {column: value}, a
-    value a nonzero int over Q and a flat int vector over an etale field, as
-    `EvalProgram` gives them.  Entry (i, c) becomes the m x m int block
-    Dt R(x) at rows i m, ... and columns c m, ..., whose column l holds the
-    flat coordinates of x kappa_l (kappa_0 = 1), m the absolute degree and
-    Dt the tensor's denominator.  R is a ring map with R(1) = I, so a matrix
-    is invertible exactly when its restriction is.  Over Q, R is the
-    identity."""
+    value a nonzero int over Q and a flat int vector over an etale field.
+    Entry (i, c) becomes the m x m int block Dt R(x) at rows i m, ... and
+    columns c m, ..., whose column l holds the flat coordinates of x
+    kappa_l (kappa_0 = 1), m the absolute degree and Dt the tensor's
+    denominator.  R is a ring map with R(1) = I, so a matrix is invertible
+    exactly when its restriction is.  Over Q, R is the identity."""
     if isinstance(field, RationalField):
         return rows
     t, m = field.tensor(), field.absolute_degree

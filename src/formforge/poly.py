@@ -47,6 +47,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import chain, compress
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -261,6 +262,8 @@ class Polynomial:
     def _vectors(self) -> dict:
         """{exponent part of a key: the flat int coordinates of its
         coefficient}, over the denominator."""
+        if not self.field.generator_bits:  # one coordinate; a key is its exponent part
+            return {k: [c] for k, c in self._nums.items()}
         gen = self.field.generator_keys()
         G, mask, index, m = gen.bits, gen.mask, gen.index, len(gen.keys)
         out = {}
@@ -584,7 +587,7 @@ class Polynomial:
     def eval(self, point: Sequence[FieldElement]) -> FieldElement:
         """The value at a point of field elements, through `program`: the
         coordinates are written as flat int vectors over one common
-        denominator, and as ints when all of them are rational."""
+        denominator, a rational coordinate as its one coordinate."""
         self._check_length(point)
         field = self.field
         for x in point:
@@ -594,17 +597,15 @@ class Polynomial:
         flats = [field.flat(x) for x in point]
         B = math.lcm(*(q.denominator for v in flats for q in v))
         nums = [[q.numerator * (B // q.denominator) for q in v] for v in flats]
+        # a rational coordinate as its one column, any other as m columns
+        coords = [[[x] for x in (v if any(v[1:]) else v[:1])] for v in nums]
         prog = self.program()
-        if any(any(v[1:]) for v in nums):
-            values = prog.at_vectors([nums], B)
-        else:
-            values = prog.at([[v[0] for v in nums]], B)
-        return prog.elements(values[0], B)[0]
+        return prog.elements(prog.at(coords, 1, B)[0], B)[0]
 
     def eval_int(self, point: Sequence[int]) -> FieldElement:
         self._check_length(point)
         prog = self.program()
-        return prog.elements(prog.at([point])[0])[0]
+        return prog.elements(prog.at([[[x]] for x in point], 1)[0])[0]
 
     def _check_length(self, point):
         if len(point) != self.nvars:
@@ -757,44 +758,47 @@ class EvalProgram:
 
     Compiling lists the distinct monomials of all the p_j, closed under
     taking a parent: each monomial of degree k > 0 is one of degree k - 1
-    times one variable.  It reads the packed keys (`_nums` over Q, the
-    exponent parts of `_vectors` over an etale field) and builds no exponent
-    tuple: a key's degree is its top field, its parent along variable i is
-    the key less one in the degree field and one in i's, and only the
-    variables whose field is nonzero are tried, from variable 0 on, a parent
-    that is a term's monomial preferred.  The monomials are computed a
-    degree at a time, one product each, so the powers of each coordinate are
-    built once and shared by every p_j, and a term costs one product more.
-    Each degree, and the term sums of all the p_j, run as C-level `map`s
-    over the whole batch.
-    At one point the monomial values are one list, gathered a degree at a
-    time by the parents' indices.  At more points each monomial's values
-    are one tuple over the batch (a column); a degree multiplies the chained
-    columns of its parents by those of its variables, and drops the columns
-    of one degree less that no term reads.  The term products then come
-    point by point, and their running sum is kept only where a polynomial's
-    terms end, so a batch holds its monomials' columns and one value per
-    polynomial and point.
+    times one variable.  It reads the packed keys (the exponent parts of
+    `_vectors`) and builds no exponent tuple: a key's degree is its top
+    field, its parent along variable i is the key less one in the degree
+    field and one in i's, and only the variables whose field is nonzero are
+    tried, from variable 0 on, a parent that is a term's monomial preferred.
+    The monomials are computed a degree at a time, one product each, so the
+    powers of each coordinate are built once and shared by every p_j, and a
+    term costs one product more.  Each degree, and the term sums of all the
+    p_j, run as C-level `map`s over the whole batch.
 
-    The coefficients are ints over their least common denominator L: one int
-    a term over Q, the int vector of its flat coordinates over an etale
-    field.  With D the top total degree and Dt the denominator of the field's
-    multiplication tensor (1 over Q), every value comes back as its numerator
-    over `den` = L * Dt^D, or over den * B^D when the coordinates are
-    numerators over a common denominator B (`scale`):
-    - `at` takes int coordinates;
-    - `at_vectors` (etale fields) takes flat int vectors and multiplies
-      through the tensor column by column (`StructureTensor.mul_columns`).
-      A monomial of degree k > 0 then carries Dt^(k - 1), and its product
-      with a coefficient one Dt more, so in both a term of degree k is
-      scaled by (B * Dt)^(D - k).
-    Both return, for each polynomial, its values over the batch in point
-    order: a tuple of ints over Q, and over an etale field the tuples of the
-    values' flat coordinates, one a coordinate (`elements` reads either).
+    Values travel in one layout, over Q as over an etale field of absolute
+    degree m (Q is m = 1): a batch of b points is given coordinate by
+    coordinate, coordinate i as the int columns of its flat coordinates
+    over the batch, one column for a rational coordinate and m for any
+    other; and each polynomial's values come back as the m columns of their
+    flat coordinates.  The coefficients are the int vectors of their flat
+    coordinates over their least common denominator L.  With D the top
+    total degree and Dt the denominator of the field's multiplication
+    tensor (1 over Q), every value comes back as its numerator over `den` =
+    L * Dt^D, or over den * B^D when the coordinates are numerators over a
+    common denominator B (`scale`).  `at` picks its route from the shape
+    of the coordinates:
+    - one column each: the monomials' values are ints, and a coefficient
+      column times them gives that flat coordinate of the terms.  At one
+      point the monomial values are one list, gathered a degree at a time
+      by the parents' indices.  At more points each monomial's values are
+      one tuple over the batch (a column); a degree multiplies the chained
+      columns of its parents by those of its variables, and drops the
+      columns of one degree less that no term reads;
+    - else, the one-column coordinates padded with zero columns: every
+      product goes through the tensor column by column
+      (`StructureTensor.mul_columns`).  A monomial of degree k > 0 then
+      carries Dt^(k - 1), and its product with a coefficient one Dt more,
+      so in both routes a term of degree k is scaled by (B * Dt)^(D - k).
+    The term products come point by point, and their running sum is kept
+    only where a polynomial's terms end, so a batch holds its monomials'
+    columns and m values per polynomial and point.
     """
 
     __slots__ = ("field", "nvars", "den", "_degree", "_tensor", "_levels", "_mono",
-                 "_codeg", "_coeffs", "_cols", "_starts", "_ends", "_first")
+                 "_codeg", "_cols", "_starts", "_ends", "_first")
 
     def __init__(self, polys: Sequence[Polynomial]):
         first = polys[0]
@@ -802,20 +806,18 @@ class EvalProgram:
             first._check(p)
         field, n = first.field, first.nvars
         L = math.lcm(*(p._den for p in polys))
-        rational = isinstance(field, RationalField)
-        # each polynomial's {packed monomial: numerator over L}; a zero
+        m = field.absolute_degree
+        # each polynomial's {packed monomial: flat numerators over L}; a zero
         # polynomial gets one zero constant term, so that every polynomial's
         # terms end at their own place
         terms = []
         for p in polys:
-            ts = p._nums if rational else p._vectors()
+            ts = p._vectors()
             f = L // p._den
             if f != 1:
-                ts = {k: c * f for k, c in ts.items()} if rational else {
-                    k: [x * f for x in c] for k, c in ts.items()}
-            terms.append(ts or {0: 0 if rational else [0] * field.absolute_degree})
-        self._tensor = None if rational else field.tensor()
-        dt = 1 if rational else self._tensor.den
+                ts = {k: [x * f for x in c] for k, c in ts.items()}
+            terms.append(ts or {0: [0] * m})
+        self._tensor = field.tensor()
         # a monomial's key holds its degree above n exponent fields of W
         # bits, variable 0's the highest
         shift = n * W
@@ -859,85 +861,79 @@ class EvalProgram:
         self._first = levels[0][1] if levels else []
         self._levels = [(parents, xs, below) for (parents, xs), below in zip(levels[1:], ranges)]
         self._codeg = [D - (k >> shift) for ts in terms for k in ts]
-        self._coeffs = [c for ts in terms for c in ts.values()]
-        self._cols = None if self._tensor is None else [
-            [c[l] for c in self._coeffs] for l in range(field.absolute_degree)
-        ]
+        self._cols = list(map(list, zip(*[c for ts in terms for c in ts.values()])))
         # polynomial j is the terms from starts[j] up to ends[j]
         self._ends = list(itertools.accumulate(map(len, terms)))
         self._starts = [0] + self._ends[:-1]
         self.field, self.nvars, self._degree = field, n, D
-        self.den = L * dt**D
+        self.den = L * self._tensor.den**D
 
-    def at(self, points: Sequence[Sequence[int]], scale: int = 1) -> list:
-        """Each polynomial's numerators at the int points `points` / scale."""
-        b = len(points)
-        if b == 1:
-            (pt,) = points
-            mv = [1]
-            mv += map(pt.__getitem__, self._first)
-            get = mv.__getitem__
-            for parents, xs, _ in self._levels:
-                mv += list(map(operator.mul, map(get, parents), map(pt.__getitem__, xs)))
-            vals = list(map(get, self._mono))
+    def at(self, coords: Sequence[Sequence[Sequence[int]]], size: int, scale: int = 1) -> list:
+        """Each polynomial's values, as the m int columns of their flat
+        numerators, at the batch of `size` points whose coordinate i has
+        the flat int columns coords[i] over scale."""
+        b, T = size, self._tensor
+        if max(map(len, coords), default=1) == 1:
+            xs = [c[0] for c in coords]
+            if b == 1:
+                pt = [x[0] for x in xs]
+                mv = [1]
+                mv += map(pt.__getitem__, self._first)
+                get = mv.__getitem__
+                for parents, variables, _ in self._levels:
+                    mv += list(map(operator.mul, map(get, parents),
+                                   map(pt.__getitem__, variables)))
 
-            def products(col):
-                return map(operator.mul, col, vals)
+                def monos():
+                    return map(get, self._mono)
+            else:
+                mv = [(1,) * b]
+                mv += map(xs.__getitem__, self._first)
+                get = mv.__getitem__
+                read = set(self._mono).__contains__
+                for parents, variables, below in self._levels:
+                    level = map(operator.mul, chain.from_iterable(map(get, parents)),
+                                chain.from_iterable(map(xs.__getitem__, variables)))
+                    mv += list(zip(*[level] * b))
+                    # the monomials of one degree less that no term reads
+                    for i in itertools.filterfalse(read, below):
+                        mv[i] = None
+
+                def monos():
+                    # point by point, the values of the terms' monomials
+                    return chain.from_iterable(zip(*map(get, self._mono)))
+            cols = self._cols
+            if scale != 1 or T.den != 1:
+                cols = self._weighted(cols, scale, T.den)
+            vals = [map(operator.mul, chain.from_iterable(itertools.repeat(col, b)), monos())
+                    for col in cols]
         else:
-            coords = list(zip(*points))
-            mv = [(1,) * b]
-            mv += map(coords.__getitem__, self._first)
-            get = mv.__getitem__
+            m, zero = len(self._cols), [0] * b
+            # flat[l][i]: flat coordinate l of coordinate i over the batch
+            flat = list(zip(*[c if len(c) == m else [c[0]] + [zero] * (m - 1) for c in coords]))
+            # the constant monomial is zero here, and the constant terms are
+            # added to the products below
+            mv = [[(0,) * b] for _ in range(m)]
+            for c, coord in zip(mv, flat):
+                c += map(coord.__getitem__, self._first)
             read = set(self._mono).__contains__
-            for parents, xs, below in self._levels:
-                level = map(operator.mul, chain.from_iterable(map(get, parents)),
-                            chain.from_iterable(map(coords.__getitem__, xs)))
-                mv += list(zip(*[level] * b))
-                # the monomials of one degree less that no term reads
-                for i in itertools.filterfalse(read, below):
-                    mv[i] = None
-
-            def products(col):
-                # point by point, the coefficients times their monomials' values
-                return map(operator.mul, chain.from_iterable(itertools.repeat(col, b)),
-                           chain.from_iterable(zip(*map(get, self._mono))))
-        cols = [self._coeffs] if self._cols is None else self._cols
-        dt = 1 if self._tensor is None else self._tensor.den
-        if scale != 1 or dt != 1:
-            cols = self._weighted(cols, scale, dt)
-        if self._cols is None:
-            return self._sums(products(cols[0]), b)
-        return list(zip(*[self._sums(products(col), b) for col in cols]))
-
-    def at_vectors(self, points: Sequence[Sequence[Sequence[int]]], scale: int = 1) -> list:
-        """Each polynomial's numerators at the points whose coordinates are
-        the flat int vectors of `points` over scale (etale fields only)."""
-        T = self._tensor
-        b, m = len(points), len(self._cols)
-        # coords[l][i]: flat coordinate l of coordinate i, over the batch
-        coords = list(zip(*(zip(*c) for c in zip(*points)))) or [()] * m
-        # the constant monomial is zero here, and the constant terms are
-        # added to the products below
-        mv = [[(0,) * b] for _ in range(m)]
-        for c, coord in zip(mv, coords):
-            c += map(coord.__getitem__, self._first)
-        read = set(self._mono).__contains__
-        for parents, xs, below in self._levels:
-            left = [list(chain.from_iterable(map(c.__getitem__, parents))) for c in mv]
-            right = [list(chain.from_iterable(map(coord.__getitem__, xs))) for coord in coords]
-            spent = list(itertools.filterfalse(read, below))
-            for c, product in zip(mv, T.mul_columns(left, right)):
-                c += zip(*[iter(product)] * b)
-                for i in spent:
-                    c[i] = None
-        monos = [list(chain.from_iterable(zip(*map(c.__getitem__, self._mono)))) for c in mv]
-        f = scale * T.den
-        cols = self._cols if f == 1 else self._weighted(self._cols, f, 1)
-        vals = T.mul_columns([col * b for col in cols], monos)
-        if 0 in self._mono:
-            # the constant terms: their coefficients, at every point
-            vals = [map(operator.add, v, [0 if k else c for c, k in zip(col, self._mono)] * b)
-                    for v, col in zip(vals, cols)]
+            for parents, variables, below in self._levels:
+                left = [list(chain.from_iterable(map(c.__getitem__, parents))) for c in mv]
+                right = [list(chain.from_iterable(map(coord.__getitem__, variables)))
+                         for coord in flat]
+                spent = list(itertools.filterfalse(read, below))
+                for c, product in zip(mv, T.mul_columns(left, right)):
+                    c += zip(*[iter(product)] * b)
+                    for i in spent:
+                        c[i] = None
+            monos = [list(chain.from_iterable(zip(*map(c.__getitem__, self._mono)))) for c in mv]
+            f = scale * T.den
+            cols = self._cols if f == 1 else self._weighted(self._cols, f, 1)
+            vals = T.mul_columns([col * b for col in cols], monos)
+            if 0 in self._mono:
+                # the constant terms: their coefficients, at every point
+                vals = [map(operator.add, v, [0 if k else c for c, k in zip(col, self._mono)] * b)
+                        for v, col in zip(vals, cols)]
         return list(zip(*[self._sums(v, b) for v in vals]))
 
     def _weighted(self, cols: list, scale: int, dt: int) -> list:
@@ -969,11 +965,9 @@ class EvalProgram:
         return list(zip(*zip(*[sums] * len(self._ends))))
 
     def elements(self, values, scale: int = 1) -> list:
-        """The field elements of one polynomial's values that `at` or
-        `at_vectors` returned, point by point."""
+        """The field elements, point by point, of the columns of one
+        polynomial's values that `at` returned."""
         den = self.den * scale**self._degree
-        if self._cols is None:
-            return [FieldElement(self.field, (Fraction(v, den),)) for v in values]
         return [self.field.from_flat([Fraction(x, den) for x in v]) for v in zip(*values)]
 
 
@@ -1326,7 +1320,7 @@ class IdentityReport:
 
 
 DEFAULT_BOX_HALFWIDTH = 10**6
-DEFAULT_SAMPLES = 50
+DEFAULT_SAMPLES = 100
 
 
 def verify_identity(
@@ -1359,22 +1353,26 @@ def verify_identity(
     deg = max(lhs.total_degree(), rhs.total_degree(), 0)
     prog = None  # both sides over one denominator, compiled at the first sample
 
-    def agree(points):
+    def agree(coords, size):
         nonlocal prog
         if prog is None:
             prog = EvalProgram([lhs, rhs])
-        a, b = prog.at(points)
-        if not isinstance(lhs.field, RationalField):  # flat coordinates, point by point
-            a, b = zip(*a), zip(*b)
-        return list(map(operator.eq, a, b))
+        return columns_equal(*prog.at([[c] for c in coords], size))
 
     return sample_identity(agree, lhs.nvars, deg, samples, seed, box_halfwidth)
 
 
 SAMPLE_BATCH = 64
 """The most points `sample_identity` hands `agree` at once.  It bounds the
-memory of a check whatever its sample count, and is above DEFAULT_SAMPLES,
-so a default check past its first point is one batch."""
+memory of a check whatever its sample count: a default check of
+DEFAULT_SAMPLES points off the poles is a first point alone, then batches
+of 64 and 35."""
+
+
+def columns_equal(x, y) -> list:
+    """Whether, at each point of a batch, the values whose flat int columns
+    are x and y are equal."""
+    return list(reduce(partial(map, operator.and_), map(partial(map, operator.eq), x, y)))
 
 
 def sample_identity(
@@ -1392,10 +1390,14 @@ def sample_identity(
     the first getrandbits(k) below 2h + 1, less h, where k is the bit length
     of 2h + 1: that is how CPython's randrange(-h, h + 1) draws, so the
     points are the ones it gives, without a call to it per coordinate.
-    agree(points) says, for each point of a batch, whether the two sides are
-    equal there, or gives None at a pole of the identity, where the point is
-    redrawn (at most 50 * samples draws in all).  The first disagreement
-    refutes; agreement at every sample is "evidence" with the
+    agree(coords, size) says, for each point of a batch of `size` points,
+    whether the two sides are equal there, or gives None at a pole of the
+    identity, where the point is redrawn (at most 50 * samples draws in
+    all).  The batch comes as its coordinate columns: coords[i] is the list
+    of coordinate i at every point, sliced from the batch's run of draws,
+    and `size` counts the points also when nvars is 0 and there are no
+    columns.  A point is made a tuple only as a counterexample.  The first
+    disagreement refutes; agreement at every sample is "evidence" with the
     Schwartz-Zippel bound min(degree / box size, 1) per sample; at least
     one sample is required.
 
@@ -1410,7 +1412,7 @@ def sample_identity(
     The callers' agree (`verify_identity`'s and the one witness check's)
     evaluate each side on `EvalProgram`s, compiled before sampling or at
     the first point, and compare numerators over denominators cleared at
-    compile time: one exact int (or int vector) equality a point."""
+    compile time, column by column (`columns_equal`)."""
     if samples < 1:
         raise ValueError("samples must be positive, got %d" % samples)
     if box_halfwidth < 0:
@@ -1425,12 +1427,12 @@ def sample_identity(
         # coordinates are the draws below width, in order
         return [r - h for r in map(getrandbits, itertools.repeat(k, m)) if r < width]
 
-    def points(count):
+    def run(count):
         m = count * nvars
         coords = draw(m)
         while len(coords) < m:
             coords += draw(m - len(coords))
-        return list(zip(*[iter(coords)] * nvars)) if nvars else [()] * count
+        return coords
 
     done = 0
     attempts = 0
@@ -1439,8 +1441,8 @@ def sample_identity(
         count = min(batch, samples - done, 50 * samples - attempts)
         if not count:
             raise RuntimeError("could not avoid witness poles while sampling")
-        pts = points(count)
-        for pt, ok in zip(pts, agree(pts)):
+        coords = run(count)
+        for j, ok in enumerate(agree([coords[i::nvars] for i in range(nvars)], count)):
             attempts += 1
             if ok is None:
                 continue
@@ -1451,7 +1453,7 @@ def sample_identity(
                     samples=samples,
                     seed=seed,
                     box_halfwidth=box_halfwidth,
-                    counterexample=pt,
+                    counterexample=tuple(coords[j * nvars : (j + 1) * nvars]),
                 )
             done += 1
         batch = SAMPLE_BATCH

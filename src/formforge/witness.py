@@ -21,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, repeat
 from typing import List, Optional, Tuple
 
@@ -32,12 +32,14 @@ from .decompose import DegenerateInput, krull_schmidt_decompose
 from .forms import DimensionMismatch, HomogeneousForm
 from .poly import (
     DEFAULT_BOX_HALFWIDTH,
+    DEFAULT_SAMPLES,
     DEFAULT_TERM_BUDGET,
     EvalProgram,
     Polynomial,
     RationalFunction,
     TermBudgetExceeded,
     clear_denominators,
+    columns_equal,
     compose_estimate,
     is_dth_power,
     left_multiplication,
@@ -127,89 +129,9 @@ def _resolve_mode(requested: str, estimate: int, budget: int, seed: Optional[int
     return "symbolic", seed, ""
 
 
-# ---------------------------------------------------------------------------
-# values of evaluation programs
-
-
-@dataclass(frozen=True)
-class _Values:
-    """Column-wise arithmetic on batches of the values that `EvalProgram`s
-    over one field return (`EvalProgram.at`): a batch is one int a point
-    over Q, and over an etale field the columns of the values' flat int
-    coordinates, column l holding coordinate l at every point.  Over an
-    etale field a product of k values is taken through the field's
-    multiplication tensor (`StructureTensor.mul_columns`) and carries
-    dt^(k - 1) more in its denominator, so `equal` compares a product of kx
-    values with one of ky values."""
-
-    tensor: Optional[StructureTensor]  # None over Q
-
-    @staticmethod
-    def of(field) -> "_Values":
-        return _Values(None if isinstance(field, RationalField) else field.tensor())
-
-    def is_zero(self, v) -> list:
-        """Whether each point's value is zero."""
-        if self.tensor is None:
-            return list(map(operator.not_, v))
-        return [not any(x) for x in zip(*v)]
-
-    def by_point(self, batches: list) -> list:
-        """The values of batches over one batch of points, point by point:
-        for each point, a tuple of the batches' values there (ints over Q,
-        flat int vectors over an etale field)."""
-        if self.tensor is None:
-            return list(zip(*batches))
-        return list(zip(*(zip(*v) for v in batches)))
-
-    def at(self, prog: EvalProgram, coords: list) -> list:
-        """prog at the batch of points whose coordinates are the batches
-        `coords`."""
-        points = self.by_point(coords)
-        return prog.at(points) if self.tensor is None else prog.at_vectors(points)
-
-    def matvec(self, entries: list, rows: "_SparseRows", ys: list) -> list:
-        """The batches of M y, for the int columns ys of y and a matrix M
-        whose nonzero entries have the batches `entries`, laid out by
-        `rows`; a row with no nonzero entry gives zero at every point."""
-        zero = [0] * len(ys[0])
-
-        def row(values, cols):
-            # each point's sum of the products of the row's entries with y
-            return list(map(sum, zip(*map(map, repeat(operator.mul), values,
-                                          map(ys.__getitem__, cols))))) if cols else zero
-
-        out = []
-        for cols, vs in rows.split(entries):
-            if self.tensor is None:
-                out.append(row(vs, cols))
-            else:
-                out.append([row(col, cols) for col in zip(*vs)] if cols
-                           else [zero] * self.tensor.dim)
-        return out
-
-    def product(self, factors: list) -> list:
-        if self.tensor is None:
-            return reduce(lambda x, y: list(map(operator.mul, x, y)), factors)
-        return reduce(self.tensor.mul_columns, factors)
-
-    def times(self, v, k: int) -> list:
-        """Each value times the int k."""
-        if self.tensor is None:
-            return list(map(operator.mul, v, repeat(k)))
-        return [list(map(operator.mul, col, repeat(k))) for col in v]
-
-    def equal(self, x, kx: int, y, ky: int) -> list:
-        """Whether each point's product of kx values x equals that of ky
-        values y."""
-        if self.tensor is not None and self.tensor.den != 1 and kx != ky:
-            if kx > ky:
-                y = self.times(y, self.tensor.den ** (kx - ky))
-            else:
-                x = self.times(x, self.tensor.den ** (ky - kx))
-        if self.tensor is None:
-            return list(map(operator.eq, x, y))
-        return list(map(operator.eq, zip(*x), zip(*y)))
+def _zero_at(v):
+    """Whether each point's value, with the int columns v, is zero."""
+    return map(operator.not_, reduce(partial(map, operator.or_), v))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +163,21 @@ class _SparseRows:
     def split(self, entries: list) -> list:
         """Each row's (columns, entries)."""
         return [(self.cols[a:b], entries[a:b]) for a, b in zip(self.starts, self.ends)]
+
+    def matvec(self, entries: list, ys: list, m: int) -> list:
+        """The m int columns of each coordinate of M y over a batch, for the
+        int columns ys of y and the m columns of each nonzero entry of M;
+        a row with no nonzero entry gives zero at every point."""
+        zero = [0] * len(ys[0])
+
+        def row(values, cols):
+            # each point's sum of the products of the row's entries with y;
+            # zip hands sum one tuple, reused from point to point
+            return list(map(sum, zip(*map(map, repeat(operator.mul), values,
+                                          map(ys.__getitem__, cols)))))
+
+        return [[row(col, cols) for col in zip(*vs)] if cols else [zero] * m
+                for cols, vs in self.split(entries)]
 
 
 def _sparse_program(D: Polynomial, scalar: RationalFunction, N):
@@ -276,16 +213,19 @@ def _matrix_invertible(N, prog: EvalProgram, rows: _SparseRows) -> None:
     nonzero entries of N, all over one denominator, which leaves the rank
     as it is.
     """
-    field, nx = prog.field, prog.nvars
-    values = _Values.of(field)
-    full = len(N) * field.absolute_degree
+    field, nx, m = prog.field, prog.nvars, prog.field.absolute_degree
+    full = len(N) * m
     best = seen = 0  # the highest rank below full so far, and at how many points
     for k, pt in enumerate(_invertibility_points(nx)):
-        d, _, _, *entries = prog.at([pt])
-        if values.is_zero(d)[0]:
+        d, _, _, *entries = prog.at([[[x]] for x in pt], 1)
+        if not any(chain.from_iterable(d)):
             continue
-        (entries,) = values.by_point(entries)
-        sparse = [{j: v for j, v in zip(cols, row) if v} for cols, row in rows.split(entries)]
+        # each entry's value at x as `restrict_scalars` reads it: the tuple of
+        # its flat coordinates, or over Q its one int
+        flat = list(chain.from_iterable(chain.from_iterable(entries)))
+        if not isinstance(field, RationalField):
+            flat = list(zip(*[iter(flat)] * m))
+        sparse = [{j: v for j, v in zip(cols, row) if v} for cols, row in rows.split(flat)]
         r = linalg.rank(QQ, restrict_scalars(field, sparse))
         if r == full:
             return
@@ -339,9 +279,14 @@ def _verify_scaled(
     the program gives the numerators of D(x), num(c)(x), den(c)(x) and the
     nonzero entries of N(x) over one denominator L, and phi's program
     those of phi(x), phi(y) and phi(N(x) y) over its own denominator; with
-    phi homogeneous the two sides compare as products of ints, column by
-    column over an etale field (`_Values`).  The poles, den(c)(x) = 0 or
-    D(x) = 0, are redrawn.  With Q = den(c) D, deg P at most
+    phi homogeneous the two sides are products of those values through the
+    field's multiplication tensor (`StructureTensor.mul_columns`, Q's 1 x 1
+    one over Q), on the m int columns of a batch (`EvalProgram.at`).  A
+    product of k values carries Dt^(k - 1) more in its denominator, Dt the
+    tensor's, so the right side is scaled by Dt^(d + s), and by the
+    denominator of phi(x)^s, before the two compare column by column.  The
+    poles, den(c)(x) = 0 or D(x) = 0, are redrawn.  With Q = den(c) D,
+    deg P at most
     max(deg num(c) + s d + d deg D + d, deg den(c) + d (max deg N + 1))
     and S the box, Schwartz-Zippel bounds the chance that a wrong identity
     passes a sample off the poles by Pr[P = 0 | Q != 0] <=
@@ -365,22 +310,23 @@ def _verify_scaled(
         rep = verify_identity(lhs, rhs, mode="symbolic")
     else:
         prog, sparse = compiled or _sparse_program(D, c, N)
-        values = _Values.of(phi.field)
+        T = phi.field.tensor()
 
-        def agree(points):
+        def agree(coords, size):
             pprog = phi.body.program()  # compiled at the first sample, and kept
-            x, y = [pt[:nx] for pt in points], [pt[nx:] for pt in points]
-            dval, a, b, *entries = prog.at(x)
-            v = values.matvec(entries, sparse, list(zip(*y)))
-            lhs = [a] + [dval] * d + pprog.at(y)
-            rhs = values.product([b] + values.at(pprog, v))
-            if s:  # phi(x)^s, and its denominator on the other side
-                lhs += pprog.at(x) * s
-                rhs = values.times(rhs, pprog.den**s)
-            lhs = values.product(lhs)
-            poles = map(operator.or_, values.is_zero(b), values.is_zero(dval))
-            return [None if pole else same
-                    for pole, same in zip(poles, values.equal(lhs, d + 2 + s, rhs, 2))]
+            x, y = [[c] for c in coords[:nx]], [[c] for c in coords[nx:]]
+            dval, a, b, *entries = prog.at(x, size)
+            v = sparse.matvec(entries, coords[nx:], T.dim)
+            lhs = [a] + [dval] * d + pprog.at(y, size)
+            if s:  # phi(x)^s
+                lhs += pprog.at(x, size) * s
+            rhs = reduce(T.mul_columns, [b] + pprog.at(v, size))
+            k = pprog.den**s * T.den ** (d + s)
+            if k != 1:
+                rhs = [list(map(operator.mul, col, repeat(k))) for col in rhs]
+            poles = map(operator.or_, _zero_at(b), _zero_at(dval))
+            return [None if pole else same for pole, same in
+                    zip(poles, columns_equal(reduce(T.mul_columns, lhs), rhs))]
 
         deg_n = max(map(Polynomial.total_degree, chain.from_iterable(N)))
         deg_p = max(c.num.total_degree() + s * d + d * D.total_degree() + d,
@@ -399,7 +345,7 @@ def verify_scaled_witness(
     phi: HomogeneousForm,
     w: ScaledWitness,
     mode: str = "auto",
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     seed: Optional[int] = None,
     box_halfwidth: int = DEFAULT_BOX_HALFWIDTH,
     budget: Optional[int] = None,
@@ -476,7 +422,7 @@ def verify_composition(
     phi: HomogeneousForm,
     structure,
     mode: str = "auto",
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     seed: Optional[int] = None,
     box_halfwidth: int = DEFAULT_BOX_HALFWIDTH,
     budget: Optional[int] = None,
@@ -520,7 +466,7 @@ def verify_jordan_composition(
     phi: HomogeneousForm,
     algebra,
     mode: str = "auto",
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     seed: Optional[int] = None,
     box_halfwidth: int = DEFAULT_BOX_HALFWIDTH,
     budget: Optional[int] = None,

@@ -490,6 +490,18 @@ def linear_forms_from_terms(N):
 # random-mode identities, one polynomial at a time
 
 
+def int_columns(points):
+    """A batch of int points as `EvalProgram.at` takes it: one column a
+    coordinate."""
+    return [[list(c)] for c in zip(*points)]
+
+
+def vector_columns(points):
+    """A batch of points whose coordinates are flat int vectors as
+    `EvalProgram.at` takes it: the m columns of each coordinate."""
+    return [[list(x) for x in zip(*c)] for c in zip(*points)]
+
+
 def sample_one_at_a_time(agree, nvars, degree, samples, seed, box_halfwidth):
     """`poly.sample_identity` drawing and checking one point at a time:
     agree(point) gives True, False, or None at a pole, and a pole is drawn

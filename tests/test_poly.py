@@ -28,7 +28,8 @@ from formforge.poly import (
     ring_matrix_determinant,
     sample_identity,
 )
-from oracles import generic_eval, linear_forms_from_terms, long_division
+from oracles import (generic_eval, int_columns, linear_forms_from_terms, long_division,
+                     vector_columns)
 
 
 def var(n, i):
@@ -434,14 +435,11 @@ def _program_values(prog, ints, points):
     """The program's values at int points and at points of field elements,
     as field elements, polynomial by polynomial."""
     field = prog.field
-    got = [prog.elements(v) for v in prog.at(ints)]
+    got = [prog.elements(v) for v in prog.at(int_columns(ints), len(ints))]
     flats = [[field.flat(x) for x in pt] for pt in points]
     B = math.lcm(*(q.denominator for pt in flats for v in pt for q in v))
     nums = [[[q.numerator * (B // q.denominator) for q in v] for v in pt] for pt in flats]
-    if field == QQ:
-        values = prog.at([[v[0] for v in pt] for pt in nums], B)
-    else:
-        values = prog.at_vectors(nums, B)
+    values = prog.at(vector_columns(nums), len(points), B)
     return got, [prog.elements(v, B) for v in values]
 
 

@@ -8,6 +8,7 @@ Products through a `StructureTensor` are checked against the dense
 `oracles.structure_product`.  Needs hypothesis (the `test` extra)."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,12 +31,14 @@ from oracles import (  # noqa: E402
     dict_mul,
     generic_eval,
     heap_exact_div,
+    int_columns,
     linear_forms_from_terms,
     poly_divmod,
     poly_mul,
     poly_scale,
     poly_xgcd,
     structure_product,
+    vector_columns,
 )
 
 _coeff = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
@@ -520,9 +523,12 @@ _PROGRAM_FIELDS = dict(FIELDS, q=QQ)
 
 @st.composite
 def _program_case(draw):
-    """Up to four polynomials of one ring, zero and constant ones among them,
-    a batch of int points, a batch of points of field elements and a factor
-    for their common denominator."""
+    """Up to four polynomials of one ring, zero and constant ones among them;
+    a batch of int points and a batch of points of field elements, whose
+    coordinates marked in `rational` are rational at every point; and a
+    factor for their common denominator.  The batches come from a generator
+    seeded by hypothesis, which draws the polynomials: drawing up to 64
+    points coordinate by coordinate took most of the test's time."""
     field = _PROGRAM_FIELDS[draw(st.sampled_from(sorted(_PROGRAM_FIELDS)))]
     n = draw(st.integers(0, 3))
     exps = st.tuples(*[st.integers(0, 3)] * n)
@@ -537,9 +543,25 @@ def _program_case(draw):
             pairs = [(draw(exps), _element(draw, field)) for _ in range(draw(st.integers(1, 5)))]
             polys.append(Polynomial.from_pairs(field, n, pairs))
     size = draw(st.sampled_from(_BATCH_SIZES))
-    ints = [draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)) for _ in range(size)]
-    points = [[_element(draw, field) for _ in range(n)] for _ in range(size)]
-    return field, polys, ints, points, draw(st.sampled_from((1, 2, 6)))
+    rational = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ints = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(size)]
+    points = [[_random_element(rng, field, r) for r in rational] for _ in range(size)]
+    return field, polys, ints, points, rational, draw(st.sampled_from((1, 2, 6)))
+
+
+def _random_element(rng, field, rational: bool):
+    """`_element` drawn from a seeded generator, in its value ranges: a
+    rational (always, when `rational`), or an element with integer or
+    rational flat coordinates."""
+    kind = "rational" if rational else rng.choice(("rational", "int", "fraction"))
+    if kind == "rational":
+        num = rng.randint(-50, 50)
+        return field.from_rational(num if rng.random() < 0.5 else Fraction(num, rng.randint(1, 9)))
+    m = field.absolute_degree
+    if kind == "int":
+        return field.from_flat([Fraction(rng.randint(-9, 9)) for _ in range(m)])
+    return field.from_flat([Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(m)])
 
 
 _BATCH_SIZES = (1, 2, 49, SAMPLE_BATCH)
@@ -551,23 +573,21 @@ def test_program_matches_eval_of_each_polynomial(case):
     """One program over several polynomials gives, point by point over a
     batch, each polynomial's value over the program's one denominator: at
     int points as eval_int and the field-element oracle, and at points of
-    flat vectors over a common denominator B (`at_vectors`; rationals as
-    ints over B, by `at`) as eval and the oracle.  B is the lcm of the
-    batch's denominators times 1, 2 or 6."""
-    field, polys, ints, points, scale = case
-    prog = EvalProgram(polys)
-    values = prog.at(ints)
-    assert [len(v) for v in values] == [len(ints) if field == QQ else field.absolute_degree] * len(polys)
+    flat vectors over a common denominator B as eval and the oracle, with
+    each rational coordinate given as m columns (zero-padded) and as its one
+    column.  B is the lcm of the batch's denominators times 1, 2 or 6."""
+    field, polys, ints, points, rational, scale = case
+    prog, size, m = EvalProgram(polys), len(ints), field.absolute_degree
+    values = prog.at(int_columns(ints), size)
+    assert [[len(c) for c in v] for v in values] == [[size] * m] * len(polys)
     want = [[generic_eval(p, [field.from_rational(x) for x in pt]) for pt in ints] for p in polys]
     got = [prog.elements(v) for v in values]
     assert got == [[p.eval_int(pt) for pt in ints] for p in polys] == want
     flats = [[field.flat(x) for x in pt] for pt in points]
     B = scale * math.lcm(*(q.denominator for pt in flats for v in pt for q in v))
     nums = [[[q.numerator * (B // q.denominator) for q in v] for v in pt] for pt in flats]
-    if field == QQ:
-        values = prog.at([[v[0] for v in pt] for pt in nums], B)
-    else:
-        values = prog.at_vectors(nums, B)
+    padded = vector_columns(nums)
     want = [[generic_eval(p, pt) for pt in points] for p in polys]
-    got = [prog.elements(v, B) for v in values]
-    assert got == [[p.eval(pt) for pt in points] for p in polys] == want
+    for coords in (padded, [c[:1] if r else c for c, r in zip(padded, rational)]):
+        assert [prog.elements(v, B) for v in prog.at(coords, size, B)] == want
+    assert [[p.eval(pt) for pt in points] for p in polys] == want

@@ -33,9 +33,9 @@ def _drawn_points(nvars, seed, h):
     and drawn again."""
     points = []
 
-    def agree(batch):
+    def agree(coords, size):
         answers = []
-        for pt in batch:
+        for pt in zip(*coords) if coords else [()] * size:
             points.append(pt)
             answers.append(None if len(points) % 2 else True)
         return answers
@@ -57,7 +57,7 @@ def test_sample_points_are_the_randrange_points():
 def test_negative_halfwidth_is_refused_as_randrange_refuses_it():
     for n in (0, 3):
         try:
-            sample_identity(lambda pts: [True] * len(pts), n, 1, 1, 0, -1)
+            sample_identity(lambda coords, size: [True] * size, n, 1, 1, 0, -1)
         except ValueError:
             continue
         raise AssertionError("a negative halfwidth was accepted")
@@ -71,9 +71,9 @@ def test_batches_are_capped_and_the_first_point_is_alone():
     prog = EvalProgram([(x + y) * (x + y), x * x + (x * y).scale(2) + y * y])
     sizes = []
 
-    def agree(points):
-        sizes.append(len(points))
-        lhs, rhs = prog.at(points)
+    def agree(coords, size):
+        sizes.append(size)
+        (lhs,), (rhs,) = prog.at([[c] for c in coords], size)
         return list(map(operator.eq, lhs, rhs))
 
     report = sample_identity(agree, 2, 2, 10_000, 3, 100)
@@ -147,10 +147,10 @@ if st is not None:
         n, degree = lhs.nvars, max(lhs.total_degree(), rhs.total_degree(), 0)
         prog = EvalProgram([den, lhs, rhs])
 
-        def batched(points):
-            d, a, b = prog.at(points)
-            if field != QQ:  # flat coordinates, point by point
-                d, a, b = [any(v) for v in zip(*d)], zip(*a), zip(*b)
+        def batched(coords, size):
+            d, a, b = prog.at([[c] for c in coords], size)
+            # the flat coordinates, point by point
+            d, a, b = map(any, zip(*d)), zip(*a), zip(*b)
             return [same if v else None for v, same in zip(d, map(operator.eq, a, b))]
 
         def one(pt):

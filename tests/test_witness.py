@@ -21,6 +21,7 @@ from formforge import (
     catalog,
     composition_algebra_norm,
     det_norm,
+    diagonal_form,
     diagonal_jordan_cubic_decision,
     diagonal_strong_mult_decision,
     exponent_chain,
@@ -625,6 +626,23 @@ def test_random_scaled_witness_matches_per_entry_identity(field):
                                         box_halfwidth=box)
             assert rep.verdict == verdict
             _same_reports(rep, scaled_witness_identity(phi, w), 25, seed, box)
+
+
+@pytest.mark.parametrize("field", [QQ, _SQRT2], ids=["q", "sqrt2"])
+def test_constant_witness_in_random_mode(field):
+    """A constant witness has an X ring with no variables, so a batch has no
+    X columns and its size comes from `sample_identity`: on <1, 2> of
+    degree 3, M = 2I is a similarity of 8 and not of 7, refuted at the
+    first point drawn with seed 1, as in symbolic mode."""
+    phi = diagonal_form([1, 2], 3, field).form
+    two, zero = RationalFunction.const(field, 0, 2), RationalFunction.const(field, 0, 0)
+    m = ((two, zero), (zero, two))
+    rep = verify_similarity(phi, m, 8, mode="random", seed=1)
+    assert (rep.verdict, rep.samples, rep.per_sample_bound) == ("evidence", 100,
+                                                                Fraction(1, 666667))
+    rep = verify_similarity(phi, m, 7, mode="random", seed=1)
+    assert (rep.verdict, rep.counterexample) == ("refuted", (-718218, 193707))
+    assert verify_similarity(phi, m, 7, mode="symbolic").verdict == "refuted"
 
 
 @_ENGINE_FIELDS
