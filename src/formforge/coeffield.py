@@ -12,17 +12,18 @@ writes an element as its m rational coordinates and `from_flat` reads them
 back.
 
 A `StructureTensor` holds the structure constants of a finite-dimensional
-algebra as sparse rows: b_i b_j = sum over (l, c) in rows[i][j] of c b_l / den
-(the multiplication table of Cohen, GTM 138, section 4.2).  Over Q the
-constants are ints over one common denominator, and `mul` multiplies integer
-coordinate vectors in Python ints; over an etale coefficient field they are
-field elements and den is 1.  It is the one product by structure constants:
-an etale algebra multiplies through the tensor of its flat basis (built once,
-on first use, from the base's tensor and the flat coordinates of f, in
-ints; its den is 1 when every minimal polynomial in the tower is monic with
-integer coefficients), which is also how
-`Polynomial.eval` works over an etale algebra, and the algebra presentations
-of `constructions` and the center algebras of `decompose` each store one.
+algebra over a coefficient field K (the multiplication table of Cohen, GTM
+138, section 4.2) as its restriction of scalars to Q: the constants of the
+Q-basis kappa_k b_i, kappa_0 = 1, ..., kappa_(m-1) the flat basis of K, as
+sparse rows of ints over one common denominator.  Over Q, m is 1 and they
+are the constants themselves.  `mul` multiplies flat int coordinate vectors
+in Python ints, over every K.  It is the one product by structure constants:
+an etale algebra multiplies through the tensor of its flat basis (built
+once, on first use, from the base's tensor and the flat coordinates of f,
+in ints; its den is 1 when every minimal polynomial in the tower is monic
+with integer coefficients), which is also how `Polynomial.eval` works over
+an etale algebra, and the algebra presentations of `constructions` and the
+center algebras of `decompose` each store one.
 Beside it each etale algebra builds, once, its `GeneratorKeys`: the flat
 basis as packed generator exponents, with the products of basis monomials
 that leave the basis read off the tensor, which is how a `Polynomial` over
@@ -279,12 +280,10 @@ class EtaleAlgebra:
                     for _ in range(k):
                         v = times_t(v)
                     prods[i, i2] = [x * r ** (deg - 1 - k) for x in v]
-            D = bt.den * r ** (deg - 1)
-            g = math.gcd(D, *(x for v in prods.values() for x in v))
             T = [[()] * m for _ in range(m)]
             for (i, j), v in prods.items():
-                T[i][j] = T[j][i] = tuple((k, x // g) for k, x in enumerate(v) if x)
-            self._tensor = StructureTensor(QQ, T, D // g)
+                T[i][j] = T[j][i] = tuple((k, x) for k, x in enumerate(v) if x)
+            self._tensor = StructureTensor(QQ, T, bt.den * r ** (deg - 1))
         return self._tensor
 
     def generator_keys(self) -> "GeneratorKeys":
@@ -311,23 +310,29 @@ class EtaleAlgebra:
         return self.from_flat([Fraction(c, den) for c in t.mul(a, b)])
 
     def _inv(self, x: FieldElement) -> FieldElement:
-        """1/x from one elimination over Q: with x = a / da, the restriction
-        of scalars M = Dt R(a) (`restrict_scalars`) has M y = Dt flat(a y),
-        so M y = e_0 gives x (Dt da y) = 1.  x is a unit exactly when M has
-        rank m."""
-        from . import linalg
-
         if x.is_zero():
             raise ZeroDivisor("division by zero in %r" % (self,))
-        m = self.absolute_degree
         a, da = integral_coordinates(self.flat(x))
+        u, e = self.flat_inverse(a)
+        return self.from_flat([Fraction(da * v, e) for v in u])
+
+    def flat_inverse(self, a):
+        """(u, e): the flat coordinates of 1/x as ints u over a positive int
+        e, for x with the flat int coordinates a, from one elimination over
+        Q: the restriction of scalars M = Dt R(a) (`restrict_scalars`) has
+        M y = Dt flat(a y), so M y = e_0 gives a (Dt y) = 1.  x is a unit
+        exactly when M has rank m."""
+        from . import linalg
+
+        m = self.absolute_degree
         rows = restrict_scalars(self, [{0: a}])
         rows[0][m] = 1
         red, pivots = linalg.rref(QQ, rows)
         if pivots != list(range(m)):
             raise ZeroDivisor("zero divisor in %r" % (self,))
-        s = da * self.tensor().den
-        return self.from_flat([Fraction(s * row.get(m, 0), row[k]) for k, row in enumerate(red)])
+        e = math.lcm(*(row[k] for k, row in enumerate(red)))
+        dt = self.tensor().den
+        return [dt * row.get(m, 0) * (e // row[k]) for k, row in enumerate(red)], e
 
     def __eq__(self, other):
         return (
@@ -369,20 +374,38 @@ _NO_GENERATOR = GeneratorKeys(0, (0,), {}, 1)
 
 
 def to_coordinates(field, xs):
-    """(a, den) for field elements xs: over Q the ints a with xs = a / den,
-    den their least common denominator; over an etale field the elements
-    themselves over 1."""
-    if isinstance(field, RationalField):
-        return integral_coordinates([x.coeffs[0] for x in xs])
-    return list(xs), 1
+    """(a, den): the flat coordinates of xs as ints a over their lcm denominator."""
+    return integral_coordinates([q for x in xs for q in field.flat(x)])
 
 
 def from_coordinates(field, a, den: int = 1) -> tuple:
-    """The field elements a / den: `to_coordinates` read back."""
-    if isinstance(field, RationalField):
-        zero = field.zero
-        return tuple([FieldElement(field, (Fraction(v, den),)) if v else zero for v in a])
-    return tuple(a)
+    """The field elements with the flat int coordinates a over den."""
+    return read_back(field, enumerate(a), den, len(a) // field.absolute_degree)
+
+
+def read_back(field, pairs, den: int, n: int) -> tuple:
+    """The n field elements whose flat int coordinates, over den, are the
+    entries (c, v) of `pairs`, element i at columns i m, ..., i m + m - 1
+    (m the absolute degree), a zero one the shared `field.zero`: a kappa_0
+    row of a `StructureTensor`, a flat vector or a matrix row alike."""
+    m = field.absolute_degree
+    flat = {}
+    for c, v in pairs:
+        if v:
+            flat.setdefault(c // m, [0] * m)[c % m] = v
+    out = [field.zero] * n
+    for i, x in flat.items():
+        out[i] = field.from_flat([Fraction(v, den) for v in x])
+    return tuple(out)
+
+
+def kappa_multiples(field, a) -> list:
+    """The flat coordinates of x kappa_0, ..., x kappa_(m-1), for x with the
+    flat int coordinates a, as dicts of nonzero ints over the denominator
+    Dt of the field's tensor: the columns of Dt R(a) (`restrict_scalars`)."""
+    t = field.tensor()
+    return [t.combine((ai, t.rows[i][l]) for i, ai in enumerate(a) if ai)
+            for l in range(field.absolute_degree)]
 
 
 def restrict_scalars(field, rows) -> list:
@@ -391,18 +414,18 @@ def restrict_scalars(field, rows) -> list:
     value a nonzero int over Q and a flat int vector over an etale field.
     Entry (i, c) becomes the m x m int block Dt R(x) at rows i m, ... and
     columns c m, ..., whose column l holds the flat coordinates of x
-    kappa_l (kappa_0 = 1), m the absolute degree and Dt the tensor's
-    denominator.  R is a ring map with R(1) = I, so a matrix is invertible
-    exactly when its restriction is.  Over Q, R is the identity."""
+    kappa_l (kappa_0 = 1; `kappa_multiples`), m the absolute degree and Dt
+    the tensor's denominator.  R is a ring map with R(1) = I, so a matrix is
+    invertible exactly when its restriction is.  Over Q, R is the identity."""
     if isinstance(field, RationalField):
         return rows
-    t, m = field.tensor(), field.absolute_degree
+    m = field.absolute_degree
     out = []
     for row in rows:
         block = [{} for _ in range(m)]
         for c, a in row.items():
-            for l in range(m):
-                for k, v in t.combine((ai, t.rows[i][l]) for i, ai in enumerate(a) if ai).items():
+            for l, col in enumerate(kappa_multiples(field, a)):
+                for k, v in col.items():
                     block[k][c * m + l] = v
         out.extend(block)
     return out
@@ -416,23 +439,30 @@ def integral_coordinates(v: Sequence[Rat]):
 
 
 class StructureTensor:
-    """The structure constants of an algebra with basis b_0, ..., b_(n-1), as
-    sparse rows: b_i b_j = sum over (l, c) in rows[i][j] of c b_l / den.
-
-    Over Q (`integral`) the constants are nonzero ints over one common
-    positive denominator den, and coordinates travel as int vectors over a
-    denominator of their own.  Over an etale coefficient field the constants
-    and coordinates are nonzero field elements and den is 1: the field path.
+    """The structure constants of an algebra over the coefficient field K
+    with basis b_0, ..., b_(n-1), stored as its restriction of scalars to Q
+    (Friedl & Ronyai, STOC 1985): the Q-algebra with basis kappa_k b_i at
+    index i m + k, kappa_0 = 1, ..., kappa_(m-1) the flat basis of K and m
+    its absolute degree.  rows[I][J] holds b_I b_J = sum c b_L / den as
+    sparse pairs (L, c) of nonzero ints over one positive den, with no
+    common factor; over Q they are the constants of b_i b_j.  Coordinates
+    are flat int vectors (`to_coordinates`), multiplied by `mul`.  The
+    kappa_0 row rows[i m][j m] holds the flat coordinates of the constants
+    of b_i b_j, which `elements` and `constants` read back (`read_back`).
     """
 
-    __slots__ = ("field", "rows", "den", "integral", "zero")
+    __slots__ = ("field", "rows", "den", "_planes")
 
     def __init__(self, field, rows, den: int = 1):
+        """The tensor of the int rows over den, their common factor divided out."""
+        g = math.gcd(den, *(c for plane in rows for row in plane for _, c in row))
+        if g != 1:
+            rows = [[[(l, c // g) for l, c in row] for row in plane] for plane in rows]
+            den //= g
         self.field = field
-        self.rows = rows
+        self.rows = tuple(tuple(map(tuple, plane)) for plane in rows)
         self.den = den
-        self.integral = isinstance(field, RationalField)
-        self.zero = 0 if self.integral else field.zero
+        self._planes = None
 
     @classmethod
     def from_elements(cls, field, planes) -> "StructureTensor":
@@ -450,42 +480,62 @@ class StructureTensor:
         """The n-dimensional tensor of the pairs ((i, j, l), c): nonzero
         field elements c at distinct positions, every other constant zero."""
         constants = sorted(constants, key=lambda t: t[0])
+        m = field.absolute_degree
         flat, den = to_coordinates(field, [c for _, c in constants])
-        rows = [[[] for _ in range(n)] for _ in range(n)]
-        for ((i, j, l), _), c in zip(constants, flat):
-            rows[i][j].append((l, c))
-        return cls(field, tuple(tuple(map(tuple, plane)) for plane in rows), den)
+        return cls.restricted(field, n, [
+            (where, tuple(flat[k * m:k * m + m])) for k, (where, _) in enumerate(constants)], den)
+
+    @classmethod
+    def restricted(cls, field, n: int, constants, den: int) -> "StructureTensor":
+        """The n-dimensional tensor of the pairs ((i, j, l), a), in position
+        order, a the tuple of flat int coordinates over den of a constant c.
+        c kappa_p kappa_q = sum_h K[p][q][h] (c kappa_h) / Dt, from K's own
+        tensor and the m multiples c kappa_h (`kappa_multiples`), lands at
+        rows[i m + p][j m + q], entry l m + k, over den Dt^2.  The m x m
+        block of a constant is computed once per distinct value."""
+        kt, m = field.tensor(), field.absolute_degree
+        rows = [[[] for _ in range(n * m)] for _ in range(n * m)]
+        blocks = {}
+        for (i, j, l), a in constants:
+            block = blocks.get(a)
+            if block is None:
+                multiples = kappa_multiples(field, a)
+                block = blocks[a] = []
+                for p in range(m):
+                    for q in range(m):
+                        v = kt.combine((w, multiples[h].items()) for h, w in kt.rows[p][q])
+                        block.extend((p, q, k, x) for k, x in sorted(v.items()))
+            i, j, l = i * m, j * m, l * m
+            for p, q, k, x in block:
+                rows[i + p][j + q].append((l + k, x))
+        return cls(field, rows, den * kt.den ** 2)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        """The dimension over the coefficient field."""
+        return len(self.rows) // self.field.absolute_degree
 
     def constants(self) -> list:
         """The nonzero constants as pairs ((i, j, l), field element), in
         index order: `from_constants` read back."""
-        where = [(i, j, l) for i, plane in enumerate(self.rows)
-                 for j, row in enumerate(plane) for l, _ in row]
-        values = [c for plane in self.rows for row in plane for _, c in row]
-        return list(zip(where, from_coordinates(self.field, values, self.den)))
+        zero = self.field.zero
+        return [((i, j, l), c) for i, plane in enumerate(self.elements())
+                for j, row in enumerate(plane) for l, c in enumerate(row) if c is not zero]
 
     def elements(self):
-        """The dense constants: planes[i][j][l] as field elements."""
-        n, zero = len(self.rows), self.field.zero
-        out = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for (i, j, l), c in self.constants():
-            out[i][j][l] = c
-        return tuple(tuple(map(tuple, plane)) for plane in out)
-
-    def scalar(self, k: int):
-        """The integer k as a coordinate value."""
-        return k if self.integral else self.field.from_rational(k)
+        """The dense constants: planes[i][j][l] as field elements, read back
+        from the kappa_0 rows on the first call."""
+        if self._planes is None:
+            field, m, n = self.field, self.field.absolute_degree, self.dim
+            self._planes = tuple(tuple(read_back(field, row, self.den, n) for row in plane[::m])
+                                 for plane in self.rows[::m])
+        return self._planes
 
     def mul(self, a, b) -> list:
-        """The coordinates of the product of the elements with coordinates a
-        and b.  Over Q, a and b are ints and so is the result, over den times
-        the denominators of a and b."""
+        """The flat int coordinates of the product of the elements with the
+        flat int coordinates a and b, over den times their denominators."""
         rows = self.rows
-        out = [self.zero] * len(a)
+        out = [0] * len(a)
         for i, ai in enumerate(a):
             if ai:
                 row = rows[i]
@@ -500,9 +550,8 @@ class StructureTensor:
         """The products of two batches of elements, column by column: column
         i of a (and of b) holds coordinate i of each element of its batch,
         and column k of the result coordinate k of each product, over den
-        times the denominators of a and b (integral tensors only).  Each
-        nonzero constant is one `map` over the batch; zero columns are
-        skipped."""
+        times the denominators of a and b.  Each nonzero constant is one
+        `map` over the batch; zero columns are skipped."""
         rows = self.rows
         out = [None] * len(rows)
         right = [j for j, col in enumerate(b) if any(col)]

@@ -24,7 +24,8 @@ from .coeffield import (
     StructureTensor,
     field_extend,
     from_coordinates,
-    integral_coordinates,
+    kappa_multiples,
+    read_back,
     to_coordinates,
 )
 from .forms import HomogeneousForm, coordinates_over_base
@@ -59,10 +60,12 @@ class AlgebraPresentation:
     sum_l structure[i][j][l] e_l.
 
     The constants live in one `StructureTensor` (`structure` may be given as
-    one, or as dense planes), and the involution x -> involution * x as its
-    sparse columns over one denominator, in the tensor's coordinates.  Over Q
-    the unit, involution and associativity checks compare integer rows;
-    field elements are built only for the public views.
+    one, or as dense planes): the restriction of scalars to Q of the algebra
+    over K.  The unit, involution and associativity checks compare its
+    integer rows on the basis b_0, ..., b_(n-1) over K (the kappa_0
+    indices), which suffices as every map involved is K-linear; the
+    involution x -> involution * x enters as the columns of its restriction.
+    Field elements are built only for the public views.
     """
 
     def __init__(
@@ -96,7 +99,6 @@ class AlgebraPresentation:
         self.trace = None if trace is None else tuple(self._coerce(c) for c in trace)
         self._check_unit()
         if self.involution is not None:
-            self._columns = _involution_columns(structure, self.involution)
             self._check_involution()
         if associative:
             self._check_associative()
@@ -126,13 +128,12 @@ class AlgebraPresentation:
         return product_polys(self.tensor, x, y)
 
     def involve_polys(self, x):
-        cols, ds = self._columns
         out = [Polynomial.zero(self.field, x[0].nvars) for _ in range(self.dim)]
-        for j, col in enumerate(cols):
-            if not x[j].is_zero():
-                for i, c in col:
+        for i, row in enumerate(self.involution):
+            for j, c in enumerate(row):
+                if c and not x[j].is_zero():
                     out[i] = out[i] + x[j].scale(c)
-        return _over_den(self.field, out, ds)
+        return out
 
     def structure_matrices(self):
         """z_l(x, y) coefficient matrices: out[l][i][j] multiplies x_i y_j."""
@@ -152,32 +153,31 @@ class AlgebraPresentation:
                      for row in left_multiplication(self.tensor))
 
     def _check_unit(self):
-        t = self.tensor
+        t, m = self.tensor, self.field.absolute_degree
         rows = t.rows
         u, du = to_coordinates(self.field, self.unit)
         u = [(k, c) for k, c in enumerate(u) if c]
-        one = t.scalar(du * t.den)
         for i in range(self.dim):
-            want = {i: one}
-            if (t.combine((c, rows[k][i]) for k, c in u) != want
-                    or t.combine((c, rows[i][k]) for k, c in u) != want):
+            want = {i * m: du * t.den}
+            if (t.combine((c, rows[k][i * m]) for k, c in u) != want
+                    or t.combine((c, rows[i * m][k]) for k, c in u) != want):
                 raise ValueError("unit does not act as identity on basis element %d" % i)
 
     def _check_involution(self):
         """s(s(e_j)) = e_j and s(e_i e_j) = s(e_j) s(e_i) on the basis, in the
         tensor's coordinates: with s(e_j) = cols[j] / ds and e_i e_j =
         rows[i][j] / D, the second reads ds * s(rows[i][j]) =
-        sum cols[j][a] cols[i][b] rows[a][b], both sides over D ds^2."""
-        t = self.tensor
+        sum cols[j][a] cols[i][b] rows[a][b], both sides over D ds^2.  i and
+        j run over the kappa_0 indices, a, b and the rows over every index."""
+        t, m = self.tensor, self.field.absolute_degree
         rows = t.rows
-        cols, ds = self._columns
-        one = t.scalar(ds * ds)
-        for j, col in enumerate(cols):
-            if t.combine((c, cols[i]) for i, c in col) != {j: one}:
+        cols, ds = _involution_columns(self.field, self.involution)
+        for j, col in enumerate(cols[::m]):
+            if t.combine((c, cols[i]) for i, c in col) != {j * m: ds * ds}:
                 raise ValueError("involution is not of period 2")
-        for i, col_i in enumerate(cols):
-            for j, col_j in enumerate(cols):
-                lhs = t.combine((c, cols[l]) for l, c in rows[i][j])
+        for i, col_i in enumerate(cols[::m]):
+            for j, col_j in enumerate(cols[::m]):
+                lhs = t.combine((c, cols[l]) for l, c in rows[i * m][j * m])
                 if ds != 1:
                     lhs = {k: v * ds for k, v in lhs.items()}
                 rhs = t.combine((a * b, rows[p][q]) for p, a in col_j for q, b in col_i)
@@ -185,14 +185,15 @@ class AlgebraPresentation:
                     raise ValueError("involution is not an anti-automorphism")
 
     def _check_associative(self):
-        """(e_i e_j) e_l = e_i (e_j e_l) on the basis, both over D^2."""
+        """(e_i e_j) e_l = e_i (e_j e_l) on the basis over K, both over D^2:
+        i, j and l run over the kappa_0 indices, k over every index."""
         t = self.tensor
         rows = t.rows
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
+        ks = range(0, len(rows), self.field.absolute_degree)
+        for i in ks:
+            for j in ks:
                 ij = rows[i][j]
-                for l in range(n):
+                for l in ks:
                     lhs = t.combine((c, rows[k][l]) for k, c in ij)
                     rhs = t.combine((c, rows[i][k]) for k, c in rows[j][l])
                     if lhs != rhs:
@@ -201,14 +202,12 @@ class AlgebraPresentation:
 
 def product_polys(tensor: StructureTensor, x, y, den: int = 1) -> list:
     """The product of two vectors of polynomials through the tensor, over
-    den: the constants enter as the tensor's integers (its field elements
-    over an etale field), and the sums are divided by den times the
-    tensor's denominator.  When x is y, x_i x_j is formed for i <= j only,
-    under the sum of the constants of b_i b_j and b_j b_i."""
-    field, n = tensor.field, tensor.dim
+    den: the constants, over den, are read back from the kappa_0 rows.  When
+    x is y, x_i x_j is formed for i <= j only, under the sum of the
+    constants of b_i b_j and b_j b_i."""
+    field, n, m = tensor.field, tensor.dim, tensor.field.absolute_degree
     rows = tensor.rows
     square = x is y
-    one = tensor.scalar(1)
     out = [Polynomial.zero(field, x[0].nvars) for _ in range(n)]
     for i in range(n):
         if x[i].is_zero():
@@ -216,34 +215,34 @@ def product_polys(tensor: StructureTensor, x, y, den: int = 1) -> list:
         for j in range(i if square else 0, n):
             if y[j].is_zero():
                 continue
-            row = rows[i][j]
+            row = rows[i * m][j * m]
             if square and j != i:
-                row = tensor.combine(((one, row), (one, rows[j][i]))).items()
+                row = tensor.combine(((1, row), (1, rows[j * m][i * m]))).items()
             if not row:
                 continue
             xy = x[i] * y[j]
-            for l, c in row:
-                out[l] = out[l] + xy.scale(c)
-    return _over_den(field, out, den * tensor.den)
+            for l, c in enumerate(read_back(field, row, den * tensor.den, n)):
+                if c is not field.zero:
+                    out[l] = out[l] + xy.scale(c)
+    return out
 
 
-def _over_den(field, polys, den: int) -> list:
-    if den == 1:
-        return polys
-    inv = field.from_rational(Fraction(1, den))
-    return [p.scale(inv) for p in polys]
-
-
-def _involution_columns(tensor: StructureTensor, matrix):
-    """(cols, ds): column j of the matrix as sparse (i, c) pairs over ds, in
-    the coordinates of the tensor."""
-    n = len(matrix)
-    flat, ds = to_coordinates(tensor.field, [matrix[i][j] for j in range(n) for i in range(n)])
-    cols = tuple(
-        tuple((i, c) for i, c in enumerate(flat[j * n : (j + 1) * n]) if c)
-        for j in range(n)
-    )
-    return cols, ds
+def _involution_columns(field, matrix):
+    """(cols, ds): the columns of the restriction of scalars of the matrix
+    over K (`restrict_scalars`), as sparse (i, c) pairs of ints over ds:
+    column j m + l holds the flat coordinates of matrix[i][j] kappa_l at
+    rows i m, ..., i m + m - 1 (`kappa_multiples`)."""
+    n, m = len(matrix), field.absolute_degree
+    flat, ds = to_coordinates(field, [x for row in matrix for x in row])
+    cols = [{} for _ in range(n * m)]
+    for e in range(n * n):  # entry (i, j) at e = i n + j
+        a = flat[e * m:e * m + m]
+        if any(a):
+            i, j = divmod(e, n)
+            for l, col in enumerate(kappa_multiples(field, a)):
+                for k, v in col.items():
+                    cols[j * m + l][i * m + k] = v
+    return tuple(tuple(sorted(col.items())) for col in cols), ds * field.tensor().den
 
 
 def split_etale_presentation(n: int, field=QQ) -> AlgebraPresentation:
@@ -291,7 +290,7 @@ def _det_form(d: int, field) -> HomogeneousForm:
 
 def _double(tensor: StructureTensor, conj, norm_body, gamma: FieldElement):
     """(a,b)(c,d) = (ac + gamma conj(d) b, d a + b conj(c)); bar = (conj a, -b);
-    n(a,b) = n(a) - gamma n(b).
+    n(a,b) = n(a) - gamma n(b), over Q.
 
     On basis pairs only one product survives: e_p e_q = (e_p e_q, 0),
     e_p f_q = (0, e_q e_p), f_p e_q = (0, e_p conj(e_q)) and f_p f_q =
@@ -301,7 +300,7 @@ def _double(tensor: StructureTensor, conj, norm_body, gamma: FieldElement):
     field = tensor.field
     n = tensor.dim
     rows = tensor.rows
-    cols, ds = _involution_columns(tensor, conj)
+    cols, ds = _involution_columns(field, conj)
     (g,), dg = to_coordinates(field, [gamma])
     lift = ds * dg
 
@@ -317,23 +316,13 @@ def _double(tensor: StructureTensor, conj, norm_body, gamma: FieldElement):
             new_rows[n + p][q] = shifted(sorted(row.items()), n, dg)
             row = tensor.combine((g * c, rows[i][p]) for i, c in cols[q])
             new_rows[n + p][n + q] = shifted(sorted(row.items()))
-    den = tensor.den * lift
-    if tensor.integral:
-        common = math.gcd(den, *(c for plane in new_rows for row in plane for _, c in row))
-        if common != 1:
-            new_rows = [[tuple((l, c // common) for l, c in row) for row in plane]
-                        for plane in new_rows]
-            den //= common
-    new_tensor = StructureTensor(field, tuple(tuple(plane) for plane in new_rows), den)
+    new_tensor = StructureTensor(field, new_rows, tensor.den * lift)
 
-    zero = field.zero
     n2 = 2 * n
-    new_conj = [[zero] * n2 for _ in range(n2)]
-    for i in range(n):
-        for j in range(n):
-            new_conj[i][j] = conj[i][j]
-    for i in range(n):
-        new_conj[n + i][n + i] = -field.one
+    new_conj = [list(row) + [field.zero] * n for row in conj]
+    new_conj += [[field.zero] * n2 for _ in range(n)]
+    for i in range(n, n2):
+        new_conj[i][i] = -field.one
 
     low = norm_body.embed(n2, 0)
     high = norm_body.embed(n2, n)
@@ -341,23 +330,24 @@ def _double(tensor: StructureTensor, conj, norm_body, gamma: FieldElement):
     return new_tensor, new_conj, new_norm
 
 
-def _cayley_dickson(field, gammas):
-    tensor = StructureTensor.from_elements(field, [[[field.one]]])
-    conj = [[field.one]]
-    norm_body = Polynomial(field, 1, {(2,): field.one})
+def _cayley_dickson(gammas):
+    """The Cayley-Dickson doubling of Q by the rational gammas."""
+    tensor = StructureTensor.from_elements(QQ, [[[QQ.one]]])
+    conj = [[QQ.one]]
+    norm_body = Polynomial(QQ, 1, {(2,): QQ.one})
     for g in gammas:
         tensor, conj, norm_body = _double(tensor, conj, norm_body, g)
     dim = tensor.dim
-    unit = [field.one] + [field.zero] * (dim - 1)
-    norm = HomogeneousForm(field, 2, dim, norm_body)
+    unit = [QQ.one] + [QQ.zero] * (dim - 1)
+    norm = HomogeneousForm(QQ, 2, dim, norm_body)
     return AlgebraPresentation(
-        field,
+        QQ,
         tensor,
         unit,
         associative=(len(gammas) <= 2),
         involution=conj,
         norm=norm,
-        trace=[field.from_rational(2)] + [field.zero] * (dim - 1),
+        trace=[QQ.from_rational(2)] + [QQ.zero] * (dim - 1),
     )
 
 
@@ -654,12 +644,16 @@ def composition_algebra_norm(kind: str, params) -> ConstructedForm:
     arity = {"binary": 1, "quaternion": 2, "octonion": 3}
     if kind not in arity:
         raise ValueError("kind must be binary, quaternion, or octonion")
-    gammas = [g if isinstance(g, FieldElement) else QQ.from_rational(g) for g in params]
+    try:
+        gammas = [QQ.from_rational(g.as_rational() if isinstance(g, FieldElement) else g)
+                  for g in params]
+    except ValueError:
+        raise ValueError("parameters must be rational") from None
     if len(gammas) != arity[kind]:
         raise ValueError("%s takes %d parameters" % (kind, arity[kind]))
     if any(g.is_zero() for g in gammas):
         raise ValueError("parameters must be nonzero")
-    alg = _cayley_dickson(QQ, gammas)
+    alg = _cayley_dickson(gammas)
     cf = ConstructedForm(
         form=alg.norm,
         provenance={
@@ -684,7 +678,7 @@ def hyperbolic_plane() -> ConstructedForm:
 
 @functools.lru_cache(maxsize=None)
 def split_octonion_algebra() -> AlgebraPresentation:
-    return _cayley_dickson(QQ, [QQ.one, QQ.one, QQ.one])
+    return _cayley_dickson([QQ.one, QQ.one, QQ.one])
 
 
 def tits_cubic(a) -> ConstructedForm:
@@ -839,11 +833,12 @@ class AdmissibleTriple:
         sides in ints over one denominator, the right-hand sides read from
         N's packed ints, and one elimination of all of them gives each
         particular solution (free variables 0), as a solve of each system
-        alone would."""
+        alone would.  `linalg` takes an entry as an int over Q and as a flat
+        int vector over K, and gives the reduced rows back so."""
         field, m = self.field, N.nvars
         rational = isinstance(field, RationalField)
         k = field.absolute_degree
-        flat, dg = integral_coordinates([q for row in gram for x in row for q in field.flat(x)])
+        flat, dg = to_coordinates(field, [x for row in gram for x in row])
         terms, dn = N.body.int_terms()
 
         def times(v, f):
@@ -860,15 +855,18 @@ class AdmissibleTriple:
             for l in set(idx):
                 a, b = idx[:idx.index(l)] + idx[idx.index(l) + 1 :]
                 aug[l][m + a * m + b] = aug[l][m + b * m + a] = v
-        red, pivots = linalg.rref(field, aug)
+        red, pivots = linalg.int_rref(field, aug)
         if pivots and pivots[-1] >= m:
             raise DegeneratePairing("pairing does not determine the cross product")
+        den = math.lcm(*(d for _, d in red))
         constants = []
-        for row, pc in zip(red, pivots):
-            cols = [c for c in row if c >= m]
-            values = from_coordinates(field, [row[c] for c in cols], row[pc] if rational else 1)
-            constants.extend(((*divmod(c - m, m), pc), x) for c, x in zip(cols, values))
-        return StructureTensor.from_constants(field, m, constants)
+        for (row, d), pc in zip(red, pivots):
+            for c, v in row.items():
+                if c >= m:
+                    v = [v] if rational else v
+                    constants.append(((*divmod(c - m, m), pc), tuple(x * (den // d) for x in v)))
+        constants.sort(key=lambda t: t[0])
+        return StructureTensor.restricted(field, m, constants, den)
 
     def sharp_j(self, vec):
         """j# = (1/2) j x j for a polynomial vector over J; lands in J'."""
@@ -903,22 +901,25 @@ class AdmissibleTriple:
 def jordan_triple_from_degree3(J: AlgebraPresentation, zeta) -> AdmissibleTriple:
     """(zeta T_J, zeta N_J, zeta^2 N_J) on (J, J) for a degree-3 algebra with
     norm N_J and trace pairing T_J(x, y) = trace(x y).  The pairing is read
-    from the tensor's rows and the trace's coordinates: T_J(b_i, b_j) is
-    sum over (l, c) in rows[i][j] of trace_l c, over the denominators."""
+    from the tensor's kappa_0 rows: zeta T_J(b_i, b_j) is sum over (l m + k,
+    c) in rows[i m][j m] of c zeta trace_l kappa_k, whose flat coordinates
+    come from K's tensor (`kappa_multiples`), over the denominators."""
     field = J.field
     zeta = zeta if isinstance(zeta, FieldElement) else field.from_rational(zeta)
     if zeta.is_zero():
         raise ValueError("zeta must be nonzero")
     if J.norm is None or J.norm.degree != 3 or J.trace is None:
         raise ValueError("presentation needs a cubic norm and a trace")
-    t = J.tensor
+    t, kt, m = J.tensor, field.tensor(), field.absolute_degree
     tr, dtr = to_coordinates(field, J.trace)
-    (z,), dz = to_coordinates(field, [zeta])
-    gram = [
-        from_coordinates(field, [z * sum((tr[l] * c for l, c in row), t.zero) for row in plane],
-                         dz * dtr * t.den)
-        for plane in t.rows
-    ]
+    z, dz = to_coordinates(field, [zeta])
+    # ztr[l m + k]: zeta trace_l kappa_k, over dtr dz Dt^2
+    ztr = [col.items() for l in range(J.dim)
+           for col in kappa_multiples(field, kt.mul(z, tr[l * m:l * m + m]))]
+    den = dz * dtr * kt.den ** 2 * t.den
+    gram = [[read_back(field, t.combine((c, ztr[l]) for l, c in row).items(), den, 1)[0]
+             for row in plane[::m]]
+            for plane in t.rows[::m]]
     if linalg.rank(field, gram) != J.dim:
         raise DegeneratePairing("trace pairing is degenerate")
     N = HomogeneousForm(field, 3, J.dim, J.norm.body.scale(zeta))
@@ -1067,17 +1068,10 @@ def norm_compose(A, phi0: HomogeneousForm) -> ConstructedForm:
         provenance={
             "kind": "norm-compose",
             "extension_degree": m,
-            "minpoly": [str(_as_fraction_or_repr(c)) for c in A.minpoly],
+            "minpoly": [_scalar_repr(c) for c in A.minpoly],
             "base_degree": phi0.degree,
         },
     )
-
-
-def _as_fraction_or_repr(c: FieldElement):
-    try:
-        return c.as_rational()
-    except ValueError:
-        return repr(c)
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,8 @@ from .coeffield import (
     RationalField,
     StructureTensor,
     ZeroDivisor,
-    from_coordinates,
     integral_coordinates,
+    read_back,
     restrict_scalars,
 )
 from .forms import (
@@ -101,8 +101,9 @@ Matrix = Tuple[Tuple[FieldElement, ...], ...]
 class CenterAlgebra:
     """The center with basis b_0, ..., b_(dim-1) over the coefficient field
     K, as an algebra over Q: its basis is kappa_l b_k at index k m + l
-    (kappa_0 = 1, ..., kappa_(m-1) the flat basis of K), multiplied through
-    `tensor`, and the identity matrix is the vector `unit` (a, den) in it.
+    (kappa_0 = 1, ..., kappa_(m-1) the flat basis of K), the layout of
+    `tensor` (a `StructureTensor` over K), which multiplies it, and the
+    identity matrix is the vector `unit` (a, den) in it.
     matrices[q] is basis element q as n dict rows of ints over a positive
     int, entry (a, i) at columns i m, ..., i m + m - 1 of row a."""
 
@@ -114,30 +115,18 @@ class CenterAlgebra:
 
     @property
     def dim(self) -> int:
-        return self.tensor.dim // self.field.absolute_degree
+        return self.tensor.dim
 
     @property
     def basis(self) -> Tuple[Matrix, ...]:
         field, n = self.field, self.dim_space
-        return tuple(tuple(_entries(field, row, s, n) for row in rows)
+        return tuple(tuple(read_back(field, row.items(), s, n) for row in rows)
                      for rows, s in self.matrices[::field.absolute_degree])
 
     @property
     def structure(self):
         """structure[i][j]: the coordinates of basis[i] * basis[j] over K."""
-        t, m = self.tensor, self.field.absolute_degree
-        return tuple(tuple(_entries(self.field, dict(row), t.den, self.dim) for row in plane[::m])
-                     for plane in t.rows[::m])
-
-
-def _entries(field, row: dict, den: int, n: int) -> tuple:
-    """The n field elements whose flat coordinates, over den, are the dict
-    row of ints `row`: element i at columns i m, ..., i m + m - 1."""
-    if isinstance(field, RationalField):
-        return from_coordinates(field, [row.get(i, 0) for i in range(n)], den)
-    m, zero = field.absolute_degree, field.zero
-    return tuple(field.from_flat([Fraction(row.get(c + l, 0), den) for l in range(m)])
-                 if any(row.get(c + l) for l in range(m)) else zero for c in range(0, n * m, m))
+        return self.tensor.elements()
 
 
 @dataclass(frozen=True)
@@ -183,17 +172,6 @@ def _reduced(a, den: int):
     return a, den
 
 
-def _integer_tensor(rows, den: int) -> StructureTensor:
-    """The tensor over Q of the int constants rows over den, with their
-    common factor divided out."""
-    g = math.gcd(den, *(v for plane in rows for row in plane for _, v in row))
-    if g != 1:
-        rows = tuple(tuple(tuple((k, v // g) for k, v in row) for row in plane)
-                     for plane in rows)
-        den //= g
-    return StructureTensor(QQ, rows, den)
-
-
 # ---------------------------------------------------------------------------
 # the center algebra
 
@@ -207,7 +185,8 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
     in ints: over K the kernel vector of free column c m + l is the flat
     coordinates of kappa_l b_c, b_c that of free column c over K (Friedl &
     Ronyai, STOC 1985).  So only the b_i b_j are matrix products, and
-    (kappa_l b_i)(kappa_l' b_j) = kappa_l kappa_l' b_i b_j comes from K's tensor.
+    (kappa_l b_i)(kappa_l' b_j) = kappa_l kappa_l' b_i b_j comes from K's
+    tensor (`StructureTensor.restricted`).
     """
     field = theta.field
     n = theta.dim
@@ -322,39 +301,16 @@ def center_algebra(theta: SymmetricTensor) -> CenterAlgebra:
         for j in range(i + 1, c):
             if structure[i][j] != structure[j][i]:
                 raise CenterNotClosed("center is not commutative")
-    if rational:
-        rows = tuple(tuple(tuple((k, v) for k, v in enumerate(x) if v) for x in line)
-                     for line in structure)
-    else:
-        rows, den = _kappa_multiples(field, structure), den * field.tensor().den ** 2
+    # structure[i][j] holds the flat coordinates of the constants of b_i b_j
+    constants = [((i, j, k), tuple(x[k * m:k * m + m]))
+                 for i, line in enumerate(structure) for j, x in enumerate(line)
+                 for k in sorted({p // m for p, v in enumerate(x) if v})]
     return CenterAlgebra(
         field=field,
         dim_space=n,
-        tensor=_integer_tensor(rows, den),
+        tensor=StructureTensor.restricted(field, c, constants, den),
         unit=(unit, 1),
         matrices=tuple(zip(matrices, scales)),
-    )
-
-
-def _kappa_multiples(field, structure):
-    """The constants of the basis kappa_l b_i (index i m + l) from the flat
-    coordinates structure[i][j] of b_i b_j = sum_k x_k b_k over K:
-    (kappa_l b_i)(kappa_l' b_j) has those of kappa_l kappa_l' x_k, over
-    K.tensor().den^2 more."""
-    kt, m = field.tensor(), field.absolute_degree
-    units = [[int(p == l) for p in range(m)] for l in range(m)]
-
-    @functools.lru_cache(maxsize=None)
-    def multiple(x, l, l2):
-        return [(b, v) for b, v in enumerate(kt.mul(kt.mul(list(x), units[l]), units[l2])) if v]
-
-    return tuple(
-        tuple(
-            tuple((k + b, v) for k in range(0, len(x), m) if any(x[k:k + m])
-                  for b, v in multiple(tuple(x[k:k + m]), l, l2))
-            for x in line for l2 in range(m)
-        )
-        for line in structure for l in range(m)
     )
 
 
@@ -805,8 +761,6 @@ def _try_split(block: _Block, record: Counter):
 def _is_field(field) -> bool:
     """Whether the coefficient field is a field, not a product of fields:
     the unit of its integer tensor, over Q, is primitive."""
-    if isinstance(field, RationalField):
-        return True
     t = field.tensor()
     unit = integral_coordinates(field.flat(field.one))
     return _try_split(_Block(t, unit, _unit_vectors(t.dim), 1), Counter()) is None
@@ -841,9 +795,9 @@ def primitive_idempotents(center: CenterAlgebra, record: Optional[Counter] = Non
         # the rows e * b_k, straight from the tensor's rows; a reduced row
         # comes back as the primitive row over its pivot
         E = [(i, c) for i, c in enumerate(e[0]) if c]
-        rows = [t.combine((c, t.rows[i][k]) for i, c in E) for k in range(t.dim)]
+        rows = [t.combine((c, t.rows[i][k]) for i, c in E) for k in range(len(t.rows))]
         red, pivots = linalg.rref(QQ, rows)
-        return _Block(t, e, [([row.get(i, 0) for i in range(t.dim)], row[c])
+        return _Block(t, e, [([row.get(i, 0) for i in range(len(t.rows))], row[c])
                              for row, c in zip(red, pivots)], m)
 
     final = []
@@ -875,7 +829,7 @@ def primitive_idempotents(center: CenterAlgebra, record: Optional[Counter] = Non
                     line = acc[a]
                     for i, x in row.items():
                         line[i] = line[i] + f * x if i in line else f * x
-        mats.append((tuple(_entries(field, line, de * scale, n) for line in acc), acc))
+        mats.append((tuple(read_back(field, line.items(), de * scale, n) for line in acc), acc))
 
     mats.sort(key=functools.cmp_to_key(lambda a, b: _matrix_order(a[0], b[0])))
     return [(m, _column_basis(field, acc, n)) for m, acc in mats]
@@ -909,7 +863,7 @@ def _column_elements(field, column, n: int) -> tuple:
     if not isinstance(field, RationalField):
         m = field.absolute_degree
         nums = {i * m + l: v for i, vec in nums.items() for l, v in enumerate(vec) if v}
-    return _entries(field, nums, den, n)
+    return read_back(field, nums.items(), den, n)
 
 
 def _matrix_order(a: Matrix, b: Matrix) -> int:
@@ -956,7 +910,7 @@ def _nilradical_rank(center: CenterAlgebra) -> int:
     if center.dim == 1:
         return center.field.absolute_degree
     t = center.tensor
-    return _Block(t, center.unit, _unit_vectors(t.dim), 1).nilradical_rank()
+    return _Block(t, center.unit, _unit_vectors(len(t.rows)), 1).nilradical_rank()
 
 
 def krull_schmidt_decompose(phi: HomogeneousForm) -> Decomposition:

@@ -52,7 +52,8 @@ from itertools import chain, compress
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import linalg
-from .coeffield import FieldElement, RationalField, integral_coordinates
+from .coeffield import (FieldElement, RationalField, from_coordinates, integral_coordinates,
+                        to_coordinates)
 
 
 class NotDivisible(ArithmeticError):
@@ -182,17 +183,6 @@ def _product(a: dict, b: dict, gen) -> dict:
 _ONE = {0: 1}  # the packed constant 1, in every ring
 
 
-def _pack_coefficients(field, parts: list):
-    """The dicts `parts`, {exponent part: field element} over an etale
-    field, packed over one denominator: ([{key: nonzero int}], den), each
-    coefficient's flat int coordinates at its generator keys."""
-    gen = field.generator_keys()
-    m, at = len(gen.keys), itertools.count(0, len(gen.keys))
-    ints, den = integral_coordinates([q for p in parts for c in p.values() for q in field.flat(c)])
-    return [{x << gen.bits | t: a for x, i in zip(p, at) for t, a in zip(gen.keys, ints[i:i + m])
-             if a} for p in parts], den
-
-
 def _canonical(nums: dict, den: int):
     """(nums, den) with the common factor of den and every numerator divided out."""
     if not nums:
@@ -225,7 +215,11 @@ class Polynomial:
             return
         self._terms = None
         check_degree(max((sum(e) for e, c in terms.items() if c), default=0))
-        (nums,), den = _pack_coefficients(field, [{_pack(e): c for e, c in terms.items()}])
+        # each coefficient's flat int coordinates at its generator keys
+        gen, m = field.generator_keys(), field.absolute_degree
+        ints, den = to_coordinates(field, terms.values())
+        nums = {_pack(e) << gen.bits | t: a for i, e in enumerate(terms)
+                for t, a in zip(gen.keys, ints[i * m:i * m + m]) if a}
         self._nums, self._den = _canonical(nums, den)
 
     @classmethod
@@ -276,13 +270,10 @@ class Polynomial:
 
     def _coefficient(self, x: int) -> FieldElement:
         """The coefficient of the exponent part x of a key."""
-        field = self.field
-        gen = field.generator_keys()
+        gen = self.field.generator_keys()
         base = x << gen.bits
         v = [self._nums.get(base | t, 0) for t in gen.keys]
-        if not any(v):
-            return field.zero
-        return field.from_flat([Fraction(c, self._den) for c in v])
+        return from_coordinates(self.field, v, self._den)[0]
 
     # -- constructors ------------------------------------------------------
 
@@ -464,7 +455,7 @@ class Polynomial:
         lx = max(other._nums) >> G
         tail = {k: c for k, c in other._nums.items() if k >> G != lx}
         lc = other._vectors()[lx]
-        u, e = integral_coordinates(field.flat(field.from_flat([Fraction(c) for c in lc]).inv()))
+        u, e = field.flat_inverse(lc)
         inv = {t: a for t, a in zip(gen.keys, u) if a}
         s = e * dt  # a quotient coefficient is (rc * inv) / s, reduced
         rem = {k: Fraction(c) for k, c in self._nums.items()}
@@ -1123,14 +1114,16 @@ def linear_forms(N: Sequence[Sequence[Polynomial]]):
 def left_multiplication(tensor):
     """L_x, left multiplication by the generic element x = sum_i x_i b_i of
     the algebra whose structure constants are the `StructureTensor` tensor,
-    as polynomials in n variables: L_x[l][j] = sum_i T[i][j][l] x_i."""
-    n = tensor.dim
-    keys = [1 << n * W | 1 << (n - 1 - i) * W for i in range(n)]  # x_0, ..., x_(n-1)
+    as polynomials in n variables: L_x[l][j] = sum_i T[i][j][l] x_i, read
+    off the kappa_0 rows T[i m][j m]."""
+    n, m = tensor.dim, tensor.field.absolute_degree
+    keys, cols = _operator_keys(tensor.field, n)
     parts = [[{} for _ in range(n)] for _ in range(n)]
-    for i, plane in enumerate(tensor.rows):
-        for j, row in enumerate(plane):
-            for l, c in row:
-                parts[l][j][keys[i]] = c
+    for i, plane in enumerate(tensor.rows[::m]):
+        for j, row in enumerate(plane[::m]):
+            for L, c in row:
+                l, t = cols[L]
+                parts[l][j][keys[i] | t] = c
     return _operator(tensor.field, n, parts, tensor.den)
 
 
@@ -1143,39 +1136,48 @@ def u_operator(tensor, associative: bool):
     which is v b_j v again in an alternative algebra: P is symmetric, so
     each pair of constants P[a][j][k] P[k][b][l] adds 2 v_a v_b to entry
     [l][j] (the first term) and -v_a v_j to entry [l][b] (the second, for
-    b_b), all over 4 den^2."""
-    n, rows, zero = tensor.dim, tensor.rows, tensor.zero
-    keys = [1 << n * W | 1 << (n - 1 - i) * W for i in range(n)]
-    parts = [[defaultdict(lambda: zero) for _ in range(n)] for _ in range(n)]
+    b_b), all over 4 den^2.  On the restriction of scalars a, b and j run
+    over the kappa_0 indices and k and l over all (`_operator_keys`)."""
+    n, m, rows = tensor.dim, tensor.field.absolute_degree, tensor.rows
+    keys, cols = _operator_keys(tensor.field, n)
+    parts = [[defaultdict(int) for _ in range(n)] for _ in range(n)]
     if associative:
-        for a, plane in enumerate(rows):
-            for j, row in enumerate(plane):
+        for a, plane in enumerate(rows[::m]):
+            for j, row in enumerate(plane[::m]):
                 for k, c1 in row:
-                    for b, second in enumerate(rows[k]):
-                        for l, c2 in second:
-                            parts[l][j][keys[a] + keys[b]] += c1 * c2
+                    for b, second in enumerate(rows[k][::m]):
+                        for L, c2 in second:
+                            l, t = cols[L]
+                            parts[l][j][keys[a] + keys[b] | t] += c1 * c2
         return _operator(tensor.field, n, parts, tensor.den**2)
-    one = tensor.scalar(1)
-    P = [[tensor.combine(((one, rows[i][j]), (one, rows[j][i]))) for j in range(n)]
-         for i in range(n)]
+    P = [[tensor.combine(((1, rows[k][b * m]), (1, rows[b * m][k]))) for b in range(n)]
+         for k in range(n * m)]
     for a in range(n):
         for j in range(n):
-            for k, c1 in P[a][j].items():
+            for k, c1 in P[a * m][j].items():
                 for b, row in enumerate(P[k]):
-                    for l, c2 in row.items():
+                    for L, c2 in row.items():
                         c = c1 * c2
-                        parts[l][j][keys[a] + keys[b]] += c + c
-                        parts[l][b][keys[a] + keys[j]] -= c
+                        l, t = cols[L]
+                        parts[l][j][keys[a] + keys[b] | t] += c + c
+                        parts[l][b][keys[a] + keys[j] | t] -= c
     return _operator(tensor.field, n, parts, 4 * tensor.den**2)
+
+
+def _operator_keys(field, n: int):
+    """(keys, cols): keys[i] the packed exponent part of x_i, shifted past
+    the generator bits, and cols[L] = (l, gen.keys[k]) for an index L = l m
+    + k of the restriction of scalars (`GeneratorKeys`), so that a term c x
+    kappa_k of entry l has the key x | gen.keys[k]."""
+    gen, m = field.generator_keys(), field.absolute_degree
+    keys = [(1 << n * W | 1 << (n - 1 - i) * W) << gen.bits for i in range(n)]
+    return keys, [(L // m, gen.keys[L % m]) for L in range(n * m)]
 
 
 def _operator(field, n: int, parts, den: int):
     """The n x n matrix of polynomials whose entry [l][j] is parts[l][j] /
-    den, a dict {exponent part: int over Q, field element over an etale
-    field}; the zero entries are one shared zero."""
-    if not isinstance(field, RationalField):
-        flat, d = _pack_coefficients(field, [p for row in parts for p in row])
-        parts, den = [flat[i:i + n] for i in range(0, n * n, n)], den * d
+    den, a dict {packed key: int} (`_operator_keys`); the zero entries are
+    one shared zero."""
     zero = Polynomial.zero(field, n)
     nums = [[{k: c for k, c in p.items() if c} for p in row] for row in parts]
     return tuple(tuple(Polynomial._from_nums(field, n, p, den) if p else zero for p in row)

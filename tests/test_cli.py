@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,13 @@ from formforge import (
 )
 from formforge import cli, decompose, jsonio, witness
 from formforge.cli import main
-from formforge.constructions import ConstructedForm, cayley_dickson_quartic, split_jordan_q4
+from formforge.coeffield import EtaleAlgebra
+from formforge.constructions import (
+    AlgebraPresentation,
+    ConstructedForm,
+    cayley_dickson_quartic,
+    split_jordan_q4,
+)
 from formforge.jsonio import (
     decode_algebra,
     decode_element,
@@ -791,6 +798,39 @@ def test_squared_witness_matches_golden(name, a):
                            matrix=witness._rf_mat_mul(m, m))
     assert (GOLDEN / (name + ".m2.json")).read_text(encoding="utf-8") == (
         dumps(encode_scaled_witness(square)) + "\n")
+
+
+def test_algebras_over_k_are_checked_and_verified_without_field_products(
+        capsys, monkeypatch):
+    """An algebra over K is stored as its restriction of scalars to Q, so no
+    `EtaleAlgebra._mul` or `_inv` call is made while `AlgebraPresentation`
+    checks the Tits algebra over Q(sqrt 2) and over Q(cbrt 2) (its unit, the
+    identity as involution, associativity), nor while `verify` proves or
+    samples composition, Jordan composition and strong multiplicativity of
+    the Tits cubic over both fields."""
+    algebras = [tits_cubic(field_extend(QQ, minpoly).element(a)).algebra
+                for minpoly, a in (([-2, 0, 1], [1, 2]), ([-2, 0, 0, 1], [1, 0, 2]))]
+    calls = Counter()
+    for name in ("_mul", "_inv"):
+        def counted(*args, _original=getattr(EtaleAlgebra, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(EtaleAlgebra, name, counted)
+    for alg in algebras:
+        f = alg.field
+        identity = [[f.one if i == j else f.zero for j in range(3)] for i in range(3)]
+        AlgebraPresentation(f, alg.structure, alg.unit, associative=True, involution=identity,
+                            norm=alg.norm, trace=alg.trace)
+    assert not calls
+    monkeypatch.chdir(GOLDEN)
+    for name in ("tits-sqrt2", "tits-cbrt2"):
+        for what in ("composition", "jordan", "strong-mult"):
+            for mode in ("auto", "random"):
+                code, _, _ = run(capsys, "verify", what, "--form", name + ".witnessed.json",
+                                 "--mode", mode, "--seed", "1")
+                assert code == (0 if mode == "auto" else 2)
+    assert not calls
 
 
 def _reencoded(obj, phi=None):

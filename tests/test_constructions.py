@@ -193,6 +193,23 @@ def test_composition_algebra_parameter_checks():
         composition_algebra_norm("sedenion", [1, 1, 1, 1])
 
 
+def test_composition_algebra_parameters_must_be_rational():
+    """The Cayley-Dickson algebras are built over Q: a parameter outside Q
+    is refused with ValueError, as zero is (it used to raise
+    AttributeError), and a rational one given over an extension builds the
+    algebra over Q."""
+    k2 = field_extend(QQ, [-2, 0, 1])
+    with pytest.raises(ValueError, match="^parameters must be rational"):
+        composition_algebra_norm("binary", [k2.gen])
+    with pytest.raises(ValueError, match="^parameters must be rational"):
+        composition_algebra_norm("quaternion", [-1, k2.one + k2.gen])
+    with pytest.raises(ValueError, match="^parameters must be nonzero$"):
+        composition_algebra_norm("binary", [k2.zero])
+    cf = composition_algebra_norm("binary", [k2.from_rational(-1)])
+    assert cf.form.field == QQ
+    assert cf.form.body == composition_algebra_norm("binary", [-1]).form.body
+
+
 def _presented(alg, **changes):
     """alg rebuilt from its structure constants, with some inputs replaced."""
     kw = dict(unit=alg.unit, associative=alg.associative, involution=alg.involution,
@@ -213,6 +230,15 @@ def _swap_algebra():
     swap = [[zero, two], [QQ.from_rational(Fraction(1, 2)), zero]]
     return AlgebraPresentation(QQ, structure, [one, QQ.from_rational(Fraction(1, 2))],
                                associative=True, involution=swap)
+
+
+def _twisted(alg):
+    """The dense constants of alg with the constant at 1 in e_1 e_2 raised
+    by the field's generator: the unit still acts as the identity, and
+    (e_1 e_1) e_2 moves off e_1 (e_1 e_2) when e_1 e_1 = e_2."""
+    planes = [[list(row) for row in plane] for plane in alg.structure]
+    planes[1][2][0] = planes[1][2][0] + alg.field.gen
+    return planes
 
 
 def _presentation_failures():
@@ -246,7 +272,13 @@ def _presentation_failures():
         ("automorphism-identity-on-M2", lambda: _presented(
             matrix_algebra(2), involution=_scaled_identity(QQ, 4, 1)),
          "involution is not an anti-automorphism"),
+        ("automorphism-identity-on-M2-over-sqrt2", lambda: _presented(
+            matrix_algebra(2, k2), involution=_scaled_identity(k2, 4, 1)),
+         "involution is not an anti-automorphism"),
         ("octonions-declared-associative", lambda: _presented(octo, associative=True),
+         "product is not associative"),
+        ("twisted-tits-over-sqrt2", lambda: AlgebraPresentation(
+            k2, _twisted(tits_k2), tits_k2.unit, associative=True),
          "product is not associative"),
         ("norm-of-det-3-on-quaternions", lambda: _presented(quat, norm=det_norm(3).form),
          "norm is not a form on the algebra: 9 variables over QQ"),

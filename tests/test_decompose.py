@@ -230,7 +230,7 @@ def test_structure_constants_multiply_the_basis(make):
     center = center_algebra(polarize(make()))
     field, n, basis = center.field, center.dim_space, center.basis
     m = field.absolute_degree
-    assert len(basis) == center.dim == center.tensor.dim // m
+    assert len(basis) == center.dim == center.tensor.dim == len(center.tensor.rows) // m
     a, den = center.unit
     unit = [field.from_flat([Fraction(v, den) for v in a[k:k + m]]) for k in range(0, len(a), m)]
 

@@ -496,10 +496,11 @@ def _sparse_element(draw, field):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_structure_tensor_product_matches_dense_constants(data):
-    """Random sparse tables of structure constants, over Q in ints and over
-    Q(sqrt 2) on the field path: the tensor's product of two vectors, and
-    its dense constants read back, against the dense oracle."""
-    field = data.draw(st.sampled_from((QQ, _SQRT2)))
+    """Random sparse tables of structure constants over Q, over Q(sqrt 2) and
+    over the tower Q(sqrt 2)(cbrt 2), each stored as its restriction of
+    scalars to Q in ints: the tensor's product of two vectors, and its dense
+    constants read back, against the dense oracle."""
+    field = data.draw(st.sampled_from((QQ, _SQRT2, FIELDS["sqrt2-cbrt2"])))
     n = data.draw(st.integers(1, 5))
     planes = tuple(
         tuple(tuple(_sparse_element(data.draw, field) for _ in range(n)) for _ in range(n))

@@ -726,7 +726,10 @@ def test_composition_reports_as_strong_multiplicativity_of_left_multiplication(f
     lambda: composition_algebra_norm("octonion", [-1, 2, -3]).algebra,
     lambda: _tits(_SQRT2).algebra,
     lambda: _tits(_HALF).algebra,
-], ids=["det3", "quaternion", "octonion-split", "octonion", "tits-sqrt2", "tits-sqrt-half"])
+    lambda: matrix_algebra(2, field_extend(QQ, [-2, 0, 0, 1])),
+    lambda: _tits(field_extend(_SQRT2, [-3, 0, 1])).algebra,
+], ids=["det3", "quaternion", "octonion-split", "octonion", "tits-sqrt2", "tits-sqrt-half",
+        "m2-cbrt2", "tits-sqrt2-sqrt3"])
 def test_left_multiplication_and_u_operator_are_the_products(make):
     """L_x y and U_v w, as polynomials in x then y (v then w), are exactly
     the products xy and {v w v} that `product_polys` forms on variable
